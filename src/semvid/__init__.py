@@ -4,11 +4,9 @@ source/channel-coded baseline, video compositing, and dynamic 3D Gaussian
 scene reconstruction."""
 
 from .channel import ChannelConfig, SymbolBlock, TxStats, awgn, normalize_power
-from .config import RunConfig, load_config, reference_config, save_config
+from .config import LinkSettings, NodeSettings, RunConfig, load_config, reference_config, save_config
 from .metrics import average_jaccard, epe, mse, ms_ssim, pck, psnr
 from .pipeline import (
-    LinkSpec,
-    NodeSpec,
     ServiceReport,
     compare_baselines,
     run_service,
@@ -21,9 +19,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelConfig", "SymbolBlock", "TxStats", "awgn", "normalize_power",
-    "RunConfig", "load_config", "reference_config", "save_config",
+    "LinkSettings", "NodeSettings", "RunConfig", "load_config", "reference_config",
+    "save_config",
     "average_jaccard", "epe", "mse", "ms_ssim", "pck", "psnr",
-    "LinkSpec", "NodeSpec", "ServiceReport", "compare_baselines",
+    "ServiceReport", "compare_baselines",
     "run_service", "snr_sweep", "stage_latency",
     "Frame", "Gop", "VideoSequence", "downsample", "load_raw", "save_raw",
     "segment_gops",

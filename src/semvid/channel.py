@@ -10,25 +10,19 @@ output.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-
-SNR_DB_MIN = -10.0
-SNR_DB_MAX = 25.0
 
 
 @dataclass(frozen=True)
 class ChannelConfig:
     snr_db: float
     seed: int
-    kind: str = "awgn"
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.snr_db):
             raise ValueError("snr_db must be finite")
-        if self.kind != "awgn":
-            raise ValueError(f"unsupported channel kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -85,11 +79,6 @@ def derive_seed(base_seed: int, *labels) -> int:
         digest.update(b"/")
         digest.update(str(label).encode())
     return int.from_bytes(digest.digest()[:8], "big") >> 1
-
-
-def channel_for(cfg: ChannelConfig, *labels) -> ChannelConfig:
-    """A config with a seed derived for a specific hop/GOP."""
-    return replace(cfg, seed=derive_seed(cfg.seed, *labels))
 
 
 @dataclass(frozen=True)

@@ -18,17 +18,18 @@ import numpy as np
 
 from . import fixtures
 from .config import config_to_dict, load_config, reference_config
-from .metrics import epe, pck
 from .pipeline import (
     compare_baselines,
+    fit_reference_scene,
+    matte_composite,
     resolve_video,
     run_service,
     snr_sweep,
     transmit_video,
     video_quality,
 )
-from .recon.fit import FitConfig, fit_scene
-from .recon.scene import save_scene, scene_poses
+from .recon.scene import save_scene
+from .synthesis import matte_iou
 from .video import save_raw
 
 
@@ -101,46 +102,25 @@ def cmd_compare(args) -> int:
 def cmd_composite(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
-    from .synthesis import composite, estimate_matte, matte_iou
-    from .video import VideoSequence
-
     user, plate, gt = fixtures.make_matting_set(
         cfg.user_video.width, cfg.user_video.height, cfg.user_video.frames,
         cfg.user_video.fps, cfg.user_video.seed,
     )
-    background = resolve_video(cfg.background_video)
-    n = min(len(user), len(background))
-    syn = cfg.synthesis
-    mattes = [estimate_matte(user.frames[i], plate, syn.threshold, syn.softness) for i in range(n)]
-    frames = tuple(composite(user.frames[i], background.frames[i], mattes[i]) for i in range(n))
-    fused = VideoSequence(frames, user.fps)
+    mattes, fused = matte_composite(user, resolve_video(cfg.background_video), plate,
+                                    cfg.synthesis)
     save_raw(fused, out / "composite.rgb")
-    iou = float(np.mean([matte_iou(mattes[i], gt[i]) for i in range(n)]))
-    _write_json(out / "composite.json", {"matte_iou": iou, "frames": n})
-    print(f"composited {n} frames, matte IoU {iou:.4f}")
+    iou = float(np.mean([matte_iou(m, g) for m, g in zip(mattes, gt)]))
+    _write_json(out / "composite.json", {"matte_iou": iou, "frames": len(mattes)})
+    print(f"composited {len(mattes)} frames, matte IoU {iou:.4f}")
     return 0
 
 
 def cmd_reconstruct(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
-    gt = fixtures.make_benchmark_scene(cfg.reconstruction.n_timesteps, cfg.reconstruction.image_size, cfg.reconstruction.n_bases)
-    frames, depths, tracks, cameras = fixtures.make_fit_inputs(gt, cfg.reconstruction.n_tracks)
-    init = fixtures.perturb_scene(gt, cfg.reconstruction.perturb_seed)
-    fit_cfg = FitConfig(initial_scene=init, iterations=cfg.reconstruction.iterations,
-                        learning_rates={"means": 5e-3})
-    result = fit_scene(frames, depths, tracks, cameras, fit_cfg)
+    result, _, metrics = fit_reference_scene(cfg.reconstruction)
     save_scene(result.scene, out / "scene.json")
-    gt_centers = np.concatenate([scene_poses(gt, t)[0] for t in range(gt.n_timesteps)])
-    fit_centers = np.concatenate(
-        [scene_poses(result.scene, t)[0] for t in range(result.scene.n_timesteps)]
-    )
-    metrics = {
-        "final_loss": result.final_loss,
-        "center_epe": epe(fit_centers, gt_centers),
-        "center_pck_0p1": pck(fit_centers, gt_centers, 0.1),
-        "iterations": result.iterations_run,
-    }
+    metrics["iterations"] = result.iterations_run
     _write_json(out / "reconstruct.json", metrics)
     print(f"fit loss {result.losses[0]:.4f} -> {result.final_loss:.6f}, "
           f"center EPE {metrics['center_epe']:.4f}, PCK(0.1) {metrics['center_pck_0p1']:.2f}")

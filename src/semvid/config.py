@@ -18,8 +18,12 @@ Reference calibration, documented for auditability:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+
+from .channel import ChannelConfig
+from .semantic import SemanticCodecConfig
 
 REFERENCE_THROUGHPUT_BPS = 11.5e6 * 8 / 5718.0  # ~16.09 kbps
 
@@ -40,14 +44,10 @@ class VideoSource:
     def __post_init__(self) -> None:
         if self.kind not in ("synthetic", "raw"):
             raise ValueError(f"unknown video source kind {self.kind!r}")
+        if self.variant not in ("test", "matting", "background"):
+            raise ValueError(f"unknown synthetic variant {self.variant!r}")
         if self.kind == "raw" and not self.path:
             raise ValueError("raw video source needs a path")
-
-
-@dataclass(frozen=True)
-class ChannelSettings:
-    snr_db: float = 15.0
-    seed: int = 2024
 
 
 @dataclass(frozen=True)
@@ -58,17 +58,6 @@ class ClassicalSettings:
     ldpc_check_degree: int = 6
     ldpc_seed: int = 11
     max_iters: int = 50
-
-
-@dataclass(frozen=True)
-class SemanticSettings:
-    symbol_budget: int = 378          # calibrated against the reference clip
-    service_symbol_budget: int = 18000  # roomier budget for service uploads
-    gop_size: int = 4                 # the reference config raises this to 8
-    block_size: int = 8
-    entropy_floor: float = 1e-3
-    power_alloc_exp: float = 0.25
-    bits_per_symbol_eq: int = 32
 
 
 @dataclass(frozen=True)
@@ -131,11 +120,9 @@ class RunConfig:
         default_factory=lambda: VideoSource(variant="background", width=64, height=64, seed=55)
     )
     sweep_snrs_db: tuple = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
-    channel: ChannelSettings = field(default_factory=ChannelSettings)
+    channel: ChannelConfig = field(default_factory=lambda: ChannelConfig(snr_db=15.0, seed=2024))
     classical: ClassicalSettings = field(default_factory=ClassicalSettings)
-    # the shipped reference uses one 8-frame GOP per clip so side information
-    # is paid once; plain SemanticSettings() keeps the plain default GOP of 4
-    semantic: SemanticSettings = field(default_factory=lambda: SemanticSettings(gop_size=8))
+    semantic: SemanticCodecConfig = field(default_factory=SemanticCodecConfig)
     synthesis: SynthesisSettings = field(default_factory=SynthesisSettings)
     reconstruction: ReconSettings = field(default_factory=ReconSettings)
     nodes: dict = field(
@@ -154,43 +141,48 @@ class RunConfig:
     compute: ComputeSettings = field(default_factory=ComputeSettings)
     metrics: MetricsSettings = field(default_factory=MetricsSettings)
 
+    def __post_init__(self) -> None:
+        if not self.sweep_snrs_db or not all(map(math.isfinite, self.sweep_snrs_db)):
+            raise ValueError("sweep_snrs_db needs at least one SNR point, all finite")
+
 
 def reference_config() -> RunConfig:
     """The shipped, calibrated configuration used by the acceptance runs."""
     return RunConfig()
 
 
-_NESTED = {
-    "video": VideoSource,
-    "user_video": VideoSource,
-    "background_video": VideoSource,
-    "channel": ChannelSettings,
-    "classical": ClassicalSettings,
-    "semantic": SemanticSettings,
-    "synthesis": SynthesisSettings,
-    "reconstruction": ReconSettings,
-    "compute": ComputeSettings,
-    "metrics": MetricsSettings,
-}
+# leaves whose JSON form is not their Python type
+_CONVERT = {("seed",): int, ("sweep_snrs_db",): lambda v: tuple(float(x) for x in v)}
+
+
+def _merge(obj, value, path: tuple = ()):
+    """``obj`` with ``value`` merged in.  Config objects and the node and link
+    dicts merge key by key; any other value replaces the old one.  A bad key
+    or value raises ValueError naming it by its dotted path."""
+    name = ".".join(path) or "config"
+    if not (is_dataclass(obj) or isinstance(obj, dict)):
+        try:
+            return _CONVERT.get(path, lambda v: v)(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name}: {exc}") from exc
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object")
+    current = obj if isinstance(obj, dict) else {f.name: getattr(obj, f.name) for f in fields(obj)}
+    for key in value:
+        if key not in current:
+            raise ValueError(f"unknown config key {'.'.join(path + (key,))}")
+    merged = {key: _merge(current[key], v, path + (key,)) for key, v in value.items()}
+    if isinstance(obj, dict):
+        return {**obj, **merged}
+    try:
+        return replace(obj, **merged)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    base = reference_config()
-    kwargs = {}
-    for key, value in data.items():
-        if key in _NESTED:
-            kwargs[key] = _NESTED[key](**value)
-        elif key == "nodes":
-            kwargs[key] = {name: NodeSettings(**entry) for name, entry in value.items()}
-        elif key == "links":
-            kwargs[key] = {name: LinkSettings(**entry) for name, entry in value.items()}
-        elif key == "sweep_snrs_db":
-            kwargs[key] = tuple(float(v) for v in value)
-        elif key == "seed":
-            kwargs[key] = int(value)
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    return replace(base, **kwargs)
+    """The reference configuration with ``data`` merged into it."""
+    return _merge(reference_config(), data)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

@@ -20,14 +20,16 @@ import numpy as np
 
 from . import fixtures
 from .channel import ChannelConfig, TxStats, derive_seed
-from .classical import classical_transmit, prepare_classical, transmit_prepared
-from .config import RunConfig, VideoSource
-from .ldpc import make_ldpc_code
+from .classical import prepare_classical, transmit_prepared
+from .config import LinkSettings, NodeSettings, ReconSettings, RunConfig, VideoSource
+from .ldpc import LdpcCode, make_ldpc_code
 from .metrics import epe, ms_ssim, pck, psnr
 from .recon.fit import FitConfig, fit_scene
 from .recon.render import render
 from .recon.scene import scene_poses
-from .semantic import SemanticCodecConfig, prepare_semantic, semantic_transmit, transmit_packet
+# semantic_transmit is unused here, but the benchmark tracer wraps it by this
+# module's name, so it stays importable from semvid.pipeline
+from .semantic import prepare_semantic, semantic_transmit, transmit_packet  # noqa: F401
 from .synthesis import (
     AlphaMatte,
     composite,
@@ -41,38 +43,15 @@ from .synthesis import (
 from .video import Frame, VideoSequence, box_downsample, flatten_gops, load_raw, segment_gops
 
 LPIPS_NOTE = "unavailable: requires a pretrained perceptual network (out of scope)"
+CHAINS = ("semantic", "classical")
 
 
-@dataclass(frozen=True)
-class NodeSpec:
-    role: str
-    compute_capacity_flops: float
-
-    def __post_init__(self) -> None:
-        if self.role not in ("cloud", "edge", "end"):
-            raise ValueError("node role must be cloud, edge or end")
-        if self.compute_capacity_flops <= 0:
-            raise ValueError("compute capacity must be positive")
-
-
-@dataclass(frozen=True)
-class LinkSpec:
-    endpoints: tuple
-    throughput_bps: float
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("wireless", "fiber"):
-            raise ValueError("link kind must be wireless or fiber")
-        if self.throughput_bps <= 0:
-            raise ValueError("throughput must be positive")
-
-
-def stage_latency(payload_bits: float, link: LinkSpec, flops: float, node: NodeSpec) -> float:
+def stage_latency(payload_bits: float, link: LinkSettings, flops: float,
+                  node: NodeSettings) -> float:
     """Transmission plus compute time for one stage."""
     if payload_bits < 0 or flops < 0:
         raise ValueError("payload and compute must be non-negative")
-    return payload_bits / link.throughput_bps + flops / node.compute_capacity_flops
+    return payload_bits / link.throughput_bps + flops / node.flops
 
 
 @dataclass
@@ -140,15 +119,6 @@ class ServiceReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
 
 
-def codec_config(cfg: RunConfig) -> SemanticCodecConfig:
-    return SemanticCodecConfig(
-        block_size=cfg.semantic.block_size,
-        power_alloc_exp=cfg.semantic.power_alloc_exp,
-        entropy_floor=cfg.semantic.entropy_floor,
-        bits_per_symbol_eq=cfg.semantic.bits_per_symbol_eq,
-    )
-
-
 def build_ldpc(cfg: RunConfig):
     return make_ldpc_code(
         cfg.classical.ldpc_k,
@@ -161,20 +131,12 @@ def build_ldpc(cfg: RunConfig):
 def resolve_video(source: VideoSource) -> VideoSequence:
     if source.kind == "raw":
         return load_raw(source.path)
-    if source.variant == "test":
-        return fixtures.make_test_clip(
-            source.width, source.height, source.frames, source.fps, source.seed
-        )
+    args = (source.width, source.height, source.frames, source.fps, source.seed)
     if source.variant == "matting":
-        video, _, _ = fixtures.make_matting_set(
-            source.width, source.height, source.frames, source.fps, source.seed
-        )
-        return video
+        return fixtures.make_matting_set(*args)[0]
     if source.variant == "background":
-        return fixtures.make_background_clip(
-            source.width, source.height, source.frames, source.fps, source.seed
-        )
-    raise ValueError(f"unknown synthetic variant {source.variant!r}")
+        return fixtures.make_background_clip(*args)
+    return fixtures.make_test_clip(*args)
 
 
 def video_quality(reference: VideoSequence, received: VideoSequence, scales: int) -> dict:
@@ -185,40 +147,63 @@ def video_quality(reference: VideoSequence, received: VideoSequence, scales: int
     }
 
 
+@dataclass(frozen=True)
+class PreparedClip:
+    """A clip encoded once for one chain, ready to be sent at any SNR."""
+
+    chain: str
+    payloads: tuple       # per GOP: SemanticPacket or PreparedClassical
+    fps: float
+    wireless_bits: int    # payload plus side information, all GOPs
+    code: LdpcCode = None  # the classical chain's channel code
+
+
+def prepare_clip(video: VideoSequence, chain: str, cfg: RunConfig,
+                 symbol_budget: int = None) -> PreparedClip:
+    """Segment a clip into GOPs and run one chain's encoder on each.  The
+    semantic chain keeps ``symbol_budget`` symbols per GOP (default: the
+    config's ``symbol_budget``)."""
+    gops = segment_gops(video, cfg.semantic.gop_size)
+    if chain == "semantic":
+        budget = cfg.semantic.symbol_budget if symbol_budget is None else symbol_budget
+        packets = tuple(prepare_semantic(g, budget, cfg.semantic) for g in gops)
+        bits = sum(p.symbol_count * cfg.semantic.bits_per_symbol_eq + p.side_info_bits
+                   for p in packets)
+        return PreparedClip(chain, packets, video.fps, bits)
+    if chain == "classical":
+        code = build_ldpc(cfg)
+        preps = tuple(prepare_classical(g, cfg.classical.qp, code) for g in gops)
+        bits = sum(p.bitstream.bit_length + p.bitstream.side_info_bits for p in preps)
+        return PreparedClip(chain, preps, video.fps, bits, code)
+    raise ValueError(f"unknown chain {chain!r}")
+
+
+def send(clip: PreparedClip, cfg: RunConfig, snr_db: float, *labels):
+    """Send a prepared clip GOP by GOP over the AWGN channel; returns the
+    received video and summed accounting.  GOP ``i`` draws its noise from
+    ``derive_seed(cfg.seed, *labels, i)``.  The classical chain conceals
+    undecodable macroblocks from the previous GOP's last received frame."""
+    out = []
+    total = TxStats(0, 0)
+    prev = None
+    for i, payload in enumerate(clip.payloads):
+        ch = ChannelConfig(snr_db, derive_seed(cfg.seed, *labels, i))
+        if clip.chain == "semantic":
+            rec, st = transmit_packet(payload, ch, cfg.semantic)
+        else:
+            rec, st = transmit_prepared(payload, ch, clip.code, prev_frame=prev,
+                                        max_iters=cfg.classical.max_iters)
+            prev = rec.frames[-1]
+        out.append(rec)
+        total = total.merge(st)
+    return flatten_gops(out, clip.fps), total
+
+
 def transmit_video(video: VideoSequence, chain: str, cfg: RunConfig, snr_db: float,
                    label: str):
-    """Send a whole clip GOP by GOP through one chain; returns the
-    reconstructed video and summed accounting.  Channel seeds derive from
-    (config seed, chain, label, SNR, GOP index)."""
-    gops = segment_gops(video, cfg.semantic.gop_size)
-    total = TxStats(0, 0)
-    out = []
-    if chain == "semantic":
-        scfg = codec_config(cfg)
-        for i, gop in enumerate(gops):
-            ch = ChannelConfig(snr_db, derive_seed(cfg.seed, chain, label, f"{snr_db:.3f}", i))
-            rec, st = semantic_transmit(gop, ch, cfg.semantic.symbol_budget, scfg)
-            out.append(rec)
-            total = total.merge(st)
-    elif chain == "classical":
-        code = build_ldpc(cfg)
-        prev = None
-        for i, gop in enumerate(gops):
-            ch = ChannelConfig(snr_db, derive_seed(cfg.seed, chain, label, f"{snr_db:.3f}", i))
-            rec, st = classical_transmit(
-                gop, ch, cfg.classical.qp, code, prev_frame=prev,
-                max_iters=cfg.classical.max_iters,
-            )
-            out.append(rec)
-            prev = rec.frames[-1]
-            total = total.merge(st)
-    else:
-        raise ValueError(f"unknown chain {chain!r}")
-    return flatten_gops(out, video.fps), total
-
-
-def _wireless_bits(stats: TxStats) -> int:
-    return stats.payload_bits + stats.side_info_bits
+    """Encode a whole clip for one chain and send it once; channel seeds
+    derive from (config seed, chain, label, SNR, GOP index)."""
+    return send(prepare_clip(video, chain, cfg), cfg, snr_db, chain, label, f"{snr_db:.3f}")
 
 
 @dataclass
@@ -242,44 +227,29 @@ class CurveData:
         return max(prev - cur for prev, cur in zip(vals[1:], vals[:-1]))
 
 
+def _prepare_reference(cfg: RunConfig):
+    """The reference clip and its one encode per chain."""
+    video = resolve_video(cfg.video)
+    return video, {chain: prepare_clip(video, chain, cfg) for chain in CHAINS}
+
+
+def _sweep(cfg: RunConfig, snrs, video: VideoSequence, clips: dict) -> CurveData:
+    rows = []
+    for snr in snrs:
+        for chain in CHAINS:
+            received, _ = send(clips[chain], cfg, snr, chain, "sweep", f"{snr:.3f}")
+            q = video_quality(video, received, cfg.metrics.ms_ssim_scales)
+            rows.append({"snr_db": float(snr), "chain": chain, **q})
+    return CurveData(rows)
+
+
 def snr_sweep(cfg: RunConfig, snr_list=None) -> CurveData:
-    """Both chains over the SNR grid on the reference clip; the source and
-    channel encodes are computed once and reused across SNR points."""
+    """Both chains over the SNR grid on the reference clip; each chain
+    encodes the clip once and sends it at every SNR point."""
     snrs = list(cfg.sweep_snrs_db if snr_list is None else snr_list)
     if not snrs:
         raise ValueError("sweep needs at least one SNR point")
-    video = resolve_video(cfg.video)
-    gops = segment_gops(video, cfg.semantic.gop_size)
-    scfg = codec_config(cfg)
-    code = build_ldpc(cfg)
-    packets = [prepare_semantic(g, cfg.semantic.symbol_budget, scfg) for g in gops]
-    preps = [prepare_classical(g, cfg.classical.qp, code) for g in gops]
-    scales = cfg.metrics.ms_ssim_scales
-
-    rows = []
-    for snr in snrs:
-        sem_out = []
-        for i, (gop, packet) in enumerate(zip(gops, packets)):
-            ch = ChannelConfig(snr, derive_seed(cfg.seed, "semantic", "sweep", f"{snr:.3f}", i))
-            rec, _ = transmit_packet(packet, ch, scfg)
-            sem_out.append(rec)
-        sem_video = flatten_gops(sem_out, video.fps)
-        q = video_quality(video, sem_video, scales)
-        rows.append({"snr_db": float(snr), "chain": "semantic", "psnr_db": q["psnr_db"],
-                     "ms_ssim": q["ms_ssim"]})
-        cls_out = []
-        prev = None
-        for i, prep in enumerate(preps):
-            ch = ChannelConfig(snr, derive_seed(cfg.seed, "classical", "sweep", f"{snr:.3f}", i))
-            rec, _ = transmit_prepared(prep, ch, code, prev_frame=prev,
-                                       max_iters=cfg.classical.max_iters)
-            cls_out.append(rec)
-            prev = rec.frames[-1]
-        cls_video = flatten_gops(cls_out, video.fps)
-        q = video_quality(video, cls_video, scales)
-        rows.append({"snr_db": float(snr), "chain": "classical", "psnr_db": q["psnr_db"],
-                     "ms_ssim": q["ms_ssim"]})
-    return CurveData(rows)
+    return _sweep(cfg, snrs, *_prepare_reference(cfg))
 
 
 @dataclass
@@ -311,23 +281,14 @@ class ComparisonReport:
 def compare_baselines(cfg: RunConfig) -> ComparisonReport:
     """Delay and quality comparison of the two chains on the reference clip
     at the reference wireless throughput."""
-    video = resolve_video(cfg.video)
-    gops = segment_gops(video, cfg.semantic.gop_size)
-    scfg = codec_config(cfg)
-    code = build_ldpc(cfg)
-    sem_bits = 0
-    for gop in gops:
-        packet = prepare_semantic(gop, cfg.semantic.symbol_budget, scfg)
-        sem_bits += packet.symbol_count * scfg.bits_per_symbol_eq + packet.side_info_bits
-    cls_bits = 0
-    for gop in gops:
-        prep = prepare_classical(gop, cfg.classical.qp, code)
-        cls_bits += prep.bitstream.bit_length + prep.bitstream.side_info_bits
+    video, clips = _prepare_reference(cfg)
     throughput = cfg.links["wireless"].throughput_bps
+    sem_bits = clips["semantic"].wireless_bits
+    cls_bits = clips["classical"].wireless_bits
     sem_delay = sem_bits / throughput
     cls_delay = cls_bits / throughput
     return ComparisonReport(
-        curve=snr_sweep(cfg),
+        curve=_sweep(cfg, cfg.sweep_snrs_db, video, clips),
         semantic_payload_bits=sem_bits,
         classical_payload_bits=cls_bits,
         semantic_delay_seconds=sem_delay,
@@ -336,20 +297,48 @@ def compare_baselines(cfg: RunConfig) -> ComparisonReport:
     )
 
 
-def _semantic_hop(video, cfg, label, budget):
-    """One wireless semantic hop at the configured channel SNR."""
-    gops = segment_gops(video, cfg.semantic.gop_size)
-    scfg = codec_config(cfg)
-    out = []
-    total = TxStats(0, 0)
-    for i, gop in enumerate(gops):
-        ch = ChannelConfig(
-            cfg.channel.snr_db, derive_seed(cfg.seed, "service", label, i)
-        )
-        rec, st = semantic_transmit(gop, ch, budget, scfg)
-        out.append(rec)
-        total = total.merge(st)
-    return flatten_gops(out, video.fps), total
+def _wireless_stage(name: str, video: VideoSequence, cfg: RunConfig, label: str):
+    """One semantic hop over the wireless link at the configured SNR, with
+    the service budget; returns the received video and its stage report."""
+    clip = prepare_clip(video, "semantic", cfg, cfg.semantic.service_symbol_budget)
+    received, st = send(clip, cfg, cfg.channel.snr_db, "service", label)
+    delay = stage_latency(clip.wireless_bits, cfg.links["wireless"], 0.0, cfg.nodes["end"])
+    return received, StageReport(
+        name=name, transmission_seconds=delay, tx=replace(st, wireless_delay_seconds=delay),
+        metrics={"link": "wireless",
+                 **video_quality(video, received, cfg.metrics.ms_ssim_scales)},
+    )
+
+
+def fit_reference_scene(rc: ReconSettings):
+    """Fit the synthetic benchmark scene from a perturbed start.  Returns the
+    fit result, the frames it was fitted to, and the fitted Gaussian centers
+    scored against the ground truth."""
+    gt = fixtures.make_benchmark_scene(rc.n_timesteps, rc.image_size, rc.n_bases)
+    frames, depths, tracks, cameras = fixtures.make_fit_inputs(gt, rc.n_tracks)
+    fit_cfg = FitConfig(initial_scene=fixtures.perturb_scene(gt, rc.perturb_seed),
+                        iterations=rc.iterations, learning_rates={"means": 5e-3})
+    result = fit_scene(frames, depths, tracks, cameras, fit_cfg)
+    gt_centers = np.concatenate([scene_poses(gt, t)[0] for t in range(gt.n_timesteps)])
+    fit_centers = np.concatenate(
+        [scene_poses(result.scene, t)[0] for t in range(result.scene.n_timesteps)]
+    )
+    metrics = {
+        "final_loss": result.final_loss,
+        "center_epe": epe(fit_centers, gt_centers),
+        "center_pck_0p1": pck(fit_centers, gt_centers, 0.1),
+    }
+    return result, frames, metrics
+
+
+def matte_composite(user: VideoSequence, background: VideoSequence, plate: Frame, syn):
+    """Matte each user frame against the clean plate and composite it over
+    the matching background frame; returns the mattes and the composite."""
+    n = min(len(user), len(background))
+    mattes = [estimate_matte(user.frames[i], plate, syn.threshold, syn.softness)
+              for i in range(n)]
+    frames = tuple(composite(user.frames[i], background.frames[i], mattes[i]) for i in range(n))
+    return mattes, VideoSequence(frames, user.fps)
 
 
 def run_service(cfg: RunConfig) -> ServiceReport:
@@ -361,13 +350,9 @@ def run_service(cfg: RunConfig) -> ServiceReport:
     edge, and semantic download of the rendered video (edge -> end).  A
     failing stage is recorded as failed and everything downstream is
     skipped."""
-    wireless = LinkSpec(("end", "edge"), cfg.links["wireless"].throughput_bps, "wireless")
-    fiber = LinkSpec(("edge", "cloud"), cfg.links["fiber"].throughput_bps, "fiber")
-    end_node = NodeSpec("end", cfg.nodes["end"].flops)
-    edge_node = NodeSpec("edge", cfg.nodes["edge"].flops)
-    cloud_node = NodeSpec("cloud", cfg.nodes["cloud"].flops)
+    fiber = cfg.links["fiber"]
+    cloud_node = cfg.nodes["cloud"]
     scales = cfg.metrics.ms_ssim_scales
-    budget = cfg.semantic.service_symbol_budget
 
     stage_names = [
         "upload_user_video", "upload_background", "forward_to_cloud",
@@ -398,26 +383,16 @@ def run_service(cfg: RunConfig) -> ServiceReport:
             video = resolve_video(cfg.user_video)
             plate, mattes = Frame(video.frames[0].data), None
         state.update(user_clean=video, plate=plate, gt_mattes=mattes)
-        received, st = _semantic_hop(video, cfg, "upload_user", budget)
-        state["user_received"] = received
-        delay = stage_latency(_wireless_bits(st), wireless, 0.0, end_node)
-        st = replace(st, wireless_delay_seconds=delay)
-        return StageReport(
-            name="upload_user_video", transmission_seconds=delay, tx=st,
-            metrics={"link": "wireless", **video_quality(video, received, scales)},
-        )
+        state["user_received"], report = _wireless_stage(
+            "upload_user_video", video, cfg, "upload_user")
+        return report
 
     def upload_background():
         video = resolve_video(cfg.background_video)
         state["bg_clean"] = video
-        received, st = _semantic_hop(video, cfg, "upload_background", budget)
-        state["bg_received"] = received
-        delay = stage_latency(_wireless_bits(st), wireless, 0.0, end_node)
-        st = replace(st, wireless_delay_seconds=delay)
-        return StageReport(
-            name="upload_background", transmission_seconds=delay, tx=st,
-            metrics={"link": "wireless", **video_quality(video, received, scales)},
-        )
+        state["bg_received"], report = _wireless_stage(
+            "upload_background", video, cfg, "upload_background")
+        return report
 
     def forward_to_cloud():
         user, bg = state["user_received"], state["bg_received"]
@@ -430,34 +405,18 @@ def run_service(cfg: RunConfig) -> ServiceReport:
         )
 
     def video_synthesis():
-        user, bg = state["user_received"], state["bg_received"]
-        plate = state["plate"]
         syn = cfg.synthesis
-        n = min(len(user), len(bg))
-        mattes = [
-            estimate_matte(user.frames[i], plate, syn.threshold, syn.softness)
-            for i in range(n)
-        ]
-        comp = VideoSequence(
-            tuple(composite(user.frames[i], bg.frames[i], mattes[i]) for i in range(n)),
-            user.fps,
-        )
+        mattes, comp = matte_composite(
+            state["user_received"], state["bg_received"], state["plate"], syn)
         state["composite"] = comp
         # channel-free reference composite for quality accounting
         user_c, bg_c = state["user_clean"], state["bg_clean"]
-        mattes_ref = [
-            estimate_matte(user_c.frames[i], plate, syn.threshold, syn.softness)
-            for i in range(n)
-        ]
-        ref = VideoSequence(
-            tuple(composite(user_c.frames[i], bg_c.frames[i], mattes_ref[i]) for i in range(n)),
-            user.fps,
-        )
+        _, ref = matte_composite(user_c, bg_c, state["plate"], syn)
         metrics = {"composite_vs_reference": video_quality(ref, comp, scales)}
         if state["gt_mattes"] is not None:
             gt = state["gt_mattes"]
             ious, sem_l, det_l, fus_l = [], [], [], []
-            for i in range(n):
+            for i in range(len(mattes)):
                 ious.append(matte_iou(mattes[i], gt[i]))
                 thumb = AlphaMatte(
                     np.clip(box_downsample(mattes[i].alpha, syn.downsample_factor), 0.0, 1.0)
@@ -483,31 +442,10 @@ def run_service(cfg: RunConfig) -> ServiceReport:
                 name="scene_preprocess", status="skipped",
                 metrics={"reason": "disabled in config"},
             )
-        gt_scene = fixtures.make_benchmark_scene(
-            cfg.reconstruction.n_timesteps, cfg.reconstruction.image_size, cfg.reconstruction.n_bases
-        )
-        frames, depths, tracks, cameras = fixtures.make_fit_inputs(gt_scene, cfg.reconstruction.n_tracks)
-        init = fixtures.perturb_scene(gt_scene, cfg.reconstruction.perturb_seed)
-        fit_cfg = FitConfig(initial_scene=init, iterations=cfg.reconstruction.iterations,
-                            learning_rates={"means": 5e-3})
-        result = fit_scene(frames, depths, tracks, cameras, fit_cfg)
+        result, state["scene_frames"], metrics = fit_reference_scene(cfg.reconstruction)
         state["scene"] = result.scene
-        state["scene_frames"] = frames
-        gt_centers = np.concatenate(
-            [scene_poses(gt_scene, t)[0] for t in range(gt_scene.n_timesteps)]
-        )
-        fit_centers = np.concatenate(
-            [scene_poses(result.scene, t)[0] for t in range(result.scene.n_timesteps)]
-        )
         delay = stage_latency(0.0, fiber, cfg.compute.scene_preprocess_flops, cloud_node)
-        return StageReport(
-            name="scene_preprocess", compute_seconds=delay,
-            metrics={
-                "final_loss": result.final_loss,
-                "center_epe": epe(fit_centers, gt_centers),
-                "center_pck_0p1": pck(fit_centers, gt_centers, 0.1),
-            },
-        )
+        return StageReport(name="scene_preprocess", compute_seconds=delay, metrics=metrics)
 
     def edge_render():
         if "scene" not in state:
@@ -523,7 +461,7 @@ def run_service(cfg: RunConfig) -> ServiceReport:
         quality = video_quality(
             VideoSequence(tuple(state["scene_frames"]), 10.0), rendered, scales=1
         )
-        delay = stage_latency(0.0, fiber, cfg.compute.render_flops, edge_node)
+        delay = stage_latency(0.0, fiber, cfg.compute.render_flops, cfg.nodes["edge"])
         return StageReport(
             name="edge_render", compute_seconds=delay,
             metrics={"render_vs_observations": quality},
@@ -536,13 +474,7 @@ def run_service(cfg: RunConfig) -> ServiceReport:
                 name="download_3d_video", status="skipped",
                 metrics={"reason": "nothing to download"},
             )
-        received, st = _semantic_hop(source, cfg, "download_3d", budget)
-        delay = stage_latency(_wireless_bits(st), wireless, 0.0, end_node)
-        st = replace(st, wireless_delay_seconds=delay)
-        return StageReport(
-            name="download_3d_video", transmission_seconds=delay, tx=st,
-            metrics={"link": "wireless", **video_quality(source, received, scales)},
-        )
+        return _wireless_stage("download_3d_video", source, cfg, "download_3d")[1]
 
     for name, fn in zip(
         stage_names,

@@ -39,23 +39,30 @@ _GRID = float(2**GRID_BITS)
 PARAM_QUANT_BITS = 8
 GEOMETRY_BITS = 64
 RANGE_HEADER_BITS = 4 * 32
+BIN_WIDTH = 1.0 / 64.0  # integration bin for likelihoods
 
 
 @dataclass(frozen=True)
 class SemanticCodecConfig:
+    """The semantic chain's settings; also the ``semantic`` config section."""
+
+    symbol_budget: int = 378            # calibrated against the reference clip
+    service_symbol_budget: int = 18000  # roomier budget for service uploads
+    gop_size: int = 8              # one GOP per reference clip: side info paid once
     block_size: int = 8            # tile is (block_size, 2 * block_size)
-    power_alloc_exp: float = 0.25  # symbol amplitude ~ variance**-exp
     entropy_floor: float = 1e-3    # minimum Laplace scale
-    bin_width: float = 1.0 / 64.0  # integration bin for likelihoods
+    power_alloc_exp: float = 0.25  # symbol amplitude ~ variance**-exp
     bits_per_symbol_eq: int = 32   # payload accounting per analog symbol
 
     def __post_init__(self) -> None:
+        if min(self.symbol_budget, self.service_symbol_budget, self.gop_size) < 1:
+            raise ValueError("symbol budgets and gop_size must be >= 1")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
         if not 0.0 <= self.power_alloc_exp <= 0.5:
             raise ValueError("power_alloc_exp must be in [0, 0.5]")
-        if self.entropy_floor <= 0 or self.bin_width <= 0:
-            raise ValueError("entropy_floor and bin_width must be positive")
+        if self.entropy_floor <= 0:
+            raise ValueError("entropy_floor must be positive")
 
     @property
     def tile_shape(self):
@@ -114,7 +121,6 @@ class EntropyModel:
 
     locations: np.ndarray  # (2, channels)
     scales: np.ndarray     # (2, channels), >= floor
-    bin_width: float
 
     def __post_init__(self) -> None:
         if np.any(self.scales <= 0):
@@ -126,7 +132,7 @@ class EntropyModel:
         loc = self.locations[kind]
         b = self.scales[kind]
         d = np.abs(values - loc)
-        half = self.bin_width / 2.0
+        half = BIN_WIDTH / 2.0
         tail = np.exp(-d / b) * np.sinh(half / b)
         # cosh argument clamped: the center branch only applies for d < half
         center = 1.0 - np.exp(-half / b) * np.cosh(np.minimum(d, half) / b)
@@ -235,7 +241,7 @@ def fit_entropy_model(maps: FeatureMaps, cfg: SemanticCodecConfig = SemanticCode
         locations[kind] = data.mean(axis=0)
         mad = np.abs(data - locations[kind]).mean(axis=0)
         scales[kind] = np.maximum(mad, cfg.entropy_floor)
-    return EntropyModel(locations, scales, cfg.bin_width)
+    return EntropyModel(locations, scales)
 
 
 def likelihood(maps: FeatureMaps, model: EntropyModel):

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per shipped guarantee, each printing a
 PASS line with the measured values (run with -s to see them inline)."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,11 +40,19 @@ from semvid.video import Frame, Gop
 
 from test_recon import TestRender as _RenderTests
 
+# reports of the reference configuration, recorded with the benchmark
+GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "golden"
+
 
 @pytest.fixture(scope="module")
 def reference_comparison():
     """Criteria 1-3 share one comparison run on the shipped configuration."""
     return compare_baselines(reference_config())
+
+
+def test_reference_comparison_matches_golden(reference_comparison):
+    golden = (GOLDEN / "compare_ref-seed0.json").read_text()
+    assert reference_comparison.to_json() == golden
 
 
 def test_criterion_1_delay_reduction(reference_comparison):
@@ -246,6 +256,11 @@ def test_criterion_9_pipeline_determinism():
     first = run_service(cfg).to_json().encode()
     second = run_service(cfg).to_json().encode()
     assert first == second
+    # the stages the scene fit does not touch match the recorded report exactly
+    golden = json.loads((GOLDEN / "service_ref-seed0.json").read_text())["stages"]
+    got = json.loads(first)["stages"]
+    unfit = ("upload_user_video", "upload_background", "forward_to_cloud", "video_synthesis")
+    assert [s for s in got if s["name"] in unfit] == [s for s in golden if s["name"] in unfit]
     print(
         f"\nPASS criterion 9: two pipeline runs with identical config and seeds "
         f"produced byte-identical reports ({len(first)} bytes)"

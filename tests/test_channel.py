@@ -6,7 +6,6 @@ from semvid.channel import (
     SymbolBlock,
     TxStats,
     awgn,
-    channel_for,
     derive_seed,
     noise_variance,
     normalize_power,
@@ -82,12 +81,6 @@ class TestSeeds:
         assert a != derive_seed(7, "semantic", 1)
         assert a != derive_seed(8, "semantic", 0)
 
-    def test_channel_for_changes_seed_only(self):
-        cfg = ChannelConfig(snr_db=4.0, seed=1)
-        derived = channel_for(cfg, "hop", 3)
-        assert derived.snr_db == cfg.snr_db
-        assert derived.seed != cfg.seed
-
 
 class TestTxStats:
     def test_merge_adds_fields(self):
@@ -107,7 +100,3 @@ class TestValidation:
     def test_snr_must_be_finite(self):
         with pytest.raises(ValueError):
             ChannelConfig(snr_db=float("nan"), seed=0)
-
-    def test_kind_checked(self):
-        with pytest.raises(ValueError):
-            ChannelConfig(snr_db=0.0, seed=0, kind="rayleigh")

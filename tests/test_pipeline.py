@@ -1,13 +1,16 @@
+import hashlib
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from semvid.channel import ChannelConfig
 from semvid.cli import main as cli_main
 from semvid.config import (
-    ChannelSettings,
     ClassicalSettings,
+    LinkSettings,
+    NodeSettings,
     VideoSource,
     ReconSettings,
     config_from_dict,
@@ -17,8 +20,6 @@ from semvid.config import (
     save_config,
 )
 from semvid.pipeline import (
-    LinkSpec,
-    NodeSpec,
     compare_baselines,
     run_service,
     snr_sweep,
@@ -47,10 +48,10 @@ def tiny_config():
 
 class TestStageLatency:
     def _link(self, bps):
-        return LinkSpec(("end", "edge"), bps, "wireless")
+        return LinkSettings(bps)
 
     def _node(self, flops):
-        return NodeSpec("edge", flops)
+        return NodeSettings(flops)
 
     def test_transmission_only(self):
         assert stage_latency(8e6, self._link(1e6), 0.0, self._node(1e12)) == pytest.approx(8.0)
@@ -60,8 +61,7 @@ class TestStageLatency:
 
     def test_reference_throughput_reproduces_published_delay(self):
         cfg = reference_config()
-        link = LinkSpec(("edge", "end"), cfg.links["wireless"].throughput_bps, "wireless")
-        delay = stage_latency(11.5e6 * 8, link, 0.0, self._node(1e12))
+        delay = stage_latency(11.5e6 * 8, cfg.links["wireless"], 0.0, self._node(1e12))
         assert delay == pytest.approx(5718.0, abs=1e-6)
 
     def test_linear_in_payload(self):
@@ -77,11 +77,15 @@ class TestStageLatency:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            NodeSpec("fog", 1e12)
+            NodeSettings(0.0)
         with pytest.raises(ValueError):
-            LinkSpec(("a", "b"), 0.0, "wireless")
-        with pytest.raises(ValueError):
-            LinkSpec(("a", "b"), 1e6, "carrier-pigeon")
+            LinkSettings(0.0)
+        with pytest.raises(ValueError, match="nodes.fog"):
+            config_from_dict({"nodes": {"fog": {"flops": 1e12}}})
+        with pytest.raises(ValueError, match="links.carrier-pigeon"):
+            config_from_dict({"links": {"carrier-pigeon": {"throughput_bps": 1e6}}})
+        with pytest.raises(ValueError, match="links.fiber"):
+            config_from_dict({"links": {"fiber": {"throughput_bps": 0.0}}})
 
 
 class TestConfig:
@@ -106,6 +110,37 @@ class TestConfig:
         assert cfg.nodes["end"].flops == pytest.approx(1.35e12)
         assert cfg.compute.scene_preprocess_flops == pytest.approx(53e15)
         assert cfg.semantic.bits_per_symbol_eq == 32
+
+    def test_partial_nodes_and_links_merge(self):
+        ref = reference_config()
+        cfg = config_from_dict({"nodes": {"end": {"flops": 2e12}},
+                                "links": {"wireless": {"throughput_bps": 1e5}}})
+        assert cfg.nodes == {**ref.nodes, "end": NodeSettings(2e12)}
+        assert cfg.links == {**ref.links, "wireless": LinkSettings(1e5)}
+
+    def test_partial_section_keeps_other_fields(self):
+        ref = reference_config()
+        cfg = config_from_dict({"semantic": {"symbol_budget": 100}})
+        assert cfg.semantic == replace(ref.semantic, symbol_budget=100)
+        assert cfg.semantic.gop_size == 8
+
+    def test_misspelt_nested_key_named(self):
+        with pytest.raises(ValueError, match=r"semantic\.symbol_budgt"):
+            config_from_dict({"semantic": {"symbol_budgt": 100}})
+        with pytest.raises(ValueError, match=r"user_video\.widht"):
+            config_from_dict({"user_video": {"widht": 10}})
+
+    def test_bad_values_rejected_at_load(self):
+        with pytest.raises(ValueError, match="variant"):
+            config_from_dict({"video": {"variant": "cartoon"}})
+        with pytest.raises(ValueError, match="sweep_snrs_db"):
+            config_from_dict({"sweep_snrs_db": []})
+        with pytest.raises(ValueError, match="semantic"):
+            config_from_dict({"semantic": {"gop_size": 0}})
+        with pytest.raises(ValueError, match="channel"):
+            config_from_dict({"channel": {"snr_db": float("nan")}})
+        with pytest.raises(ValueError, match="classical"):
+            config_from_dict({"classical": 5})
 
 
 class TestSweep:
@@ -158,9 +193,8 @@ class TestCompare:
         # at 25 dB both chains sit within 3 dB of their channel-free quality
         from semvid.classical import prepare_classical, source_decode
         from semvid.metrics import psnr
-        from semvid.pipeline import build_ldpc, codec_config, resolve_video
+        from semvid.pipeline import build_ldpc, resolve_video
         from semvid.semantic import semantic_transmit
-        from semvid.channel import ChannelConfig
         from semvid.video import segment_gops
 
         curve = snr_sweep(tiny_config, [25.0])
@@ -169,14 +203,13 @@ class TestCompare:
         video = resolve_video(tiny_config.video)
         gops = segment_gops(video, tiny_config.semantic.gop_size)
         code = build_ldpc(tiny_config)
-        scfg = codec_config(tiny_config)
         cls_free, sem_free = [], []
         for gop in gops:
             decoded = source_decode(prepare_classical(gop, tiny_config.classical.qp, code).bitstream)
             cls_free.extend(psnr(a, b) for a, b in zip(gop.frames, decoded.frames))
             clean, _ = semantic_transmit(
                 gop, ChannelConfig(snr_db=300.0, seed=0),
-                tiny_config.semantic.symbol_budget, scfg,
+                tiny_config.semantic.symbol_budget, tiny_config.semantic,
             )
             sem_free.extend(psnr(a, b) for a, b in zip(gop.frames, clean.frames))
         assert abs(by_chain["classical"] - np.mean(cls_free)) <= 3.0
@@ -221,7 +254,7 @@ class TestService:
     def test_bypass_channel_composite_matches_local(self, tiny_config):
         cfg = replace(
             tiny_config,
-            channel=ChannelSettings(snr_db=300.0, seed=1),
+            channel=ChannelConfig(snr_db=300.0, seed=1),
             semantic=replace(tiny_config.semantic, service_symbol_budget=10**9),
             reconstruction=replace(tiny_config.reconstruction, enabled=False),
         )
@@ -242,6 +275,13 @@ class TestCli:
         assert cli_main(["show-config"]) == 0
         out = capsys.readouterr().out
         assert json.loads(out)["seed"] == 2024
+
+    def test_show_config_schema_pinned(self, capsys):
+        # the reference config file's keys, defaults and layout; a change here
+        # changes what saved configs mean
+        assert cli_main(["show-config"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "3248395acf1e43f38f6ce77eedb5517cd4fb170ed87aab29b3bea89a664cbf8e"
 
     def test_transmit_writes_outputs(self, tmp_path, tiny_config):
         cfg_path = tmp_path / "cfg.json"

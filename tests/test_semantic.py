@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from semvid.channel import ChannelConfig
 from semvid.metrics import psnr
 from semvid.semantic import (
+    BIN_WIDTH,
     SemanticCodecConfig,
     decode_packet,
     extract_common,
@@ -169,7 +170,7 @@ class TestEntropyModel:
         hist_bits = 0.0
         for data in (maps.common.reshape(-1, 128), maps.individual.reshape(-1, 128)):
             for c in range(data.shape[1]):
-                q = np.round(data[:, c] / CFG.bin_width).astype(np.int64)
+                q = np.round(data[:, c] / BIN_WIDTH).astype(np.int64)
                 _, counts = np.unique(q, return_counts=True)
                 p = counts / counts.sum()
                 hist_bits += -(p * np.log2(p)).sum() * counts.sum()
