@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fixtures
 from .config import config_to_dict, load_config, reference_config
 from .pipeline import (
     compare_baselines,
@@ -26,6 +25,7 @@ from .pipeline import (
     run_service,
     snr_sweep,
     transmit_video,
+    user_clip,
     video_quality,
 )
 from .recon.scene import save_scene
@@ -102,16 +102,17 @@ def cmd_compare(args) -> int:
 def cmd_composite(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
-    user, plate, gt = fixtures.make_matting_set(
-        cfg.user_video.width, cfg.user_video.height, cfg.user_video.frames,
-        cfg.user_video.fps, cfg.user_video.seed,
-    )
+    user, plate, gt = user_clip(cfg.user_video)
     mattes, fused = matte_composite(user, resolve_video(cfg.background_video), plate,
                                     cfg.synthesis)
-    save_raw(fused, out / "composite.rgb")
-    iou = float(np.mean([matte_iou(m, g) for m, g in zip(mattes, gt)]))
-    _write_json(out / "composite.json", {"matte_iou": iou, "frames": len(mattes)})
-    print(f"composited {len(mattes)} frames, matte IoU {iou:.4f}")
+    save_raw(fused, out / "composite.rgb")  # also writes the composite.json sidecar
+    metrics = {"frames": len(mattes)}
+    summary = f"composited {len(mattes)} frames"
+    if gt is not None:
+        metrics["matte_iou"] = float(np.mean([matte_iou(m, g) for m, g in zip(mattes, gt)]))
+        summary += f", matte IoU {metrics['matte_iou']:.4f}"
+    _write_json(out / "composite_metrics.json", metrics)
+    print(summary)
     return 0
 
 

@@ -23,9 +23,22 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .channel import ChannelConfig
+from .metrics import MS_SSIM_WEIGHTS
 from .semantic import SemanticCodecConfig
 
 REFERENCE_THROUGHPUT_BPS = 11.5e6 * 8 / 5718.0  # ~16.09 kbps
+
+
+def _at_least(obj, low, *names) -> None:
+    for name in names:
+        if not getattr(obj, name) >= low:
+            raise ValueError(f"{name} must be >= {low}")
+
+
+def _positive(obj, *names) -> None:
+    for name in names:
+        if not getattr(obj, name) > 0:
+            raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -59,6 +72,10 @@ class ClassicalSettings:
     ldpc_seed: int = 11
     max_iters: int = 50
 
+    def __post_init__(self) -> None:
+        _positive(self, "qp")
+        _at_least(self, 1, "ldpc_k", "ldpc_var_degree", "ldpc_check_degree", "max_iters")
+
 
 @dataclass(frozen=True)
 class SynthesisSettings:
@@ -66,6 +83,10 @@ class SynthesisSettings:
     softness: float = 0.1
     radius: int = 2
     downsample_factor: int = 4
+
+    def __post_init__(self) -> None:
+        _positive(self, "threshold", "softness")
+        _at_least(self, 1, "radius", "downsample_factor")
 
 
 @dataclass(frozen=True)
@@ -77,6 +98,11 @@ class ReconSettings:
     iterations: int = 150
     n_tracks: int = 4
     perturb_seed: int = 5
+
+    def __post_init__(self) -> None:
+        _at_least(self, 1, "image_size", "n_bases", "n_tracks")
+        _at_least(self, 2, "n_timesteps")  # the fit needs two frames
+        _at_least(self, 0, "iterations", "perturb_seed")
 
 
 @dataclass(frozen=True)
@@ -103,10 +129,17 @@ class ComputeSettings:
     scene_preprocess_flops: float = 53e15
     render_flops: float = 7e15
 
+    def __post_init__(self) -> None:
+        _at_least(self, 0.0, "video_synthesis_flops", "scene_preprocess_flops", "render_flops")
+
 
 @dataclass(frozen=True)
 class MetricsSettings:
     ms_ssim_scales: int = 3
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.ms_ssim_scales <= len(MS_SSIM_WEIGHTS):
+            raise ValueError(f"ms_ssim_scales must lie in [1, {len(MS_SSIM_WEIGHTS)}]")
 
 
 @dataclass(frozen=True)
@@ -152,19 +185,33 @@ def reference_config() -> RunConfig:
 
 
 # leaves whose JSON form is not their Python type
-_CONVERT = {("seed",): int, ("sweep_snrs_db",): lambda v: tuple(float(x) for x in v)}
+_CONVERT = {("sweep_snrs_db",): lambda v: tuple(float(x) for x in v)}
+
+
+def _leaf_type_ok(default, value) -> bool:
+    """bool takes bool, int a non-bool int, float an int or float, and any
+    other leaf a value of its default's type."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
 
 
 def _merge(obj, value, path: tuple = ()):
     """``obj`` with ``value`` merged in.  Config objects and the node and link
-    dicts merge key by key; any other value replaces the old one.  A bad key
-    or value raises ValueError naming it by its dotted path."""
+    dicts merge key by key; any other value replaces the old one and must
+    have its type.  A bad key or value raises ValueError naming it by its
+    dotted path."""
     name = ".".join(path) or "config"
     if not (is_dataclass(obj) or isinstance(obj, dict)):
         try:
-            return _CONVERT.get(path, lambda v: v)(value)
+            value = _CONVERT.get(path, lambda v: v)(value)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{name}: {exc}") from exc
+        if not _leaf_type_ok(obj, value):
+            raise ValueError(f"{name} must be {type(obj).__name__}, not {type(value).__name__}")
+        return float(value) if isinstance(obj, float) else value
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be an object")
     current = obj if isinstance(obj, dict) else {f.name: getattr(obj, f.name) for f in fields(obj)}

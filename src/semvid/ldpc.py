@@ -41,11 +41,6 @@ def _gf2_row_reduce(mat: np.ndarray):
     return pivots
 
 
-def _rank_gf2(mat: np.ndarray) -> int:
-    work = mat.copy()
-    return len(_gf2_row_reduce(work))
-
-
 @dataclass
 class LdpcCode:
     """A (3, 6)-regular rate-1/2 code with precomputed encoder tables."""
@@ -144,9 +139,12 @@ def make_ldpc_code(k: int, seed: int, var_degree: int = 3, check_degree: int = 6
         return h
 
     h = to_matrix(cols)
-    # rank repair: swap edges between rows until full row rank
+    # rank repair: swap edges between rows until full row rank; the
+    # elimination that finds it is kept for the encoder below
     for _ in range(200):
-        if _rank_gf2(h) == m:
+        work = h.copy()
+        pivots = _gf2_row_reduce(work)
+        if len(pivots) == m:
             break
         i = int(rng.integers(n))
         slot = int(rng.integers(var_degree))
@@ -176,9 +174,6 @@ def make_ldpc_code(k: int, seed: int, var_degree: int = 3, check_degree: int = 6
     assert np.all(fill == check_degree)
 
     # systematic encoder: pivot columns carry parity, the rest carry info
-    work = h.copy()
-    pivots = _gf2_row_reduce(work)
-    assert len(pivots) == m
     parity_positions = np.array(pivots, dtype=np.int64)
     info_positions = np.setdiff1d(np.arange(n), parity_positions)
     # after full reduction, work[:, pivots] is identity, so parity bits are

@@ -139,6 +139,18 @@ def resolve_video(source: VideoSource) -> VideoSequence:
     return fixtures.make_test_clip(*args)
 
 
+def user_clip(source: VideoSource):
+    """The user clip, the clean plate it is matted against and its
+    ground-truth mattes.  Only the synthetic matting set has mattes and a
+    separate plate; any other clip is matted against its own first frame
+    and its mattes are None."""
+    if source.kind == "synthetic" and source.variant == "matting":
+        return fixtures.make_matting_set(
+            source.width, source.height, source.frames, source.fps, source.seed)
+    video = resolve_video(source)
+    return video, Frame(video.frames[0].data), None
+
+
 def video_quality(reference: VideoSequence, received: VideoSequence, scales: int) -> dict:
     pairs = list(zip(reference.frames, received.frames))
     return {
@@ -374,14 +386,7 @@ def run_service(cfg: RunConfig) -> ServiceReport:
             failed = True
 
     def upload_user():
-        if cfg.user_video.kind == "synthetic" and cfg.user_video.variant == "matting":
-            video, plate, mattes = fixtures.make_matting_set(
-                cfg.user_video.width, cfg.user_video.height,
-                cfg.user_video.frames, cfg.user_video.fps, cfg.user_video.seed,
-            )
-        else:
-            video = resolve_video(cfg.user_video)
-            plate, mattes = Frame(video.frames[0].data), None
+        video, plate, mattes = user_clip(cfg.user_video)
         state.update(user_clean=video, plate=plate, gt_mattes=mattes)
         state["user_received"], report = _wireless_stage(
             "upload_user_video", video, cfg, "upload_user")

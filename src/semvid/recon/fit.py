@@ -20,25 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..video import Frame
-from .render import (
-    ALPHA_MAX,
-    composite,
-    project_points,
-    splat_alphas,
-    surface_lift,
-)
-from .scene import (
-    Camera,
-    GaussianScene,
-    MotionBasisSet,
-    pose_pipeline,
-    quat_normalize,
-)
-
-PARAM_KEYS = (
-    "means", "quats", "scales", "opacities", "colors",
-    "coeffs", "basis_quats", "basis_trans",
-)
+from .render import ALPHA_MAX, rasterize, surface_lift
+from .scene import PARAM_KEYS, GaussianScene, MotionBasisSet, quat_normalize, scene_params
 
 DEFAULT_LEARNING_RATES = {
     "means": 2e-3,
@@ -95,16 +78,7 @@ class FitResult:
 def scene_to_params(scene: GaussianScene) -> dict:
     """Raw optimization variables; an exact copy of the scene arrays so a
     fit started at a scene reproduces its renders bit for bit."""
-    return {
-        "means": scene.means.copy(),
-        "quats": scene.quaternions.copy(),
-        "scales": scene.scales.copy(),
-        "opacities": scene.opacities.copy(),
-        "colors": scene.colors.copy(),
-        "coeffs": scene.motion_coeffs.copy(),
-        "basis_quats": scene.bases.quaternions.copy(),
-        "basis_trans": scene.bases.translations.copy(),
-    }
+    return {k: v.copy() for k, v in scene_params(scene).items()}
 
 
 def params_to_scene(params: dict, cameras, background) -> GaussianScene:
@@ -193,29 +167,6 @@ def _softmax_backward(w: np.ndarray, d_w: np.ndarray) -> np.ndarray:
 
 
 # --- objective -------------------------------------------------------------
-
-def _forward_frame(params: dict, camera: Camera, t: int, background: np.ndarray):
-    pp = pose_pipeline(
-        params["means"], params["quats"], params["scales"], params["coeffs"],
-        params["basis_quats"][:, t], params["basis_trans"][:, t],
-    )
-    valid, x_cam, mu2d, j, cov2d = project_points(pp["mu_t"], pp["cov"], camera)
-    idx = np.nonzero(valid)[0]
-    order = idx[np.argsort(x_cam[idx, 2], kind="stable")]
-    alphas, alpha_raw, delta, inv = splat_alphas(
-        mu2d[order], cov2d[order], params["opacities"][order],
-        camera.width, camera.height,
-    )
-    image, depth, t_excl, t_final = composite(
-        alphas, params["colors"][order], x_cam[order, 2], background
-    )
-    return {
-        "pp": pp, "valid": valid, "x_cam": x_cam, "mu2d": mu2d, "j": j,
-        "cov2d": cov2d, "order": order, "alphas": alphas,
-        "alpha_raw": alpha_raw, "delta": delta, "inv": inv, "image": image,
-        "depth": depth, "t_excl": t_excl, "t_final": t_final,
-    }
-
 
 def _backward_frame(params, camera, t, fwd, g_image, g_depth, d_mu2d_extra, grads,
                     background):
@@ -334,8 +285,7 @@ def _backward_frame(params, camera, t, fwd, g_image, g_depth, d_mu2d_extra, grad
 
 
 def loss_and_grad(params, frames, depth_maps, cameras, cfg,
-                  assignments=None, track_positions=None, want_grad=True,
-                  background=None):
+                  assignments=None, track_positions=None, want_grad=True):
     """Objective and (optionally) its gradient over all non-excluded
     frames."""
     n_frames = len(frames)
@@ -345,13 +295,12 @@ def loss_and_grad(params, frames, depth_maps, cameras, cfg,
     for key in PARAM_KEYS:
         if not np.all(np.isfinite(params[key])):
             raise FitDivergenceError(f"parameter group {key!r} became non-finite")
-    if background is None:
-        background = cfg.initial_scene.background
+    background = cfg.initial_scene.background
     grads = {k: np.zeros_like(params[k]) for k in PARAM_KEYS} if want_grad else None
     total = 0.0
     denom = float(len(fit_frames))
     for t in fit_frames:
-        fwd = _forward_frame(params, cameras[t], t, background)
+        fwd = rasterize(params, cameras[t], t, background)
         image_gt = frames[t].data if isinstance(frames[t], Frame) else np.asarray(frames[t])
         resid_img = fwd["image"] - image_gt
         resid_dep = fwd["depth"] - depth_maps[t]

@@ -7,7 +7,8 @@ T_i * alpha_i * (c_i | z_i) where T_i is the transmittance of everything in
 front; residual transmittance is filled with the background color, and the
 depth channel uses 0 as its no-surface sentinel.  Image sizes here are
 small, so every Gaussian is evaluated on the full pixel grid; that keeps
-the map smooth, which the fitter's gradients rely on.
+the map smooth, which the fitter's gradients rely on.  Rendering, the
+fitter's forward pass and the track lift all go through :func:`rasterize`.
 """
 
 from __future__ import annotations
@@ -17,13 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..video import Frame
-from .scene import Camera, GaussianScene, blend_motion, quat_to_rotmat, scene_poses
+from .scene import Camera, GaussianScene, pose_pipeline, scene_params
 
 COV_REG_PX2 = 0.3      # pixel^2 added to the projected covariance diagonal
 ALPHA_MAX = 1.0 - 1e-4
 MIN_DEPTH = 1e-9
 MIN_HIT_WEIGHT = 1e-6
-DEPTH_SENTINEL = 0.0
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,12 @@ def pixel_grid(width: int, height: int) -> np.ndarray:
 
 
 def splat_alphas(mu2d: np.ndarray, cov2d: np.ndarray, opacities: np.ndarray,
-                 width: int, height: int):
-    """Per-Gaussian alpha maps o * exp(-0.5 * d^T cov2d^-1 d), clipped just
-    below 1 so transmittance never hits zero exactly."""
-    grid = pixel_grid(width, height)
+                 points: np.ndarray):
+    """Per-Gaussian alpha maps o * exp(-0.5 * d^T cov2d^-1 d) at the (h, w, 2)
+    sample ``points``, clipped just below 1 so transmittance never hits zero
+    exactly."""
     inv, _ = _inverse_2x2(cov2d)
-    delta = grid[None, :, :, :] - mu2d[:, None, None, :]          # (g, h, w, 2)
+    delta = points[None, :, :, :] - mu2d[:, None, None, :]        # (g, h, w, 2)
     qf = np.einsum("ghwi,gij,ghwj->ghw", delta, inv, delta)
     alpha_raw = opacities[:, None, None] * np.exp(-0.5 * qf)
     return np.minimum(alpha_raw, ALPHA_MAX), alpha_raw, delta, inv
@@ -93,53 +93,52 @@ def composite(alphas_sorted: np.ndarray, colors_sorted: np.ndarray,
     """Front-to-back compositing of already depth-sorted alpha maps.
 
     Returns (image (h,w,3), depth (h,w), transmittance_excl (g,h,w),
-    final_transmittance (h,w))."""
-    one_minus = 1.0 - alphas_sorted
-    t_excl = np.ones_like(alphas_sorted)
-    if alphas_sorted.shape[0] > 1:
-        np.cumprod(one_minus[:-1], axis=0, out=t_excl[1:])
-    t_final = t_excl[-1] * one_minus[-1] if alphas_sorted.shape[0] else None
+    final_transmittance (h,w)).  With no splats the image is the
+    background, the depth 0 and the final transmittance 1."""
+    trans = np.ones((alphas_sorted.shape[0] + 1, *alphas_sorted.shape[1:]))
+    np.cumprod(1.0 - alphas_sorted, axis=0, out=trans[1:])
+    t_excl, t_final = trans[:-1], trans[-1]
     weights = t_excl * alphas_sorted
     image = np.einsum("ghw,gc->hwc", weights, colors_sorted)
     depth = np.einsum("ghw,g->hw", weights, z_sorted)
-    if t_final is None:
-        t_final = np.ones(alphas_sorted.shape[1:])
     image = image + t_final[:, :, None] * background
     return image, depth, t_excl, t_final
+
+
+def rasterize(params: dict, camera: Camera, t: int, background: np.ndarray,
+              points: np.ndarray = None) -> dict:
+    """The one forward pass: pose at timestep t, project, depth sort, splat
+    and composite.  ``params`` holds the scene arrays under
+    :data:`PARAM_KEYS`; ``points`` are (h, w, 2) sample positions, the
+    camera's full pixel grid by default.  Returns every intermediate the
+    fitter's backward pass needs."""
+    if points is None:
+        points = pixel_grid(camera.width, camera.height)
+    pp = pose_pipeline(params, t)
+    valid, x_cam, mu2d, j, cov2d = project_points(pp["mu_t"], pp["cov"], camera)
+    idx = np.nonzero(valid)[0]
+    order = idx[np.argsort(x_cam[idx, 2], kind="stable")]
+    alphas, alpha_raw, delta, inv = splat_alphas(
+        mu2d[order], cov2d[order], params["opacities"][order], points
+    )
+    image, depth, t_excl, t_final = composite(
+        alphas, params["colors"][order], x_cam[order, 2], background
+    )
+    return {
+        "pp": pp, "valid": valid, "x_cam": x_cam, "mu2d": mu2d, "j": j,
+        "cov2d": cov2d, "order": order, "alphas": alphas,
+        "alpha_raw": alpha_raw, "delta": delta, "inv": inv, "image": image,
+        "depth": depth, "t_excl": t_excl, "t_final": t_final,
+    }
 
 
 def render(scene: GaussianScene, t: int) -> RenderResult:
     """Rasterize the scene at timestep t with that timestep's camera."""
     if not 0 <= t < scene.n_timesteps:
         raise ValueError(f"timestep {t} out of range [0, {scene.n_timesteps})")
-    camera = scene.cameras[t]
-    h, w = camera.height, camera.width
-    if scene.n_gaussians == 0:
-        image = np.broadcast_to(scene.background, (h, w, 3)).copy()
-        return RenderResult(
-            Frame(np.clip(image, 0.0, 1.0)),
-            np.full((h, w), DEPTH_SENTINEL),
-            np.zeros((h, w)),
-        )
-    mu_t, _, cov_t = scene_poses(scene, t)
-    valid, x_cam, mu2d, _, cov2d = project_points(mu_t, cov_t, camera)
-    idx = np.nonzero(valid)[0]
-    if idx.size == 0:
-        image = np.broadcast_to(scene.background, (h, w, 3)).copy()
-        return RenderResult(
-            Frame(np.clip(image, 0.0, 1.0)),
-            np.full((h, w), DEPTH_SENTINEL),
-            np.zeros((h, w)),
-        )
-    z = x_cam[idx, 2]
-    order = idx[np.argsort(z, kind="stable")]
-    alphas, _, _, _ = splat_alphas(
-        mu2d[order], cov2d[order], scene.opacities[order], w, h
-    )
-    image, depth, _, t_final = composite(
-        alphas, scene.colors[order], x_cam[order, 2], scene.background
-    )
-    return RenderResult(Frame(np.clip(image, 0.0, 1.0)), depth, 1.0 - t_final)
+    fwd = rasterize(scene_params(scene), scene.cameras[t], t, scene.background)
+    return RenderResult(Frame(np.clip(fwd["image"], 0.0, 1.0)), fwd["depth"],
+                        1.0 - fwd["t_final"])
 
 
 def surface_lift(scene: GaussianScene, pixel, t: int):
@@ -148,25 +147,14 @@ def surface_lift(scene: GaussianScene, pixel, t: int):
     Returns (weights over all G, sorted order, surface world point)."""
     camera = scene.cameras[t]
     px = np.asarray(pixel, dtype=np.float64)
-    mu_t, _, cov_t = scene_poses(scene, t)
-    valid, x_cam, mu2d, _, cov2d = project_points(mu_t, cov_t, camera)
-    idx = np.nonzero(valid)[0]
-    if idx.size == 0:
-        raise ValueError("pixel hits no Gaussian")
-    order = idx[np.argsort(x_cam[idx, 2], kind="stable")]
-    inv, _ = _inverse_2x2(cov2d[order])
-    delta = px[None, :] - mu2d[order]
-    qf = np.einsum("gi,gij,gj->g", delta, inv, delta)
-    alphas = np.minimum(scene.opacities[order] * np.exp(-0.5 * qf), ALPHA_MAX)
-    t_excl = np.ones_like(alphas)
-    if alphas.size > 1:
-        np.cumprod(1.0 - alphas[:-1], out=t_excl[1:])
-    weights = t_excl * alphas
+    fwd = rasterize(scene_params(scene), camera, t, scene.background, px[None, None, :])
+    order = fwd["order"]
+    weights = (fwd["t_excl"] * fwd["alphas"])[:, 0, 0]
     total = weights.sum()
     if total < MIN_HIT_WEIGHT:
         raise ValueError("pixel hits no Gaussian")
     weights = weights / total
-    z_hat = float(weights @ x_cam[order, 2])
+    z_hat = float(weights @ fwd["x_cam"][order, 2])
     ray = np.array([(px[0] - camera.cx) / camera.fx, (px[1] - camera.cy) / camera.fy, 1.0])
     surface_cam = ray * z_hat
     surface_world = camera.to_world(surface_cam[None, :])[0]
@@ -187,10 +175,10 @@ def track_correspondence(scene: GaussianScene, pixel, t: int, t_prime: int):
             raise ValueError(f"timestep {step} out of range [0, {scene.n_timesteps})")
     weights, order, surface_world = surface_lift(scene, pixel, t)
 
-    q_src, tr_src = blend_motion(scene.motion_coeffs, scene.bases, t)
-    q_dst, tr_dst = blend_motion(scene.motion_coeffs, scene.bases, t_prime)
-    r_src = quat_to_rotmat(q_src)
-    r_dst = quat_to_rotmat(q_dst)
+    params = scene_params(scene)
+    src, dst = pose_pipeline(params, t), pose_pipeline(params, t_prime)
+    r_src, tr_src = src["rblend"], src["tblend"]
+    r_dst, tr_dst = dst["rblend"], dst["tblend"]
     # per-Gaussian map: x -> R_dst @ R_src^T @ (x - tr_src) + tr_dst
     rel = surface_world[None, :] - tr_src
     canonical = np.einsum("gji,gj->gi", r_src, rel)

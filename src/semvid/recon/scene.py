@@ -15,6 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
+# names of the scene arrays in a parameter dict (see scene_params)
+PARAM_KEYS = (
+    "means", "quats", "scales", "opacities", "colors",
+    "coeffs", "basis_quats", "basis_trans",
+)
+
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=np.float64)
@@ -268,60 +274,59 @@ class GaussianScene:
         )
 
 
-def blend_motion(coeffs: np.ndarray, bases: MotionBasisSet, t: int):
-    """Per-Gaussian rigid transform at timestep t: softmax-weighted blend of
-    the basis translations and a sign-aligned weighted quaternion average,
-    renormalized (so rotations stay orthonormal)."""
-    if not 0 <= t < bases.n_timesteps:
-        raise ValueError(f"timestep {t} out of range [0, {bases.n_timesteps})")
-    w = softmax(np.atleast_2d(coeffs), axis=1)  # (G, B)
-    bq = quat_normalize(bases.quaternions[:, t])  # (B, 4)
-    sign = np.sign(bq @ bq[0])
-    sign[sign == 0] = 1.0
-    aligned = bq * sign[:, None]
-    qbar = w @ aligned
-    qblend = quat_normalize(qbar)
-    tblend = w @ bases.translations[:, t]
-    return qblend, tblend
-
-
 def pose_at_time(gaussian: Gaussian3D, bases: MotionBasisSet, t: int):
     """Pose of one Gaussian at timestep t: mu_t = R_blend @ mu_0 + t_blend
     and R_t = R_blend @ R_0, with the blended rotation re-orthonormalized."""
-    qblend, tblend = blend_motion(gaussian.motion_coeffs[None, :], bases, t)
-    rblend = quat_to_rotmat(qblend[0])
-    mu_t = rblend @ gaussian.mean + tblend[0]
-    q_t = quat_normalize(quat_multiply(qblend[0], gaussian.quaternion))
-    return mu_t, quat_to_rotmat(q_t)
+    if not 0 <= t < bases.n_timesteps:
+        raise ValueError(f"timestep {t} out of range [0, {bases.n_timesteps})")
+    pp = pose_pipeline(
+        {
+            "means": gaussian.mean[None], "quats": gaussian.quaternion[None],
+            "scales": gaussian.scales[None], "coeffs": gaussian.motion_coeffs[None],
+            "basis_quats": bases.quaternions, "basis_trans": bases.translations,
+        },
+        t,
+    )
+    return pp["mu_t"][0], pp["r_t"][0]
 
 
-def pose_pipeline(
-    means: np.ndarray,
-    quats: np.ndarray,
-    scales: np.ndarray,
-    coeffs: np.ndarray,
-    basis_quats_t: np.ndarray,
-    basis_trans_t: np.ndarray,
-) -> dict:
-    """Differentiable pose computation for one timestep, returning every
-    intermediate the fitter's backward pass needs.  The renderer routes
-    through this same function so fitting a scene against its own renders
-    has exactly zero residual at the optimum."""
-    w = softmax(coeffs, axis=1)                       # (G, B)
-    bqn = quat_normalize(basis_quats_t)               # (B, 4)
+def scene_params(scene: GaussianScene) -> dict:
+    """The scene's arrays under the fitter's :data:`PARAM_KEYS` names,
+    without copying them."""
+    return {
+        "means": scene.means,
+        "quats": scene.quaternions,
+        "scales": scene.scales,
+        "opacities": scene.opacities,
+        "colors": scene.colors,
+        "coeffs": scene.motion_coeffs,
+        "basis_quats": scene.bases.quaternions,
+        "basis_trans": scene.bases.translations,
+    }
+
+
+def pose_pipeline(params: dict, t: int) -> dict:
+    """Differentiable pose computation for timestep t of the scene arrays in
+    ``params`` (named as in :data:`PARAM_KEYS`), returning every
+    intermediate the fitter's backward pass needs.  Rendering, the fitter
+    and track correspondence all route through this one function, so
+    fitting a scene against its own renders has exactly zero residual at
+    the optimum."""
+    w = softmax(params["coeffs"], axis=1)                      # (G, B)
+    bqn = quat_normalize(params["basis_quats"][:, t])          # (B, 4)
     sign = np.sign(bqn @ bqn[0])
     sign[sign == 0] = 1.0
     aligned = bqn * sign[:, None]
-    qbar = w @ aligned                                # (G, 4)
+    qbar = w @ aligned                                         # (G, 4)
     qblend = quat_normalize(qbar)
     rblend = quat_to_rotmat(qblend)
-    tblend = w @ basis_trans_t
-    mu_t = np.einsum("gij,gj->gi", rblend, means) + tblend
-    q0n = quat_normalize(quats)
+    tblend = w @ params["basis_trans"][:, t]
+    mu_t = np.einsum("gij,gj->gi", rblend, params["means"]) + tblend
+    q0n = quat_normalize(params["quats"])
     qt_raw = quat_multiply(qblend, q0n)
     qtn = quat_normalize(qt_raw)
     r_t = quat_to_rotmat(qtn)
-    s2 = scales**2
+    s2 = params["scales"]**2
     cov = np.einsum("gij,gj,gkj->gik", r_t, s2, r_t)
     return {
         "w": w, "bqn": bqn, "sign": sign, "aligned": aligned, "qbar": qbar,
@@ -336,13 +341,7 @@ def scene_poses(scene: GaussianScene, t: int):
     covariance (G,3,3)); depth ordering happens in the renderer."""
     if not 0 <= t < scene.bases.n_timesteps:
         raise ValueError(f"timestep {t} out of range [0, {scene.bases.n_timesteps})")
-    if scene.n_gaussians == 0:
-        empty = np.zeros((0, 3))
-        return empty, np.zeros((0, 3, 3)), np.zeros((0, 3, 3))
-    pp = pose_pipeline(
-        scene.means, scene.quaternions, scene.scales, scene.motion_coeffs,
-        scene.bases.quaternions[:, t], scene.bases.translations[:, t],
-    )
+    pp = pose_pipeline(scene_params(scene), t)
     return pp["mu_t"], pp["r_t"], pp["cov"]
 
 

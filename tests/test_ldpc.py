@@ -50,6 +50,11 @@ class TestConstruction:
         np.fill_diagonal(overlap, 0)
         assert overlap.max() <= 1
 
+    def test_rank_repair_gives_up(self, monkeypatch):
+        monkeypatch.setattr("semvid.ldpc._gf2_row_reduce", lambda mat: [])
+        with pytest.raises(RuntimeError, match="full rank"):
+            make_ldpc_code(72, seed=3)
+
     def test_construction_deterministic(self):
         a = make_ldpc_code(72, seed=3)
         b = make_ldpc_code(72, seed=3)

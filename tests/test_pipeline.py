@@ -21,6 +21,7 @@ from semvid.config import (
 )
 from semvid.pipeline import (
     compare_baselines,
+    resolve_video,
     run_service,
     snr_sweep,
     stage_latency,
@@ -141,6 +142,26 @@ class TestConfig:
             config_from_dict({"channel": {"snr_db": float("nan")}})
         with pytest.raises(ValueError, match="classical"):
             config_from_dict({"classical": 5})
+        bad_leaves = [
+            ({"seed": 2.7}, "seed"),
+            ({"classical": {"qp": "5"}}, r"classical\.qp"),
+            ({"classical": {"max_iters": 0}}, "classical.*max_iters"),
+            ({"reconstruction": {"iterations": -3}}, "reconstruction.*iterations"),
+            ({"reconstruction": {"enabled": 1}}, r"reconstruction\.enabled"),
+            ({"reconstruction": {"n_timesteps": 1}}, "reconstruction.*n_timesteps"),
+            ({"video": {"width": 1.5}}, r"video\.width"),
+            ({"video": {"frames": True}}, r"video\.frames"),
+            ({"synthesis": {"threshold": -1.0}}, "synthesis.*threshold"),
+            ({"synthesis": {"softness": 0.0}}, "synthesis.*softness"),
+            ({"compute": {"render_flops": -1.0}}, "compute.*render_flops"),
+            ({"metrics": {"ms_ssim_scales": 6}}, "metrics.*ms_ssim_scales"),
+            ({"nodes": {"end": {"flops": "fast"}}}, r"nodes\.end\.flops"),
+        ]
+        for data, key in bad_leaves:
+            with pytest.raises(ValueError, match=key):
+                config_from_dict(data)
+        # a float leaf takes an int and stores it as a float
+        assert config_from_dict({"channel": {"snr_db": 15}}).channel.snr_db == 15.0
 
 
 class TestSweep:
@@ -242,7 +263,9 @@ class TestService:
         assert "composite_vs_reference" in vs.metrics
 
     def test_failed_stage_aborts_downstream(self, tiny_config):
-        cfg = replace(tiny_config, synthesis=replace(tiny_config.synthesis, threshold=-1.0))
+        # a background plate of another size cannot be composited
+        cfg = replace(tiny_config, background_video=replace(
+            tiny_config.background_video, width=32, height=32))
         report = run_service(cfg)
         status = {s.name: s.status for s in report.stages}
         assert status["video_synthesis"] == "failed"
@@ -310,9 +333,25 @@ class TestCli:
         save_config(tiny_config, cfg_path)
         out = tmp_path / "comp"
         assert cli_main(["composite", "--config", str(cfg_path), "--out", str(out)]) == 0
-        payload = json.loads((out / "composite.json").read_text())
+        payload = json.loads((out / "composite_metrics.json").read_text())
         assert payload["matte_iou"] > 0.9
-        assert (out / "composite.rgb").exists()
+        fused = load_raw(out / "composite.rgb")
+        assert len(fused) == payload["frames"] == tiny_config.user_video.frames
+        assert fused.frames[0].data.shape == (48, 48, 3)
+
+    def test_composite_uses_configured_user_clip(self, tmp_path, tiny_config):
+        # a test-pattern clip has no ground-truth mattes and is matted against
+        # its own first frame, so that frame composites to pure background
+        cfg = replace(tiny_config, user_video=replace(tiny_config.user_video, variant="test"))
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg, cfg_path)
+        out = tmp_path / "comp"
+        assert cli_main(["composite", "--config", str(cfg_path), "--out", str(out)]) == 0
+        payload = json.loads((out / "composite_metrics.json").read_text())
+        assert payload == {"frames": cfg.user_video.frames}
+        fused = load_raw(out / "composite.rgb")
+        background = resolve_video(cfg.background_video)
+        assert np.max(np.abs(fused.frames[0].data - background.frames[0].data)) <= 0.5 / 255
 
     def test_reconstruct(self, tmp_path, tiny_config):
         cfg_path = tmp_path / "cfg.json"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,14 @@ class TestRender:
         res = render(scene, 0)
         assert np.allclose(res.image.data, [0.2, 0.4, 0.6])
         assert not res.depth.any()  # sentinel for no surface
+        assert not res.alpha.any()
+
+    def test_gaussian_behind_camera_is_background(self):
+        scene = replace(_single_gaussian_scene(mean=(0.0, 0.0, -2.5)),
+                        background=np.array([0.2, 0.4, 0.6]))
+        res = render(scene, 0)
+        assert np.array_equal(res.image.data, np.broadcast_to([0.2, 0.4, 0.6], (64, 64, 3)))
+        assert not res.depth.any()
         assert not res.alpha.any()
 
     def test_single_gaussian_argmax_matches_projection(self):
