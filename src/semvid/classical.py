@@ -12,6 +12,7 @@ coefficients are DPCM-predicted inside a macroblock and reset at its start.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import dctn, idctn
@@ -256,6 +257,12 @@ class PreparedClassical:
     bitstream: Bitstream
     symbols: object  # SymbolBlock of BPSK symbols
 
+    @cached_property
+    def clean_decode(self) -> Gop:
+        """The GOP as decoded from intact bits, computed once per prepared
+        GOP.  No macroblock is concealed, so it needs no previous frame."""
+        return source_decode(self.bitstream)
+
 
 def prepare_classical(gop: Gop, qp: float, code: LdpcCode) -> PreparedClassical:
     bs = source_encode(gop, qp)
@@ -277,12 +284,15 @@ def transmit_prepared(
     llrs = bpsk_demodulate(received, noise_variance(ch.snr_db))
     decoded, converged = ldpc_decode(llrs, code, max_iters=max_iters)
     decoded = decoded[: bs.bit_length]
-    corrupted = [
-        (b * code.k, min((b + 1) * code.k, bs.bit_length))
-        for b in np.nonzero(~converged)[0]
-        if b * code.k < bs.bit_length
-    ]
-    gop_hat = source_decode(replace(bs, bits=decoded), corrupted, prev_frame)
+    if converged.all() and np.array_equal(decoded, bs.bits):
+        gop_hat = prep.clean_decode
+    else:
+        corrupted = [
+            (b * code.k, min((b + 1) * code.k, bs.bit_length))
+            for b in np.nonzero(~converged)[0]
+            if b * code.k < bs.bit_length
+        ]
+        gop_hat = source_decode(replace(bs, bits=decoded), corrupted, prev_frame)
     stats = TxStats(
         payload_bits=bs.bit_length,
         channel_symbols=int(prep.symbols.symbols.size),

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 from .channel import ChannelConfig
-from .metrics import MS_SSIM_WEIGHTS
+from .metrics import MS_SSIM_WEIGHTS, SSIM_WINDOW
 from .semantic import SemanticCodecConfig
 
 REFERENCE_THROUGHPUT_BPS = 11.5e6 * 8 / 5718.0  # ~16.09 kbps
@@ -177,6 +177,26 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.sweep_snrs_db or not all(map(math.isfinite, self.sweep_snrs_db)):
             raise ValueError("sweep_snrs_db needs at least one SNR point, all finite")
+        # constraints across sections; a raw clip's size is known only once it is read
+        user, plate = self.user_video, self.background_video
+        if (user.kind == plate.kind == "synthetic"
+                and (plate.width, plate.height) != (user.width, user.height)):
+            raise ValueError(
+                f"background_video size {plate.width}x{plate.height} must equal "
+                f"user_video's {user.width}x{user.height}: the two are composited")
+        needed = SSIM_WINDOW * 2 ** (self.metrics.ms_ssim_scales - 1)
+        scored = {}  # the key of each MS-SSIM-scored clip's shorter side -> px
+        for name, src in (("video", self.video), ("user_video", user), ("background_video", plate)):
+            if src.kind == "synthetic":
+                side = "width" if src.width <= src.height else "height"
+                scored[f"{name}.{side}"] = getattr(src, side)
+        if self.reconstruction.enabled:
+            scored["reconstruction.image_size"] = self.reconstruction.image_size
+        for key, px in scored.items():
+            if px < needed:
+                raise ValueError(
+                    f"{key} is {px} px, below the {needed} px per side "
+                    f"that metrics.ms_ssim_scales = {self.metrics.ms_ssim_scales} needs")
 
 
 def reference_config() -> RunConfig:

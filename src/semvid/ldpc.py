@@ -5,6 +5,16 @@ shuffle of check slots, followed by duplicate-edge cleanup, 4-cycle removal
 and degree-preserving swaps until the parity matrix has full row rank.
 Decoding: flooding sum-product belief propagation with early exit,
 vectorized across codewords.
+
+The decoder keeps its messages edge-major: a float32 (m, check_degree, b)
+array, one row per check slot in check-major edge order, with the b
+still-iterating blocks along the contiguous last axis.  Check and variable
+gathers are ``np.take`` over rows (``check_neighbors`` for check-side views
+of per-variable arrays, ``var_edge_check * check_degree + var_edge_slot``
+for the variable-side view of the edges), so each gathered row is one
+contiguous copy.  A block leaves the batch as soon as its syndrome clears.
+The GF(2) products of construction and encoding run as float32 BLAS
+matmuls, which are exact because no sum exceeds 2**24.
 """
 
 from __future__ import annotations
@@ -95,7 +105,8 @@ def _remove_short_cycles(cols: np.ndarray, m: int, rng, max_passes: int = 60) ->
     (girth > 4), best effort within ``max_passes``."""
     n, var_degree = cols.shape
     for _ in range(max_passes):
-        adj = np.zeros((n, m), dtype=np.uint8)
+        # float32 BLAS product: exact, since each count is at most var_degree
+        adj = np.zeros((n, m), dtype=np.float32)
         adj[np.arange(n)[:, None], cols] = 1
         overlap = adj @ adj.T
         np.fill_diagonal(overlap, 0)
@@ -203,17 +214,36 @@ def ldpc_encode(info_bits, code: LdpcCode) -> np.ndarray:
     if bits.size % code.k != 0:
         raise ValueError("info length must be a multiple of k (pad first)")
     blocks = bits.reshape(-1, code.k)
-    parity = (blocks.astype(np.int64) @ code.encode_matrix.T.astype(np.int64)) % 2
+    # float32 BLAS product: exact, since each sum is at most k < 2**24
+    parity = blocks.astype(np.float32) @ code.encode_matrix.T.astype(np.float32)
     out = np.zeros((blocks.shape[0], code.n), dtype=np.uint8)
     out[:, code.info_positions] = blocks
-    out[:, code.parity_positions] = parity.astype(np.uint8)
+    out[:, code.parity_positions] = np.fmod(parity, 2.0, out=parity)
     return out.reshape(-1)
 
 
 def _syndrome_ok(hard: np.ndarray, code: LdpcCode) -> np.ndarray:
-    """Per-block parity satisfaction for hard bits of shape (B, n)."""
-    sums = hard[:, code.check_neighbors].sum(axis=2) % 2
-    return ~np.any(sums, axis=1)
+    """Per-block parity satisfaction for bit-major hard bits of shape (n, B):
+    the XOR of each check's gathered bits must be 0 for every check."""
+    parity = np.bitwise_xor.reduce(np.take(hard, code.check_neighbors, axis=0), axis=1)
+    return ~parity.any(axis=0)
+
+
+def _exclude_self_products(t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """For each check slot, the product of the other slots' ``t`` (m, dc, b),
+    written into ``out``: suffix products first, then each multiplied by the
+    running prefix, in the multiplication order of a left-to-right and a
+    right-to-left cumulative product."""
+    dc = t.shape[1]
+    out[:, dc - 2] = t[:, dc - 1]
+    for s in range(dc - 3, -1, -1):
+        np.multiply(out[:, s + 1], t[:, s + 1], out=out[:, s])
+    prefix = t[:, 0].copy()
+    for s in range(1, dc - 1):
+        out[:, s] *= prefix
+        prefix *= t[:, s]
+    out[:, dc - 1] = prefix
+    return out
 
 
 def ldpc_decode(llrs, code: LdpcCode, max_iters: int = 50):
@@ -227,39 +257,52 @@ def ldpc_decode(llrs, code: LdpcCode, max_iters: int = 50):
     if llr.size % code.n != 0:
         raise ValueError("llr length must be a multiple of n")
     blocks = llr.reshape(-1, code.n)
-    n_blocks = blocks.shape[0]
 
-    hard = (blocks < 0).astype(np.uint8)
-    converged = _syndrome_ok(hard, code)
-    decided = hard.copy()
-    active = ~converged
+    decided = (blocks < 0).astype(np.uint8)
+    converged = _syndrome_ok(np.ascontiguousarray(decided.T), code)
+    idx = np.nonzero(~converged)[0]  # the blocks still iterating, one column each
+    if idx.size == 0 or max_iters < 2:
+        return decided[:, code.info_positions].reshape(-1), converged
 
-    if np.any(active):
-        # message passing runs in float32: plenty for BP and twice as fast
-        blocks32 = blocks.astype(np.float32)
-        q = blocks32[:, code.check_neighbors]  # (B, m, dc) var->check messages
-        for _ in range(max_iters - 1):
-            idx = np.nonzero(active)[0]
-            t = np.tanh(np.clip(q[idx] / 2.0, -_TANH_CLIP, _TANH_CLIP))
-            # exclude-self products via prefix/suffix scans (stable with zeros)
-            prefix = np.ones_like(t)
-            suffix = np.ones_like(t)
-            np.cumprod(t[:, :, :-1], axis=2, out=prefix[:, :, 1:])
-            np.cumprod(t[:, :, :0:-1], axis=2, out=suffix[:, :, -2::-1])
-            prod_excl = prefix * suffix
-            r = 2.0 * np.arctanh(np.clip(prod_excl, -1 + 1e-7, 1 - 1e-7))
-            # variable updates: total r per variable, then exclude-self
-            r_at_var = r[:, code.var_edge_check, code.var_edge_slot]  # (b, n, dv)
-            totals = blocks32[idx] + r_at_var.sum(axis=2)
-            q_new = totals[:, code.check_neighbors] - r
-            q[idx] = q_new
-            hard_act = (totals < 0).astype(np.uint8)
-            decided[idx] = hard_act
-            ok = _syndrome_ok(hard_act, code)
-            converged[idx] |= ok
-            active[idx] = ~ok
-            if not np.any(active):
+    m, dc = code.check_neighbors.shape
+    var_edges = code.var_edge_check * dc + code.var_edge_slot  # (n, dv) edge rows
+    # message passing runs in float32: plenty for BP and twice as fast
+    channel = np.ascontiguousarray(blocks.astype(np.float32)[idx].T)  # (n, b)
+    q = np.take(channel, code.check_neighbors, axis=0)  # (m, dc, b) var->check
+    spare = None
+    for _ in range(max_iters - 1):
+        if spare is None or spare.shape != q.shape:  # first pass, or the batch shrank
+            spare = np.empty_like(q)
+            r_at_var = np.empty(var_edges.shape + q.shape[2:], dtype=np.float32)
+            totals = np.empty_like(channel)
+        t = np.divide(q, 2.0, out=spare)
+        np.tanh(np.clip(t, -_TANH_CLIP, _TANH_CLIP, out=t), out=t)
+        r = _exclude_self_products(t, out=q)  # check->var messages, in q's buffer
+        np.arctanh(np.clip(r, -1 + 1e-7, 1 - 1e-7, out=r), out=r)
+        r *= 2.0
+        # variable updates: total r per variable plus the channel LLR, then
+        # each check's message excludes its own r.  The edge indices are in
+        # range, so mode="clip" only skips the buffered bounds check.
+        np.take(r.reshape(m * dc, -1), var_edges, axis=0, out=r_at_var, mode="clip")
+        np.copyto(totals, r_at_var[:, 0])
+        for d in range(1, r_at_var.shape[1]):
+            totals += r_at_var[:, d]
+        totals += channel
+        q = np.take(totals, code.check_neighbors, axis=0, out=t, mode="clip")
+        q -= r
+        spare = r
+        hard = totals < 0
+        ok = _syndrome_ok(hard, code)
+        if ok.any():
+            # converged blocks leave the batch with their decisions
+            decided[idx[ok]] = hard[:, ok].T
+            converged[idx[ok]] = True
+            keep = ~ok
+            idx, channel, hard = idx[keep], channel[:, keep], hard[:, keep]
+            q = np.compress(keep, q, axis=2)
+            if idx.size == 0:
                 break
+    decided[idx] = hard.T
 
     info = decided[:, code.info_positions].reshape(-1)
     return info, converged

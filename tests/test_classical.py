@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from semvid.channel import ChannelConfig
+import semvid.classical
 from semvid.classical import (
+    MB,
     Bitstream,
     BitstreamError,
     classical_transmit,
@@ -12,7 +14,7 @@ from semvid.classical import (
     transmit_prepared,
 )
 from semvid.metrics import psnr
-from semvid.video import Gop
+from semvid.video import Frame, Gop
 
 
 def _raw_bits(gop):
@@ -133,3 +135,46 @@ class TestTransmitChain:
         )
         # with everything concealed, the first frame copies the reference
         assert psnr(reference, received.frames[0]) > psnr(natural_gop.frames[0], received.frames[0])
+
+    def test_intact_send_is_the_clean_decode(self, natural_gop, ldpc_code, monkeypatch):
+        prep = prepare_classical(natural_gop, 4.0, ldpc_code)
+        clean = source_decode(prep.bitstream)
+        calls = []
+        decode = semvid.classical.source_decode
+        monkeypatch.setattr(semvid.classical, "source_decode",
+                            lambda *args: calls.append(args) or decode(*args))
+        plate = Frame(np.full((64, 64, 3), 0.25))
+        for seed, prev in ((3, None), (4, plate)):
+            received, stats = transmit_prepared(
+                prep, ChannelConfig(snr_db=25.0, seed=seed), ldpc_code, prev_frame=prev)
+            assert stats.decode_failures == 0
+            for a, b in zip(clean.frames, received.frames):
+                assert np.array_equal(a.data, b.data)
+        assert len(calls) == 1  # decoded once per prepared GOP, then reused
+
+    def test_failed_block_conceals_its_macroblocks(self, natural_gop, ldpc_code, monkeypatch):
+        prep = prepare_classical(natural_gop, 4.0, ldpc_code)
+        clean = source_decode(prep.bitstream)
+        decode = semvid.classical.ldpc_decode
+
+        def first_block_fails(*args, **kwargs):
+            info, converged = decode(*args, **kwargs)
+            converged = converged.copy()
+            converged[0] = False
+            return info, converged
+
+        monkeypatch.setattr(semvid.classical, "ldpc_decode", first_block_fails)
+        plate = Frame(np.full((64, 64, 3), 0.25))
+        received, stats = transmit_prepared(
+            prep, ChannelConfig(snr_db=25.0, seed=3), ldpc_code, prev_frame=plate)
+        assert stats.decode_failures == 1
+        starts = prep.bitstream.block_map[:, 0]
+        hit = set(np.nonzero(starts < ldpc_code.k)[0])  # macroblocks block 0 covers
+        cols = natural_gop.width // MB
+        assert hit and max(hit) < cols * (natural_gop.height // MB)  # all in frame 0
+        for f, (a, b) in enumerate(zip(clean.frames, received.frames)):
+            for i in range(a.data.shape[0] // MB * cols):
+                sl = (slice(i // cols * MB, (i // cols + 1) * MB),
+                      slice(i % cols * MB, (i % cols + 1) * MB))
+                want = plate.data[sl] if f == 0 and i in hit else a.data[sl]
+                assert np.array_equal(b.data[sl], want)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,45 @@ from semvid.ldpc import (
     ldpc_encode,
     make_ldpc_code,
 )
+
+
+# SHA-256 of every array of make_ldpc_code(k, seed), recorded before the
+# decoder and the GF(2) products were rewritten; they must not move
+CODE_SHA256 = {
+    (512, 11): "cd5285078199f78228da9516459ecf76651920c3430ba7a8f6ac600fdf487e3e",
+    (256, 11): "1e36867ecc5c861e444077eec1daf0a44076c11ceccc5a08767c1d6903d0b2fe",
+    (128, 5): "7d0effbb109c8f6b057f6828bebf12f9f3bb6833adbe7c196747a1a2317a0fc2",
+    (64, 3): "8516de9bdb004aef7b0970af7c318f234bfea176965ec2d096c46534edbe27e5",
+    (72, 3): "b5c886118fd1c9844814e2a464248a68a0d60d389b3b22a6b2adf74d7e3b6270",
+}
+CODE_FIELDS = ("parity_check", "check_neighbors", "var_edge_check", "var_edge_slot",
+               "info_positions", "parity_positions", "encode_matrix")
+# SHA-256 of (info, converged) for the mixed batch below, recorded likewise
+MIXED_DECODE_SHA256 = "ab2421b87fd946bfeaef3d022ef3a5efe240fd125717913d09f4e478994a0d85"
+MIXED_SNRS_DB = (-10.0, -10.0, 0.0, 0.0, 2.0, 2.0, 5.0, 5.0)
+
+
+def _code_sha256(code):
+    digest = hashlib.sha256()
+    for name in CODE_FIELDS:
+        arr = getattr(code, name)
+        for part in (name, str(arr.dtype), str(arr.shape)):
+            digest.update(part.encode())
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def mixed_llrs(ldpc_code):
+    """One block per SNR in MIXED_SNRS_DB: the -10 and 0 dB blocks run every
+    iteration and fail, the 2 and 5 dB ones converge part-way."""
+    info = np.random.default_rng(2024).integers(0, 2, 512 * len(MIXED_SNRS_DB)).astype(np.uint8)
+    coded = ldpc_encode(info, ldpc_code).reshape(len(MIXED_SNRS_DB), -1)
+    llrs = []
+    for b, snr in enumerate(MIXED_SNRS_DB):
+        received = awgn(bpsk_modulate(coded[b]), ChannelConfig(snr_db=snr, seed=b))
+        llrs.append(bpsk_demodulate(received, noise_variance(snr)))
+    return np.concatenate(llrs)
 
 
 def _gf2_rank(mat):
@@ -54,6 +95,11 @@ class TestConstruction:
         monkeypatch.setattr("semvid.ldpc._gf2_row_reduce", lambda mat: [])
         with pytest.raises(RuntimeError, match="full rank"):
             make_ldpc_code(72, seed=3)
+
+    @pytest.mark.parametrize("k, seed", sorted(CODE_SHA256))
+    def test_code_arrays_pinned(self, k, seed, ldpc_code):
+        code = ldpc_code if (k, seed) == (512, 11) else make_ldpc_code(k, seed)
+        assert _code_sha256(code) == CODE_SHA256[(k, seed)]
 
     def test_construction_deterministic(self):
         a = make_ldpc_code(72, seed=3)
@@ -110,6 +156,27 @@ class TestDecode:
         decoded, converged = ldpc_decode(llrs, ldpc_code)
         assert converged.all()
         assert np.array_equal(decoded, info)
+
+
+    def test_mixed_batch_pinned(self, ldpc_code, mixed_llrs):
+        info, converged = ldpc_decode(mixed_llrs, ldpc_code)
+        assert converged.tolist() == [False] * 4 + [True] * 4
+        digest = hashlib.sha256(info.tobytes() + converged.tobytes()).hexdigest()
+        assert digest == MIXED_DECODE_SHA256
+
+    def test_mixed_batch_equals_blocks_alone(self, ldpc_code, mixed_llrs):
+        # blocks leave the batch as they converge; that must not change any
+        # block's result
+        info, converged = ldpc_decode(mixed_llrs, ldpc_code)
+        alone = [ldpc_decode(llr, ldpc_code) for llr in mixed_llrs.reshape(-1, ldpc_code.n)]
+        assert np.array_equal(info, np.concatenate([a[0] for a in alone]))
+        assert np.array_equal(converged, np.concatenate([a[1] for a in alone]))
+
+    def test_max_iters_one_is_the_hard_decision(self, ldpc_code, mixed_llrs):
+        info, converged = ldpc_decode(mixed_llrs, ldpc_code, max_iters=1)
+        hard = (mixed_llrs.reshape(-1, ldpc_code.n) < 0).astype(np.uint8)
+        assert np.array_equal(info, hard[:, ldpc_code.info_positions].reshape(-1))
+        assert converged.sum() < converged.size
 
 
 class TestBpsk:

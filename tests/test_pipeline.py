@@ -163,6 +163,34 @@ class TestConfig:
         # a float leaf takes an int and stores it as a float
         assert config_from_dict({"channel": {"snr_db": 15}}).channel.snr_db == 15.0
 
+    def test_background_size_must_match_user_video(self):
+        with pytest.raises(ValueError, match="background_video.*user_video"):
+            config_from_dict({"background_video": {"width": 32, "height": 32}})
+        with pytest.raises(ValueError, match="background_video.*user_video"):
+            replace(reference_config(), user_video=VideoSource(variant="matting", width=48))
+        both = {"width": 48, "height": 48}
+        assert config_from_dict({"user_video": both, "background_video": both})
+        # a raw clip's size is read from its file, so it is not checked here
+        raw = {"kind": "raw", "path": "plate.rgb", "width": 32, "height": 32}
+        assert config_from_dict({"background_video": raw})
+
+    def test_ms_ssim_scored_clip_large_enough(self):
+        # 3 scales need 11 * 2**2 = 44 px per side
+        too_small = [
+            ({"video": {"width": 120, "height": 40}}, r"video\.height is 40 px.*44 px"),
+            ({"reconstruction": {"image_size": 40}}, r"reconstruction\.image_size is 40"),
+            ({"metrics": {"ms_ssim_scales": 4}}, r"user_video\.width is 64 px.*88 px"),
+            ({"user_video": {"width": 40, "height": 40},
+              "background_video": {"width": 40, "height": 40}}, r"user_video\.width"),
+        ]
+        for data, message in too_small:
+            with pytest.raises(ValueError, match=message):
+                config_from_dict(data)
+        assert config_from_dict({"video": {"width": 44, "height": 44}})
+        # the scene fit is scored only when it runs
+        assert config_from_dict({"reconstruction": {"image_size": 40, "enabled": False}})
+        assert config_from_dict({"video": {"kind": "raw", "path": "clip.rgb", "width": 8}})
+
 
 class TestSweep:
     def test_shape_and_determinism(self, tiny_config):
@@ -262,11 +290,12 @@ class TestService:
         vs = [s for s in report.stages if s.name == "video_synthesis"][0]
         assert "composite_vs_reference" in vs.metrics
 
-    def test_failed_stage_aborts_downstream(self, tiny_config):
-        # a background plate of another size cannot be composited
-        cfg = replace(tiny_config, background_video=replace(
-            tiny_config.background_video, width=32, height=32))
-        report = run_service(cfg)
+    def test_failed_stage_aborts_downstream(self, tiny_config, monkeypatch):
+        def broken_composite(*args):
+            raise ValueError("composite frames: dimension mismatch")
+
+        monkeypatch.setattr("semvid.pipeline.composite", broken_composite)
+        report = run_service(tiny_config)
         status = {s.name: s.status for s in report.stages}
         assert status["video_synthesis"] == "failed"
         assert status["scene_preprocess"] == "skipped"
