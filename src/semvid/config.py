@@ -75,6 +75,11 @@ class ClassicalSettings:
     def __post_init__(self) -> None:
         _positive(self, "qp")
         _at_least(self, 1, "ldpc_k", "ldpc_var_degree", "ldpc_check_degree", "max_iters")
+        # make_ldpc_code builds rate-1/2 codes with every check of full degree
+        if self.ldpc_check_degree != 2 * self.ldpc_var_degree:
+            raise ValueError("ldpc_check_degree must be 2 * ldpc_var_degree for rate 1/2")
+        if self.ldpc_k < self.ldpc_var_degree * self.ldpc_check_degree:
+            raise ValueError("ldpc_k must be >= ldpc_var_degree * ldpc_check_degree")
 
 
 @dataclass(frozen=True)

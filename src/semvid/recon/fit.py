@@ -10,7 +10,9 @@ differences.
 The optimizer is Adam with per-parameter-group step sizes, wrapped in an
 accept/reject rule: a step that does not decrease the objective is
 backtracked with a halved scale, so the recorded objective is
-non-increasing by construction.
+non-increasing by construction.  Each candidate is rasterized once: the
+forward pass keeps per-frame caches, and an accepted candidate's gradient
+is built from them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..video import Frame
-from .render import ALPHA_MAX, rasterize, surface_lift
+from .render import ALPHA_MAX, pixel_grid, rasterize, surface_lift
 from .scene import PARAM_KEYS, GaussianScene, MotionBasisSet, quat_normalize, scene_params
 
 DEFAULT_LEARNING_RATES = {
@@ -168,6 +170,30 @@ def _softmax_backward(w: np.ndarray, d_w: np.ndarray) -> np.ndarray:
 
 # --- objective -------------------------------------------------------------
 
+# the rasterizer outputs the backward pass reads; the rest is dropped once
+# the residuals are taken
+_CACHED = ("pp", "valid", "x_cam", "j", "order", "alphas", "alpha_raw", "dx", "dy", "inv",
+           "t_excl", "t_final")
+
+
+def _splat_backward(d_qf, dx, dy, inv):
+    """Gradients through qf = d^T inv d with d = p - mu2d, given d(loss)/d(qf)
+    per (g, h, w): returns (d_inv (g, 2, 2), d_mu2d (g, 2)), with the 2x2
+    products written out."""
+    a = d_qf * dx
+    b = d_qf * dy
+    d_inv = np.empty(inv.shape)
+    d_inv[:, 0, 0] = np.sum(a * dx, axis=(1, 2))
+    d_inv[:, 0, 1] = np.sum(a * dy, axis=(1, 2))
+    d_inv[:, 1, 0] = np.sum(b * dx, axis=(1, 2))
+    d_inv[:, 1, 1] = np.sum(b * dy, axis=(1, 2))
+    # d(qf)/d(mu2d) = -2 inv d per pixel, summed: -2 (sum_hw d_qf d)^T inv
+    sum_a = np.sum(a, axis=(1, 2))[:, None]
+    sum_b = np.sum(b, axis=(1, 2))[:, None]
+    d_mu2d = -2.0 * (sum_a * inv[:, 0, :] + sum_b * inv[:, 1, :])
+    return d_inv, d_mu2d
+
+
 def _backward_frame(params, camera, t, fwd, g_image, g_depth, d_mu2d_extra, grads,
                     background):
     """Accumulate d(loss)/d(params) for one frame given upstream gradients
@@ -185,45 +211,31 @@ def _backward_frame(params, camera, t, fwd, g_image, g_depth, d_mu2d_extra, grad
 
     if n > 0:
         alphas = fwd["alphas"]
-        weights = fwd["t_excl"] * alphas
+        t_excl = fwd["t_excl"]
+        weights = t_excl * alphas
         colors_sorted = params["colors"][order]
         z_sorted = fwd["x_cam"][order, 2]
-        # suffix sums of everything behind each splat, background included
-        # (the background term t_final * bg also depends on every alpha)
-        contrib_img = weights[:, :, :, None] * colors_sorted[:, None, None, :]
-        bg_term = fwd["t_final"][None, :, :, None] * background[None, None, None, :]
-        tail_img = np.concatenate([contrib_img, bg_term], axis=0)
-        suffix_img = np.cumsum(tail_img[::-1], axis=0)[::-1]
-        s_after_img = suffix_img[1:]
-        contrib_dep = weights * z_sorted[:, None, None]
-        tail_dep = np.concatenate([contrib_dep, np.zeros((1, *contrib_dep.shape[1:]))])
-        suffix_dep = np.cumsum(tail_dep[::-1], axis=0)[::-1]
-        s_after_dep = suffix_dep[1:]
+        # project the upstream gradient onto each splat's color and depth
+        # and onto the background; since the suffix sum is linear, one
+        # scalar suffix sum then covers everything behind each splat,
+        # background included (t_final * bg also depends on every alpha)
+        g_rgb = g_image.reshape(-1, 3)
+        proj = (colors_sorted @ g_rgb.T).reshape(alphas.shape) + z_sorted[:, None, None] * g_depth
+        tail = np.empty((n + 1, *alphas.shape[1:]))
+        np.multiply(weights, proj, out=tail[:-1])
+        tail[-1] = fwd["t_final"] * (g_image @ background)
+        s_after = np.cumsum(tail[::-1], axis=0)[::-1][1:]
+        d_alpha = t_excl * proj - s_after / (1.0 - alphas)
+        weights_flat = weights.reshape(n, -1)
+        d_colors_sorted = weights_flat @ g_rgb
+        d_z_dep = weights_flat @ g_depth.reshape(-1)
 
-        one_minus = 1.0 - alphas
-        d_alpha = (
-            np.einsum(
-                "hwc,ghwc->ghw",
-                g_image,
-                fwd["t_excl"][:, :, :, None] * colors_sorted[:, None, None, :]
-                - s_after_img / one_minus[:, :, :, None],
-            )
-            + g_depth
-            * (fwd["t_excl"] * z_sorted[:, None, None] - s_after_dep / one_minus)
-        )
-        d_colors_sorted = np.einsum("hwc,ghw->gc", g_image, weights)
-        d_z_dep = np.einsum("hw,ghw->g", g_depth, weights)
-
-        clip_mask = fwd["alpha_raw"] < ALPHA_MAX
-        d_alpha_raw = d_alpha * clip_mask
-        opac_sorted = params["opacities"][order][:, None, None]
-        e = fwd["alpha_raw"] / opac_sorted
-        d_opac_sorted = np.sum(d_alpha_raw * e, axis=(1, 2))
-        d_qf = -0.5 * d_alpha_raw * fwd["alpha_raw"]
-        d_inv = np.einsum("ghw,ghwi,ghwj->gij", d_qf, fwd["delta"], fwd["delta"])
-        d_delta = 2.0 * np.einsum("ghw,ghwj,gji->ghwi", d_qf, fwd["delta"], fwd["inv"])
-        d_mu2d_splat = -np.sum(d_delta, axis=(1, 2))
-        d_cov2d_sorted = -np.einsum("gij,gjk,gkl->gil", fwd["inv"], d_inv, fwd["inv"])
+        alpha_raw = fwd["alpha_raw"]
+        d_alpha_raw = d_alpha * (alpha_raw < ALPHA_MAX)
+        d_alpha_e = d_alpha_raw * alpha_raw  # alpha_raw = o * e
+        d_opac_sorted = np.sum(d_alpha_e, axis=(1, 2)) / params["opacities"][order]
+        d_inv, d_mu2d_splat = _splat_backward(-0.5 * d_alpha_e, fwd["dx"], fwd["dy"], fwd["inv"])
+        d_cov2d_sorted = -fwd["inv"] @ d_inv @ fwd["inv"]
 
         grads["colors"][order] += d_colors_sorted
         grads["opacities"][order] += d_opac_sorted
@@ -284,52 +296,88 @@ def _backward_frame(params, camera, t, fwd, g_image, g_depth, d_mu2d_extra, grad
     grads["coeffs"] += _softmax_backward(pp["w"], d_w)
 
 
+class _Objective:
+    """The objective over the non-excluded frames, split in two: ``forward``
+    returns the loss and, per frame, the rasterizer outputs and residuals
+    the gradient needs; ``backward`` builds the gradient from those caches,
+    so an accepted trial's forward pass is never run again."""
+
+    def __init__(self, frames, depth_maps, cameras, cfg, assignments, track_positions):
+        self.fit_frames = [t for t in range(len(frames)) if t not in set(cfg.exclude_frames)]
+        if not self.fit_frames:
+            raise ValueError("no frames left to fit after exclusions")
+        self.frames = frames
+        self.depth_maps = depth_maps
+        self.cameras = cameras
+        self.cfg = cfg
+        self.assignments = assignments
+        self.track_positions = track_positions
+        self.background = cfg.initial_scene.background
+        self.denom = float(len(self.fit_frames))
+        # the pixel grids, built once per image size rather than per render
+        self.grids = {size: pixel_grid(*size) for size in {(c.width, c.height) for c in cameras}}
+
+    def forward(self, params, keep_caches=True):
+        """Loss at ``params`` and the per-frame caches (empty unless
+        ``keep_caches``)."""
+        for key in PARAM_KEYS:
+            if not np.all(np.isfinite(params[key])):
+                raise FitDivergenceError(f"parameter group {key!r} became non-finite")
+        cfg = self.cfg
+        total = 0.0
+        caches = []
+        for t in self.fit_frames:
+            camera = self.cameras[t]
+            fwd = rasterize(params, camera, t, self.background,
+                            self.grids[camera.width, camera.height])
+            frame = self.frames[t]
+            image_gt = frame.data if isinstance(frame, Frame) else np.asarray(frame)
+            resid_img = fwd["image"] - image_gt
+            resid_dep = fwd["depth"] - self.depth_maps[t]
+            loss_t = cfg.image_weight * np.mean(np.abs(resid_img)) + cfg.depth_weight * np.mean(
+                np.abs(resid_dep)
+            )
+            resid_tr = None
+            if self.assignments is not None:
+                pred = predict_track_positions(fwd["mu2d"], self.assignments, fwd["valid"])
+                resid_tr = pred - self.track_positions[:, t]
+                loss_t += cfg.track_weight * np.mean(np.abs(resid_tr))
+            total += loss_t / self.denom
+            if keep_caches:
+                cache = {key: fwd[key] for key in _CACHED}
+                cache.update(t=t, resid_img=resid_img, resid_dep=resid_dep, resid_tr=resid_tr)
+                caches.append(cache)
+        if not np.isfinite(total):
+            raise FitDivergenceError(f"objective became non-finite ({total})")
+        return total, caches
+
+    def backward(self, params, caches) -> dict:
+        """Gradient of the loss at ``params`` from ``forward``'s caches."""
+        cfg = self.cfg
+        denom = self.denom
+        grads = {k: np.zeros_like(params[k]) for k in PARAM_KEYS}
+        for cache in caches:
+            resid_img, resid_dep = cache["resid_img"], cache["resid_dep"]
+            resid_tr = cache["resid_tr"]
+            d_mu2d_extra = None
+            if resid_tr is not None:
+                g_tr = cfg.track_weight * np.sign(resid_tr) / (resid_tr.size * denom)
+                d_mu2d_extra = (self.assignments * cache["valid"][None, :]).T @ g_tr
+            g_image = cfg.image_weight * np.sign(resid_img) / (resid_img.size * denom)
+            g_depth = cfg.depth_weight * np.sign(resid_dep) / (resid_dep.size * denom)
+            t = cache["t"]
+            _backward_frame(params, self.cameras[t], t, cache, g_image, g_depth, d_mu2d_extra,
+                            grads, self.background)
+        return grads
+
+
 def loss_and_grad(params, frames, depth_maps, cameras, cfg,
                   assignments=None, track_positions=None, want_grad=True):
     """Objective and (optionally) its gradient over all non-excluded
     frames."""
-    n_frames = len(frames)
-    fit_frames = [t for t in range(n_frames) if t not in set(cfg.exclude_frames)]
-    if not fit_frames:
-        raise ValueError("no frames left to fit after exclusions")
-    for key in PARAM_KEYS:
-        if not np.all(np.isfinite(params[key])):
-            raise FitDivergenceError(f"parameter group {key!r} became non-finite")
-    background = cfg.initial_scene.background
-    grads = {k: np.zeros_like(params[k]) for k in PARAM_KEYS} if want_grad else None
-    total = 0.0
-    denom = float(len(fit_frames))
-    for t in fit_frames:
-        fwd = rasterize(params, cameras[t], t, background)
-        image_gt = frames[t].data if isinstance(frames[t], Frame) else np.asarray(frames[t])
-        resid_img = fwd["image"] - image_gt
-        resid_dep = fwd["depth"] - depth_maps[t]
-        loss_t = cfg.image_weight * np.mean(np.abs(resid_img)) + cfg.depth_weight * np.mean(
-            np.abs(resid_dep)
-        )
-        d_mu2d_extra = None
-        if assignments is not None:
-            pred = predict_track_positions(fwd["mu2d"], assignments, fwd["valid"])
-            resid_tr = pred - track_positions[:, t]
-            loss_t += cfg.track_weight * np.mean(np.abs(resid_tr))
-            if want_grad:
-                g_tr = (
-                    cfg.track_weight
-                    * np.sign(resid_tr)
-                    / (resid_tr.size * denom)
-                )
-                d_mu2d_extra = (assignments * fwd["valid"][None, :]).T @ g_tr
-        total += loss_t / denom
-        if want_grad:
-            g_image = cfg.image_weight * np.sign(resid_img) / (resid_img.size * denom)
-            g_depth = cfg.depth_weight * np.sign(resid_dep) / (resid_dep.size * denom)
-            _backward_frame(
-                params, cameras[t], t, fwd, g_image, g_depth, d_mu2d_extra, grads,
-                background,
-            )
-    if not np.isfinite(total):
-        raise FitDivergenceError(f"objective became non-finite ({total})")
-    return (total, grads) if want_grad else total
+    objective = _Objective(frames, depth_maps, cameras, cfg, assignments, track_positions)
+    total, caches = objective.forward(params, keep_caches=want_grad)
+    return (total, objective.backward(params, caches)) if want_grad else total
 
 
 class _Adam:
@@ -384,45 +432,46 @@ def fit_scene(frames, depth_maps, tracks_2d, cameras, config: FitConfig) -> FitR
         track_positions = np.asarray(tracks_2d.positions, dtype=np.float64)
 
     adam = _Adam(params, lrs)
-    background = scene0.background
-
-    def evaluate(p, want_grad):
-        return loss_and_grad(
-            p, frames, depth_maps, cameras, config,
-            assignments=assignments, track_positions=track_positions,
-            want_grad=want_grad,
-        )
-
-    loss, grads = evaluate(params, True)
+    objective = _Objective(frames, depth_maps, cameras, config, assignments, track_positions)
+    loss, caches = objective.forward(params)
+    grads = objective.backward(params, caches)
+    caches = None
     losses = [loss]
     scale = 1.0
+    backtracks = rejected_steps = 0
     for _ in range(config.iterations):
         step = adam.direction(grads)
         accepted = False
         trial_scale = scale
-        for _ in range(config.max_backtracks):
+        for trial in range(config.max_backtracks):
+            backtracks += trial > 0
             candidate = {k: params[k] - trial_scale * step[k] for k in PARAM_KEYS}
             _project_params(candidate)
-            cand_loss = evaluate(candidate, False)
+            cand_loss, caches = objective.forward(candidate)
             if cand_loss <= loss:
                 params = candidate
                 loss = cand_loss
                 scale = min(1.0, trial_scale * 1.25)
                 accepted = True
                 break
+            caches = None  # free the rejected trial before the next one
             trial_scale *= 0.5
         losses.append(loss)
         if accepted:
-            _, grads = evaluate(params, True)
+            grads = objective.backward(params, caches)
+            caches = None
         else:
+            rejected_steps += 1
             scale = trial_scale
             if scale < 1e-9:
                 break
 
-    scene = params_to_scene(params, cameras, background)
+    scene = params_to_scene(params, cameras, scene0.background)
     metrics = {
         "final_loss": loss,
         "initial_loss": losses[0],
         "iterations": len(losses) - 1,
+        "backtracks": backtracks,
+        "rejected_steps": rejected_steps,
     }
     return FitResult(scene=scene, losses=losses, iterations_run=len(losses) - 1, metrics=metrics)

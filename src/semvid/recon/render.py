@@ -76,16 +76,24 @@ def pixel_grid(width: int, height: int) -> np.ndarray:
     return np.stack([xs, ys], axis=-1).astype(np.float64)  # (h, w, 2) as (x, y)
 
 
+def quad_form(dx: np.ndarray, dy: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """d^T inv d per (g, h, w) offset d = (dx, dy), with the 2x2 product
+    written out."""
+    a, b, c, d = (inv[:, i, j, None, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    return dx * (a * dx + b * dy) + dy * (c * dx + d * dy)
+
+
 def splat_alphas(mu2d: np.ndarray, cov2d: np.ndarray, opacities: np.ndarray,
                  points: np.ndarray):
     """Per-Gaussian alpha maps o * exp(-0.5 * d^T cov2d^-1 d) at the (h, w, 2)
     sample ``points``, clipped just below 1 so transmittance never hits zero
-    exactly."""
+    exactly.  Returns (alphas, unclipped alphas, dx, dy, cov2d^-1) with the
+    (g, h, w) offsets d = (dx, dy) from each center."""
     inv, _ = _inverse_2x2(cov2d)
-    delta = points[None, :, :, :] - mu2d[:, None, None, :]        # (g, h, w, 2)
-    qf = np.einsum("ghwi,gij,ghwj->ghw", delta, inv, delta)
-    alpha_raw = opacities[:, None, None] * np.exp(-0.5 * qf)
-    return np.minimum(alpha_raw, ALPHA_MAX), alpha_raw, delta, inv
+    dx = points[None, :, :, 0] - mu2d[:, 0, None, None]
+    dy = points[None, :, :, 1] - mu2d[:, 1, None, None]
+    alpha_raw = opacities[:, None, None] * np.exp(-0.5 * quad_form(dx, dy, inv))
+    return np.minimum(alpha_raw, ALPHA_MAX), alpha_raw, dx, dy, inv
 
 
 def composite(alphas_sorted: np.ndarray, colors_sorted: np.ndarray,
@@ -118,7 +126,7 @@ def rasterize(params: dict, camera: Camera, t: int, background: np.ndarray,
     valid, x_cam, mu2d, j, cov2d = project_points(pp["mu_t"], pp["cov"], camera)
     idx = np.nonzero(valid)[0]
     order = idx[np.argsort(x_cam[idx, 2], kind="stable")]
-    alphas, alpha_raw, delta, inv = splat_alphas(
+    alphas, alpha_raw, dx, dy, inv = splat_alphas(
         mu2d[order], cov2d[order], params["opacities"][order], points
     )
     image, depth, t_excl, t_final = composite(
@@ -127,7 +135,7 @@ def rasterize(params: dict, camera: Camera, t: int, background: np.ndarray,
     return {
         "pp": pp, "valid": valid, "x_cam": x_cam, "mu2d": mu2d, "j": j,
         "cov2d": cov2d, "order": order, "alphas": alphas,
-        "alpha_raw": alpha_raw, "delta": delta, "inv": inv, "image": image,
+        "alpha_raw": alpha_raw, "dx": dx, "dy": dy, "inv": inv, "image": image,
         "depth": depth, "t_excl": t_excl, "t_final": t_final,
     }
 

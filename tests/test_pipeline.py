@@ -146,6 +146,8 @@ class TestConfig:
             ({"seed": 2.7}, "seed"),
             ({"classical": {"qp": "5"}}, r"classical\.qp"),
             ({"classical": {"max_iters": 0}}, "classical.*max_iters"),
+            ({"classical": {"ldpc_check_degree": 5}}, "classical.*ldpc_check_degree"),
+            ({"classical": {"ldpc_k": 10}}, "classical.*ldpc_k"),
             ({"reconstruction": {"iterations": -3}}, "reconstruction.*iterations"),
             ({"reconstruction": {"enabled": 1}}, r"reconstruction\.enabled"),
             ({"reconstruction": {"n_timesteps": 1}}, "reconstruction.*n_timesteps"),
@@ -391,6 +393,7 @@ class TestCli:
         payload = json.loads((out / "reconstruct.json").read_text())
         assert payload["final_loss"] >= 0.0
         assert 0.0 <= payload["center_pck_0p1"] <= 1.0
+        assert payload["backtracks"] >= 0 and payload["rejected_steps"] >= 0
 
     def test_pipeline_command(self, tmp_path, tiny_config):
         cfg_path = tmp_path / "cfg.json"

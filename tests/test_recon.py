@@ -10,6 +10,7 @@ from semvid.fixtures import (
     make_gradient_check_scene,
     perturb_scene,
 )
+import semvid.recon.fit as fit_module
 from semvid.recon.fit import (
     PARAM_KEYS,
     FitConfig,
@@ -19,7 +20,7 @@ from semvid.recon.fit import (
     scene_to_params,
     track_assignments,
 )
-from semvid.recon.render import render, track_correspondence
+from semvid.recon.render import quad_form, render, track_correspondence
 from semvid.recon.scene import (
     Camera,
     Gaussian3D,
@@ -338,3 +339,102 @@ class TestFitting:
         cfg = FitConfig(initial_scene=gt, iterations=1)
         with pytest.raises(ValueError):
             fit_scene(frames[:1], depths[:1], None, cameras[:1], cfg)
+
+
+def _backtracking_fit_setup(**overrides):
+    """A small fit whose large step sizes force backtracks; with
+    ``max_backtracks=2`` some iterations also accept nothing."""
+    gt = make_gradient_check_scene()
+    frames, depths, tracks, cameras = make_fit_inputs(gt, n_tracks=2)
+    init = perturb_scene(gt, seed=2, mean_sigma=0.05, color_sigma=0.06)
+    settings = dict(initial_scene=init, iterations=4,
+                    learning_rates={k: 0.05 for k in PARAM_KEYS}, max_backtracks=2)
+    settings.update(overrides)
+    return frames, depths, tracks, cameras, FitConfig(**settings)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(fit_module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fit_module, name, counted)
+    return calls
+
+
+class TestFitTrials:
+    def test_each_trial_rasterized_once(self, monkeypatch):
+        frames, depths, tracks, cameras, cfg = _backtracking_fit_setup(exclude_frames=(1,))
+        rasterized = _count_calls(monkeypatch, "rasterize")
+        candidates = _count_calls(monkeypatch, "_project_params")  # once per candidate
+        grids = _count_calls(monkeypatch, "pixel_grid")
+        result = fit_scene(frames, depths, tracks, cameras, cfg)
+        n_fit_frames = len(frames) - 1
+        assert result.metrics["backtracks"] > 0
+        assert len(rasterized) == n_fit_frames * (1 + len(candidates))
+        assert len(grids) == 1  # all cameras share one image size
+
+    def test_backtrack_and_rejection_counts(self, monkeypatch):
+        frames, depths, tracks, cameras, cfg = _backtracking_fit_setup()
+        candidates = _count_calls(monkeypatch, "_project_params")
+        result = fit_scene(frames, depths, tracks, cameras, cfg)
+        metrics = result.metrics
+        assert metrics["backtracks"] > 0 and metrics["rejected_steps"] > 0
+        assert len(candidates) == result.iterations_run + metrics["backtracks"]
+        # accepted steps strictly lower this objective; rejected ones repeat it
+        flat = sum(b == a for a, b in zip(result.losses, result.losses[1:]))
+        assert metrics["rejected_steps"] == flat
+
+    def test_every_step_rejected(self):
+        frames, depths, tracks, cameras, cfg = _backtracking_fit_setup(
+            learning_rates={k: 1.0 for k in PARAM_KEYS}, max_backtracks=1)
+        result = fit_scene(frames, depths, tracks, cameras, cfg)
+        assert result.metrics["rejected_steps"] == cfg.iterations
+        assert result.metrics["backtracks"] == 0
+        assert result.losses == [result.losses[0]] * (cfg.iterations + 1)
+
+    def test_cached_gradient_equals_fresh(self, monkeypatch):
+        frames, depths, tracks, cameras, cfg = _backtracking_fit_setup(max_backtracks=12)
+        built = []
+        backward = fit_module._Objective.backward
+
+        def recording(self, params, caches):
+            grads = backward(self, params, caches)
+            built.append(({k: v.copy() for k, v in params.items()}, grads))
+            return grads
+
+        monkeypatch.setattr(fit_module._Objective, "backward", recording)
+        result = fit_scene(frames, depths, tracks, cameras, cfg)
+        monkeypatch.undo()
+        assert result.metrics["backtracks"] > 0
+        assert len(built) == 1 + result.iterations_run - result.metrics["rejected_steps"]
+        assignments = track_assignments(cfg.initial_scene, tracks.query_pixels)
+        for params, grads in built:
+            _, fresh = loss_and_grad(params, frames, depths, cameras, cfg,
+                                     assignments=assignments, track_positions=tracks.positions)
+            for key in PARAM_KEYS:
+                assert np.array_equal(grads[key], fresh[key]), key
+
+
+def test_written_out_splat_algebra_matches_einsum():
+    rng = np.random.default_rng(3)
+    g, h, w = 6, 9, 11
+    dx, dy = rng.normal(0.0, 4.0, (2, g, h, w))
+    inv = rng.normal(0.0, 1.0, (g, 2, 2))  # not symmetric, so every entry is pinned
+    d_qf = rng.normal(0.0, 1.0, (g, h, w))
+    delta = np.stack([dx, dy], axis=-1)
+
+    def rel(new, old):
+        return np.linalg.norm(new - old) / np.linalg.norm(old)
+
+    qf = np.einsum("ghwi,gij,ghwj->ghw", delta, inv, delta)
+    d_inv = np.einsum("ghw,ghwi,ghwj->gij", d_qf, delta, delta)
+    d_delta = 2.0 * np.einsum("ghw,ghwj,gji->ghwi", d_qf, delta, inv)
+    d_mu2d = -np.sum(d_delta, axis=(1, 2))
+    new_d_inv, new_d_mu2d = fit_module._splat_backward(d_qf, dx, dy, inv)
+    assert rel(quad_form(dx, dy, inv), qf) < 1e-12
+    assert rel(new_d_inv, d_inv) < 1e-12
+    assert rel(new_d_mu2d, d_mu2d) < 1e-12
