@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import semvid.recon.fit as fit_module
 from semvid.fixtures import (
     default_camera,
     make_benchmark_scene,
@@ -10,7 +11,6 @@ from semvid.fixtures import (
     make_gradient_check_scene,
     perturb_scene,
 )
-import semvid.recon.fit as fit_module
 from semvid.recon.fit import (
     PARAM_KEYS,
     FitConfig,
