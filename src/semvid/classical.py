@@ -301,16 +301,3 @@ def transmit_prepared(
     )
     return gop_hat, stats
 
-
-def classical_transmit(
-    gop: Gop,
-    ch: ChannelConfig,
-    qp: float,
-    code: LdpcCode,
-    prev_frame: Frame = None,
-    max_iters: int = 50,
-):
-    """Full baseline chain: source code -> LDPC -> BPSK -> AWGN -> demodulate
-    -> decode -> conceal.  Returns the reconstructed GOP and accounting."""
-    prep = prepare_classical(gop, qp, code)
-    return transmit_prepared(prep, ch, code, prev_frame=prev_frame, max_iters=max_iters)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import config_to_dict, load_config, reference_config
 from .pipeline import (
+    CHAINS,
     compare_baselines,
     fit_reference_scene,
     matte_composite,
@@ -80,7 +81,7 @@ def cmd_sweep(args) -> int:
     out = _outdir(args)
     curve = snr_sweep(cfg)
     (out / "curves.csv").write_text(curve.to_csv())
-    for chain in ("semantic", "classical"):
+    for chain in CHAINS:
         snrs, psnrs = curve.chain_series(chain)
         print(chain + ": " + "  ".join(f"{s:+.0f}dB:{p:.1f}" for s, p in zip(snrs, psnrs)))
     print(f"wrote {out / 'curves.csv'}")
@@ -163,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transmit", help="send the reference clip through one chain")
     common(p)
-    p.add_argument("--chain", choices=("semantic", "classical"), default="semantic")
+    p.add_argument("--chain", choices=CHAINS, default="semantic")
     p.add_argument("--snr", type=float, default=None, help="override channel SNR in dB")
     p.set_defaults(fn=cmd_transmit)
 

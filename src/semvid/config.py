@@ -184,11 +184,15 @@ class RunConfig:
             raise ValueError("sweep_snrs_db needs at least one SNR point, all finite")
         # constraints across sections; a raw clip's size is known only once it is read
         user, plate = self.user_video, self.background_video
-        if (user.kind == plate.kind == "synthetic"
-                and (plate.width, plate.height) != (user.width, user.height)):
-            raise ValueError(
-                f"background_video size {plate.width}x{plate.height} must equal "
-                f"user_video's {user.width}x{user.height}: the two are composited")
+        if user.kind == plate.kind == "synthetic":
+            if (plate.width, plate.height) != (user.width, user.height):
+                raise ValueError(
+                    f"background_video size {plate.width}x{plate.height} must equal "
+                    f"user_video's {user.width}x{user.height}: the two are composited")
+            if plate.frames < user.frames:
+                raise ValueError(
+                    f"background_video.frames is {plate.frames}, fewer than user_video's "
+                    f"{user.frames}: each user frame is composited over its own background frame")
         needed = SSIM_WINDOW * 2 ** (self.metrics.ms_ssim_scales - 1)
         scored = {}  # the key of each MS-SSIM-scored clip's shorter side -> px
         for name, src in (("video", self.video), ("user_video", user), ("background_video", plate)):

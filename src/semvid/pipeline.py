@@ -56,7 +56,7 @@ def stage_latency(payload_bits: float, link: LinkSettings, flops: float,
 
 @dataclass
 class StageReport:
-    name: str
+    name: str = ""                      # stamped by run_service from SERVICE_STAGES
     status: str = "ok"                  # ok | failed | skipped
     transmission_seconds: float = 0.0
     compute_seconds: float = 0.0
@@ -309,14 +309,14 @@ def compare_baselines(cfg: RunConfig) -> ComparisonReport:
     )
 
 
-def _wireless_stage(name: str, video: VideoSequence, cfg: RunConfig, label: str):
+def _wireless_stage(video: VideoSequence, cfg: RunConfig, label: str):
     """One semantic hop over the wireless link at the configured SNR, with
     the service budget; returns the received video and its stage report."""
     clip = prepare_clip(video, "semantic", cfg, cfg.semantic.service_symbol_budget)
     received, st = send(clip, cfg, cfg.channel.snr_db, "service", label)
     delay = stage_latency(clip.wireless_bits, cfg.links["wireless"], 0.0, cfg.nodes["end"])
     return received, StageReport(
-        name=name, transmission_seconds=delay, tx=replace(st, wireless_delay_seconds=delay),
+        transmission_seconds=delay, tx=replace(st, wireless_delay_seconds=delay),
         metrics={"link": "wireless",
                  **video_quality(video, received, cfg.metrics.ms_ssim_scales)},
     )
@@ -353,142 +353,121 @@ def matte_composite(user: VideoSequence, background: VideoSequence, plate: Frame
     return mattes, VideoSequence(frames, user.fps)
 
 
+def _upload_user(cfg: RunConfig):
+    video, plate, mattes = user_clip(cfg.user_video)
+    received, report = _wireless_stage(video, cfg, "upload_user")
+    return report, {"user": received, "user_clean": video, "plate": plate, "gt_mattes": mattes}
+
+
+def _upload_background(cfg: RunConfig):
+    video = resolve_video(cfg.background_video)
+    received, report = _wireless_stage(video, cfg, "upload_background")
+    return report, {"background": received, "background_clean": video}
+
+
+def _forward_to_cloud(cfg: RunConfig, user: VideoSequence, background: VideoSequence):
+    bits = sum(len(v) * v.frames[0].height * v.frames[0].width * 3 * 8 for v in (user, background))
+    delay = stage_latency(bits, cfg.links["fiber"], 0.0, cfg.nodes["cloud"])
+    return StageReport(
+        transmission_seconds=delay,
+        tx=TxStats(payload_bits=bits, channel_symbols=0, wireless_delay_seconds=0.0),
+        metrics={"link": "fiber"},
+    ), {}
+
+
+def _video_synthesis(cfg: RunConfig, user, background, user_clean, background_clean, plate,
+                     gt_mattes):
+    syn = cfg.synthesis
+    mattes, comp = matte_composite(user, background, plate, syn)
+    # channel-free reference composite for quality accounting
+    _, ref = matte_composite(user_clean, background_clean, plate, syn)
+    metrics = {"composite_vs_reference": video_quality(ref, comp, cfg.metrics.ms_ssim_scales)}
+    if gt_mattes is not None:
+        ious, sem_l, det_l, fus_l = [], [], [], []
+        for i, (matte, gt) in enumerate(zip(mattes, gt_mattes)):
+            ious.append(matte_iou(matte, gt))
+            thumb = AlphaMatte(
+                np.clip(box_downsample(matte.alpha, syn.downsample_factor), 0.0, 1.0)
+            )
+            sem_l.append(semantic_loss(thumb, gt, syn.downsample_factor))
+            det_l.append(detail_loss(matte, gt, transition_mask(gt, syn.radius)))
+            fus_l.append(
+                fusion_loss(matte, gt, user_clean.frames[i], background_clean.frames[i])
+            )
+        metrics.update(
+            matte_iou=float(np.mean(ious)),
+            coarse_mask_loss=float(np.mean(sem_l)),
+            boundary_loss=float(np.mean(det_l)),
+            fusion_loss=float(np.mean(fus_l)),
+        )
+    delay = stage_latency(0.0, cfg.links["fiber"], cfg.compute.video_synthesis_flops,
+                          cfg.nodes["cloud"])
+    # the composite goes down to the user unless the edge renders a scene
+    return StageReport(compute_seconds=delay, metrics=metrics), {"downlink": comp}
+
+
+def _scene_preprocess(cfg: RunConfig):
+    if not cfg.reconstruction.enabled:
+        return StageReport(status="skipped", metrics={"reason": "disabled in config"}), {}
+    result, frames, metrics = fit_reference_scene(cfg.reconstruction)
+    delay = stage_latency(0.0, cfg.links["fiber"], cfg.compute.scene_preprocess_flops,
+                          cfg.nodes["cloud"])
+    return (StageReport(compute_seconds=delay, metrics=metrics),
+            {"scene": result.scene, "scene_frames": frames})
+
+
+def _edge_render(cfg: RunConfig, scene, scene_frames):
+    rendered = VideoSequence(
+        tuple(render(scene, t).image for t in range(scene.n_timesteps)), 10.0
+    )
+    quality = video_quality(VideoSequence(tuple(scene_frames), 10.0), rendered, scales=1)
+    delay = stage_latency(0.0, cfg.links["fiber"], cfg.compute.render_flops, cfg.nodes["edge"])
+    return (StageReport(compute_seconds=delay, metrics={"render_vs_observations": quality}),
+            {"downlink": rendered})
+
+
+def _download_3d_video(cfg: RunConfig, downlink: VideoSequence):
+    return _wireless_stage(downlink, cfg, "download_3d")[1], {}
+
+
+# The service in run order: (stage name, stage function, the keys of earlier
+# stages' outputs it takes after cfg, the skip reason if one of them is missing)
+SERVICE_STAGES = (
+    ("upload_user_video", _upload_user, (), None),
+    ("upload_background", _upload_background, (), None),
+    ("forward_to_cloud", _forward_to_cloud, ("user", "background"), None),
+    ("video_synthesis", _video_synthesis,
+     ("user", "background", "user_clean", "background_clean", "plate", "gt_mattes"), None),
+    ("scene_preprocess", _scene_preprocess, (), None),
+    ("edge_render", _edge_render, ("scene", "scene_frames"), "scene preprocessing disabled"),
+    ("download_3d_video", _download_3d_video, ("downlink",), None),
+)
+
+
 def run_service(cfg: RunConfig) -> ServiceReport:
     """Execute the full service flow.
 
-    Stages: semantic upload of the user video (end -> edge) and the
-    background video (camera -> edge), lossless fiber forward to the cloud,
-    compositing in the cloud, scene fitting in the cloud, rendering at the
-    edge, and semantic download of the rendered video (edge -> end).  A
-    failing stage is recorded as failed and everything downstream is
-    skipped."""
-    fiber = cfg.links["fiber"]
-    cloud_node = cfg.nodes["cloud"]
-    scales = cfg.metrics.ms_ssim_scales
-
-    stage_names = [
-        "upload_user_video", "upload_background", "forward_to_cloud",
-        "video_synthesis", "scene_preprocess", "edge_render", "download_3d_video",
-    ]
-    stages = {}
-    state = {}
-    failed = False
-
-    def run_stage(name, fn):
-        nonlocal failed
+    Stages (``SERVICE_STAGES``): semantic upload of the user video
+    (end -> edge) and the background video (camera -> edge), lossless fiber
+    forward to the cloud, compositing in the cloud, scene fitting in the
+    cloud, rendering at the edge, and semantic download of the rendered
+    video, or of the composite when no scene was rendered (edge -> end).  A
+    stage is skipped once an earlier stage has failed or when one of its
+    inputs is missing.  A stage that raises is recorded as failed; the
+    exception is not raised out of ``run_service``."""
+    stages, produced, failed = [], {}, False
+    for name, fn, keys, missing_reason in SERVICE_STAGES:
         if failed:
-            stages[name] = StageReport(name=name, status="skipped")
-            return
-        try:
-            stages[name] = fn()
-        except Exception as exc:  # deliberate: any stage failure aborts downstream
-            stages[name] = StageReport(name=name, status="failed", error=str(exc))
-            failed = True
-
-    def upload_user():
-        video, plate, mattes = user_clip(cfg.user_video)
-        state.update(user_clean=video, plate=plate, gt_mattes=mattes)
-        state["user_received"], report = _wireless_stage(
-            "upload_user_video", video, cfg, "upload_user")
-        return report
-
-    def upload_background():
-        video = resolve_video(cfg.background_video)
-        state["bg_clean"] = video
-        state["bg_received"], report = _wireless_stage(
-            "upload_background", video, cfg, "upload_background")
-        return report
-
-    def forward_to_cloud():
-        user, bg = state["user_received"], state["bg_received"]
-        bits = sum(len(v) * v.frames[0].height * v.frames[0].width * 3 * 8 for v in (user, bg))
-        delay = stage_latency(bits, fiber, 0.0, cloud_node)
-        return StageReport(
-            name="forward_to_cloud", transmission_seconds=delay,
-            tx=TxStats(payload_bits=bits, channel_symbols=0, wireless_delay_seconds=0.0),
-            metrics={"link": "fiber"},
-        )
-
-    def video_synthesis():
-        syn = cfg.synthesis
-        mattes, comp = matte_composite(
-            state["user_received"], state["bg_received"], state["plate"], syn)
-        state["composite"] = comp
-        # channel-free reference composite for quality accounting
-        user_c, bg_c = state["user_clean"], state["bg_clean"]
-        _, ref = matte_composite(user_c, bg_c, state["plate"], syn)
-        metrics = {"composite_vs_reference": video_quality(ref, comp, scales)}
-        if state["gt_mattes"] is not None:
-            gt = state["gt_mattes"]
-            ious, sem_l, det_l, fus_l = [], [], [], []
-            for i in range(len(mattes)):
-                ious.append(matte_iou(mattes[i], gt[i]))
-                thumb = AlphaMatte(
-                    np.clip(box_downsample(mattes[i].alpha, syn.downsample_factor), 0.0, 1.0)
-                )
-                sem_l.append(semantic_loss(thumb, gt[i], syn.downsample_factor))
-                band = transition_mask(gt[i], syn.radius)
-                det_l.append(detail_loss(mattes[i], gt[i], band))
-                fus_l.append(
-                    fusion_loss(mattes[i], gt[i], user_c.frames[i], bg_c.frames[i])
-                )
-            metrics.update(
-                matte_iou=float(np.mean(ious)),
-                coarse_mask_loss=float(np.mean(sem_l)),
-                boundary_loss=float(np.mean(det_l)),
-                fusion_loss=float(np.mean(fus_l)),
-            )
-        delay = stage_latency(0.0, fiber, cfg.compute.video_synthesis_flops, cloud_node)
-        return StageReport(name="video_synthesis", compute_seconds=delay, metrics=metrics)
-
-    def scene_preprocess():
-        if not cfg.reconstruction.enabled:
-            return StageReport(
-                name="scene_preprocess", status="skipped",
-                metrics={"reason": "disabled in config"},
-            )
-        result, state["scene_frames"], metrics = fit_reference_scene(cfg.reconstruction)
-        state["scene"] = result.scene
-        delay = stage_latency(0.0, fiber, cfg.compute.scene_preprocess_flops, cloud_node)
-        return StageReport(name="scene_preprocess", compute_seconds=delay, metrics=metrics)
-
-    def edge_render():
-        if "scene" not in state:
-            return StageReport(
-                name="edge_render", status="skipped",
-                metrics={"reason": "scene preprocessing disabled"},
-            )
-        scene = state["scene"]
-        rendered = VideoSequence(
-            tuple(render(scene, t).image for t in range(scene.n_timesteps)), 10.0
-        )
-        state["rendered"] = rendered
-        quality = video_quality(
-            VideoSequence(tuple(state["scene_frames"]), 10.0), rendered, scales=1
-        )
-        delay = stage_latency(0.0, fiber, cfg.compute.render_flops, cfg.nodes["edge"])
-        return StageReport(
-            name="edge_render", compute_seconds=delay,
-            metrics={"render_vs_observations": quality},
-        )
-
-    def download_3d():
-        source = state.get("rendered", state.get("composite"))
-        if source is None:
-            return StageReport(
-                name="download_3d_video", status="skipped",
-                metrics={"reason": "nothing to download"},
-            )
-        return _wireless_stage("download_3d_video", source, cfg, "download_3d")[1]
-
-    for name, fn in zip(
-        stage_names,
-        (upload_user, upload_background, forward_to_cloud, video_synthesis,
-         scene_preprocess, edge_render, download_3d),
-    ):
-        run_stage(name, fn)
-
-    return ServiceReport(
-        stages=[stages[name] for name in stage_names],
-        notes={"lpips": LPIPS_NOTE},
-    )
+            report = StageReport(status="skipped")
+        elif not all(k in produced for k in keys):
+            report = StageReport(status="skipped", metrics={"reason": missing_reason})
+        else:
+            try:
+                report, outputs = fn(cfg, *(produced[k] for k in keys))
+                produced.update(outputs)
+            except Exception as exc:  # deliberate: any stage failure aborts downstream
+                report = StageReport(status="failed", error=str(exc))
+                failed = True
+        report.name = name
+        stages.append(report)
+    return ServiceReport(stages=stages, notes={"lpips": LPIPS_NOTE})

@@ -7,7 +7,6 @@ from semvid.classical import (
     MB,
     Bitstream,
     BitstreamError,
-    classical_transmit,
     prepare_classical,
     source_decode,
     source_encode,
@@ -112,27 +111,24 @@ class TestTransmitChain:
             assert psnr(a, b) == psnr(a, a)  # identical reconstruction
 
     def test_low_snr_collapses_to_concealment(self, natural_gop, ldpc_code):
-        received, stats = classical_transmit(
-            natural_gop, ChannelConfig(snr_db=-10.0, seed=3), 4.0, ldpc_code
-        )
+        prep = prepare_classical(natural_gop, 4.0, ldpc_code)
+        received, stats = transmit_prepared(prep, ChannelConfig(snr_db=-10.0, seed=3), ldpc_code)
         values = [psnr(a, b) for a, b in zip(natural_gop.frames, received.frames)]
         assert stats.decode_failures > 0
         assert np.mean(values) < 20.0
 
     def test_symbol_accounting(self, natural_gop, ldpc_code):
-        _, stats = classical_transmit(
-            natural_gop, ChannelConfig(snr_db=25.0, seed=3), 4.0, ldpc_code
-        )
+        prep = prepare_classical(natural_gop, 4.0, ldpc_code)
+        _, stats = transmit_prepared(prep, ChannelConfig(snr_db=25.0, seed=3), ldpc_code)
         padded = -(-stats.payload_bits // ldpc_code.k) * ldpc_code.k
         assert stats.channel_symbols == 2 * padded
         assert stats.channel_symbols >= 2 * stats.payload_bits
 
     def test_concealment_uses_previous_frame(self, natural_gop, ldpc_code):
         reference = natural_gop.frames[-1]
-        received, _ = classical_transmit(
-            natural_gop, ChannelConfig(snr_db=-10.0, seed=3), 4.0, ldpc_code,
-            prev_frame=reference,
-        )
+        prep = prepare_classical(natural_gop, 4.0, ldpc_code)
+        received, _ = transmit_prepared(
+            prep, ChannelConfig(snr_db=-10.0, seed=3), ldpc_code, prev_frame=reference)
         # with everything concealed, the first frame copies the reference
         assert psnr(reference, received.frames[0]) > psnr(natural_gop.frames[0], received.frames[0])
 

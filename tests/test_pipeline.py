@@ -166,8 +166,11 @@ class TestConfig:
         assert config_from_dict({"channel": {"snr_db": 15}}).channel.snr_db == 15.0
 
     def test_background_size_must_match_user_video(self):
-        with pytest.raises(ValueError, match="background_video.*user_video"):
-            config_from_dict({"background_video": {"width": 32, "height": 32}})
+        # a shorter plate would cut the composite short of the user clip
+        for plate, key in (({"width": 32, "height": 32}, "background_video size"),
+                           ({"frames": 3}, r"background_video\.frames is 3")):
+            with pytest.raises(ValueError, match=key + ".*user_video"):
+                config_from_dict({"background_video": plate})
         with pytest.raises(ValueError, match="background_video.*user_video"):
             replace(reference_config(), user_video=VideoSource(variant="matting", width=48))
         both = {"width": 48, "height": 48}
@@ -292,18 +295,41 @@ class TestService:
         vs = [s for s in report.stages if s.name == "video_synthesis"][0]
         assert "composite_vs_reference" in vs.metrics
 
-    def test_failed_stage_aborts_downstream(self, tiny_config, monkeypatch):
-        def broken_composite(*args):
-            raise ValueError("composite frames: dimension mismatch")
+    @pytest.mark.parametrize("patched, failing", [
+        ("user_clip", "upload_user_video"),
+        ("resolve_video", "upload_background"),
+        ("composite", "video_synthesis"),
+        ("fit_scene", "scene_preprocess"),
+        ("render", "edge_render"),
+    ])
+    def test_failed_stage_aborts_downstream(self, tiny_config, monkeypatch, patched, failing):
+        def broken(*args, **kwargs):
+            raise ValueError(f"{patched} broke")
 
-        monkeypatch.setattr("semvid.pipeline.composite", broken_composite)
-        report = run_service(tiny_config)
-        status = {s.name: s.status for s in report.stages}
-        assert status["video_synthesis"] == "failed"
-        assert status["scene_preprocess"] == "skipped"
-        assert status["download_3d_video"] == "skipped"
-        failed = [s for s in report.stages if s.status == "failed"][0]
-        assert failed.error
+        monkeypatch.setattr(f"semvid.pipeline.{patched}", broken)
+        report = run_service(tiny_config)  # records the failure, does not raise
+        names = [s.name for s in report.stages]
+        at = names.index(failing)
+        assert [s.status for s in report.stages[:at]] == ["ok"] * at
+        failed = report.stages[at]
+        assert (failed.status, failed.error) == ("failed", f"{patched} broke")
+        assert [s.status for s in report.stages[at + 1:]] == ["skipped"] * (len(names) - at - 1)
+
+    def test_reports_without_fit_pinned(self, monkeypatch):
+        # SHA-256 of the service report when the scene fit does not run; no
+        # fit floats go in, so the hashes are exact
+        def digest(cfg):
+            return hashlib.sha256(run_service(cfg).to_json().encode()).hexdigest()
+
+        def boom(*args):
+            raise ValueError("boom")
+
+        ref = reference_config()
+        disabled = replace(ref, reconstruction=replace(ref.reconstruction, enabled=False))
+        assert digest(disabled) == (
+            "f66f7ce9d5b8b604dc9c86316ee7e1547220d567c01530738413ca1383f5c581")
+        monkeypatch.setattr("semvid.pipeline.composite", boom)
+        assert digest(ref) == "8cbbe698b377ee37d3cde71170247232474023d526320201ff99c8987d9fe162"
 
     def test_bypass_channel_composite_matches_local(self, tiny_config):
         cfg = replace(
