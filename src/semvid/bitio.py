@@ -1,96 +1,26 @@
-"""Bit-level helpers shared by the entropy coders: bit buffers and
-order-0 Exp-Golomb codes (a canonical prefix code for unsigned and signed
-integers)."""
+"""Order-0 Exp-Golomb codes, the canonical prefix code for non-negative
+integers shared by the entropy coders."""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-class BitWriter:
-    def __init__(self) -> None:
-        self._bits: list = []
-
-    def write_bit(self, bit: int) -> None:
-        self._bits.append(bit & 1)
-
-    def write_bits(self, bits) -> None:
-        self._bits.extend(int(b) & 1 for b in bits)
-
-    def write_exp_golomb(self, value: int) -> None:
-        """Unsigned order-0 Exp-Golomb: value v >= 0 is coded as
-        (zeros, 1, offset) where the zero-run length equals the offset
-        width."""
-        if value < 0:
-            raise ValueError("exp-golomb encodes non-negative integers")
-        code = value + 1
-        width = code.bit_length()
-        self._bits.extend([0] * (width - 1))
-        for i in range(width - 1, -1, -1):
-            self._bits.append((code >> i) & 1)
-
-    def write_signed_exp_golomb(self, value: int) -> None:
-        mapped = 2 * value - 1 if value > 0 else -2 * value
-        self.write_exp_golomb(mapped)
-
-    def __len__(self) -> int:
-        return len(self._bits)
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self._bits, dtype=np.uint8)
-
-
-class BitReader:
-    def __init__(self, bits: np.ndarray, start: int = 0, end=None) -> None:
-        self._bits = bits
-        self._pos = start
-        self._end = len(bits) if end is None else end
-
-    @property
-    def position(self) -> int:
-        return self._pos
-
-    def read_bit(self) -> int:
-        if self._pos >= self._end:
-            raise ValueError("bit stream exhausted")
-        bit = int(self._bits[self._pos])
-        self._pos += 1
-        return bit
-
-    def read_exp_golomb(self, max_width: int = 48) -> int:
-        zeros = 0
-        while self.read_bit() == 0:
-            zeros += 1
-            if zeros > max_width:
-                raise ValueError("malformed exp-golomb code")
-        code = 1
-        for _ in range(zeros):
-            code = (code << 1) | self.read_bit()
-        return code - 1
-
-    def read_signed_exp_golomb(self) -> int:
-        mapped = self.read_exp_golomb()
-        if mapped == 0:
-            return 0
-        if mapped % 2 == 1:
-            return (mapped + 1) // 2
-        return -(mapped // 2)
-
-
-def exp_golomb_length(value: int) -> int:
-    """Bit cost of the unsigned code without materializing it."""
-    if value < 0:
+def exp_golomb(values) -> tuple:
+    """Codewords of non-negative integers as ``(code, length)`` int64 arrays.
+    Value v is written as w - 1 zeros followed by the w-bit binary form of
+    v + 1, so the codeword read as an integer is v + 1 and its length is
+    2w - 1."""
+    code = np.asarray(values, dtype=np.int64) + 1
+    if np.any(code < 1):
         raise ValueError("exp-golomb encodes non-negative integers")
-    width = (value + 1).bit_length()
-    return 2 * width - 1
+    width = np.frexp(code)[1].astype(np.int64)  # bit length of v + 1
+    return code, 2 * width - 1
 
 
 def index_list_bits(indices: np.ndarray) -> int:
     """Bit cost of delta-Exp-Golomb coding a sorted index list (the scheme
-    used for kept-element masks)."""
-    if indices.size == 0:
-        return exp_golomb_length(0)
-    deltas = np.diff(np.concatenate(([0], np.sort(indices.astype(np.int64)))))
-    return exp_golomb_length(int(indices.size)) + int(
-        sum(exp_golomb_length(int(d)) for d in deltas)
-    )
+    used for kept-element masks): the count, then each gap from the
+    previous index (the first from 0)."""
+    deltas = np.diff(np.sort(indices.astype(np.int64)), prepend=0)
+    return int(exp_golomb(np.append(deltas, indices.size))[1].sum())

@@ -17,13 +17,14 @@ from functools import cached_property
 import numpy as np
 from scipy.fft import dctn, idctn
 
-from .bitio import BitReader, BitWriter
+from .bitio import exp_golomb
 from .channel import ChannelConfig, TxStats, awgn, noise_variance
 from .ldpc import LdpcCode, bpsk_demodulate, bpsk_modulate, ldpc_decode, ldpc_encode
 from .video import Frame, Gop, pad_edge
 
 BLOCK = 8
 MB = 16
+MB_BLOCKS = 3 * (MB // BLOCK) ** 2  # 8x8 blocks per macroblock, all channels
 GRAY = 0.5
 EOB_TOKEN = 1  # run tokens: 0 -> zero run, 1 -> end of block, r+1 -> run r
 HEADER_BITS = 128
@@ -94,124 +95,130 @@ def _mb_grid(width: int, height: int):
     return (-(-height // MB), -(-width // MB))
 
 
-def _quantize(coefs: np.ndarray, step: float) -> np.ndarray:
-    return np.round(coefs / step).astype(np.int64)
+def _tiles(frames: np.ndarray) -> np.ndarray:
+    """(frames, rows * 16, cols * 16, 3) -> (macroblocks, 16, 16, 3), frame
+    major, then raster order within each frame."""
+    n, h, w, _ = frames.shape
+    return frames.reshape(n, h // MB, MB, w // MB, MB, 3).swapaxes(2, 3).reshape(-1, MB, MB, 3)
 
 
-def _encode_block(writer: BitWriter, quant: np.ndarray, dc_pred: int) -> int:
-    scanned = quant.reshape(-1)[ZIGZAG]
-    writer.write_signed_exp_golomb(int(scanned[0]) - dc_pred)
-    ac = scanned[1:]
-    nonzero = np.nonzero(ac)[0]
-    pos = 0
-    for idx in nonzero:
-        run = int(idx - pos)
-        writer.write_exp_golomb(0 if run == 0 else run + 1)
-        writer.write_signed_exp_golomb(int(ac[idx]))
-        pos = idx + 1
-    if pos < ac.size:
-        writer.write_exp_golomb(EOB_TOKEN)
-    return int(scanned[0])
+def _signed(values: np.ndarray) -> np.ndarray:
+    """Map signed integers onto the unsigned codes 0, 1, -1, 2, -2, ..."""
+    return np.where(values > 0, 2 * values - 1, -2 * values)
 
 
-def _decode_block(reader: BitReader, dc_pred: int) -> tuple:
-    scanned = np.zeros(BLOCK * BLOCK, dtype=np.int64)
-    dc = reader.read_signed_exp_golomb() + dc_pred
-    scanned[0] = dc
-    pos = 0
-    ac_len = BLOCK * BLOCK - 1
-    while pos < ac_len:
-        token = reader.read_exp_golomb()
-        if token == EOB_TOKEN:
-            break
-        pos += 0 if token == 0 else token - 1
-        if pos >= ac_len:
-            raise BitstreamError("run-length overflow")
-        scanned[1 + pos] = reader.read_signed_exp_golomb()
-        pos += 1
-    block = np.zeros(BLOCK * BLOCK, dtype=np.int64)
-    block[ZIGZAG] = scanned
-    return block.reshape(BLOCK, BLOCK), dc
-
-
-def _encode_macroblock(tile: np.ndarray, step: float) -> np.ndarray:
-    """One independently decodable macroblock: a mode flag, then either the
-    twelve entropy-coded DCT blocks or (if they would exceed the raw size)
-    PCM-escaped 8-bit samples."""
-    coded = BitWriter()
-    dc_pred = 0
-    for ch in range(3):
-        for by in range(2):
-            for bx in range(2):
-                block = tile[
-                    by * BLOCK : (by + 1) * BLOCK,
-                    bx * BLOCK : (bx + 1) * BLOCK,
-                    ch,
-                ]
-                coefs = dctn(block, norm="ortho")
-                dc_pred = _encode_block(coded, _quantize(coefs, step), dc_pred)
-    if len(coded) < PCM_BITS:
-        out = BitWriter()
-        out.write_bit(0)
-        return np.concatenate([out.to_array(), coded.to_array()])
-    out = BitWriter()
-    out.write_bit(1)
-    samples = np.round((tile + GRAY) * 255.0).astype(np.int64).reshape(-1)
-    bits = ((samples[:, None] >> np.arange(7, -1, -1)) & 1).reshape(-1)
-    return np.concatenate([out.to_array(), bits.astype(np.uint8)])
+def _pack(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenate each code's low ``length`` bits, most significant first."""
+    ends = np.cumsum(lengths)
+    shift = np.repeat(ends, lengths) - np.arange(ends[-1]) - 1
+    return ((np.repeat(codes, lengths) >> shift) & 1).astype(np.uint8)
 
 
 def source_encode(gop: Gop, qp: float) -> Bitstream:
     """Block-DCT intra coder: level shift, 8x8 orthonormal DCT per channel,
     uniform quantization with step qp/255, zigzag run-length, Exp-Golomb,
-    with a per-macroblock PCM escape for incompressible content."""
+    with a per-macroblock PCM escape for incompressible content.
+
+    Each macroblock is a mode bit, then either its twelve blocks (channel,
+    then block row, then block column), or PCM_SAMPLES 8-bit samples when
+    the blocks would take PCM_BITS or more.  A block is its DC difference
+    from the previous block's DC (0 for the macroblock's first block), then
+    a (run token, level) pair per nonzero AC level in zigzag order, then
+    EOB_TOKEN unless the last AC level is nonzero; levels are signed codes.
+    """
     if qp <= 0:
         raise ValueError("qp must be positive")
-    step = qp / 255.0
-    pieces = []
-    ranges = []
-    position = 0
-    rows, cols = _mb_grid(gop.width, gop.height)
-    for frame in gop.frames:
-        padded = pad_edge(frame.data - GRAY, MB, MB)
-        for my in range(rows):
-            for mx in range(cols):
-                tile = padded[my * MB : (my + 1) * MB, mx * MB : (mx + 1) * MB, :]
-                coded = _encode_macroblock(tile, step)
-                pieces.append(coded)
-                ranges.append((position, position + coded.size))
-                position += coded.size
+    tiles = _tiles(np.stack([pad_edge(f.data - GRAY, MB, MB) for f in gop.frames]))
+    n_mb = tiles.shape[0]
+    # (macroblock, channel, block row, block column, 8, 8)
+    blocks = tiles.reshape(n_mb, 2, BLOCK, 2, BLOCK, 3).transpose(0, 5, 1, 3, 2, 4)
+    coefs = dctn(blocks, axes=(-2, -1), norm="ortho")
+    scanned = np.round(coefs / (qp / 255.0)).astype(np.int64).reshape(-1, BLOCK * BLOCK)
+    scanned = scanned[:, ZIGZAG]
+
+    dc_diff = np.diff(scanned[:, 0].reshape(n_mb, -1), axis=1, prepend=0).reshape(-1)
+    blk, pos = np.nonzero(scanned[:, 1:])
+    run = np.diff(pos, prepend=-1) - 1  # zeros since the previous nonzero level
+    first = np.diff(blk, prepend=-1) != 0
+    run[first] = pos[first]  # a block's first run starts at its first AC position
+    pairs = np.stack((np.where(run == 0, 0, run + 1), _signed(scanned[blk, pos + 1])), axis=1)
+    eob = np.nonzero(scanned[:, -1] == 0)[0]
+    codes, lengths = exp_golomb(np.concatenate(
+        (_signed(dc_diff), pairs.reshape(-1), np.full(eob.size, EOB_TOKEN))))
+    owner = np.concatenate((np.arange(len(scanned)), np.repeat(blk, 2), eob))  # token -> block
+
+    token_mb = owner // MB_BLOCKS
+    coded_bits = np.bincount(token_mb, weights=lengths, minlength=n_mb).astype(np.int64)
+    pcm = coded_bits >= PCM_BITS
+    kept = ~pcm[token_mb]
+    pcm_mb = np.nonzero(pcm)[0]
+    samples = np.round((tiles[pcm_mb] + GRAY) * 255.0).astype(np.int64).reshape(-1)
+    # a stable sort by block keeps ties in concatenation order: mode bit,
+    # DC, (run, level) pairs, EOB, PCM samples
+    key = np.concatenate((np.arange(n_mb) * MB_BLOCKS, owner[kept],
+                          np.repeat(pcm_mb * MB_BLOCKS, PCM_SAMPLES)))
+    order = np.argsort(key, kind="stable")
+    bits = _pack(
+        np.concatenate((pcm, codes[kept], samples))[order],
+        np.concatenate((np.ones(n_mb, np.int64), lengths[kept], np.full(samples.size, 8)))[order],
+    )
+    sizes = 1 + np.where(pcm, PCM_BITS, coded_bits)
+    ends = np.cumsum(sizes)
     return Bitstream(
-        bits=np.concatenate(pieces),
+        bits=bits,
         width=gop.width,
         height=gop.height,
         n_frames=gop.gop_size,
         qp=qp,
-        block_map=np.array(ranges, dtype=np.int64),
+        block_map=np.stack([ends - sizes, ends], axis=1),
     )
 
 
-def _decode_macroblock(bits: np.ndarray, start: int, end: int, step: float) -> np.ndarray:
-    reader = BitReader(bits, start, end)
-    if reader.read_bit():
-        if end - reader.position < PCM_BITS:
+def _decode_macroblock(text: str, bits: np.ndarray, pos: int, end: int,
+                       step: float) -> np.ndarray:
+    """Decode the (16, 16, 3) tile coded in ``text[pos:end]``, the payload
+    as a string of '0' and '1' (``bits`` holds the same bits).  Raises
+    ValueError on malformed or truncated bits."""
+
+    def read() -> int:  # one unsigned Exp-Golomb code
+        nonlocal pos
+        one = text.find("1", pos, end)
+        width = one - pos
+        if one < 0 or width > 48 or one + width >= end:
+            raise BitstreamError("malformed or truncated exp-golomb code")
+        pos = one + width + 1
+        return int(text[one:pos], 2) - 1
+
+    def read_signed() -> int:
+        mapped = read()
+        return (mapped + 1) // 2 if mapped % 2 else -(mapped // 2)
+
+    if pos >= end:
+        raise BitstreamError("empty macroblock")
+    pos += 1
+    if text[pos - 1] == "1":
+        if end - pos < PCM_BITS:
             raise BitstreamError("truncated PCM macroblock")
-        raw = bits[reader.position : reader.position + PCM_BITS].astype(np.int64)
-        samples = raw.reshape(-1, 8) @ (1 << np.arange(7, -1, -1))
-        return samples.reshape(MB, MB, 3) / 255.0 - GRAY
-    tile = np.empty((MB, MB, 3))
-    dc_pred = 0
-    for ch in range(3):
-        for by in range(2):
-            for bx in range(2):
-                quant, dc_pred = _decode_block(reader, dc_pred)
-                block = idctn(quant.astype(np.float64) * step, norm="ortho")
-                tile[by * BLOCK : (by + 1) * BLOCK, bx * BLOCK : (bx + 1) * BLOCK, ch] = block
-    return tile
-
-
-def _overlaps(start: int, end: int, spans) -> bool:
-    return any(s < end and start < e for s, e in spans)
+        return np.packbits(bits[pos : pos + PCM_BITS]).reshape(MB, MB, 3) / 255.0 - GRAY
+    scanned = np.zeros((MB_BLOCKS, BLOCK * BLOCK), dtype=np.int64)
+    dc = 0
+    for block in scanned:
+        dc += read_signed()
+        block[0] = dc
+        at = 0
+        while at < BLOCK * BLOCK - 1:
+            token = read()
+            if token == EOB_TOKEN:
+                break
+            at += 0 if token == 0 else token - 1
+            if at >= BLOCK * BLOCK - 1:
+                raise BitstreamError("run-length overflow")
+            block[1 + at] = read_signed()
+            at += 1
+    levels = np.empty_like(scanned)
+    levels[:, ZIGZAG] = scanned
+    spatial = idctn(levels.reshape(3, 2, 2, BLOCK, BLOCK) * step, axes=(-2, -1), norm="ortho")
+    return spatial.transpose(1, 3, 2, 4, 0).reshape(MB, MB, 3)
 
 
 def source_decode(bs: Bitstream, corrupted_ranges=None, prev_frame: Frame = None) -> Gop:
@@ -220,32 +227,27 @@ def source_decode(bs: Bitstream, corrupted_ranges=None, prev_frame: Frame = None
     previously decoded frame, gray for the first."""
     if bs.bit_length == 0 and bs.block_map.shape[0] > 0:
         raise BitstreamError("empty bitstream")
-    corrupted_ranges = list(corrupted_ranges or [])
-    step = bs.qp / 255.0
+    spans = np.array([] if corrupted_ranges is None else corrupted_ranges, np.int64).reshape(-1, 2)
+    starts, ends = bs.block_map[:, :1], bs.block_map[:, 1:]
+    lost = ((spans[:, 0] < ends) & (starts < spans[:, 1])).any(axis=1)
+    text = (bs.bits + ord("0")).tobytes().decode("ascii")
+    tiles = np.zeros((len(lost), MB, MB, 3))
+    for m in np.nonzero(~lost)[0]:
+        try:
+            tiles[m] = _decode_macroblock(text, bs.bits, int(starts[m, 0]), int(ends[m, 0]),
+                                          bs.qp / 255.0)
+        except ValueError:
+            lost[m] = True
+
     rows, cols = _mb_grid(bs.width, bs.height)
-    ph, pw = rows * MB, cols * MB
-    reference = (
-        pad_edge(prev_frame.data, MB, MB) - GRAY if prev_frame is not None
-        else np.zeros((ph, pw, 3))
-    )
+    reference = 0.0 if prev_frame is None else _tiles(
+        pad_edge(prev_frame.data, MB, MB)[None] - GRAY)
     frames = []
-    mb_index = 0
-    for _ in range(bs.n_frames):
-        canvas = np.empty((ph, pw, 3))
-        for my in range(rows):
-            for mx in range(cols):
-                start, end = bs.block_map[mb_index]
-                mb_index += 1
-                sl = (slice(my * MB, (my + 1) * MB), slice(mx * MB, (mx + 1) * MB))
-                if _overlaps(int(start), int(end), corrupted_ranges):
-                    canvas[sl] = reference[sl]
-                    continue
-                try:
-                    canvas[sl] = _decode_macroblock(bs.bits, int(start), int(end), step)
-                except ValueError:
-                    canvas[sl] = reference[sl]
-        reference = canvas
-        frames.append(Frame(np.clip(canvas[: bs.height, : bs.width] + GRAY, 0.0, 1.0)))
+    holes = lost.reshape(bs.n_frames, -1, 1, 1, 1)
+    for canvas, hole in zip(tiles.reshape(bs.n_frames, -1, MB, MB, 3), holes):
+        reference = np.where(hole, reference, canvas)
+        picture = reference.reshape(rows, cols, MB, MB, 3).swapaxes(1, 2).reshape(rows * MB, -1, 3)
+        frames.append(Frame(np.clip(picture[: bs.height, : bs.width] + GRAY, 0.0, 1.0)))
     return Gop(tuple(frames))
 
 

@@ -346,10 +346,11 @@ def fit_reference_scene(rc: ReconSettings):
 def matte_composite(user: VideoSequence, background: VideoSequence, plate: Frame, syn):
     """Matte each user frame against the clean plate and composite it over
     the matching background frame; returns the mattes and the composite."""
-    n = min(len(user), len(background))
-    mattes = [estimate_matte(user.frames[i], plate, syn.threshold, syn.softness)
-              for i in range(n)]
-    frames = tuple(composite(user.frames[i], background.frames[i], mattes[i]) for i in range(n))
+    if len(background) < len(user):
+        raise ValueError(f"background has {len(background)} frames, fewer than the "
+                         f"user clip's {len(user)}: each user frame needs a background frame")
+    mattes = [estimate_matte(f, plate, syn.threshold, syn.softness) for f in user.frames]
+    frames = tuple(composite(f, b, m) for f, b, m in zip(user.frames, background.frames, mattes))
     return mattes, VideoSequence(frames, user.fps)
 
 

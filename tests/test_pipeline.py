@@ -27,7 +27,7 @@ from semvid.pipeline import (
     stage_latency,
     transmit_video,
 )
-from semvid.video import load_raw
+from semvid.video import load_raw, save_raw
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +314,23 @@ class TestService:
         failed = report.stages[at]
         assert (failed.status, failed.error) == ("failed", f"{patched} broke")
         assert [s.status for s in report.stages[at + 1:]] == ["skipped"] * (len(names) - at - 1)
+
+    def test_short_raw_background_fails_synthesis(self, tiny_config, tmp_path):
+        # a raw clip's length is known only once it is read, so it is checked
+        # where the composite is made, not at config load
+        plate = tmp_path / "plate.rgb"
+        save_raw(resolve_video(replace(tiny_config.background_video, frames=3)), plate)
+        cfg = replace(tiny_config, background_video=VideoSource(
+            kind="raw", path=str(plate), width=48, height=48))
+        report = run_service(cfg)
+        status = {s.name: s.status for s in report.stages}
+        assert status["upload_background"] == "ok"
+        synthesis = [s for s in report.stages if s.name == "video_synthesis"][0]
+        assert synthesis.status == "failed"
+        assert "background has 3 frames" in synthesis.error
+        assert "user clip's 4" in synthesis.error
+        for later in ("scene_preprocess", "edge_render", "download_3d_video"):
+            assert status[later] == "skipped"
 
     def test_reports_without_fit_pinned(self, monkeypatch):
         # SHA-256 of the service report when the scene fit does not run; no
