@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -149,6 +150,18 @@ def cmd_show_config(args) -> int:
     return 0
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for a real number; nan and infinities are refused
+    before any work starts."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semvid",
@@ -165,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transmit", help="send the reference clip through one chain")
     common(p)
     p.add_argument("--chain", choices=CHAINS, default="semantic")
-    p.add_argument("--snr", type=float, default=None, help="override channel SNR in dB")
+    p.add_argument("--snr", type=_finite_float, default=None, help="override channel SNR in dB")
     p.set_defaults(fn=cmd_transmit)
 
     p = sub.add_parser("sweep", help="PSNR/MS-SSIM curves over the SNR grid")

@@ -13,12 +13,24 @@ gathers are ``np.take`` over rows (``check_neighbors`` for check-side views
 of per-variable arrays, ``var_edge_check * check_degree + var_edge_slot``
 for the variable-side view of the edges), so each gathered row is one
 contiguous copy.  A block leaves the batch as soon as its syndrome clears.
+
+The blocks that fail the initial hard-decision check are split into one
+contiguous part per CPU the process may run on; each part runs the same BP
+loop (``_bp_part``), the caller's thread taking the first and a shared
+thread pool the rest, while numpy releases the interpreter lock inside the
+ufuncs and gathers.  The split cannot change a bit: every operation is
+elementwise along the block axis or gathers whole rows, nothing reduces
+across blocks, so a block's float32 arithmetic is the same whichever blocks
+share its batch, and each part writes only its own blocks' rows of the
+results.
 The GF(2) products of construction and encoding run as float32 BLAS
 matmuls, which are exact because no sum exceeds 2**24.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +39,28 @@ from .channel import SymbolBlock
 
 LLR_MAX = 1e6
 _TANH_CLIP = 25.0
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on, one BP part each."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _new_pool() -> None:
+    """Make the pool that runs every BP part but the caller's.  It starts no
+    thread until the first split decode.  A forked child inherits the pool
+    but none of its threads, so work queued there would never run: the
+    child gets a new pool."""
+    global _pool
+    _pool = ThreadPoolExecutor(max_workers=max(1, _worker_count() - 1),
+                               thread_name_prefix="ldpc-bp")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def _gf2_row_reduce(mat: np.ndarray):
@@ -246,28 +280,17 @@ def _exclude_self_products(t: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def ldpc_decode(llrs, code: LdpcCode, max_iters: int = 50):
-    """Sum-product decode of per-bit LLRs (positive favors bit 0).
-
-    Returns ``(info_bits, converged)`` where ``converged`` flags each block
-    whose parity checks were all satisfied.  The initial hard decision counts
-    as the first iteration, so noiseless input converges in one.
-    """
-    llr = np.asarray(llrs, dtype=np.float64).reshape(-1)
-    if llr.size % code.n != 0:
-        raise ValueError("llr length must be a multiple of n")
-    blocks = llr.reshape(-1, code.n)
-
-    decided = (blocks < 0).astype(np.uint8)
-    converged = _syndrome_ok(np.ascontiguousarray(decided.T), code)
-    idx = np.nonzero(~converged)[0]  # the blocks still iterating, one column each
-    if idx.size == 0 or max_iters < 2:
-        return decided[:, code.info_positions].reshape(-1), converged
-
+def _bp_part(blocks: np.ndarray, idx: np.ndarray, code: LdpcCode, max_iters: int,
+             decided: np.ndarray, converged: np.ndarray) -> None:
+    """Flooding BP on ``blocks[idx]``, blocks whose hard decision failed its
+    syndrome check, for up to ``max_iters - 1`` iterations.  Writes only
+    those blocks' rows of ``decided`` and ``converged``; ``idx`` keeps the
+    blocks still iterating, one column each."""
     m, dc = code.check_neighbors.shape
     var_edges = code.var_edge_check * dc + code.var_edge_slot  # (n, dv) edge rows
-    # message passing runs in float32: plenty for BP and twice as fast
-    channel = np.ascontiguousarray(blocks.astype(np.float32)[idx].T)  # (n, b)
+    # message passing runs in float32: plenty for BP and twice as fast; a
+    # part casts only its own blocks
+    channel = np.ascontiguousarray(blocks[idx].astype(np.float32).T)  # (n, b)
     q = np.take(channel, code.check_neighbors, axis=0)  # (m, dc, b) var->check
     spare = None
     for _ in range(max_iters - 1):
@@ -303,6 +326,33 @@ def ldpc_decode(llrs, code: LdpcCode, max_iters: int = 50):
             if idx.size == 0:
                 break
     decided[idx] = hard.T
+
+
+def ldpc_decode(llrs, code: LdpcCode, max_iters: int = 50):
+    """Sum-product decode of per-bit LLRs (positive favors bit 0).
+
+    Returns ``(info_bits, converged)`` where ``converged`` flags each block
+    whose parity checks were all satisfied.  The initial hard decision counts
+    as the first iteration, so noiseless input converges in one.
+    """
+    llr = np.asarray(llrs, dtype=np.float64).reshape(-1)
+    if llr.size % code.n != 0:
+        raise ValueError("llr length must be a multiple of n")
+    blocks = llr.reshape(-1, code.n)
+
+    decided = (blocks < 0).astype(np.uint8)
+    converged = _syndrome_ok(np.ascontiguousarray(decided.T), code)
+    idx = np.nonzero(~converged)[0]
+    if idx.size > 0 and max_iters >= 2:
+        parts = np.array_split(idx, min(_worker_count(), idx.size))
+        futures = [_pool.submit(_bp_part, blocks, part, code, max_iters, decided, converged)
+                   for part in parts[1:]]
+        try:
+            _bp_part(blocks, parts[0], code, max_iters, decided, converged)
+        finally:
+            wait(futures)
+        for future in futures:
+            future.result()  # re-raises a part's exception
 
     info = decided[:, code.info_positions].reshape(-1)
     return info, converged

@@ -1,8 +1,14 @@
 import hashlib
+import os
+import signal
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+from semvid import ldpc
 from semvid.channel import ChannelConfig, awgn, noise_variance
 from semvid.ldpc import (
     LLR_MAX,
@@ -28,6 +34,9 @@ CODE_FIELDS = ("parity_check", "check_neighbors", "var_edge_check", "var_edge_sl
 # SHA-256 of (info, converged) for the mixed batch below, recorded likewise
 MIXED_DECODE_SHA256 = "ab2421b87fd946bfeaef3d022ef3a5efe240fd125717913d09f4e478994a0d85"
 MIXED_SNRS_DB = (-10.0, -10.0, 0.0, 0.0, 2.0, 2.0, 5.0, 5.0)
+# the split batch: hopeless blocks, waterfall-region blocks that converge
+# after many iterations or never, and easy ones that converge in a few
+SPLIT_SNRS_DB = (-10.0, 0.0, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0) * 3
 
 
 def _code_sha256(code):
@@ -40,17 +49,27 @@ def _code_sha256(code):
     return digest.hexdigest()
 
 
+def _noisy_llrs(code, snrs_db, seed):
+    """One block per SNR: random info bits, BPSK over AWGN, channel LLRs."""
+    info = np.random.default_rng(seed).integers(0, 2, code.k * len(snrs_db)).astype(np.uint8)
+    coded = ldpc_encode(info, code).reshape(len(snrs_db), -1)
+    llrs = []
+    for b, snr in enumerate(snrs_db):
+        received = awgn(bpsk_modulate(coded[b]), ChannelConfig(snr_db=snr, seed=b))
+        llrs.append(bpsk_demodulate(received, noise_variance(snr)))
+    return np.concatenate(llrs)
+
+
 @pytest.fixture(scope="module")
 def mixed_llrs(ldpc_code):
     """One block per SNR in MIXED_SNRS_DB: the -10 and 0 dB blocks run every
     iteration and fail, the 2 and 5 dB ones converge part-way."""
-    info = np.random.default_rng(2024).integers(0, 2, 512 * len(MIXED_SNRS_DB)).astype(np.uint8)
-    coded = ldpc_encode(info, ldpc_code).reshape(len(MIXED_SNRS_DB), -1)
-    llrs = []
-    for b, snr in enumerate(MIXED_SNRS_DB):
-        received = awgn(bpsk_modulate(coded[b]), ChannelConfig(snr_db=snr, seed=b))
-        llrs.append(bpsk_demodulate(received, noise_variance(snr)))
-    return np.concatenate(llrs)
+    return _noisy_llrs(ldpc_code, MIXED_SNRS_DB, seed=2024)
+
+
+@pytest.fixture(scope="module")
+def split_llrs(ldpc_code):
+    return _noisy_llrs(ldpc_code, SPLIT_SNRS_DB, seed=8)
 
 
 def _gf2_rank(mat):
@@ -177,6 +196,71 @@ class TestDecode:
         hard = (mixed_llrs.reshape(-1, ldpc_code.n) < 0).astype(np.uint8)
         assert np.array_equal(info, hard[:, ldpc_code.info_positions].reshape(-1))
         assert converged.sum() < converged.size
+
+
+class TestSplitDecode:
+    """The iterating blocks are split across threads; no split may change a
+    bit."""
+
+    def test_batch_iterates_unevenly(self, ldpc_code, split_llrs):
+        # the premise of the tests below: blocks converge at different
+        # iterations, and some never do
+        counts = [int(ldpc_decode(split_llrs, ldpc_code, max_iters=it)[1].sum())
+                  for it in (1, 5, 50)]
+        assert counts[0] < counts[1] < counts[2] < len(SPLIT_SNRS_DB)
+
+    def test_result_independent_of_worker_count(self, ldpc_code, split_llrs, monkeypatch):
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the parts' threads more often
+        try:
+            for workers in (1, 2, 3, len(SPLIT_SNRS_DB) + 5):
+                monkeypatch.setattr(ldpc, "_worker_count", lambda w=workers: w)
+                results[workers] = ldpc_decode(split_llrs, ldpc_code)
+        finally:
+            sys.setswitchinterval(interval)
+        info, converged = results[1]
+        for workers, (other_info, other_converged) in results.items():
+            assert np.array_equal(other_info, info), workers
+            assert np.array_equal(other_converged, converged), workers
+
+    @pytest.mark.parametrize("where", ["pool", "caller"])
+    def test_exception_in_a_part_propagates(self, ldpc_code, split_llrs, monkeypatch, where):
+        real = ldpc._exclude_self_products
+
+        def failing(t, out):
+            if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
+                raise FloatingPointError(f"injected in the {where} part")
+            return real(t, out)
+
+        monkeypatch.setattr(ldpc, "_worker_count", lambda: 2)
+        monkeypatch.setattr(ldpc, "_exclude_self_products", failing)
+        with pytest.raises(FloatingPointError, match=where):
+            ldpc_decode(split_llrs, ldpc_code)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_decodes(self, ldpc_code, mixed_llrs, monkeypatch):
+        monkeypatch.setattr(ldpc, "_worker_count", lambda: 2)
+        info, converged = ldpc_decode(mixed_llrs, ldpc_code)
+        # the child inherits a pool whose thread does not exist there
+        assert any(t.name.startswith("ldpc-bp") for t in threading.enumerate())
+        with warnings.catch_warnings():
+            # newer Pythons warn on forking a process that has threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                signal.signal(signal.SIGALRM, signal.SIG_DFL)
+                signal.alarm(10)  # a hung decode kills the child
+                child_info, child_converged = ldpc_decode(mixed_llrs, ldpc_code)
+                same = (np.array_equal(child_info, info)
+                        and np.array_equal(child_converged, converged))
+                status = 0 if same else 1
+            finally:
+                os._exit(status)
+        _, wait_status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(wait_status) == 0
 
 
 class TestBpsk:

@@ -392,6 +392,14 @@ class TestCli:
         payload = json.loads((out / "transmit_semantic.json").read_text())
         assert payload["snr_db"] == 25.0
 
+    @pytest.mark.parametrize("snr", ["nan", "inf", "-inf", "1e400"])
+    def test_transmit_rejects_non_finite_snr(self, snr, capsys):
+        # refused while parsing, before the clip is encoded
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["transmit", f"--snr={snr}"])
+        assert exc.value.code == 2
+        assert "argument --snr: must be finite" in capsys.readouterr().err
+
     def test_sweep_and_compare(self, tmp_path, tiny_config):
         cfg_path = tmp_path / "cfg.json"
         save_config(replace(tiny_config, sweep_snrs_db=(25.0,)), cfg_path)
