@@ -10,9 +10,21 @@ output.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+# SNRs are accepted within +/- this many dB: the noise variance stays within
+# 1e-30..1e30, where 10**(-snr_db / 10) cannot overflow
+SNR_DB_LIMIT = 300.0
+SNR_DB_RANGE = f"finite and between {-SNR_DB_LIMIT:g} and {SNR_DB_LIMIT:g} dB"
+
+
+def snr_db_ok(snr_db: float) -> bool:
+    """Whether ``snr_db`` is a finite SNR within +/- ``SNR_DB_LIMIT``."""
+    return math.isfinite(snr_db) and abs(snr_db) <= SNR_DB_LIMIT
 
 
 @dataclass(frozen=True)
@@ -21,8 +33,8 @@ class ChannelConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.snr_db):
-            raise ValueError("snr_db must be finite")
+        if not snr_db_ok(self.snr_db):
+            raise ValueError(f"snr_db must be {SNR_DB_RANGE}, got {self.snr_db!r}")
 
 
 @dataclass(frozen=True)

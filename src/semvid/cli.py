@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from .channel import SNR_DB_RANGE, snr_db_ok
 from .config import config_to_dict, load_config, reference_config
 from .pipeline import (
     CHAINS,
@@ -150,15 +150,15 @@ def cmd_show_config(args) -> int:
     return 0
 
 
-def _finite_float(text: str) -> float:
-    """argparse type for a real number; nan and infinities are refused
-    before any work starts."""
+def _snr_db(text: str) -> float:
+    """argparse type for an SNR in dB; nan, infinities and values the
+    channel refuses are refused before any work starts."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    if not snr_db_ok(value):
+        raise argparse.ArgumentTypeError(f"must be {SNR_DB_RANGE}, got {text!r}")
     return value
 
 
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transmit", help="send the reference clip through one chain")
     common(p)
     p.add_argument("--chain", choices=CHAINS, default="semantic")
-    p.add_argument("--snr", type=_finite_float, default=None, help="override channel SNR in dB")
+    p.add_argument("--snr", type=_snr_db, default=None, help="override channel SNR in dB")
     p.set_defaults(fn=cmd_transmit)
 
     p = sub.add_parser("sweep", help="PSNR/MS-SSIM curves over the SNR grid")

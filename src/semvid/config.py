@@ -18,11 +18,10 @@ Reference calibration, documented for auditability:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-from .channel import ChannelConfig
+from .channel import SNR_DB_RANGE, ChannelConfig, snr_db_ok
 from .metrics import MS_SSIM_WEIGHTS, SSIM_WINDOW
 from .semantic import SemanticCodecConfig
 
@@ -180,8 +179,8 @@ class RunConfig:
     metrics: MetricsSettings = field(default_factory=MetricsSettings)
 
     def __post_init__(self) -> None:
-        if not self.sweep_snrs_db or not all(map(math.isfinite, self.sweep_snrs_db)):
-            raise ValueError("sweep_snrs_db needs at least one SNR point, all finite")
+        if not self.sweep_snrs_db or not all(map(snr_db_ok, self.sweep_snrs_db)):
+            raise ValueError(f"sweep_snrs_db needs at least one SNR point, each {SNR_DB_RANGE}")
         # constraints across sections; a raw clip's size is known only once it is read
         user, plate = self.user_video, self.background_video
         if user.kind == plate.kind == "synthetic":

@@ -3,8 +3,9 @@
 Construction: Gallager-style random regular (3, 6) graph from a seeded
 shuffle of check slots, followed by duplicate-edge cleanup, 4-cycle removal
 and degree-preserving swaps until the parity matrix has full row rank.
-Decoding: flooding sum-product belief propagation with early exit,
-vectorized across codewords.
+Decoding: flooding sum-product belief propagation, vectorized across
+codewords, with early exit both for blocks that converge and for blocks
+that stall.
 
 The decoder keeps its messages edge-major: a float32 (m, check_degree, b)
 array, one row per check slot in check-major edge order, with the b
@@ -12,7 +13,13 @@ still-iterating blocks along the contiguous last axis.  Check and variable
 gathers are ``np.take`` over rows (``check_neighbors`` for check-side views
 of per-variable arrays, ``var_edge_check * check_degree + var_edge_slot``
 for the variable-side view of the edges), so each gathered row is one
-contiguous copy.  A block leaves the batch as soon as its syndrome clears.
+contiguous copy.  A block leaves the batch as soon as its syndrome clears,
+or unconverged once ``STALL_ITERS`` iterations in a row have not lowered the
+least count of unsatisfied checks it has reached (a stopping rule of the
+kind surveyed by Kienle and Wehn, VTC 2005-Spring).  Far below the code
+threshold no block converges, and a stalled block's bits are concealed
+downstream anyway; near the threshold (1-2 dB) a few blocks that would have
+converged later are given up.
 
 The blocks that fail the initial hard-decision check are split into one
 contiguous part per CPU the process may run on; each part runs the same BP
@@ -39,6 +46,9 @@ from .channel import SymbolBlock
 
 LLR_MAX = 1e6
 _TANH_CLIP = 25.0
+# a block leaves BP unconverged once this many iterations in a row have not
+# lowered its least unsatisfied-check count
+STALL_ITERS = 8
 
 
 def _worker_count() -> int:
@@ -256,11 +266,12 @@ def ldpc_encode(info_bits, code: LdpcCode) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _syndrome_ok(hard: np.ndarray, code: LdpcCode) -> np.ndarray:
-    """Per-block parity satisfaction for bit-major hard bits of shape (n, B):
-    the XOR of each check's gathered bits must be 0 for every check."""
+def _unsatisfied_checks(hard: np.ndarray, code: LdpcCode) -> np.ndarray:
+    """Per-block count of unsatisfied parity checks for bit-major hard bits
+    of shape (n, B): a check is unsatisfied when the XOR of its gathered
+    bits is 1.  A block's syndrome clears when its count is 0."""
     parity = np.bitwise_xor.reduce(np.take(hard, code.check_neighbors, axis=0), axis=1)
-    return ~parity.any(axis=0)
+    return parity.sum(axis=0, dtype=np.int32)
 
 
 def _exclude_self_products(t: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -281,9 +292,11 @@ def _exclude_self_products(t: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _bp_part(blocks: np.ndarray, idx: np.ndarray, code: LdpcCode, max_iters: int,
-             decided: np.ndarray, converged: np.ndarray) -> None:
+             decided: np.ndarray, converged: np.ndarray, unsatisfied: np.ndarray) -> None:
     """Flooding BP on ``blocks[idx]``, blocks whose hard decision failed its
-    syndrome check, for up to ``max_iters - 1`` iterations.  Writes only
+    syndrome check, for up to ``max_iters - 1`` iterations.  A block leaves
+    when its syndrome clears or when it stalls (``STALL_ITERS``), its least
+    count starting at the hard decision's ``unsatisfied``.  Writes only
     those blocks' rows of ``decided`` and ``converged``; ``idx`` keeps the
     blocks still iterating, one column each."""
     m, dc = code.check_neighbors.shape
@@ -292,6 +305,8 @@ def _bp_part(blocks: np.ndarray, idx: np.ndarray, code: LdpcCode, max_iters: int
     # part casts only its own blocks
     channel = np.ascontiguousarray(blocks[idx].astype(np.float32).T)  # (n, b)
     q = np.take(channel, code.check_neighbors, axis=0)  # (m, dc, b) var->check
+    least = unsatisfied[idx]
+    stalled_for = np.zeros(idx.size, dtype=np.int64)
     spare = None
     for _ in range(max_iters - 1):
         if spare is None or spare.shape != q.shape:  # first pass, or the batch shrank
@@ -315,13 +330,18 @@ def _bp_part(blocks: np.ndarray, idx: np.ndarray, code: LdpcCode, max_iters: int
         q -= r
         spare = r
         hard = totals < 0
-        ok = _syndrome_ok(hard, code)
-        if ok.any():
-            # converged blocks leave the batch with their decisions
-            decided[idx[ok]] = hard[:, ok].T
+        count = _unsatisfied_checks(hard, code)
+        stalled_for = np.where(count < least, 0, stalled_for + 1)
+        np.minimum(least, count, out=least)
+        ok = count == 0
+        leave = ok | (stalled_for >= STALL_ITERS)
+        if leave.any():
+            # converged and stalled blocks leave the batch with their decisions
+            decided[idx[leave]] = hard[:, leave].T
             converged[idx[ok]] = True
-            keep = ~ok
+            keep = ~leave
             idx, channel, hard = idx[keep], channel[:, keep], hard[:, keep]
+            least, stalled_for = least[keep], stalled_for[keep]
             q = np.compress(keep, q, axis=2)
             if idx.size == 0:
                 break
@@ -333,7 +353,9 @@ def ldpc_decode(llrs, code: LdpcCode, max_iters: int = 50):
 
     Returns ``(info_bits, converged)`` where ``converged`` flags each block
     whose parity checks were all satisfied.  The initial hard decision counts
-    as the first iteration, so noiseless input converges in one.
+    as the first iteration, so noiseless input converges in one.  A block
+    that stalls (see ``STALL_ITERS``) returns its last hard decision,
+    unconverged.
     """
     llr = np.asarray(llrs, dtype=np.float64).reshape(-1)
     if llr.size % code.n != 0:
@@ -341,14 +363,16 @@ def ldpc_decode(llrs, code: LdpcCode, max_iters: int = 50):
     blocks = llr.reshape(-1, code.n)
 
     decided = (blocks < 0).astype(np.uint8)
-    converged = _syndrome_ok(np.ascontiguousarray(decided.T), code)
+    unsatisfied = _unsatisfied_checks(np.ascontiguousarray(decided.T), code)
+    converged = unsatisfied == 0
     idx = np.nonzero(~converged)[0]
     if idx.size > 0 and max_iters >= 2:
         parts = np.array_split(idx, min(_worker_count(), idx.size))
-        futures = [_pool.submit(_bp_part, blocks, part, code, max_iters, decided, converged)
+        futures = [_pool.submit(_bp_part, blocks, part, code, max_iters, decided, converged,
+                                unsatisfied)
                    for part in parts[1:]]
         try:
-            _bp_part(blocks, parts[0], code, max_iters, decided, converged)
+            _bp_part(blocks, parts[0], code, max_iters, decided, converged, unsatisfied)
         finally:
             wait(futures)
         for future in futures:

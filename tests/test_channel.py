@@ -100,3 +100,16 @@ class TestValidation:
     def test_snr_must_be_finite(self):
         with pytest.raises(ValueError):
             ChannelConfig(snr_db=float("nan"), seed=0)
+
+    @pytest.mark.parametrize("snr", [-4000.0, -300.5, 300.5, 4000.0])
+    def test_snr_out_of_range_rejected(self, snr):
+        # far enough out, 10**(-snr_db / 10) overflows a float
+        with pytest.raises(ValueError, match="snr_db"):
+            ChannelConfig(snr_db=snr, seed=0)
+
+    @pytest.mark.parametrize("snr", [-300.0, 300.0])
+    def test_snr_range_edges_usable(self, snr):
+        block = SymbolBlock(np.ones(4))
+        out = awgn(block, ChannelConfig(snr_db=snr, seed=0))
+        assert np.isfinite(out.symbols).all()
+        assert np.isfinite(noise_variance(snr))

@@ -31,7 +31,9 @@ CODE_SHA256 = {
 }
 CODE_FIELDS = ("parity_check", "check_neighbors", "var_edge_check", "var_edge_slot",
                "info_positions", "parity_positions", "encode_matrix")
-# SHA-256 of (info, converged) for the mixed batch below, recorded likewise
+# SHA-256 of (info, converged) for the mixed batch below, recorded likewise;
+# the stall exit leaves it unchanged, and without it the BP arithmetic must
+# still give it
 MIXED_DECODE_SHA256 = "ab2421b87fd946bfeaef3d022ef3a5efe240fd125717913d09f4e478994a0d85"
 MIXED_SNRS_DB = (-10.0, -10.0, 0.0, 0.0, 2.0, 2.0, 5.0, 5.0)
 # the split batch: hopeless blocks, waterfall-region blocks that converge
@@ -62,8 +64,9 @@ def _noisy_llrs(code, snrs_db, seed):
 
 @pytest.fixture(scope="module")
 def mixed_llrs(ldpc_code):
-    """One block per SNR in MIXED_SNRS_DB: the -10 and 0 dB blocks run every
-    iteration and fail, the 2 and 5 dB ones converge part-way."""
+    """One block per SNR in MIXED_SNRS_DB: the -10 and 0 dB blocks never
+    converge and leave when they stall, the 2 and 5 dB ones converge
+    part-way."""
     return _noisy_llrs(ldpc_code, MIXED_SNRS_DB, seed=2024)
 
 
@@ -183,6 +186,13 @@ class TestDecode:
         digest = hashlib.sha256(info.tobytes() + converged.tobytes()).hexdigest()
         assert digest == MIXED_DECODE_SHA256
 
+    def test_mixed_batch_pinned_without_stall_exit(self, ldpc_code, mixed_llrs, monkeypatch):
+        # a stall count no block can reach gives every block every iteration
+        monkeypatch.setattr(ldpc, "STALL_ITERS", 50)
+        info, converged = ldpc_decode(mixed_llrs, ldpc_code, max_iters=50)
+        digest = hashlib.sha256(info.tobytes() + converged.tobytes()).hexdigest()
+        assert digest == MIXED_DECODE_SHA256
+
     def test_mixed_batch_equals_blocks_alone(self, ldpc_code, mixed_llrs):
         # blocks leave the batch as they converge; that must not change any
         # block's result
@@ -196,6 +206,45 @@ class TestDecode:
         hard = (mixed_llrs.reshape(-1, ldpc_code.n) < 0).astype(np.uint8)
         assert np.array_equal(info, hard[:, ldpc_code.info_positions].reshape(-1))
         assert converged.sum() < converged.size
+
+
+class TestStallExit:
+    """A block leaves BP unconverged once STALL_ITERS iterations in a row
+    set no new least unsatisfied-check count."""
+
+    def test_hopeless_block_leaves_early(self, ldpc_code, mixed_llrs, monkeypatch):
+        real = ldpc._exclude_self_products
+        calls = [0]
+
+        def counting(t, out):
+            calls[0] += 1
+            return real(t, out)
+
+        monkeypatch.setattr(ldpc, "_exclude_self_products", counting)
+        blocks = mixed_llrs.reshape(-1, ldpc_code.n)
+        for b in np.nonzero(np.array(MIXED_SNRS_DB) == -10.0)[0]:
+            calls[0] = 0
+            _, converged = ldpc_decode(blocks[b], ldpc_code, max_iters=50)
+            assert not converged[0]
+            # one call per BP iteration, against 49 without the stall exit
+            assert ldpc.STALL_ITERS <= calls[0] <= ldpc.STALL_ITERS + 1, b
+
+    def test_converged_blocks_unchanged(self, ldpc_code, split_llrs, monkeypatch):
+        snrs = np.array(SPLIT_SNRS_DB)
+        info, converged = ldpc_decode(split_llrs, ldpc_code, max_iters=50)
+        monkeypatch.setattr(ldpc, "STALL_ITERS", 50)
+        full_info, full_converged = ldpc_decode(split_llrs, ldpc_code, max_iters=50)
+        # the stall exit only gives up; it never makes a block converge
+        assert not (converged & ~full_converged).any()
+        same = (info.reshape(len(snrs), -1) == full_info.reshape(len(snrs), -1)).all(axis=1)
+        assert same[converged].all()
+        # away from the code threshold it abandons no block that converges
+        high = snrs >= 3.0
+        assert np.array_equal(converged[high], full_converged[high])
+        assert converged[high].all()
+        # the premise: the -10 and 0 dB blocks never converge, so the stall
+        # exit does give up on some blocks here
+        assert not full_converged[snrs <= 0.0].any()
 
 
 class TestSplitDecode:

@@ -140,6 +140,11 @@ class TestConfig:
             config_from_dict({"semantic": {"gop_size": 0}})
         with pytest.raises(ValueError, match="channel"):
             config_from_dict({"channel": {"snr_db": float("nan")}})
+        # finite, but 10**(-snr_db / 10) would overflow
+        with pytest.raises(ValueError, match=r"channel.*snr_db"):
+            config_from_dict({"channel": {"snr_db": -4000}})
+        with pytest.raises(ValueError, match="sweep_snrs_db"):
+            config_from_dict({"sweep_snrs_db": [0.0, -4000.0]})
         with pytest.raises(ValueError, match="classical"):
             config_from_dict({"classical": 5})
         bad_leaves = [
@@ -392,9 +397,10 @@ class TestCli:
         payload = json.loads((out / "transmit_semantic.json").read_text())
         assert payload["snr_db"] == 25.0
 
-    @pytest.mark.parametrize("snr", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("snr", ["nan", "inf", "-inf", "1e400", "-4000", "300.5"])
     def test_transmit_rejects_non_finite_snr(self, snr, capsys):
-        # refused while parsing, before the clip is encoded
+        # refused while parsing, before the clip is encoded; -4000 dB is
+        # finite, but its noise variance would overflow
         with pytest.raises(SystemExit) as exc:
             cli_main(["transmit", f"--snr={snr}"])
         assert exc.value.code == 2
