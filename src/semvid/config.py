@@ -18,6 +18,7 @@ Reference calibration, documented for auditability:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -40,6 +41,12 @@ def _positive(obj, *names) -> None:
             raise ValueError(f"{name} must be positive")
 
 
+def _finite(obj, *names) -> None:
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class VideoSource:
     """Where a clip comes from: a named synthetic generator or a raw file."""
@@ -60,6 +67,10 @@ class VideoSource:
             raise ValueError(f"unknown synthetic variant {self.variant!r}")
         if self.kind == "raw" and not self.path:
             raise ValueError("raw video source needs a path")
+        _at_least(self, 1, "frames")
+        _at_least(self, 0, "seed")
+        _finite(self, "fps")
+        _positive(self, "fps")
 
 
 @dataclass(frozen=True)
@@ -114,8 +125,8 @@ class NodeSettings:
     flops: float
 
     def __post_init__(self) -> None:
-        if self.flops <= 0:
-            raise ValueError("node compute capacity must be positive")
+        _finite(self, "flops")
+        _positive(self, "flops")
 
 
 @dataclass(frozen=True)
@@ -123,8 +134,8 @@ class LinkSettings:
     throughput_bps: float
 
     def __post_init__(self) -> None:
-        if self.throughput_bps <= 0:
-            raise ValueError("link throughput must be positive")
+        _finite(self, "throughput_bps")
+        _positive(self, "throughput_bps")
 
 
 @dataclass(frozen=True)
@@ -134,7 +145,9 @@ class ComputeSettings:
     render_flops: float = 7e15
 
     def __post_init__(self) -> None:
-        _at_least(self, 0.0, "video_synthesis_flops", "scene_preprocess_flops", "render_flops")
+        names = ("video_synthesis_flops", "scene_preprocess_flops", "render_flops")
+        _finite(self, *names)
+        _at_least(self, 0.0, *names)
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,14 @@ converged later are given up.
 
 The blocks that fail the initial hard-decision check are split into one
 contiguous part per CPU the process may run on; each part runs the same BP
-loop (``_bp_part``), the caller's thread taking the first and a shared
-thread pool the rest, while numpy releases the interpreter lock inside the
-ufuncs and gathers.  The split cannot change a bit: every operation is
-elementwise along the block axis or gathers whole rows, nothing reduces
-across blocks, so a block's float32 arithmetic is the same whichever blocks
-share its batch, and each part writes only its own blocks' rows of the
-results.
+loop (``_bp_part``), the caller's thread taking the first and a thread pool
+opened for that decode the rest, while numpy releases the interpreter lock
+inside the ufuncs and gathers.  No pool outlives its decode, so a forked
+child never inherits one whose threads it lacks.  The split cannot change
+a bit: every operation is elementwise along the block axis or gathers whole
+rows, nothing reduces across blocks, so a block's float32 arithmetic is the
+same whichever blocks share its batch, and each part writes only its own
+blocks' rows of the results.
 The GF(2) products of construction and encoding run as float32 BLAS
 matmuls, which are exact because no sum exceeds 2**24.
 """
@@ -37,7 +38,7 @@ matmuls, which are exact because no sum exceeds 2**24.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,21 +57,6 @@ def _worker_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _new_pool() -> None:
-    """Make the pool that runs every BP part but the caller's.  It starts no
-    thread until the first split decode.  A forked child inherits the pool
-    but none of its threads, so work queued there would never run: the
-    child gets a new pool."""
-    global _pool
-    _pool = ThreadPoolExecutor(max_workers=max(1, _worker_count() - 1),
-                               thread_name_prefix="ldpc-bp")
-
-
-_new_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_pool)
 
 
 def _gf2_row_reduce(mat: np.ndarray):
@@ -368,13 +354,13 @@ def ldpc_decode(llrs, code: LdpcCode, max_iters: int = 50):
     idx = np.nonzero(~converged)[0]
     if idx.size > 0 and max_iters >= 2:
         parts = np.array_split(idx, min(_worker_count(), idx.size))
-        futures = [_pool.submit(_bp_part, blocks, part, code, max_iters, decided, converged,
-                                unsatisfied)
-                   for part in parts[1:]]
-        try:
+        # leaving the with block waits for every part, also when the
+        # caller's part raises
+        with ThreadPoolExecutor(max(1, len(parts) - 1), "ldpc-bp") as pool:
+            futures = [pool.submit(_bp_part, blocks, part, code, max_iters, decided, converged,
+                                   unsatisfied)
+                       for part in parts[1:]]
             _bp_part(blocks, parts[0], code, max_iters, decided, converged, unsatisfied)
-        finally:
-            wait(futures)
         for future in futures:
             future.result()  # re-raises a part's exception
 

@@ -14,6 +14,9 @@ Feature values are snapped to a dyadic grid (2**-32) right after the
 feature stage; with the common map rounded to the same grid, the split
 ``common + individual`` is integer arithmetic in disguise and therefore
 reconstructs bit exactly.
+
+The packet carries only what is sent; the receiver derives the symbol
+weights from the sent scales and the grid from the mask shapes.
 """
 
 from __future__ import annotations
@@ -55,14 +58,14 @@ class SemanticCodecConfig:
     bits_per_symbol_eq: int = 32   # payload accounting per analog symbol
 
     def __post_init__(self) -> None:
-        if min(self.symbol_budget, self.service_symbol_budget, self.gop_size) < 1:
-            raise ValueError("symbol budgets and gop_size must be >= 1")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
+        for name in ("symbol_budget", "service_symbol_budget", "gop_size", "block_size",
+                     "bits_per_symbol_eq"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.power_alloc_exp <= 0.5:
             raise ValueError("power_alloc_exp must be in [0, 0.5]")
-        if self.entropy_floor <= 0:
-            raise ValueError("entropy_floor must be positive")
+        if not 0.0 < self.entropy_floor < np.inf:
+            raise ValueError("entropy_floor must be positive and finite")
 
     @property
     def tile_shape(self):
@@ -75,14 +78,11 @@ class SemanticCodecConfig:
 
 @dataclass(frozen=True)
 class FeatureMeta:
-    """Geometry needed to invert the transform chain."""
+    """Frame size before padding, which inversion crops back to; the frame,
+    grid and channel counts are the feature tensors' shape."""
 
-    n_frames: int
     height: int
     width: int
-    grid_h: int
-    grid_w: int
-    channels: int
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,8 @@ class FeatureGrid:
 
     def __post_init__(self) -> None:
         v = np.ascontiguousarray(self.values, dtype=np.float64)
-        m = self.meta
-        if v.shape != (m.n_frames, m.grid_h, m.grid_w, m.channels):
-            raise ValueError(f"feature tensor shape {v.shape} inconsistent with meta")
+        if v.ndim != 4:
+            raise ValueError(f"feature tensor shape {v.shape} is not (n, grid_h, grid_w, channels)")
         if not np.all(np.isfinite(v)):
             raise ValueError("feature values must be finite")
         object.__setattr__(self, "values", v)
@@ -174,26 +173,23 @@ def latent_transform(gop: Gop, cfg: SemanticCodecConfig = SemanticCodecConfig())
     n, h, w, _ = arr.shape
     padded = np.stack([pad_edge(f, bh, bw) for f in arr])
     decor = np.einsum("nhwc,kc->nhwk", padded, _channel_dct_matrix())
-    planes = np.concatenate([decor[..., k] for k in range(3)], axis=2)  # (n, ph, 3*pw)
-    ph, pw3 = planes.shape[1], planes.shape[2]
-    gh, gw = ph // bh, pw3 // bw
-    tiles = planes.reshape(n, gh, bh, gw, bw).transpose(0, 1, 3, 2, 4)
+    _, ph, pw, _ = decor.shape
+    gh, gw = ph // bh, 3 * pw // bw
+    # the three planes side by side, rows of width 3 * pw, cut into tiles
+    tiles = decor.transpose(0, 1, 3, 2).reshape(n, gh, bh, gw, bw).transpose(0, 1, 3, 2, 4)
     coefs = dctn(tiles, norm="ortho", axes=(-2, -1))
     values = coefs.reshape(n, gh, gw, cfg.channel_dim)
-    return FeatureGrid(values, FeatureMeta(n, h, w, gh, gw, cfg.channel_dim))
+    return FeatureGrid(values, FeatureMeta(h, w))
 
 
 def latent_inverse(lat: FeatureGrid, cfg: SemanticCodecConfig = SemanticCodecConfig()) -> Gop:
     """Invert :func:`latent_transform`; samples are clipped back to [0, 1]."""
     bh, bw = cfg.tile_shape
-    m = lat.meta
-    tiles = lat.values.reshape(m.n_frames, m.grid_h, m.grid_w, bh, bw)
-    planes = idctn(tiles, norm="ortho", axes=(-2, -1))
-    planes = planes.transpose(0, 1, 3, 2, 4).reshape(m.n_frames, m.grid_h * bh, m.grid_w * bw)
-    pw = planes.shape[2] // 3
-    decor = np.stack([planes[:, :, k * pw : (k + 1) * pw] for k in range(3)], axis=-1)
+    n, gh, gw, _ = lat.values.shape
+    planes = idctn(lat.values.reshape(n, gh, gw, bh, bw), norm="ortho", axes=(-2, -1))
+    decor = planes.transpose(0, 1, 3, 2, 4).reshape(n, gh * bh, 3, -1).transpose(0, 1, 3, 2)
     rgb = np.einsum("nhwk,kc->nhwc", decor, _channel_dct_matrix())
-    rgb = rgb[:, : m.height, : m.width, :]
+    rgb = rgb[:, : lat.meta.height, : lat.meta.width, :]
     return Gop.from_array(np.clip(rgb, 0.0, 1.0))
 
 
@@ -208,11 +204,7 @@ def jscc_encode(lat: FeatureGrid, cfg: SemanticCodecConfig = SemanticCodecConfig
 
 
 def jscc_decode(features: FeatureGrid, cfg: SemanticCodecConfig = SemanticCodecConfig()) -> FeatureGrid:
-    order = _tile_order(cfg)
-    gains = _jscc_gains(cfg)
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
-    values = (features.values / gains)[..., inverse]
+    values = (features.values / _jscc_gains(cfg))[..., np.argsort(_tile_order(cfg))]
     return FeatureGrid(values, features.meta)
 
 
@@ -234,7 +226,7 @@ def fit_entropy_model(maps: FeatureMaps, cfg: SemanticCodecConfig = SemanticCode
     first absolute moment for the scale, which is the Laplace ML estimate),
     separately for the common map and the residual maps; degenerate
     channels get the scale floor."""
-    c = maps.meta.channels
+    c = maps.common.shape[-1]
     locations = np.zeros((2, c))
     scales = np.zeros((2, c))
     for kind, data in ((0, maps.common.reshape(-1, c)), (1, maps.individual.reshape(-1, c))):
@@ -254,17 +246,16 @@ def likelihood(maps: FeatureMaps, model: EntropyModel):
 
 @dataclass(frozen=True)
 class SemanticPacket:
-    """Everything the receiver needs: kept-element masks, normalized
-    symbols, dequantized model parameters, and geometry.  Masks and model
-    parameters are side information transmitted error free; their bit cost
-    is tallied in ``side_info_bits``."""
+    """Everything the receiver gets: kept-element masks, normalized
+    symbols, dequantized model parameters, and the frame size.  Masks and
+    model parameters are side information transmitted error free; their bit
+    cost is tallied in ``side_info_bits``."""
 
     kept_common: np.ndarray      # bool (grid_h, grid_w, channels)
     kept_individual: np.ndarray  # bool (n, grid_h, grid_w, channels)
     block: SymbolBlock
     locations: np.ndarray        # dequantized (2, channels)
     scales: np.ndarray           # dequantized (2, channels)
-    weights: np.ndarray          # per-channel symbol weights (2, channels)
     meta: FeatureMeta
     side_info_bits: int
 
@@ -306,56 +297,33 @@ def variable_length_code(
     normalized real symbols."""
     if symbol_budget < 1:
         raise ValueError("symbol_budget must be >= 1")
-    em_common, em_individual = likelihood(maps, model)
-    info_common = -np.log2(em_common).reshape(-1)
-    info_individual = -np.log2(em_individual).reshape(-1)
-
-    n_common = info_common.size
-    n_individual = info_individual.size
-    kept_common = np.zeros(n_common, dtype=bool)
-    kept_individual = np.zeros(n_individual, dtype=bool)
-    if symbol_budget >= n_common:
-        kept_common[:] = True
-        remaining = min(symbol_budget - n_common, n_individual)
-        if remaining > 0:
-            top = np.argsort(-info_individual, kind="stable")[:remaining]
-            kept_individual[top] = True
-    else:
-        top = np.argsort(-info_common, kind="stable")[:symbol_budget]
-        kept_common[top] = True
-
     locations = _quantize_params(model.locations, log_domain=False)
     scales = _quantize_params(model.scales, log_domain=True)
     weights = _symbol_weights(scales, cfg)
 
-    c = maps.meta.channels
-    ch_common = np.tile(np.arange(c), n_common // c)
-    ch_individual = np.tile(np.arange(c), n_individual // c)
-    flat_common = maps.common.reshape(-1)
-    flat_individual = maps.individual.reshape(-1)
-    sym_common = (
-        flat_common[kept_common] - locations[0, ch_common[kept_common]]
-    ) / weights[0, ch_common[kept_common]]
-    sym_individual = (
-        flat_individual[kept_individual] - locations[1, ch_individual[kept_individual]]
-    ) / weights[1, ch_individual[kept_individual]]
-    symbols = np.concatenate([sym_common, sym_individual])
-    raw = SymbolBlock(symbols)
-    block = normalize_power(raw) if symbols.size and raw.power > 0 else raw
+    masks, symbols = [], []
+    left = symbol_budget
+    for kind, values in enumerate((maps.common, maps.individual)):
+        mask = np.zeros(values.shape, dtype=bool)
+        if left > 0:  # most information first, the first index on ties
+            em = model.likelihood(values, kind).reshape(-1)
+            mask.reshape(-1)[np.argsort(np.log2(em), kind="stable")[:left]] = True
+            left -= values.size
+        masks.append(mask)
+        symbols.append(((values - locations[kind]) / weights[kind])[mask])
+    raw = SymbolBlock(np.concatenate(symbols))
+    block = normalize_power(raw) if raw.power > 0 else raw
 
-    mask_bits = index_list_bits(np.nonzero(kept_common)[0]) + index_list_bits(
-        np.nonzero(kept_individual)[0]
-    )
-    param_bits = 2 * (c * 2 * PARAM_QUANT_BITS + RANGE_HEADER_BITS)
+    mask_bits = sum(index_list_bits(np.flatnonzero(m)) for m in masks)
+    param_bits = 2 * (maps.common.shape[-1] * 2 * PARAM_QUANT_BITS + RANGE_HEADER_BITS)
     side_info_bits = mask_bits + param_bits + 32 + GEOMETRY_BITS
 
     return SemanticPacket(
-        kept_common=kept_common.reshape(maps.common.shape),
-        kept_individual=kept_individual.reshape(maps.individual.shape),
+        kept_common=masks[0],
+        kept_individual=masks[1],
         block=block,
         locations=locations,
         scales=scales,
-        weights=weights,
         meta=maps.meta,
         side_info_bits=int(side_info_bits),
     )
@@ -372,29 +340,17 @@ def decode_packet(
     dropped elements filled by the model locations."""
     shrink = 1.0 / (1.0 + noise_var)
     values = received.symbols * shrink * received.scale
+    weights = _symbol_weights(packet.scales, cfg)
 
-    c = packet.meta.channels
-    kc = packet.kept_common.reshape(-1)
-    ki = packet.kept_individual.reshape(-1)
-    n_common_kept = int(np.count_nonzero(kc))
-    ch_common = np.tile(np.arange(c), kc.size // c)
-    ch_individual = np.tile(np.arange(c), ki.size // c)
-
-    common = np.tile(packet.locations[0], kc.size // c).astype(np.float64)
-    individual = np.tile(packet.locations[1], ki.size // c).astype(np.float64)
-    common[kc] = (
-        values[:n_common_kept] * packet.weights[0, ch_common[kc]]
-        + packet.locations[0, ch_common[kc]]
-    )
-    individual[ki] = (
-        values[n_common_kept:] * packet.weights[1, ch_individual[ki]]
-        + packet.locations[1, ch_individual[ki]]
-    )
-    return FeatureMaps(
-        common.reshape(packet.kept_common.shape),
-        individual.reshape(packet.kept_individual.shape),
-        packet.meta,
-    )
+    maps, start = [], 0
+    for kind, mask in enumerate((packet.kept_common, packet.kept_individual)):
+        loc = np.broadcast_to(packet.locations[kind], mask.shape)
+        out = loc.copy()
+        stop = start + int(np.count_nonzero(mask))
+        out[mask] = values[start:stop] * np.broadcast_to(weights[kind], mask.shape)[mask] + loc[mask]
+        maps.append(out)
+        start = stop
+    return FeatureMaps(*maps, packet.meta)
 
 
 def prepare_semantic(

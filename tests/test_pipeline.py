@@ -163,6 +163,15 @@ class TestConfig:
             ({"compute": {"render_flops": -1.0}}, "compute.*render_flops"),
             ({"metrics": {"ms_ssim_scales": 6}}, "metrics.*ms_ssim_scales"),
             ({"nodes": {"end": {"flops": "fast"}}}, r"nodes\.end\.flops"),
+            ({"video": {"frames": 0}}, "video.*frames"),
+            ({"video": {"fps": -1.0}}, "video.*fps"),
+            ({"video": {"fps": float("nan")}}, "video.*fps"),
+            ({"video": {"seed": -1}}, "video.*seed"),
+            ({"semantic": {"bits_per_symbol_eq": -32}}, "semantic.*bits_per_symbol_eq"),
+            ({"semantic": {"entropy_floor": float("nan")}}, "semantic.*entropy_floor"),
+            ({"links": {"wireless": {"throughput_bps": float("inf")}}},
+             r"links\.wireless.*throughput_bps"),
+            ({"compute": {"render_flops": float("inf")}}, "compute.*render_flops"),
         ]
         for data, key in bad_leaves:
             with pytest.raises(ValueError, match=key):

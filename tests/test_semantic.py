@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semvid.channel import ChannelConfig
+from semvid.fixtures import make_test_clip
 from semvid.metrics import psnr
 from semvid.semantic import (
     BIN_WIDTH,
@@ -20,6 +23,7 @@ from semvid.semantic import (
     prepare_semantic,
     semantic_transmit,
     snap_to_grid,
+    transmit_packet,
     variable_length_code,
 )
 from semvid.video import Gop
@@ -134,7 +138,7 @@ class TestEntropyModel:
         # location, so likelihoods are equal and maximal per channel
         from semvid.semantic import FeatureMaps, FeatureMeta
 
-        meta = FeatureMeta(2, 16, 16, 2, 3, 128)
+        meta = FeatureMeta(16, 16)
         channel_values = np.linspace(-3.0, 3.0, 128)
         common = np.broadcast_to(channel_values, (2, 3, 128)).copy()
         individual = np.broadcast_to(channel_values * 0.5, (2, 2, 3, 128)).copy()
@@ -208,6 +212,15 @@ class TestVariableLengthCoding:
         packet = variable_length_code(maps, model, 100, CFG)
         assert packet.kept_common.sum() == 100
         assert packet.kept_individual.sum() == 0
+
+    def test_budget_one_past_common_keeps_top_individual(self, small_gop):
+        maps = extract_common(_features(small_gop))
+        model = fit_entropy_model(maps, CFG)
+        packet = variable_length_code(maps, model, maps.common.size + 1, CFG)
+        assert packet.kept_common.all()
+        info = -np.log2(likelihood(maps, model)[1]).reshape(-1)
+        # argmax takes the first index on ties, as the stable ranking must
+        assert np.flatnonzero(packet.kept_individual).tolist() == [int(np.argmax(info))]
 
     def test_dropped_elements_fill_with_locations(self, small_gop):
         maps = extract_common(_features(small_gop))
@@ -296,3 +309,111 @@ class TestPacketGeometry:
         vals = np.array([0.1, -2.7, 3.3e-11])
         snapped = snap_to_grid(vals)
         assert np.array_equal(snapped * 2.0**32, np.round(snapped * 2.0**32))
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+# budgets around the common map's size (n_common), a service-sized one and
+# ten times every element; "noise50" is odd-sized, so its frames are padded
+PINNED_BUDGETS = ("100", "n_common", "n_common+1", "18000", "10*total")
+PINNED_SNRS_DB = (-10.0, 5.0, 300.0)
+
+# SHA-256 of what prepare_semantic sends (both masks, symbols, symbol
+# scale, locations, scales, side-information bits) and of the frames
+# transmit_packet gives at each of PINNED_SNRS_DB.  Recorded from the chain
+# that coded the common and individual maps in two written-out halves.
+PINNED_CHAIN_DIGESTS = {
+    ("reference", "100"): (
+        "f0763e450e94bedf1727e5a729afc15e0fae8e7bd5e4dd13bdc35e8f18639f75",
+        "96c3e4c69c95dd87061945849a443322fc005a6c5252d6fbcccf73899882cb7e",
+        "acf31931cadbeff5cef14cb25ecf91bbb106d7f38aee2f2cb1bae775f2d6fd87",
+        "9bd3635aba7c3a8b253ae5dfe61b22282447daf226cadbfd9e48f5922e961a40",
+    ),
+    ("reference", "n_common"): (
+        "073df0438e6144989c6e733bfad076618feb78c967d846455d2d63fedb100524",
+        "48140b20593b018cc450685616dd9feaa4d50a92c4f023d6f5eec11e847eb18b",
+        "0e796c5f13a73339abcc94be8de97fdd8bd06891ae830df4f606d7ebeb83fc1b",
+        "42113157f1312fb719bde99e5d4608453c67c883fae35ada0a269a990f50ea7c",
+    ),
+    ("reference", "n_common+1"): (
+        "9b034d8c4337e52852e6409dbef4689911c390ea96684d396fa2c883ba8574af",
+        "aa8616126da21115ca3beb5e884e3fb4e5fe8360f659f27f180167f62029970f",
+        "7086e98ab1226a519b2d1629263d1d0cdd7b046fcd0a268d90645137365ce6dd",
+        "d2c5b78f31f524405e12882bb77796f4730bb5f7e1e77d4902aaf558765249ae",
+    ),
+    ("reference", "18000"): (
+        "eadac71b20e7598624333adb2272015adf8413d78d4f81a9dc5eeb7b29a2efef",
+        "c15bc2122e54e068b90854e887776282090f225e22994e7e100b104ca4e209e1",
+        "0dd0dea8208b44d0aef4cbd84ebd7da99b1fe4caf2deed0ad8a0b0da68a78886",
+        "29b6c043d91e5dcca2053021d7b08a51b372d720bf19a8c3061ed2bb2f2435a2",
+    ),
+    ("reference", "10*total"): (
+        "794f0fdb6b20423f3d1443e083b650bc6e73e31ed623a82b44108d5668db3655",
+        "7990aaeca666ef99a678e729b50c0d069a3b797b66538a6e29efa871fb41f1b2",
+        "a8b55bc06b25b5b10f81a0246e11b8775dd82b61e50f1d795bfb7f6c52afdb47",
+        "9060d0739fa245946a21cae7068f0b2bfcc1ef2bfd87b87e4c198fda484e04e7",
+    ),
+    ("noise50", "100"): (
+        "6dd981e931d6e0fae7b2bfd8fa6b9121c19866f4390d825569108d659165313f",
+        "b0ba83322307cee94d96cb502168521c6e1fc5c5af6e5dd34da1327be3b2ec2f",
+        "183a3c4c5f9abff5c1ec267b96b3ff3a4690a1f9508c683e0c4b922720894ac1",
+        "5f54a784cb2513f473532f5506beee181ee210c9b91e328aa9ea12f54dc5e37c",
+    ),
+    ("noise50", "n_common"): (
+        "8961242f978b4087204c49a67e94d6ba2640fb1d959efa12464b8013a5d1eba2",
+        "3804de3c0c05ab222ef60f27fff220d259b157f30d1879a941eb0d18b38fb0c1",
+        "f9b613fffb90473138a58d02d41885d670182aa010a268b1396bfc32fe0625c4",
+        "d4645c6b3274cc0bd55cbe3df7b54d048dd9b6b5e42cba1b1b4a8f05f8ab19f8",
+    ),
+    ("noise50", "n_common+1"): (
+        "c11b6385fa12a2abee4f334fe908889512b871396197a90ed0e9c1a0891d8801",
+        "dd5800210a17b596d5f65342a1f1a04fcc4060f8dc87aaa2530b62a093b83a52",
+        "3a3b49e161a415ed819d2d0db8945a645dcc86e39cf43b4822c4a37ed3087d9f",
+        "3bc79b1bea89ec8f9e7c64ebfc94b805b3a7796731ccef0b2c9fdf4f6d5b6cc2",
+    ),
+    ("noise50", "18000"): (
+        "46ae1ce497fe02f9f0e242f1933e56051d86028bdee2aacfd73f41596763e402",
+        "54248629f5394437e4e172234309417937186d0a5f7ed2b8d08d61107d28900a",
+        "4a6eb2b22e83d4e182d5b46a1498dce7278e26384988171862a75b8f2c1aab7d",
+        "6f07988c17fde09fd27cda44b6a38e4cefac557f7bf5728e39d2e0076d026875",
+    ),
+    ("noise50", "10*total"): (
+        "c53712d5639ed37f38954449df829119cb451b34d06070fcbf3253143e354c6b",
+        "a574e8583b550b9dfdacda88cb0a8f4b6c597811e84c53c604664f9e6befb774",
+        "3b60d52789475eb60ec1b86f9d03aed04cae79ddf21696099c1e9ae8656a10f0",
+        "4172d5c7fc92af2849b5e36a3256982176aff0b71b5c3e80c1bc2b8c80df12c3",
+    ),
+}
+
+
+def _pinned_gop(name):
+    if name == "reference":  # the reference config's user clip
+        return Gop(make_test_clip(112, 112).frames)
+    return _noise_gop(n=3, size=50)
+
+
+def _pinned_budget(label, n_common, total):
+    return {"100": 100, "n_common": n_common, "n_common+1": n_common + 1,
+            "18000": 18000, "10*total": 10 * total}[label]
+
+
+@pytest.mark.parametrize("gop_name,budget", sorted(PINNED_CHAIN_DIGESTS))
+def test_chain_output_pinned(gop_name, budget):
+    gop = _pinned_gop(gop_name)
+    maps = extract_common(_features(gop))
+    n_common = maps.common.size
+    total = n_common + maps.individual.size
+    packet = prepare_semantic(gop, _pinned_budget(budget, n_common, total), CFG)
+    got = (
+        _digest(packet.kept_common, packet.kept_individual, packet.block.symbols,
+                np.float64(packet.block.scale), packet.locations, packet.scales,
+                np.int64(packet.side_info_bits)),
+        *(_digest(transmit_packet(packet, ChannelConfig(snr_db=snr, seed=5), CFG)[0].to_array())
+          for snr in PINNED_SNRS_DB),
+    )
+    assert got == PINNED_CHAIN_DIGESTS[(gop_name, budget)]
