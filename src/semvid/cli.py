@@ -55,7 +55,7 @@ def _write_json(path: Path, payload: dict) -> None:
 def cmd_transmit(args) -> int:
     cfg = _load(args)
     out = _outdir(args)
-    snr = cfg.channel.snr_db if args.snr is None else args.snr
+    snr = cfg.snr_db if args.snr is None else args.snr
     video = resolve_video(cfg.video)
     received, stats = transmit_video(video, args.chain, cfg, snr, "cli")
     save_raw(received, out / f"received_{args.chain}.rgb")

@@ -22,7 +22,8 @@ import math
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
-from .channel import SNR_DB_RANGE, ChannelConfig, snr_db_ok
+from .channel import SNR_DB_RANGE, snr_db_ok
+from .ldpc import CHECK_DEGREE, VAR_DEGREE
 from .metrics import MS_SSIM_WEIGHTS, SSIM_WINDOW
 from .semantic import SemanticCodecConfig
 
@@ -39,12 +40,6 @@ def _positive(obj, *names) -> None:
     for name in names:
         if not getattr(obj, name) > 0:
             raise ValueError(f"{name} must be positive")
-
-
-def _finite(obj, *names) -> None:
-    for name in names:
-        if not math.isfinite(getattr(obj, name)):
-            raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -69,7 +64,6 @@ class VideoSource:
             raise ValueError("raw video source needs a path")
         _at_least(self, 1, "frames")
         _at_least(self, 0, "seed")
-        _finite(self, "fps")
         _positive(self, "fps")
 
 
@@ -77,19 +71,13 @@ class VideoSource:
 class ClassicalSettings:
     qp: float = 5.0
     ldpc_k: int = 512
-    ldpc_var_degree: int = 3
-    ldpc_check_degree: int = 6
     ldpc_seed: int = 11
     max_iters: int = 50
 
     def __post_init__(self) -> None:
         _positive(self, "qp")
-        _at_least(self, 1, "ldpc_k", "ldpc_var_degree", "ldpc_check_degree", "max_iters")
-        # make_ldpc_code builds rate-1/2 codes with every check of full degree
-        if self.ldpc_check_degree != 2 * self.ldpc_var_degree:
-            raise ValueError("ldpc_check_degree must be 2 * ldpc_var_degree for rate 1/2")
-        if self.ldpc_k < self.ldpc_var_degree * self.ldpc_check_degree:
-            raise ValueError("ldpc_k must be >= ldpc_var_degree * ldpc_check_degree")
+        _at_least(self, VAR_DEGREE * CHECK_DEGREE, "ldpc_k")
+        _at_least(self, 1, "max_iters")
 
 
 @dataclass(frozen=True)
@@ -125,7 +113,6 @@ class NodeSettings:
     flops: float
 
     def __post_init__(self) -> None:
-        _finite(self, "flops")
         _positive(self, "flops")
 
 
@@ -134,7 +121,6 @@ class LinkSettings:
     throughput_bps: float
 
     def __post_init__(self) -> None:
-        _finite(self, "throughput_bps")
         _positive(self, "throughput_bps")
 
 
@@ -145,9 +131,7 @@ class ComputeSettings:
     render_flops: float = 7e15
 
     def __post_init__(self) -> None:
-        names = ("video_synthesis_flops", "scene_preprocess_flops", "render_flops")
-        _finite(self, *names)
-        _at_least(self, 0.0, *names)
+        _at_least(self, 0.0, "video_synthesis_flops", "scene_preprocess_flops", "render_flops")
 
 
 @dataclass(frozen=True)
@@ -170,7 +154,7 @@ class RunConfig:
         default_factory=lambda: VideoSource(variant="background", width=64, height=64, seed=55)
     )
     sweep_snrs_db: tuple = (-10.0, -5.0, 0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
-    channel: ChannelConfig = field(default_factory=lambda: ChannelConfig(snr_db=15.0, seed=2024))
+    snr_db: float = 15.0  # the service uploads' and `semvid transmit`'s SNR
     classical: ClassicalSettings = field(default_factory=ClassicalSettings)
     semantic: SemanticCodecConfig = field(default_factory=SemanticCodecConfig)
     synthesis: SynthesisSettings = field(default_factory=SynthesisSettings)
@@ -192,6 +176,8 @@ class RunConfig:
     metrics: MetricsSettings = field(default_factory=MetricsSettings)
 
     def __post_init__(self) -> None:
+        if not snr_db_ok(self.snr_db):
+            raise ValueError(f"snr_db must be {SNR_DB_RANGE}")
         if not self.sweep_snrs_db or not all(map(snr_db_ok, self.sweep_snrs_db)):
             raise ValueError(f"sweep_snrs_db needs at least one SNR point, each {SNR_DB_RANGE}")
         # constraints across sections; a raw clip's size is known only once it is read
@@ -225,10 +211,6 @@ def reference_config() -> RunConfig:
     return RunConfig()
 
 
-# leaves whose JSON form is not their Python type
-_CONVERT = {("sweep_snrs_db",): lambda v: tuple(float(x) for x in v)}
-
-
 def _leaf_type_ok(default, value) -> bool:
     """bool takes bool, int a non-bool int, float an int or float, and any
     other leaf a value of its default's type."""
@@ -241,18 +223,26 @@ def _leaf_type_ok(default, value) -> bool:
 
 def _merge(obj, value, path: tuple = ()):
     """``obj`` with ``value`` merged in.  Config objects and the node and link
-    dicts merge key by key; any other value replaces the old one and must
-    have its type.  A bad key or value raises ValueError naming it by its
-    dotted path."""
+    dicts merge key by key; a tuple leaf takes a list whose elements are
+    float leaves; any other value replaces the old one and must have its
+    type, and a float leaf must be finite.  A bad key or value raises
+    ValueError naming it by its dotted path."""
     name = ".".join(path) or "config"
+    if isinstance(obj, tuple):
+        if not isinstance(value, list):
+            raise ValueError(f"{name} must be list, not {type(value).__name__}")
+        return tuple(_merge(0.0, v, path + (str(i),)) for i, v in enumerate(value))
     if not (is_dataclass(obj) or isinstance(obj, dict)):
-        try:
-            value = _CONVERT.get(path, lambda v: v)(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{name}: {exc}") from exc
         if not _leaf_type_ok(obj, value):
             raise ValueError(f"{name} must be {type(obj).__name__}, not {type(value).__name__}")
-        return float(value) if isinstance(obj, float) else value
+        if not isinstance(obj, float):
+            return value
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+        raise ValueError(f"{name} must be finite")
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be an object")
     current = obj if isinstance(obj, dict) else {f.name: getattr(obj, f.name) for f in fields(obj)}

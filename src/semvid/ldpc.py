@@ -1,17 +1,20 @@
 """Rate-1/2 regular LDPC code plus BPSK mapping.
 
-Construction: Gallager-style random regular (3, 6) graph from a seeded
-shuffle of check slots, followed by duplicate-edge cleanup, 4-cycle removal
-and degree-preserving swaps until the parity matrix has full row rank.
+Construction: Gallager-style random regular (``VAR_DEGREE``,
+``CHECK_DEGREE``) = (3, 6) graph from a seeded shuffle of check slots,
+followed by duplicate-edge cleanup, 4-cycle removal and degree-preserving
+swaps until the parity matrix has full row rank.  The degrees are fixed, so
+every code has rate 1/2 and each check has full degree; only the block
+size ``k`` and the seed vary.
 Decoding: flooding sum-product belief propagation, vectorized across
 codewords, with early exit both for blocks that converge and for blocks
 that stall.
 
-The decoder keeps its messages edge-major: a float32 (m, check_degree, b)
+The decoder keeps its messages edge-major: a float32 (m, CHECK_DEGREE, b)
 array, one row per check slot in check-major edge order, with the b
 still-iterating blocks along the contiguous last axis.  Check and variable
 gathers are ``np.take`` over rows (``check_neighbors`` for check-side views
-of per-variable arrays, ``var_edge_check * check_degree + var_edge_slot``
+of per-variable arrays, ``var_edge_check * CHECK_DEGREE + var_edge_slot``
 for the variable-side view of the edges), so each gathered row is one
 contiguous copy.  A block leaves the batch as soon as its syndrome clears,
 or unconverged once ``STALL_ITERS`` iterations in a row have not lowered the
@@ -45,6 +48,9 @@ import numpy as np
 
 from .channel import SymbolBlock
 
+# every code is (3, 6)-regular: rate 1/2 with each check of full degree
+VAR_DEGREE = 3
+CHECK_DEGREE = 6
 LLR_MAX = 1e6
 _TANH_CLIP = 25.0
 # a block leaves BP unconverged once this many iterations in a row have not
@@ -87,31 +93,24 @@ class LdpcCode:
 
     k: int
     n: int
-    var_degree: int
-    check_degree: int
-    seed: int
     parity_check: np.ndarray            # (m, n) uint8, full row rank
-    check_neighbors: np.ndarray         # (m, check_degree) variable indices
-    var_edge_check: np.ndarray          # (n, var_degree) check index per edge
-    var_edge_slot: np.ndarray           # (n, var_degree) slot within the check row
+    check_neighbors: np.ndarray         # (m, CHECK_DEGREE) variable indices
+    var_edge_check: np.ndarray          # (n, VAR_DEGREE) check index per edge
+    var_edge_slot: np.ndarray           # (n, VAR_DEGREE) slot within the check row
     info_positions: np.ndarray          # (k,) columns carrying info bits
     parity_positions: np.ndarray        # (m,) pivot columns
     encode_matrix: np.ndarray           # (m, k): parity = encode_matrix @ info mod 2
 
-    @property
-    def rate(self) -> float:
-        return self.k / self.n
 
-
-def _build_graph(m: int, n: int, var_degree: int, check_degree: int, rng) -> np.ndarray:
-    """Random regular bipartite graph as an (n, var_degree) array of check
+def _build_graph(m: int, n: int, rng) -> np.ndarray:
+    """Random regular bipartite graph as an (n, VAR_DEGREE) array of check
     indices per variable, with no duplicate edges."""
-    pool = np.repeat(np.arange(m), check_degree)
+    pool = np.repeat(np.arange(m), CHECK_DEGREE)
     rng.shuffle(pool)
-    cols = pool.reshape(n, var_degree)
+    cols = pool.reshape(n, VAR_DEGREE)
     # resolve duplicate checks within a column by swapping with another column
     for _ in range(10_000):
-        dup_rows = [i for i in range(n) if len(set(cols[i])) < var_degree]
+        dup_rows = [i for i in range(n) if len(set(cols[i])) < VAR_DEGREE]
         if not dup_rows:
             break
         for i in dup_rows:
@@ -119,7 +118,7 @@ def _build_graph(m: int, n: int, var_degree: int, check_degree: int, rng) -> np.
             bad = vals[counts > 1][0]
             slot = int(np.nonzero(cols[i] == bad)[0][-1])
             j = int(rng.integers(n))
-            s = int(rng.integers(var_degree))
+            s = int(rng.integers(VAR_DEGREE))
             if j == i:
                 continue
             if cols[j, s] in cols[i] or bad in np.delete(cols[j], s):
@@ -133,9 +132,9 @@ def _build_graph(m: int, n: int, var_degree: int, check_degree: int, rng) -> np.
 def _remove_short_cycles(cols: np.ndarray, m: int, rng, max_passes: int = 60) -> np.ndarray:
     """Degree-preserving edge swaps until no two variables share two checks
     (girth > 4), best effort within ``max_passes``."""
-    n, var_degree = cols.shape
+    n = cols.shape[0]
     for _ in range(max_passes):
-        # float32 BLAS product: exact, since each count is at most var_degree
+        # float32 BLAS product: exact, since each count is at most VAR_DEGREE
         adj = np.zeros((n, m), dtype=np.float32)
         adj[np.arange(n)[:, None], cols] = 1
         overlap = adj @ adj.T
@@ -152,7 +151,7 @@ def _remove_short_cycles(cols: np.ndarray, m: int, rng, max_passes: int = 60) ->
             slot = int(np.nonzero(cols[i] == bad)[0][0])
             for _ in range(50):
                 other = int(rng.integers(n))
-                oslot = int(rng.integers(var_degree))
+                oslot = int(rng.integers(VAR_DEGREE))
                 candidate = cols[other, oslot]
                 if other in (i, j):
                     continue
@@ -163,20 +162,18 @@ def _remove_short_cycles(cols: np.ndarray, m: int, rng, max_passes: int = 60) ->
     return cols
 
 
-def make_ldpc_code(k: int, seed: int, var_degree: int = 3, check_degree: int = 6) -> LdpcCode:
+def make_ldpc_code(k: int, seed: int) -> LdpcCode:
     """Construct a rate-1/2 code with ``k`` info bits per block."""
-    if k < var_degree * check_degree:
-        raise ValueError("block size too small for the requested degrees")
+    if k < VAR_DEGREE * CHECK_DEGREE:
+        raise ValueError(f"block size k must be >= {VAR_DEGREE * CHECK_DEGREE}")
     m, n = k, 2 * k
-    if n * var_degree != m * check_degree:
-        raise ValueError("degrees incompatible with rate 1/2")
     rng = np.random.default_rng(seed)
-    cols = _build_graph(m, n, var_degree, check_degree, rng)
+    cols = _build_graph(m, n, rng)
     cols = _remove_short_cycles(cols, m, rng)
 
     def to_matrix(c):
         h = np.zeros((m, n), dtype=np.uint8)
-        h[c.reshape(-1), np.repeat(np.arange(n), var_degree)] = 1
+        h[c.reshape(-1), np.repeat(np.arange(n), VAR_DEGREE)] = 1
         return h
 
     h = to_matrix(cols)
@@ -188,9 +185,9 @@ def make_ldpc_code(k: int, seed: int, var_degree: int = 3, check_degree: int = 6
         if len(pivots) == m:
             break
         i = int(rng.integers(n))
-        slot = int(rng.integers(var_degree))
+        slot = int(rng.integers(VAR_DEGREE))
         j = int(rng.integers(n))
-        oslot = int(rng.integers(var_degree))
+        oslot = int(rng.integers(VAR_DEGREE))
         a, b = cols[i, slot], cols[j, oslot]
         if i == j or a == b or b in cols[i] or a in cols[j]:
             continue
@@ -199,20 +196,20 @@ def make_ldpc_code(k: int, seed: int, var_degree: int = 3, check_degree: int = 6
     else:
         raise RuntimeError("could not repair parity matrix to full rank")
 
-    # check-side neighbor table (row degree is exactly check_degree)
-    check_neighbors = np.zeros((m, check_degree), dtype=np.int64)
+    # check-side neighbor table (row degree is exactly CHECK_DEGREE)
+    check_neighbors = np.zeros((m, CHECK_DEGREE), dtype=np.int64)
     fill = np.zeros(m, dtype=np.int64)
-    var_edge_check = np.zeros((n, var_degree), dtype=np.int64)
-    var_edge_slot = np.zeros((n, var_degree), dtype=np.int64)
+    var_edge_check = np.zeros((n, VAR_DEGREE), dtype=np.int64)
+    var_edge_slot = np.zeros((n, VAR_DEGREE), dtype=np.int64)
     for v in range(n):
-        for d in range(var_degree):
+        for d in range(VAR_DEGREE):
             c = cols[v, d]
             slot = fill[c]
             check_neighbors[c, slot] = v
             var_edge_check[v, d] = c
             var_edge_slot[v, d] = slot
             fill[c] += 1
-    assert np.all(fill == check_degree)
+    assert np.all(fill == CHECK_DEGREE)
 
     # systematic encoder: pivot columns carry parity, the rest carry info
     parity_positions = np.array(pivots, dtype=np.int64)
@@ -224,9 +221,6 @@ def make_ldpc_code(k: int, seed: int, var_degree: int = 3, check_degree: int = 6
     return LdpcCode(
         k=k,
         n=n,
-        var_degree=var_degree,
-        check_degree=check_degree,
-        seed=seed,
         parity_check=h,
         check_neighbors=check_neighbors,
         var_edge_check=var_edge_check,

@@ -120,12 +120,7 @@ class ServiceReport:
 
 
 def build_ldpc(cfg: RunConfig):
-    return make_ldpc_code(
-        cfg.classical.ldpc_k,
-        cfg.classical.ldpc_seed,
-        var_degree=cfg.classical.ldpc_var_degree,
-        check_degree=cfg.classical.ldpc_check_degree,
-    )
+    return make_ldpc_code(cfg.classical.ldpc_k, cfg.classical.ldpc_seed)
 
 
 def resolve_video(source: VideoSource) -> VideoSequence:
@@ -313,7 +308,7 @@ def _wireless_stage(video: VideoSequence, cfg: RunConfig, label: str):
     """One semantic hop over the wireless link at the configured SNR, with
     the service budget; returns the received video and its stage report."""
     clip = prepare_clip(video, "semantic", cfg, cfg.semantic.service_symbol_budget)
-    received, st = send(clip, cfg, cfg.channel.snr_db, "service", label)
+    received, st = send(clip, cfg, cfg.snr_db, "service", label)
     delay = stage_latency(clip.wireless_bits, cfg.links["wireless"], 0.0, cfg.nodes["end"])
     return received, StageReport(
         transmission_seconds=delay, tx=replace(st, wireless_delay_seconds=delay),

@@ -1,10 +1,11 @@
 """Desk-scale scene fitting.
 
 Objective: per-frame L1 image error + L1 depth error (both on the raw
-rasterizer outputs) + L1 reprojection error of tracked points, averaged
-over frames.  Gradients are analytic all the way through the rasterizer
-(compositing, splatting, projection, covariance construction, quaternion
-blending); the test suite validates them against central finite
+rasterizer outputs) + L1 reprojection error of tracked points, weighted
+1 : 0.5 : 0.05 (``IMAGE_WEIGHT``, ``DEPTH_WEIGHT``, ``TRACK_WEIGHT``) and
+averaged over frames.  Gradients are analytic all the way through the
+rasterizer (compositing, splatting, projection, covariance construction,
+quaternion blending); the test suite validates them against central finite
 differences.
 
 The optimizer is Adam with per-parameter-group step sizes, wrapped in an
@@ -36,6 +37,11 @@ DEFAULT_LEARNING_RATES = {
     "basis_trans": 1e-3,
 }
 
+# objective weights of the image, depth and track terms
+IMAGE_WEIGHT = 1.0
+DEPTH_WEIGHT = 0.5
+TRACK_WEIGHT = 0.05
+
 OPACITY_EPS = 1e-4
 SCALE_FLOOR = 1e-5
 
@@ -57,9 +63,6 @@ class Tracks2D:
 class FitConfig:
     initial_scene: GaussianScene
     iterations: int = 400
-    image_weight: float = 1.0
-    depth_weight: float = 0.5
-    track_weight: float = 0.05
     learning_rates: dict = field(default_factory=dict)
     exclude_frames: tuple = ()
     max_backtracks: int = 12
@@ -309,7 +312,6 @@ class _Objective:
         self.frames = frames
         self.depth_maps = depth_maps
         self.cameras = cameras
-        self.cfg = cfg
         self.assignments = assignments
         self.track_positions = track_positions
         self.background = cfg.initial_scene.background
@@ -323,7 +325,6 @@ class _Objective:
         for key in PARAM_KEYS:
             if not np.all(np.isfinite(params[key])):
                 raise FitDivergenceError(f"parameter group {key!r} became non-finite")
-        cfg = self.cfg
         total = 0.0
         caches = []
         for t in self.fit_frames:
@@ -334,14 +335,14 @@ class _Objective:
             image_gt = frame.data if isinstance(frame, Frame) else np.asarray(frame)
             resid_img = fwd["image"] - image_gt
             resid_dep = fwd["depth"] - self.depth_maps[t]
-            loss_t = cfg.image_weight * np.mean(np.abs(resid_img)) + cfg.depth_weight * np.mean(
+            loss_t = IMAGE_WEIGHT * np.mean(np.abs(resid_img)) + DEPTH_WEIGHT * np.mean(
                 np.abs(resid_dep)
             )
             resid_tr = None
             if self.assignments is not None:
                 pred = predict_track_positions(fwd["mu2d"], self.assignments, fwd["valid"])
                 resid_tr = pred - self.track_positions[:, t]
-                loss_t += cfg.track_weight * np.mean(np.abs(resid_tr))
+                loss_t += TRACK_WEIGHT * np.mean(np.abs(resid_tr))
             total += loss_t / self.denom
             if keep_caches:
                 cache = {key: fwd[key] for key in _CACHED}
@@ -353,7 +354,6 @@ class _Objective:
 
     def backward(self, params, caches) -> dict:
         """Gradient of the loss at ``params`` from ``forward``'s caches."""
-        cfg = self.cfg
         denom = self.denom
         grads = {k: np.zeros_like(params[k]) for k in PARAM_KEYS}
         for cache in caches:
@@ -361,10 +361,10 @@ class _Objective:
             resid_tr = cache["resid_tr"]
             d_mu2d_extra = None
             if resid_tr is not None:
-                g_tr = cfg.track_weight * np.sign(resid_tr) / (resid_tr.size * denom)
+                g_tr = TRACK_WEIGHT * np.sign(resid_tr) / (resid_tr.size * denom)
                 d_mu2d_extra = (self.assignments * cache["valid"][None, :]).T @ g_tr
-            g_image = cfg.image_weight * np.sign(resid_img) / (resid_img.size * denom)
-            g_depth = cfg.depth_weight * np.sign(resid_dep) / (resid_dep.size * denom)
+            g_image = IMAGE_WEIGHT * np.sign(resid_img) / (resid_img.size * denom)
+            g_depth = DEPTH_WEIGHT * np.sign(resid_dep) / (resid_dep.size * denom)
             t = cache["t"]
             _backward_frame(params, self.cameras[t], t, cache, g_image, g_depth, d_mu2d_extra,
                             grads, self.background)

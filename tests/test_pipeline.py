@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,19 @@ from semvid.pipeline import (
     transmit_video,
 )
 from semvid.video import load_raw, save_raw
+
+
+def _float_leaves(node, path=()):
+    """Key paths to the float leaves of a config dict, list elements included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, float):
+            yield path + (key,)
+        elif isinstance(value, (dict, list)):
+            yield from _float_leaves(value, path + (key,))
+
+
+FLOAT_LEAVES = list(_float_leaves(config_to_dict(reference_config())))
 
 
 @pytest.fixture(scope="module")
@@ -138,11 +152,11 @@ class TestConfig:
             config_from_dict({"sweep_snrs_db": []})
         with pytest.raises(ValueError, match="semantic"):
             config_from_dict({"semantic": {"gop_size": 0}})
-        with pytest.raises(ValueError, match="channel"):
-            config_from_dict({"channel": {"snr_db": float("nan")}})
+        with pytest.raises(ValueError, match="snr_db"):
+            config_from_dict({"snr_db": float("nan")})
         # finite, but 10**(-snr_db / 10) would overflow
-        with pytest.raises(ValueError, match=r"channel.*snr_db"):
-            config_from_dict({"channel": {"snr_db": -4000}})
+        with pytest.raises(ValueError, match="snr_db"):
+            config_from_dict({"snr_db": -4000})
         with pytest.raises(ValueError, match="sweep_snrs_db"):
             config_from_dict({"sweep_snrs_db": [0.0, -4000.0]})
         with pytest.raises(ValueError, match="classical"):
@@ -151,7 +165,6 @@ class TestConfig:
             ({"seed": 2.7}, "seed"),
             ({"classical": {"qp": "5"}}, r"classical\.qp"),
             ({"classical": {"max_iters": 0}}, "classical.*max_iters"),
-            ({"classical": {"ldpc_check_degree": 5}}, "classical.*ldpc_check_degree"),
             ({"classical": {"ldpc_k": 10}}, "classical.*ldpc_k"),
             ({"reconstruction": {"iterations": -3}}, "reconstruction.*iterations"),
             ({"reconstruction": {"enabled": 1}}, r"reconstruction\.enabled"),
@@ -172,12 +185,55 @@ class TestConfig:
             ({"links": {"wireless": {"throughput_bps": float("inf")}}},
              r"links\.wireless.*throughput_bps"),
             ({"compute": {"render_flops": float("inf")}}, "compute.*render_flops"),
+            # inf passes these leaves' own positivity checks
+            ({"classical": {"qp": float("inf")}}, r"classical\.qp must be finite"),
+            ({"synthesis": {"threshold": float("inf")}}, r"synthesis\.threshold must be finite"),
+            # a list of float leaves, each checked like any float leaf
+            ({"sweep_snrs_db": "15"}, "sweep_snrs_db must be list"),
+            ({"sweep_snrs_db": [True, False]}, r"sweep_snrs_db\.0 must be float"),
+            ({"sweep_snrs_db": ["5"]}, r"sweep_snrs_db\.0 must be float"),
+            # removed keys: a config saved before they went names the key to fix
+            ({"channel": {"snr_db": 15.0}}, "unknown config key channel$"),
+            ({"classical": {"ldpc_var_degree": 3}},
+             r"unknown config key classical\.ldpc_var_degree"),
+            ({"classical": {"ldpc_check_degree": 6}},
+             r"unknown config key classical\.ldpc_check_degree"),
         ]
         for data, key in bad_leaves:
             with pytest.raises(ValueError, match=key):
                 config_from_dict(data)
         # a float leaf takes an int and stores it as a float
-        assert config_from_dict({"channel": {"snr_db": 15}}).channel.snr_db == 15.0
+        assert config_from_dict({"snr_db": 15}).snr_db == 15.0
+        assert config_from_dict({"sweep_snrs_db": [5]}).sweep_snrs_db == (5.0,)
+
+    @pytest.mark.parametrize("path", FLOAT_LEAVES, ids=lambda path: ".".join(map(str, path)))
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_float_leaf_must_be_finite(self, path, bad):
+        data = config_to_dict(reference_config())
+        *parents, last = path
+        leaf_parent = data
+        for key in parents:
+            leaf_parent = leaf_parent[key]
+        leaf_parent[last] = bad
+        dotted = ".".join(map(str, path))
+        with pytest.raises(ValueError, match=f"^{re.escape(dotted)} must be finite$"):
+            config_from_dict(data)
+
+    def test_float_leaves_found(self):
+        found = {".".join(map(str, path)) for path in FLOAT_LEAVES}
+        assert {"classical.qp", "synthesis.threshold", "snr_db", "sweep_snrs_db.0",
+                "nodes.end.flops", "links.fiber.throughput_bps"} <= found
+
+    def test_non_finite_json_literals_refused(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        for text, key in (('{"classical": {"qp": Infinity}}', "classical.qp"),
+                          ('{"snr_db": NaN}', "snr_db"),
+                          # an int beyond the float range
+                          ('{"links": {"fiber": {"throughput_bps": 1%s}}}' % ("0" * 400),
+                           "links.fiber.throughput_bps")):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=f"^{re.escape(key)} must be finite$"):
+                load_config(path)
 
     def test_background_size_must_match_user_video(self):
         # a shorter plate would cut the composite short of the user clip
@@ -365,7 +421,7 @@ class TestService:
     def test_bypass_channel_composite_matches_local(self, tiny_config):
         cfg = replace(
             tiny_config,
-            channel=ChannelConfig(snr_db=300.0, seed=1),
+            snr_db=300.0,
             semantic=replace(tiny_config.semantic, service_symbol_budget=10**9),
             reconstruction=replace(tiny_config.reconstruction, enabled=False),
         )
@@ -392,7 +448,7 @@ class TestCli:
         # changes what saved configs mean
         assert cli_main(["show-config"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "3248395acf1e43f38f6ce77eedb5517cd4fb170ed87aab29b3bea89a664cbf8e"
+        assert digest == "bd914da96dcb192a8b78cd42f36abbf80ce55c1aa70d8c54740302ae6a19f02f"
 
     def test_transmit_writes_outputs(self, tmp_path, tiny_config):
         cfg_path = tmp_path / "cfg.json"
