@@ -1,22 +1,13 @@
-"""Dynamic 3D Gaussian scene reconstruction: scene model, software
-rasterizer, correspondence tracking, and the fitting loop."""
+"""Dynamic 3D Gaussian scene reconstruction: the packed scene model (one
+array per Gaussian attribute, shared motion bases, pinhole cameras), the
+software rasterizer, correspondence tracking, and the fitting loop."""
 
 from .fit import FitConfig, FitDivergenceError, FitResult, Tracks2D, fit_scene
 from .render import RenderResult, render, track_correspondence
-from .scene import (
-    Camera,
-    Gaussian3D,
-    GaussianScene,
-    MotionBasisSet,
-    load_scene,
-    pose_at_time,
-    project,
-    save_scene,
-)
+from .scene import Camera, GaussianScene, MotionBasisSet, load_scene, save_scene
 
 __all__ = [
     "FitConfig", "FitDivergenceError", "FitResult", "Tracks2D", "fit_scene",
     "RenderResult", "render", "track_correspondence",
-    "Camera", "Gaussian3D", "GaussianScene", "MotionBasisSet",
-    "load_scene", "pose_at_time", "project", "save_scene",
+    "Camera", "GaussianScene", "MotionBasisSet", "load_scene", "save_scene",
 ]

@@ -87,12 +87,14 @@ def scene_to_params(scene: GaussianScene) -> dict:
 
 
 def params_to_scene(params: dict, cameras, background) -> GaussianScene:
+    params = {k: v.copy() for k, v in params.items()}
+    _project_params(params)
     return GaussianScene(
         means=params["means"],
         quaternions=quat_normalize(params["quats"]),
-        scales=np.maximum(params["scales"], SCALE_FLOOR),
-        opacities=np.clip(params["opacities"], OPACITY_EPS, 1 - OPACITY_EPS),
-        colors=np.clip(params["colors"], 0.0, 1.0),
+        scales=params["scales"],
+        opacities=params["opacities"],
+        colors=params["colors"],
         motion_coeffs=params["coeffs"],
         bases=MotionBasisSet(
             quat_normalize(params["basis_quats"]), params["basis_trans"]

@@ -56,6 +56,12 @@ def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+def _require_finite(owner: str, arrays: dict) -> None:
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{owner} {name} must be finite")
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -78,6 +84,8 @@ class Camera:
         t = np.ascontiguousarray(self.translation, dtype=np.float64)
         if k.shape != (3, 3) or r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("camera arrays have wrong shapes")
+        arrays = {"intrinsics": k, "rotation": r, "translation": t}
+        _require_finite("camera", arrays)
         if k[0, 0] <= 0 or k[1, 1] <= 0:
             raise ValueError("focal lengths must be positive")
         if abs(k[0, 1]) > 0 or np.any(np.abs(k[[1, 2, 2], [0, 0, 1]]) > 0) or k[2, 2] != 1:
@@ -86,7 +94,7 @@ class Camera:
             raise ValueError("camera rotation must be a proper rotation matrix")
         if self.width < 1 or self.height < 1:
             raise ValueError("image size must be positive")
-        for name, arr in (("intrinsics", k), ("rotation", r), ("translation", t)):
+        for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -128,6 +136,7 @@ class MotionBasisSet:
             raise ValueError("motion basis arrays have inconsistent shapes")
         if q.shape[0] < 1:
             raise ValueError("need at least one motion basis")
+        _require_finite("motion basis", {"quaternions": q, "translations": tr})
         norms = np.linalg.norm(q, axis=-1)
         if np.any(np.abs(norms - 1.0) > 1e-6):
             raise ValueError("basis quaternions must be unit norm within 1e-6")
@@ -149,46 +158,6 @@ class MotionBasisSet:
         q = np.zeros((n_bases, n_timesteps, 4))
         q[..., 0] = 1.0
         return cls(q, np.zeros((n_bases, n_timesteps, 3)))
-
-
-@dataclass(frozen=True)
-class Gaussian3D:
-    """A single Gaussian: canonical pose, extent, appearance and motion
-    coefficients (softmax-normalized when blending)."""
-
-    mean: np.ndarray
-    quaternion: np.ndarray
-    scales: np.ndarray
-    opacity: float
-    color: np.ndarray
-    motion_coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        mean = np.ascontiguousarray(self.mean, dtype=np.float64)
-        quat = np.ascontiguousarray(self.quaternion, dtype=np.float64)
-        scales = np.ascontiguousarray(self.scales, dtype=np.float64)
-        color = np.ascontiguousarray(self.color, dtype=np.float64)
-        coeffs = np.ascontiguousarray(self.motion_coeffs, dtype=np.float64)
-        if mean.shape != (3,) or quat.shape != (4,) or scales.shape != (3,) or color.shape != (3,):
-            raise ValueError("gaussian arrays have wrong shapes")
-        if abs(np.linalg.norm(quat) - 1.0) > 1e-9:
-            raise ValueError("quaternion must be unit norm within 1e-9")
-        if np.any(scales <= 0):
-            raise ValueError("scales must be positive")
-        if not 0.0 < self.opacity < 1.0:
-            raise ValueError("opacity must lie in (0, 1)")
-        if color.min() < 0.0 or color.max() > 1.0:
-            raise ValueError("color must lie in [0, 1]")
-        for name, arr in (
-            ("mean", mean), ("quaternion", quat), ("scales", scales),
-            ("color", color), ("motion_coeffs", coeffs),
-        ):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def covariance(self) -> np.ndarray:
-        r = quat_to_rotmat(self.quaternion)
-        return r @ np.diag(self.scales**2) @ r.T
 
 
 @dataclass(frozen=True)
@@ -216,6 +185,7 @@ class GaussianScene:
             "motion_coeffs": np.ascontiguousarray(self.motion_coeffs, dtype=np.float64),
             "background": np.ascontiguousarray(bg),
         }
+        _require_finite("scene", arrays)
         g = arrays["means"].shape[0]
         b = self.bases.n_bases
         if arrays["quaternions"].shape != (g, 4) or arrays["scales"].shape != (g, 3):
@@ -248,47 +218,6 @@ class GaussianScene:
     def n_timesteps(self) -> int:
         return len(self.cameras)
 
-    @property
-    def gaussians(self) -> tuple:
-        return tuple(
-            Gaussian3D(
-                self.means[i], self.quaternions[i], self.scales[i],
-                float(self.opacities[i]), self.colors[i], self.motion_coeffs[i],
-            )
-            for i in range(self.n_gaussians)
-        )
-
-    @classmethod
-    def from_gaussians(cls, gaussians, bases, cameras, background=None) -> "GaussianScene":
-        gs = list(gaussians)
-        return cls(
-            means=np.stack([g.mean for g in gs]),
-            quaternions=np.stack([g.quaternion for g in gs]),
-            scales=np.stack([g.scales for g in gs]),
-            opacities=np.array([g.opacity for g in gs]),
-            colors=np.stack([g.color for g in gs]),
-            motion_coeffs=np.stack([g.motion_coeffs for g in gs]),
-            bases=bases,
-            cameras=tuple(cameras),
-            background=background,
-        )
-
-
-def pose_at_time(gaussian: Gaussian3D, bases: MotionBasisSet, t: int):
-    """Pose of one Gaussian at timestep t: mu_t = R_blend @ mu_0 + t_blend
-    and R_t = R_blend @ R_0, with the blended rotation re-orthonormalized."""
-    if not 0 <= t < bases.n_timesteps:
-        raise ValueError(f"timestep {t} out of range [0, {bases.n_timesteps})")
-    pp = pose_pipeline(
-        {
-            "means": gaussian.mean[None], "quats": gaussian.quaternion[None],
-            "scales": gaussian.scales[None], "coeffs": gaussian.motion_coeffs[None],
-            "basis_quats": bases.quaternions, "basis_trans": bases.translations,
-        },
-        t,
-    )
-    return pp["mu_t"][0], pp["r_t"][0]
-
 
 def scene_params(scene: GaussianScene) -> dict:
     """The scene's arrays under the fitter's :data:`PARAM_KEYS` names,
@@ -308,10 +237,13 @@ def scene_params(scene: GaussianScene) -> dict:
 def pose_pipeline(params: dict, t: int) -> dict:
     """Differentiable pose computation for timestep t of the scene arrays in
     ``params`` (named as in :data:`PARAM_KEYS`), returning every
-    intermediate the fitter's backward pass needs.  Rendering, the fitter
-    and track correspondence all route through this one function, so
-    fitting a scene against its own renders has exactly zero residual at
-    the optimum."""
+    intermediate the fitter's backward pass needs.  Each Gaussian's pose is
+    mu_t = R_blend @ mu_0 + t_blend and R_t = R_blend @ R_0, where R_blend
+    and t_blend blend the bases at t by the softmax of its coefficients and
+    the blended rotation is re-orthonormalized.  Rendering, the fitter and
+    track correspondence all route through this one function, so fitting a
+    scene against its own renders has exactly zero residual at the
+    optimum."""
     w = softmax(params["coeffs"], axis=1)                      # (G, B)
     bqn = quat_normalize(params["basis_quats"][:, t])          # (B, 4)
     sign = np.sign(bqn @ bqn[0])
@@ -343,30 +275,6 @@ def scene_poses(scene: GaussianScene, t: int):
         raise ValueError(f"timestep {t} out of range [0, {scene.bases.n_timesteps})")
     pp = pose_pipeline(scene_params(scene), t)
     return pp["mu_t"], pp["r_t"], pp["cov"]
-
-
-def project(mu: np.ndarray, sigma: np.ndarray, camera: Camera):
-    """Project a 3D mean and covariance into pixel space.
-
-    Returns (mu2d, sigma2d) where sigma2d = M Sigma M^T with M the Jacobian
-    of the full world-to-pixel map.  Raises for non-positive depth (the
-    caller treats that as culled)."""
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    x_cam = camera.to_camera(mu[None, :])[0]
-    z = x_cam[2]
-    if z <= 0:
-        raise ValueError("point has non-positive camera depth (culled)")
-    fx, fy = camera.fx, camera.fy
-    mu2d = np.array([fx * x_cam[0] / z + camera.cx, fy * x_cam[1] / z + camera.cy])
-    j = np.array(
-        [
-            [fx / z, 0.0, -fx * x_cam[0] / z**2],
-            [0.0, fy / z, -fy * x_cam[1] / z**2],
-        ]
-    )
-    m = j @ camera.rotation
-    return mu2d, m @ sigma @ m.T
 
 
 def save_scene(scene: GaussianScene, path) -> None:

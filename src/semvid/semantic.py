@@ -236,14 +236,6 @@ def fit_entropy_model(maps: FeatureMaps, cfg: SemanticCodecConfig = SemanticCode
     return EntropyModel(locations, scales)
 
 
-def likelihood(maps: FeatureMaps, model: EntropyModel):
-    """Per-element probability masses for (common, individual) maps."""
-    return (
-        model.likelihood(maps.common, kind=0),
-        model.likelihood(maps.individual, kind=1),
-    )
-
-
 @dataclass(frozen=True)
 class SemanticPacket:
     """Everything the receiver gets: kept-element masks, normalized

@@ -51,10 +51,6 @@ class Frame:
     def height(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def channels(self) -> int:
-        return CHANNELS
-
 
 @dataclass(frozen=True)
 class Gop:

@@ -28,7 +28,7 @@ from semvid.recon.fit import (
     track_assignments,
 )
 from semvid.recon.render import render
-from semvid.recon.scene import project, scene_poses
+from semvid.recon.scene import scene_poses
 from semvid.semantic import (
     SemanticCodecConfig,
     extract_common,
@@ -175,14 +175,13 @@ def test_criterion_6_common_feature_identity():
 
 def test_criterion_7_renderer_correctness():
     # argmax pixel vs analytic projection
-    from test_recon import _single_gaussian_scene
+    from test_recon import _covariance, _single_gaussian_scene, project
 
     scene = _single_gaussian_scene()
-    g = scene.gaussians[0]
     res = render(scene, 0)
     bright = res.image.data.sum(axis=2)
     peak_y, peak_x = np.unravel_index(np.argmax(bright), bright.shape)
-    mu2d, _ = project(g.mean, g.covariance(), scene.cameras[0])
+    mu2d, _ = project(scene.means[0], _covariance(scene, 0), scene.cameras[0])
     assert abs(peak_x - mu2d[0]) <= 1.0 and abs(peak_y - mu2d[1]) <= 1.0
 
     # scene/camera rigid equivalence within 1e-6

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import semvid
+import semvid.recon
 from semvid.channel import ChannelConfig
 from semvid.cli import main as cli_main
 from semvid.config import (
@@ -42,6 +44,11 @@ def _float_leaves(node, path=()):
 
 
 FLOAT_LEAVES = list(_float_leaves(config_to_dict(reference_config())))
+
+
+@pytest.mark.parametrize("module", [semvid, semvid.recon], ids=lambda m: m.__name__)
+def test_every_exported_name_exists(module):
+    assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -12,23 +13,29 @@ from semvid.fixtures import (
     perturb_scene,
 )
 from semvid.recon.fit import (
+    OPACITY_EPS,
     PARAM_KEYS,
+    SCALE_FLOOR,
     FitConfig,
     FitDivergenceError,
     fit_scene,
     loss_and_grad,
+    params_to_scene,
     scene_to_params,
     track_assignments,
 )
-from semvid.recon.render import quad_form, render, track_correspondence
+from semvid.recon.render import (
+    COV_REG_PX2,
+    project_points,
+    quad_form,
+    render,
+    track_correspondence,
+)
 from semvid.recon.scene import (
     Camera,
-    Gaussian3D,
     GaussianScene,
     MotionBasisSet,
     load_scene,
-    pose_at_time,
-    project,
     quat_multiply,
     quat_normalize,
     quat_to_rotmat,
@@ -39,32 +46,37 @@ from semvid.recon.scene import (
 
 def _single_gaussian_scene(mean=(0.2, -0.1, 2.5), opacity=0.9, color=(1.0, 1.0, 1.0),
                            n_timesteps=1, bases=None):
-    g = Gaussian3D(
-        np.array(mean), np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.1, 0.1, 0.1]),
-        opacity, np.array(color), np.zeros(bases.n_bases if bases else 1),
-    )
     bases = bases or MotionBasisSet.identity(1, n_timesteps)
-    cams = [default_camera() for _ in range(bases.n_timesteps)]
-    return GaussianScene.from_gaussians([g], bases, cams, background=np.zeros(3))
+    return GaussianScene(
+        means=np.array([mean]), quaternions=np.array([[1.0, 0.0, 0.0, 0.0]]),
+        scales=np.full((1, 3), 0.1), opacities=np.array([opacity]),
+        colors=np.array([color]), motion_coeffs=np.zeros((1, bases.n_bases)),
+        bases=bases, cameras=[default_camera() for _ in range(bases.n_timesteps)],
+        background=np.zeros(3),
+    )
+
+
+def _covariance(scene, i):
+    """Reference covariance R diag(s^2) R^T of Gaussian i, written out
+    independently of the pose pipeline."""
+    r = quat_to_rotmat(scene.quaternions[i])
+    return r @ np.diag(scene.scales[i] ** 2) @ r.T
 
 
 class TestPose:
     def test_identity_bases(self):
         scene = _single_gaussian_scene()
-        g = scene.gaussians[0]
-        mu, rot = pose_at_time(g, scene.bases, 0)
-        assert np.allclose(mu, g.mean)
-        assert np.allclose(rot, quat_to_rotmat(g.quaternion))
+        mu, rot, _ = scene_poses(scene, 0)
+        assert np.allclose(mu[0], scene.means[0])
+        assert np.allclose(rot[0], quat_to_rotmat(scene.quaternions[0]))
 
     def test_single_translation_basis(self):
         quats = np.array([[[1.0, 0, 0, 0]]])
         trans = np.array([[[0.3, -0.2, 0.1]]])
-        bases = MotionBasisSet(quats, trans)
-        scene = _single_gaussian_scene(bases=bases)
-        g = scene.gaussians[0]
-        mu, rot = pose_at_time(g, bases, 0)
-        assert np.allclose(mu, g.mean + trans[0, 0])
-        assert np.allclose(rot, quat_to_rotmat(g.quaternion))
+        scene = _single_gaussian_scene(bases=MotionBasisSet(quats, trans))
+        mu, rot, _ = scene_poses(scene, 0)
+        assert np.allclose(mu[0], scene.means[0] + trans[0, 0])
+        assert np.allclose(rot[0], quat_to_rotmat(scene.quaternions[0]))
 
     def test_two_translation_bases_blend(self):
         quats = np.zeros((2, 1, 4))
@@ -72,11 +84,10 @@ class TestPose:
         trans = np.zeros((2, 1, 3))
         trans[0, 0] = [0.4, 0.0, 0.0]
         trans[1, 0] = [0.0, 0.2, 0.0]
-        bases = MotionBasisSet(quats, trans)
-        g = Gaussian3D(np.zeros(3), np.array([1.0, 0, 0, 0]), np.full(3, 0.1), 0.5,
-                       np.full(3, 0.5), np.zeros(2))  # equal coefficients
-        mu, _ = pose_at_time(g, bases, 0)
-        assert np.allclose(mu, [0.2, 0.1, 0.0])
+        # zero coefficients weight the two bases equally
+        scene = _single_gaussian_scene(mean=(0.0, 0.0, 0.0), bases=MotionBasisSet(quats, trans))
+        mu, _, _ = scene_poses(scene, 0)
+        assert np.allclose(mu[0], [0.2, 0.1, 0.0])
 
     def test_rotation_stays_orthonormal(self):
         scene = make_gradient_check_scene()
@@ -88,7 +99,32 @@ class TestPose:
     def test_out_of_range_timestep(self):
         scene = _single_gaussian_scene()
         with pytest.raises(ValueError):
-            pose_at_time(scene.gaussians[0], scene.bases, 5)
+            scene_poses(scene, 5)
+
+
+def project(mu: np.ndarray, sigma: np.ndarray, camera: Camera):
+    """Scalar reference projection of one 3D mean and covariance into pixel
+    space, the oracle for the renderer's batched ``project_points``.
+
+    Returns (mu2d, sigma2d) where sigma2d = M Sigma M^T with M the Jacobian
+    of the full world-to-pixel map.  Raises for non-positive depth (the
+    renderer treats that as culled)."""
+    mu = np.asarray(mu, dtype=np.float64)
+    sigma = np.asarray(sigma, dtype=np.float64)
+    x_cam = camera.to_camera(mu[None, :])[0]
+    z = x_cam[2]
+    if z <= 0:
+        raise ValueError("point has non-positive camera depth (culled)")
+    fx, fy = camera.fx, camera.fy
+    mu2d = np.array([fx * x_cam[0] / z + camera.cx, fy * x_cam[1] / z + camera.cy])
+    j = np.array(
+        [
+            [fx / z, 0.0, -fx * x_cam[0] / z**2],
+            [0.0, fy / z, -fy * x_cam[1] / z**2],
+        ]
+    )
+    m = j @ camera.rotation
+    return mu2d, m @ sigma @ m.T
 
 
 class TestProject:
@@ -114,6 +150,19 @@ class TestProject:
         with pytest.raises(ValueError):
             project(np.array([0.0, 0.0, -1.0]), np.eye(3), cam)
 
+    def test_batched_projection_matches_scalar(self):
+        scene = make_benchmark_scene()
+        base = scene.cameras[0]
+        rot = quat_to_rotmat(quat_normalize(np.array([0.97, 0.1, -0.15, 0.12])))
+        cam = Camera(base.intrinsics, rot, np.array([0.1, -0.05, 0.3]), base.width, base.height)
+        mu_t, _, cov_t = scene_poses(scene, 3)
+        valid, _, mu2d, _, cov2d = project_points(mu_t, cov_t, cam)
+        assert valid.all()
+        for i in range(scene.n_gaussians):
+            ref_mu, ref_cov = project(mu_t[i], cov_t[i], cam)
+            assert np.allclose(mu2d[i], ref_mu, rtol=1e-12, atol=0.0)
+            assert np.allclose(cov2d[i], ref_cov + COV_REG_PX2 * np.eye(2), rtol=1e-12, atol=1e-12)
+
 
 class TestRender:
     def test_empty_scene_is_background(self):
@@ -138,22 +187,22 @@ class TestRender:
 
     def test_single_gaussian_argmax_matches_projection(self):
         scene = _single_gaussian_scene()
-        g = scene.gaussians[0]
         res = render(scene, 0)
         bright = res.image.data.sum(axis=2)
         peak_y, peak_x = np.unravel_index(np.argmax(bright), bright.shape)
-        mu2d, _ = project(g.mean, g.covariance(), scene.cameras[0])
+        mu2d, _ = project(scene.means[0], _covariance(scene, 0), scene.cameras[0])
         assert abs(peak_x - mu2d[0]) <= 1.0
         assert abs(peak_y - mu2d[1]) <= 1.0
 
     def test_occlusion_limit(self):
-        front = Gaussian3D(np.array([0.0, 0.0, 2.0]), np.array([1.0, 0, 0, 0]),
-                           np.full(3, 0.3), 0.9999, np.array([1.0, 0.0, 0.0]), np.zeros(1))
-        back = Gaussian3D(np.array([0.0, 0.0, 3.0]), np.array([1.0, 0, 0, 0]),
-                          np.full(3, 0.3), 0.9, np.array([0.0, 1.0, 0.0]), np.zeros(1))
-        scene = GaussianScene.from_gaussians(
-            [back, front], MotionBasisSet.identity(1, 1), [default_camera()],
-            background=np.zeros(3),
+        # a green Gaussian behind a red, nearly opaque one
+        scene = GaussianScene(
+            means=np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 2.0]]),
+            quaternions=np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)),
+            scales=np.full((2, 3), 0.3), opacities=np.array([0.9, 0.9999]),
+            colors=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]),
+            motion_coeffs=np.zeros((2, 1)), bases=MotionBasisSet.identity(1, 1),
+            cameras=[default_camera()], background=np.zeros(3),
         )
         res = render(scene, 0)
         center = res.image.data[32, 32]
@@ -216,7 +265,7 @@ class TestRender:
 class TestTrackCorrespondence:
     def test_static_scene_is_identity(self):
         scene = _single_gaussian_scene(n_timesteps=2)
-        mu2d, _ = project(scene.means[0], scene.gaussians[0].covariance(), scene.cameras[0])
+        mu2d, _ = project(scene.means[0], _covariance(scene, 0), scene.cameras[0])
         pixel = np.round(mu2d)
         u, d = track_correspondence(scene, pixel, 0, 1)
         assert np.allclose(u, pixel, atol=1e-9)
@@ -262,12 +311,29 @@ class TestSceneIo:
         assert np.max(np.abs(render(loaded, 2).image.data - render(scene, 2).image.data)) < 1e-12
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Gaussian3D(np.zeros(3), np.array([1.0, 1.0, 0.0, 0.0]), np.full(3, 0.1),
-                       0.5, np.zeros(3), np.zeros(1))
-        with pytest.raises(ValueError):
-            Gaussian3D(np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]), np.full(3, 0.1),
-                       1.0, np.zeros(3), np.zeros(1))
+        scene = _single_gaussian_scene()
+        with pytest.raises(ValueError, match="unit norm"):
+            replace(scene, quaternions=np.array([[1.0, 1.0, 0.0, 0.0]]))
+        with pytest.raises(ValueError, match="opacities"):
+            replace(scene, opacities=np.array([1.0]))
+
+    @pytest.mark.parametrize("where, value, field", [
+        (("gaussians", 0, "mean", 0), float("nan"), "scene means"),
+        (("cameras", 0, "intrinsics", 0, 0), float("nan"), "camera intrinsics"),
+        (("background", 0), float("inf"), "scene background"),
+        (("bases", "translations", 0, 0, 0), float("inf"), "motion basis translations"),
+    ])
+    def test_non_finite_file_refused_at_load(self, tmp_path, where, value, field):
+        path = tmp_path / "scene.json"
+        save_scene(make_benchmark_scene(), path)
+        payload = json.loads(path.read_text())
+        node = payload
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+        path.write_text(json.dumps(payload))  # writes NaN / Infinity literals
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            load_scene(path)
 
 
 class TestFitting:
@@ -341,6 +407,42 @@ class TestFitting:
             fit_scene(frames[:1], depths[:1], None, cameras[:1], cfg)
 
 
+_SCENE_ARRAYS = ("means", "quaternions", "scales", "opacities", "colors",
+                 "motion_coeffs", "background")
+
+
+class TestParamsToScene:
+    @pytest.mark.parametrize("make", [make_benchmark_scene, make_gradient_check_scene])
+    def test_round_trip_is_exact(self, make):
+        scene = make()
+        back = params_to_scene(scene_to_params(scene), scene.cameras, scene.background)
+        for name in _SCENE_ARRAYS:
+            if name != "quaternions":
+                assert np.array_equal(getattr(back, name), getattr(scene, name)), name
+        assert np.array_equal(back.bases.translations, scene.bases.translations)
+        assert back.cameras == scene.cameras
+        # quaternions come back re-normalized, which may move a stored
+        # unit quaternion by an ulp (it does for the gradient-check scene)
+        for new, old in ((back.quaternions, scene.quaternions),
+                         (back.bases.quaternions, scene.bases.quaternions)):
+            assert np.array_equal(new, quat_normalize(old))
+            assert np.max(np.abs(new - old)) < 1e-15
+
+    def test_out_of_range_params_are_clamped(self):
+        scene = make_gradient_check_scene()
+        params = scene_to_params(scene)
+        params["opacities"][:] = [1.5, -0.2]
+        params["colors"][0] = [-0.5, 0.5, 2.0]
+        params["scales"][1] = [-1.0, 0.0, 0.2]
+        raw = {k: v.copy() for k, v in params.items()}
+        back = params_to_scene(params, scene.cameras, scene.background)
+        assert np.array_equal(back.opacities, [1 - OPACITY_EPS, OPACITY_EPS])
+        assert np.array_equal(back.colors, np.clip(raw["colors"], 0.0, 1.0))
+        assert np.array_equal(back.scales, np.maximum(raw["scales"], SCALE_FLOOR))
+        for key in PARAM_KEYS:
+            assert np.array_equal(params[key], raw[key]), key  # input left as it was
+
+
 def _backtracking_fit_setup(**overrides):
     """A small fit whose large step sizes force backtracks; with
     ``max_backtracks=2`` some iterations also accept nothing."""
@@ -369,21 +471,23 @@ class TestFitTrials:
     def test_each_trial_rasterized_once(self, monkeypatch):
         frames, depths, tracks, cameras, cfg = _backtracking_fit_setup(exclude_frames=(1,))
         rasterized = _count_calls(monkeypatch, "rasterize")
-        candidates = _count_calls(monkeypatch, "_project_params")  # once per candidate
+        # once per candidate, and once more in params_to_scene at the end
+        projected = _count_calls(monkeypatch, "_project_params")
         grids = _count_calls(monkeypatch, "pixel_grid")
         result = fit_scene(frames, depths, tracks, cameras, cfg)
         n_fit_frames = len(frames) - 1
         assert result.metrics["backtracks"] > 0
-        assert len(rasterized) == n_fit_frames * (1 + len(candidates))
+        assert len(rasterized) == n_fit_frames * len(projected)
         assert len(grids) == 1  # all cameras share one image size
 
     def test_backtrack_and_rejection_counts(self, monkeypatch):
         frames, depths, tracks, cameras, cfg = _backtracking_fit_setup()
-        candidates = _count_calls(monkeypatch, "_project_params")
+        projected = _count_calls(monkeypatch, "_project_params")
         result = fit_scene(frames, depths, tracks, cameras, cfg)
         metrics = result.metrics
         assert metrics["backtracks"] > 0 and metrics["rejected_steps"] > 0
-        assert len(candidates) == result.iterations_run + metrics["backtracks"]
+        # once per candidate, and once more in params_to_scene at the end
+        assert len(projected) == result.iterations_run + metrics["backtracks"] + 1
         # accepted steps strictly lower this objective; rejected ones repeat it
         flat = sum(b == a for a, b in zip(result.losses, result.losses[1:]))
         assert metrics["rejected_steps"] == flat

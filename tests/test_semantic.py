@@ -18,7 +18,6 @@ from semvid.semantic import (
     jscc_encode,
     latent_inverse,
     latent_transform,
-    likelihood,
     merge_common,
     prepare_semantic,
     semantic_transmit,
@@ -144,7 +143,8 @@ class TestEntropyModel:
         individual = np.broadcast_to(channel_values * 0.5, (2, 2, 3, 128)).copy()
         maps = FeatureMaps(common, individual, meta)
         model = fit_entropy_model(maps, CFG)
-        em_common, em_individual = likelihood(maps, model)
+        em_common = model.likelihood(maps.common, 0)
+        em_individual = model.likelihood(maps.individual, 1)
         peak = model.likelihood(model.locations[0], 0)
         assert np.allclose(em_common, np.broadcast_to(peak, em_common.shape))
         assert np.allclose(em_individual, em_individual[0, 0, 0])
@@ -169,7 +169,8 @@ class TestEntropyModel:
     def test_model_bits_close_to_histogram_entropy(self):
         maps = extract_common(_features(_noise_gop()))
         model = fit_entropy_model(maps, CFG)
-        em_common, em_individual = likelihood(maps, model)
+        em_common = model.likelihood(maps.common, 0)
+        em_individual = model.likelihood(maps.individual, 1)
         model_bits = -np.log2(em_common).sum() - np.log2(em_individual).sum()
         hist_bits = 0.0
         for data in (maps.common.reshape(-1, 128), maps.individual.reshape(-1, 128)):
@@ -218,7 +219,7 @@ class TestVariableLengthCoding:
         model = fit_entropy_model(maps, CFG)
         packet = variable_length_code(maps, model, maps.common.size + 1, CFG)
         assert packet.kept_common.all()
-        info = -np.log2(likelihood(maps, model)[1]).reshape(-1)
+        info = -np.log2(model.likelihood(maps.individual, 1)).reshape(-1)
         # argmax takes the first index on ties, as the stable ranking must
         assert np.flatnonzero(packet.kept_individual).tolist() == [int(np.argmax(info))]
 
