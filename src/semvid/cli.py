@@ -124,8 +124,8 @@ def cmd_reconstruct(args) -> int:
     result, _, metrics = fit_reference_scene(cfg.reconstruction)
     save_scene(result.scene, out / "scene.json")
     metrics["iterations"] = result.iterations_run
-    metrics["backtracks"] = result.metrics["backtracks"]
-    metrics["rejected_steps"] = result.metrics["rejected_steps"]
+    metrics["backtracks"] = result.backtracks
+    metrics["rejected_steps"] = result.rejected_steps
     _write_json(out / "reconstruct.json", metrics)
     print(f"fit loss {result.losses[0]:.4f} -> {result.final_loss:.6f}, "
           f"center EPE {metrics['center_epe']:.4f}, PCK(0.1) {metrics['center_pck_0p1']:.2f}")

@@ -125,6 +125,19 @@ class LinkSettings:
 
 
 @dataclass(frozen=True)
+class Nodes:
+    end: NodeSettings = NodeSettings(flops=1.35e12)
+    edge: NodeSettings = NodeSettings(flops=5e13)
+    cloud: NodeSettings = NodeSettings(flops=1e17)
+
+
+@dataclass(frozen=True)
+class Links:
+    wireless: LinkSettings = LinkSettings(throughput_bps=REFERENCE_THROUGHPUT_BPS)
+    fiber: LinkSettings = LinkSettings(throughput_bps=1e10)
+
+
+@dataclass(frozen=True)
 class ComputeSettings:
     video_synthesis_flops: float = 100e12
     scene_preprocess_flops: float = 53e15
@@ -159,19 +172,8 @@ class RunConfig:
     semantic: SemanticCodecConfig = field(default_factory=SemanticCodecConfig)
     synthesis: SynthesisSettings = field(default_factory=SynthesisSettings)
     reconstruction: ReconSettings = field(default_factory=ReconSettings)
-    nodes: dict = field(
-        default_factory=lambda: {
-            "end": NodeSettings(flops=1.35e12),
-            "edge": NodeSettings(flops=5e13),
-            "cloud": NodeSettings(flops=1e17),
-        }
-    )
-    links: dict = field(
-        default_factory=lambda: {
-            "wireless": LinkSettings(throughput_bps=REFERENCE_THROUGHPUT_BPS),
-            "fiber": LinkSettings(throughput_bps=1e10),
-        }
-    )
+    nodes: Nodes = field(default_factory=Nodes)
+    links: Links = field(default_factory=Links)
     compute: ComputeSettings = field(default_factory=ComputeSettings)
     metrics: MetricsSettings = field(default_factory=MetricsSettings)
 
@@ -222,17 +224,17 @@ def _leaf_type_ok(default, value) -> bool:
 
 
 def _merge(obj, value, path: tuple = ()):
-    """``obj`` with ``value`` merged in.  Config objects and the node and link
-    dicts merge key by key; a tuple leaf takes a list whose elements are
-    float leaves; any other value replaces the old one and must have its
-    type, and a float leaf must be finite.  A bad key or value raises
+    """``obj`` with ``value`` merged in.  Config objects merge key by key; a
+    tuple leaf takes a list whose elements are float leaves; any other value
+    replaces the old one and must have its type, and a float leaf must be
+    finite.  A bad key or value raises
     ValueError naming it by its dotted path."""
     name = ".".join(path) or "config"
     if isinstance(obj, tuple):
         if not isinstance(value, list):
             raise ValueError(f"{name} must be list, not {type(value).__name__}")
         return tuple(_merge(0.0, v, path + (str(i),)) for i, v in enumerate(value))
-    if not (is_dataclass(obj) or isinstance(obj, dict)):
+    if not is_dataclass(obj):
         if not _leaf_type_ok(obj, value):
             raise ValueError(f"{name} must be {type(obj).__name__}, not {type(value).__name__}")
         if not isinstance(obj, float):
@@ -245,13 +247,11 @@ def _merge(obj, value, path: tuple = ()):
         raise ValueError(f"{name} must be finite")
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be an object")
-    current = obj if isinstance(obj, dict) else {f.name: getattr(obj, f.name) for f in fields(obj)}
+    current = {f.name: getattr(obj, f.name) for f in fields(obj)}
     for key in value:
         if key not in current:
             raise ValueError(f"unknown config key {'.'.join(path + (key,))}")
     merged = {key: _merge(current[key], v, path + (key,)) for key, v in value.items()}
-    if isinstance(obj, dict):
-        return {**obj, **merged}
     try:
         return replace(obj, **merged)
     except (TypeError, ValueError) as exc:

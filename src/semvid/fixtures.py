@@ -237,7 +237,7 @@ def make_fit_inputs(scene: GaussianScene, n_tracks: int = 4):
     rendered frames, raw depth maps, and 2D tracks of the Gaussian centers
     visible at frame 0.
 
-    Returns (frames, depth_maps, tracks, cameras)."""
+    Returns (frames, depth_maps, tracks); the scene holds the cameras."""
     video, depths = render_scene_video(scene)
     mu0, _, cov0 = scene_poses(scene, 0)
     valid, _, mu2d0, _, _ = project_points(mu0, cov0, scene.cameras[0])
@@ -254,7 +254,7 @@ def make_fit_inputs(scene: GaussianScene, n_tracks: int = 4):
         valid_t, _, mu2d_t, _, _ = project_points(mu_t, cov_t, scene.cameras[t])
         positions[:, t] = predict_track_positions(mu2d_t, assignments, valid_t)
     tracks = Tracks2D(query_pixels=query, positions=positions)
-    return list(video.frames), depths, tracks, list(scene.cameras)
+    return list(video.frames), depths, tracks
 
 
 def perturb_scene(scene: GaussianScene, seed: int = 5, mean_sigma: float = 0.05,

@@ -24,7 +24,7 @@ from .classical import prepare_classical, transmit_prepared
 from .config import LinkSettings, NodeSettings, ReconSettings, RunConfig, VideoSource
 from .ldpc import LdpcCode, make_ldpc_code
 from .metrics import epe, ms_ssim, pck, psnr
-from .recon.fit import FitConfig, fit_scene
+from .recon.fit import fit_scene
 from .recon.render import render
 from .recon.scene import scene_poses
 # semantic_transmit is unused here, but the benchmark tracer wraps it by this
@@ -289,7 +289,7 @@ def compare_baselines(cfg: RunConfig) -> ComparisonReport:
     """Delay and quality comparison of the two chains on the reference clip
     at the reference wireless throughput."""
     video, clips = _prepare_reference(cfg)
-    throughput = cfg.links["wireless"].throughput_bps
+    throughput = cfg.links.wireless.throughput_bps
     sem_bits = clips["semantic"].wireless_bits
     cls_bits = clips["classical"].wireless_bits
     sem_delay = sem_bits / throughput
@@ -309,7 +309,7 @@ def _wireless_stage(video: VideoSequence, cfg: RunConfig, label: str):
     the service budget; returns the received video and its stage report."""
     clip = prepare_clip(video, "semantic", cfg, cfg.semantic.service_symbol_budget)
     received, st = send(clip, cfg, cfg.snr_db, "service", label)
-    delay = stage_latency(clip.wireless_bits, cfg.links["wireless"], 0.0, cfg.nodes["end"])
+    delay = stage_latency(clip.wireless_bits, cfg.links.wireless, 0.0, cfg.nodes.end)
     return received, StageReport(
         transmission_seconds=delay, tx=replace(st, wireless_delay_seconds=delay),
         metrics={"link": "wireless",
@@ -322,10 +322,9 @@ def fit_reference_scene(rc: ReconSettings):
     fit result, the frames it was fitted to, and the fitted Gaussian centers
     scored against the ground truth."""
     gt = fixtures.make_benchmark_scene(rc.n_timesteps, rc.image_size, rc.n_bases)
-    frames, depths, tracks, cameras = fixtures.make_fit_inputs(gt, rc.n_tracks)
-    fit_cfg = FitConfig(initial_scene=fixtures.perturb_scene(gt, rc.perturb_seed),
-                        iterations=rc.iterations, learning_rates={"means": 5e-3})
-    result = fit_scene(frames, depths, tracks, cameras, fit_cfg)
+    frames, depths, tracks = fixtures.make_fit_inputs(gt, rc.n_tracks)
+    result = fit_scene(frames, depths, tracks, fixtures.perturb_scene(gt, rc.perturb_seed),
+                       rc.iterations)
     gt_centers = np.concatenate([scene_poses(gt, t)[0] for t in range(gt.n_timesteps)])
     fit_centers = np.concatenate(
         [scene_poses(result.scene, t)[0] for t in range(result.scene.n_timesteps)]
@@ -363,7 +362,7 @@ def _upload_background(cfg: RunConfig):
 
 def _forward_to_cloud(cfg: RunConfig, user: VideoSequence, background: VideoSequence):
     bits = sum(len(v) * v.frames[0].height * v.frames[0].width * 3 * 8 for v in (user, background))
-    delay = stage_latency(bits, cfg.links["fiber"], 0.0, cfg.nodes["cloud"])
+    delay = stage_latency(bits, cfg.links.fiber, 0.0, cfg.nodes.cloud)
     return StageReport(
         transmission_seconds=delay,
         tx=TxStats(payload_bits=bits, channel_symbols=0, wireless_delay_seconds=0.0),
@@ -396,8 +395,8 @@ def _video_synthesis(cfg: RunConfig, user, background, user_clean, background_cl
             boundary_loss=float(np.mean(det_l)),
             fusion_loss=float(np.mean(fus_l)),
         )
-    delay = stage_latency(0.0, cfg.links["fiber"], cfg.compute.video_synthesis_flops,
-                          cfg.nodes["cloud"])
+    delay = stage_latency(0.0, cfg.links.fiber, cfg.compute.video_synthesis_flops,
+                          cfg.nodes.cloud)
     # the composite goes down to the user unless the edge renders a scene
     return StageReport(compute_seconds=delay, metrics=metrics), {"downlink": comp}
 
@@ -406,8 +405,8 @@ def _scene_preprocess(cfg: RunConfig):
     if not cfg.reconstruction.enabled:
         return StageReport(status="skipped", metrics={"reason": "disabled in config"}), {}
     result, frames, metrics = fit_reference_scene(cfg.reconstruction)
-    delay = stage_latency(0.0, cfg.links["fiber"], cfg.compute.scene_preprocess_flops,
-                          cfg.nodes["cloud"])
+    delay = stage_latency(0.0, cfg.links.fiber, cfg.compute.scene_preprocess_flops,
+                          cfg.nodes.cloud)
     return (StageReport(compute_seconds=delay, metrics=metrics),
             {"scene": result.scene, "scene_frames": frames})
 
@@ -417,7 +416,7 @@ def _edge_render(cfg: RunConfig, scene, scene_frames):
         tuple(render(scene, t).image for t in range(scene.n_timesteps)), 10.0
     )
     quality = video_quality(VideoSequence(tuple(scene_frames), 10.0), rendered, scales=1)
-    delay = stage_latency(0.0, cfg.links["fiber"], cfg.compute.render_flops, cfg.nodes["edge"])
+    delay = stage_latency(0.0, cfg.links.fiber, cfg.compute.render_flops, cfg.nodes.edge)
     return (StageReport(compute_seconds=delay, metrics={"render_vs_observations": quality}),
             {"downlink": rendered})
 

@@ -2,12 +2,12 @@
 array per Gaussian attribute, shared motion bases, pinhole cameras), the
 software rasterizer, correspondence tracking, and the fitting loop."""
 
-from .fit import FitConfig, FitDivergenceError, FitResult, Tracks2D, fit_scene
+from .fit import FitDivergenceError, FitResult, Tracks2D, fit_scene
 from .render import RenderResult, render, track_correspondence
 from .scene import Camera, GaussianScene, MotionBasisSet, load_scene, save_scene
 
 __all__ = [
-    "FitConfig", "FitDivergenceError", "FitResult", "Tracks2D", "fit_scene",
+    "FitDivergenceError", "FitResult", "Tracks2D", "fit_scene",
     "RenderResult", "render", "track_correspondence",
     "Camera", "GaussianScene", "MotionBasisSet", "load_scene", "save_scene",
 ]

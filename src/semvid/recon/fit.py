@@ -10,15 +10,17 @@ differences.
 
 The optimizer is Adam with per-parameter-group step sizes, wrapped in an
 accept/reject rule: a step that does not decrease the objective is
-backtracked with a halved scale, so the recorded objective is
-non-increasing by construction.  Each candidate is rasterized once: the
-forward pass keeps per-frame caches, and an accepted candidate's gradient
-is built from them.
+backtracked with a halved scale, at most ``MAX_BACKTRACKS`` times per
+iteration, so the recorded objective is non-increasing by construction.
+The step sizes are the constants ``LEARNING_RATES``; a fit's only settings
+are its iteration count and the frames it holds out.  Each candidate is
+rasterized once: the forward pass keeps per-frame caches, and an accepted
+candidate's gradient is built from them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +28,8 @@ from ..video import Frame
 from .render import ALPHA_MAX, pixel_grid, rasterize, surface_lift
 from .scene import PARAM_KEYS, GaussianScene, MotionBasisSet, quat_normalize, scene_params
 
-DEFAULT_LEARNING_RATES = {
-    "means": 2e-3,
+LEARNING_RATES = {
+    "means": 5e-3,
     "quats": 2e-3,
     "scales": 2e-3,
     "opacities": 5e-3,
@@ -36,6 +38,8 @@ DEFAULT_LEARNING_RATES = {
     "basis_quats": 1e-3,
     "basis_trans": 1e-3,
 }
+# halvings tried per iteration before a step is rejected
+MAX_BACKTRACKS = 12
 
 # objective weights of the image, depth and track terms
 IMAGE_WEIGHT = 1.0
@@ -60,24 +64,19 @@ class Tracks2D:
 
 
 @dataclass
-class FitConfig:
-    initial_scene: GaussianScene
-    iterations: int = 400
-    learning_rates: dict = field(default_factory=dict)
-    exclude_frames: tuple = ()
-    max_backtracks: int = 12
-
-
-@dataclass
 class FitResult:
     scene: GaussianScene
-    losses: list
-    iterations_run: int
-    metrics: dict
+    losses: list  # the objective at the start and after each iteration
+    backtracks: int
+    rejected_steps: int
 
     @property
     def final_loss(self) -> float:
         return self.losses[-1]
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.losses) - 1
 
 
 def scene_to_params(scene: GaussianScene) -> dict:
@@ -86,7 +85,9 @@ def scene_to_params(scene: GaussianScene) -> dict:
     return {k: v.copy() for k, v in scene_params(scene).items()}
 
 
-def params_to_scene(params: dict, cameras, background) -> GaussianScene:
+def params_to_scene(params: dict, like: GaussianScene) -> GaussianScene:
+    """The scene with ``params`` (projected onto their valid ranges) in
+    place of ``like``'s arrays, and ``like``'s cameras and background."""
     params = {k: v.copy() for k, v in params.items()}
     _project_params(params)
     return GaussianScene(
@@ -99,8 +100,8 @@ def params_to_scene(params: dict, cameras, background) -> GaussianScene:
         bases=MotionBasisSet(
             quat_normalize(params["basis_quats"]), params["basis_trans"]
         ),
-        cameras=tuple(cameras),
-        background=background,
+        cameras=like.cameras,
+        background=like.background,
     )
 
 
@@ -307,19 +308,25 @@ class _Objective:
     the gradient needs; ``backward`` builds the gradient from those caches,
     so an accepted trial's forward pass is never run again."""
 
-    def __init__(self, frames, depth_maps, cameras, cfg, assignments, track_positions):
-        self.fit_frames = [t for t in range(len(frames)) if t not in set(cfg.exclude_frames)]
+    def __init__(self, frames, depth_maps, tracks_2d, scene, exclude_frames=()):
+        for t in exclude_frames:
+            if t not in range(len(frames)):
+                raise ValueError(f"exclude_frames index {t} is outside range({len(frames)})")
+        self.fit_frames = [t for t in range(len(frames)) if t not in exclude_frames]
         if not self.fit_frames:
             raise ValueError("no frames left to fit after exclusions")
-        self.frames = frames
+        self.images = [f.data if isinstance(f, Frame) else np.asarray(f) for f in frames]
         self.depth_maps = depth_maps
-        self.cameras = cameras
-        self.assignments = assignments
-        self.track_positions = track_positions
-        self.background = cfg.initial_scene.background
+        self.cameras = scene.cameras
+        self.background = scene.background
+        self.assignments = self.track_positions = None
+        if tracks_2d is not None:
+            self.assignments = track_assignments(scene, tracks_2d.query_pixels)
+            self.track_positions = np.asarray(tracks_2d.positions, dtype=np.float64)
         self.denom = float(len(self.fit_frames))
         # the pixel grids, built once per image size rather than per render
-        self.grids = {size: pixel_grid(*size) for size in {(c.width, c.height) for c in cameras}}
+        self.grids = {size: pixel_grid(*size)
+                      for size in {(c.width, c.height) for c in self.cameras}}
 
     def forward(self, params, keep_caches=True):
         """Loss at ``params`` and the per-frame caches (empty unless
@@ -333,9 +340,7 @@ class _Objective:
             camera = self.cameras[t]
             fwd = rasterize(params, camera, t, self.background,
                             self.grids[camera.width, camera.height])
-            frame = self.frames[t]
-            image_gt = frame.data if isinstance(frame, Frame) else np.asarray(frame)
-            resid_img = fwd["image"] - image_gt
+            resid_img = fwd["image"] - self.images[t]
             resid_dep = fwd["depth"] - self.depth_maps[t]
             loss_t = IMAGE_WEIGHT * np.mean(np.abs(resid_img)) + DEPTH_WEIGHT * np.mean(
                 np.abs(resid_dep)
@@ -373,11 +378,11 @@ class _Objective:
         return grads
 
 
-def loss_and_grad(params, frames, depth_maps, cameras, cfg,
-                  assignments=None, track_positions=None, want_grad=True):
-    """Objective and (optionally) its gradient over all non-excluded
-    frames."""
-    objective = _Objective(frames, depth_maps, cameras, cfg, assignments, track_positions)
+def loss_and_grad(params, frames, depth_maps, tracks_2d, scene, *, want_grad=True):
+    """Objective over all frames and (optionally) its gradient; the tracks
+    are assigned to the Gaussians of ``scene``, which also gives the
+    cameras and the background."""
+    objective = _Objective(frames, depth_maps, tracks_2d, scene)
     total, caches = objective.forward(params, keep_caches=want_grad)
     return (total, objective.backward(params, caches)) if want_grad else total
 
@@ -407,45 +412,35 @@ class _Adam:
         return step
 
 
-def fit_scene(frames, depth_maps, tracks_2d, cameras, config: FitConfig) -> FitResult:
+def fit_scene(frames, depth_maps, tracks_2d, initial_scene, iterations,
+              exclude_frames=()) -> FitResult:
     """Fit a Gaussian scene to rendered observations.
 
-    ``frames`` are Frame objects (or arrays), ``depth_maps`` raw rasterizer
-    depth maps, ``tracks_2d`` an optional :class:`Tracks2D`, and ``cameras``
-    one Camera per frame.  The recorded objective is non-increasing across
-    accepted iterations; a non-finite objective raises
-    :class:`FitDivergenceError`.
+    ``frames`` are Frame objects (or arrays) and ``depth_maps`` raw
+    rasterizer depth maps, one per timestep of ``initial_scene``, whose
+    cameras saw them; ``tracks_2d`` is an optional :class:`Tracks2D`, and
+    the frames in ``exclude_frames`` are held out.  The recorded objective
+    is non-increasing across accepted iterations; a non-finite objective
+    raises :class:`FitDivergenceError`.
     """
     if len(frames) < 2:
         raise ValueError("need at least two frames to fit")
-    if not (len(frames) == len(depth_maps) == len(cameras)):
-        raise ValueError("frames, depth maps and cameras must align")
-    scene0 = config.initial_scene
-    if scene0.bases.n_timesteps != len(frames):
-        raise ValueError("initial scene timesteps must match the frame count")
-    lrs = dict(DEFAULT_LEARNING_RATES)
-    lrs.update(config.learning_rates)
-
-    params = scene_to_params(scene0)
-    assignments = None
-    track_positions = None
-    if tracks_2d is not None:
-        assignments = track_assignments(scene0, tracks_2d.query_pixels)
-        track_positions = np.asarray(tracks_2d.positions, dtype=np.float64)
-
-    adam = _Adam(params, lrs)
-    objective = _Objective(frames, depth_maps, cameras, config, assignments, track_positions)
+    if not len(frames) == len(depth_maps) == initial_scene.n_timesteps:
+        raise ValueError("frames, depth maps and scene timesteps must align")
+    params = scene_to_params(initial_scene)
+    adam = _Adam(params, LEARNING_RATES)
+    objective = _Objective(frames, depth_maps, tracks_2d, initial_scene, exclude_frames)
     loss, caches = objective.forward(params)
     grads = objective.backward(params, caches)
     caches = None
     losses = [loss]
     scale = 1.0
     backtracks = rejected_steps = 0
-    for _ in range(config.iterations):
+    for _ in range(iterations):
         step = adam.direction(grads)
         accepted = False
         trial_scale = scale
-        for trial in range(config.max_backtracks):
+        for trial in range(MAX_BACKTRACKS):
             backtracks += trial > 0
             candidate = {k: params[k] - trial_scale * step[k] for k in PARAM_KEYS}
             _project_params(candidate)
@@ -468,12 +463,4 @@ def fit_scene(frames, depth_maps, tracks_2d, cameras, config: FitConfig) -> FitR
             if scale < 1e-9:
                 break
 
-    scene = params_to_scene(params, cameras, scene0.background)
-    metrics = {
-        "final_loss": loss,
-        "initial_loss": losses[0],
-        "iterations": len(losses) - 1,
-        "backtracks": backtracks,
-        "rejected_steps": rejected_steps,
-    }
-    return FitResult(scene=scene, losses=losses, iterations_run=len(losses) - 1, metrics=metrics)
+    return FitResult(params_to_scene(params, initial_scene), losses, backtracks, rejected_steps)

@@ -200,6 +200,8 @@ class GaussianScene:
             raise ValueError("scales must be positive")
         if np.any(arrays["opacities"] <= 0) or np.any(arrays["opacities"] >= 1):
             raise ValueError("opacities must lie in (0, 1)")
+        if np.any(arrays["colors"] < 0) or np.any(arrays["colors"] > 1):
+            raise ValueError("scene colors must lie in [0, 1]")
         cams = tuple(self.cameras)
         if len(cams) != self.bases.n_timesteps:
             raise ValueError("need one camera per basis timestep")

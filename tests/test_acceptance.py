@@ -21,11 +21,9 @@ from semvid.metrics import average_jaccard, epe, mse, ms_ssim, pck, psnr
 from semvid.pipeline import compare_baselines, run_service
 from semvid.recon.fit import (
     PARAM_KEYS,
-    FitConfig,
     fit_scene,
     loss_and_grad,
     scene_to_params,
-    track_assignments,
 )
 from semvid.recon.render import render
 from semvid.recon.scene import scene_poses
@@ -189,17 +187,13 @@ def test_criterion_7_renderer_correctness():
 
     # analytic gradient vs central finite differences on the 2-Gaussian scene
     gt = make_gradient_check_scene()
-    frames, depths, tracks, cameras = make_fit_inputs(gt, n_tracks=2)
+    frames, depths, tracks = make_fit_inputs(gt, n_tracks=2)
     test_scene = perturb_scene(gt, seed=9, mean_sigma=0.03, color_sigma=0.04)
-    cfg = FitConfig(initial_scene=test_scene, iterations=0)
     params = scene_to_params(test_scene)
-    assignments = track_assignments(test_scene, tracks.query_pixels)
-    _, grads = loss_and_grad(params, frames, depths, cameras, cfg,
-                             assignments=assignments, track_positions=tracks.positions)
+    _, grads = loss_and_grad(params, frames, depths, tracks, test_scene)
 
     def loss_only(p):
-        return loss_and_grad(p, frames, depths, cameras, cfg, assignments=assignments,
-                             track_positions=tracks.positions, want_grad=False)
+        return loss_and_grad(p, frames, depths, tracks, test_scene, want_grad=False)
 
     worst = 0.0
     for key in PARAM_KEYS:
@@ -226,12 +220,10 @@ def test_criterion_7_renderer_correctness():
 
 def test_criterion_8_desk_scale_fit():
     gt = make_benchmark_scene()
-    frames, depths, tracks, cameras = make_fit_inputs(gt)
+    frames, depths, tracks = make_fit_inputs(gt)
     init = perturb_scene(gt, seed=5)
     held_out = 5
-    cfg = FitConfig(initial_scene=init, iterations=400, exclude_frames=(held_out,),
-                    learning_rates={"means": 5e-3})
-    result = fit_scene(frames, depths, tracks, cameras, cfg)
+    result = fit_scene(frames, depths, tracks, init, 400, exclude_frames=(held_out,))
     assert all(b <= a + 1e-15 for a, b in zip(result.losses, result.losses[1:]))
 
     held_out_psnr = psnr(frames[held_out], render(result.scene, held_out).image)

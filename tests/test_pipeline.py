@@ -1,7 +1,7 @@
 import hashlib
 import json
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -83,7 +83,7 @@ class TestStageLatency:
 
     def test_reference_throughput_reproduces_published_delay(self):
         cfg = reference_config()
-        delay = stage_latency(11.5e6 * 8, cfg.links["wireless"], 0.0, self._node(1e12))
+        delay = stage_latency(11.5e6 * 8, cfg.links.wireless, 0.0, self._node(1e12))
         assert delay == pytest.approx(5718.0, abs=1e-6)
 
     def test_linear_in_payload(self):
@@ -128,8 +128,8 @@ class TestConfig:
 
     def test_reference_values(self):
         cfg = reference_config()
-        assert cfg.links["wireless"].throughput_bps == pytest.approx(11.5e6 * 8 / 5718.0)
-        assert cfg.nodes["end"].flops == pytest.approx(1.35e12)
+        assert cfg.links.wireless.throughput_bps == pytest.approx(11.5e6 * 8 / 5718.0)
+        assert cfg.nodes.end.flops == pytest.approx(1.35e12)
         assert cfg.compute.scene_preprocess_flops == pytest.approx(53e15)
         assert cfg.semantic.bits_per_symbol_eq == 32
 
@@ -137,8 +137,19 @@ class TestConfig:
         ref = reference_config()
         cfg = config_from_dict({"nodes": {"end": {"flops": 2e12}},
                                 "links": {"wireless": {"throughput_bps": 1e5}}})
-        assert cfg.nodes == {**ref.nodes, "end": NodeSettings(2e12)}
-        assert cfg.links == {**ref.links, "wireless": LinkSettings(1e5)}
+        assert cfg.nodes == replace(ref.nodes, end=NodeSettings(2e12))
+        assert cfg.links == replace(ref.links, wireless=LinkSettings(1e5))
+
+    def test_configs_share_no_mutable_state(self):
+        cfg = reference_config()
+        other = replace(cfg, seed=3)
+        with pytest.raises(FrozenInstanceError):
+            other.nodes.end = NodeSettings(1.0)
+        with pytest.raises(FrozenInstanceError):
+            other.links.wireless = LinkSettings(1.0)
+        assert cfg.nodes.end == NodeSettings(1.35e12)
+        assert hash(cfg) == hash(reference_config())
+        assert len({cfg, other, reference_config()}) == 2
 
     def test_partial_section_keeps_other_fields(self):
         ref = reference_config()
@@ -439,7 +450,7 @@ class TestService:
     def test_wireless_delay_scales_with_payload(self, tiny_config):
         report = run_service(tiny_config)
         upload = report.stages[0]
-        link_bps = tiny_config.links["wireless"].throughput_bps
+        link_bps = tiny_config.links.wireless.throughput_bps
         expected = (upload.tx.payload_bits + upload.tx.side_info_bits) / link_bps
         assert upload.transmission_seconds == pytest.approx(expected)
 

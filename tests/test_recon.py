@@ -16,13 +16,11 @@ from semvid.recon.fit import (
     OPACITY_EPS,
     PARAM_KEYS,
     SCALE_FLOOR,
-    FitConfig,
     FitDivergenceError,
     fit_scene,
     loss_and_grad,
     params_to_scene,
     scene_to_params,
-    track_assignments,
 )
 from semvid.recon.render import (
     COV_REG_PX2,
@@ -316,6 +314,9 @@ class TestSceneIo:
             replace(scene, quaternions=np.array([[1.0, 1.0, 0.0, 0.0]]))
         with pytest.raises(ValueError, match="opacities"):
             replace(scene, opacities=np.array([1.0]))
+        for color in (1.5, -0.5):
+            with pytest.raises(ValueError, match=r"scene colors must lie in \[0, 1\]"):
+                replace(scene, colors=np.array([[0.5, color, 0.5]]))
 
     @pytest.mark.parametrize("where, value, field", [
         (("gaussians", 0, "mean", 0), float("nan"), "scene means"),
@@ -335,21 +336,27 @@ class TestSceneIo:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             load_scene(path)
 
+    def test_out_of_range_color_refused_at_load(self, tmp_path):
+        path = tmp_path / "scene.json"
+        save_scene(make_benchmark_scene(), path)
+        payload = json.loads(path.read_text())
+        payload["gaussians"][0]["color"][1] = 1.5
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=r"scene colors must lie in \[0, 1\]"):
+            load_scene(path)
+
 
 class TestFitting:
     def test_gradients_match_finite_differences(self):
+        # the objective without its track term; criterion 7 checks it with tracks
         gt = make_gradient_check_scene()
-        frames, depths, tracks, cameras = make_fit_inputs(gt, n_tracks=2)
+        frames, depths, _ = make_fit_inputs(gt, n_tracks=2)
         test_scene = perturb_scene(gt, seed=9, mean_sigma=0.03, color_sigma=0.04)
-        cfg = FitConfig(initial_scene=test_scene, iterations=0)
         params = scene_to_params(test_scene)
-        assignments = track_assignments(test_scene, tracks.query_pixels)
-        _, grads = loss_and_grad(params, frames, depths, cameras, cfg,
-                                 assignments=assignments, track_positions=tracks.positions)
+        _, grads = loss_and_grad(params, frames, depths, None, test_scene)
 
         def loss_only(p):
-            return loss_and_grad(p, frames, depths, cameras, cfg, assignments=assignments,
-                                 track_positions=tracks.positions, want_grad=False)
+            return loss_and_grad(p, frames, depths, None, test_scene, want_grad=False)
 
         for key in PARAM_KEYS:
             arr = params[key]
@@ -369,42 +376,43 @@ class TestFitting:
 
     def test_ground_truth_is_fixed_point(self):
         gt = make_gradient_check_scene()
-        frames, depths, tracks, cameras = make_fit_inputs(gt, n_tracks=2)
-        cfg = FitConfig(initial_scene=gt, iterations=3)
-        params = scene_to_params(gt)
-        assignments = track_assignments(gt, tracks.query_pixels)
-        loss, grads = loss_and_grad(params, frames, depths, cameras, cfg,
-                                    assignments=assignments, track_positions=tracks.positions)
+        frames, depths, tracks = make_fit_inputs(gt, n_tracks=2)
+        loss, grads = loss_and_grad(scene_to_params(gt), frames, depths, tracks, gt)
         assert loss == 0.0
         for key in PARAM_KEYS:
             assert not grads[key].any()
-        result = fit_scene(frames, depths, tracks, cameras, cfg)
+        result = fit_scene(frames, depths, tracks, gt, 3)
         assert result.losses == [0.0] * len(result.losses)
 
     def test_objective_non_increasing(self):
         gt = make_gradient_check_scene()
-        frames, depths, tracks, cameras = make_fit_inputs(gt, n_tracks=2)
+        frames, depths, tracks = make_fit_inputs(gt, n_tracks=2)
         init = perturb_scene(gt, seed=2, mean_sigma=0.05, color_sigma=0.06)
-        cfg = FitConfig(initial_scene=init, iterations=60)
-        result = fit_scene(frames, depths, tracks, cameras, cfg)
+        result = fit_scene(frames, depths, tracks, init, 60)
         assert all(b <= a + 1e-15 for a, b in zip(result.losses, result.losses[1:]))
         assert result.final_loss < result.losses[0]
 
     def test_divergence_raises(self):
         gt = make_gradient_check_scene()
-        frames, depths, tracks, cameras = make_fit_inputs(gt, n_tracks=2)
+        frames, depths, _ = make_fit_inputs(gt, n_tracks=2)
         bad = scene_to_params(gt)
         bad["means"][0, 0] = np.nan
-        cfg = FitConfig(initial_scene=gt, iterations=1)
         with pytest.raises(FitDivergenceError):
-            loss_and_grad(bad, frames, depths, cameras, cfg)
+            loss_and_grad(bad, frames, depths, None, gt)
 
     def test_needs_two_frames(self):
         gt = make_gradient_check_scene()
-        frames, depths, tracks, cameras = make_fit_inputs(gt, n_tracks=2)
-        cfg = FitConfig(initial_scene=gt, iterations=1)
+        frames, depths, _ = make_fit_inputs(gt, n_tracks=2)
         with pytest.raises(ValueError):
-            fit_scene(frames[:1], depths[:1], None, cameras[:1], cfg)
+            fit_scene(frames[:1], depths[:1], None, gt, 1)
+
+    @pytest.mark.parametrize("held_out", [-1, 3])  # -1 never means the last frame
+    def test_exclude_frames_outside_clip_refused(self, held_out):
+        gt = make_gradient_check_scene()
+        frames, depths, tracks = make_fit_inputs(gt, n_tracks=2)
+        assert len(frames) == 3
+        with pytest.raises(ValueError, match=f"exclude_frames index {held_out} is outside"):
+            fit_scene(frames, depths, tracks, gt, 1, exclude_frames=(held_out,))
 
 
 _SCENE_ARRAYS = ("means", "quaternions", "scales", "opacities", "colors",
@@ -415,7 +423,7 @@ class TestParamsToScene:
     @pytest.mark.parametrize("make", [make_benchmark_scene, make_gradient_check_scene])
     def test_round_trip_is_exact(self, make):
         scene = make()
-        back = params_to_scene(scene_to_params(scene), scene.cameras, scene.background)
+        back = params_to_scene(scene_to_params(scene), scene)
         for name in _SCENE_ARRAYS:
             if name != "quaternions":
                 assert np.array_equal(getattr(back, name), getattr(scene, name)), name
@@ -435,7 +443,7 @@ class TestParamsToScene:
         params["colors"][0] = [-0.5, 0.5, 2.0]
         params["scales"][1] = [-1.0, 0.0, 0.2]
         raw = {k: v.copy() for k, v in params.items()}
-        back = params_to_scene(params, scene.cameras, scene.background)
+        back = params_to_scene(params, scene)
         assert np.array_equal(back.opacities, [1 - OPACITY_EPS, OPACITY_EPS])
         assert np.array_equal(back.colors, np.clip(raw["colors"], 0.0, 1.0))
         assert np.array_equal(back.scales, np.maximum(raw["scales"], SCALE_FLOOR))
@@ -443,16 +451,15 @@ class TestParamsToScene:
             assert np.array_equal(params[key], raw[key]), key  # input left as it was
 
 
-def _backtracking_fit_setup(**overrides):
+def _backtracking_fit_setup(monkeypatch, learning_rate=0.05, max_backtracks=2):
     """A small fit whose large step sizes force backtracks; with
-    ``max_backtracks=2`` some iterations also accept nothing."""
+    ``MAX_BACKTRACKS`` at 2 some iterations also accept nothing.  Returns
+    the observations and the initial scene."""
+    monkeypatch.setattr(fit_module, "LEARNING_RATES", {k: learning_rate for k in PARAM_KEYS})
+    monkeypatch.setattr(fit_module, "MAX_BACKTRACKS", max_backtracks)
     gt = make_gradient_check_scene()
-    frames, depths, tracks, cameras = make_fit_inputs(gt, n_tracks=2)
-    init = perturb_scene(gt, seed=2, mean_sigma=0.05, color_sigma=0.06)
-    settings = dict(initial_scene=init, iterations=4,
-                    learning_rates={k: 0.05 for k in PARAM_KEYS}, max_backtracks=2)
-    settings.update(overrides)
-    return frames, depths, tracks, cameras, FitConfig(**settings)
+    frames, depths, tracks = make_fit_inputs(gt, n_tracks=2)
+    return frames, depths, tracks, perturb_scene(gt, seed=2, mean_sigma=0.05, color_sigma=0.06)
 
 
 def _count_calls(monkeypatch, name):
@@ -469,39 +476,38 @@ def _count_calls(monkeypatch, name):
 
 class TestFitTrials:
     def test_each_trial_rasterized_once(self, monkeypatch):
-        frames, depths, tracks, cameras, cfg = _backtracking_fit_setup(exclude_frames=(1,))
+        frames, depths, tracks, init = _backtracking_fit_setup(monkeypatch)
         rasterized = _count_calls(monkeypatch, "rasterize")
         # once per candidate, and once more in params_to_scene at the end
         projected = _count_calls(monkeypatch, "_project_params")
         grids = _count_calls(monkeypatch, "pixel_grid")
-        result = fit_scene(frames, depths, tracks, cameras, cfg)
+        result = fit_scene(frames, depths, tracks, init, 4, exclude_frames=(1,))
         n_fit_frames = len(frames) - 1
-        assert result.metrics["backtracks"] > 0
+        assert result.backtracks > 0
         assert len(rasterized) == n_fit_frames * len(projected)
         assert len(grids) == 1  # all cameras share one image size
 
     def test_backtrack_and_rejection_counts(self, monkeypatch):
-        frames, depths, tracks, cameras, cfg = _backtracking_fit_setup()
+        frames, depths, tracks, init = _backtracking_fit_setup(monkeypatch)
         projected = _count_calls(monkeypatch, "_project_params")
-        result = fit_scene(frames, depths, tracks, cameras, cfg)
-        metrics = result.metrics
-        assert metrics["backtracks"] > 0 and metrics["rejected_steps"] > 0
+        result = fit_scene(frames, depths, tracks, init, 4)
+        assert result.backtracks > 0 and result.rejected_steps > 0
         # once per candidate, and once more in params_to_scene at the end
-        assert len(projected) == result.iterations_run + metrics["backtracks"] + 1
+        assert len(projected) == result.iterations_run + result.backtracks + 1
         # accepted steps strictly lower this objective; rejected ones repeat it
         flat = sum(b == a for a, b in zip(result.losses, result.losses[1:]))
-        assert metrics["rejected_steps"] == flat
+        assert result.rejected_steps == flat
 
-    def test_every_step_rejected(self):
-        frames, depths, tracks, cameras, cfg = _backtracking_fit_setup(
-            learning_rates={k: 1.0 for k in PARAM_KEYS}, max_backtracks=1)
-        result = fit_scene(frames, depths, tracks, cameras, cfg)
-        assert result.metrics["rejected_steps"] == cfg.iterations
-        assert result.metrics["backtracks"] == 0
-        assert result.losses == [result.losses[0]] * (cfg.iterations + 1)
+    def test_every_step_rejected(self, monkeypatch):
+        frames, depths, tracks, init = _backtracking_fit_setup(
+            monkeypatch, learning_rate=1.0, max_backtracks=1)
+        result = fit_scene(frames, depths, tracks, init, 4)
+        assert result.rejected_steps == 4
+        assert result.backtracks == 0
+        assert result.losses == [result.losses[0]] * 5
 
     def test_cached_gradient_equals_fresh(self, monkeypatch):
-        frames, depths, tracks, cameras, cfg = _backtracking_fit_setup(max_backtracks=12)
+        frames, depths, tracks, init = _backtracking_fit_setup(monkeypatch, max_backtracks=12)
         built = []
         backward = fit_module._Objective.backward
 
@@ -511,14 +517,12 @@ class TestFitTrials:
             return grads
 
         monkeypatch.setattr(fit_module._Objective, "backward", recording)
-        result = fit_scene(frames, depths, tracks, cameras, cfg)
+        result = fit_scene(frames, depths, tracks, init, 4)
         monkeypatch.undo()
-        assert result.metrics["backtracks"] > 0
-        assert len(built) == 1 + result.iterations_run - result.metrics["rejected_steps"]
-        assignments = track_assignments(cfg.initial_scene, tracks.query_pixels)
+        assert result.backtracks > 0
+        assert len(built) == 1 + result.iterations_run - result.rejected_steps
         for params, grads in built:
-            _, fresh = loss_and_grad(params, frames, depths, cameras, cfg,
-                                     assignments=assignments, track_positions=tracks.positions)
+            _, fresh = loss_and_grad(params, frames, depths, tracks, init)
             for key in PARAM_KEYS:
                 assert np.array_equal(grads[key], fresh[key]), key
 
