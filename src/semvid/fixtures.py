@@ -8,11 +8,13 @@ grid so raw-file round trips are exact.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .recon.fit import Tracks2D, predict_track_positions, track_assignments
 from .recon.render import project_points, render
-from .recon.scene import Camera, GaussianScene, MotionBasisSet, scene_poses
+from .recon.scene import Camera, GaussianScene, scene_poses
 from .synthesis import AlphaMatte
 from .video import Frame, VideoSequence
 
@@ -130,17 +132,16 @@ def make_benchmark_scene(n_timesteps: int = 10, image_size: int = 64,
     groups by pure translation; the reconstruction benchmarks are built by
     rendering this scene."""
     steps = np.arange(n_timesteps, dtype=np.float64)
-    quats = np.zeros((n_bases, n_timesteps, 4))
-    quats[..., 0] = 1.0
-    trans = np.zeros((n_bases, n_timesteps, 3))
-    trans[0, :, 0] = 0.035 * steps
-    trans[0, :, 1] = 0.018 * steps
-    trans[0, :, 2] = 0.010 * steps
+    basis_quats = np.zeros((n_bases, n_timesteps, 4))
+    basis_quats[..., 0] = 1.0
+    basis_trans = np.zeros((n_bases, n_timesteps, 3))
+    basis_trans[0, :, 0] = 0.035 * steps
+    basis_trans[0, :, 1] = 0.018 * steps
+    basis_trans[0, :, 2] = 0.010 * steps
     if n_bases > 1:
-        trans[1, :, 0] = -0.022 * steps
-        trans[1, :, 1] = 0.028 * steps
-        trans[1, :, 2] = -0.008 * steps
-    bases = MotionBasisSet(quats, trans)
+        basis_trans[1, :, 0] = -0.022 * steps
+        basis_trans[1, :, 1] = 0.028 * steps
+        basis_trans[1, :, 2] = -0.008 * steps
     cameras = tuple(default_camera(image_size, image_size) for _ in range(n_timesteps))
 
     means = np.array(
@@ -153,7 +154,7 @@ def make_benchmark_scene(n_timesteps: int = 10, image_size: int = 64,
         ]
     )
     sq2 = np.sqrt(2.0) / 2.0
-    quaternions = np.array(
+    quats = np.array(
         [
             [1.0, 0.0, 0.0, 0.0],
             [sq2, sq2, 0.0, 0.0],
@@ -185,12 +186,13 @@ def make_benchmark_scene(n_timesteps: int = 10, image_size: int = 64,
     coeffs = np.where(group[:, None] == np.arange(n_bases)[None, :], 4.0, -4.0)
     return GaussianScene(
         means=means,
-        quaternions=quaternions,
+        quats=quats,
         scales=scales,
         opacities=opacities,
         colors=colors,
-        motion_coeffs=coeffs,
-        bases=bases,
+        coeffs=coeffs,
+        basis_quats=basis_quats,
+        basis_trans=basis_trans,
         cameras=cameras,
         background=np.array([0.05, 0.06, 0.09]),
     )
@@ -201,25 +203,25 @@ def make_gradient_check_scene(n_timesteps: int = 3, image_size: int = 32) -> Gau
     parameter chain in the fitter's backward pass."""
     steps = np.arange(n_timesteps, dtype=np.float64)
     angles = 0.12 * steps
-    quats = np.zeros((2, n_timesteps, 4))
-    quats[0, :, 0] = np.cos(angles / 2)
-    quats[0, :, 3] = np.sin(angles / 2)
-    quats[1, :, 0] = np.cos(angles / 3)
-    quats[1, :, 1] = np.sin(angles / 3)
-    trans = np.zeros((2, n_timesteps, 3))
-    trans[0, :, 0] = 0.05 * steps
-    trans[1, :, 1] = -0.04 * steps
-    bases = MotionBasisSet(quats, trans)
+    basis_quats = np.zeros((2, n_timesteps, 4))
+    basis_quats[0, :, 0] = np.cos(angles / 2)
+    basis_quats[0, :, 3] = np.sin(angles / 2)
+    basis_quats[1, :, 0] = np.cos(angles / 3)
+    basis_quats[1, :, 1] = np.sin(angles / 3)
+    basis_trans = np.zeros((2, n_timesteps, 3))
+    basis_trans[0, :, 0] = 0.05 * steps
+    basis_trans[1, :, 1] = -0.04 * steps
     cameras = tuple(default_camera(image_size, image_size, focal=40.0) for _ in range(n_timesteps))
     return GaussianScene(
         means=np.array([[-0.25, -0.1, 2.1], [0.3, 0.2, 2.6]]),
-        quaternions=np.array([[0.9689124217106447, 0.2474039592545229, 0.0, 0.0],
-                              [0.8775825618903728, 0.0, 0.479425538604203, 0.0]]),
+        quats=np.array([[0.9689124217106447, 0.2474039592545229, 0.0, 0.0],
+                        [0.8775825618903728, 0.0, 0.479425538604203, 0.0]]),
         scales=np.array([[0.2, 0.1, 0.08], [0.12, 0.2, 0.1]]),
         opacities=np.array([0.75, 0.68]),
         colors=np.array([[0.8, 0.3, 0.25], [0.25, 0.55, 0.8]]),
-        motion_coeffs=np.array([[1.2, -0.6], [-0.8, 1.0]]),
-        bases=bases,
+        coeffs=np.array([[1.2, -0.6], [-0.8, 1.0]]),
+        basis_quats=basis_quats,
+        basis_trans=basis_trans,
         cameras=cameras,
         background=np.array([0.08, 0.08, 0.1]),
     )
@@ -274,17 +276,8 @@ def perturb_scene(scene: GaussianScene, seed: int = 5, mean_sigma: float = 0.05,
     opacities = np.clip(
         scene.opacities + 0.04 * rng.standard_normal(scene.opacities.shape), 0.2, 0.95
     )
-    quats = scene.quaternions + 0.02 * rng.standard_normal(scene.quaternions.shape)
+    quats = scene.quats + 0.02 * rng.standard_normal(scene.quats.shape)
     quats /= np.linalg.norm(quats, axis=1, keepdims=True)
-    coeffs = scene.motion_coeffs + 0.2 * rng.standard_normal(scene.motion_coeffs.shape)
-    return GaussianScene(
-        means=means,
-        quaternions=quats,
-        scales=scales,
-        opacities=opacities,
-        colors=colors,
-        motion_coeffs=coeffs,
-        bases=scene.bases,
-        cameras=scene.cameras,
-        background=scene.background,
-    )
+    coeffs = scene.coeffs + 0.2 * rng.standard_normal(scene.coeffs.shape)
+    return replace(scene, means=means, quats=quats, scales=scales, opacities=opacities,
+                   colors=colors, coeffs=coeffs)

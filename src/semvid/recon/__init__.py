@@ -4,10 +4,10 @@ software rasterizer, correspondence tracking, and the fitting loop."""
 
 from .fit import FitDivergenceError, FitResult, Tracks2D, fit_scene
 from .render import RenderResult, render, track_correspondence
-from .scene import Camera, GaussianScene, MotionBasisSet, load_scene, save_scene
+from .scene import Camera, GaussianScene, load_scene, save_scene
 
 __all__ = [
     "FitDivergenceError", "FitResult", "Tracks2D", "fit_scene",
     "RenderResult", "render", "track_correspondence",
-    "Camera", "GaussianScene", "MotionBasisSet", "load_scene", "save_scene",
+    "Camera", "GaussianScene", "load_scene", "save_scene",
 ]

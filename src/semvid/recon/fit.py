@@ -20,13 +20,13 @@ candidate's gradient is built from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..video import Frame
 from .render import ALPHA_MAX, pixel_grid, rasterize, surface_lift
-from .scene import PARAM_KEYS, GaussianScene, MotionBasisSet, quat_normalize, scene_params
+from .scene import PARAM_KEYS, GaussianScene, quat_normalize, scene_params
 
 LEARNING_RATES = {
     "means": 5e-3,
@@ -90,19 +90,9 @@ def params_to_scene(params: dict, like: GaussianScene) -> GaussianScene:
     place of ``like``'s arrays, and ``like``'s cameras and background."""
     params = {k: v.copy() for k, v in params.items()}
     _project_params(params)
-    return GaussianScene(
-        means=params["means"],
-        quaternions=quat_normalize(params["quats"]),
-        scales=params["scales"],
-        opacities=params["opacities"],
-        colors=params["colors"],
-        motion_coeffs=params["coeffs"],
-        bases=MotionBasisSet(
-            quat_normalize(params["basis_quats"]), params["basis_trans"]
-        ),
-        cameras=like.cameras,
-        background=like.background,
-    )
+    for key in ("quats", "basis_quats"):
+        params[key] = quat_normalize(params[key])
+    return replace(like, **params)
 
 
 def _project_params(params: dict) -> None:

@@ -193,15 +193,8 @@ def track_correspondence(scene: GaussianScene, pixel, t: int, t_prime: int):
     moved = np.einsum("gij,gj->gi", r_dst, canonical) + tr_dst
     target_world = weights @ moved
 
-    camera = scene.cameras[t_prime]
-    x_cam = camera.to_camera(target_world[None, :])[0]
-    depth = float(x_cam[2])
-    if depth <= 0:
+    valid, x_cam, mu2d, _, _ = project_points(target_world[None, :], np.zeros((1, 3, 3)),
+                                              scene.cameras[t_prime])
+    if not valid[0]:
         raise ValueError("correspondence projects behind the target camera")
-    u = np.array(
-        [
-            camera.fx * x_cam[0] / depth + camera.cx,
-            camera.fy * x_cam[1] / depth + camera.cy,
-        ]
-    )
-    return u, depth
+    return mu2d[0], float(x_cam[0, 2])

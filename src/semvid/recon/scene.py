@@ -1,6 +1,9 @@
 """Persistent 3D Gaussian scene model: anisotropic Gaussians in a canonical
 frame, shared per-timestep rigid motion bases blended by per-Gaussian
-coefficients, and pinhole cameras.
+coefficients, and pinhole cameras.  A :class:`GaussianScene` is one flat
+array per attribute, each named as in :data:`PARAM_KEYS`, so the fitter's
+parameter dicts use the scene's own field names; only the scene file
+(:func:`save_scene` / :func:`load_scene`) spells them differently.
 
 Conventions: quaternions are (w, x, y, z); cameras map world points via
 x_cam = R @ x_world + t and look along +z, pixel x right / y down with
@@ -15,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-# names of the scene arrays in a parameter dict (see scene_params)
+# the scene's array fields, which are also the fitter's parameter names
 PARAM_KEYS = (
     "means", "quats", "scales", "opacities", "colors",
     "coeffs", "basis_quats", "basis_trans",
@@ -122,79 +125,43 @@ class Camera:
 
 
 @dataclass(frozen=True)
-class MotionBasisSet:
-    """Shared rigid motion bases: one rotation/translation per basis per
-    timestep.  Rotations are stored as unit quaternions."""
-
-    quaternions: np.ndarray   # (B, T, 4)
-    translations: np.ndarray  # (B, T, 3)
-
-    def __post_init__(self) -> None:
-        q = np.ascontiguousarray(self.quaternions, dtype=np.float64)
-        tr = np.ascontiguousarray(self.translations, dtype=np.float64)
-        if q.ndim != 3 or q.shape[2] != 4 or tr.shape != (*q.shape[:2], 3):
-            raise ValueError("motion basis arrays have inconsistent shapes")
-        if q.shape[0] < 1:
-            raise ValueError("need at least one motion basis")
-        _require_finite("motion basis", {"quaternions": q, "translations": tr})
-        norms = np.linalg.norm(q, axis=-1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
-            raise ValueError("basis quaternions must be unit norm within 1e-6")
-        q.setflags(write=False)
-        tr.setflags(write=False)
-        object.__setattr__(self, "quaternions", q)
-        object.__setattr__(self, "translations", tr)
-
-    @property
-    def n_bases(self) -> int:
-        return self.quaternions.shape[0]
-
-    @property
-    def n_timesteps(self) -> int:
-        return self.quaternions.shape[1]
-
-    @classmethod
-    def identity(cls, n_bases: int, n_timesteps: int) -> "MotionBasisSet":
-        q = np.zeros((n_bases, n_timesteps, 4))
-        q[..., 0] = 1.0
-        return cls(q, np.zeros((n_bases, n_timesteps, 3)))
-
-
-@dataclass(frozen=True)
 class GaussianScene:
-    """Packed Gaussians plus motion bases and per-timestep cameras."""
+    """Packed Gaussians, shared rigid motion bases (one rotation and
+    translation per basis per timestep, blended per Gaussian by the softmax
+    of its coefficients) and one camera per timestep.  The array fields are
+    named as in :data:`PARAM_KEYS`."""
 
-    means: np.ndarray          # (G, 3)
-    quaternions: np.ndarray    # (G, 4) unit
-    scales: np.ndarray         # (G, 3) positive
-    opacities: np.ndarray      # (G,) in (0, 1)
-    colors: np.ndarray         # (G, 3) in [0, 1]
-    motion_coeffs: np.ndarray  # (G, B)
-    bases: MotionBasisSet
+    means: np.ndarray        # (G, 3)
+    quats: np.ndarray        # (G, 4) unit
+    scales: np.ndarray       # (G, 3) positive
+    opacities: np.ndarray    # (G,) in (0, 1)
+    colors: np.ndarray       # (G, 3) in [0, 1]
+    coeffs: np.ndarray       # (G, B) basis blend logits
+    basis_quats: np.ndarray  # (B, T, 4) unit
+    basis_trans: np.ndarray  # (B, T, 3)
     cameras: tuple
-    background: np.ndarray = None
+    background: np.ndarray = None  # (3,) in [0, 1]
 
     def __post_init__(self) -> None:
-        bg = np.zeros(3) if self.background is None else np.asarray(self.background, float)
-        arrays = {
-            "means": np.ascontiguousarray(self.means, dtype=np.float64),
-            "quaternions": np.ascontiguousarray(self.quaternions, dtype=np.float64),
-            "scales": np.ascontiguousarray(self.scales, dtype=np.float64),
-            "opacities": np.ascontiguousarray(self.opacities, dtype=np.float64),
-            "colors": np.ascontiguousarray(self.colors, dtype=np.float64),
-            "motion_coeffs": np.ascontiguousarray(self.motion_coeffs, dtype=np.float64),
-            "background": np.ascontiguousarray(bg),
-        }
+        bg = np.zeros(3) if self.background is None else self.background
+        arrays = {k: np.ascontiguousarray(getattr(self, k), dtype=np.float64) for k in PARAM_KEYS}
+        arrays["background"] = np.ascontiguousarray(bg, dtype=np.float64)
         _require_finite("scene", arrays)
         g = arrays["means"].shape[0]
-        b = self.bases.n_bases
-        if arrays["quaternions"].shape != (g, 4) or arrays["scales"].shape != (g, 3):
+        bq, bt = arrays["basis_quats"], arrays["basis_trans"]
+        if bq.ndim != 3 or bq.shape[2] != 4 or bt.shape != (*bq.shape[:2], 3):
+            raise ValueError("motion basis arrays have inconsistent shapes")
+        if bq.shape[0] < 1:
+            raise ValueError("need at least one motion basis")
+        if arrays["quats"].shape != (g, 4) or arrays["scales"].shape != (g, 3):
             raise ValueError("scene arrays have inconsistent shapes")
         if arrays["opacities"].shape != (g,) or arrays["colors"].shape != (g, 3):
             raise ValueError("scene arrays have inconsistent shapes")
-        if arrays["motion_coeffs"].shape != (g, b):
+        if arrays["coeffs"].shape != (g, bq.shape[0]):
             raise ValueError("motion coefficients must have shape (G, n_bases)")
-        if np.any(np.abs(np.linalg.norm(arrays["quaternions"], axis=1) - 1) > 1e-9):
+        if np.any(np.abs(np.linalg.norm(bq, axis=-1) - 1.0) > 1e-6):
+            raise ValueError("basis quaternions must be unit norm within 1e-6")
+        if np.any(np.abs(np.linalg.norm(arrays["quats"], axis=1) - 1) > 1e-9):
             raise ValueError("gaussian quaternions must be unit norm within 1e-9")
         if np.any(arrays["scales"] <= 0):
             raise ValueError("scales must be positive")
@@ -202,8 +169,11 @@ class GaussianScene:
             raise ValueError("opacities must lie in (0, 1)")
         if np.any(arrays["colors"] < 0) or np.any(arrays["colors"] > 1):
             raise ValueError("scene colors must lie in [0, 1]")
+        bg = arrays["background"]
+        if bg.shape != (3,) or np.any(bg < 0) or np.any(bg > 1):
+            raise ValueError("scene background must be an RGB triple in [0, 1]")
         cams = tuple(self.cameras)
-        if len(cams) != self.bases.n_timesteps:
+        if len(cams) != bq.shape[1]:
             raise ValueError("need one camera per basis timestep")
         if not cams:
             raise ValueError("scene needs at least one timestep")
@@ -222,18 +192,9 @@ class GaussianScene:
 
 
 def scene_params(scene: GaussianScene) -> dict:
-    """The scene's arrays under the fitter's :data:`PARAM_KEYS` names,
-    without copying them."""
-    return {
-        "means": scene.means,
-        "quats": scene.quaternions,
-        "scales": scene.scales,
-        "opacities": scene.opacities,
-        "colors": scene.colors,
-        "coeffs": scene.motion_coeffs,
-        "basis_quats": scene.bases.quaternions,
-        "basis_trans": scene.bases.translations,
-    }
+    """The scene's arrays keyed by :data:`PARAM_KEYS`, without copying
+    them."""
+    return {k: getattr(scene, k) for k in PARAM_KEYS}
 
 
 def pose_pipeline(params: dict, t: int) -> dict:
@@ -273,8 +234,8 @@ def pose_pipeline(params: dict, t: int) -> dict:
 def scene_poses(scene: GaussianScene, t: int):
     """Vectorized poses for every Gaussian: (mu_t (G,3), R_t (G,3,3),
     covariance (G,3,3)); depth ordering happens in the renderer."""
-    if not 0 <= t < scene.bases.n_timesteps:
-        raise ValueError(f"timestep {t} out of range [0, {scene.bases.n_timesteps})")
+    if not 0 <= t < scene.n_timesteps:
+        raise ValueError(f"timestep {t} out of range [0, {scene.n_timesteps})")
     pp = pose_pipeline(scene_params(scene), t)
     return pp["mu_t"], pp["r_t"], pp["cov"]
 
@@ -286,17 +247,17 @@ def save_scene(scene: GaussianScene, path) -> None:
         "gaussians": [
             {
                 "mean": scene.means[i].tolist(),
-                "quaternion": scene.quaternions[i].tolist(),
+                "quaternion": scene.quats[i].tolist(),
                 "scales": scene.scales[i].tolist(),
                 "opacity": float(scene.opacities[i]),
                 "color": scene.colors[i].tolist(),
-                "motion_coeffs": scene.motion_coeffs[i].tolist(),
+                "motion_coeffs": scene.coeffs[i].tolist(),
             }
             for i in range(scene.n_gaussians)
         ],
         "bases": {
-            "quaternions": scene.bases.quaternions.tolist(),
-            "translations": scene.bases.translations.tolist(),
+            "quaternions": scene.basis_quats.tolist(),
+            "translations": scene.basis_trans.tolist(),
         },
         "cameras": [
             {
@@ -314,10 +275,6 @@ def save_scene(scene: GaussianScene, path) -> None:
 
 def load_scene(path) -> GaussianScene:
     payload = json.loads(Path(path).read_text())
-    bases = MotionBasisSet(
-        np.array(payload["bases"]["quaternions"]),
-        np.array(payload["bases"]["translations"]),
-    )
     cams = tuple(
         Camera(
             np.array(c["intrinsics"]), np.array(c["rotation"]),
@@ -328,12 +285,13 @@ def load_scene(path) -> GaussianScene:
     gs = payload["gaussians"]
     return GaussianScene(
         means=np.array([g["mean"] for g in gs]),
-        quaternions=np.array([g["quaternion"] for g in gs]),
+        quats=np.array([g["quaternion"] for g in gs]),
         scales=np.array([g["scales"] for g in gs]),
         opacities=np.array([g["opacity"] for g in gs]),
         colors=np.array([g["color"] for g in gs]),
-        motion_coeffs=np.array([g["motion_coeffs"] for g in gs]),
-        bases=bases,
+        coeffs=np.array([g["motion_coeffs"] for g in gs]),
+        basis_quats=np.array(payload["bases"]["quaternions"]),
+        basis_trans=np.array(payload["bases"]["translations"]),
         cameras=cams,
         background=np.array(payload["background"]),
     )

@@ -1,7 +1,8 @@
 """Static checks that stand in for a linter: no module under ``src/`` or
-``tests/`` imports a name it never uses.  Package ``__init__`` modules
-re-export what they import and are exempt, as is an import on a line
-marked ``# noqa: F401``."""
+``tests/`` imports a name it never uses, and no module under ``src/``
+defines a top-level private name (``_name``) that it never reads.  Package
+``__init__`` modules re-export what they import and are exempt from the
+import check, as is an import on a line marked ``# noqa: F401``."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
                  if p.name != "__init__.py")
+SRC_MODULES = sorted((ROOT / "src").rglob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -32,6 +34,23 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
+def unread_private_names(source: str) -> list:
+    """(line, name) of each top-level ``_name`` (function, class or
+    assignment target, dunders aside) that the module never reads."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for n in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                defined[n.id] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted((line, name) for name, line in defined.items()
+                  if name.startswith("_") and not name.startswith("__") and name not in read)
+
+
 def test_unused_import_is_found():
     source = "import os\nimport sys  # noqa: F401\nfrom a.b import c, d as e\nprint(e)\n"
     assert unused_imports(source) == [(1, "os"), (3, "c")]
@@ -40,3 +59,14 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_unread_private_name_is_found():
+    source = ("_A = 1\n_B, c = 2, 3\n__all__ = []\n\n\ndef _f():\n    return _B\n\n\n"
+              "class _C:\n    _d = 4\n\n\nprint(_f)\n")
+    assert unread_private_names(source) == [(1, "_A"), (10, "_C")]
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text()) == []

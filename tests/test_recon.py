@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +34,6 @@ from semvid.recon.render import (
 from semvid.recon.scene import (
     Camera,
     GaussianScene,
-    MotionBasisSet,
     load_scene,
     quat_multiply,
     quat_normalize,
@@ -42,22 +43,32 @@ from semvid.recon.scene import (
 )
 
 
+def _identity_basis_quats(n_bases, n_timesteps):
+    q = np.zeros((n_bases, n_timesteps, 4))
+    q[..., 0] = 1.0
+    return q
+
+
 def _single_gaussian_scene(mean=(0.2, -0.1, 2.5), opacity=0.9, color=(1.0, 1.0, 1.0),
-                           n_timesteps=1, bases=None):
-    bases = bases or MotionBasisSet.identity(1, n_timesteps)
+                           n_timesteps=1, basis_trans=None):
+    """One Gaussian under pure-translation bases (``basis_trans``, default
+    one static basis)."""
+    if basis_trans is None:
+        basis_trans = np.zeros((1, n_timesteps, 3))
+    n_bases, n_timesteps = basis_trans.shape[:2]
     return GaussianScene(
-        means=np.array([mean]), quaternions=np.array([[1.0, 0.0, 0.0, 0.0]]),
+        means=np.array([mean]), quats=np.array([[1.0, 0.0, 0.0, 0.0]]),
         scales=np.full((1, 3), 0.1), opacities=np.array([opacity]),
-        colors=np.array([color]), motion_coeffs=np.zeros((1, bases.n_bases)),
-        bases=bases, cameras=[default_camera() for _ in range(bases.n_timesteps)],
-        background=np.zeros(3),
+        colors=np.array([color]), coeffs=np.zeros((1, n_bases)),
+        basis_quats=_identity_basis_quats(n_bases, n_timesteps), basis_trans=basis_trans,
+        cameras=[default_camera() for _ in range(n_timesteps)], background=np.zeros(3),
     )
 
 
 def _covariance(scene, i):
     """Reference covariance R diag(s^2) R^T of Gaussian i, written out
     independently of the pose pipeline."""
-    r = quat_to_rotmat(scene.quaternions[i])
+    r = quat_to_rotmat(scene.quats[i])
     return r @ np.diag(scene.scales[i] ** 2) @ r.T
 
 
@@ -66,24 +77,21 @@ class TestPose:
         scene = _single_gaussian_scene()
         mu, rot, _ = scene_poses(scene, 0)
         assert np.allclose(mu[0], scene.means[0])
-        assert np.allclose(rot[0], quat_to_rotmat(scene.quaternions[0]))
+        assert np.allclose(rot[0], quat_to_rotmat(scene.quats[0]))
 
     def test_single_translation_basis(self):
-        quats = np.array([[[1.0, 0, 0, 0]]])
         trans = np.array([[[0.3, -0.2, 0.1]]])
-        scene = _single_gaussian_scene(bases=MotionBasisSet(quats, trans))
+        scene = _single_gaussian_scene(basis_trans=trans)
         mu, rot, _ = scene_poses(scene, 0)
         assert np.allclose(mu[0], scene.means[0] + trans[0, 0])
-        assert np.allclose(rot[0], quat_to_rotmat(scene.quaternions[0]))
+        assert np.allclose(rot[0], quat_to_rotmat(scene.quats[0]))
 
     def test_two_translation_bases_blend(self):
-        quats = np.zeros((2, 1, 4))
-        quats[..., 0] = 1.0
         trans = np.zeros((2, 1, 3))
         trans[0, 0] = [0.4, 0.0, 0.0]
         trans[1, 0] = [0.0, 0.2, 0.0]
         # zero coefficients weight the two bases equally
-        scene = _single_gaussian_scene(mean=(0.0, 0.0, 0.0), bases=MotionBasisSet(quats, trans))
+        scene = _single_gaussian_scene(mean=(0.0, 0.0, 0.0), basis_trans=trans)
         mu, _, _ = scene_poses(scene, 0)
         assert np.allclose(mu[0], [0.2, 0.1, 0.0])
 
@@ -165,9 +173,10 @@ class TestProject:
 class TestRender:
     def test_empty_scene_is_background(self):
         scene = GaussianScene(
-            means=np.zeros((0, 3)), quaternions=np.zeros((0, 4)),
+            means=np.zeros((0, 3)), quats=np.zeros((0, 4)),
             scales=np.zeros((0, 3)), opacities=np.zeros(0), colors=np.zeros((0, 3)),
-            motion_coeffs=np.zeros((0, 1)), bases=MotionBasisSet.identity(1, 1),
+            coeffs=np.zeros((0, 1)), basis_quats=_identity_basis_quats(1, 1),
+            basis_trans=np.zeros((1, 1, 3)),
             cameras=(default_camera(),), background=np.array([0.2, 0.4, 0.6]),
         )
         res = render(scene, 0)
@@ -196,11 +205,11 @@ class TestRender:
         # a green Gaussian behind a red, nearly opaque one
         scene = GaussianScene(
             means=np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 2.0]]),
-            quaternions=np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)),
+            quats=np.tile([1.0, 0.0, 0.0, 0.0], (2, 1)),
             scales=np.full((2, 3), 0.3), opacities=np.array([0.9, 0.9999]),
             colors=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]),
-            motion_coeffs=np.zeros((2, 1)), bases=MotionBasisSet.identity(1, 1),
-            cameras=[default_camera()], background=np.zeros(3),
+            coeffs=np.zeros((2, 1)), basis_quats=_identity_basis_quats(1, 1),
+            basis_trans=np.zeros((1, 1, 3)), cameras=[default_camera()], background=np.zeros(3),
         )
         res = render(scene, 0)
         center = res.image.data[32, 32]
@@ -231,15 +240,14 @@ class TestRender:
         qw_conj = np.array([qw[0], -qw[1], -qw[2], -qw[3]])
 
         g = scene.n_gaussians
-        b, t_steps = scene.bases.n_bases, scene.bases.n_timesteps
         means2 = scene.means @ rw.T + tw
-        quats2 = quat_normalize(quat_multiply(np.tile(qw, (g, 1)), scene.quaternions))
-        bq = scene.bases.quaternions
+        quats2 = quat_normalize(quat_multiply(np.tile(qw, (g, 1)), scene.quats))
+        bq = scene.basis_quats
         bq2 = quat_normalize(
             quat_multiply(np.broadcast_to(qw, bq.shape), quat_multiply(bq, np.broadcast_to(qw_conj, bq.shape)))
         )
         rb = quat_to_rotmat(bq)
-        bt2 = scene.bases.translations @ rw.T + tw - np.einsum(
+        bt2 = scene.basis_trans @ rw.T + tw - np.einsum(
             "ij,btjk,k->bti", rw, np.einsum("btij,kj->btik", rb, rw), tw
         )
         cams2 = tuple(
@@ -247,13 +255,8 @@ class TestRender:
                    c.translation - (c.rotation @ rw.T) @ tw, c.width, c.height)
             for c in scene.cameras
         )
-        moved = GaussianScene(
-            means=means2, quaternions=quats2, scales=scene.scales,
-            opacities=scene.opacities, colors=scene.colors,
-            motion_coeffs=scene.motion_coeffs,
-            bases=MotionBasisSet(bq2, bt2), cameras=cams2,
-            background=scene.background,
-        )
+        moved = replace(scene, means=means2, quats=quats2, basis_quats=bq2, basis_trans=bt2,
+                        cameras=cams2)
         for t in (0, scene.n_timesteps - 1):
             a = render(scene, t).image.data
             c = render(moved, t).image.data
@@ -278,12 +281,9 @@ class TestTrackCorrespondence:
     def test_image_plane_translation(self):
         # whole scene translated by delta at fixed depth: u ~= p + f*delta/z
         delta = np.array([0.05, -0.03, 0.0])
-        quats = np.zeros((1, 2, 4))
-        quats[..., 0] = 1.0
         trans = np.zeros((1, 2, 3))
         trans[0, 1] = delta
-        scene = _single_gaussian_scene(mean=(0.0, 0.0, 2.5),
-                                       bases=MotionBasisSet(quats, trans))
+        scene = _single_gaussian_scene(mean=(0.0, 0.0, 2.5), basis_trans=trans)
         cam = scene.cameras[0]
         pixel = np.array([cam.cx, cam.cy])
         u, d = track_correspondence(scene, pixel, 0, 1)
@@ -303,15 +303,15 @@ class TestSceneIo:
         save_scene(scene, path)
         loaded = load_scene(path)
         assert np.allclose(loaded.means, scene.means)
-        assert np.allclose(loaded.quaternions, scene.quaternions)
-        assert np.allclose(loaded.bases.translations, scene.bases.translations)
+        assert np.allclose(loaded.quats, scene.quats)
+        assert np.allclose(loaded.basis_trans, scene.basis_trans)
         assert np.allclose(loaded.cameras[0].intrinsics, scene.cameras[0].intrinsics)
         assert np.max(np.abs(render(loaded, 2).image.data - render(scene, 2).image.data)) < 1e-12
 
     def test_validation(self):
         scene = _single_gaussian_scene()
         with pytest.raises(ValueError, match="unit norm"):
-            replace(scene, quaternions=np.array([[1.0, 1.0, 0.0, 0.0]]))
+            replace(scene, quats=np.array([[1.0, 1.0, 0.0, 0.0]]))
         with pytest.raises(ValueError, match="opacities"):
             replace(scene, opacities=np.array([1.0]))
         for color in (1.5, -0.5):
@@ -322,7 +322,7 @@ class TestSceneIo:
         (("gaussians", 0, "mean", 0), float("nan"), "scene means"),
         (("cameras", 0, "intrinsics", 0, 0), float("nan"), "camera intrinsics"),
         (("background", 0), float("inf"), "scene background"),
-        (("bases", "translations", 0, 0, 0), float("inf"), "motion basis translations"),
+        (("bases", "translations", 0, 0, 0), float("inf"), "scene basis_trans"),
     ])
     def test_non_finite_file_refused_at_load(self, tmp_path, where, value, field):
         path = tmp_path / "scene.json"
@@ -344,6 +344,58 @@ class TestSceneIo:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=r"scene colors must lie in \[0, 1\]"):
             load_scene(path)
+
+    def test_file_format_is_pinned(self, tmp_path):
+        # the benchmark scene holds exact constants only, so its file does
+        # not depend on the platform's libm
+        path = tmp_path / "scene.json"
+        save_scene(make_benchmark_scene(), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "248a24d305f3160311832e00ef7d0c8458d53dab0d7c6b5d1423e62c7a4982fe"
+
+    def test_load_then_save_is_byte_identical(self, tmp_path):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_scene(perturb_scene(make_gradient_check_scene()), first)
+        save_scene(load_scene(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda p: p["bases"]["quaternions"][0][0].__setitem__(1, 0.1),
+                     "basis quaternions must be unit norm within 1e-6", id="basis-quat-not-unit"),
+        pytest.param(lambda p: [basis.pop() for basis in p["bases"]["translations"]],
+                     "motion basis arrays have inconsistent shapes", id="basis-trans-short"),
+        pytest.param(lambda p: [g["motion_coeffs"].pop() for g in p["gaussians"]],
+                     "motion coefficients must have shape (G, n_bases)", id="coeffs-short"),
+        pytest.param(lambda p: p["cameras"].pop(),
+                     "need one camera per basis timestep", id="camera-missing"),
+        pytest.param(lambda p: p["gaussians"][0].update(scales=[0.0, 0.1, 0.1]),
+                     "scales must be positive", id="zero-scale"),
+        pytest.param(lambda p: p["gaussians"][0].update(quaternion=[1.0, 1.0, 0.0, 0.0]),
+                     "gaussian quaternions must be unit norm within 1e-9", id="quat-not-unit"),
+    ])
+    def test_inconsistent_file_refused_at_load(self, tmp_path, edit, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_scene(_edited_scene_file(tmp_path, edit))
+
+    @pytest.mark.parametrize("background", [[1.5, -0.5, 0.2], [[0.1, 0.2, 0.3]], [0.1, 0.2]])
+    def test_background_must_be_an_rgb_triple_in_unit_range(self, tmp_path, background):
+        message = re.escape("scene background must be an RGB triple in [0, 1]")
+        with pytest.raises(ValueError, match=message):
+            replace(make_benchmark_scene(2, 32, 2), background=np.array(background))
+        path = _edited_scene_file(tmp_path, lambda p: p.update(background=background))
+        with pytest.raises(ValueError, match=message):
+            load_scene(path)
+
+
+def _edited_scene_file(tmp_path, edit):
+    """A saved benchmark scene whose JSON payload ``edit`` changed in
+    place."""
+    path = tmp_path / "scene.json"
+    save_scene(make_benchmark_scene(), path)
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return path
 
 
 class TestFitting:
@@ -415,8 +467,6 @@ class TestFitting:
             fit_scene(frames, depths, tracks, gt, 1, exclude_frames=(held_out,))
 
 
-_SCENE_ARRAYS = ("means", "quaternions", "scales", "opacities", "colors",
-                 "motion_coeffs", "background")
 
 
 class TestParamsToScene:
@@ -424,15 +474,14 @@ class TestParamsToScene:
     def test_round_trip_is_exact(self, make):
         scene = make()
         back = params_to_scene(scene_to_params(scene), scene)
-        for name in _SCENE_ARRAYS:
-            if name != "quaternions":
+        for name in (*PARAM_KEYS, "background"):
+            if name not in ("quats", "basis_quats"):
                 assert np.array_equal(getattr(back, name), getattr(scene, name)), name
-        assert np.array_equal(back.bases.translations, scene.bases.translations)
         assert back.cameras == scene.cameras
         # quaternions come back re-normalized, which may move a stored
         # unit quaternion by an ulp (it does for the gradient-check scene)
-        for new, old in ((back.quaternions, scene.quaternions),
-                         (back.bases.quaternions, scene.bases.quaternions)):
+        for name in ("quats", "basis_quats"):
+            new, old = getattr(back, name), getattr(scene, name)
             assert np.array_equal(new, quat_normalize(old))
             assert np.max(np.abs(new - old)) < 1e-15
 
