@@ -129,18 +129,25 @@ def _build_graph(m: int, n: int, rng) -> np.ndarray:
     return cols
 
 
+def _four_cycle_pairs(cols: np.ndarray, m: int) -> np.ndarray:
+    """Variable pairs (i, j), i < j, that share two or more checks, as a
+    (p, 2) array in lexicographic order."""
+    n = cols.shape[0]
+    # float32 BLAS product: exact, since each count is at most VAR_DEGREE
+    adj = np.zeros((n, m), dtype=np.float32)
+    adj[np.arange(n)[:, None], cols] = 1
+    overlap = adj @ adj.T
+    np.fill_diagonal(overlap, 0)
+    pairs = np.argwhere(overlap >= 2)
+    return pairs[pairs[:, 0] < pairs[:, 1]]
+
+
 def _remove_short_cycles(cols: np.ndarray, m: int, rng, max_passes: int = 60) -> np.ndarray:
     """Degree-preserving edge swaps until no two variables share two checks
     (girth > 4), best effort within ``max_passes``."""
     n = cols.shape[0]
     for _ in range(max_passes):
-        # float32 BLAS product: exact, since each count is at most VAR_DEGREE
-        adj = np.zeros((n, m), dtype=np.float32)
-        adj[np.arange(n)[:, None], cols] = 1
-        overlap = adj @ adj.T
-        np.fill_diagonal(overlap, 0)
-        pairs = np.argwhere(overlap >= 2)
-        pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+        pairs = _four_cycle_pairs(cols, m)
         if pairs.size == 0:
             return cols
         for i, j in pairs[: max(1, len(pairs) // 2)]:

@@ -219,6 +219,22 @@ class TestDecoderTotal:
         assert (sizes > PCM_BITS).any() and (sizes < PCM_BITS).any()
 
 
+CLEAN_DECODE_GOPS = {
+    "reference": Gop(make_test_clip(*PINNED_CLIPS["reference"]).frames),
+    "40x24": Gop(make_test_clip(*PINNED_CLIPS["40x24"]).frames),
+    "fuzz": FUZZ_GOP,
+    "33x17 noise": Gop.from_array(np.random.default_rng(17).random((2, 17, 33, 3))),
+}
+
+
+@pytest.mark.parametrize("qp", [0.3, 1.0, 5.0, 16.0, 1e-9])  # 1e-9: nearly all PCM
+@pytest.mark.parametrize("clip", sorted(CLEAN_DECODE_GOPS))
+def test_clean_decode_is_the_parsed_decode(clip, qp, ldpc_code):
+    gop = CLEAN_DECODE_GOPS[clip]
+    parsed = source_decode(source_encode(gop, qp)).to_array()
+    assert np.array_equal(prepare_classical(gop, qp, ldpc_code).clean_decode.to_array(), parsed)
+
+
 class TestTransmitChain:
     def test_high_snr_is_transparent(self, natural_gop, ldpc_code):
         prep = prepare_classical(natural_gop, 4.0, ldpc_code)

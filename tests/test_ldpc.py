@@ -28,6 +28,10 @@ CODE_SHA256 = {
     (128, 5): "7d0effbb109c8f6b057f6828bebf12f9f3bb6833adbe7c196747a1a2317a0fc2",
     (64, 3): "8516de9bdb004aef7b0970af7c318f234bfea176965ec2d096c46534edbe27e5",
     (72, 3): "b5c886118fd1c9844814e2a464248a68a0d60d389b3b22a6b2adf74d7e3b6270",
+    # recorded before 4-cycles were found from the check lists
+    (512, 2024): "9259b3d4324ad61eab94edaf032e47d40fd27f27ad82c88631f16d7b2493fee7",
+    (512, 2031): "52f54ff9e13605a4a20c8d840f4f23635111b7788f603a1cfbe7c609ba71aa8c",
+    (1024, 11): "9382d935953ba387eb18308383a04ed4fb83b6c065c8d9927e151768c7c7f0c9",
 }
 CODE_FIELDS = ("parity_check", "check_neighbors", "var_edge_check", "var_edge_slot",
                "info_positions", "parity_positions", "encode_matrix")
@@ -75,6 +79,22 @@ def split_llrs(ldpc_code):
     return _noisy_llrs(ldpc_code, SPLIT_SNRS_DB, seed=8)
 
 
+@pytest.fixture(scope="module")
+def pinned_codes(ldpc_code):
+    return {key: ldpc_code if key == (512, 11) else make_ldpc_code(*key) for key in CODE_SHA256}
+
+
+def _dense_four_cycle_pairs(cols, m):
+    """Oracle: pairs (i, j), i < j, of variables sharing two or more checks,
+    read off the dense variable-overlap matrix."""
+    adj = np.zeros((cols.shape[0], m), dtype=np.float32)
+    adj[np.arange(cols.shape[0])[:, None], cols] = 1
+    overlap = adj @ adj.T  # exact in float32: each count is at most 3
+    np.fill_diagonal(overlap, 0)
+    pairs = np.argwhere(overlap >= 2)
+    return pairs[pairs[:, 0] < pairs[:, 1]]
+
+
 def _gf2_rank(mat):
     work = mat.copy().astype(np.uint8)
     rank = 0
@@ -107,12 +127,26 @@ class TestConstruction:
     def test_full_row_rank(self, ldpc_code):
         assert _gf2_rank(ldpc_code.parity_check) == ldpc_code.k
 
-    def test_no_length_four_cycles(self, ldpc_code):
+    @pytest.mark.parametrize("k, seed", sorted(CODE_SHA256))
+    def test_no_length_four_cycles(self, k, seed, pinned_codes):
         # float32 BLAS product: exact, since each count is at most 3
-        h = ldpc_code.parity_check.astype(np.float32)
+        h = pinned_codes[(k, seed)].parity_check.astype(np.float32)
         overlap = h.T @ h
         np.fill_diagonal(overlap, 0)
         assert overlap.max() <= 1
+
+    @pytest.mark.parametrize("m, seed", [(18, 1), (20, 0), (40, 2), (64, 3), (256, 4), (512, 5)])
+    def test_four_cycle_pairs_match_dense_overlap(self, m, seed):
+        # fresh random graphs, before any cycle removal, so most have many
+        cols = ldpc._build_graph(m, 2 * m, np.random.default_rng(seed))
+        want = _dense_four_cycle_pairs(cols, m)
+        got = ldpc._four_cycle_pairs(cols, m)
+        assert want.size > 0
+        assert np.array_equal(got, want)
+
+    def test_four_cycle_pairs_of_a_cycle_free_code_are_empty(self, pinned_codes):
+        code = pinned_codes[(512, 11)]
+        assert ldpc._four_cycle_pairs(code.var_edge_check, code.k).shape == (0, 2)
 
     def test_rank_repair_gives_up(self, monkeypatch):
         monkeypatch.setattr("semvid.ldpc._gf2_row_reduce", lambda mat: [])
@@ -120,9 +154,8 @@ class TestConstruction:
             make_ldpc_code(72, seed=3)
 
     @pytest.mark.parametrize("k, seed", sorted(CODE_SHA256))
-    def test_code_arrays_pinned(self, k, seed, ldpc_code):
-        code = ldpc_code if (k, seed) == (512, 11) else make_ldpc_code(k, seed)
-        assert _code_sha256(code) == CODE_SHA256[(k, seed)]
+    def test_code_arrays_pinned(self, k, seed, pinned_codes):
+        assert _code_sha256(pinned_codes[(k, seed)]) == CODE_SHA256[(k, seed)]
 
     def test_construction_deterministic(self):
         a = make_ldpc_code(72, seed=3)
