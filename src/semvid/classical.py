@@ -31,6 +31,7 @@ HEADER_BITS = 128
 OFFSET_BITS = 32
 PCM_SAMPLES = MB * MB * 3
 PCM_BITS = PCM_SAMPLES * 8
+MAX_CODE_ZEROS = 48  # longest Exp-Golomb prefix the parser accepts
 
 
 class BitstreamError(ValueError):
@@ -114,6 +115,15 @@ def _pack(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return ((np.repeat(codes, lengths) >> shift) & 1).astype(np.uint8)
 
 
+def _quantize(gop: Gop, qp: float):
+    """Level-shifted macroblock tiles (n, 16, 16, 3) and their quantized DCT
+    levels (n, channel, block row, block column, 8, 8)."""
+    tiles = _tiles(np.stack([pad_edge(f.data - GRAY, MB, MB) for f in gop.frames]))
+    blocks = tiles.reshape(-1, 2, BLOCK, 2, BLOCK, 3).transpose(0, 5, 1, 3, 2, 4)
+    coefs = dctn(blocks, axes=(-2, -1), norm="ortho")
+    return tiles, np.round(coefs / (qp / 255.0)).astype(np.int64)
+
+
 def source_encode(gop: Gop, qp: float) -> Bitstream:
     """Block-DCT intra coder: level shift, 8x8 orthonormal DCT per channel,
     uniform quantization with step qp/255, zigzag run-length, Exp-Golomb,
@@ -128,13 +138,9 @@ def source_encode(gop: Gop, qp: float) -> Bitstream:
     """
     if qp <= 0:
         raise ValueError("qp must be positive")
-    tiles = _tiles(np.stack([pad_edge(f.data - GRAY, MB, MB) for f in gop.frames]))
+    tiles, levels = _quantize(gop, qp)
     n_mb = tiles.shape[0]
-    # (macroblock, channel, block row, block column, 8, 8)
-    blocks = tiles.reshape(n_mb, 2, BLOCK, 2, BLOCK, 3).transpose(0, 5, 1, 3, 2, 4)
-    coefs = dctn(blocks, axes=(-2, -1), norm="ortho")
-    scanned = np.round(coefs / (qp / 255.0)).astype(np.int64).reshape(-1, BLOCK * BLOCK)
-    scanned = scanned[:, ZIGZAG]
+    scanned = levels.reshape(-1, BLOCK * BLOCK)[:, ZIGZAG]
 
     dc_diff = np.diff(scanned[:, 0].reshape(n_mb, -1), axis=1, prepend=0).reshape(-1)
     blk, pos = np.nonzero(scanned[:, 1:])
@@ -150,6 +156,7 @@ def source_encode(gop: Gop, qp: float) -> Bitstream:
     token_mb = owner // MB_BLOCKS
     coded_bits = np.bincount(token_mb, weights=lengths, minlength=n_mb).astype(np.int64)
     pcm = coded_bits >= PCM_BITS
+    pcm[token_mb[lengths > 2 * MAX_CODE_ZEROS + 1]] = True  # codes the parser refuses
     kept = ~pcm[token_mb]
     pcm_mb = np.nonzero(pcm)[0]
     samples = np.round((tiles[pcm_mb] + GRAY) * 255.0).astype(np.int64).reshape(-1)
@@ -174,17 +181,18 @@ def source_encode(gop: Gop, qp: float) -> Bitstream:
     )
 
 
-def _decode_macroblock(text: str, bits: np.ndarray, pos: int, end: int,
-                       step: float) -> np.ndarray:
-    """Decode the (16, 16, 3) tile coded in ``text[pos:end]``, the payload
-    as a string of '0' and '1' (``bits`` holds the same bits).  Raises
+def _parse_macroblock(text: str, bits: np.ndarray, pos: int, end: int,
+                      scanned: np.ndarray, samples: np.ndarray) -> None:
+    """Parse the macroblock coded in ``text[pos:end]``, the payload as a
+    string of '0' and '1' (``bits`` holds the same bits), into its zigzag
+    levels ``scanned`` (MB_BLOCKS, 64) or, if PCM, its ``samples``.  Raises
     ValueError on malformed or truncated bits."""
 
     def read() -> int:  # one unsigned Exp-Golomb code
         nonlocal pos
         one = text.find("1", pos, end)
         width = one - pos
-        if one < 0 or width > 48 or one + width >= end:
+        if one < 0 or width > MAX_CODE_ZEROS or one + width >= end:
             raise BitstreamError("malformed or truncated exp-golomb code")
         pos = one + width + 1
         return int(text[one:pos], 2) - 1
@@ -199,8 +207,8 @@ def _decode_macroblock(text: str, bits: np.ndarray, pos: int, end: int,
     if text[pos - 1] == "1":
         if end - pos < PCM_BITS:
             raise BitstreamError("truncated PCM macroblock")
-        return np.packbits(bits[pos : pos + PCM_BITS]).reshape(MB, MB, 3) / 255.0 - GRAY
-    scanned = np.zeros((MB_BLOCKS, BLOCK * BLOCK), dtype=np.int64)
+        samples[:] = np.packbits(bits[pos : pos + PCM_BITS]).reshape(samples.shape)
+        return
     dc = 0
     for block in scanned:
         dc += read_signed()
@@ -215,30 +223,18 @@ def _decode_macroblock(text: str, bits: np.ndarray, pos: int, end: int,
                 raise BitstreamError("run-length overflow")
             block[1 + at] = read_signed()
             at += 1
-    levels = np.empty_like(scanned)
-    levels[:, ZIGZAG] = scanned
-    spatial = idctn(levels.reshape(3, 2, 2, BLOCK, BLOCK) * step, axes=(-2, -1), norm="ortho")
-    return spatial.transpose(1, 3, 2, 4, 0).reshape(MB, MB, 3)
 
 
-def source_decode(bs: Bitstream, corrupted_ranges=None, prev_frame: Frame = None) -> Gop:
-    """Decode a bitstream; macroblocks whose bits are corrupted (flagged or
-    failing to parse) are concealed with the co-located pixels of the
-    previously decoded frame, gray for the first."""
-    if bs.bit_length == 0 and bs.block_map.shape[0] > 0:
-        raise BitstreamError("empty bitstream")
-    spans = np.array([] if corrupted_ranges is None else corrupted_ranges, np.int64).reshape(-1, 2)
-    starts, ends = bs.block_map[:, :1], bs.block_map[:, 1:]
-    lost = ((spans[:, 0] < ends) & (starts < spans[:, 1])).any(axis=1)
-    text = (bs.bits + ord("0")).tobytes().decode("ascii")
-    tiles = np.zeros((len(lost), MB, MB, 3))
-    for m in np.nonzero(~lost)[0]:
-        try:
-            tiles[m] = _decode_macroblock(text, bs.bits, int(starts[m, 0]), int(ends[m, 0]),
-                                          bs.qp / 255.0)
-        except ValueError:
-            lost[m] = True
-
+def _decoded_frames(bs: Bitstream, levels: np.ndarray, samples: np.ndarray, lost: np.ndarray,
+                    prev_frame: Frame = None) -> Gop:
+    """Frames from quantized levels (as ``_quantize`` shapes them) or, where
+    a macroblock's mode bit says PCM, its 8-bit ``samples``; ``lost`` ones
+    are concealed from the previous frame (``prev_frame``, gray when None)."""
+    # an empty macroblock, lost anyway, may start at the payload's end
+    pcm = bs.bits[np.minimum(bs.block_map[:, 0], bs.bit_length - 1)] == 1
+    spatial = idctn(levels * (bs.qp / 255.0), axes=(-2, -1), norm="ortho")
+    tiles = spatial.transpose(0, 2, 4, 3, 5, 1).reshape(-1, MB, MB, 3)
+    tiles[pcm] = samples[pcm] / 255.0 - GRAY
     rows, cols = _mb_grid(bs.width, bs.height)
     reference = 0.0 if prev_frame is None else _tiles(
         pad_edge(prev_frame.data, MB, MB)[None] - GRAY)
@@ -251,6 +247,28 @@ def source_decode(bs: Bitstream, corrupted_ranges=None, prev_frame: Frame = None
     return Gop(tuple(frames))
 
 
+def source_decode(bs: Bitstream, corrupted_ranges=None, prev_frame: Frame = None) -> Gop:
+    """Decode a bitstream; macroblocks whose bits are corrupted (flagged or
+    failing to parse) are concealed with the co-located pixels of the
+    previously decoded frame, gray for the first."""
+    if bs.bit_length == 0 and bs.block_map.shape[0] > 0:
+        raise BitstreamError("empty bitstream")
+    spans = np.array([] if corrupted_ranges is None else corrupted_ranges, np.int64).reshape(-1, 2)
+    starts, ends = bs.block_map[:, :1], bs.block_map[:, 1:]
+    lost = ((spans[:, 0] < ends) & (starts < spans[:, 1])).any(axis=1)
+    text = (bs.bits + ord("0")).tobytes().decode("ascii")
+    scanned = np.zeros((len(lost), MB_BLOCKS, BLOCK * BLOCK), dtype=np.int64)
+    samples = np.zeros((len(lost), MB, MB, 3), dtype=np.uint8)
+    for m in np.nonzero(~lost)[0]:
+        try:
+            _parse_macroblock(text, bs.bits, int(starts[m, 0]), int(ends[m, 0]), scanned[m],
+                              samples[m])
+        except ValueError:
+            lost[m] = True
+    levels = scanned[..., np.argsort(ZIGZAG)].reshape(-1, 3, 2, 2, BLOCK, BLOCK)
+    return _decoded_frames(bs, levels, samples, lost, prev_frame)
+
+
 @dataclass(frozen=True)
 class PreparedClassical:
     """Source-coded and channel-coded GOP, ready for repeated channel runs
@@ -258,12 +276,16 @@ class PreparedClassical:
 
     bitstream: Bitstream
     symbols: object  # SymbolBlock of BPSK symbols
+    source: Gop      # the GOP the bitstream codes
 
     @cached_property
     def clean_decode(self) -> Gop:
         """The GOP as decoded from intact bits, computed once per prepared
-        GOP.  No macroblock is concealed, so it needs no previous frame."""
-        return source_decode(self.bitstream)
+        GOP from the quantizer's output instead of by parsing.  No
+        macroblock is concealed, so it needs no previous frame."""
+        tiles, levels = _quantize(self.source, self.bitstream.qp)
+        return _decoded_frames(self.bitstream, levels, np.round((tiles + GRAY) * 255.0),
+                               np.zeros(len(tiles), bool))
 
 
 def prepare_classical(gop: Gop, qp: float, code: LdpcCode) -> PreparedClassical:
@@ -271,7 +293,7 @@ def prepare_classical(gop: Gop, qp: float, code: LdpcCode) -> PreparedClassical:
     pad = (-bs.bit_length) % code.k
     info = np.concatenate([bs.bits, np.zeros(pad, dtype=np.uint8)])
     coded = ldpc_encode(info, code)
-    return PreparedClassical(bitstream=bs, symbols=bpsk_modulate(coded))
+    return PreparedClassical(bitstream=bs, symbols=bpsk_modulate(coded), source=gop)
 
 
 def transmit_prepared(
@@ -289,11 +311,8 @@ def transmit_prepared(
     if converged.all() and np.array_equal(decoded, bs.bits):
         gop_hat = prep.clean_decode
     else:
-        corrupted = [
-            (b * code.k, min((b + 1) * code.k, bs.bit_length))
-            for b in np.nonzero(~converged)[0]
-            if b * code.k < bs.bit_length
-        ]
+        failed = np.nonzero(~converged)[0] * code.k  # spans past the payload cover nothing
+        corrupted = np.stack((failed, np.minimum(failed + code.k, bs.bit_length)), axis=1)
         gop_hat = source_decode(replace(bs, bits=decoded), corrupted, prev_frame)
     stats = TxStats(
         payload_bits=bs.bit_length,

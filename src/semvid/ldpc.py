@@ -34,8 +34,8 @@ a bit: every operation is elementwise along the block axis or gathers whole
 rows, nothing reduces across blocks, so a block's float32 arithmetic is the
 same whichever blocks share its batch, and each part writes only its own
 blocks' rows of the results.
-The GF(2) products of construction and encoding run as float32 BLAS
-matmuls, which are exact because no sum exceeds 2**24.
+Construction finds 4-cycles from the check lists; only encoding runs a GF(2)
+product, as a float32 BLAS matmul (exact: no sum exceeds 2**24).
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ _TANH_CLIP = 25.0
 # a block leaves BP unconverged once this many iterations in a row have not
 # lowered its least unsatisfied-check count
 STALL_ITERS = 8
+CYCLE_PASSES = 60  # 4-cycle removal is best effort within this many swap passes
 
 
 def _worker_count() -> int:
@@ -115,6 +116,8 @@ def _build_graph(m: int, n: int, rng) -> np.ndarray:
             break
         for i in dup_rows:
             vals, counts = np.unique(cols[i], return_counts=True)
+            if counts.max() == 1:
+                continue  # a swap earlier in this pass mended the row
             bad = vals[counts > 1][0]
             slot = int(np.nonzero(cols[i] == bad)[0][-1])
             j = int(rng.integers(n))
@@ -129,25 +132,28 @@ def _build_graph(m: int, n: int, rng) -> np.ndarray:
     return cols
 
 
-def _four_cycle_pairs(cols: np.ndarray, m: int) -> np.ndarray:
+def _check_edges(cols: np.ndarray) -> np.ndarray:
+    """Edge ids ``v * VAR_DEGREE + d`` grouped by check, in ascending order
+    within each check: an (m, CHECK_DEGREE) array."""
+    return np.argsort(cols.reshape(-1), kind="stable").reshape(-1, CHECK_DEGREE)
+
+
+def _four_cycle_pairs(cols: np.ndarray) -> np.ndarray:
     """Variable pairs (i, j), i < j, that share two or more checks, as a
-    (p, 2) array in lexicographic order."""
+    (p, 2) array in lexicographic order: each check's member pairs, counted."""
     n = cols.shape[0]
-    # float32 BLAS product: exact, since each count is at most VAR_DEGREE
-    adj = np.zeros((n, m), dtype=np.float32)
-    adj[np.arange(n)[:, None], cols] = 1
-    overlap = adj @ adj.T
-    np.fill_diagonal(overlap, 0)
-    pairs = np.argwhere(overlap >= 2)
-    return pairs[pairs[:, 0] < pairs[:, 1]]
+    members = _check_edges(cols) // VAR_DEGREE  # ascending and distinct per check
+    first, second = np.triu_indices(CHECK_DEGREE, 1)
+    keys, counts = np.unique(members[:, first] * n + members[:, second], return_counts=True)
+    return np.stack(np.divmod(keys[counts >= 2], n), axis=1)
 
 
-def _remove_short_cycles(cols: np.ndarray, m: int, rng, max_passes: int = 60) -> np.ndarray:
+def _remove_short_cycles(cols: np.ndarray, rng) -> np.ndarray:
     """Degree-preserving edge swaps until no two variables share two checks
-    (girth > 4), best effort within ``max_passes``."""
+    (girth > 4), best effort within ``CYCLE_PASSES``."""
     n = cols.shape[0]
-    for _ in range(max_passes):
-        pairs = _four_cycle_pairs(cols, m)
+    for _ in range(CYCLE_PASSES):
+        pairs = _four_cycle_pairs(cols)
         if pairs.size == 0:
             return cols
         for i, j in pairs[: max(1, len(pairs) // 2)]:
@@ -176,7 +182,7 @@ def make_ldpc_code(k: int, seed: int) -> LdpcCode:
     m, n = k, 2 * k
     rng = np.random.default_rng(seed)
     cols = _build_graph(m, n, rng)
-    cols = _remove_short_cycles(cols, m, rng)
+    cols = _remove_short_cycles(cols, rng)
 
     def to_matrix(c):
         h = np.zeros((m, n), dtype=np.uint8)
@@ -204,19 +210,7 @@ def make_ldpc_code(k: int, seed: int) -> LdpcCode:
         raise RuntimeError("could not repair parity matrix to full rank")
 
     # check-side neighbor table (row degree is exactly CHECK_DEGREE)
-    check_neighbors = np.zeros((m, CHECK_DEGREE), dtype=np.int64)
-    fill = np.zeros(m, dtype=np.int64)
-    var_edge_check = np.zeros((n, VAR_DEGREE), dtype=np.int64)
-    var_edge_slot = np.zeros((n, VAR_DEGREE), dtype=np.int64)
-    for v in range(n):
-        for d in range(VAR_DEGREE):
-            c = cols[v, d]
-            slot = fill[c]
-            check_neighbors[c, slot] = v
-            var_edge_check[v, d] = c
-            var_edge_slot[v, d] = slot
-            fill[c] += 1
-    assert np.all(fill == CHECK_DEGREE)
+    edges = _check_edges(cols)
 
     # systematic encoder: pivot columns carry parity, the rest carry info
     parity_positions = np.array(pivots, dtype=np.int64)
@@ -229,9 +223,9 @@ def make_ldpc_code(k: int, seed: int) -> LdpcCode:
         k=k,
         n=n,
         parity_check=h,
-        check_neighbors=check_neighbors,
-        var_edge_check=var_edge_check,
-        var_edge_slot=var_edge_slot,
+        check_neighbors=edges // VAR_DEGREE,
+        var_edge_check=cols,
+        var_edge_slot=(np.argsort(edges, axis=None) % CHECK_DEGREE).reshape(n, VAR_DEGREE),
         info_positions=info_positions,
         parity_positions=parity_positions,
         encode_matrix=encode_matrix,

@@ -95,6 +95,17 @@ class TestSourceCoder:
         spans = changed.max(axis=0) - changed.min(axis=0)
         assert spans[0] <= 15 and spans[1] <= 15
 
+    def test_codes_the_parser_refuses_take_the_pcm_escape(self, ldpc_code):
+        # at this step a flat block's DC code is wider than the parser reads,
+        # though the coded block stays far below PCM_BITS
+        gop = Gop.from_array(np.full((1, 16, 32, 3), 0.9))
+        prep = prepare_classical(gop, 1e-12, ldpc_code)
+        bs = prep.bitstream
+        assert np.all(bs.bits[bs.block_map[:, 0]] == 1)
+        decoded = source_decode(bs).to_array()
+        assert np.abs(decoded - gop.to_array()).max() <= 0.5 / 255
+        assert np.array_equal(prep.clean_decode.to_array(), decoded)
+
     def test_empty_bitstream_rejected(self):
         with pytest.raises(BitstreamError):
             Bitstream(
@@ -268,19 +279,22 @@ class TestTransmitChain:
 
     def test_intact_send_is_the_clean_decode(self, natural_gop, ldpc_code, monkeypatch):
         prep = prepare_classical(natural_gop, 4.0, ldpc_code)
-        clean = source_decode(prep.bitstream)
-        calls = []
-        decode = semvid.classical.source_decode
+        parsed = source_decode(prep.bitstream)
+        decodes, quantizations = [], []
+        decode, quantize = semvid.classical.source_decode, semvid.classical._quantize
         monkeypatch.setattr(semvid.classical, "source_decode",
-                            lambda *args: calls.append(args) or decode(*args))
+                            lambda *args: decodes.append(args) or decode(*args))
+        monkeypatch.setattr(semvid.classical, "_quantize",
+                            lambda *args: quantizations.append(args) or quantize(*args))
         plate = Frame(np.full((64, 64, 3), 0.25))
         for seed, prev in ((3, None), (4, plate)):
             received, stats = transmit_prepared(
                 prep, ChannelConfig(snr_db=25.0, seed=seed), ldpc_code, prev_frame=prev)
             assert stats.decode_failures == 0
-            for a, b in zip(clean.frames, received.frames):
+            for a, b in zip(parsed.frames, received.frames):
                 assert np.array_equal(a.data, b.data)
-        assert len(calls) == 1  # decoded once per prepared GOP, then reused
+        # taken from the quantizer, never parsed, once per prepared GOP
+        assert (len(decodes), len(quantizations)) == (0, 1)
 
     def test_failed_block_conceals_its_macroblocks(self, natural_gop, ldpc_code, monkeypatch):
         prep = prepare_classical(natural_gop, 4.0, ldpc_code)

@@ -140,13 +140,13 @@ class TestConstruction:
         # fresh random graphs, before any cycle removal, so most have many
         cols = ldpc._build_graph(m, 2 * m, np.random.default_rng(seed))
         want = _dense_four_cycle_pairs(cols, m)
-        got = ldpc._four_cycle_pairs(cols, m)
+        got = ldpc._four_cycle_pairs(cols)
         assert want.size > 0
         assert np.array_equal(got, want)
 
     def test_four_cycle_pairs_of_a_cycle_free_code_are_empty(self, pinned_codes):
         code = pinned_codes[(512, 11)]
-        assert ldpc._four_cycle_pairs(code.var_edge_check, code.k).shape == (0, 2)
+        assert ldpc._four_cycle_pairs(code.var_edge_check).shape == (0, 2)
 
     def test_rank_repair_gives_up(self, monkeypatch):
         monkeypatch.setattr("semvid.ldpc._gf2_row_reduce", lambda mat: [])
@@ -156,6 +156,14 @@ class TestConstruction:
     @pytest.mark.parametrize("k, seed", sorted(CODE_SHA256))
     def test_code_arrays_pinned(self, k, seed, pinned_codes):
         assert _code_sha256(pinned_codes[(k, seed)]) == CODE_SHA256[(k, seed)]
+
+    @pytest.mark.parametrize("k, seed", [(18, 0), (20, 1), (36, 0)])
+    def test_small_code_whose_duplicate_cleanup_mends_a_row_twice(self, k, seed):
+        # one swap of the cleanup pass fixes a row that the pass visits later
+        code = make_ldpc_code(k, seed)
+        assert np.all(code.parity_check.sum(axis=0) == 3)
+        assert np.all(code.parity_check.sum(axis=1) == 6)
+        assert _gf2_rank(code.parity_check) == k
 
     def test_construction_deterministic(self):
         a = make_ldpc_code(72, seed=3)
