@@ -131,10 +131,11 @@ def source_encode(gop: Gop, qp: float) -> Bitstream:
 
     Each macroblock is a mode bit, then either its twelve blocks (channel,
     then block row, then block column), or PCM_SAMPLES 8-bit samples when
-    the blocks would take PCM_BITS or more.  A block is its DC difference
-    from the previous block's DC (0 for the macroblock's first block), then
-    a (run token, level) pair per nonzero AC level in zigzag order, then
-    EOB_TOKEN unless the last AC level is nonzero; levels are signed codes.
+    the blocks would take PCM_BITS or more or hold a code with more than
+    MAX_CODE_ZEROS leading zeros.  A block is its DC difference from the
+    previous block's DC (0 for the macroblock's first block), then a (run
+    token, level) pair per nonzero AC level in zigzag order, then EOB_TOKEN
+    unless the last AC level is nonzero; levels are signed codes.
     """
     if qp <= 0:
         raise ValueError("qp must be positive")
@@ -261,8 +262,7 @@ def source_decode(bs: Bitstream, corrupted_ranges=None, prev_frame: Frame = None
     samples = np.zeros((len(lost), MB, MB, 3), dtype=np.uint8)
     for m in np.nonzero(~lost)[0]:
         try:
-            _parse_macroblock(text, bs.bits, int(starts[m, 0]), int(ends[m, 0]), scanned[m],
-                              samples[m])
+            _parse_macroblock(text, bs.bits, *bs.block_map[m].tolist(), scanned[m], samples[m])
         except ValueError:
             lost[m] = True
     levels = scanned[..., np.argsort(ZIGZAG)].reshape(-1, 3, 2, 2, BLOCK, BLOCK)
@@ -311,7 +311,7 @@ def transmit_prepared(
     if converged.all() and np.array_equal(decoded, bs.bits):
         gop_hat = prep.clean_decode
     else:
-        failed = np.nonzero(~converged)[0] * code.k  # spans past the payload cover nothing
+        failed = np.nonzero(~converged)[0] * code.k  # first bit of each failed block
         corrupted = np.stack((failed, np.minimum(failed + code.k, bs.bit_length)), axis=1)
         gop_hat = source_decode(replace(bs, bits=decoded), corrupted, prev_frame)
     stats = TxStats(
