@@ -106,6 +106,17 @@ class TestSourceCoder:
         assert np.abs(decoded - gop.to_array()).max() <= 0.5 / 255
         assert np.array_equal(prep.clean_decode.to_array(), decoded)
 
+    def test_empty_trailing_macroblock_is_concealed(self):
+        # its range starts at the payload's end, so it has no mode bit to read
+        gop = Gop.from_array(np.full((1, 16, 32, 3), 0.9))
+        bs = source_encode(gop, 4.0)
+        end = int(bs.block_map[0, 1])
+        cut = Bitstream(bits=bs.bits[:end], width=32, height=16, n_frames=1, qp=4.0,
+                        block_map=np.array([[0, end], [end, end]]))
+        decoded = source_decode(cut).to_array()
+        assert np.array_equal(decoded[0, :, :16], source_decode(bs).to_array()[0, :, :16])
+        assert np.all(decoded[0, :, 16:] == 0.5)
+
     def test_empty_bitstream_rejected(self):
         with pytest.raises(BitstreamError):
             Bitstream(
