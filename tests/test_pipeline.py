@@ -1,7 +1,7 @@
 import hashlib
 import json
 import re
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
@@ -24,8 +24,10 @@ from semvid.config import (
 )
 from semvid.pipeline import (
     compare_baselines,
+    prepare_clip,
     resolve_video,
     run_service,
+    send,
     snr_sweep,
     stage_latency,
     transmit_video,
@@ -320,6 +322,34 @@ class TestTransmitVideo:
         video = resolve_video(tiny_config.video)
         with pytest.raises(ValueError):
             transmit_video(video, "quantum", tiny_config, 10.0, "unit")
+
+
+# The reference clip through the classical chain on the LDPC waterfall, with
+# the channel seeds of `semvid transmit --chain classical --snr <snr>`: some of
+# the 1,026 blocks fail and their macroblocks are concealed, the rest converge.
+# SHA-256 of the received frames and the send's accounting, per SNR.
+WATERFALL_SENDS = {
+    1.5: ("7d31d6ca270b7bb8d97ae25884c21bfa7817779a5a0e0d6f545f1d79b486652c",
+          {"payload_bits": 525215, "channel_symbols": 1050624, "wireless_delay_seconds": 0.0,
+           "decode_failures": 317, "side_info_bits": 12672}),
+    2.0: ("640c3747b1a8bda0104e8ae883478dd7596644780a475c51f748e1cb7247a821",
+          {"payload_bits": 525215, "channel_symbols": 1050624, "wireless_delay_seconds": 0.0,
+           "decode_failures": 43, "side_info_bits": 12672}),
+}
+
+
+@pytest.fixture(scope="module")
+def reference_classical_clip():
+    cfg = reference_config()
+    return prepare_clip(resolve_video(cfg.video), "classical", cfg)
+
+
+@pytest.mark.parametrize("snr_db", sorted(WATERFALL_SENDS))
+def test_waterfall_classical_send_pinned(snr_db, reference_classical_clip):
+    received, stats = send(reference_classical_clip, reference_config(), snr_db,
+                           "classical", "cli", f"{snr_db:.3f}")
+    digest = hashlib.sha256(received.to_array().tobytes()).hexdigest()
+    assert (digest, asdict(stats)) == WATERFALL_SENDS[snr_db]
 
 
 class TestCompare:
