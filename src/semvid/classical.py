@@ -32,21 +32,26 @@ OFFSET_BITS = 32
 PCM_SAMPLES = MB * MB * 3
 PCM_BITS = PCM_SAMPLES * 8
 MAX_CODE_ZEROS = 48  # longest Exp-Golomb prefix the parser accepts
+# quantized levels are clipped to +-LEVEL_LIMIT.  A coded macroblock codes
+# each AC level and DC difference below 2**MAX_CODE_ZEROS, so its levels stay
+# below MB_BLOCKS times that: clipping changes none of them, and a clipped
+# level's macroblock takes the PCM escape
+LEVEL_LIMIT = MB_BLOCKS << MAX_CODE_ZEROS
 
 
 class BitstreamError(ValueError):
     """Raised for malformed or unrecoverable bitstream structure."""
 
 
-def _zigzag_order(n: int = BLOCK) -> np.ndarray:
+def _zigzag_order() -> np.ndarray:
     order = []
-    for s in range(2 * n - 1):
-        lo, hi = max(0, s - n + 1), min(s, n - 1)
+    for s in range(2 * BLOCK - 1):
+        lo, hi = max(0, s - BLOCK + 1), min(s, BLOCK - 1)
         if s % 2 == 0:
             order.extend((i, s - i) for i in range(hi, lo - 1, -1))
         else:
             order.extend((s - j, j) for j in range(hi, lo - 1, -1))
-    return np.array([i * n + j for i, j in order])
+    return np.array([i * BLOCK + j for i, j in order])
 
 
 ZIGZAG = _zigzag_order()
@@ -117,11 +122,14 @@ def _pack(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def _quantize(gop: Gop, qp: float):
     """Level-shifted macroblock tiles (n, 16, 16, 3) and their quantized DCT
-    levels (n, channel, block row, block column, 8, 8)."""
+    levels (n, channel, block row, block column, 8, 8), clipped to
+    +-LEVEL_LIMIT before the int64 cast."""
     tiles = _tiles(np.stack([pad_edge(f.data - GRAY, MB, MB) for f in gop.frames]))
     blocks = tiles.reshape(-1, 2, BLOCK, 2, BLOCK, 3).transpose(0, 5, 1, 3, 2, 4)
     coefs = dctn(blocks, axes=(-2, -1), norm="ortho")
-    return tiles, np.round(coefs / (qp / 255.0)).astype(np.int64)
+    with np.errstate(over="ignore"):  # a subnormal step overflows to inf, which the clip bounds
+        levels = np.clip(np.round(coefs / (qp / 255.0)), -LEVEL_LIMIT, LEVEL_LIMIT)
+    return tiles, levels.astype(np.int64)
 
 
 def source_encode(gop: Gop, qp: float) -> Bitstream:
@@ -137,8 +145,8 @@ def source_encode(gop: Gop, qp: float) -> Bitstream:
     token, level) pair per nonzero AC level in zigzag order, then EOB_TOKEN
     unless the last AC level is nonzero; levels are signed codes.
     """
-    if qp <= 0:
-        raise ValueError("qp must be positive")
+    if not qp / 255.0 > 0:
+        raise ValueError(f"classical.qp must give a positive step qp / 255, got {qp!r}")
     tiles, levels = _quantize(gop, qp)
     n_mb = tiles.shape[0]
     scanned = levels.reshape(-1, BLOCK * BLOCK)[:, ZIGZAG]
@@ -277,6 +285,7 @@ class PreparedClassical:
     bitstream: Bitstream
     symbols: object  # SymbolBlock of BPSK symbols
     source: Gop      # the GOP the bitstream codes
+    code: LdpcCode   # the LDPC code the symbols were encoded with
 
     @cached_property
     def clean_decode(self) -> Gop:
@@ -293,17 +302,12 @@ def prepare_classical(gop: Gop, qp: float, code: LdpcCode) -> PreparedClassical:
     pad = (-bs.bit_length) % code.k
     info = np.concatenate([bs.bits, np.zeros(pad, dtype=np.uint8)])
     coded = ldpc_encode(info, code)
-    return PreparedClassical(bitstream=bs, symbols=bpsk_modulate(coded), source=gop)
+    return PreparedClassical(bitstream=bs, symbols=bpsk_modulate(coded), source=gop, code=code)
 
 
-def transmit_prepared(
-    prep: PreparedClassical,
-    ch: ChannelConfig,
-    code: LdpcCode,
-    prev_frame: Frame = None,
-    max_iters: int = 50,
-):
-    bs = prep.bitstream
+def transmit_prepared(prep: PreparedClassical, ch: ChannelConfig, prev_frame: Frame = None,
+                      max_iters: int = 50):
+    bs, code = prep.bitstream, prep.code
     received = awgn(prep.symbols, ch)
     llrs = bpsk_demodulate(received, noise_variance(ch.snr_db))
     decoded, converged = ldpc_decode(llrs, code, max_iters=max_iters)

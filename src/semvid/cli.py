@@ -35,26 +35,11 @@ from .synthesis import matte_iou
 from .video import save_raw
 
 
-def _load(args):
-    cfg = load_config(args.config) if args.config else reference_config()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
-
-
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def cmd_transmit(args) -> int:
-    cfg = _load(args)
-    out = _outdir(args)
+def cmd_transmit(args, cfg, out: Path) -> int:
     snr = cfg.snr_db if args.snr is None else args.snr
     video = resolve_video(cfg.video)
     received, stats = transmit_video(video, args.chain, cfg, snr, "cli")
@@ -77,9 +62,7 @@ def cmd_transmit(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load(args)
-    out = _outdir(args)
+def cmd_sweep(args, cfg, out: Path) -> int:
     curve = snr_sweep(cfg)
     (out / "curves.csv").write_text(curve.to_csv())
     for chain in CHAINS:
@@ -89,9 +72,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def cmd_compare(args) -> int:
-    cfg = _load(args)
-    out = _outdir(args)
+def cmd_compare(args, cfg, out: Path) -> int:
     report = compare_baselines(cfg)
     (out / "comparison.json").write_text(report.to_json())
     (out / "curves.csv").write_text(report.curve.to_csv())
@@ -101,9 +82,7 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_composite(args) -> int:
-    cfg = _load(args)
-    out = _outdir(args)
+def cmd_composite(args, cfg, out: Path) -> int:
     user, plate, gt = user_clip(cfg.user_video)
     mattes, fused = matte_composite(user, resolve_video(cfg.background_video), plate,
                                     cfg.synthesis)
@@ -118,9 +97,7 @@ def cmd_composite(args) -> int:
     return 0
 
 
-def cmd_reconstruct(args) -> int:
-    cfg = _load(args)
-    out = _outdir(args)
+def cmd_reconstruct(args, cfg, out: Path) -> int:
     result, _, metrics = fit_reference_scene(cfg.reconstruction)
     save_scene(result.scene, out / "scene.json")
     metrics["iterations"] = result.iterations_run
@@ -132,9 +109,7 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-def cmd_pipeline(args) -> int:
-    cfg = _load(args)
-    out = _outdir(args)
+def cmd_pipeline(args, cfg, out: Path) -> int:
     report = run_service(cfg)
     (out / "service_report.json").write_text(report.to_json())
     for stage in report.stages:
@@ -144,8 +119,7 @@ def cmd_pipeline(args) -> int:
     return 0
 
 
-def cmd_show_config(args) -> int:
-    cfg = _load(args)
+def cmd_show_config(args, cfg, out: Path) -> int:
     print(json.dumps(config_to_dict(cfg), sort_keys=True, indent=1))
     return 0
 
@@ -162,6 +136,18 @@ def _snr_db(text: str) -> float:
     return value
 
 
+# subcommand -> (function, help text), in the order --help lists them
+COMMANDS = {
+    "transmit": (cmd_transmit, "send the reference clip through one chain"),
+    "sweep": (cmd_sweep, "PSNR/MS-SSIM curves over the SNR grid"),
+    "compare": (cmd_compare, "delay and quality comparison of both chains"),
+    "composite": (cmd_composite, "matting and compositing without a channel"),
+    "reconstruct": (cmd_reconstruct, "fit the synthetic Gaussian scene"),
+    "pipeline": (cmd_pipeline, "run the full service flow"),
+    "show-config": (cmd_show_config, "print the active configuration"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semvid",
@@ -169,47 +155,28 @@ def build_parser() -> argparse.ArgumentParser:
                     "transmission service with compositing and 3D scene fitting.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (_, help_text) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file (default: built-in reference)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default="out", help="output directory")
-
-    p = sub.add_parser("transmit", help="send the reference clip through one chain")
-    common(p)
-    p.add_argument("--chain", choices=CHAINS, default="semantic")
-    p.add_argument("--snr", type=_snr_db, default=None, help="override channel SNR in dB")
-    p.set_defaults(fn=cmd_transmit)
-
-    p = sub.add_parser("sweep", help="PSNR/MS-SSIM curves over the SNR grid")
-    common(p)
-    p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("compare", help="delay and quality comparison of both chains")
-    common(p)
-    p.set_defaults(fn=cmd_compare)
-
-    p = sub.add_parser("composite", help="matting and compositing without a channel")
-    common(p)
-    p.set_defaults(fn=cmd_composite)
-
-    p = sub.add_parser("reconstruct", help="fit the synthetic Gaussian scene")
-    common(p)
-    p.set_defaults(fn=cmd_reconstruct)
-
-    p = sub.add_parser("pipeline", help="run the full service flow")
-    common(p)
-    p.set_defaults(fn=cmd_pipeline)
-
-    p = sub.add_parser("show-config", help="print the active configuration")
-    common(p)
-    p.set_defaults(fn=cmd_show_config)
+        if name == "transmit":
+            p.add_argument("--chain", choices=CHAINS, default="semantic")
+            p.add_argument("--snr", type=_snr_db, default=None, help="override channel SNR in dB")
     return parser
 
 
 def main(argv=None) -> int:
+    """Load the config (a bad one fails before anything is written), create
+    the output directory unless the command only prints, then run it."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    cfg = load_config(args.config) if args.config else reference_config()
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
+    out = Path(args.out)
+    if args.command != "show-config":
+        out.mkdir(parents=True, exist_ok=True)
+    return COMMANDS[args.command][0](args, cfg, out)
 
 
 if __name__ == "__main__":

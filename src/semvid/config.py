@@ -75,7 +75,8 @@ class ClassicalSettings:
     max_iters: int = 50
 
     def __post_init__(self) -> None:
-        _positive(self, "qp")
+        if not self.qp / 255.0 > 0:  # the quantizer step
+            raise ValueError("qp must be positive, and so must its step qp / 255")
         _at_least(self, VAR_DEGREE * CHECK_DEGREE, "ldpc_k")
         _at_least(self, 1, "max_iters")
 

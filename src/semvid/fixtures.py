@@ -18,8 +18,10 @@ from .recon.scene import Camera, GaussianScene, scene_poses
 from .synthesis import AlphaMatte
 from .video import Frame, VideoSequence
 
+SCENE_FPS = 10.0  # playback rate of rendered scene videos
 
-def _smooth_noise(shape, rng, passes: int = 3) -> np.ndarray:
+
+def _smooth_noise(shape, rng, passes: int) -> np.ndarray:
     x = rng.standard_normal(shape)
     for _ in range(passes):
         x = (np.roll(x, 1, 0) + np.roll(x, -1, 0) + np.roll(x, 1, 1) + np.roll(x, -1, 1) + 4 * x) / 8.0
@@ -66,8 +68,7 @@ def make_test_clip(width: int = 128, height: int = 128, n_frames: int = 8,
     return VideoSequence.from_array(_snap(np.stack(frames)), fps)
 
 
-def make_matting_set(width: int = 64, height: int = 64, n_frames: int = 8,
-                     fps: float = 8.0, seed: int = 77):
+def make_matting_set(width: int, height: int, n_frames: int, fps: float = 8.0, seed: int = 77):
     """Foreground clip, its clean plate, and ground-truth mattes: a textured
     disk "avatar" moving over a static textured plate.
 
@@ -100,8 +101,8 @@ def make_matting_set(width: int = 64, height: int = 64, n_frames: int = 8,
     return video, Frame(plate), mattes
 
 
-def make_background_clip(width: int = 64, height: int = 64, n_frames: int = 8,
-                         fps: float = 8.0, seed: int = 55) -> VideoSequence:
+def make_background_clip(width: int, height: int, n_frames: int, fps: float,
+                         seed: int) -> VideoSequence:
     """A distant-scene clip: drifting dunes under a bright sky."""
     rng = np.random.default_rng(seed)
     ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
@@ -198,9 +199,10 @@ def make_benchmark_scene(n_timesteps: int = 10, image_size: int = 64,
     )
 
 
-def make_gradient_check_scene(n_timesteps: int = 3, image_size: int = 32) -> GaussianScene:
-    """Two Gaussians with rotating, translating bases; exercises every
-    parameter chain in the fitter's backward pass."""
+def make_gradient_check_scene() -> GaussianScene:
+    """Two Gaussians with rotating, translating bases over three 32 px
+    frames; exercises every parameter chain in the fitter's backward pass."""
+    n_timesteps = 3
     steps = np.arange(n_timesteps, dtype=np.float64)
     angles = 0.12 * steps
     basis_quats = np.zeros((2, n_timesteps, 4))
@@ -211,7 +213,7 @@ def make_gradient_check_scene(n_timesteps: int = 3, image_size: int = 32) -> Gau
     basis_trans = np.zeros((2, n_timesteps, 3))
     basis_trans[0, :, 0] = 0.05 * steps
     basis_trans[1, :, 1] = -0.04 * steps
-    cameras = tuple(default_camera(image_size, image_size, focal=40.0) for _ in range(n_timesteps))
+    cameras = tuple(default_camera(32, 32, focal=40.0) for _ in range(n_timesteps))
     return GaussianScene(
         means=np.array([[-0.25, -0.1, 2.1], [0.3, 0.2, 2.6]]),
         quats=np.array([[0.9689124217106447, 0.2474039592545229, 0.0, 0.0],
@@ -227,10 +229,10 @@ def make_gradient_check_scene(n_timesteps: int = 3, image_size: int = 32) -> Gau
     )
 
 
-def render_scene_video(scene: GaussianScene, fps: float = 10.0):
+def render_scene_video(scene: GaussianScene):
     """Render every timestep; returns (VideoSequence, depth maps list)."""
     results = [render(scene, t) for t in range(scene.n_timesteps)]
-    video = VideoSequence(tuple(r.image for r in results), fps)
+    video = VideoSequence(tuple(r.image for r in results), SCENE_FPS)
     return video, [r.depth for r in results]
 
 
@@ -260,14 +262,14 @@ def make_fit_inputs(scene: GaussianScene, n_tracks: int = 4):
 
 
 def perturb_scene(scene: GaussianScene, seed: int = 5, mean_sigma: float = 0.05,
-                  depth_sigma: float = 0.015, color_sigma: float = 0.05) -> GaussianScene:
+                  color_sigma: float = 0.05) -> GaussianScene:
     """Jitter a scene for fit-from-perturbed-initialization benchmarks.
 
     Lateral position noise is larger than depth noise, mirroring how these
     scenes are initialized in practice (means back-projected from depth
     maps are accurate along the ray)."""
     rng = np.random.default_rng(seed)
-    sigma = np.array([mean_sigma, mean_sigma, depth_sigma])
+    sigma = np.array([mean_sigma, mean_sigma, 0.015])  # depth noise
     means = scene.means + sigma * rng.standard_normal(scene.means.shape)
     colors = np.clip(
         scene.colors + color_sigma * rng.standard_normal(scene.colors.shape), 0.02, 0.98

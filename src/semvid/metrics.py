@@ -28,6 +28,9 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
+# the normalized 1D Gaussian window, applied along rows then columns
+_KERNEL = np.exp(-0.5 * ((np.arange(SSIM_WINDOW) - SSIM_WINDOW // 2) / SSIM_SIGMA) ** 2)
+_KERNEL /= _KERNEL.sum()
 
 
 def _pair_arrays(x, y):
@@ -53,21 +56,14 @@ def psnr(x, y) -> float:
     return min(10.0 * np.log10(1.0 / err), PSNR_CAP_DB)
 
 
-def _gaussian_kernel(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    offsets = np.arange(size) - (size - 1) / 2.0
-    k = np.exp(-0.5 * (offsets / sigma) ** 2)
-    return k / k.sum()
-
-
 def _ssim_components(a: np.ndarray, b: np.ndarray):
     """Mean luminance and contrast-structure terms over valid windows of one
     channel."""
-    kernel = _gaussian_kernel()
     half = SSIM_WINDOW // 2
 
     def blur(img):
-        out = correlate1d(img, kernel, axis=0, mode="nearest")
-        out = correlate1d(out, kernel, axis=1, mode="nearest")
+        out = correlate1d(img, _KERNEL, axis=0, mode="nearest")
+        out = correlate1d(out, _KERNEL, axis=1, mode="nearest")
         return out[half:-half, half:-half]
 
     mu_a = blur(a)
@@ -82,7 +78,7 @@ def _ssim_components(a: np.ndarray, b: np.ndarray):
     return float(lum.mean()), float(cs.mean())
 
 
-def ms_ssim(x, y, scales: int = 5) -> float:
+def ms_ssim(x, y, scales: int) -> float:
     """Multi-scale structural similarity in [0, 1]; 1.0 for identical inputs.
 
     ``scales`` must leave at least one full 11x11 window at the coarsest

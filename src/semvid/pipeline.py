@@ -14,7 +14,7 @@ produce byte-identical output.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import fixtures
 from .channel import ChannelConfig, TxStats, derive_seed
 from .classical import prepare_classical, transmit_prepared
 from .config import LinkSettings, NodeSettings, ReconSettings, RunConfig, VideoSource
-from .ldpc import LdpcCode, make_ldpc_code
+from .ldpc import make_ldpc_code
 from .metrics import epe, ms_ssim, pck, psnr
 from .recon.fit import fit_scene
 from .recon.render import render
@@ -78,13 +78,7 @@ class StageReport:
             "metrics": self.metrics,
         }
         if self.tx is not None:
-            data["tx"] = {
-                "payload_bits": self.tx.payload_bits,
-                "channel_symbols": self.tx.channel_symbols,
-                "wireless_delay_seconds": self.tx.wireless_delay_seconds,
-                "decode_failures": self.tx.decode_failures,
-                "side_info_bits": self.tx.side_info_bits,
-            }
+            data["tx"] = asdict(self.tx)
         if self.error:
             data["error"] = self.error
         return data
@@ -117,10 +111,6 @@ class ServiceReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
-
-
-def build_ldpc(cfg: RunConfig):
-    return make_ldpc_code(cfg.classical.ldpc_k, cfg.classical.ldpc_seed)
 
 
 def resolve_video(source: VideoSource) -> VideoSequence:
@@ -162,7 +152,6 @@ class PreparedClip:
     payloads: tuple       # per GOP: SemanticPacket or PreparedClassical
     fps: float
     wireless_bits: int    # payload plus side information, all GOPs
-    code: LdpcCode = None  # the classical chain's channel code
 
 
 def prepare_clip(video: VideoSequence, chain: str, cfg: RunConfig,
@@ -178,10 +167,10 @@ def prepare_clip(video: VideoSequence, chain: str, cfg: RunConfig,
                    for p in packets)
         return PreparedClip(chain, packets, video.fps, bits)
     if chain == "classical":
-        code = build_ldpc(cfg)
+        code = make_ldpc_code(cfg.classical.ldpc_k, cfg.classical.ldpc_seed)
         preps = tuple(prepare_classical(g, cfg.classical.qp, code) for g in gops)
         bits = sum(p.bitstream.bit_length + p.bitstream.side_info_bits for p in preps)
-        return PreparedClip(chain, preps, video.fps, bits, code)
+        return PreparedClip(chain, preps, video.fps, bits)
     raise ValueError(f"unknown chain {chain!r}")
 
 
@@ -198,8 +187,7 @@ def send(clip: PreparedClip, cfg: RunConfig, snr_db: float, *labels):
         if clip.chain == "semantic":
             rec, st = transmit_packet(payload, ch, cfg.semantic)
         else:
-            rec, st = transmit_prepared(payload, ch, clip.code, prev_frame=prev,
-                                        max_iters=cfg.classical.max_iters)
+            rec, st = transmit_prepared(payload, ch, prev, cfg.classical.max_iters)
             prev = rec.frames[-1]
         out.append(rec)
         total = total.merge(st)
@@ -225,12 +213,13 @@ class CurveData:
             lines.append(f"{r['snr_db']!r},{r['chain']},{r['psnr_db']!r},{r['ms_ssim']!r}")
         return "\n".join(lines) + "\n"
 
-    def chain_series(self, chain: str, key: str = "psnr_db"):
+    def chain_series(self, chain: str):
+        """The chain's (SNRs, PSNRs), in increasing SNR."""
         rows = sorted((r for r in self.rows if r["chain"] == chain), key=lambda r: r["snr_db"])
-        return [r["snr_db"] for r in rows], [r[key] for r in rows]
+        return [r["snr_db"] for r in rows], [r["psnr_db"] for r in rows]
 
-    def max_adjacent_drop(self, chain: str, key: str = "psnr_db") -> float:
-        _, vals = self.chain_series(chain, key)
+    def max_adjacent_drop(self, chain: str) -> float:
+        _, vals = self.chain_series(chain)
         return max(prev - cur for prev, cur in zip(vals[1:], vals[:-1]))
 
 
@@ -412,10 +401,9 @@ def _scene_preprocess(cfg: RunConfig):
 
 
 def _edge_render(cfg: RunConfig, scene, scene_frames):
-    rendered = VideoSequence(
-        tuple(render(scene, t).image for t in range(scene.n_timesteps)), 10.0
-    )
-    quality = video_quality(VideoSequence(tuple(scene_frames), 10.0), rendered, scales=1)
+    fps = fixtures.SCENE_FPS
+    rendered = VideoSequence(tuple(render(scene, t).image for t in range(scene.n_timesteps)), fps)
+    quality = video_quality(VideoSequence(tuple(scene_frames), fps), rendered, scales=1)
     delay = stage_latency(0.0, cfg.links.fiber, cfg.compute.render_flops, cfg.nodes.edge)
     return (StageReport(compute_seconds=delay, metrics={"render_vs_observations": quality}),
             {"downlink": rendered})

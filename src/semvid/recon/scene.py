@@ -65,10 +65,10 @@ def _require_finite(owner: str, arrays: dict) -> None:
             raise ValueError(f"{owner} {name} must be finite")
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -207,7 +207,7 @@ def pose_pipeline(params: dict, t: int) -> dict:
     track correspondence all route through this one function, so fitting a
     scene against its own renders has exactly zero residual at the
     optimum."""
-    w = softmax(params["coeffs"], axis=1)                      # (G, B)
+    w = softmax(params["coeffs"])                              # (G, B)
     bqn = quat_normalize(params["basis_quats"][:, t])          # (B, 4)
     sign = np.sign(bqn @ bqn[0])
     sign[sign == 0] = 1.0

@@ -35,7 +35,7 @@ from .channel import (
     noise_variance,
     normalize_power,
 )
-from .video import Gop, pad_edge
+from .video import CHANNELS, Gop, pad_edge
 
 GRID_BITS = 32
 _GRID = float(2**GRID_BITS)
@@ -143,8 +143,7 @@ def snap_to_grid(values: np.ndarray) -> np.ndarray:
     return np.round(values * _GRID) / _GRID
 
 
-def _channel_dct_matrix(n: int = 3) -> np.ndarray:
-    return dct(np.eye(n), axis=0, norm="ortho")
+_CHANNEL_DCT = dct(np.eye(CHANNELS), axis=0, norm="ortho")  # decorrelates RGB
 
 
 def _tile_order(cfg: SemanticCodecConfig) -> np.ndarray:
@@ -164,7 +163,7 @@ def _jscc_gains(cfg: SemanticCodecConfig) -> np.ndarray:
     return q / np.sqrt(np.mean(q**2))
 
 
-def latent_transform(gop: Gop, cfg: SemanticCodecConfig = SemanticCodecConfig()) -> FeatureGrid:
+def latent_transform(gop: Gop, cfg: SemanticCodecConfig) -> FeatureGrid:
     """Map a GOP into latent tensors: orthonormal DCT across the channel
     axis, plane concatenation along width, then an orthonormal 2D DCT on
     non-overlapping (block, 2*block) tiles."""
@@ -172,7 +171,7 @@ def latent_transform(gop: Gop, cfg: SemanticCodecConfig = SemanticCodecConfig())
     arr = gop.to_array()
     n, h, w, _ = arr.shape
     padded = np.stack([pad_edge(f, bh, bw) for f in arr])
-    decor = np.einsum("nhwc,kc->nhwk", padded, _channel_dct_matrix())
+    decor = np.einsum("nhwc,kc->nhwk", padded, _CHANNEL_DCT)
     _, ph, pw, _ = decor.shape
     gh, gw = ph // bh, 3 * pw // bw
     # the three planes side by side, rows of width 3 * pw, cut into tiles
@@ -182,18 +181,18 @@ def latent_transform(gop: Gop, cfg: SemanticCodecConfig = SemanticCodecConfig())
     return FeatureGrid(values, FeatureMeta(h, w))
 
 
-def latent_inverse(lat: FeatureGrid, cfg: SemanticCodecConfig = SemanticCodecConfig()) -> Gop:
+def latent_inverse(lat: FeatureGrid, cfg: SemanticCodecConfig) -> Gop:
     """Invert :func:`latent_transform`; samples are clipped back to [0, 1]."""
     bh, bw = cfg.tile_shape
     n, gh, gw, _ = lat.values.shape
     planes = idctn(lat.values.reshape(n, gh, gw, bh, bw), norm="ortho", axes=(-2, -1))
     decor = planes.transpose(0, 1, 3, 2, 4).reshape(n, gh * bh, 3, -1).transpose(0, 1, 3, 2)
-    rgb = np.einsum("nhwk,kc->nhwc", decor, _channel_dct_matrix())
+    rgb = np.einsum("nhwk,kc->nhwc", decor, _CHANNEL_DCT)
     rgb = rgb[:, : lat.meta.height, : lat.meta.width, :]
     return Gop.from_array(np.clip(rgb, 0.0, 1.0))
 
 
-def jscc_encode(lat: FeatureGrid, cfg: SemanticCodecConfig = SemanticCodecConfig()) -> FeatureGrid:
+def jscc_encode(lat: FeatureGrid, cfg: SemanticCodecConfig) -> FeatureGrid:
     """Reorder channels low-frequency first and apply the fixed power
     profile, then snap to the dyadic grid.  Linear, deterministic, and
     invertible up to the grid quantization."""
@@ -203,7 +202,7 @@ def jscc_encode(lat: FeatureGrid, cfg: SemanticCodecConfig = SemanticCodecConfig
     return FeatureGrid(values, lat.meta)
 
 
-def jscc_decode(features: FeatureGrid, cfg: SemanticCodecConfig = SemanticCodecConfig()) -> FeatureGrid:
+def jscc_decode(features: FeatureGrid, cfg: SemanticCodecConfig) -> FeatureGrid:
     values = (features.values / _jscc_gains(cfg))[..., np.argsort(_tile_order(cfg))]
     return FeatureGrid(values, features.meta)
 
@@ -221,7 +220,7 @@ def merge_common(maps: FeatureMaps) -> FeatureGrid:
     return FeatureGrid(maps.common + maps.individual, maps.meta)
 
 
-def fit_entropy_model(maps: FeatureMaps, cfg: SemanticCodecConfig = SemanticCodecConfig()) -> EntropyModel:
+def fit_entropy_model(maps: FeatureMaps, cfg: SemanticCodecConfig) -> EntropyModel:
     """Per-channel Laplace parameters fitted by moments (mean location and
     first absolute moment for the scale, which is the Laplace ML estimate),
     separately for the common map and the residual maps; degenerate
@@ -278,12 +277,8 @@ def _symbol_weights(scales: np.ndarray, cfg: SemanticCodecConfig) -> np.ndarray:
     return variance**cfg.power_alloc_exp
 
 
-def variable_length_code(
-    maps: FeatureMaps,
-    model: EntropyModel,
-    symbol_budget: int,
-    cfg: SemanticCodecConfig = SemanticCodecConfig(),
-) -> SemanticPacket:
+def variable_length_code(maps: FeatureMaps, model: EntropyModel, symbol_budget: int,
+                         cfg: SemanticCodecConfig) -> SemanticPacket:
     """Keep the ``symbol_budget`` highest-information elements, common map
     first (it is transmitted once per GOP), and pack them as power
     normalized real symbols."""
@@ -321,12 +316,8 @@ def variable_length_code(
     )
 
 
-def decode_packet(
-    packet: SemanticPacket,
-    received: SymbolBlock,
-    noise_var: float,
-    cfg: SemanticCodecConfig = SemanticCodecConfig(),
-) -> FeatureMaps:
+def decode_packet(packet: SemanticPacket, received: SymbolBlock, noise_var: float,
+                  cfg: SemanticCodecConfig) -> FeatureMaps:
     """Receiver side: MMSE-style shrinkage 1/(1 + sigma^2) on the normalized
     symbols, de-normalization and de-weighting, then scatter into maps with
     dropped elements filled by the model locations."""
@@ -345,9 +336,7 @@ def decode_packet(
     return FeatureMaps(*maps, packet.meta)
 
 
-def prepare_semantic(
-    gop: Gop, symbol_budget: int, cfg: SemanticCodecConfig = SemanticCodecConfig()
-) -> SemanticPacket:
+def prepare_semantic(gop: Gop, symbol_budget: int, cfg: SemanticCodecConfig) -> SemanticPacket:
     """Encoder side of the chain (reused across SNR sweep points)."""
     features = jscc_encode(latent_transform(gop, cfg), cfg)
     maps = extract_common(features)
@@ -355,11 +344,7 @@ def prepare_semantic(
     return variable_length_code(maps, model, symbol_budget, cfg)
 
 
-def transmit_packet(
-    packet: SemanticPacket,
-    ch: ChannelConfig,
-    cfg: SemanticCodecConfig = SemanticCodecConfig(),
-):
+def transmit_packet(packet: SemanticPacket, ch: ChannelConfig, cfg: SemanticCodecConfig):
     """Channel plus receiver side; analog symbols never fail to decode,
     they just get noisier."""
     received = awgn(packet.block, ch)
@@ -374,12 +359,8 @@ def transmit_packet(
     return gop_hat, stats
 
 
-def semantic_transmit(
-    gop: Gop,
-    ch: ChannelConfig,
-    symbol_budget: int,
-    cfg: SemanticCodecConfig = SemanticCodecConfig(),
-):
+def semantic_transmit(gop: Gop, ch: ChannelConfig, symbol_budget: int,
+                      cfg: SemanticCodecConfig):
     """Full semantic chain over the AWGN channel; returns the reconstructed
     GOP and transmission accounting."""
     packet = prepare_semantic(gop, symbol_budget, cfg)

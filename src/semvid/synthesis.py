@@ -60,12 +60,8 @@ def _same_shape(a, b, what: str):
         raise ValueError(f"{what}: dimension mismatch {a.shape} vs {b.shape}")
 
 
-def estimate_matte(
-    fg_frame: Frame,
-    bg_frame: Frame,
-    threshold: float = 0.15,
-    softness: float = 0.1,
-) -> AlphaMatte:
+def estimate_matte(fg_frame: Frame, bg_frame: Frame, threshold: float,
+                   softness: float) -> AlphaMatte:
     """Background-difference matting: alpha ramps from 0 to 1 as the
     normalized color distance to the clean plate crosses ``threshold``,
     over a band of width ``softness``."""

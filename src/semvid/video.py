@@ -19,12 +19,6 @@ CHANNELS = 3
 SIDECAR_FIELDS = ("width", "height", "fps", "frames")
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.ascontiguousarray(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class Frame:
     """One RGB raster, shape (height, width, 3), samples in [0, 1]."""
@@ -32,7 +26,7 @@ class Frame:
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _frozen_array(self.data)
+        arr = np.ascontiguousarray(self.data, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[2] != CHANNELS:
             raise ValueError(f"frame must have shape (h, w, {CHANNELS}), got {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -41,6 +35,7 @@ class Frame:
             raise ValueError("frame samples must be finite")
         if arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError("frame samples must lie in [0, 1]")
+        arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
     @property

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -257,25 +258,53 @@ def test_clean_decode_is_the_parsed_decode(clip, qp, ldpc_code):
     assert np.array_equal(prepare_classical(gop, qp, ldpc_code).clean_decode.to_array(), parsed)
 
 
+def _flat_gops():
+    """One 16x32 GOP of two frames, flat 0.9; the other has a noise
+    macroblock on its right."""
+    flat = np.full((2, 16, 32, 3), 0.9)
+    noisy = flat.copy()
+    noisy[:, :, 16:] = np.random.default_rng(5).random((2, 16, 16, 3))
+    return {"flat": Gop.from_array(flat), "flat+noise": Gop.from_array(noisy)}
+
+
+@pytest.mark.parametrize("qp", [1e-16, 1e-17, 1e-20, 1e-300, 1e-320])
+@pytest.mark.parametrize("name", ["flat", "flat+noise"])
+def test_tiny_qp_escapes_to_pcm(name, qp, ldpc_code):
+    # levels beyond int64 are clipped, so their macroblocks take the PCM escape
+    gop = _flat_gops()[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prep = prepare_classical(gop, qp, ldpc_code)
+    parsed = source_decode(prep.bitstream).to_array()
+    assert np.array_equal(prep.clean_decode.to_array(), parsed)
+    assert np.abs(parsed - gop.to_array()).max() <= 0.5 / 255 + 1e-12
+
+
+def test_qp_without_a_step_refused(natural_gop):
+    # 5e-324 / 255 is 0, and 0 / 0 would quantize the levels to nan
+    with pytest.raises(ValueError, match=r"classical\.qp"):
+        source_encode(natural_gop, 5e-324)
+
+
 class TestTransmitChain:
     def test_high_snr_is_transparent(self, natural_gop, ldpc_code):
         prep = prepare_classical(natural_gop, 4.0, ldpc_code)
         source_only = source_decode(prep.bitstream)
-        received, stats = transmit_prepared(prep, ChannelConfig(snr_db=25.0, seed=3), ldpc_code)
+        received, stats = transmit_prepared(prep, ChannelConfig(snr_db=25.0, seed=3))
         assert stats.decode_failures == 0
         for a, b in zip(source_only.frames, received.frames):
             assert psnr(a, b) == psnr(a, a)  # identical reconstruction
 
     def test_low_snr_collapses_to_concealment(self, natural_gop, ldpc_code):
         prep = prepare_classical(natural_gop, 4.0, ldpc_code)
-        received, stats = transmit_prepared(prep, ChannelConfig(snr_db=-10.0, seed=3), ldpc_code)
+        received, stats = transmit_prepared(prep, ChannelConfig(snr_db=-10.0, seed=3))
         values = [psnr(a, b) for a, b in zip(natural_gop.frames, received.frames)]
         assert stats.decode_failures > 0
         assert np.mean(values) < 20.0
 
     def test_symbol_accounting(self, natural_gop, ldpc_code):
         prep = prepare_classical(natural_gop, 4.0, ldpc_code)
-        _, stats = transmit_prepared(prep, ChannelConfig(snr_db=25.0, seed=3), ldpc_code)
+        _, stats = transmit_prepared(prep, ChannelConfig(snr_db=25.0, seed=3))
         padded = -(-stats.payload_bits // ldpc_code.k) * ldpc_code.k
         assert stats.channel_symbols == 2 * padded
         assert stats.channel_symbols >= 2 * stats.payload_bits
@@ -284,7 +313,7 @@ class TestTransmitChain:
         reference = natural_gop.frames[-1]
         prep = prepare_classical(natural_gop, 4.0, ldpc_code)
         received, _ = transmit_prepared(
-            prep, ChannelConfig(snr_db=-10.0, seed=3), ldpc_code, prev_frame=reference)
+            prep, ChannelConfig(snr_db=-10.0, seed=3), prev_frame=reference)
         # with everything concealed, the first frame copies the reference
         assert psnr(reference, received.frames[0]) > psnr(natural_gop.frames[0], received.frames[0])
 
@@ -300,7 +329,7 @@ class TestTransmitChain:
         plate = Frame(np.full((64, 64, 3), 0.25))
         for seed, prev in ((3, None), (4, plate)):
             received, stats = transmit_prepared(
-                prep, ChannelConfig(snr_db=25.0, seed=seed), ldpc_code, prev_frame=prev)
+                prep, ChannelConfig(snr_db=25.0, seed=seed), prev_frame=prev)
             assert stats.decode_failures == 0
             for a, b in zip(parsed.frames, received.frames):
                 assert np.array_equal(a.data, b.data)
@@ -321,7 +350,7 @@ class TestTransmitChain:
         monkeypatch.setattr(semvid.classical, "ldpc_decode", first_block_fails)
         plate = Frame(np.full((64, 64, 3), 0.25))
         received, stats = transmit_prepared(
-            prep, ChannelConfig(snr_db=25.0, seed=3), ldpc_code, prev_frame=plate)
+            prep, ChannelConfig(snr_db=25.0, seed=3), prev_frame=plate)
         assert stats.decode_failures == 1
         starts = prep.bitstream.block_map[:, 0]
         hit = set(np.nonzero(starts < ldpc_code.k)[0])  # macroblocks block 0 covers

@@ -1,10 +1,13 @@
 """Static checks that stand in for a linter: no module under ``src/`` or
-``tests/`` imports a name it never uses, and no module under ``src/``
-defines a top-level private name (``_name``) that it never reads.  Package
-``__init__`` modules re-export what they import and are exempt from the
-import check, as is an import on a line marked ``# noqa: F401``."""
+``tests/`` imports a name it never uses, no module under ``src/`` defines a
+top-level private name (``_name``) that it never reads, and every defaulted
+parameter of a top-level private function in ``src/`` is set by some call
+and left unset by another.  Package ``__init__`` modules re-export what they
+import and are exempt from the import check, as is an import on a line
+marked ``# noqa: F401``."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -70,3 +73,52 @@ def test_unread_private_name_is_found():
 @pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unread_private_names(path):
     assert unread_private_names(path.read_text()) == []
+
+
+def calls_by_name(sources) -> dict:
+    """Every call in ``sources``, keyed by the called name: ``f`` for both
+    ``f(...)`` and ``m.f(...)``."""
+    calls = defaultdict(list)
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                calls[getattr(node.func, "id", None) or node.func.attr].append(node)
+    return calls
+
+
+def idle_defaults(source: str, calls: dict) -> list:
+    """(line, "function.parameter") of each defaulted parameter of a
+    top-level private function in ``source`` that ``calls`` (as
+    ``calls_by_name`` keys them) never set, or never leave unset: the first
+    default is a constant in disguise, the second is never used."""
+    found = []
+    for fn in ast.parse(source).body:
+        if not isinstance(fn, ast.FunctionDef) or not fn.name.startswith("_"):
+            continue
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+        defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                      if d is not None]
+        for index, name in defaulted:
+            set_by = [(index is not None and index < len(c.args))
+                      or name in {k.arg for k in c.keywords} for c in calls[fn.name]]
+            if not (any(set_by) and not all(set_by)):
+                found.append((fn.lineno, f"{fn.name}.{name}"))
+    return found
+
+
+def test_idle_default_is_found():
+    source = ("def _f(a, b=1, c=2, *, d=3):\n    return a\n\n\n"
+              "def _g(e=4):\n    return e\n\n\ndef h(i=5):\n    return i\n")
+    calls = calls_by_name([source, "_f(0, 1)\n_f(0, d=3)\n_f(0)\nm._g(e=1)\nh()\n"])
+    assert idle_defaults(source, calls) == [(1, "_f.c"), (5, "_g.e")]
+
+
+SRC_AND_TEST_CALLS = calls_by_name(
+    p.read_text() for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_idle_defaults(path):
+    assert idle_defaults(path.read_text(), SRC_AND_TEST_CALLS) == []

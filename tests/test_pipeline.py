@@ -239,6 +239,10 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(dotted)} must be finite$"):
             config_from_dict(data)
 
+    def test_qp_without_a_quantizer_step_refused(self):
+        with pytest.raises(ValueError, match=r"classical: qp must be positive.*qp / 255"):
+            config_from_dict({"classical": {"qp": 5e-324}})
+
     def test_float_leaves_found(self):
         found = {".".join(map(str, path)) for path in FLOAT_LEAVES}
         assert {"classical.qp", "synthesis.threshold", "snr_db", "sweep_snrs_db.0",
@@ -365,7 +369,8 @@ class TestCompare:
         # at 25 dB both chains sit within 3 dB of their channel-free quality
         from semvid.classical import prepare_classical, source_decode
         from semvid.metrics import psnr
-        from semvid.pipeline import build_ldpc, resolve_video
+        from semvid.ldpc import make_ldpc_code
+        from semvid.pipeline import resolve_video
         from semvid.semantic import semantic_transmit
         from semvid.video import segment_gops
 
@@ -374,7 +379,7 @@ class TestCompare:
 
         video = resolve_video(tiny_config.video)
         gops = segment_gops(video, tiny_config.semantic.gop_size)
-        code = build_ldpc(tiny_config)
+        code = make_ldpc_code(tiny_config.classical.ldpc_k, tiny_config.classical.ldpc_seed)
         cls_free, sem_free = [], []
         for gop in gops:
             decoded = source_decode(prepare_classical(gop, tiny_config.classical.qp, code).bitstream)
@@ -497,6 +502,16 @@ class TestCli:
         assert cli_main(["show-config"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "bd914da96dcb192a8b78cd42f36abbf80ce55c1aa70d8c54740302ae6a19f02f"
+
+    def test_bad_config_and_show_config_create_no_out_dir(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"classical": {"bogus": 1}}')
+        out = tmp_path / "X"
+        with pytest.raises(ValueError, match=r"classical\.bogus"):
+            cli_main(["compare", "--config", str(bad), "--out", str(out)])
+        assert not out.exists()
+        assert cli_main(["show-config", "--out", str(out)]) == 0
+        assert not out.exists()
 
     def test_transmit_writes_outputs(self, tmp_path, tiny_config):
         cfg_path = tmp_path / "cfg.json"
