@@ -242,6 +242,20 @@ def test_criterion_8_desk_scale_fit():
     )
 
 
+# the benchmark's FIT_RTOL (perfbench/workloads.py): the fit may reorder its
+# arithmetic, so the floats it derives may drift in their last bits
+FIT_RTOL = 1e-6
+
+
+def _close_to_fit_rtol(a, b) -> bool:
+    """Equal structure and strings; numbers equal to within FIT_RTOL."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_close_to_fit_rtol(a[k], b[k]) for k in a)
+    if isinstance(a, float) or isinstance(b, float):
+        return math.isclose(a, b, rel_tol=FIT_RTOL, abs_tol=1e-12)
+    return a == b
+
+
 def test_criterion_9_pipeline_determinism():
     cfg = reference_config()
     first = run_service(cfg).to_json().encode()
@@ -252,6 +266,12 @@ def test_criterion_9_pipeline_determinism():
     got = json.loads(first)["stages"]
     unfit = ("upload_user_video", "upload_background", "forward_to_cloud", "video_synthesis")
     assert [s for s in got if s["name"] in unfit] == [s for s in golden if s["name"] in unfit]
+    # the fit-derived stages match it to FIT_RTOL
+    fit = ("scene_preprocess", "edge_render", "download_3d_video")
+    assert [s["name"] for s in got] == [s["name"] for s in golden]
+    for g, w in zip(got, golden):
+        if g["name"] in fit:
+            assert _close_to_fit_rtol(g, w), g["name"]
     print(
         f"\nPASS criterion 9: two pipeline runs with identical config and seeds "
         f"produced byte-identical reports ({len(first)} bytes)"
