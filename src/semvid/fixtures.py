@@ -14,7 +14,7 @@ import numpy as np
 
 from .recon.fit import Tracks2D, predict_track_positions, track_assignments
 from .recon.render import project_points, render
-from .recon.scene import Camera, GaussianScene, scene_poses
+from .recon.scene import Camera, GaussianScene, pose_pipeline, scene_params
 from .synthesis import AlphaMatte
 from .video import Frame, VideoSequence
 
@@ -243,21 +243,16 @@ def make_fit_inputs(scene: GaussianScene, n_tracks: int = 4):
 
     Returns (frames, depth_maps, tracks); the scene holds the cameras."""
     video, depths = render_scene_video(scene)
-    mu0, _, cov0 = scene_poses(scene, 0)
-    valid, _, mu2d0, _, _ = project_points(mu0, cov0, scene.cameras[0])
+    pp = pose_pipeline(scene_params(scene), range(scene.n_timesteps))
+    valid, _, mu2d, _, _ = project_points(pp["mu_t"], pp["cov"], scene.cameras)
     order = np.argsort(-scene.opacities)
     query = []
     for g in order:
-        if valid[g] and len(query) < n_tracks:
-            query.append(np.round(mu2d0[g]))
+        if valid[0, g] and len(query) < n_tracks:
+            query.append(np.round(mu2d[0, g]))
     query = np.array(query)
-    assignments = track_assignments(scene, query)
-    positions = np.zeros((query.shape[0], scene.n_timesteps, 2))
-    for t in range(scene.n_timesteps):
-        mu_t, _, cov_t = scene_poses(scene, t)
-        valid_t, _, mu2d_t, _, _ = project_points(mu_t, cov_t, scene.cameras[t])
-        positions[:, t] = predict_track_positions(mu2d_t, assignments, valid_t)
-    tracks = Tracks2D(query_pixels=query, positions=positions)
+    positions = predict_track_positions(mu2d, track_assignments(scene, query), valid)
+    tracks = Tracks2D(query_pixels=query, positions=positions.swapaxes(0, 1))
     return list(video.frames), depths, tracks
 
 

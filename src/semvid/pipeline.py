@@ -26,7 +26,7 @@ from .ldpc import make_ldpc_code
 from .metrics import epe, ms_ssim, pck, psnr
 from .recon.fit import fit_scene
 from .recon.render import render
-from .recon.scene import scene_poses
+from .recon.scene import pose_pipeline, scene_params
 # semantic_transmit is unused here, but the benchmark tracer wraps it by this
 # module's name, so it stays importable from semvid.pipeline
 from .semantic import prepare_semantic, semantic_transmit, transmit_packet  # noqa: F401
@@ -314,9 +314,9 @@ def fit_reference_scene(rc: ReconSettings):
     frames, depths, tracks = fixtures.make_fit_inputs(gt, rc.n_tracks)
     result = fit_scene(frames, depths, tracks, fixtures.perturb_scene(gt, rc.perturb_seed),
                        rc.iterations)
-    gt_centers = np.concatenate([scene_poses(gt, t)[0] for t in range(gt.n_timesteps)])
-    fit_centers = np.concatenate(
-        [scene_poses(result.scene, t)[0] for t in range(result.scene.n_timesteps)]
+    gt_centers, fit_centers = (
+        pose_pipeline(scene_params(s), range(s.n_timesteps))["mu_t"].reshape(-1, 3)
+        for s in (gt, result.scene)
     )
     metrics = {
         "final_loss": result.final_loss,

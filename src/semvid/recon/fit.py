@@ -13,9 +13,13 @@ accept/reject rule: a step that does not decrease the objective is
 backtracked with a halved scale, at most ``MAX_BACKTRACKS`` times per
 iteration, so the recorded objective is non-increasing by construction.
 The step sizes are the constants ``LEARNING_RATES``; a fit's only settings
-are its iteration count and the frames it holds out.  Each candidate is
-rasterized once: the forward pass keeps per-frame caches, and an accepted
-candidate's gradient is built from them.
+are its iteration count and the frames it holds out.
+
+Each candidate is rasterized once, all fit frames in one call, and an
+accepted candidate's gradient is built from that call's outputs in two
+stages: the per-pixel terms (compositing and splatting) one frame at a
+time, then the per-Gaussian chain (projection, covariance, rotation and
+blend) for all frames in one batch.
 """
 
 from __future__ import annotations
@@ -113,9 +117,10 @@ def track_assignments(scene: GaussianScene, query_pixels: np.ndarray) -> np.ndar
 
 def predict_track_positions(mu2d: np.ndarray, assignments: np.ndarray,
                             valid: np.ndarray) -> np.ndarray:
-    """Predicted pixel position per track: assignment-weighted mean of the
-    projected Gaussian centers (culled Gaussians contribute nothing)."""
-    a = assignments * valid[None, :]
+    """Predicted pixel position per frame and track, (F, K, 2): the
+    assignment-weighted mean of the (F, G, 2) projected Gaussian centers
+    (culled Gaussians contribute nothing)."""
+    a = assignments * valid[:, None, :]
     return a @ mu2d
 
 
@@ -166,12 +171,6 @@ def _softmax_backward(w: np.ndarray, d_w: np.ndarray) -> np.ndarray:
 
 # --- objective -------------------------------------------------------------
 
-# the rasterizer outputs the backward pass reads; the rest is dropped once
-# the residuals are taken
-_CACHED = ("pp", "valid", "x_cam", "j", "order", "alphas", "alpha_raw", "dx", "dy", "inv",
-           "t_excl", "t_final")
-
-
 def _splat_backward(d_qf, dx, dy, inv):
     """Gradients through qf = d^T inv d with d = p - mu2d, given d(loss)/d(qf)
     per (g, h, w): returns (d_inv (g, 2, 2), d_mu2d (g, 2)), with the 2x2
@@ -190,81 +189,80 @@ def _splat_backward(d_qf, dx, dy, inv):
     return d_inv, d_mu2d
 
 
-def _backward_frame(params, camera, t, fwd, g_image, g_depth, d_mu2d_extra, grads,
-                    background):
-    """Accumulate d(loss)/d(params) for one frame given upstream gradients
-    on the rendered image/depth and on the projected centers."""
-    g = params["means"].shape[0]
-    order = fwd["order"]
-    n = order.size
+def _suffix_sums(tail: np.ndarray) -> np.ndarray:
+    """Row i is tail[i + 1] + ... + tail[-1], for every row of ``tail`` but
+    the last, added from the back as the reversed cumsum adds them."""
+    sums = np.empty_like(tail[1:])
+    if len(sums):
+        sums[-1] = tail[-1]
+    for i in range(len(sums) - 2, -1, -1):
+        np.add(sums[i + 1], tail[i + 1], out=sums[i])
+    return sums
+
+
+def _pixel_backward(params, z, frame, g_image, g_depth, background):
+    """Per-frame stage of the gradient: from the upstream gradients on one
+    frame's (3, h, w) image and (h, w) depth to its sorted splats' colours,
+    opacities, centres, 2D covariances and depths.  ``z`` holds that
+    frame's camera depth per Gaussian."""
+    order, alphas, t_excl = frame["order"], frame["alphas"], frame["t_excl"]
+    n, h, w = alphas.shape
+    weights = t_excl * alphas
+    # project the upstream gradient onto each splat's color and depth and
+    # onto the background; since the suffix sum is linear, one scalar
+    # suffix sum then covers everything behind each splat, background
+    # included (t_final * bg also depends on every alpha)
+    g_rgb = g_image.reshape(3, h * w)
+    proj = (params["colors"][order] @ g_rgb).reshape(n, h, w) + z[order, None, None] * g_depth
+    tail = np.empty((n + 1, h, w))
+    np.multiply(weights, proj, out=tail[:-1])
+    tail[-1] = frame["t_final"] * (background @ g_rgb).reshape(h, w)
+    d_alpha = t_excl * proj - _suffix_sums(tail) / (1.0 - alphas)
+    weights_flat = weights.reshape(n, h * w)
+
+    alpha_raw = frame["alpha_raw"]
+    d_alpha_e = d_alpha * (alpha_raw < ALPHA_MAX) * alpha_raw  # alpha_raw = o * e
+    d_opacities = np.sum(d_alpha_e, axis=(1, 2)) / params["opacities"][order]
+    inv = frame["inv"]
+    d_inv, d_mu2d = _splat_backward(-0.5 * d_alpha_e, frame["dx"], frame["dy"], inv)
+    return (weights_flat @ g_rgb.T, d_opacities, d_mu2d, -inv @ d_inv @ inv,
+            weights_flat @ g_depth.reshape(-1))
+
+
+def _chain_backward(params, ts, cameras, fwd, d_mu2d, d_cov2d, d_x_cam, grads):
+    """Batched stage of the gradient: from the (F, G, ...) gradients on the
+    projected centres, 2D covariances and camera-space points, back through
+    projection, covariance, rotation and blend to the pose parameters, all
+    frames at once; adds the sum over frames to ``grads``."""
     pp = fwd["pp"]
-
-    d_mu2d = np.zeros((g, 2))
-    d_cov2d = np.zeros((g, 2, 2))
-    d_x_cam = np.zeros((g, 3))
-    if d_mu2d_extra is not None:
-        d_mu2d += d_mu2d_extra
-
-    if n > 0:
-        alphas = fwd["alphas"]
-        t_excl = fwd["t_excl"]
-        weights = t_excl * alphas
-        colors_sorted = params["colors"][order]
-        z_sorted = fwd["x_cam"][order, 2]
-        # project the upstream gradient onto each splat's color and depth
-        # and onto the background; since the suffix sum is linear, one
-        # scalar suffix sum then covers everything behind each splat,
-        # background included (t_final * bg also depends on every alpha)
-        g_rgb = g_image.reshape(-1, 3)
-        proj = (colors_sorted @ g_rgb.T).reshape(alphas.shape) + z_sorted[:, None, None] * g_depth
-        tail = np.empty((n + 1, *alphas.shape[1:]))
-        np.multiply(weights, proj, out=tail[:-1])
-        tail[-1] = fwd["t_final"] * (g_image @ background)
-        s_after = np.cumsum(tail[::-1], axis=0)[::-1][1:]
-        d_alpha = t_excl * proj - s_after / (1.0 - alphas)
-        weights_flat = weights.reshape(n, -1)
-        d_colors_sorted = weights_flat @ g_rgb
-        d_z_dep = weights_flat @ g_depth.reshape(-1)
-
-        alpha_raw = fwd["alpha_raw"]
-        d_alpha_raw = d_alpha * (alpha_raw < ALPHA_MAX)
-        d_alpha_e = d_alpha_raw * alpha_raw  # alpha_raw = o * e
-        d_opac_sorted = np.sum(d_alpha_e, axis=(1, 2)) / params["opacities"][order]
-        d_inv, d_mu2d_splat = _splat_backward(-0.5 * d_alpha_e, fwd["dx"], fwd["dy"], fwd["inv"])
-        d_cov2d_sorted = -fwd["inv"] @ d_inv @ fwd["inv"]
-
-        grads["colors"][order] += d_colors_sorted
-        grads["opacities"][order] += d_opac_sorted
-        d_mu2d[order] += d_mu2d_splat
-        d_cov2d[order] += d_cov2d_sorted
-        d_x_cam[order, 2] += d_z_dep
+    rot = np.stack([c.rotation for c in cameras])
+    k = np.stack([c.intrinsics for c in cameras])
+    fx, fy = k[:, 0, 0, None], k[:, 1, 1, None]
 
     # projection backward (full domain; culled rows carry zero gradients)
-    m = fwd["j"] @ camera.rotation
-    sym = d_cov2d + np.swapaxes(d_cov2d, 1, 2)
-    d_m = np.einsum("gij,gjk,gkl->gil", sym, m, pp["cov"])
-    d_sigma = np.einsum("gji,gjk,gkl->gil", m, d_cov2d, m)
-    d_j = d_m @ camera.rotation.T
-    fx, fy = camera.fx, camera.fy
-    x, y = fwd["x_cam"][:, 0], fwd["x_cam"][:, 1]
-    z = np.where(fwd["valid"], fwd["x_cam"][:, 2], 1.0)
-    d_x_cam[:, 0] += d_j[:, 0, 2] * (-fx / z**2)
-    d_x_cam[:, 1] += d_j[:, 1, 2] * (-fy / z**2)
-    d_x_cam[:, 2] += (
-        d_j[:, 0, 0] * (-fx / z**2)
-        + d_j[:, 1, 1] * (-fy / z**2)
-        + d_j[:, 0, 2] * (2 * fx * x / z**3)
-        + d_j[:, 1, 2] * (2 * fy * y / z**3)
+    m = fwd["j"] @ rot[:, None]
+    sym = d_cov2d + d_cov2d.swapaxes(-1, -2)
+    d_m = np.einsum("fgij,fgjk,fgkl->fgil", sym, m, pp["cov"])
+    d_sigma = np.einsum("fgji,fgjk,fgkl->fgil", m, d_cov2d, m)
+    d_j = d_m @ rot.swapaxes(1, 2)[:, None]
+    x, y = fwd["x_cam"][..., 0], fwd["x_cam"][..., 1]
+    z = np.where(fwd["valid"], fwd["x_cam"][..., 2], 1.0)
+    d_x_cam[..., 0] += d_j[..., 0, 2] * (-fx / z**2)
+    d_x_cam[..., 1] += d_j[..., 1, 2] * (-fy / z**2)
+    d_x_cam[..., 2] += (
+        d_j[..., 0, 0] * (-fx / z**2)
+        + d_j[..., 1, 1] * (-fy / z**2)
+        + d_j[..., 0, 2] * (2 * fx * x / z**3)
+        + d_j[..., 1, 2] * (2 * fy * y / z**3)
     )
-    d_x_cam += np.einsum("gij,gi->gj", fwd["j"], d_mu2d)
-    d_mu_t = d_x_cam @ camera.rotation
+    d_x_cam += np.einsum("fgij,fgi->fgj", fwd["j"], d_mu2d)
+    d_mu_t = d_x_cam @ rot
 
     # covariance backward: cov = R diag(s^2) R^T
     r_t = pp["r_t"]
-    sym_sigma = d_sigma + np.swapaxes(d_sigma, 1, 2)
-    rd = r_t * pp["s2"][:, None, :]
-    d_r_t = np.einsum("gik,gkj->gij", sym_sigma, rd)
-    d_s2 = np.einsum("gkj,gkl,glj->gj", r_t, d_sigma, r_t)
+    sym_sigma = d_sigma + d_sigma.swapaxes(-1, -2)
+    d_r_t = np.einsum("fgik,fgkj->fgij", sym_sigma, r_t * pp["s2"][:, None, :])
+    d_s2 = np.einsum("fgkj,fgkl,fglj->gj", r_t, d_sigma, r_t)
     grads["scales"] += d_s2 * 2.0 * params["scales"]
 
     # rotation chain: R_t = rotmat(normalize(qblend * q0n))
@@ -272,31 +270,37 @@ def _backward_frame(params, camera, t, fwd, g_image, g_depth, d_mu2d_extra, grad
     d_qt_raw = _normalize_backward(pp["qt_raw"], d_qtn)
     mr = _quat_mul_right_matrix(pp["q0n"])
     ml = _quat_mul_left_matrix(pp["qblend"])
-    d_qblend = np.einsum("gkj,gk->gj", mr, d_qt_raw)
-    d_q0n = np.einsum("gkj,gk->gj", ml, d_qt_raw)
+    d_qblend = np.einsum("gkj,fgk->fgj", mr, d_qt_raw)
+    d_q0n = np.einsum("fgkj,fgk->gj", ml, d_qt_raw)
     grads["quats"] += _normalize_backward(params["quats"], d_q0n)
 
     # mean chain: mu_t = Rblend @ means + tblend
-    d_rblend = np.einsum("gi,gj->gij", d_mu_t, params["means"])
-    grads["means"] += np.einsum("gi,gij->gj", d_mu_t, pp["rblend"])
+    d_rblend = np.einsum("fgi,gj->fgij", d_mu_t, params["means"])
+    grads["means"] += np.einsum("fgi,fgij->gj", d_mu_t, pp["rblend"])
     d_tblend = d_mu_t
     d_qblend += _rotmat_backward(pp["qblend"], d_rblend)
     d_qbar = _normalize_backward(pp["qbar"], d_qblend)
 
-    # blend chain: qbar = w @ aligned, tblend = w @ basis_trans[:, t]
-    d_w = d_qbar @ pp["aligned"].T + d_tblend @ params["basis_trans"][:, t].T
-    d_aligned = pp["w"].T @ d_qbar
-    grads["basis_trans"][:, t] += pp["w"].T @ d_tblend
-    d_bqn = d_aligned * pp["sign"][:, None]
-    grads["basis_quats"][:, t] += _normalize_backward(params["basis_quats"][:, t], d_bqn)
+    # blend chain, per frame: qbar = w @ aligned, tblend = w @ basis_trans[:, t]
+    basis_trans = params["basis_trans"].swapaxes(0, 1)[ts]
+    d_w = (np.einsum("fgk,fbk->gb", d_qbar, pp["aligned"])
+           + np.einsum("fgk,fbk->gb", d_tblend, basis_trans))
+    grads["basis_trans"][:, ts] += (pp["w"].T @ d_tblend).swapaxes(0, 1)
+    d_bqn = (pp["w"].T @ d_qbar) * pp["sign"][..., None]
+    grads["basis_quats"][:, ts] += _normalize_backward(params["basis_quats"][:, ts],
+                                                       d_bqn.swapaxes(0, 1))
     grads["coeffs"] += _softmax_backward(pp["w"], d_w)
 
 
 class _Objective:
     """The objective over the non-excluded frames, split in two: ``forward``
-    returns the loss and, per frame, the rasterizer outputs and residuals
-    the gradient needs; ``backward`` builds the gradient from those caches,
-    so an accepted trial's forward pass is never run again."""
+    rasterizes them all in one call and returns the loss and that call's
+    outputs with the residuals; ``backward`` builds the gradient from those,
+    so an accepted trial's forward pass is never run again.  The backward
+    pass runs the per-pixel terms frame by frame (:func:`_pixel_backward`),
+    filling (F, G, ...) gradients on the projected centres, 2D covariances
+    and depths, then the per-Gaussian chain for all frames in one batch
+    (:func:`_chain_backward`)."""
 
     def __init__(self, frames, depth_maps, tracks_2d, scene, exclude_frames=()):
         for t in exclude_frames:
@@ -305,66 +309,71 @@ class _Objective:
         self.fit_frames = [t for t in range(len(frames)) if t not in exclude_frames]
         if not self.fit_frames:
             raise ValueError("no frames left to fit after exclusions")
-        self.images = [f.data if isinstance(f, Frame) else np.asarray(f) for f in frames]
-        self.depth_maps = depth_maps
-        self.cameras = scene.cameras
+        # the observed frames channel-first, as the rasterizer composites them
+        self.images = [np.ascontiguousarray(np.transpose(
+            frames[t].data if isinstance(frames[t], Frame) else frames[t], (2, 0, 1)))
+            for t in self.fit_frames]
+        self.depth_maps = [depth_maps[t] for t in self.fit_frames]
+        self.cameras = [scene.cameras[t] for t in self.fit_frames]
         self.background = scene.background
         self.assignments = self.track_positions = None
         if tracks_2d is not None:
             self.assignments = track_assignments(scene, tracks_2d.query_pixels)
-            self.track_positions = np.asarray(tracks_2d.positions, dtype=np.float64)
+            positions = np.asarray(tracks_2d.positions, dtype=np.float64)
+            self.track_positions = positions[:, self.fit_frames].swapaxes(0, 1)
         self.denom = float(len(self.fit_frames))
         # the pixel grids, built once per image size rather than per render
-        self.grids = {size: pixel_grid(*size)
-                      for size in {(c.width, c.height) for c in self.cameras}}
+        grids = {size: pixel_grid(*size) for size in {(c.width, c.height) for c in self.cameras}}
+        self.points = [grids[c.width, c.height] for c in self.cameras]
 
-    def forward(self, params, keep_caches=True):
-        """Loss at ``params`` and the per-frame caches (empty unless
-        ``keep_caches``)."""
+    def forward(self, params):
+        """Loss at ``params``, and the rasterizer outputs with the
+        residuals that :meth:`backward` reads."""
         for key in PARAM_KEYS:
             if not np.all(np.isfinite(params[key])):
                 raise FitDivergenceError(f"parameter group {key!r} became non-finite")
+        fwd = rasterize(params, self.cameras, self.fit_frames, self.background, self.points)
+        resid_tr = None
+        if self.assignments is not None:
+            pred = predict_track_positions(fwd["mu2d"], self.assignments, fwd["valid"])
+            resid_tr = pred - self.track_positions
         total = 0.0
-        caches = []
-        for t in self.fit_frames:
-            camera = self.cameras[t]
-            fwd = rasterize(params, camera, t, self.background,
-                            self.grids[camera.width, camera.height])
-            resid_img = fwd["image"] - self.images[t]
-            resid_dep = fwd["depth"] - self.depth_maps[t]
-            loss_t = IMAGE_WEIGHT * np.mean(np.abs(resid_img)) + DEPTH_WEIGHT * np.mean(
-                np.abs(resid_dep)
+        for f, frame in enumerate(fwd["frames"]):
+            frame["resid_img"] = frame["image"] - self.images[f]
+            frame["resid_dep"] = frame["depth"] - self.depth_maps[f]
+            loss_t = IMAGE_WEIGHT * np.mean(np.abs(frame["resid_img"])) + DEPTH_WEIGHT * np.mean(
+                np.abs(frame["resid_dep"])
             )
-            resid_tr = None
-            if self.assignments is not None:
-                pred = predict_track_positions(fwd["mu2d"], self.assignments, fwd["valid"])
-                resid_tr = pred - self.track_positions[:, t]
-                loss_t += TRACK_WEIGHT * np.mean(np.abs(resid_tr))
+            if resid_tr is not None:
+                loss_t += TRACK_WEIGHT * np.mean(np.abs(resid_tr[f]))
             total += loss_t / self.denom
-            if keep_caches:
-                cache = {key: fwd[key] for key in _CACHED}
-                cache.update(t=t, resid_img=resid_img, resid_dep=resid_dep, resid_tr=resid_tr)
-                caches.append(cache)
+        fwd["resid_tr"] = resid_tr
         if not np.isfinite(total):
             raise FitDivergenceError(f"objective became non-finite ({total})")
-        return total, caches
+        return total, fwd
 
-    def backward(self, params, caches) -> dict:
-        """Gradient of the loss at ``params`` from ``forward``'s caches."""
+    def backward(self, params, fwd) -> dict:
+        """Gradient of the loss at ``params`` from ``forward``'s outputs."""
         denom = self.denom
         grads = {k: np.zeros_like(params[k]) for k in PARAM_KEYS}
-        for cache in caches:
-            resid_img, resid_dep = cache["resid_img"], cache["resid_dep"]
-            resid_tr = cache["resid_tr"]
-            d_mu2d_extra = None
-            if resid_tr is not None:
-                g_tr = TRACK_WEIGHT * np.sign(resid_tr) / (resid_tr.size * denom)
-                d_mu2d_extra = (self.assignments * cache["valid"][None, :]).T @ g_tr
+        shape = (len(self.fit_frames), params["means"].shape[0])
+        d_mu2d, d_cov2d, d_x_cam = (np.zeros((*shape, *s)) for s in ((2,), (2, 2), (3,)))
+        for f, frame in enumerate(fwd["frames"]):
+            order = frame["order"]
+            resid_img, resid_dep = frame["resid_img"], frame["resid_dep"]
             g_image = IMAGE_WEIGHT * np.sign(resid_img) / (resid_img.size * denom)
             g_depth = DEPTH_WEIGHT * np.sign(resid_dep) / (resid_dep.size * denom)
-            t = cache["t"]
-            _backward_frame(params, self.cameras[t], t, cache, g_image, g_depth, d_mu2d_extra,
-                            grads, self.background)
+            d_colors, d_opacities, d_mu2d[f, order], d_cov2d[f, order], d_x_cam[f, order, 2] = (
+                _pixel_backward(params, fwd["x_cam"][f, :, 2], frame, g_image, g_depth,
+                                self.background))
+            grads["colors"][order] += d_colors
+            grads["opacities"][order] += d_opacities
+        resid_tr = fwd["resid_tr"]
+        if resid_tr is not None:
+            g_tr = TRACK_WEIGHT * np.sign(resid_tr) / (resid_tr[0].size * denom)
+            d_mu2d += (self.assignments * fwd["valid"][:, None, :]).swapaxes(1, 2) @ g_tr
+        _chain_backward(params, self.fit_frames, self.cameras, fwd, d_mu2d, d_cov2d, d_x_cam,
+                        grads)
         return grads
 
 
@@ -373,8 +382,8 @@ def loss_and_grad(params, frames, depth_maps, tracks_2d, scene, *, want_grad=Tru
     are assigned to the Gaussians of ``scene``, which also gives the
     cameras and the background."""
     objective = _Objective(frames, depth_maps, tracks_2d, scene)
-    total, caches = objective.forward(params, keep_caches=want_grad)
-    return (total, objective.backward(params, caches)) if want_grad else total
+    total, fwd = objective.forward(params)
+    return (total, objective.backward(params, fwd)) if want_grad else total
 
 
 class _Adam:
@@ -420,9 +429,9 @@ def fit_scene(frames, depth_maps, tracks_2d, initial_scene, iterations,
     params = scene_to_params(initial_scene)
     adam = _Adam(params, LEARNING_RATES)
     objective = _Objective(frames, depth_maps, tracks_2d, initial_scene, exclude_frames)
-    loss, caches = objective.forward(params)
-    grads = objective.backward(params, caches)
-    caches = None
+    loss, fwd = objective.forward(params)
+    grads = objective.backward(params, fwd)
+    fwd = None
     losses = [loss]
     scale = 1.0
     backtracks = rejected_steps = 0
@@ -434,19 +443,19 @@ def fit_scene(frames, depth_maps, tracks_2d, initial_scene, iterations,
             backtracks += trial > 0
             candidate = {k: params[k] - trial_scale * step[k] for k in PARAM_KEYS}
             _project_params(candidate)
-            cand_loss, caches = objective.forward(candidate)
+            cand_loss, fwd = objective.forward(candidate)
             if cand_loss <= loss:
                 params = candidate
                 loss = cand_loss
                 scale = min(1.0, trial_scale * 1.25)
                 accepted = True
                 break
-            caches = None  # free the rejected trial before the next one
+            fwd = None  # free the rejected trial before the next one
             trial_scale *= 0.5
         losses.append(loss)
         if accepted:
-            grads = objective.backward(params, caches)
-            caches = None
+            grads = objective.backward(params, fwd)
+            fwd = None
         else:
             rejected_steps += 1
             scale = trial_scale

@@ -8,7 +8,9 @@ front; residual transmittance is filled with the background color, and the
 depth channel uses 0 as its no-surface sentinel.  Image sizes here are
 small, so every Gaussian is evaluated on the full pixel grid; that keeps
 the map smooth, which the fitter's gradients rely on.  Rendering, the
-fitter's forward pass and the track lift all go through :func:`rasterize`.
+fitter's forward pass and the track lift all go through :func:`rasterize`,
+which poses and projects all its timesteps in one batch and splats and
+composites them one frame at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..video import Frame
-from .scene import Camera, GaussianScene, pose_pipeline, scene_params
+from .scene import GaussianScene, pose_pipeline, scene_params
 
 COV_REG_PX2 = 0.3      # pixel^2 added to the projected covariance diagonal
 ALPHA_MAX = 1.0 - 1e-4
@@ -33,27 +35,27 @@ class RenderResult:
     alpha: np.ndarray   # (h, w) accumulated opacity in [0, 1]
 
 
-def project_points(mu_t: np.ndarray, cov_t: np.ndarray, camera: Camera):
-    """Vectorized projection of G means/covariances.
+def project_points(mu_t: np.ndarray, cov_t: np.ndarray, cameras):
+    """Vectorized projection of (F, G) means/covariances, row f through
+    ``cameras[f]``.
 
     Returns (valid, x_cam, mu2d, j, cov2d); entries with non-positive depth
     are culled (valid=False) and their outputs are unspecified."""
-    x_cam = mu_t @ camera.rotation.T + camera.translation
-    z = x_cam[:, 2]
+    rot = np.stack([c.rotation for c in cameras])                 # (F, 3, 3)
+    k = np.stack([c.intrinsics for c in cameras])
+    fx, fy, cx, cy = (k[:, r, c, None] for r, c in ((0, 0), (1, 1), (0, 2), (1, 2)))
+    x_cam = mu_t @ rot.swapaxes(1, 2) + np.stack([c.translation for c in cameras])[:, None]
+    z = x_cam[..., 2]
     valid = z > MIN_DEPTH
     zs = np.where(valid, z, 1.0)
-    fx, fy = camera.fx, camera.fy
-    mu2d = np.stack(
-        [fx * x_cam[:, 0] / zs + camera.cx, fy * x_cam[:, 1] / zs + camera.cy], axis=1
-    )
-    g = mu_t.shape[0]
-    j = np.zeros((g, 2, 3))
-    j[:, 0, 0] = fx / zs
-    j[:, 1, 1] = fy / zs
-    j[:, 0, 2] = -fx * x_cam[:, 0] / zs**2
-    j[:, 1, 2] = -fy * x_cam[:, 1] / zs**2
-    m = j @ camera.rotation
-    cov2d = np.einsum("gij,gjk,glk->gil", m, cov_t, m) + COV_REG_PX2 * np.eye(2)
+    mu2d = np.stack([fx * x_cam[..., 0] / zs + cx, fy * x_cam[..., 1] / zs + cy], axis=-1)
+    j = np.zeros((*z.shape, 2, 3))
+    j[..., 0, 0] = fx / zs
+    j[..., 1, 1] = fy / zs
+    j[..., 0, 2] = -fx * x_cam[..., 0] / zs**2
+    j[..., 1, 2] = -fy * x_cam[..., 1] / zs**2
+    m = j @ rot[:, None]
+    cov2d = np.einsum("fgij,fgjk,fglk->fgil", m, cov_t, m) + COV_REG_PX2 * np.eye(2)
     return valid, x_cam, mu2d, j, cov2d
 
 
@@ -100,53 +102,58 @@ def composite(alphas_sorted: np.ndarray, colors_sorted: np.ndarray,
               z_sorted: np.ndarray, background: np.ndarray):
     """Front-to-back compositing of already depth-sorted alpha maps.
 
-    Returns (image (h,w,3), depth (h,w), transmittance_excl (g,h,w),
+    Returns (image (3,h,w), depth (h,w), transmittance_excl (g,h,w),
     final_transmittance (h,w)).  With no splats the image is the
     background, the depth 0 and the final transmittance 1."""
-    trans = np.ones((alphas_sorted.shape[0] + 1, *alphas_sorted.shape[1:]))
-    np.cumprod(1.0 - alphas_sorted, axis=0, out=trans[1:])
+    n, h, w = alphas_sorted.shape
+    trans = np.empty((n + 1, h, w))
+    trans[0] = 1.0
+    for i in range(n):  # the running product, as cumprod forms it
+        np.multiply(trans[i], 1.0 - alphas_sorted[i], out=trans[i + 1])
     t_excl, t_final = trans[:-1], trans[-1]
-    weights = t_excl * alphas_sorted
-    image = np.einsum("ghw,gc->hwc", weights, colors_sorted)
-    depth = np.einsum("ghw,g->hw", weights, z_sorted)
-    image = image + t_final[:, :, None] * background
+    weights = (t_excl * alphas_sorted).reshape(n, h * w)
+    image = (colors_sorted.T @ weights).reshape(3, h, w) + t_final * background[:, None, None]
+    depth = (z_sorted @ weights).reshape(h, w)
     return image, depth, t_excl, t_final
 
 
-def rasterize(params: dict, camera: Camera, t: int, background: np.ndarray,
-              points: np.ndarray = None) -> dict:
-    """The one forward pass: pose at timestep t, project, depth sort, splat
-    and composite.  ``params`` holds the scene arrays under
-    :data:`PARAM_KEYS`; ``points`` are (h, w, 2) sample positions, the
-    camera's full pixel grid by default.  Returns every intermediate the
-    fitter's backward pass needs."""
-    if points is None:
-        points = pixel_grid(camera.width, camera.height)
-    pp = pose_pipeline(params, t)
-    valid, x_cam, mu2d, j, cov2d = project_points(pp["mu_t"], pp["cov"], camera)
-    idx = np.nonzero(valid)[0]
-    order = idx[np.argsort(x_cam[idx, 2], kind="stable")]
-    alphas, alpha_raw, dx, dy, inv = splat_alphas(
-        mu2d[order], cov2d[order], params["opacities"][order], points
-    )
-    image, depth, t_excl, t_final = composite(
-        alphas, params["colors"][order], x_cam[order, 2], background
-    )
-    return {
-        "pp": pp, "valid": valid, "x_cam": x_cam, "mu2d": mu2d, "j": j,
-        "cov2d": cov2d, "order": order, "alphas": alphas,
-        "alpha_raw": alpha_raw, "dx": dx, "dy": dy, "inv": inv, "image": image,
-        "depth": depth, "t_excl": t_excl, "t_final": t_final,
-    }
+def rasterize(params: dict, cameras, ts, background: np.ndarray, points) -> dict:
+    """The one forward pass over the timesteps ``ts``, frame f seen by
+    ``cameras[f]`` at the (h, w, 2) sample positions ``points[f]``: pose
+    and project every frame in one batch, then depth sort, splat and
+    composite each frame on its own (one frame's (G, h, w) maps stay in
+    cache).  ``params`` holds the scene arrays under :data:`PARAM_KEYS`.
+    Returns the batched pose and projection arrays, and under ``frames``
+    one dict per frame of the sorted splats and the composite: everything
+    the fitter's backward pass needs."""
+    pp = pose_pipeline(params, ts)
+    valid, x_cam, mu2d, j, cov2d = project_points(pp["mu_t"], pp["cov"], cameras)
+    frames = []
+    for f, grid in enumerate(points):
+        idx = np.nonzero(valid[f])[0]
+        order = idx[np.argsort(x_cam[f, idx, 2], kind="stable")]
+        alphas, alpha_raw, dx, dy, inv = splat_alphas(
+            mu2d[f, order], cov2d[f, order], params["opacities"][order], grid
+        )
+        image, depth, t_excl, t_final = composite(
+            alphas, params["colors"][order], x_cam[f, order, 2], background
+        )
+        frames.append({
+            "order": order, "alphas": alphas, "alpha_raw": alpha_raw, "dx": dx, "dy": dy,
+            "inv": inv, "image": image, "depth": depth, "t_excl": t_excl, "t_final": t_final,
+        })
+    return {"pp": pp, "valid": valid, "x_cam": x_cam, "mu2d": mu2d, "j": j, "frames": frames}
 
 
 def render(scene: GaussianScene, t: int) -> RenderResult:
     """Rasterize the scene at timestep t with that timestep's camera."""
     if not 0 <= t < scene.n_timesteps:
         raise ValueError(f"timestep {t} out of range [0, {scene.n_timesteps})")
-    fwd = rasterize(scene_params(scene), scene.cameras[t], t, scene.background)
-    return RenderResult(Frame(np.clip(fwd["image"], 0.0, 1.0)), fwd["depth"],
-                        1.0 - fwd["t_final"])
+    camera = scene.cameras[t]
+    fwd = rasterize(scene_params(scene), [camera], [t], scene.background,
+                    [pixel_grid(camera.width, camera.height)])["frames"][0]
+    return RenderResult(Frame(np.clip(fwd["image"].transpose(1, 2, 0), 0.0, 1.0)),
+                        fwd["depth"], 1.0 - fwd["t_final"])
 
 
 def surface_lift(scene: GaussianScene, pixel, t: int):
@@ -155,14 +162,15 @@ def surface_lift(scene: GaussianScene, pixel, t: int):
     Returns (weights over all G, sorted order, surface world point)."""
     camera = scene.cameras[t]
     px = np.asarray(pixel, dtype=np.float64)
-    fwd = rasterize(scene_params(scene), camera, t, scene.background, px[None, None, :])
-    order = fwd["order"]
-    weights = (fwd["t_excl"] * fwd["alphas"])[:, 0, 0]
+    fwd = rasterize(scene_params(scene), [camera], [t], scene.background, [px[None, None, :]])
+    frame = fwd["frames"][0]
+    order = frame["order"]
+    weights = (frame["t_excl"] * frame["alphas"])[:, 0, 0]
     total = weights.sum()
     if total < MIN_HIT_WEIGHT:
         raise ValueError("pixel hits no Gaussian")
     weights = weights / total
-    z_hat = float(weights @ fwd["x_cam"][order, 2])
+    z_hat = float(weights @ fwd["x_cam"][0, order, 2])
     ray = np.array([(px[0] - camera.cx) / camera.fx, (px[1] - camera.cy) / camera.fy, 1.0])
     surface_cam = ray * z_hat
     surface_world = camera.to_world(surface_cam[None, :])[0]
@@ -183,18 +191,16 @@ def track_correspondence(scene: GaussianScene, pixel, t: int, t_prime: int):
             raise ValueError(f"timestep {step} out of range [0, {scene.n_timesteps})")
     weights, order, surface_world = surface_lift(scene, pixel, t)
 
-    params = scene_params(scene)
-    src, dst = pose_pipeline(params, t), pose_pipeline(params, t_prime)
-    r_src, tr_src = src["rblend"], src["tblend"]
-    r_dst, tr_dst = dst["rblend"], dst["tblend"]
+    pp = pose_pipeline(scene_params(scene), [t, t_prime])
+    (r_src, r_dst), (tr_src, tr_dst) = pp["rblend"], pp["tblend"]
     # per-Gaussian map: x -> R_dst @ R_src^T @ (x - tr_src) + tr_dst
     rel = surface_world[None, :] - tr_src
     canonical = np.einsum("gji,gj->gi", r_src, rel)
     moved = np.einsum("gij,gj->gi", r_dst, canonical) + tr_dst
     target_world = weights @ moved
 
-    valid, x_cam, mu2d, _, _ = project_points(target_world[None, :], np.zeros((1, 3, 3)),
-                                              scene.cameras[t_prime])
-    if not valid[0]:
+    valid, x_cam, mu2d, _, _ = project_points(target_world[None, None, :],
+                                              np.zeros((1, 1, 3, 3)), [scene.cameras[t_prime]])
+    if not valid[0, 0]:
         raise ValueError("correspondence projects behind the target camera")
-    return mu2d[0], float(x_cam[0, 2])
+    return mu2d[0, 0], float(x_cam[0, 0, 2])

@@ -197,34 +197,38 @@ def scene_params(scene: GaussianScene) -> dict:
     return {k: getattr(scene, k) for k in PARAM_KEYS}
 
 
-def pose_pipeline(params: dict, t: int) -> dict:
-    """Differentiable pose computation for timestep t of the scene arrays in
-    ``params`` (named as in :data:`PARAM_KEYS`), returning every
-    intermediate the fitter's backward pass needs.  Each Gaussian's pose is
+def pose_pipeline(params: dict, ts) -> dict:
+    """Differentiable pose computation at the timesteps ``ts`` of the scene
+    arrays in ``params`` (named as in :data:`PARAM_KEYS`), returning every
+    intermediate the fitter's backward pass needs: the blend weights ``w``,
+    ``q0n`` and ``s2`` do not depend on the timestep, every other array
+    has one leading row per entry of ``ts``.  Each Gaussian's pose is
     mu_t = R_blend @ mu_0 + t_blend and R_t = R_blend @ R_0, where R_blend
     and t_blend blend the bases at t by the softmax of its coefficients and
     the blended rotation is re-orthonormalized.  Rendering, the fitter and
-    track correspondence all route through this one function, so fitting a
+    track correspondence all route through this one function, and a row
+    does not depend on which other timesteps share the call, so fitting a
     scene against its own renders has exactly zero residual at the
     optimum."""
-    w = softmax(params["coeffs"])                              # (G, B)
-    bqn = quat_normalize(params["basis_quats"][:, t])          # (B, 4)
-    sign = np.sign(bqn @ bqn[0])
+    ts = list(ts)
+    w = softmax(params["coeffs"])                                         # (G, B)
+    bqn = quat_normalize(params["basis_quats"].swapaxes(0, 1)[ts])        # (F, B, 4)
+    sign = np.sign(np.einsum("fbk,fk->fb", bqn, bqn[:, 0]))
     sign[sign == 0] = 1.0
-    aligned = bqn * sign[:, None]
-    qbar = w @ aligned                                         # (G, 4)
+    aligned = bqn * sign[..., None]
+    qbar = w @ aligned                                                    # (F, G, 4)
     qblend = quat_normalize(qbar)
     rblend = quat_to_rotmat(qblend)
-    tblend = w @ params["basis_trans"][:, t]
-    mu_t = np.einsum("gij,gj->gi", rblend, params["means"]) + tblend
+    tblend = w @ params["basis_trans"].swapaxes(0, 1)[ts]                 # (F, G, 3)
+    mu_t = np.einsum("fgij,gj->fgi", rblend, params["means"]) + tblend
     q0n = quat_normalize(params["quats"])
     qt_raw = quat_multiply(qblend, q0n)
     qtn = quat_normalize(qt_raw)
     r_t = quat_to_rotmat(qtn)
     s2 = params["scales"]**2
-    cov = np.einsum("gij,gj,gkj->gik", r_t, s2, r_t)
+    cov = np.einsum("fgij,gj,fgkj->fgik", r_t, s2, r_t)
     return {
-        "w": w, "bqn": bqn, "sign": sign, "aligned": aligned, "qbar": qbar,
+        "w": w, "sign": sign, "aligned": aligned, "qbar": qbar,
         "qblend": qblend, "rblend": rblend, "tblend": tblend, "mu_t": mu_t,
         "q0n": q0n, "qt_raw": qt_raw, "qtn": qtn, "r_t": r_t, "s2": s2,
         "cov": cov,
@@ -236,8 +240,8 @@ def scene_poses(scene: GaussianScene, t: int):
     covariance (G,3,3)); depth ordering happens in the renderer."""
     if not 0 <= t < scene.n_timesteps:
         raise ValueError(f"timestep {t} out of range [0, {scene.n_timesteps})")
-    pp = pose_pipeline(scene_params(scene), t)
-    return pp["mu_t"], pp["r_t"], pp["cov"]
+    pp = pose_pipeline(scene_params(scene), [t])
+    return pp["mu_t"][0], pp["r_t"][0], pp["cov"][0]
 
 
 def save_scene(scene: GaussianScene, path) -> None:

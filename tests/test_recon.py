@@ -25,9 +25,13 @@ from semvid.recon.fit import (
     scene_to_params,
 )
 from semvid.recon.render import (
+    ALPHA_MAX,
     COV_REG_PX2,
+    composite,
+    pixel_grid,
     project_points,
     quad_form,
+    rasterize,
     render,
     track_correspondence,
 )
@@ -35,10 +39,12 @@ from semvid.recon.scene import (
     Camera,
     GaussianScene,
     load_scene,
+    pose_pipeline,
     quat_multiply,
     quat_normalize,
     quat_to_rotmat,
     save_scene,
+    scene_params,
     scene_poses,
 )
 
@@ -157,17 +163,28 @@ class TestProject:
             project(np.array([0.0, 0.0, -1.0]), np.eye(3), cam)
 
     def test_batched_projection_matches_scalar(self):
+        # one camera per batch row: every timestep of the benchmark scene,
+        # each seen by its own camera, with its own focal lengths
         scene = make_benchmark_scene()
         base = scene.cameras[0]
-        rot = quat_to_rotmat(quat_normalize(np.array([0.97, 0.1, -0.15, 0.12])))
-        cam = Camera(base.intrinsics, rot, np.array([0.1, -0.05, 0.3]), base.width, base.height)
-        mu_t, _, cov_t = scene_poses(scene, 3)
-        valid, _, mu2d, _, cov2d = project_points(mu_t, cov_t, cam)
-        assert valid.all()
-        for i in range(scene.n_gaussians):
-            ref_mu, ref_cov = project(mu_t[i], cov_t[i], cam)
-            assert np.allclose(mu2d[i], ref_mu, rtol=1e-12, atol=0.0)
-            assert np.allclose(cov2d[i], ref_cov + COV_REG_PX2 * np.eye(2), rtol=1e-12, atol=1e-12)
+        rng = np.random.default_rng(4)
+        cams = []
+        for f in range(scene.n_timesteps):
+            k = base.intrinsics.copy()
+            k[0, 0], k[1, 1] = 80.0 + 4.0 * f, 76.0 + 3.0 * f
+            q = np.array([0.97, 0.1, -0.15, 0.12]) + rng.normal(0.0, 0.05, 4)
+            cams.append(Camera(k, quat_to_rotmat(quat_normalize(q)),
+                               np.array([0.1, -0.05, 0.3]) + rng.normal(0.0, 0.05, 3),
+                               base.width, base.height))
+        pp = pose_pipeline(scene_params(scene), range(scene.n_timesteps))
+        valid, _, mu2d, _, cov2d = project_points(pp["mu_t"], pp["cov"], cams)
+        assert valid.shape == (scene.n_timesteps, scene.n_gaussians) and valid.all()
+        for f, cam in enumerate(cams):
+            for i in range(scene.n_gaussians):
+                ref_mu, ref_cov = project(pp["mu_t"][f, i], pp["cov"][f, i], cam)
+                assert np.allclose(mu2d[f, i], ref_mu, rtol=1e-12, atol=0.0)
+                assert np.allclose(cov2d[f, i], ref_cov + COV_REG_PX2 * np.eye(2),
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestRender:
@@ -261,6 +278,70 @@ class TestRender:
             a = render(scene, t).image.data
             c = render(moved, t).image.data
             assert np.max(np.abs(a - c)) < 1e-6
+
+
+@pytest.mark.parametrize("make", [make_benchmark_scene,
+                                  lambda: perturb_scene(make_benchmark_scene(), seed=3)],
+                         ids=["benchmark", "perturbed"])
+class TestBatchSizeIndependence:
+    """A timestep's pose and frame do not depend on which other timesteps
+    share the call: renders (one timestep) and the fit (all fit frames)
+    then agree bit for bit, which the zero residual at the ground truth
+    needs."""
+
+    def test_pose_rows_equal_single_timestep_calls(self, make):
+        scene = make()
+        params = scene_params(scene)
+        batched = pose_pipeline(params, range(scene.n_timesteps))
+        for t in range(scene.n_timesteps):
+            single = pose_pipeline(params, [t])
+            assert batched.keys() == single.keys()
+            for key, value in single.items():
+                if key in ("w", "q0n", "s2"):  # the same for every timestep
+                    assert np.array_equal(batched[key], value), key
+                else:
+                    assert np.array_equal(batched[key][t], value[0]), (key, t)
+
+    def test_rasterized_frames_equal_render_calls(self, make):
+        scene = make()
+        params, cams = scene_params(scene), scene.cameras
+        grid = pixel_grid(cams[0].width, cams[0].height)
+        ts = list(range(scene.n_timesteps))
+        batched = rasterize(params, cams, ts, scene.background, [grid] * len(ts))
+        for t in ts:
+            frame = batched["frames"][t]
+            single = rasterize(params, [cams[t]], [t], scene.background, [grid])["frames"][0]
+            for key in ("image", "depth", "alphas", "order"):
+                assert np.array_equal(frame[key], single[key]), (key, t)
+            res = render(scene, t)
+            assert np.array_equal(res.image.data,
+                                  np.clip(frame["image"].transpose(1, 2, 0), 0.0, 1.0))
+            assert np.array_equal(res.depth, frame["depth"])
+
+
+@pytest.mark.parametrize("g", [0, 1, 5])
+class TestLoopRewrites:
+    """The compositing and gradient loops against the numpy primitives they
+    replace, on random (G, H, W) maps."""
+
+    def test_transmittance_equals_cumprod(self, g):
+        rng = np.random.default_rng(g)
+        alphas = rng.uniform(0.0, ALPHA_MAX, (g, 7, 9))
+        background = np.array([0.2, 0.4, 0.6])
+        image, depth, t_excl, t_final = composite(alphas, rng.random((g, 3)), rng.random(g),
+                                                  background)
+        reference = np.ones((g + 1, 7, 9))
+        np.cumprod(1 - alphas, axis=0, out=reference[1:])
+        assert np.array_equal(np.concatenate([t_excl, t_final[None]]), reference)
+        assert image.shape == (3, 7, 9) and depth.shape == (7, 9)
+        if g == 0:  # nothing to composite: the background and no surface
+            assert np.array_equal(image, np.broadcast_to(background[:, None, None], (3, 7, 9)))
+            assert not depth.any()
+
+    def test_suffix_sums_equal_reversed_cumsum(self, g):
+        tail = np.random.default_rng(10 + g).normal(0.0, 1.0, (g + 1, 7, 9))
+        reference = np.cumsum(tail[::-1], axis=0)[::-1][1:]
+        assert np.array_equal(fit_module._suffix_sums(tail), reference)
 
 
 class TestTrackCorrespondence:
@@ -512,11 +593,12 @@ def _backtracking_fit_setup(monkeypatch, learning_rate=0.05, max_backtracks=2):
 
 
 def _count_calls(monkeypatch, name):
+    """Record the positional arguments of every call of ``name``."""
     calls = []
     original = getattr(fit_module, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(fit_module, name, counted)
@@ -531,9 +613,11 @@ class TestFitTrials:
         projected = _count_calls(monkeypatch, "_project_params")
         grids = _count_calls(monkeypatch, "pixel_grid")
         result = fit_scene(frames, depths, tracks, init, 4, exclude_frames=(1,))
-        n_fit_frames = len(frames) - 1
         assert result.backtracks > 0
-        assert len(rasterized) == n_fit_frames * len(projected)
+        # one call per candidate, and one for the start, each covering
+        # every fit frame
+        assert len(rasterized) == len(projected)
+        assert all(list(args[2]) == [0, 2] for args in rasterized)
         assert len(grids) == 1  # all cameras share one image size
 
     def test_backtrack_and_rejection_counts(self, monkeypatch):
