@@ -10,13 +10,15 @@ Decoding: flooding sum-product belief propagation, vectorized across
 codewords, with early exit both for blocks that converge and for blocks
 that stall.
 
-The decoder keeps its messages edge-major: a float32 (m, CHECK_DEGREE, b)
-array, one row per check slot in check-major edge order, with the b
-still-iterating blocks along the contiguous last axis.  Check and variable
-gathers are ``np.take`` over rows (``check_neighbors`` for check-side views
-of per-variable arrays, ``var_edge_check * CHECK_DEGREE + var_edge_slot``
-for the variable-side view of the edges), so each gathered row is one
-contiguous copy.  A block leaves the batch as soon as its syndrome clears,
+The decoder keeps its messages slot-major: a float32 (CHECK_DEGREE, m, b)
+array, one (m, b) slab per check slot, with the b still-iterating blocks
+along the contiguous last axis, so each slot's slab in
+``_exclude_self_products`` is one contiguous array.  Check and variable
+gathers are ``np.take`` over rows (``check_neighbors.T`` for check-side
+views of per-variable arrays, ``var_edge_slot * m + var_edge_check`` for
+the variable-side view of the edges), so each gathered row is one
+contiguous copy.  The syndrome is counted on hard decisions packed eight
+blocks to a byte.  A block leaves the batch as soon as its syndrome clears,
 or unconverged once ``STALL_ITERS`` iterations in a row have not lowered the
 least count of unsatisfied checks it has reached (a stopping rule of the
 kind surveyed by Kienle and Wehn, VTC 2005-Spring).  Far below the code
@@ -24,15 +26,19 @@ threshold no block converges, and a stalled block's bits are concealed
 downstream anyway; near the threshold (1-2 dB) a few blocks that would have
 converged later are given up.
 
-The blocks that fail the initial hard-decision check are split into one
-contiguous part per CPU the process may run on; each part runs the same BP
-loop (``_bp_part``), the caller's thread taking the first and a thread pool
-opened for that decode the rest, while numpy releases the interpreter lock
-inside the ufuncs and gathers.  No pool outlives its decode, so a forked
-child never inherits one whose threads it lacks.  The split cannot change
-a bit: every operation is elementwise along the block axis or gathers whole
-rows, nothing reduces across blocks, so a block's float32 arithmetic is the
-same whichever blocks share its batch, and each part writes only its own
+The blocks that fail the initial hard-decision check are split into parts
+of at most ``PART_BYTES`` of messages per array (64 blocks for k = 512), so
+that a part's messages stay in a core's L2 cache: BP's time goes to memory
+traffic more than to ``tanh``, and one part per CPU (about 500 blocks, 6 MB
+of messages per array) did not fit.  One worker per CPU the process may run
+on decodes the parts (``_bp_part``): the caller's thread and the threads of
+a pool opened for that decode, worker w taking parts w, w + workers, ...,
+while numpy releases the interpreter lock inside the ufuncs and gathers.  No pool
+outlives its decode, so a forked child never inherits one whose threads it
+lacks.  The split cannot change a bit: every operation is elementwise along
+the block axis or gathers whole rows, the packed syndrome XORs bit by bit,
+and nothing reduces across blocks, so a block's float32 arithmetic is the
+same whichever blocks share its part, and each part writes only its own
 blocks' rows of the results.
 Construction finds 4-cycles from the check lists; only encoding runs a GF(2)
 product, as a float32 BLAS matmul (exact: no sum exceeds 2**24).
@@ -52,15 +58,23 @@ from .channel import SymbolBlock
 VAR_DEGREE = 3
 CHECK_DEGREE = 6
 LLR_MAX = 1e6
-_TANH_CLIP = 25.0
 # a block leaves BP unconverged once this many iterations in a row have not
 # lowered its least unsatisfied-check count
 STALL_ITERS = 8
 CYCLE_PASSES = 60  # 4-cycle removal is best effort within this many swap passes
+# BP decodes the iterating blocks in parts whose float32 (CHECK_DEGREE, m, b)
+# message array takes at most this many bytes, so a part's arrays stay in a
+# core's L2 cache: 64 blocks for k = 512
+PART_BYTES = 768 * 1024
+
+
+def _part_blocks(code: LdpcCode) -> int:
+    """Blocks per BP part for ``code``: one float32 message per edge and block."""
+    return max(1, PART_BYTES // (code.check_neighbors.size * 4))
 
 
 def _worker_count() -> int:
-    """CPUs this process may run on, one BP part each."""
+    """CPUs this process may run on, one BP worker each."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -250,25 +264,28 @@ def ldpc_encode(info_bits, code: LdpcCode) -> np.ndarray:
 def _unsatisfied_checks(hard: np.ndarray, code: LdpcCode) -> np.ndarray:
     """Per-block count of unsatisfied parity checks for bit-major hard bits
     of shape (n, B): a check is unsatisfied when the XOR of its gathered
-    bits is 1.  A block's syndrome clears when its count is 0."""
-    parity = np.bitwise_xor.reduce(np.take(hard, code.check_neighbors, axis=0), axis=1)
-    return parity.sum(axis=0, dtype=np.int32)
+    bits is 1.  A block's syndrome clears when its count is 0.  The bits are
+    packed eight blocks to a byte along the block axis, so each gather and
+    XOR moves an eighth of the bytes."""
+    packed = np.packbits(hard, axis=1)  # (n, ceil(B / 8))
+    parity = np.bitwise_xor.reduce(np.take(packed, code.check_neighbors.T, axis=0), axis=0)
+    return np.unpackbits(parity, axis=1, count=hard.shape[1]).sum(axis=0, dtype=np.int32)
 
 
 def _exclude_self_products(t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """For each check slot, the product of the other slots' ``t`` (m, dc, b),
+    """For each check slot, the product of the other slots' ``t`` (dc, m, b),
     written into ``out``: suffix products first, then each multiplied by the
     running prefix, in the multiplication order of a left-to-right and a
     right-to-left cumulative product."""
-    dc = t.shape[1]
-    out[:, dc - 2] = t[:, dc - 1]
+    dc = t.shape[0]
+    out[dc - 2] = t[dc - 1]
     for s in range(dc - 3, -1, -1):
-        np.multiply(out[:, s + 1], t[:, s + 1], out=out[:, s])
-    prefix = t[:, 0].copy()
+        np.multiply(out[s + 1], t[s + 1], out=out[s])
+    prefix = t[0].copy()
     for s in range(1, dc - 1):
-        out[:, s] *= prefix
-        prefix *= t[:, s]
-    out[:, dc - 1] = prefix
+        out[s] *= prefix
+        prefix *= t[s]
+    out[dc - 1] = prefix
     return out
 
 
@@ -281,11 +298,12 @@ def _bp_part(blocks: np.ndarray, idx: np.ndarray, code: LdpcCode, max_iters: int
     those blocks' rows of ``decided`` and ``converged``; ``idx`` keeps the
     blocks still iterating, one column each."""
     m, dc = code.check_neighbors.shape
-    var_edges = code.var_edge_check * dc + code.var_edge_slot  # (n, dv) edge rows
+    check_rows = code.check_neighbors.T  # (dc, m) variable per check slot
+    var_edges = (code.var_edge_slot * m + code.var_edge_check).T  # (dv, n) edge rows
     # message passing runs in float32: plenty for BP and twice as fast; a
     # part casts only its own blocks
     channel = np.ascontiguousarray(blocks[idx].astype(np.float32).T)  # (n, b)
-    q = np.take(channel, code.check_neighbors, axis=0)  # (m, dc, b) var->check
+    q = np.take(channel, check_rows, axis=0)  # (dc, m, b) var->check
     least = unsatisfied[idx]
     stalled_for = np.zeros(idx.size, dtype=np.int64)
     spare = None
@@ -294,20 +312,20 @@ def _bp_part(blocks: np.ndarray, idx: np.ndarray, code: LdpcCode, max_iters: int
             spare = np.empty_like(q)
             r_at_var = np.empty(var_edges.shape + q.shape[2:], dtype=np.float32)
             totals = np.empty_like(channel)
-        t = np.divide(q, 2.0, out=spare)
-        np.tanh(np.clip(t, -_TANH_CLIP, _TANH_CLIP, out=t), out=t)
+        # float32 tanh is exactly +-1 from |x| = 25 on, so no clip is needed
+        t = np.tanh(np.multiply(q, 0.5, out=spare), out=spare)
         r = _exclude_self_products(t, out=q)  # check->var messages, in q's buffer
         np.arctanh(np.clip(r, -1 + 1e-7, 1 - 1e-7, out=r), out=r)
         r *= 2.0
         # variable updates: total r per variable plus the channel LLR, then
         # each check's message excludes its own r.  The edge indices are in
         # range, so mode="clip" only skips the buffered bounds check.
-        np.take(r.reshape(m * dc, -1), var_edges, axis=0, out=r_at_var, mode="clip")
-        np.copyto(totals, r_at_var[:, 0])
-        for d in range(1, r_at_var.shape[1]):
-            totals += r_at_var[:, d]
+        np.take(r.reshape(dc * m, -1), var_edges, axis=0, out=r_at_var, mode="clip")
+        np.copyto(totals, r_at_var[0])
+        for d in range(1, r_at_var.shape[0]):
+            totals += r_at_var[d]
         totals += channel
-        q = np.take(totals, code.check_neighbors, axis=0, out=t, mode="clip")
+        q = np.take(totals, check_rows, axis=0, out=t, mode="clip")
         q -= r
         spare = r
         hard = totals < 0
@@ -348,14 +366,19 @@ def ldpc_decode(llrs, code: LdpcCode, max_iters: int = 50):
     converged = unsatisfied == 0
     idx = np.nonzero(~converged)[0]
     if idx.size > 0 and max_iters >= 2:
-        parts = np.array_split(idx, min(_worker_count(), idx.size))
-        # leaving the with block waits for every part, also when the
-        # caller's part raises
-        with ThreadPoolExecutor(max(1, len(parts) - 1), "ldpc-bp") as pool:
-            futures = [pool.submit(_bp_part, blocks, part, code, max_iters, decided, converged,
-                                   unsatisfied)
-                       for part in parts[1:]]
-            _bp_part(blocks, parts[0], code, max_iters, decided, converged, unsatisfied)
+        size = _part_blocks(code)
+        parts = [idx[i:i + size] for i in range(0, idx.size, size)]
+        workers = min(_worker_count(), len(parts))
+
+        def run_parts(w: int) -> None:
+            for part in parts[w::workers]:  # worker w decodes every workers-th part
+                _bp_part(blocks, part, code, max_iters, decided, converged, unsatisfied)
+
+        # leaving the with block waits for every worker, also when the
+        # caller's parts raise
+        with ThreadPoolExecutor(max(1, workers - 1), "ldpc-bp") as pool:
+            futures = [pool.submit(run_parts, w) for w in range(1, workers)]
+            run_parts(0)
         for future in futures:
             future.result()  # re-raises a part's exception
 

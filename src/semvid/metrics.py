@@ -9,7 +9,10 @@ Conventions (documented here because the report files rely on them):
 * MS-SSIM uses the standard five published exponent weights, an 11x11
   Gaussian window (sigma 1.5), valid-window statistics, and box
   downsampling by 2 between scales; fewer scales renormalize the leading
-  weights.
+  weights.  ``ms_ssim`` is the one per-pair definition; ``clip_ms_ssim``
+  scores a clip against a reference clip frame by frame, and
+  ``ClipMsSsim`` many clips against one, computing the reference's terms
+  once; both give every frame ``ms_ssim``'s score bit for bit.
 """
 
 from __future__ import annotations
@@ -56,26 +59,90 @@ def psnr(x, y) -> float:
     return min(10.0 * np.log10(1.0 / err), PSNR_CAP_DB)
 
 
+def _blur(img: np.ndarray) -> np.ndarray:
+    """Gaussian-window means over the valid windows of the last two axes.
+    Only the rows the valid windows keep are blurred along the last axis;
+    each row is blurred on its own, so that changes no value."""
+    half = SSIM_WINDOW // 2
+    rows = correlate1d(img, _KERNEL, axis=-2, mode="nearest")[..., half:-half, :]
+    return correlate1d(rows, _KERNEL, axis=-1, mode="nearest")[..., half:-half]
+
+
+def _reference_stats(a: np.ndarray):
+    """The terms of SSIM that depend on the reference ``a`` alone: its
+    blurred mean ``mu_a``, ``2 * mu_a``, ``mu_a**2`` and blurred variance."""
+    mu_a = _blur(a)
+    mu_a_sq = mu_a**2
+    return mu_a, 2 * mu_a, mu_a_sq, _blur(a * a) - mu_a_sq
+
+
+def _ssim_terms(a, stats, b):
+    """Luminance and contrast-structure maps of ``b`` against ``a``, given
+    ``_reference_stats(a)``: the arithmetic of ``_ssim_components``, with
+    the reference's terms reused and the rest run in place."""
+    mu_a, two_mu_a, mu_a_sq, var_a = stats
+    mu_b = _blur(b)
+    mu_b_sq = mu_b**2
+    var_b = _blur(b * b)
+    var_b -= mu_b_sq
+    cov = _blur(a * b)
+    cov -= mu_a * mu_b
+    lum = two_mu_a * mu_b
+    lum += SSIM_K1**2
+    den = mu_a_sq + mu_b_sq
+    den += SSIM_K1**2
+    lum /= den
+    cs = np.multiply(cov, 2)
+    cs += SSIM_K2**2
+    np.add(var_a, var_b, out=den)
+    den += SSIM_K2**2
+    cs /= den
+    return lum, cs
+
+
 def _ssim_components(a: np.ndarray, b: np.ndarray):
     """Mean luminance and contrast-structure terms over valid windows of one
     channel."""
-    half = SSIM_WINDOW // 2
-
-    def blur(img):
-        out = correlate1d(img, _KERNEL, axis=0, mode="nearest")
-        out = correlate1d(out, _KERNEL, axis=1, mode="nearest")
-        return out[half:-half, half:-half]
-
-    mu_a = blur(a)
-    mu_b = blur(b)
-    var_a = blur(a * a) - mu_a * mu_a
-    var_b = blur(b * b) - mu_b * mu_b
-    cov = blur(a * b) - mu_a * mu_b
+    mu_a = _blur(a)
+    mu_b = _blur(b)
+    var_a = _blur(a * a) - mu_a * mu_a
+    var_b = _blur(b * b) - mu_b * mu_b
+    cov = _blur(a * b) - mu_a * mu_b
     c1 = SSIM_K1**2
     c2 = SSIM_K2**2
     lum = (2 * mu_a * mu_b + c1) / (mu_a**2 + mu_b**2 + c1)
     cs = (2 * cov + c2) / (var_a + var_b + c2)
     return float(lum.mean()), float(cs.mean())
+
+
+def _check_scales(shape, scales: int) -> None:
+    """``scales`` must be a weight count and leave a full window at the
+    coarsest level of frames whose first two axes are ``shape``."""
+    if not 1 <= scales <= len(MS_SSIM_WEIGHTS):
+        raise ValueError(f"scales must be in [1, {len(MS_SSIM_WEIGHTS)}]")
+    min_dim = min(shape)
+    needed = SSIM_WINDOW * 2 ** (scales - 1)
+    if min_dim < needed:
+        raise ValueError(
+            f"frames of min dimension {min_dim} are too small for {scales} "
+            f"scales; need at least {needed} pixels per side"
+        )
+
+
+def _weights(scales: int) -> np.ndarray:
+    weights = np.array(MS_SSIM_WEIGHTS[:scales])
+    return weights / weights.sum()
+
+
+def _channel_score(lum: float, cs_terms: list, weights: np.ndarray):
+    """One channel's MS-SSIM from the coarsest level's mean luminance
+    (clipped at 0 here) and every level's mean contrast-structure (clipped
+    at 0 by the caller)."""
+    score = max(lum, 0.0) ** weights[-1]
+    for w, cs in zip(weights[:-1], cs_terms[:-1]):
+        score *= cs**w
+    # the coarsest level contributes both luminance and cs
+    return score * cs_terms[-1] ** weights[-1]
 
 
 def ms_ssim(x, y, scales: int) -> float:
@@ -88,17 +155,8 @@ def ms_ssim(x, y, scales: int) -> float:
     if a.ndim == 2:
         a = a[:, :, None]
         b = b[:, :, None]
-    if not 1 <= scales <= len(MS_SSIM_WEIGHTS):
-        raise ValueError(f"scales must be in [1, {len(MS_SSIM_WEIGHTS)}]")
-    min_dim = min(a.shape[0], a.shape[1])
-    needed = SSIM_WINDOW * 2 ** (scales - 1)
-    if min_dim < needed:
-        raise ValueError(
-            f"frames of min dimension {min_dim} are too small for {scales} "
-            f"scales; need at least {needed} pixels per side"
-        )
-    weights = np.array(MS_SSIM_WEIGHTS[:scales])
-    weights = weights / weights.sum()
+    _check_scales(a.shape[:2], scales)
+    weights = _weights(scales)
 
     values = []
     for ch in range(a.shape[2]):
@@ -111,13 +169,102 @@ def ms_ssim(x, y, scales: int) -> float:
             if level < scales - 1:
                 ca = box_downsample(ca, 2)
                 cb = box_downsample(cb, 2)
-        score = max(lum, 0.0) ** weights[-1]
-        for w, cs in zip(weights[:-1], cs_terms[:-1]):
-            score *= cs**w
-        # the coarsest level contributes both luminance and cs
-        score *= cs_terms[-1] ** weights[-1]
-        values.append(score)
+        values.append(_channel_score(lum, cs_terms, weights))
     return float(np.clip(np.mean(values), 0.0, 1.0))
+
+
+def _frame_planes(frame) -> np.ndarray:
+    """An (H, W) or (H, W, C) frame as one contiguous (C, H, W) stack of
+    planes; an (H, W) frame has C = 1."""
+    arr = np.asarray(frame, dtype=np.float64)
+    return np.ascontiguousarray(arr[None] if arr.ndim == 2 else arr.transpose(2, 0, 1))
+
+
+def _pyramid(planes: np.ndarray, scales: int):
+    """The (C, H, W) planes at each of ``scales`` levels, each level
+    ``box_downsample(plane, 2)`` of the one before.  One plane at a time:
+    on an (H, W, C) stack the 2x2 cell sums run in another order and can
+    differ from ``ms_ssim``'s in the last bit."""
+    for level in range(scales):
+        yield planes
+        if level < scales - 1:
+            planes = np.stack([box_downsample(plane, 2) for plane in planes])
+
+
+def _reference_levels(frame, scales: int) -> list:
+    """Per scale, a reference frame's (C, H, W) planes and their
+    ``_reference_stats``."""
+    return [(a, _reference_stats(a)) for a in _pyramid(_frame_planes(frame), scales)]
+
+
+def _frame_score(levels: list, frame, weights: np.ndarray) -> float:
+    """``ms_ssim`` of the reference frame whose ``_reference_levels`` are
+    ``levels`` and ``frame``."""
+    cs_terms = []
+    for (a, stats), b in zip(levels, _pyramid(_frame_planes(frame), len(levels))):
+        lum, cs = _ssim_terms(a, stats, b)
+        cs_terms.append([max(float(plane.mean()), 0.0) for plane in cs])
+    values = [_channel_score(float(plane.mean()), [level[c] for level in cs_terms], weights)
+              for c, plane in enumerate(lum)]
+    return float(np.clip(np.mean(values), 0.0, 1.0))
+
+
+def _frame_shape(reference) -> tuple:
+    """The one (H, W) or (H, W, C) shape of a reference clip's frames."""
+    shapes = {np.shape(a) for a in reference}
+    if len(shapes) != 1 or len(next(iter(shapes))) not in (2, 3):
+        raise ValueError("a reference clip needs frames of one (H, W) or (H, W, C) shape, "
+                         f"got {sorted(shapes)}")
+    return shapes.pop()
+
+
+def _check_clip(length: int, frame_shape: tuple, clip) -> None:
+    """A clip scored against a reference clip needs as many frames, each of
+    the reference's frame shape."""
+    if len(clip) != length:
+        raise ValueError(f"clip length mismatch: reference has {length} frames, "
+                         f"clip has {len(clip)}")
+    for b in clip:
+        if np.shape(b) != frame_shape:
+            raise ValueError(f"frame shape mismatch: {frame_shape} vs {np.shape(b)}")
+
+
+def clip_ms_ssim(reference, clip, scales: int) -> list:
+    """``ms_ssim(reference[t], clip[t])`` for every frame t of two clips,
+    each a (T, H, W) or (T, H, W, C) array or a sequence of (H, W) or
+    (H, W, C) frames.  The arithmetic of ``ClipMsSsim``, holding one frame's
+    terms at a time."""
+    frame_shape = _frame_shape(reference)
+    _check_clip(len(reference), frame_shape, clip)
+    _check_scales(frame_shape[:2], scales)
+    weights = _weights(scales)
+    return [_frame_score(_reference_levels(a, scales), b, weights)
+            for a, b in zip(reference, clip)]
+
+
+class ClipMsSsim:
+    """Frame-by-frame ``ms_ssim`` of clips against one reference clip, for
+    scoring many: the reference's pyramid and the SSIM terms that depend on
+    it alone are computed once and kept, for every clip scored against it.
+
+    Clips are as in ``clip_ms_ssim``.  Each frame's C channel planes are
+    blurred as one (C, H, W) stack: a frame's arrays stay in a core's L2
+    cache, where whole-clip stacks did not and ran slower.  Each
+    score equals ``ms_ssim(reference[t], clip[t])`` bit for bit: every plane
+    sees the same blur lines, elementwise arithmetic and per-plane
+    ``.mean()`` as in the per-pair path.
+    """
+
+    def __init__(self, reference, scales: int):
+        self.frame_shape = _frame_shape(reference)
+        _check_scales(self.frame_shape[:2], scales)
+        self.weights = _weights(scales)
+        self.frames = [_reference_levels(a, scales) for a in reference]
+
+    def frame_scores(self, clip) -> list:
+        """``ms_ssim(reference[t], clip[t])`` for every frame t."""
+        _check_clip(len(self.frames), self.frame_shape, clip)
+        return [_frame_score(levels, b, self.weights) for levels, b in zip(self.frames, clip)]
 
 
 def _check_points(pred, gt):

@@ -13,6 +13,7 @@ produce byte-identical output.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass, field, replace
 
@@ -23,7 +24,10 @@ from .channel import ChannelConfig, TxStats, derive_seed
 from .classical import prepare_classical, transmit_prepared
 from .config import LinkSettings, NodeSettings, ReconSettings, RunConfig, VideoSource
 from .ldpc import make_ldpc_code
-from .metrics import epe, ms_ssim, pck, psnr
+# ms_ssim is unused here (clips are scored by clip_ms_ssim and ClipMsSsim),
+# but the benchmark tracer wraps it by this module's name, so it stays
+# importable from semvid.pipeline
+from .metrics import ClipMsSsim, clip_ms_ssim, epe, ms_ssim, pck, psnr  # noqa: F401
 from .recon.fit import fit_scene
 from .recon.render import render
 from .recon.scene import pose_pipeline, scene_params
@@ -136,12 +140,39 @@ def user_clip(source: VideoSource):
     return video, Frame(video.frames[0].data), None
 
 
-def video_quality(reference: VideoSequence, received: VideoSequence, scales: int) -> dict:
-    pairs = list(zip(reference.frames, received.frames))
+def _quality(reference: VideoSequence, received: VideoSequence, ms_ssims: list) -> dict:
+    """Mean per-frame PSNR and MS-SSIM, given every frame's MS-SSIM."""
     return {
-        "psnr_db": float(np.mean([psnr(a, b) for a, b in pairs])),
-        "ms_ssim": float(np.mean([ms_ssim(a, b, scales=scales) for a, b in pairs])),
+        "psnr_db": float(np.mean([psnr(a, b) for a, b in zip(reference.frames, received.frames)])),
+        "ms_ssim": float(np.mean(ms_ssims)),
     }
+
+
+def video_quality(reference: VideoSequence, received: VideoSequence, scales: int) -> dict:
+    """Mean per-frame PSNR and MS-SSIM of ``received`` against ``reference``,
+    holding one frame's MS-SSIM terms at a time.  Clips of another length or
+    frame size raise ``ValueError``."""
+    ms_ssims = clip_ms_ssim([f.data for f in reference.frames],
+                            [f.data for f in received.frames], scales)
+    return _quality(reference, received, ms_ssims)
+
+
+def quality_scorer(reference: VideoSequence, scales: int):
+    """``video_quality`` against ``reference`` as a function of the received
+    clip, for scoring many: the reference side of MS-SSIM is computed once
+    and kept, and a received clip equal to one scored before, frame bytes
+    and all, reuses its scores."""
+    ms_ssim_of = ClipMsSsim(reference.to_array(), scales)
+    scored = {}
+
+    def score(received: VideoSequence) -> dict:
+        clip = received.to_array()
+        key = (clip.shape, hashlib.sha1(clip).digest())
+        if key not in scored:
+            scored[key] = _quality(reference, received, ms_ssim_of.frame_scores(clip))
+        return dict(scored[key])
+
+    return score
 
 
 @dataclass(frozen=True)
@@ -230,11 +261,12 @@ def _prepare_reference(cfg: RunConfig):
 
 
 def _sweep(cfg: RunConfig, snrs, video: VideoSequence, clips: dict) -> CurveData:
+    quality = quality_scorer(video, cfg.metrics.ms_ssim_scales)
     rows = []
     for snr in snrs:
         for chain in CHAINS:
             received, _ = send(clips[chain], cfg, snr, chain, "sweep", f"{snr:.3f}")
-            q = video_quality(video, received, cfg.metrics.ms_ssim_scales)
+            q = quality(received)
             rows.append({"snr_db": float(snr), "chain": chain, **q})
     return CurveData(rows)
 

@@ -300,20 +300,29 @@ class TestSplitDecode:
                   for it in (1, 5, 50)]
         assert counts[0] < counts[1] < counts[2] < len(SPLIT_SNRS_DB)
 
+    def test_part_messages_fit_the_budget(self, ldpc_code):
+        # 64 blocks for k = 512; a larger code gets proportionally fewer
+        assert ldpc._part_blocks(ldpc_code) == 64
+        assert ldpc._part_blocks(make_ldpc_code(1024, seed=11)) == 32
+
     def test_result_independent_of_worker_count(self, ldpc_code, split_llrs, monkeypatch):
+        # nor on the part size: every (part size, workers) pair gives the same bits
         results = {}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # interleave the parts' threads more often
         try:
-            for workers in (1, 2, 3, len(SPLIT_SNRS_DB) + 5):
-                monkeypatch.setattr(ldpc, "_worker_count", lambda w=workers: w)
-                results[workers] = ldpc_decode(split_llrs, ldpc_code)
+            for part_blocks in (1, 7, 64, len(SPLIT_SNRS_DB)):
+                # part size 1 runs the most workers the batch allows, one per block
+                for workers in (1, 2, 3, len(SPLIT_SNRS_DB) + 5):
+                    monkeypatch.setattr(ldpc, "_part_blocks", lambda code, b=part_blocks: b)
+                    monkeypatch.setattr(ldpc, "_worker_count", lambda w=workers: w)
+                    results[part_blocks, workers] = ldpc_decode(split_llrs, ldpc_code)
         finally:
             sys.setswitchinterval(interval)
-        info, converged = results[1]
-        for workers, (other_info, other_converged) in results.items():
-            assert np.array_equal(other_info, info), workers
-            assert np.array_equal(other_converged, converged), workers
+        info, converged = results[len(SPLIT_SNRS_DB), 1]
+        for key, (other_info, other_converged) in results.items():
+            assert np.array_equal(other_info, info), key
+            assert np.array_equal(other_converged, converged), key
 
     @pytest.mark.parametrize("where", ["pool", "caller"])
     def test_exception_in_a_part_propagates(self, ldpc_code, split_llrs, monkeypatch, where):
@@ -324,6 +333,9 @@ class TestSplitDecode:
                 raise FloatingPointError(f"injected in the {where} part")
             return real(t, out)
 
+        # three parts on two workers: the caller decodes parts 0 and 2, the
+        # pool thread part 1
+        monkeypatch.setattr(ldpc, "_part_blocks", lambda code: len(SPLIT_SNRS_DB) // 3)
         monkeypatch.setattr(ldpc, "_worker_count", lambda: 2)
         monkeypatch.setattr(ldpc, "_exclude_self_products", failing)
         with pytest.raises(FloatingPointError, match=where):
@@ -331,6 +343,7 @@ class TestSplitDecode:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_decodes(self, ldpc_code, mixed_llrs, monkeypatch):
+        monkeypatch.setattr(ldpc, "_part_blocks", lambda code: 2)
         monkeypatch.setattr(ldpc, "_worker_count", lambda: 2)
         info, converged = ldpc_decode(mixed_llrs, ldpc_code)
         # each decode's pool is gone when it returns: the child inherits none
@@ -352,6 +365,32 @@ class TestSplitDecode:
                 os._exit(status)
         _, wait_status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(wait_status) == 0
+
+
+class TestSyndrome:
+    @pytest.mark.parametrize("n_blocks", [1, 7, 8, 9, 64, 65])
+    def test_packed_count_matches_boolean_xor(self, ldpc_code, n_blocks):
+        # the count before the bits were packed: gather the hard decisions,
+        # XOR each check's bits and count the ones per block
+        hard = np.random.default_rng(n_blocks).random((ldpc_code.n, n_blocks)) < 0.3
+        hard[:, 0] = False  # an all-zero codeword satisfies every check
+        gathered = np.take(hard, ldpc_code.check_neighbors, axis=0)
+        expected = np.bitwise_xor.reduce(gathered, axis=1).sum(axis=0, dtype=np.int32)
+        count = ldpc._unsatisfied_checks(hard, ldpc_code)
+        assert count.dtype == np.int32
+        assert np.array_equal(count, expected)
+        assert count[0] == 0 and (n_blocks == 1 or count[1:].all())
+
+
+@pytest.mark.parametrize("x", [25.0, float(np.nextafter(np.float32(25), np.float32(np.inf))),
+                               1e3, float(np.finfo(np.float32).max), np.inf])
+def test_float32_tanh_saturates_from_25(x):
+    # why BP feeds tanh its messages unclipped: a clip to +-25 could change
+    # no output
+    for sign in (1.0, -1.0):
+        value = np.tanh(np.float32(sign * x))
+        assert value.dtype == np.float32
+        assert value == np.float32(sign)
 
 
 class TestBpsk:

@@ -8,7 +8,9 @@ from semvid.metrics import (
     PSNR_CAP_DB,
     SSIM_SIGMA,
     SSIM_WINDOW,
+    ClipMsSsim,
     average_jaccard,
+    clip_ms_ssim,
     epe,
     mse,
     ms_ssim,
@@ -143,6 +145,74 @@ class TestMsSsim:
             b = rng.random((16, 16))
             v = ms_ssim(a, b, scales=1)
             assert 0.0 <= v <= 1.0
+
+
+def _noisy_clip_pair(shape, seed):
+    """A random reference clip and a noisy copy of it, in [0, 1]."""
+    rng = np.random.default_rng(seed)
+    ref = rng.random(shape)
+    return ref, np.clip(ref + 0.2 * rng.standard_normal(shape), 0.0, 1.0)
+
+
+def _score_clip(score, reference, clip, scales):
+    if score == "cached":
+        return ClipMsSsim(reference, scales).frame_scores(clip)
+    return clip_ms_ssim(reference, clip, scales)
+
+
+class TestClipMsSsim:
+    """The clip path must give per-pair ``ms_ssim`` bit for bit."""
+
+    @pytest.mark.parametrize("shape, scales", [
+        ((3, 45, 37, 3), 1),
+        ((3, 45, 37, 3), 2),   # 45x37 -> 23x19: edge-padded on both axes
+        ((2, 97, 89, 3), 3),   # 97x89 -> 49x45 -> 25x23: padded at every level
+        ((4, 45, 37), 2),      # one channel
+        ((2, 97, 89), 3),
+    ])
+    def test_frame_scores_equal_ms_ssim(self, shape, scales):
+        ref, rec = _noisy_clip_pair(shape, seed=sum(shape) + scales)
+        scorer = ClipMsSsim(ref, scales)
+        for clip in (rec, ref, 1.0 - ref):
+            want = [ms_ssim(a, b, scales=scales).hex() for a, b in zip(ref, clip)]
+            assert [x.hex() for x in scorer.frame_scores(clip)] == want
+            # the one-shot path, on arrays and on lists of frames
+            assert [x.hex() for x in clip_ms_ssim(ref, clip, scales)] == want
+            assert [x.hex() for x in clip_ms_ssim(list(ref), list(clip), scales)] == want
+
+    def test_reference_reused_across_clips(self):
+        ref, rec = _noisy_clip_pair((2, 40, 40, 3), seed=1)
+        scorer = ClipMsSsim(ref, 2)
+        first = scorer.frame_scores(rec)
+        scorer.frame_scores(1.0 - rec)
+        assert scorer.frame_scores(rec) == first
+
+    @pytest.mark.parametrize("score", ["cached", "one-shot"])
+    def test_length_mismatch_names_both_lengths(self, score):
+        ref, rec = _noisy_clip_pair((4, 24, 24, 3), seed=2)
+        with pytest.raises(ValueError, match="4 frames.*has 3"):
+            _score_clip(score, ref, rec[:3], 1)
+
+    @pytest.mark.parametrize("score", ["cached", "one-shot"])
+    def test_frame_shape_mismatch_names_both_shapes(self, score):
+        ref, _ = _noisy_clip_pair((2, 24, 24, 3), seed=3)
+        with pytest.raises(ValueError, match=r"\(24, 24, 3\) vs \(24, 30, 3\)"):
+            _score_clip(score, ref, np.zeros((2, 24, 30, 3)), 1)
+        with pytest.raises(ValueError, match=r"\(24, 24, 3\) vs \(24, 24\)"):
+            _score_clip(score, ref, np.zeros((2, 24, 24)), 1)
+        # one odd frame in a list of frames
+        with pytest.raises(ValueError, match=r"\(24, 24, 3\) vs \(24, 30, 3\)"):
+            _score_clip(score, ref, [ref[0], np.zeros((24, 30, 3))], 1)
+
+    def test_reference_frames_must_share_a_shape(self):
+        with pytest.raises(ValueError, match="one .* shape"):
+            ClipMsSsim([np.zeros((24, 24, 3)), np.zeros((24, 30, 3))], 1)
+        with pytest.raises(ValueError, match="one .* shape"):
+            clip_ms_ssim(np.zeros((2, 24)), np.zeros((2, 24)), 1)
+
+    def test_too_small_frames_named_minimum(self):
+        with pytest.raises(ValueError, match=str(SSIM_WINDOW * 2**2)):
+            ClipMsSsim(np.zeros((2, 40, 40, 3)), 3)
 
 
 class TestPointMetrics:

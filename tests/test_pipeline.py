@@ -22,6 +22,8 @@ from semvid.config import (
     reference_config,
     save_config,
 )
+import semvid.pipeline
+from semvid.metrics import ClipMsSsim, ms_ssim, psnr
 from semvid.pipeline import (
     compare_baselines,
     prepare_clip,
@@ -31,8 +33,9 @@ from semvid.pipeline import (
     snr_sweep,
     stage_latency,
     transmit_video,
+    video_quality,
 )
-from semvid.video import load_raw, save_raw
+from semvid.video import Frame, VideoSequence, load_raw, save_raw
 
 
 def _float_leaves(node, path=()):
@@ -307,6 +310,80 @@ class TestSweep:
     def test_empty_sweep_rejected(self, tiny_config):
         with pytest.raises(ValueError):
             snr_sweep(tiny_config, [])
+
+
+@pytest.fixture(scope="module")
+def reference_sweep():
+    """``compare``'s sweep on the reference config: its rows, every received
+    video in row order, and how many clips ``ClipMsSsim`` scored."""
+    cfg = reference_config()
+    received, scored = [], [0]
+    real_send, real_scores = semvid.pipeline.send, ClipMsSsim.frame_scores
+
+    def recording_send(*args, **kwargs):
+        out = real_send(*args, **kwargs)
+        received.append(out[0])
+        return out
+
+    def counting_scores(self, clip):
+        scored[0] += 1
+        return real_scores(self, clip)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semvid.pipeline, "send", recording_send)
+        mp.setattr(ClipMsSsim, "frame_scores", counting_scores)
+        video, clips = semvid.pipeline._prepare_reference(cfg)
+        curve = semvid.pipeline._sweep(cfg, cfg.sweep_snrs_db, video, clips)
+    return cfg, video, curve.rows, received, scored[0]
+
+
+@pytest.fixture(scope="module")
+def per_pair_ms_ssim(reference_sweep):
+    """Per-pair ``ms_ssim`` of every frame of every received video."""
+    cfg, video, _, received, _ = reference_sweep
+    return [[ms_ssim(a, b, cfg.metrics.ms_ssim_scales) for a, b in zip(video.frames, clip.frames)]
+            for clip in received]
+
+
+class TestSweepScoring:
+    def test_rows_equal_a_per_pair_loop(self, reference_sweep, per_pair_ms_ssim):
+        cfg, video, rows, received, _ = reference_sweep
+        assert len(received) == len(rows) == 16
+        for row, clip, scores in zip(rows, received, per_pair_ms_ssim):
+            psnrs = [psnr(a, b) for a, b in zip(video.frames, clip.frames)]
+            assert row["psnr_db"] == float(np.mean(psnrs))
+            assert row["ms_ssim"] == float(np.mean(scores))
+            # the one-shot scorer gives the same row
+            one_shot = video_quality(video, clip, cfg.metrics.ms_ssim_scales)
+            assert one_shot == {"psnr_db": row["psnr_db"], "ms_ssim": row["ms_ssim"]}
+
+    def test_clip_scores_equal_ms_ssim(self, reference_sweep, per_pair_ms_ssim):
+        cfg, video, _, received, _ = reference_sweep
+        scorer = ClipMsSsim(video.to_array(), cfg.metrics.ms_ssim_scales)
+        for clip, scores in zip(received, per_pair_ms_ssim):
+            got = scorer.frame_scores(clip.to_array())
+            assert [x.hex() for x in got] == [x.hex() for x in scores]
+
+    def test_each_distinct_received_video_scored_once(self, reference_sweep):
+        *_, received, scored = reference_sweep
+        distinct = {hashlib.sha1(clip.to_array().tobytes()).digest() for clip in received}
+        # the classical chain conceals every block at -10, -5 and 0 dB and
+        # decodes cleanly from 5 dB up
+        assert len(distinct) == 10
+        assert scored == len(distinct)
+
+
+def test_video_quality_refuses_clips_of_another_length(small_clip):
+    short = VideoSequence(small_clip.frames[:-1], small_clip.fps)
+    with pytest.raises(ValueError, match="8 frames.*has 7"):
+        video_quality(small_clip, short, scales=1)
+
+
+def test_video_quality_refuses_another_frame_size(small_clip):
+    wide = VideoSequence(tuple(Frame(np.zeros((64, 72, 3))) for _ in small_clip.frames),
+                         small_clip.fps)
+    with pytest.raises(ValueError, match=r"\(64, 64, 3\) vs \(64, 72, 3\)"):
+        video_quality(small_clip, wide, scales=1)
 
 
 class TestTransmitVideo:
