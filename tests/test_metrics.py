@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -105,6 +106,27 @@ def _reference_ms_ssim(a, b, scales):
     return float(np.mean(values))
 
 
+def _pinned_pairs():
+    """(x, y, scales) for a fixed battery of ``ms_ssim`` calls: one- and
+    three-channel frames of even and odd sizes at every scale count they
+    allow, as ndarrays and as ``Frame``s, against a noisy copy, a
+    blurred-looking copy, an inverted copy and the frame itself."""
+    pairs = []
+    for seed, shape in enumerate([(24, 24), (45, 37), (45, 37, 3), (97, 89), (97, 89, 3),
+                                  (181, 177, 3)]):
+        rng = np.random.default_rng(seed)
+        a = rng.random(shape)
+        others = (np.clip(a + 0.1 * rng.standard_normal(shape), 0.0, 1.0),
+                  0.5 * (a + np.roll(a, 1, axis=0)), 1.0 - a, a)
+        max_scales = int(np.log2(min(shape[:2]) / SSIM_WINDOW)) + 1
+        for scales in range(1, min(max_scales, len(MS_SSIM_WEIGHTS)) + 1):
+            for b in others:
+                pairs.append((a, b, scales))
+                if a.ndim == 3:
+                    pairs.append((Frame(a), Frame(b), scales))
+    return pairs
+
+
 class TestMsSsim:
     def test_identical(self, rng):
         f = Frame(rng.random((48, 48, 3)))
@@ -137,6 +159,14 @@ class TestMsSsim:
         f = Frame(np.zeros((32, 32, 3)))
         with pytest.raises(ValueError, match=str(SSIM_WINDOW * 2**4)):
             ms_ssim(f, f, scales=5)
+
+    # sha256 of the newline-joined ``ms_ssim(...).hex()`` of ``_pinned_pairs()``
+    PINNED_DIGEST = "0839e84b7abad1609f821c1019bc85332877ed9778d071abb95bcb46b794b8a3"
+
+    def test_scores_pinned_bit_for_bit(self):
+        scores = [ms_ssim(a, b, scales).hex() for a, b, scales in _pinned_pairs()]
+        assert len(scores) == 120
+        assert hashlib.sha256("\n".join(scores).encode()).hexdigest() == self.PINNED_DIGEST
 
     def test_range_on_random_pairs(self):
         rng = np.random.default_rng(123)
