@@ -305,8 +305,8 @@ def prepare_classical(gop: Gop, qp: float, code: LdpcCode) -> PreparedClassical:
     return PreparedClassical(bitstream=bs, symbols=bpsk_modulate(coded), source=gop, code=code)
 
 
-def transmit_prepared(prep: PreparedClassical, ch: ChannelConfig, prev_frame: Frame = None,
-                      max_iters: int = 50):
+def transmit_prepared(prep: PreparedClassical, ch: ChannelConfig, prev_frame: Frame = None, *,
+                      max_iters: int):
     bs, code = prep.bitstream, prep.code
     received = awgn(prep.symbols, ch)
     llrs = bpsk_demodulate(received, noise_variance(ch.snr_db))

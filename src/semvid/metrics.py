@@ -9,10 +9,10 @@ Conventions (documented here because the report files rely on them):
 * MS-SSIM uses the standard five published exponent weights, an 11x11
   Gaussian window (sigma 1.5), valid-window statistics, and box
   downsampling by 2 between scales; fewer scales renormalize the leading
-  weights.  ``ms_ssim`` is the one per-pair definition; ``clip_ms_ssim``
-  scores a clip against a reference clip frame by frame, and
-  ``ClipMsSsim`` many clips against one, computing the reference's terms
-  once; both give every frame ``ms_ssim``'s score bit for bit.
+  weights.  ``ms_ssim`` scores one frame pair, its channels blurred as one
+  (C, H, W) stack of planes; ``ClipMsSsim`` scores many clips against one
+  reference clip with the same arithmetic, keeping the reference's terms,
+  so every frame gets ``ms_ssim``'s score bit for bit.
 """
 
 from __future__ import annotations
@@ -78,8 +78,7 @@ def _reference_stats(a: np.ndarray):
 
 def _ssim_terms(a, stats, b):
     """Luminance and contrast-structure maps of ``b`` against ``a``, given
-    ``_reference_stats(a)``: the arithmetic of ``_ssim_components``, with
-    the reference's terms reused and the rest run in place."""
+    ``_reference_stats(a)``; the terms of ``b`` are computed in place."""
     mu_a, two_mu_a, mu_a_sq, var_a = stats
     mu_b = _blur(b)
     mu_b_sq = mu_b**2
@@ -98,21 +97,6 @@ def _ssim_terms(a, stats, b):
     den += SSIM_K2**2
     cs /= den
     return lum, cs
-
-
-def _ssim_components(a: np.ndarray, b: np.ndarray):
-    """Mean luminance and contrast-structure terms over valid windows of one
-    channel."""
-    mu_a = _blur(a)
-    mu_b = _blur(b)
-    var_a = _blur(a * a) - mu_a * mu_a
-    var_b = _blur(b * b) - mu_b * mu_b
-    cov = _blur(a * b) - mu_a * mu_b
-    c1 = SSIM_K1**2
-    c2 = SSIM_K2**2
-    lum = (2 * mu_a * mu_b + c1) / (mu_a**2 + mu_b**2 + c1)
-    cs = (2 * cov + c2) / (var_a + var_b + c2)
-    return float(lum.mean()), float(cs.mean())
 
 
 def _check_scales(shape, scales: int) -> None:
@@ -134,45 +118,6 @@ def _weights(scales: int) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _channel_score(lum: float, cs_terms: list, weights: np.ndarray):
-    """One channel's MS-SSIM from the coarsest level's mean luminance
-    (clipped at 0 here) and every level's mean contrast-structure (clipped
-    at 0 by the caller)."""
-    score = max(lum, 0.0) ** weights[-1]
-    for w, cs in zip(weights[:-1], cs_terms[:-1]):
-        score *= cs**w
-    # the coarsest level contributes both luminance and cs
-    return score * cs_terms[-1] ** weights[-1]
-
-
-def ms_ssim(x, y, scales: int) -> float:
-    """Multi-scale structural similarity in [0, 1]; 1.0 for identical inputs.
-
-    ``scales`` must leave at least one full 11x11 window at the coarsest
-    level, i.e. min(h, w) >= 11 * 2**(scales - 1).
-    """
-    a, b = _pair_arrays(x, y)
-    if a.ndim == 2:
-        a = a[:, :, None]
-        b = b[:, :, None]
-    _check_scales(a.shape[:2], scales)
-    weights = _weights(scales)
-
-    values = []
-    for ch in range(a.shape[2]):
-        ca, cb = a[:, :, ch], b[:, :, ch]
-        cs_terms = []
-        lum = 1.0
-        for level in range(scales):
-            lum, cs = _ssim_components(ca, cb)
-            cs_terms.append(max(cs, 0.0))
-            if level < scales - 1:
-                ca = box_downsample(ca, 2)
-                cb = box_downsample(cb, 2)
-        values.append(_channel_score(lum, cs_terms, weights))
-    return float(np.clip(np.mean(values), 0.0, 1.0))
-
-
 def _frame_planes(frame) -> np.ndarray:
     """An (H, W) or (H, W, C) frame as one contiguous (C, H, W) stack of
     planes; an (H, W) frame has C = 1."""
@@ -183,8 +128,8 @@ def _frame_planes(frame) -> np.ndarray:
 def _pyramid(planes: np.ndarray, scales: int):
     """The (C, H, W) planes at each of ``scales`` levels, each level
     ``box_downsample(plane, 2)`` of the one before.  One plane at a time:
-    on an (H, W, C) stack the 2x2 cell sums run in another order and can
-    differ from ``ms_ssim``'s in the last bit."""
+    on an (H, W, C) stack the 2x2 cell sums run in another order, which can
+    change a score's last bit."""
     for level in range(scales):
         yield planes
         if level < scales - 1:
@@ -198,15 +143,36 @@ def _reference_levels(frame, scales: int) -> list:
 
 
 def _frame_score(levels: list, frame, weights: np.ndarray) -> float:
-    """``ms_ssim`` of the reference frame whose ``_reference_levels`` are
-    ``levels`` and ``frame``."""
+    """MS-SSIM of ``frame`` against the reference frame whose
+    ``_reference_levels`` are ``levels``: the mean over channels of the
+    coarsest level's mean luminance and every level's mean
+    contrast-structure, each clipped at 0 and weighted."""
     cs_terms = []
     for (a, stats), b in zip(levels, _pyramid(_frame_planes(frame), len(levels))):
         lum, cs = _ssim_terms(a, stats, b)
         cs_terms.append([max(float(plane.mean()), 0.0) for plane in cs])
-    values = [_channel_score(float(plane.mean()), [level[c] for level in cs_terms], weights)
-              for c, plane in enumerate(lum)]
+    values = []
+    for c, plane in enumerate(lum):
+        score = max(float(plane.mean()), 0.0) ** weights[-1]
+        for w, level in zip(weights[:-1], cs_terms[:-1]):
+            score *= level[c] ** w
+        # the coarsest level contributes both luminance and cs
+        values.append(score * cs_terms[-1][c] ** weights[-1])
     return float(np.clip(np.mean(values), 0.0, 1.0))
+
+
+def ms_ssim(x, y, scales: int) -> float:
+    """Multi-scale structural similarity in [0, 1] of two (H, W) or
+    (H, W, C) frames; 1.0 for identical inputs.
+
+    ``scales`` must leave at least one full 11x11 window at the coarsest
+    level, i.e. min(h, w) >= 11 * 2**(scales - 1).
+    """
+    a, b = _pair_arrays(x, y)
+    if a.ndim not in (2, 3):
+        raise ValueError(f"ms_ssim needs (H, W) or (H, W, C) frames, got shape {a.shape}")
+    _check_scales(a.shape[:2], scales)
+    return _frame_score(_reference_levels(a, scales), b, _weights(scales))
 
 
 def _frame_shape(reference) -> tuple:
@@ -229,30 +195,16 @@ def _check_clip(length: int, frame_shape: tuple, clip) -> None:
             raise ValueError(f"frame shape mismatch: {frame_shape} vs {np.shape(b)}")
 
 
-def clip_ms_ssim(reference, clip, scales: int) -> list:
-    """``ms_ssim(reference[t], clip[t])`` for every frame t of two clips,
-    each a (T, H, W) or (T, H, W, C) array or a sequence of (H, W) or
-    (H, W, C) frames.  The arithmetic of ``ClipMsSsim``, holding one frame's
-    terms at a time."""
-    frame_shape = _frame_shape(reference)
-    _check_clip(len(reference), frame_shape, clip)
-    _check_scales(frame_shape[:2], scales)
-    weights = _weights(scales)
-    return [_frame_score(_reference_levels(a, scales), b, weights)
-            for a, b in zip(reference, clip)]
-
-
 class ClipMsSsim:
     """Frame-by-frame ``ms_ssim`` of clips against one reference clip, for
     scoring many: the reference's pyramid and the SSIM terms that depend on
     it alone are computed once and kept, for every clip scored against it.
 
-    Clips are as in ``clip_ms_ssim``.  Each frame's C channel planes are
-    blurred as one (C, H, W) stack: a frame's arrays stay in a core's L2
-    cache, where whole-clip stacks did not and ran slower.  Each
-    score equals ``ms_ssim(reference[t], clip[t])`` bit for bit: every plane
-    sees the same blur lines, elementwise arithmetic and per-plane
-    ``.mean()`` as in the per-pair path.
+    Clips are (T, H, W) or (T, H, W, C) arrays or sequences of (H, W) or
+    (H, W, C) frames.  Clips are scored a frame at a time: a frame's arrays
+    stay in a core's L2 cache, where whole-clip stacks did not and ran
+    slower.  Each score is ``ms_ssim(reference[t], clip[t])`` bit for bit,
+    from the same ``_frame_score``.
     """
 
     def __init__(self, reference, scales: int):

@@ -24,10 +24,7 @@ from .channel import ChannelConfig, TxStats, derive_seed
 from .classical import prepare_classical, transmit_prepared
 from .config import LinkSettings, NodeSettings, ReconSettings, RunConfig, VideoSource
 from .ldpc import make_ldpc_code
-# ms_ssim is unused here (clips are scored by clip_ms_ssim and ClipMsSsim),
-# but the benchmark tracer wraps it by this module's name, so it stays
-# importable from semvid.pipeline
-from .metrics import ClipMsSsim, clip_ms_ssim, epe, ms_ssim, pck, psnr  # noqa: F401
+from .metrics import ClipMsSsim, epe, ms_ssim, pck, psnr
 from .recon.fit import fit_scene
 from .recon.render import render
 from .recon.scene import pose_pipeline, scene_params
@@ -150,10 +147,12 @@ def _quality(reference: VideoSequence, received: VideoSequence, ms_ssims: list) 
 
 def video_quality(reference: VideoSequence, received: VideoSequence, scales: int) -> dict:
     """Mean per-frame PSNR and MS-SSIM of ``received`` against ``reference``,
-    holding one frame's MS-SSIM terms at a time.  Clips of another length or
-    frame size raise ``ValueError``."""
-    ms_ssims = clip_ms_ssim([f.data for f in reference.frames],
-                            [f.data for f in received.frames], scales)
+    holding one frame's MS-SSIM terms at a time.  Empty clips, and clips of
+    another length or frame size, raise ``ValueError``."""
+    if not reference.frames or len(received) != len(reference):
+        raise ValueError(f"clips need one nonzero length: reference has {len(reference)} "
+                         f"frames, received has {len(received)}")
+    ms_ssims = [ms_ssim(a, b, scales) for a, b in zip(reference.frames, received.frames)]
     return _quality(reference, received, ms_ssims)
 
 
@@ -218,7 +217,7 @@ def send(clip: PreparedClip, cfg: RunConfig, snr_db: float, *labels):
         if clip.chain == "semantic":
             rec, st = transmit_packet(payload, ch, cfg.semantic)
         else:
-            rec, st = transmit_prepared(payload, ch, prev, cfg.classical.max_iters)
+            rec, st = transmit_prepared(payload, ch, prev, max_iters=cfg.classical.max_iters)
             prev = rec.frames[-1]
         out.append(rec)
         total = total.merge(st)

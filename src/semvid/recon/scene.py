@@ -235,15 +235,6 @@ def pose_pipeline(params: dict, ts) -> dict:
     }
 
 
-def scene_poses(scene: GaussianScene, t: int):
-    """Vectorized poses for every Gaussian: (mu_t (G,3), R_t (G,3,3),
-    covariance (G,3,3)); depth ordering happens in the renderer."""
-    if not 0 <= t < scene.n_timesteps:
-        raise ValueError(f"timestep {t} out of range [0, {scene.n_timesteps})")
-    pp = pose_pipeline(scene_params(scene), [t])
-    return pp["mu_t"][0], pp["r_t"][0], pp["cov"][0]
-
-
 def save_scene(scene: GaussianScene, path) -> None:
     """Structured-text scene file; see README for the schema."""
     payload = {

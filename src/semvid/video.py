@@ -106,10 +106,6 @@ class VideoSequence:
     def __len__(self) -> int:
         return len(self.frames)
 
-    @property
-    def duration_seconds(self) -> float:
-        return len(self.frames) / self.fps
-
     def to_array(self) -> np.ndarray:
         return np.stack([f.data for f in self.frames])
 

@@ -26,7 +26,7 @@ from semvid.recon.fit import (
     scene_to_params,
 )
 from semvid.recon.render import render
-from semvid.recon.scene import scene_poses
+from semvid.recon.scene import pose_pipeline, scene_params
 from semvid.semantic import (
     SemanticCodecConfig,
     extract_common,
@@ -227,9 +227,9 @@ def test_criterion_8_desk_scale_fit():
     assert all(b <= a + 1e-15 for a, b in zip(result.losses, result.losses[1:]))
 
     held_out_psnr = psnr(frames[held_out], render(result.scene, held_out).image)
-    gt_centers = np.concatenate([scene_poses(gt, t)[0] for t in range(gt.n_timesteps)])
-    fit_centers = np.concatenate(
-        [scene_poses(result.scene, t)[0] for t in range(result.scene.n_timesteps)]
+    gt_centers, fit_centers = (
+        pose_pipeline(scene_params(s), range(s.n_timesteps))["mu_t"].reshape(-1, 3)
+        for s in (gt, result.scene)
     )
     center_epe = epe(fit_centers, gt_centers)
     center_pck = pck(fit_centers, gt_centers, 0.1)

@@ -19,9 +19,13 @@ from semvid.classical import (
     source_encode,
     transmit_prepared,
 )
+from semvid.config import ClassicalSettings
 from semvid.fixtures import make_test_clip
 from semvid.metrics import psnr
 from semvid.video import Frame, Gop
+
+
+MAX_ITERS = ClassicalSettings().max_iters
 
 
 def _raw_bits(gop):
@@ -290,21 +294,24 @@ class TestTransmitChain:
     def test_high_snr_is_transparent(self, natural_gop, ldpc_code):
         prep = prepare_classical(natural_gop, 4.0, ldpc_code)
         source_only = source_decode(prep.bitstream)
-        received, stats = transmit_prepared(prep, ChannelConfig(snr_db=25.0, seed=3))
+        received, stats = transmit_prepared(prep, ChannelConfig(snr_db=25.0, seed=3),
+                                            max_iters=MAX_ITERS)
         assert stats.decode_failures == 0
         for a, b in zip(source_only.frames, received.frames):
             assert psnr(a, b) == psnr(a, a)  # identical reconstruction
 
     def test_low_snr_collapses_to_concealment(self, natural_gop, ldpc_code):
         prep = prepare_classical(natural_gop, 4.0, ldpc_code)
-        received, stats = transmit_prepared(prep, ChannelConfig(snr_db=-10.0, seed=3))
+        received, stats = transmit_prepared(prep, ChannelConfig(snr_db=-10.0, seed=3),
+                                            max_iters=MAX_ITERS)
         values = [psnr(a, b) for a, b in zip(natural_gop.frames, received.frames)]
         assert stats.decode_failures > 0
         assert np.mean(values) < 20.0
 
     def test_symbol_accounting(self, natural_gop, ldpc_code):
         prep = prepare_classical(natural_gop, 4.0, ldpc_code)
-        _, stats = transmit_prepared(prep, ChannelConfig(snr_db=25.0, seed=3))
+        _, stats = transmit_prepared(prep, ChannelConfig(snr_db=25.0, seed=3),
+                                     max_iters=MAX_ITERS)
         padded = -(-stats.payload_bits // ldpc_code.k) * ldpc_code.k
         assert stats.channel_symbols == 2 * padded
         assert stats.channel_symbols >= 2 * stats.payload_bits
@@ -313,7 +320,8 @@ class TestTransmitChain:
         reference = natural_gop.frames[-1]
         prep = prepare_classical(natural_gop, 4.0, ldpc_code)
         received, _ = transmit_prepared(
-            prep, ChannelConfig(snr_db=-10.0, seed=3), prev_frame=reference)
+            prep, ChannelConfig(snr_db=-10.0, seed=3), prev_frame=reference,
+            max_iters=MAX_ITERS)
         # with everything concealed, the first frame copies the reference
         assert psnr(reference, received.frames[0]) > psnr(natural_gop.frames[0], received.frames[0])
 
@@ -329,7 +337,8 @@ class TestTransmitChain:
         plate = Frame(np.full((64, 64, 3), 0.25))
         for seed, prev in ((3, None), (4, plate)):
             received, stats = transmit_prepared(
-                prep, ChannelConfig(snr_db=25.0, seed=seed), prev_frame=prev)
+                prep, ChannelConfig(snr_db=25.0, seed=seed), prev_frame=prev,
+                max_iters=MAX_ITERS)
             assert stats.decode_failures == 0
             for a, b in zip(parsed.frames, received.frames):
                 assert np.array_equal(a.data, b.data)
@@ -350,7 +359,8 @@ class TestTransmitChain:
         monkeypatch.setattr(semvid.classical, "ldpc_decode", first_block_fails)
         plate = Frame(np.full((64, 64, 3), 0.25))
         received, stats = transmit_prepared(
-            prep, ChannelConfig(snr_db=25.0, seed=3), prev_frame=plate)
+            prep, ChannelConfig(snr_db=25.0, seed=3), prev_frame=plate,
+            max_iters=MAX_ITERS)
         assert stats.decode_failures == 1
         starts = prep.bitstream.block_map[:, 0]
         hit = set(np.nonzero(starts < ldpc_code.k)[0])  # macroblocks block 0 covers

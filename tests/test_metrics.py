@@ -1,4 +1,5 @@
 import hashlib
+import re
 import warnings
 
 import numpy as np
@@ -11,14 +12,14 @@ from semvid.metrics import (
     SSIM_WINDOW,
     ClipMsSsim,
     average_jaccard,
-    clip_ms_ssim,
     epe,
     mse,
     ms_ssim,
     pck,
     psnr,
 )
-from semvid.video import Frame
+from semvid.pipeline import video_quality
+from semvid.video import Frame, VideoSequence
 
 
 def _const(v, shape=(8, 8, 3)):
@@ -160,6 +161,13 @@ class TestMsSsim:
         with pytest.raises(ValueError, match=str(SSIM_WINDOW * 2**4)):
             ms_ssim(f, f, scales=5)
 
+    @pytest.mark.parametrize("shape", [(48,), (16, 48, 48, 3)])
+    def test_refuses_frames_of_another_rank(self, shape):
+        x = np.zeros(shape)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")) as err:
+            ms_ssim(x, x, scales=1)
+        assert "reference clip" not in str(err.value)
+
     # sha256 of the newline-joined ``ms_ssim(...).hex()`` of ``_pinned_pairs()``
     PINNED_DIGEST = "0839e84b7abad1609f821c1019bc85332877ed9778d071abb95bcb46b794b8a3"
 
@@ -185,9 +193,11 @@ def _noisy_clip_pair(shape, seed):
 
 
 def _score_clip(score, reference, clip, scales):
+    """Frame scores of ``clip`` against ``reference``: cached by
+    ``ClipMsSsim``, or one-shot, pair by pair, as ``video_quality`` scores."""
     if score == "cached":
         return ClipMsSsim(reference, scales).frame_scores(clip)
-    return clip_ms_ssim(reference, clip, scales)
+    return [ms_ssim(a, b, scales) for a, b in zip(reference, clip)]
 
 
 class TestClipMsSsim:
@@ -206,9 +216,7 @@ class TestClipMsSsim:
         for clip in (rec, ref, 1.0 - ref):
             want = [ms_ssim(a, b, scales=scales).hex() for a, b in zip(ref, clip)]
             assert [x.hex() for x in scorer.frame_scores(clip)] == want
-            # the one-shot path, on arrays and on lists of frames
-            assert [x.hex() for x in clip_ms_ssim(ref, clip, scales)] == want
-            assert [x.hex() for x in clip_ms_ssim(list(ref), list(clip), scales)] == want
+            assert [x.hex() for x in scorer.frame_scores(list(clip))] == want
 
     def test_reference_reused_across_clips(self):
         ref, rec = _noisy_clip_pair((2, 40, 40, 3), seed=1)
@@ -221,7 +229,10 @@ class TestClipMsSsim:
     def test_length_mismatch_names_both_lengths(self, score):
         ref, rec = _noisy_clip_pair((4, 24, 24, 3), seed=2)
         with pytest.raises(ValueError, match="4 frames.*has 3"):
-            _score_clip(score, ref, rec[:3], 1)
+            if score == "cached":
+                ClipMsSsim(ref, 1).frame_scores(rec[:3])
+            else:
+                video_quality(*(VideoSequence.from_array(c, 8.0) for c in (ref, rec[:3])), 1)
 
     @pytest.mark.parametrize("score", ["cached", "one-shot"])
     def test_frame_shape_mismatch_names_both_shapes(self, score):
@@ -238,7 +249,7 @@ class TestClipMsSsim:
         with pytest.raises(ValueError, match="one .* shape"):
             ClipMsSsim([np.zeros((24, 24, 3)), np.zeros((24, 30, 3))], 1)
         with pytest.raises(ValueError, match="one .* shape"):
-            clip_ms_ssim(np.zeros((2, 24)), np.zeros((2, 24)), 1)
+            ClipMsSsim(np.zeros((2, 24)), 1)
 
     def test_too_small_frames_named_minimum(self):
         with pytest.raises(ValueError, match=str(SSIM_WINDOW * 2**2)):

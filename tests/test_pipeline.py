@@ -379,6 +379,12 @@ def test_video_quality_refuses_clips_of_another_length(small_clip):
         video_quality(small_clip, short, scales=1)
 
 
+def test_video_quality_refuses_empty_clips():
+    empty = VideoSequence((), 8.0)
+    with pytest.raises(ValueError, match="0 frames.*has 0"):
+        video_quality(empty, empty, scales=1)
+
+
 def test_video_quality_refuses_another_frame_size(small_clip):
     wide = VideoSequence(tuple(Frame(np.zeros((64, 72, 3))) for _ in small_clip.frames),
                          small_clip.fps)

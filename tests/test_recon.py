@@ -45,7 +45,6 @@ from semvid.recon.scene import (
     quat_to_rotmat,
     save_scene,
     scene_params,
-    scene_poses,
 )
 
 
@@ -71,6 +70,12 @@ def _single_gaussian_scene(mean=(0.2, -0.1, 2.5), opacity=0.9, color=(1.0, 1.0, 
     )
 
 
+def _pose(scene, t):
+    """The centers and rotations of every Gaussian at timestep ``t``."""
+    pp = pose_pipeline(scene_params(scene), [t])
+    return pp["mu_t"][0], pp["r_t"][0]
+
+
 def _covariance(scene, i):
     """Reference covariance R diag(s^2) R^T of Gaussian i, written out
     independently of the pose pipeline."""
@@ -81,14 +86,14 @@ def _covariance(scene, i):
 class TestPose:
     def test_identity_bases(self):
         scene = _single_gaussian_scene()
-        mu, rot, _ = scene_poses(scene, 0)
+        mu, rot = _pose(scene, 0)
         assert np.allclose(mu[0], scene.means[0])
         assert np.allclose(rot[0], quat_to_rotmat(scene.quats[0]))
 
     def test_single_translation_basis(self):
         trans = np.array([[[0.3, -0.2, 0.1]]])
         scene = _single_gaussian_scene(basis_trans=trans)
-        mu, rot, _ = scene_poses(scene, 0)
+        mu, rot = _pose(scene, 0)
         assert np.allclose(mu[0], scene.means[0] + trans[0, 0])
         assert np.allclose(rot[0], quat_to_rotmat(scene.quats[0]))
 
@@ -98,20 +103,15 @@ class TestPose:
         trans[1, 0] = [0.0, 0.2, 0.0]
         # zero coefficients weight the two bases equally
         scene = _single_gaussian_scene(mean=(0.0, 0.0, 0.0), basis_trans=trans)
-        mu, _, _ = scene_poses(scene, 0)
+        mu, _ = _pose(scene, 0)
         assert np.allclose(mu[0], [0.2, 0.1, 0.0])
 
     def test_rotation_stays_orthonormal(self):
         scene = make_gradient_check_scene()
         for t in range(scene.n_timesteps):
-            _, rot, _ = scene_poses(scene, t)
+            _, rot = _pose(scene, t)
             for r in rot:
                 assert np.max(np.abs(r @ r.T - np.eye(3))) < 1e-6
-
-    def test_out_of_range_timestep(self):
-        scene = _single_gaussian_scene()
-        with pytest.raises(ValueError):
-            scene_poses(scene, 5)
 
 
 def project(mu: np.ndarray, sigma: np.ndarray, camera: Camera):
