@@ -660,6 +660,65 @@ class TestFitTrials:
                 assert np.array_equal(grads[key], fresh[key]), key
 
 
+class _L1Objective:
+    """A stand-in for the fit objective that calls no BLAS: the L1 distance
+    of the parameters to ``target`` (``np.abs``, ``np.sum`` and ``np.sign``
+    only), so a fit against it gives the same bits under every BLAS
+    kernel."""
+
+    target = None
+
+    def __init__(self, frames, depth_maps, tracks_2d, scene, exclude_frames=()):
+        pass
+
+    def forward(self, params):
+        total = 0.0
+        for key in PARAM_KEYS:
+            total += float(np.sum(np.abs(params[key] - self.target[key])))
+        return total, "placeholder"
+
+    def backward(self, params, fwd) -> dict:
+        return {key: np.sign(params[key] - self.target[key]) for key in PARAM_KEYS}
+
+
+class TestOptimizerPin:
+    # (backtracks, rejected steps, SHA-256 of the losses, fitted arrays and
+    # counts) per MAX_BACKTRACKS, recorded on the per-group optimizer
+    PINNED = {
+        1: (0, 28, "0bffc5017aa4fb55daab84484bc796bcc4fbbd5bd0c27bf53c80f9073b8692a3"),
+        3: (23, 6, "85c3ca71f79e0a9d7bd3afb81649e0e5ddd7e84dac19d9fefc6d15c151b962de"),
+    }
+
+    @pytest.mark.parametrize("max_backtracks", [1, 3])
+    def test_l1_fit_bits(self, monkeypatch, max_backtracks):
+        gt = make_benchmark_scene(8, 48, 20)
+        target = scene_to_params(gt)
+        target["opacities"][:] = 1.0            # above 1 - OPACITY_EPS
+        target["colors"][0, 2] = -0.25          # below 0
+        target["scales"][0, 2] = SCALE_FLOOR / 10
+        target["means"] += 0.03
+        target["coeffs"][:, 0] += 0.2
+        target["basis_trans"] -= 0.01
+        monkeypatch.setattr(_L1Objective, "target", target)
+        monkeypatch.setattr(fit_module, "_Objective", _L1Objective)
+        monkeypatch.setattr(fit_module, "LEARNING_RATES", {k: 0.05 for k in PARAM_KEYS})
+        monkeypatch.setattr(fit_module, "MAX_BACKTRACKS", max_backtracks)
+        n = gt.n_timesteps
+        result = fit_scene([None] * n, [None] * n, None, perturb_scene(gt, seed=5), 80)
+        fitted = result.scene
+        # the fit ends on the upper and the lower edges of the box
+        assert np.any(fitted.opacities == 1 - OPACITY_EPS)
+        assert fitted.colors[0, 2] == 0.0
+        assert fitted.scales[0, 2] == SCALE_FLOOR
+        digest = hashlib.sha256()
+        digest.update(" ".join(x.hex() for x in result.losses).encode())
+        for key in PARAM_KEYS:
+            digest.update(getattr(fitted, key).tobytes())
+        digest.update(f"{result.backtracks} {result.rejected_steps}".encode())
+        assert (result.backtracks, result.rejected_steps, digest.hexdigest()) == (
+            self.PINNED[max_backtracks])
+
+
 def test_written_out_splat_algebra_matches_einsum():
     rng = np.random.default_rng(3)
     g, h, w = 6, 9, 11
