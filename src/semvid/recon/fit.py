@@ -8,18 +8,18 @@ rasterizer (compositing, splatting, projection, covariance construction,
 quaternion blending); the test suite validates them against central finite
 differences.
 
-The optimizer is Adam with per-parameter-group step sizes, wrapped in an
-accept/reject rule: a step that does not decrease the objective is
-backtracked with a halved scale, at most ``MAX_BACKTRACKS`` times per
-iteration, so the recorded objective is non-increasing by construction.
-The step sizes are the constants ``LEARNING_RATES``; a fit's only settings
-are its iteration count and the frames it holds out.
+The variables are one flat vector, each group of ``PARAM_KEYS`` a view
+into it, stepped by Adam with per-element step sizes (``LEARNING_RATES``)
+and clipped to one box (``BOUNDS``).  A step that does not decrease the
+objective is backtracked with a halved scale, at most ``MAX_BACKTRACKS``
+times per iteration, so the recorded objective is non-increasing by
+construction; a fit's only settings are its iterations and held-out frames.
 
 Each candidate is rasterized once, all fit frames in one call, and an
-accepted candidate's gradient is built from that call's outputs in two
-stages: the per-pixel terms (compositing and splatting) one frame at a
-time, then the per-Gaussian chain (projection, covariance, rotation and
-blend) for all frames in one batch.
+accepted candidate's gradient is built from that call's outputs when the
+next iteration starts, in two stages: the per-pixel terms (compositing and
+splatting) one frame at a time, then the per-Gaussian chain (projection,
+covariance, rotation and blend) for all frames in one batch.
 """
 
 from __future__ import annotations
@@ -52,6 +52,9 @@ TRACK_WEIGHT = 0.05
 
 OPACITY_EPS = 1e-4
 SCALE_FLOOR = 1e-5
+# the box each group is clipped to after every step; +-inf leaves a group free
+BOUNDS = {**dict.fromkeys(PARAM_KEYS, (-np.inf, np.inf)), "scales": (SCALE_FLOOR, np.inf),
+          "opacities": (OPACITY_EPS, 1 - OPACITY_EPS), "colors": (0.0, 1.0)}
 
 
 class FitDivergenceError(RuntimeError):
@@ -83,26 +86,31 @@ class FitResult:
         return len(self.losses) - 1
 
 
+def _flatten(groups: dict) -> np.ndarray:
+    """The arrays of ``groups`` copied into one new flat vector."""
+    return np.concatenate([groups[k].ravel() for k in PARAM_KEYS])
+
+
+def _views(x: np.ndarray, like: dict) -> dict:
+    """``x`` cut into views shaped as the arrays of ``like``."""
+    ends = np.cumsum([like[k].size for k in PARAM_KEYS])[:-1]
+    return {k: part.reshape(like[k].shape) for k, part in zip(PARAM_KEYS, np.split(x, ends))}
+
+
 def scene_to_params(scene: GaussianScene) -> dict:
-    """Raw optimization variables; an exact copy of the scene arrays so a
-    fit started at a scene reproduces its renders bit for bit."""
-    return {k: v.copy() for k, v in scene_params(scene).items()}
+    """Raw optimization variables: views into one vector holding an exact
+    copy of the scene arrays, so they render as the scene, bit for bit."""
+    groups = scene_params(scene)
+    return _views(_flatten(groups), groups)
 
 
 def params_to_scene(params: dict, like: GaussianScene) -> GaussianScene:
-    """The scene with ``params`` (projected onto their valid ranges) in
+    """The scene with ``params`` (each group clipped to its ``BOUNDS``) in
     place of ``like``'s arrays, and ``like``'s cameras and background."""
-    params = {k: v.copy() for k, v in params.items()}
-    _project_params(params)
+    arrays = {k: np.clip(params[k], *BOUNDS[k]) for k in PARAM_KEYS}
     for key in ("quats", "basis_quats"):
-        params[key] = quat_normalize(params[key])
-    return replace(like, **params)
-
-
-def _project_params(params: dict) -> None:
-    np.clip(params["opacities"], OPACITY_EPS, 1 - OPACITY_EPS, out=params["opacities"])
-    np.clip(params["colors"], 0.0, 1.0, out=params["colors"])
-    np.maximum(params["scales"], SCALE_FLOOR, out=params["scales"])
+        arrays[key] = quat_normalize(arrays[key])
+    return replace(like, **arrays)
 
 
 def track_assignments(scene: GaussianScene, query_pixels: np.ndarray) -> np.ndarray:
@@ -387,28 +395,22 @@ def loss_and_grad(params, frames, depth_maps, tracks_2d, scene, *, want_grad=Tru
 
 
 class _Adam:
-    def __init__(self, params, learning_rates):
-        self.lr = learning_rates
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
-        self.t = 0
-        self.beta1 = 0.9
-        self.beta2 = 0.999
-        self.eps = 1e-8
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def direction(self, grads):
+    def __init__(self, learning_rates: np.ndarray):
+        self.lr = learning_rates
+        self.m = np.zeros_like(learning_rates)
+        self.v = np.zeros_like(learning_rates)
+        self.t = 0
+
+    def direction(self, grad: np.ndarray) -> np.ndarray:
         """Update moments and return the unscaled parameter step."""
         self.t += 1
-        step = {}
-        bias1 = 1.0 - self.beta1**self.t
-        bias2 = 1.0 - self.beta2**self.t
-        for k, g in grads.items():
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            m_hat = self.m[k] / bias1
-            v_hat = self.v[k] / bias2
-            step[k] = self.lr[k] * m_hat / (np.sqrt(v_hat) + self.eps)
-        return step
+        self.m = self.beta1 * self.m + (1 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1 - self.beta2) * grad * grad
+        m_hat = self.m / (1.0 - self.beta1**self.t)
+        v_hat = self.v / (1.0 - self.beta2**self.t)
+        return self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def fit_scene(frames, depth_maps, tracks_2d, initial_scene, iterations,
@@ -426,40 +428,41 @@ def fit_scene(frames, depth_maps, tracks_2d, initial_scene, iterations,
         raise ValueError("need at least two frames to fit")
     if not len(frames) == len(depth_maps) == initial_scene.n_timesteps:
         raise ValueError("frames, depth maps and scene timesteps must align")
-    params = scene_to_params(initial_scene)
-    adam = _Adam(params, LEARNING_RATES)
+    groups = scene_params(initial_scene)
+    sizes = [groups[k].size for k in PARAM_KEYS]
+    lo, hi = np.repeat([BOUNDS[k] for k in PARAM_KEYS], sizes, axis=0).T
+    adam = _Adam(np.repeat([LEARNING_RATES[k] for k in PARAM_KEYS], sizes))
     objective = _Objective(frames, depth_maps, tracks_2d, initial_scene, exclude_frames)
-    loss, fwd = objective.forward(params)
-    grads = objective.backward(params, fwd)
-    fwd = None
+    x = _flatten(groups)
+    loss, fwd = objective.forward(_views(x, groups))
     losses = [loss]
     scale = 1.0
     backtracks = rejected_steps = 0
+    accepted = True  # the start counts as accepted: its gradient is built first
     for _ in range(iterations):
-        step = adam.direction(grads)
+        if accepted:
+            grad = _flatten(objective.backward(_views(x, groups), fwd))
+            fwd = None
+        step = adam.direction(grad)
         accepted = False
         trial_scale = scale
         for trial in range(MAX_BACKTRACKS):
             backtracks += trial > 0
-            candidate = {k: params[k] - trial_scale * step[k] for k in PARAM_KEYS}
-            _project_params(candidate)
-            cand_loss, fwd = objective.forward(candidate)
+            candidate = np.clip(x - trial_scale * step, lo, hi)
+            cand_loss, fwd = objective.forward(_views(candidate, groups))
             if cand_loss <= loss:
-                params = candidate
-                loss = cand_loss
+                x, loss = candidate, cand_loss
                 scale = min(1.0, trial_scale * 1.25)
                 accepted = True
                 break
             fwd = None  # free the rejected trial before the next one
             trial_scale *= 0.5
         losses.append(loss)
-        if accepted:
-            grads = objective.backward(params, fwd)
-            fwd = None
-        else:
+        if not accepted:
             rejected_steps += 1
             scale = trial_scale
             if scale < 1e-9:
                 break
 
-    return FitResult(params_to_scene(params, initial_scene), losses, backtracks, rejected_steps)
+    return FitResult(params_to_scene(_views(x, groups), initial_scene), losses, backtracks,
+                     rejected_steps)

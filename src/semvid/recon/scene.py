@@ -117,9 +117,6 @@ class Camera:
     def cy(self) -> float:
         return float(self.intrinsics[1, 2])
 
-    def to_camera(self, points: np.ndarray) -> np.ndarray:
-        return points @ self.rotation.T + self.translation
-
     def to_world(self, points_cam: np.ndarray) -> np.ndarray:
         return (points_cam - self.translation) @ self.rotation
 

@@ -123,7 +123,7 @@ def project(mu: np.ndarray, sigma: np.ndarray, camera: Camera):
     renderer treats that as culled)."""
     mu = np.asarray(mu, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
-    x_cam = camera.to_camera(mu[None, :])[0]
+    x_cam = mu @ camera.rotation.T + camera.translation
     z = x_cam[2]
     if z <= 0:
         raise ValueError("point has non-positive camera depth (culled)")
@@ -609,24 +609,22 @@ class TestFitTrials:
     def test_each_trial_rasterized_once(self, monkeypatch):
         frames, depths, tracks, init = _backtracking_fit_setup(monkeypatch)
         rasterized = _count_calls(monkeypatch, "rasterize")
-        # once per candidate, and once more in params_to_scene at the end
-        projected = _count_calls(monkeypatch, "_project_params")
         grids = _count_calls(monkeypatch, "pixel_grid")
         result = fit_scene(frames, depths, tracks, init, 4, exclude_frames=(1,))
         assert result.backtracks > 0
         # one call per candidate, and one for the start, each covering
         # every fit frame
-        assert len(rasterized) == len(projected)
+        assert len(rasterized) == result.iterations_run + result.backtracks + 1
         assert all(list(args[2]) == [0, 2] for args in rasterized)
         assert len(grids) == 1  # all cameras share one image size
 
     def test_backtrack_and_rejection_counts(self, monkeypatch):
         frames, depths, tracks, init = _backtracking_fit_setup(monkeypatch)
-        projected = _count_calls(monkeypatch, "_project_params")
+        rasterized = _count_calls(monkeypatch, "rasterize")
         result = fit_scene(frames, depths, tracks, init, 4)
         assert result.backtracks > 0 and result.rejected_steps > 0
-        # once per candidate, and once more in params_to_scene at the end
-        assert len(projected) == result.iterations_run + result.backtracks + 1
+        # once per candidate, and once for the start
+        assert len(rasterized) == result.iterations_run + result.backtracks + 1
         # accepted steps strictly lower this objective; rejected ones repeat it
         flat = sum(b == a for a, b in zip(result.losses, result.losses[1:]))
         assert result.rejected_steps == flat
@@ -653,7 +651,10 @@ class TestFitTrials:
         result = fit_scene(frames, depths, tracks, init, 4)
         monkeypatch.undo()
         assert result.backtracks > 0
-        assert len(built) == 1 + result.iterations_run - result.rejected_steps
+        assert result.losses[-1] < result.losses[-2]  # the last step was accepted
+        # one gradient at the start and one after each accepted step but the
+        # last, which no iteration steps from
+        assert len(built) == result.iterations_run - result.rejected_steps
         for params, grads in built:
             _, fresh = loss_and_grad(params, frames, depths, tracks, init)
             for key in PARAM_KEYS:
