@@ -77,7 +77,9 @@ def awgn(block: SymbolBlock, cfg: ChannelConfig) -> SymbolBlock:
     """Add white Gaussian noise with variance 10**(-snr_db/10)."""
     sigma = np.sqrt(noise_variance(cfg.snr_db))
     rng = np.random.default_rng(cfg.seed)
-    noisy = block.symbols + sigma * rng.standard_normal(block.symbols.size)
+    noisy = rng.standard_normal(block.symbols.size)
+    noisy *= sigma
+    noisy += block.symbols
     return SymbolBlock(noisy, scale=block.scale)
 
 

@@ -40,15 +40,21 @@ the block axis or gathers whole rows, the packed syndrome XORs bit by bit,
 and nothing reduces across blocks, so a block's float32 arithmetic is the
 same whichever blocks share its part, and each part writes only its own
 blocks' rows of the results.
-Construction finds 4-cycles from the check lists; only encoding runs a GF(2)
-product, as a float32 BLAS matmul (exact: no sum exceeds 2**24).
+Construction finds 4-cycles from the check lists and runs once per (k, seed)
+in a process: ``make_ldpc_code`` is memoized and returns a read-only code.
+Encoding is a GF(2) product by table lookup, the "Four Russians" method
+(Arlazarov, Dinic, Kronrod and Faradzev, Soviet Math. Dokl. 1970): for each
+info byte the code holds the XOR of its eight ``encode_matrix`` columns for
+all 256 byte values, packed into uint64 words, so a block's parity is one
+gather and one XOR reduction over its ceil(k / 8) info bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -102,9 +108,10 @@ def _gf2_row_reduce(mat: np.ndarray):
     return pivots
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LdpcCode:
-    """A (3, 6)-regular rate-1/2 code with precomputed encoder tables."""
+    """A (3, 6)-regular rate-1/2 code with precomputed encoder tables.  Its
+    arrays are read-only: one code per (k, seed) is shared by every caller."""
 
     k: int
     n: int
@@ -115,6 +122,14 @@ class LdpcCode:
     info_positions: np.ndarray          # (k,) columns carrying info bits
     parity_positions: np.ndarray        # (m,) pivot columns
     encode_matrix: np.ndarray           # (m, k): parity = encode_matrix @ info mod 2
+    encode_table: np.ndarray            # (ceil(k/8) * 256, ceil(m/64)) uint64, see _encode_table
+    codeword_order: np.ndarray          # (n,) column of [info | parity] at each codeword bit
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
 
 def _build_graph(m: int, n: int, rng) -> np.ndarray:
@@ -189,8 +204,29 @@ def _remove_short_cycles(cols: np.ndarray, rng) -> np.ndarray:
     return cols
 
 
-def make_ldpc_code(k: int, seed: int) -> LdpcCode:
-    """Construct a rate-1/2 code with ``k`` info bits per block."""
+def _encode_table(encode_matrix: np.ndarray) -> np.ndarray:
+    """Four Russians table for ``encode_matrix`` (m, k): row ``256 * j + v``
+    is the XOR of the columns ``8 j .. 8 j + 7`` whose bits are set in the
+    byte value ``v`` (most significant bit first, as ``np.packbits`` packs),
+    held as the packed parity bits in ceil(m / 64) uint64 words.  Columns
+    past k are zero, so a partial last byte needs no mask."""
+    m, k = encode_matrix.shape
+    k_bytes, words = -(-k // 8), -(-m // 64)
+    columns = np.zeros((8 * k_bytes, 8 * words), dtype=np.uint8)
+    columns[:k, : -(-m // 8)] = np.packbits(encode_matrix.T, axis=1)
+    columns = columns.view(np.uint64).reshape(k_bytes, 8, words)
+    table = np.zeros((k_bytes, 256, words), dtype=np.uint64)
+    for bit in range(8):  # values with bit ``bit`` set add column 7 - bit of their byte
+        low = 1 << bit
+        np.bitwise_xor(table[:, :low], columns[:, 7 - bit, None], out=table[:, low:2 * low])
+    return table.reshape(256 * k_bytes, words)
+
+
+@functools.cache
+def make_ldpc_code(k: int, seed: int, /) -> LdpcCode:
+    """Construct a rate-1/2 code with ``k`` info bits per block.  Memoized
+    on ``(k, seed)``, positional so that each pair is one cache entry: every
+    call with the same pair returns the same read-only code."""
     if k < VAR_DEGREE * CHECK_DEGREE:
         raise ValueError(f"block size k must be >= {VAR_DEGREE * CHECK_DEGREE}")
     m, n = k, 2 * k
@@ -243,22 +279,27 @@ def make_ldpc_code(k: int, seed: int) -> LdpcCode:
         info_positions=info_positions,
         parity_positions=parity_positions,
         encode_matrix=encode_matrix,
+        encode_table=_encode_table(encode_matrix),
+        codeword_order=np.argsort(np.concatenate([info_positions, parity_positions])),
     )
 
 
 def ldpc_encode(info_bits, code: LdpcCode) -> np.ndarray:
-    """Encode info bits (length a multiple of k) into codewords satisfying
-    H @ c = 0 (mod 2)."""
-    bits = np.asarray(info_bits, dtype=np.uint8).reshape(-1)
+    """Encode info bits (0 or 1, length a multiple of k) into codewords
+    satisfying H @ c = 0 (mod 2)."""
+    bits = np.asarray(info_bits).reshape(-1)
     if bits.size % code.k != 0:
         raise ValueError("info length must be a multiple of k (pad first)")
-    blocks = bits.reshape(-1, code.k)
-    # float32 BLAS product: exact, since each sum is at most k < 2**24
-    parity = blocks.astype(np.float32) @ code.encode_matrix.T.astype(np.float32)
-    out = np.zeros((blocks.shape[0], code.n), dtype=np.uint8)
-    out[:, code.info_positions] = blocks
-    out[:, code.parity_positions] = np.fmod(parity, 2.0, out=parity)
-    return out.reshape(-1)
+    if np.any((bits != 0) & (bits != 1)):
+        raise ValueError("info bits must be 0 or 1")
+    blocks = bits.astype(np.uint8, copy=False).reshape(-1, code.k)
+    packed = np.packbits(blocks, axis=1).T  # (ceil(k / 8), b) info bytes
+    rows = packed + 256 * np.arange(packed.shape[0])[:, None]  # each byte's encode_table row
+    # byte-major gather, so the XOR reduction runs over whole (b, words) slabs
+    words = np.bitwise_xor.reduce(np.take(code.encode_table, rows, axis=0), axis=0)
+    parity = np.unpackbits(words.view(np.uint8), axis=1, count=code.n - code.k)
+    joined = np.concatenate([blocks, parity], axis=1)
+    return np.take(joined, code.codeword_order, axis=1).reshape(-1)
 
 
 def _unsatisfied_checks(hard: np.ndarray, code: LdpcCode) -> np.ndarray:
@@ -388,8 +429,9 @@ def ldpc_decode(llrs, code: LdpcCode, max_iters: int = 50):
 
 def bpsk_modulate(bits) -> SymbolBlock:
     """Map bit 0 -> +1 and bit 1 -> -1 (unit power by construction)."""
-    bits = np.asarray(bits, dtype=np.uint8).reshape(-1)
-    return SymbolBlock(1.0 - 2.0 * bits.astype(np.float64))
+    symbols = np.asarray(bits, dtype=np.uint8).reshape(-1) * -2.0
+    symbols += 1.0
+    return SymbolBlock(symbols)
 
 
 def bpsk_demodulate(symbols, noise_var: float) -> np.ndarray:
@@ -400,4 +442,6 @@ def bpsk_demodulate(symbols, noise_var: float) -> np.ndarray:
         raise ValueError("noise variance must be >= 0")
     if noise_var == 0:
         return np.clip(np.sign(y) * LLR_MAX, -LLR_MAX, LLR_MAX)
-    return np.clip(2.0 * y / noise_var, -LLR_MAX, LLR_MAX)
+    llr = y * 2.0
+    llr /= noise_var
+    return np.clip(llr, -LLR_MAX, LLR_MAX, out=llr)

@@ -28,7 +28,7 @@ def small_gop(small_clip):
 
 @pytest.fixture(scope="session")
 def ldpc_code():
-    return make_ldpc_code(512, seed=11)
+    return make_ldpc_code(512, 11)
 
 
 @pytest.fixture()

@@ -4,6 +4,7 @@ import signal
 import sys
 import threading
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -80,8 +81,8 @@ def split_llrs(ldpc_code):
 
 
 @pytest.fixture(scope="module")
-def pinned_codes(ldpc_code):
-    return {key: ldpc_code if key == (512, 11) else make_ldpc_code(*key) for key in CODE_SHA256}
+def pinned_codes():
+    return {key: make_ldpc_code(*key) for key in CODE_SHA256}
 
 
 def _dense_four_cycle_pairs(cols, m):
@@ -151,7 +152,7 @@ class TestConstruction:
     def test_rank_repair_gives_up(self, monkeypatch):
         monkeypatch.setattr("semvid.ldpc._gf2_row_reduce", lambda mat: [])
         with pytest.raises(RuntimeError, match="full rank"):
-            make_ldpc_code(72, seed=3)
+            make_ldpc_code.__wrapped__(72, 3)  # uncached: a cached code would not rebuild
 
     @pytest.mark.parametrize("k, seed", sorted(CODE_SHA256))
     def test_code_arrays_pinned(self, k, seed, pinned_codes):
@@ -166,9 +167,23 @@ class TestConstruction:
         assert _gf2_rank(code.parity_check) == k
 
     def test_construction_deterministic(self):
-        a = make_ldpc_code(72, seed=3)
-        b = make_ldpc_code(72, seed=3)
-        assert np.array_equal(a.parity_check, b.parity_check)
+        a = make_ldpc_code.__wrapped__(72, 3)
+        b = make_ldpc_code.__wrapped__(72, 3)
+        assert a is not b
+        for name in CODE_FIELDS + ("encode_table", "codeword_order"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    def test_one_shared_read_only_code_per_key(self):
+        code = make_ldpc_code(72, 3)
+        assert make_ldpc_code(72, 3) is code
+        assert make_ldpc_code(72, 4) is not code
+        with pytest.raises(TypeError):
+            make_ldpc_code(72, seed=3)  # positional only: one cache entry per (k, seed)
+        with pytest.raises(FrozenInstanceError):
+            code.k = 36
+        for name in CODE_FIELDS + ("encode_table", "codeword_order"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(code, name)[0] = 0
 
 
 class TestEncode:
@@ -189,6 +204,41 @@ class TestEncode:
     def test_requires_multiple_of_k(self, ldpc_code):
         with pytest.raises(ValueError):
             ldpc_encode(np.zeros(100, dtype=np.uint8), ldpc_code)
+
+    @pytest.mark.parametrize("k, seed", sorted(CODE_SHA256) + [(18, 0), (20, 1), (36, 0)])
+    @pytest.mark.parametrize("n_blocks", [0, 1, 5])
+    def test_matches_dense_gf2_product(self, k, seed, n_blocks):
+        # k = 18, 20 and 36 leave a partial last info byte and a partial
+        # last parity word
+        code = make_ldpc_code(k, seed)
+        blocks = np.random.default_rng([k, seed, n_blocks]).integers(0, 2, (n_blocks, k))
+        blocks[:1] = 1  # an all-ones block sets every table byte to 255
+        parity = (blocks @ code.encode_matrix.T.astype(np.int64)) % 2
+        want = np.zeros((n_blocks, code.n), dtype=np.uint8)
+        want[:, code.info_positions] = blocks
+        want[:, code.parity_positions] = parity
+        coded = ldpc_encode(blocks.astype(np.uint8).reshape(-1), code)
+        assert coded.dtype == np.uint8
+        assert np.array_equal(coded, want.reshape(-1))
+        assert not ((want @ code.parity_check.T.astype(np.int64)) % 2).any()
+
+    @pytest.mark.parametrize("info", [np.array([0, 2]), np.array([255, 0], dtype=np.uint8),
+                                      np.array([-1, 1]), np.array([0.5, 1.0])])
+    def test_rejects_non_binary_info(self, info):
+        code = make_ldpc_code(18, 0)
+        bits = np.zeros(code.k, dtype=info.dtype)
+        bits[3:5] = info
+        with pytest.raises(ValueError, match="0 or 1"):
+            ldpc_encode(bits, code)
+
+    def test_accepts_bool_and_integer_info(self):
+        code = make_ldpc_code(18, 0)
+        bits = np.random.default_rng(1).integers(0, 2, code.k)
+        want = ldpc_encode(bits.astype(np.uint8), code)
+        for info in (bits, bits.astype(bool), bits.astype(np.float64), bits.tolist()):
+            coded = ldpc_encode(info, code)
+            assert coded.dtype == np.uint8
+            assert np.array_equal(coded, want)
 
 
 class TestDecode:
@@ -303,7 +353,7 @@ class TestSplitDecode:
     def test_part_messages_fit_the_budget(self, ldpc_code):
         # 64 blocks for k = 512; a larger code gets proportionally fewer
         assert ldpc._part_blocks(ldpc_code) == 64
-        assert ldpc._part_blocks(make_ldpc_code(1024, seed=11)) == 32
+        assert ldpc._part_blocks(make_ldpc_code(1024, 11)) == 32
 
     def test_result_independent_of_worker_count(self, ldpc_code, split_llrs, monkeypatch):
         # nor on the part size: every (part size, workers) pair gives the same bits
@@ -423,3 +473,37 @@ class TestBpsk:
         strong = bpsk_demodulate(np.array([0.5]), 0.1)[0]
         weak = bpsk_demodulate(np.array([0.5]), 1.0)[0]
         assert strong > weak > 0
+
+
+class TestChannelBits:
+    """BPSK, AWGN and the LLRs work in place; each must give exactly the
+    bits of the expression it replaced, written out here, and leave its
+    input as it was."""
+
+    @pytest.mark.parametrize("snr_db", [-300.0, -10.0, 0.0, 2.5, 25.0, 300.0])
+    def test_send_equals_reference_expressions(self, ldpc_code, snr_db):
+        bits = np.random.default_rng(5).integers(0, 2, 4 * ldpc_code.n).astype(np.uint8)
+        bits_before = bits.copy()
+        block = bpsk_modulate(bits)
+        assert np.array_equal(bits, bits_before)
+        assert np.array_equal(block.symbols, 1.0 - 2.0 * bits.astype(np.float64))
+
+        symbols_before = block.symbols.copy()
+        cfg = ChannelConfig(snr_db=snr_db, seed=9)
+        received = awgn(block, cfg)
+        sigma = np.sqrt(noise_variance(snr_db))
+        z = np.random.default_rng(cfg.seed).standard_normal(block.symbols.size)
+        assert np.array_equal(block.symbols, symbols_before)
+        assert np.array_equal(received.symbols, block.symbols + sigma * z)
+
+        for nv in (noise_variance(snr_db), 0.0):
+            y = received.symbols.copy()  # a writable input, so a write would show
+            llr = bpsk_demodulate(y, nv)
+            assert np.array_equal(y, received.symbols)
+            if nv == 0:
+                want = np.clip(np.sign(y) * LLR_MAX, -LLR_MAX, LLR_MAX)
+            else:
+                want = np.clip(2.0 * y / nv, -LLR_MAX, LLR_MAX)
+            assert llr.dtype == want.dtype
+            assert np.array_equal(llr, want)
+            assert np.array_equal(bpsk_demodulate(received, nv), want)
