@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 import semvid
+import semvid.classical
+import semvid.ldpc
 import semvid.recon
+import semvid.semantic
 from semvid.channel import ChannelConfig
 from semvid.cli import main as cli_main
 from semvid.config import (
@@ -24,6 +27,7 @@ from semvid.config import (
 )
 import semvid.pipeline
 from semvid.metrics import ClipMsSsim, ms_ssim, psnr
+from semvid.semantic import SemanticCodecConfig
 from semvid.pipeline import (
     compare_baselines,
     prepare_clip,
@@ -437,6 +441,60 @@ def test_waterfall_classical_send_pinned(snr_db, reference_classical_clip):
                            "classical", "cli", f"{snr_db:.3f}")
     digest = hashlib.sha256(received.to_array().tobytes()).hexdigest()
     assert (digest, asdict(stats)) == WATERFALL_SENDS[snr_db]
+
+
+# (chain, SNR) -> SHA-256 of the received reference clip and its decode
+# failures, sent as three GOPs of 3, 3 and 2 frames.  At 0 dB the classical
+# chain loses every LDPC block, so every frame is concealed gray; at 2 dB it
+# loses some, and GOPs 2 and 3 conceal them from the previous GOP's last frame.
+MULTI_GOP_SENDS = {
+    ("semantic", 0.0): ("d7c05dcd618e2079753a0e4db8f6023283f214ecec61bb6a7de101752fe826cc", 0),
+    ("semantic", 2.0): ("803d56220fddc100c26a27164b482a7ac8c70d1e0ba7288c54beb3dc7a6d6df9", 0),
+    ("semantic", 25.0): ("fa1fa618757d031c75854ac428a93e365f1b2457ecf8b5d824f07c2a68f38a60", 0),
+    ("classical", 0.0): ("16a2fe9aa699235e9cc6ed3b484268982974c3fcaf7d71294fd68c71f50f25b0", 1027),
+    ("classical", 2.0): ("dcea73e4eccdd5d0de81e0a66c65e4eaf25b80aea1bb3b832d6ea9fbb510dd2d", 47),
+    ("classical", 25.0): ("da8869cf6c641726508360b9cee1171e459dcccb24988838a147885018a17c65", 0),
+}
+MULTI_GOP_STATS = {
+    "semantic": {"payload_bits": 36288, "channel_symbols": 1134, "side_info_bits": 20548},
+    "classical": {"payload_bits": 525215, "channel_symbols": 1051648, "side_info_bits": 12928},
+}
+
+
+@pytest.fixture(scope="module")
+def multi_gop_clips():
+    base = reference_config()
+    cfg = replace(base, semantic=replace(base.semantic, gop_size=3))
+    video = resolve_video(cfg.video)
+    return cfg, {chain: prepare_clip(video, chain, cfg) for chain in MULTI_GOP_STATS}
+
+
+@pytest.mark.parametrize("chain, snr_db", sorted(MULTI_GOP_SENDS))
+def test_multi_gop_send_pinned(chain, snr_db, multi_gop_clips):
+    cfg, clips = multi_gop_clips
+    received, stats = send(clips[chain], cfg, snr_db, chain, "multi_gop", f"{snr_db:.3f}")
+    assert [len(p.kept_individual) if chain == "semantic" else p.bitstream.n_frames
+            for p in clips[chain].payloads] == [3, 3, 2]
+    assert (len(received), received.fps) == (8, cfg.video.fps)
+    digest = hashlib.sha256(received.to_array().tobytes()).hexdigest()
+    assert (digest, stats.decode_failures) == MULTI_GOP_SENDS[chain, snr_db]
+    assert asdict(stats) == {**MULTI_GOP_STATS[chain], "wireless_delay_seconds": 0.0,
+                             "decode_failures": stats.decode_failures}
+
+
+@pytest.mark.parametrize("encode", [
+    lambda clip: semvid.classical.source_encode(clip, 5.0),
+    lambda clip: semvid.classical.prepare_classical(
+        clip, 5.0, semvid.ldpc.make_ldpc_code(256, 11)),
+    lambda clip: semvid.semantic.latent_transform(clip, SemanticCodecConfig()),
+    lambda clip: semvid.semantic.prepare_semantic(clip, 200, SemanticCodecConfig()),
+    lambda clip: semvid.semantic.semantic_transmit(
+        clip, ChannelConfig(25.0, 0), 200, SemanticCodecConfig()),
+], ids=["source_encode", "prepare_classical", "latent_transform", "prepare_semantic",
+        "semantic_transmit"])
+def test_encoders_refuse_an_empty_clip(encode):
+    with pytest.raises(ValueError):
+        encode(VideoSequence((), 8.0))
 
 
 class TestCompare:
