@@ -13,7 +13,7 @@ from .pipeline import (
     snr_sweep,
     stage_latency,
 )
-from .video import Frame, Gop, VideoSequence, downsample, load_raw, save_raw, segment_gops
+from .video import Frame, VideoSequence, load_raw, save_raw, segment_gops
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,6 @@ __all__ = [
     "average_jaccard", "epe", "mse", "ms_ssim", "pck", "psnr",
     "ServiceReport", "compare_baselines",
     "run_service", "snr_sweep", "stage_latency",
-    "Frame", "Gop", "VideoSequence", "downsample", "load_raw", "save_raw",
-    "segment_gops",
+    "Frame", "VideoSequence", "load_raw", "save_raw", "segment_gops",
     "__version__",
 ]

@@ -20,7 +20,7 @@ from scipy.fft import dctn, idctn
 from .bitio import exp_golomb
 from .channel import ChannelConfig, TxStats, awgn, noise_variance
 from .ldpc import LdpcCode, bpsk_demodulate, bpsk_modulate, ldpc_decode, ldpc_encode
-from .video import Frame, Gop, pad_edge
+from .video import Frame, VideoSequence, pad_edge
 
 BLOCK = 8
 MB = 16
@@ -120,7 +120,7 @@ def _pack(codes: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return ((np.repeat(codes, lengths) >> shift) & 1).astype(np.uint8)
 
 
-def _quantize(gop: Gop, qp: float):
+def _quantize(gop: VideoSequence, qp: float):
     """Level-shifted macroblock tiles (n, 16, 16, 3) and their quantized DCT
     levels (n, channel, block row, block column, 8, 8), clipped to
     +-LEVEL_LIMIT before the int64 cast."""
@@ -132,7 +132,7 @@ def _quantize(gop: Gop, qp: float):
     return tiles, levels.astype(np.int64)
 
 
-def source_encode(gop: Gop, qp: float) -> Bitstream:
+def source_encode(gop: VideoSequence, qp: float) -> Bitstream:
     """Block-DCT intra coder: level shift, 8x8 orthonormal DCT per channel,
     uniform quantization with step qp/255, zigzag run-length, Exp-Golomb,
     with a per-macroblock PCM escape for incompressible content.
@@ -184,7 +184,7 @@ def source_encode(gop: Gop, qp: float) -> Bitstream:
         bits=bits,
         width=gop.width,
         height=gop.height,
-        n_frames=gop.gop_size,
+        n_frames=len(gop),
         qp=qp,
         block_map=np.stack([ends - sizes, ends], axis=1),
     )
@@ -235,7 +235,7 @@ def _parse_macroblock(text: str, bits: np.ndarray, pos: int, end: int,
 
 
 def _decoded_frames(bs: Bitstream, levels: np.ndarray, samples: np.ndarray, lost: np.ndarray,
-                    prev_frame: Frame = None) -> Gop:
+                    prev_frame: Frame = None) -> tuple:
     """Frames from quantized levels (as ``_quantize`` shapes them) or, where
     a macroblock's mode bit says PCM, its 8-bit ``samples``; ``lost`` ones
     are concealed from the previous frame (``prev_frame``, gray when None)."""
@@ -253,13 +253,13 @@ def _decoded_frames(bs: Bitstream, levels: np.ndarray, samples: np.ndarray, lost
         reference = np.where(hole, reference, canvas)
         picture = reference.reshape(rows, cols, MB, MB, 3).swapaxes(1, 2).reshape(rows * MB, -1, 3)
         frames.append(Frame(np.clip(picture[: bs.height, : bs.width] + GRAY, 0.0, 1.0)))
-    return Gop(tuple(frames))
+    return tuple(frames)
 
 
-def source_decode(bs: Bitstream, corrupted_ranges=None, prev_frame: Frame = None) -> Gop:
-    """Decode a bitstream; macroblocks whose bits are corrupted (flagged or
-    failing to parse) are concealed with the co-located pixels of the
-    previously decoded frame, gray for the first."""
+def source_decode(bs: Bitstream, corrupted_ranges=None, prev_frame: Frame = None) -> tuple:
+    """Decode a bitstream into its frames; macroblocks whose bits are
+    corrupted (flagged or failing to parse) are concealed with the
+    co-located pixels of the previously decoded frame, gray for the first."""
     if bs.bit_length == 0 and bs.block_map.shape[0] > 0:
         raise BitstreamError("empty bitstream")
     spans = np.array([] if corrupted_ranges is None else corrupted_ranges, np.int64).reshape(-1, 2)
@@ -283,21 +283,21 @@ class PreparedClassical:
     (SNR sweeps reuse the encode)."""
 
     bitstream: Bitstream
-    symbols: object  # SymbolBlock of BPSK symbols
-    source: Gop      # the GOP the bitstream codes
-    code: LdpcCode   # the LDPC code the symbols were encoded with
+    symbols: object        # SymbolBlock of BPSK symbols
+    source: VideoSequence  # the GOP the bitstream codes
+    code: LdpcCode         # the LDPC code the symbols were encoded with
 
     @cached_property
-    def clean_decode(self) -> Gop:
-        """The GOP as decoded from intact bits, computed once per prepared
-        GOP from the quantizer's output instead of by parsing.  No
+    def clean_decode(self) -> tuple:
+        """The GOP's frames as decoded from intact bits, computed once per
+        prepared GOP from the quantizer's output instead of by parsing.  No
         macroblock is concealed, so it needs no previous frame."""
         tiles, levels = _quantize(self.source, self.bitstream.qp)
         return _decoded_frames(self.bitstream, levels, np.round((tiles + GRAY) * 255.0),
                                np.zeros(len(tiles), bool))
 
 
-def prepare_classical(gop: Gop, qp: float, code: LdpcCode) -> PreparedClassical:
+def prepare_classical(gop: VideoSequence, qp: float, code: LdpcCode) -> PreparedClassical:
     bs = source_encode(gop, qp)
     pad = (-bs.bit_length) % code.k
     info = np.concatenate([bs.bits, np.zeros(pad, dtype=np.uint8)])
@@ -313,16 +313,16 @@ def transmit_prepared(prep: PreparedClassical, ch: ChannelConfig, prev_frame: Fr
     decoded, converged = ldpc_decode(llrs, code, max_iters=max_iters)
     decoded = decoded[: bs.bit_length]
     if converged.all() and np.array_equal(decoded, bs.bits):
-        gop_hat = prep.clean_decode
+        frames = prep.clean_decode
     else:
         failed = np.nonzero(~converged)[0] * code.k  # first bit of each failed block
         corrupted = np.stack((failed, np.minimum(failed + code.k, bs.bit_length)), axis=1)
-        gop_hat = source_decode(replace(bs, bits=decoded), corrupted, prev_frame)
+        frames = source_decode(replace(bs, bits=decoded), corrupted, prev_frame)
     stats = TxStats(
         payload_bits=bs.bit_length,
         channel_symbols=int(prep.symbols.symbols.size),
         decode_failures=int(np.count_nonzero(~converged)),
         side_info_bits=bs.side_info_bits,
     )
-    return gop_hat, stats
+    return frames, stats
 

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .channel import SNR_DB_RANGE, snr_db_ok
 from .ldpc import CHECK_DEGREE, VAR_DEGREE
-from .metrics import MS_SSIM_WEIGHTS, SSIM_WINDOW
+from .metrics import MS_SSIM_WEIGHTS, ms_ssim_min_side
 from .semantic import SemanticCodecConfig
 
 REFERENCE_THROUGHPUT_BPS = 11.5e6 * 8 / 5718.0  # ~16.09 kbps
@@ -194,7 +194,7 @@ class RunConfig:
                 raise ValueError(
                     f"background_video.frames is {plate.frames}, fewer than user_video's "
                     f"{user.frames}: each user frame is composited over its own background frame")
-        needed = SSIM_WINDOW * 2 ** (self.metrics.ms_ssim_scales - 1)
+        needed = ms_ssim_min_side(self.metrics.ms_ssim_scales)
         scored = {}  # the key of each MS-SSIM-scored clip's shorter side -> px
         for name, src in (("video", self.video), ("user_video", user), ("background_video", plate)):
             if src.kind == "synthetic":

@@ -99,13 +99,19 @@ def _ssim_terms(a, stats, b):
     return lum, cs
 
 
+def ms_ssim_min_side(scales: int) -> int:
+    """The fewest pixels per side that leave a full SSIM window at the
+    coarsest of ``scales`` MS-SSIM levels."""
+    return SSIM_WINDOW * 2 ** (scales - 1)
+
+
 def _check_scales(shape, scales: int) -> None:
     """``scales`` must be a weight count and leave a full window at the
     coarsest level of frames whose first two axes are ``shape``."""
     if not 1 <= scales <= len(MS_SSIM_WEIGHTS):
         raise ValueError(f"scales must be in [1, {len(MS_SSIM_WEIGHTS)}]")
     min_dim = min(shape)
-    needed = SSIM_WINDOW * 2 ** (scales - 1)
+    needed = ms_ssim_min_side(scales)
     if min_dim < needed:
         raise ValueError(
             f"frames of min dimension {min_dim} are too small for {scales} "

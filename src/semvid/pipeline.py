@@ -41,7 +41,7 @@ from .synthesis import (
     semantic_loss,
     transition_mask,
 )
-from .video import Frame, VideoSequence, box_downsample, flatten_gops, load_raw, segment_gops
+from .video import Frame, VideoSequence, box_downsample, load_raw, segment_gops
 
 LPIPS_NOTE = "unavailable: requires a pretrained perceptual network (out of scope)"
 CHAINS = ("semantic", "classical")
@@ -134,7 +134,7 @@ def user_clip(source: VideoSource):
         return fixtures.make_matting_set(
             source.width, source.height, source.frames, source.fps, source.seed)
     video = resolve_video(source)
-    return video, Frame(video.frames[0].data), None
+    return video, video.frames[0], None
 
 
 def _quality(reference: VideoSequence, received: VideoSequence, ms_ssims: list) -> dict:
@@ -209,7 +209,7 @@ def send(clip: PreparedClip, cfg: RunConfig, snr_db: float, *labels):
     received video and summed accounting.  GOP ``i`` draws its noise from
     ``derive_seed(cfg.seed, *labels, i)``.  The classical chain conceals
     undecodable macroblocks from the previous GOP's last received frame."""
-    out = []
+    frames = []
     total = TxStats(0, 0)
     prev = None
     for i, payload in enumerate(clip.payloads):
@@ -218,10 +218,10 @@ def send(clip: PreparedClip, cfg: RunConfig, snr_db: float, *labels):
             rec, st = transmit_packet(payload, ch, cfg.semantic)
         else:
             rec, st = transmit_prepared(payload, ch, prev, max_iters=cfg.classical.max_iters)
-            prev = rec.frames[-1]
-        out.append(rec)
+            prev = rec[-1]
+        frames.extend(rec)
         total = total.merge(st)
-    return flatten_gops(out, clip.fps), total
+    return VideoSequence(tuple(frames), clip.fps), total
 
 
 def transmit_video(video: VideoSequence, chain: str, cfg: RunConfig, snr_db: float,
@@ -381,7 +381,7 @@ def _upload_background(cfg: RunConfig):
 
 
 def _forward_to_cloud(cfg: RunConfig, user: VideoSequence, background: VideoSequence):
-    bits = sum(len(v) * v.frames[0].height * v.frames[0].width * 3 * 8 for v in (user, background))
+    bits = sum(len(v) * v.height * v.width * 3 * 8 for v in (user, background))
     delay = stage_latency(bits, cfg.links.fiber, 0.0, cfg.nodes.cloud)
     return StageReport(
         transmission_seconds=delay,

@@ -35,7 +35,7 @@ from .channel import (
     noise_variance,
     normalize_power,
 )
-from .video import CHANNELS, Gop, pad_edge
+from .video import CHANNELS, Frame, VideoSequence, pad_edge
 
 GRID_BITS = 32
 _GRID = float(2**GRID_BITS)
@@ -163,7 +163,7 @@ def _jscc_gains(cfg: SemanticCodecConfig) -> np.ndarray:
     return q / np.sqrt(np.mean(q**2))
 
 
-def latent_transform(gop: Gop, cfg: SemanticCodecConfig) -> FeatureGrid:
+def latent_transform(gop: VideoSequence, cfg: SemanticCodecConfig) -> FeatureGrid:
     """Map a GOP into latent tensors: orthonormal DCT across the channel
     axis, plane concatenation along width, then an orthonormal 2D DCT on
     non-overlapping (block, 2*block) tiles."""
@@ -181,15 +181,16 @@ def latent_transform(gop: Gop, cfg: SemanticCodecConfig) -> FeatureGrid:
     return FeatureGrid(values, FeatureMeta(h, w))
 
 
-def latent_inverse(lat: FeatureGrid, cfg: SemanticCodecConfig) -> Gop:
-    """Invert :func:`latent_transform`; samples are clipped back to [0, 1]."""
+def latent_inverse(lat: FeatureGrid, cfg: SemanticCodecConfig) -> tuple:
+    """Invert :func:`latent_transform` into the GOP's frames; samples are
+    clipped back to [0, 1]."""
     bh, bw = cfg.tile_shape
     n, gh, gw, _ = lat.values.shape
     planes = idctn(lat.values.reshape(n, gh, gw, bh, bw), norm="ortho", axes=(-2, -1))
     decor = planes.transpose(0, 1, 3, 2, 4).reshape(n, gh * bh, 3, -1).transpose(0, 1, 3, 2)
     rgb = np.einsum("nhwk,kc->nhwc", decor, _CHANNEL_DCT)
     rgb = rgb[:, : lat.meta.height, : lat.meta.width, :]
-    return Gop.from_array(np.clip(rgb, 0.0, 1.0))
+    return tuple(Frame(f) for f in np.clip(rgb, 0.0, 1.0))
 
 
 def jscc_encode(lat: FeatureGrid, cfg: SemanticCodecConfig) -> FeatureGrid:
@@ -336,7 +337,8 @@ def decode_packet(packet: SemanticPacket, received: SymbolBlock, noise_var: floa
     return FeatureMaps(*maps, packet.meta)
 
 
-def prepare_semantic(gop: Gop, symbol_budget: int, cfg: SemanticCodecConfig) -> SemanticPacket:
+def prepare_semantic(gop: VideoSequence, symbol_budget: int,
+                     cfg: SemanticCodecConfig) -> SemanticPacket:
     """Encoder side of the chain (reused across SNR sweep points)."""
     features = jscc_encode(latent_transform(gop, cfg), cfg)
     maps = extract_common(features)
@@ -345,23 +347,23 @@ def prepare_semantic(gop: Gop, symbol_budget: int, cfg: SemanticCodecConfig) -> 
 
 
 def transmit_packet(packet: SemanticPacket, ch: ChannelConfig, cfg: SemanticCodecConfig):
-    """Channel plus receiver side; analog symbols never fail to decode,
-    they just get noisier."""
+    """Channel plus receiver side, returning the GOP's decoded frames and
+    accounting; analog symbols never fail to decode, they just get noisier."""
     received = awgn(packet.block, ch)
     maps_hat = decode_packet(packet, received, noise_variance(ch.snr_db), cfg)
-    gop_hat = latent_inverse(jscc_decode(merge_common(maps_hat), cfg), cfg)
+    frames = latent_inverse(jscc_decode(merge_common(maps_hat), cfg), cfg)
     stats = TxStats(
         payload_bits=packet.symbol_count * cfg.bits_per_symbol_eq,
         channel_symbols=packet.symbol_count,
         decode_failures=0,
         side_info_bits=packet.side_info_bits,
     )
-    return gop_hat, stats
+    return frames, stats
 
 
-def semantic_transmit(gop: Gop, ch: ChannelConfig, symbol_budget: int,
+def semantic_transmit(gop: VideoSequence, ch: ChannelConfig, symbol_budget: int,
                       cfg: SemanticCodecConfig):
-    """Full semantic chain over the AWGN channel; returns the reconstructed
-    GOP and transmission accounting."""
+    """Full semantic chain over the AWGN channel; returns the GOP's
+    reconstructed frames and transmission accounting."""
     packet = prepare_semantic(gop, symbol_budget, cfg)
     return transmit_packet(packet, ch, cfg)

@@ -1,4 +1,5 @@
-"""Video data model: frames, GOPs, sequences, and raw-file round tripping.
+"""Video data model: frames, clips, and raw-file round tripping.  A GOP
+(group of pictures) is a slice of a clip, so it is a clip too.
 
 Samples are floats in [0, 1] in memory and 8 bits on disk: ``save_raw``
 quantizes with round(x * 255) and ``load_raw`` returns k / 255.0, so
@@ -48,46 +49,8 @@ class Frame:
 
 
 @dataclass(frozen=True)
-class Gop:
-    """A group of pictures: consecutive same-sized frames coded as a unit."""
-
-    frames: tuple
-
-    def __post_init__(self) -> None:
-        frames = tuple(self.frames)
-        if not frames:
-            raise ValueError("a GOP needs at least one frame")
-        w, h = frames[0].width, frames[0].height
-        for f in frames:
-            if (f.width, f.height) != (w, h):
-                raise ValueError("all frames in a GOP must share dimensions")
-        object.__setattr__(self, "frames", frames)
-
-    @property
-    def gop_size(self) -> int:
-        return len(self.frames)
-
-    @property
-    def width(self) -> int:
-        return self.frames[0].width
-
-    @property
-    def height(self) -> int:
-        return self.frames[0].height
-
-    def to_array(self) -> np.ndarray:
-        """Stack frames into an (n, h, w, 3) array."""
-        return np.stack([f.data for f in self.frames])
-
-    @classmethod
-    def from_array(cls, arr) -> "Gop":
-        arr = np.asarray(arr, dtype=np.float64)
-        return cls(tuple(Frame(a) for a in arr))
-
-
-@dataclass(frozen=True)
 class VideoSequence:
-    """An ordered run of frames with a playback rate."""
+    """An ordered run of same-sized frames with a playback rate."""
 
     frames: tuple
     fps: float
@@ -106,6 +69,14 @@ class VideoSequence:
     def __len__(self) -> int:
         return len(self.frames)
 
+    @property
+    def width(self) -> int:
+        return self.frames[0].width
+
+    @property
+    def height(self) -> int:
+        return self.frames[0].height
+
     def to_array(self) -> np.ndarray:
         return np.stack([f.data for f in self.frames])
 
@@ -116,23 +87,13 @@ class VideoSequence:
 
 
 def segment_gops(video: VideoSequence, n: int) -> list:
-    """Split a video into GOPs of ``n`` frames; the last GOP may be shorter.
-
-    Concatenating the returned GOPs reproduces the input frame order.
-    """
+    """Split a video into GOPs of ``n`` frames at its rate; the last GOP may
+    be shorter.  Concatenating the GOPs' frames reproduces the input's."""
     if n < 1:
         raise ValueError("GOP size must be >= 1")
     if len(video) == 0:
         raise ValueError("cannot segment an empty video")
-    return [Gop(video.frames[i : i + n]) for i in range(0, len(video), n)]
-
-
-def flatten_gops(gops, fps: float) -> VideoSequence:
-    """Inverse of :func:`segment_gops`."""
-    frames = []
-    for g in gops:
-        frames.extend(g.frames)
-    return VideoSequence(tuple(frames), fps)
+    return [VideoSequence(video.frames[i : i + n], video.fps) for i in range(0, len(video), n)]
 
 
 def pad_edge(arr: np.ndarray, multiple_h: int, multiple_w: int) -> np.ndarray:
@@ -159,11 +120,6 @@ def box_downsample(arr: np.ndarray, factor: int) -> np.ndarray:
     return shaped.mean(axis=(1, 3))
 
 
-def downsample(frame: Frame, factor: int) -> Frame:
-    """Thumbnail a frame by box averaging over factor x factor cells."""
-    return Frame(box_downsample(frame.data, factor))
-
-
 def _sidecar_path(path: Path) -> Path:
     return path.with_suffix(".json")
 
@@ -183,8 +139,8 @@ def save_raw(video: VideoSequence, path) -> None:
     planar = np.moveaxis(quantized, 3, 1)  # (n, 3, h, w)
     path.write_bytes(planar.tobytes())
     header = {
-        "width": video.frames[0].width,
-        "height": video.frames[0].height,
+        "width": video.width,
+        "height": video.height,
         "fps": video.fps,
         "frames": len(video),
     }
@@ -201,8 +157,13 @@ def load_raw(path) -> VideoSequence:
     missing = [k for k in SIDECAR_FIELDS if k not in header]
     if missing:
         raise IOError(f"sidecar {sidecar} missing fields {missing}")
-    width, height = int(header["width"]), int(header["height"])
-    n_frames, fps = int(header["frames"]), float(header["fps"])
+    for key in SIDECAR_FIELDS:
+        value = header[key]
+        kinds, what = ((int, float), "finite number") if key == "fps" else (int, "integer")
+        if isinstance(value, bool) or not isinstance(value, kinds) or not 0 < value < np.inf:
+            raise IOError(f"sidecar {sidecar} field {key!r} must be a positive {what}, "
+                          f"got {value!r}")
+    width, height, fps, n_frames = (header[k] for k in SIDECAR_FIELDS)
     payload = np.frombuffer(path.read_bytes(), dtype=np.uint8)
     expected = n_frames * CHANNELS * height * width
     if payload.size != expected:
@@ -212,4 +173,4 @@ def load_raw(path) -> VideoSequence:
         )
     planar = payload.reshape(n_frames, CHANNELS, height, width)
     arr = np.moveaxis(planar, 1, 3).astype(np.float64) / 255.0
-    return VideoSequence.from_array(arr, fps)
+    return VideoSequence.from_array(arr, float(fps))

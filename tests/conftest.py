@@ -3,7 +3,6 @@ import pytest
 
 from semvid.fixtures import make_test_clip
 from semvid.ldpc import make_ldpc_code
-from semvid.video import Gop
 
 
 @pytest.fixture(scope="session")
@@ -12,18 +11,8 @@ def reference_clip():
 
 
 @pytest.fixture(scope="session")
-def reference_gop(reference_clip):
-    return Gop(reference_clip.frames)
-
-
-@pytest.fixture(scope="session")
 def small_clip():
     return make_test_clip(width=64, height=64, n_frames=8)
-
-
-@pytest.fixture(scope="session")
-def small_gop(small_clip):
-    return Gop(small_clip.frames)
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,7 @@ from semvid.semantic import (
     latent_transform,
     merge_common,
 )
-from semvid.video import Frame, Gop
+from semvid.video import Frame, VideoSequence
 
 from test_recon import TestRender as _RenderTests
 
@@ -163,7 +163,7 @@ def test_criterion_6_common_feature_identity():
         n = int(rng.integers(1, 5))
         h = int(rng.integers(8, 17))
         w = int(rng.integers(8, 17))
-        gop = Gop.from_array(rng.random((n, h, w, 3)))
+        gop = VideoSequence.from_array(rng.random((n, h, w, 3)), 8.0)
         features = jscc_encode(latent_transform(gop, cfg), cfg)
         maps = extract_common(features)
         assert np.array_equal(merge_common(maps).values, features.values)

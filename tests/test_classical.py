@@ -22,14 +22,22 @@ from semvid.classical import (
 from semvid.config import ClassicalSettings
 from semvid.fixtures import make_test_clip
 from semvid.metrics import psnr
-from semvid.video import Frame, Gop
+from semvid.video import Frame, VideoSequence
 
 
 MAX_ITERS = ClassicalSettings().max_iters
 
 
 def _raw_bits(gop):
-    return gop.gop_size * gop.height * gop.width * 3 * 8
+    return len(gop) * gop.height * gop.width * 3 * 8
+
+
+def _clip(arr):
+    return VideoSequence.from_array(arr, 8.0)
+
+
+def _stack(frames):
+    return np.stack([f.data for f in frames])
 
 
 @pytest.fixture(scope="module")
@@ -45,27 +53,27 @@ def natural_gop():
         f = np.clip(f + 0.04 * np.sin(xs / 3)[..., None], 0, 1)
         frames.append(f)
     arr = np.round(np.stack(frames) * 255) / 255
-    return Gop.from_array(arr)
+    return _clip(arr)
 
 
 class TestSourceCoder:
     def test_constant_frame_compresses_hard(self):
-        gop = Gop.from_array(np.full((1, 256, 256, 3), 0.4))
+        gop = _clip(np.full((1, 256, 256, 3), 0.4))
         bs = source_encode(gop, qp=16.0)
         assert _raw_bits(gop) / bs.bit_length > 50
 
     def test_constant_frame_round_trip_quality(self):
-        gop = Gop.from_array(np.full((1, 256, 256, 3), 0.4))
+        gop = _clip(np.full((1, 256, 256, 3), 0.4))
         decoded = source_decode(source_encode(gop, qp=16.0))
-        assert psnr(gop.frames[0], decoded.frames[0]) >= 50.0
+        assert psnr(gop.frames[0], decoded[0]) >= 50.0
 
     def test_noise_near_lossless_at_fine_step(self, rng):
-        gop = Gop.from_array(np.round(rng.random((1, 64, 64, 3)) * 255)[None][0] / 255)
+        gop = _clip(np.round(rng.random((1, 64, 64, 3)) * 255)[None][0] / 255)
         bs = source_encode(gop, qp=1.0)
         ratio = _raw_bits(gop) / bs.bit_length
         assert 0.9 < ratio < 1.1
         decoded = source_decode(bs)
-        assert psnr(gop.frames[0], decoded.frames[0]) >= 50.0
+        assert psnr(gop.frames[0], decoded[0]) >= 50.0
 
     def test_size_weakly_decreasing_in_qp(self, natural_gop):
         sizes = [source_encode(natural_gop, qp=q).bit_length for q in (1.0, 2.0, 4.0, 8.0, 16.0)]
@@ -73,13 +81,13 @@ class TestSourceCoder:
 
     def test_idempotent_size(self, natural_gop):
         bs = source_encode(natural_gop, qp=4.0)
-        again = source_encode(source_decode(bs), qp=4.0)
+        again = source_encode(VideoSequence(source_decode(bs), 8.0), qp=4.0)
         assert abs(again.bit_length - bs.bit_length) <= 0.01 * bs.bit_length
 
     def test_round_trip_dims_match(self, natural_gop):
         decoded = source_decode(source_encode(natural_gop, qp=4.0))
-        assert decoded.gop_size == natural_gop.gop_size
-        assert (decoded.width, decoded.height) == (natural_gop.width, natural_gop.height)
+        assert len(decoded) == len(natural_gop)
+        assert {(f.width, f.height) for f in decoded} == {(natural_gop.width, natural_gop.height)}
 
     def test_qp_must_be_positive(self, natural_gop):
         with pytest.raises(ValueError):
@@ -91,8 +99,8 @@ class TestSourceCoder:
         start, _ = bs.block_map[9]
         hit = source_decode(bs, corrupted_ranges=[(int(start), int(start) + 1)])
         as_array = source_decode(bs, corrupted_ranges=np.array([[start, start + 1], [0, 0]]))
-        assert np.array_equal(as_array.to_array(), hit.to_array())
-        diff = np.abs(clean.to_array() - hit.to_array()).sum(axis=3)
+        assert np.array_equal(_stack(as_array), _stack(hit))
+        diff = np.abs(_stack(clean) - _stack(hit)).sum(axis=3)
         changed_frames = np.nonzero(diff.reshape(diff.shape[0], -1).sum(axis=1))[0]
         assert changed_frames.size == 1
         changed = np.argwhere(diff[changed_frames[0]] > 0)
@@ -103,23 +111,23 @@ class TestSourceCoder:
     def test_codes_the_parser_refuses_take_the_pcm_escape(self, ldpc_code):
         # at this step a flat block's DC code is wider than the parser reads,
         # though the coded block stays far below PCM_BITS
-        gop = Gop.from_array(np.full((1, 16, 32, 3), 0.9))
+        gop = _clip(np.full((1, 16, 32, 3), 0.9))
         prep = prepare_classical(gop, 1e-12, ldpc_code)
         bs = prep.bitstream
         assert np.all(bs.bits[bs.block_map[:, 0]] == 1)
-        decoded = source_decode(bs).to_array()
+        decoded = _stack(source_decode(bs))
         assert np.abs(decoded - gop.to_array()).max() <= 0.5 / 255
-        assert np.array_equal(prep.clean_decode.to_array(), decoded)
+        assert np.array_equal(_stack(prep.clean_decode), decoded)
 
     def test_empty_trailing_macroblock_is_concealed(self):
         # its range starts at the payload's end, so it has no mode bit to read
-        gop = Gop.from_array(np.full((1, 16, 32, 3), 0.9))
+        gop = _clip(np.full((1, 16, 32, 3), 0.9))
         bs = source_encode(gop, 4.0)
         end = int(bs.block_map[0, 1])
         cut = Bitstream(bits=bs.bits[:end], width=32, height=16, n_frames=1, qp=4.0,
                         block_map=np.array([[0, end], [end, end]]))
-        decoded = source_decode(cut).to_array()
-        assert np.array_equal(decoded[0, :, :16], source_decode(bs).to_array()[0, :, :16])
+        decoded = _stack(source_decode(cut))
+        assert np.array_equal(decoded[0, :, :16], _stack(source_decode(bs))[0, :, :16])
         assert np.all(decoded[0, :, 16:] == 0.5)
 
     def test_empty_bitstream_rejected(self):
@@ -196,7 +204,7 @@ PINNED_DIGESTS = {
 
 @pytest.mark.parametrize("clip,qp", sorted(PINNED_DIGESTS))
 def test_coder_output_pinned(clip, qp):
-    gop = Gop(make_test_clip(*PINNED_CLIPS[clip]).frames)
+    gop = make_test_clip(*PINNED_CLIPS[clip])
     bs = source_encode(gop, qp)
     n = bs.bit_length
     corrupted = [(b, min(b + 512, n)) for b in range(0, n, 7 * 512)]
@@ -204,18 +212,18 @@ def test_coder_output_pinned(clip, qp):
     flipped[::997] ^= 1
     got = (
         _digest(bs.bits, bs.block_map),
-        _digest(source_decode(bs).to_array()),
-        _digest(source_decode(bs, corrupted, gop.frames[-1]).to_array()),
-        _digest(source_decode(replace(bs, bits=flipped), None, gop.frames[-1]).to_array()),
+        _digest(_stack(source_decode(bs))),
+        _digest(_stack(source_decode(bs, corrupted, gop.frames[-1]))),
+        _digest(_stack(source_decode(replace(bs, bits=flipped), None, gop.frames[-1]))),
     )
     assert got == PINNED_DIGESTS[(clip, qp)]
 
 
 def _fuzz_gop():
     """Two 32 px frames: PCM-escaped noise on the left, coded blocks on the right."""
-    arr = Gop(make_test_clip(32, 32, 2, 8.0, 3).frames).to_array()
+    arr = make_test_clip(32, 32, 2, 8.0, 3).to_array()
     arr[:, :, :16] = np.random.default_rng(3).random((2, 32, 16, 3))
-    return Gop.from_array(arr)
+    return _clip(arr)
 
 
 FUZZ_GOP = _fuzz_gop()
@@ -237,7 +245,7 @@ class TestDecoderTotal:
         bits = FUZZ_BS.bits.copy()
         bits[flips] ^= 1
         prev = FUZZ_GOP.frames[-1] if conceal_from_plate else None
-        decoded = source_decode(replace(FUZZ_BS, bits=bits), spans, prev).to_array()
+        decoded = _stack(source_decode(replace(FUZZ_BS, bits=bits), spans, prev))
         assert decoded.shape == FUZZ_GOP.to_array().shape
         assert decoded.min() >= 0.0 and decoded.max() <= 1.0
 
@@ -247,10 +255,10 @@ class TestDecoderTotal:
 
 
 CLEAN_DECODE_GOPS = {
-    "reference": Gop(make_test_clip(*PINNED_CLIPS["reference"]).frames),
-    "40x24": Gop(make_test_clip(*PINNED_CLIPS["40x24"]).frames),
+    "reference": make_test_clip(*PINNED_CLIPS["reference"]),
+    "40x24": make_test_clip(*PINNED_CLIPS["40x24"]),
     "fuzz": FUZZ_GOP,
-    "33x17 noise": Gop.from_array(np.random.default_rng(17).random((2, 17, 33, 3))),
+    "33x17 noise": _clip(np.random.default_rng(17).random((2, 17, 33, 3))),
 }
 
 
@@ -258,8 +266,8 @@ CLEAN_DECODE_GOPS = {
 @pytest.mark.parametrize("clip", sorted(CLEAN_DECODE_GOPS))
 def test_clean_decode_is_the_parsed_decode(clip, qp, ldpc_code):
     gop = CLEAN_DECODE_GOPS[clip]
-    parsed = source_decode(source_encode(gop, qp)).to_array()
-    assert np.array_equal(prepare_classical(gop, qp, ldpc_code).clean_decode.to_array(), parsed)
+    parsed = _stack(source_decode(source_encode(gop, qp)))
+    assert np.array_equal(_stack(prepare_classical(gop, qp, ldpc_code).clean_decode), parsed)
 
 
 def _flat_gops():
@@ -268,7 +276,7 @@ def _flat_gops():
     flat = np.full((2, 16, 32, 3), 0.9)
     noisy = flat.copy()
     noisy[:, :, 16:] = np.random.default_rng(5).random((2, 16, 16, 3))
-    return {"flat": Gop.from_array(flat), "flat+noise": Gop.from_array(noisy)}
+    return {"flat": _clip(flat), "flat+noise": _clip(noisy)}
 
 
 @pytest.mark.parametrize("qp", [1e-16, 1e-17, 1e-20, 1e-300, 1e-320])
@@ -279,8 +287,8 @@ def test_tiny_qp_escapes_to_pcm(name, qp, ldpc_code):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         prep = prepare_classical(gop, qp, ldpc_code)
-    parsed = source_decode(prep.bitstream).to_array()
-    assert np.array_equal(prep.clean_decode.to_array(), parsed)
+    parsed = _stack(source_decode(prep.bitstream))
+    assert np.array_equal(_stack(prep.clean_decode), parsed)
     assert np.abs(parsed - gop.to_array()).max() <= 0.5 / 255 + 1e-12
 
 
@@ -297,14 +305,14 @@ class TestTransmitChain:
         received, stats = transmit_prepared(prep, ChannelConfig(snr_db=25.0, seed=3),
                                             max_iters=MAX_ITERS)
         assert stats.decode_failures == 0
-        for a, b in zip(source_only.frames, received.frames):
+        for a, b in zip(source_only, received):
             assert psnr(a, b) == psnr(a, a)  # identical reconstruction
 
     def test_low_snr_collapses_to_concealment(self, natural_gop, ldpc_code):
         prep = prepare_classical(natural_gop, 4.0, ldpc_code)
         received, stats = transmit_prepared(prep, ChannelConfig(snr_db=-10.0, seed=3),
                                             max_iters=MAX_ITERS)
-        values = [psnr(a, b) for a, b in zip(natural_gop.frames, received.frames)]
+        values = [psnr(a, b) for a, b in zip(natural_gop.frames, received)]
         assert stats.decode_failures > 0
         assert np.mean(values) < 20.0
 
@@ -323,7 +331,7 @@ class TestTransmitChain:
             prep, ChannelConfig(snr_db=-10.0, seed=3), prev_frame=reference,
             max_iters=MAX_ITERS)
         # with everything concealed, the first frame copies the reference
-        assert psnr(reference, received.frames[0]) > psnr(natural_gop.frames[0], received.frames[0])
+        assert psnr(reference, received[0]) > psnr(natural_gop.frames[0], received[0])
 
     def test_intact_send_is_the_clean_decode(self, natural_gop, ldpc_code, monkeypatch):
         prep = prepare_classical(natural_gop, 4.0, ldpc_code)
@@ -340,7 +348,7 @@ class TestTransmitChain:
                 prep, ChannelConfig(snr_db=25.0, seed=seed), prev_frame=prev,
                 max_iters=MAX_ITERS)
             assert stats.decode_failures == 0
-            for a, b in zip(parsed.frames, received.frames):
+            for a, b in zip(parsed, received):
                 assert np.array_equal(a.data, b.data)
         # taken from the quantizer, never parsed, once per prepared GOP
         assert (len(decodes), len(quantizations)) == (0, 1)
@@ -366,7 +374,7 @@ class TestTransmitChain:
         hit = set(np.nonzero(starts < ldpc_code.k)[0])  # macroblocks block 0 covers
         cols = natural_gop.width // MB
         assert hit and max(hit) < cols * (natural_gop.height // MB)  # all in frame 0
-        for f, (a, b) in enumerate(zip(clean.frames, received.frames)):
+        for f, (a, b) in enumerate(zip(clean, received)):
             for i in range(a.data.shape[0] // MB * cols):
                 sl = (slice(i // cols * MB, (i // cols + 1) * MB),
                       slice(i % cols * MB, (i % cols + 1) * MB))

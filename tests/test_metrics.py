@@ -15,6 +15,7 @@ from semvid.metrics import (
     epe,
     mse,
     ms_ssim,
+    ms_ssim_min_side,
     pck,
     psnr,
 )
@@ -160,6 +161,14 @@ class TestMsSsim:
         f = Frame(np.zeros((32, 32, 3)))
         with pytest.raises(ValueError, match=str(SSIM_WINDOW * 2**4)):
             ms_ssim(f, f, scales=5)
+
+    def test_min_side_is_the_edge_of_the_refusal(self):
+        assert [ms_ssim_min_side(s) for s in range(1, 6)] == [11, 22, 44, 88, 176]
+        for scales in range(1, 6):
+            side = ms_ssim_min_side(scales)
+            assert 0 <= ms_ssim(_const(0.5, (side, side, 3)), _const(0.5, (side, side, 3)), scales)
+            with pytest.raises(ValueError, match=f"need at least {side} pixels"):
+                ms_ssim(_const(0.5, (side - 1, side, 3)), _const(0.5, (side - 1, side, 3)), scales)
 
     @pytest.mark.parametrize("shape", [(48,), (16, 48, 48, 3)])
     def test_refuses_frames_of_another_rank(self, shape):

@@ -524,12 +524,12 @@ class TestCompare:
         cls_free, sem_free = [], []
         for gop in gops:
             decoded = source_decode(prepare_classical(gop, tiny_config.classical.qp, code).bitstream)
-            cls_free.extend(psnr(a, b) for a, b in zip(gop.frames, decoded.frames))
+            cls_free.extend(psnr(a, b) for a, b in zip(gop.frames, decoded))
             clean, _ = semantic_transmit(
                 gop, ChannelConfig(snr_db=300.0, seed=0),
                 tiny_config.semantic.symbol_budget, tiny_config.semantic,
             )
-            sem_free.extend(psnr(a, b) for a, b in zip(gop.frames, clean.frames))
+            sem_free.extend(psnr(a, b) for a, b in zip(gop.frames, clean))
         assert abs(by_chain["classical"] - np.mean(cls_free)) <= 3.0
         assert abs(by_chain["semantic"] - np.mean(sem_free)) <= 3.0
 

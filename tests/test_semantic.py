@@ -25,7 +25,7 @@ from semvid.semantic import (
     transmit_packet,
     variable_length_code,
 )
-from semvid.video import Gop
+from semvid.video import VideoSequence
 
 CFG = SemanticCodecConfig()
 
@@ -34,8 +34,16 @@ def _features(gop):
     return jscc_encode(latent_transform(gop, CFG), CFG)
 
 
-def _mean_psnr(a, b):
-    return float(np.mean([psnr(x, y) for x, y in zip(a.frames, b.frames)]))
+def _clip(arr):
+    return VideoSequence.from_array(arr, 8.0)
+
+
+def _stack(frames):
+    return np.stack([f.data for f in frames])
+
+
+def _mean_psnr(clip, decoded):
+    return float(np.mean([psnr(x, y) for x, y in zip(clip.frames, decoded)]))
 
 
 def _noise_gop(seed=42, n=4, size=64):
@@ -46,7 +54,7 @@ def _noise_gop(seed=42, n=4, size=64):
         for _ in range(2):
             x = (np.roll(x, 1, 0) + np.roll(x, -1, 0) + np.roll(x, 1, 1) + np.roll(x, -1, 1) + 4 * x) / 8
         frames.append(np.clip(0.5 + 0.25 * x / np.abs(x).std(), 0, 1))
-    return Gop.from_array(np.round(np.stack(frames) * 255) / 255)
+    return _clip(np.round(np.stack(frames) * 255) / 255)
 
 
 class TestLatentTransform:
@@ -56,49 +64,49 @@ class TestLatentTransform:
         assert lat.values.shape[-1] == 128
 
     def test_constant_gop_energy_in_dc_channel(self):
-        gop = Gop.from_array(np.full((2, 32, 32, 3), 0.5))
+        gop = _clip(np.full((2, 32, 32, 3), 0.5))
         lat = latent_transform(gop, CFG)
         energy = np.sum(lat.values**2, axis=(0, 1, 2))
         assert energy[0] > 0
         assert np.all(energy[1:] < 1e-18)
 
-    def test_round_trip_quality(self, small_gop):
-        rec = latent_inverse(latent_transform(small_gop, CFG), CFG)
-        assert _mean_psnr(small_gop, rec) >= 50.0
+    def test_round_trip_quality(self, small_clip):
+        rec = latent_inverse(latent_transform(small_clip, CFG), CFG)
+        assert _mean_psnr(small_clip, rec) >= 50.0
 
     def test_pads_odd_dimensions(self):
         gop = _noise_gop(n=2, size=50)
         rec = latent_inverse(latent_transform(gop, CFG), CFG)
-        assert rec.width == 50 and rec.height == 50
+        assert [(f.width, f.height) for f in rec] == [(50, 50)] * 2
         assert _mean_psnr(gop, rec) >= 50.0
 
 
 class TestJscc:
     def test_zero_latent_maps_to_zero(self):
-        lat = latent_transform(Gop.from_array(np.zeros((2, 16, 16, 3))), CFG)
+        lat = latent_transform(_clip(np.zeros((2, 16, 16, 3))), CFG)
         feat = jscc_encode(lat, CFG)
         assert not feat.values.any()
 
-    def test_inverse_pair(self, small_gop):
-        lat = latent_transform(small_gop, CFG)
+    def test_inverse_pair(self, small_clip):
+        lat = latent_transform(small_clip, CFG)
         back = jscc_decode(jscc_encode(lat, CFG), CFG)
         assert np.max(np.abs(back.values - lat.values)) < 1e-9
 
-    def test_energy_compaction(self, small_gop):
-        feat = _features(small_gop)
+    def test_energy_compaction(self, small_clip):
+        feat = _features(small_clip)
         energy = np.sum(feat.values**2, axis=(0, 1, 2))
         assert energy[:16].sum() / energy.sum() >= 0.8
 
 
 class TestCommonFeatureSplit:
     def test_single_frame_gop_has_zero_individuals(self):
-        maps = extract_common(_features(Gop.from_array(np.random.default_rng(0).random((1, 16, 16, 3))))
+        maps = extract_common(_features(_clip(np.random.default_rng(0).random((1, 16, 16, 3))))
                               )
         assert not maps.individual.any()
 
     def test_static_gop_has_zero_individuals(self):
         frame = np.random.default_rng(1).random((16, 16, 3))
-        maps = extract_common(_features(Gop.from_array(np.tile(frame, (3, 1, 1, 1)))))
+        maps = extract_common(_features(_clip(np.tile(frame, (3, 1, 1, 1)))))
         assert not maps.individual.any()
 
     def test_two_frame_algebra(self):
@@ -107,7 +115,7 @@ class TestCommonFeatureSplit:
         rng = np.random.default_rng(2)
         a = np.round(rng.random((16, 16, 3)) * 256) / 256
         b = np.round(rng.random((16, 16, 3)) * 256) / 256
-        feat = _features(Gop.from_array(np.stack([a, b])))
+        feat = _features(_clip(np.stack([a, b])))
         maps = extract_common(feat)
         mean = (feat.values[0] + feat.values[1]) / 2.0
         grid_quantum = 2.0**-32
@@ -116,8 +124,8 @@ class TestCommonFeatureSplit:
         assert np.array_equal(maps.common + maps.individual[0], feat.values[0])
         assert np.array_equal(maps.common + maps.individual[1], feat.values[1])
 
-    def test_reconstruction_bit_exact(self, small_gop):
-        feat = _features(small_gop)
+    def test_reconstruction_bit_exact(self, small_clip):
+        feat = _features(small_clip)
         maps = extract_common(feat)
         assert np.array_equal(merge_common(maps).values, feat.values)
 
@@ -125,7 +133,7 @@ class TestCommonFeatureSplit:
     @given(n=st.integers(1, 5), seed=st.integers(0, 1000))
     def test_bit_exact_property(self, n, seed):
         rng = np.random.default_rng(seed)
-        gop = Gop.from_array(rng.random((n, 8, 16, 3)))
+        gop = _clip(rng.random((n, 8, 16, 3)))
         feat = _features(gop)
         maps = extract_common(feat)
         assert np.array_equal(merge_common(maps).values, feat.values)
@@ -162,7 +170,7 @@ class TestEntropyModel:
         assert at_loc > away
 
     def test_degenerate_channel_gets_scale_floor(self):
-        maps = extract_common(_features(Gop.from_array(np.zeros((2, 16, 16, 3)))))
+        maps = extract_common(_features(_clip(np.zeros((2, 16, 16, 3)))))
         model = fit_entropy_model(maps, CFG)
         assert np.all(model.scales >= CFG.entropy_floor)
 
@@ -183,8 +191,8 @@ class TestEntropyModel:
 
 
 class TestVariableLengthCoding:
-    def test_full_budget_is_lossless_packetization(self, small_gop):
-        feat = _features(small_gop)
+    def test_full_budget_is_lossless_packetization(self, small_clip):
+        feat = _features(small_clip)
         maps = extract_common(feat)
         model = fit_entropy_model(maps, CFG)
         total = maps.common.size + maps.individual.size
@@ -194,28 +202,28 @@ class TestVariableLengthCoding:
         assert np.allclose(decoded.common, maps.common, atol=1e-9)
         assert np.allclose(decoded.individual, maps.individual, atol=1e-9)
 
-    def test_budget_larger_than_elements_keeps_all(self, small_gop):
-        maps = extract_common(_features(small_gop))
+    def test_budget_larger_than_elements_keeps_all(self, small_clip):
+        maps = extract_common(_features(small_clip))
         model = fit_entropy_model(maps, CFG)
         total = maps.common.size + maps.individual.size
         packet = variable_length_code(maps, model, total * 10, CFG)
         assert packet.symbol_count == total
 
-    def test_budget_must_be_positive(self, small_gop):
-        maps = extract_common(_features(small_gop))
+    def test_budget_must_be_positive(self, small_clip):
+        maps = extract_common(_features(small_clip))
         model = fit_entropy_model(maps, CFG)
         with pytest.raises(ValueError):
             variable_length_code(maps, model, 0, CFG)
 
-    def test_common_prioritized_first(self, small_gop):
-        maps = extract_common(_features(small_gop))
+    def test_common_prioritized_first(self, small_clip):
+        maps = extract_common(_features(small_clip))
         model = fit_entropy_model(maps, CFG)
         packet = variable_length_code(maps, model, 100, CFG)
         assert packet.kept_common.sum() == 100
         assert packet.kept_individual.sum() == 0
 
-    def test_budget_one_past_common_keeps_top_individual(self, small_gop):
-        maps = extract_common(_features(small_gop))
+    def test_budget_one_past_common_keeps_top_individual(self, small_clip):
+        maps = extract_common(_features(small_clip))
         model = fit_entropy_model(maps, CFG)
         packet = variable_length_code(maps, model, maps.common.size + 1, CFG)
         assert packet.kept_common.all()
@@ -223,8 +231,8 @@ class TestVariableLengthCoding:
         # argmax takes the first index on ties, as the stable ranking must
         assert np.flatnonzero(packet.kept_individual).tolist() == [int(np.argmax(info))]
 
-    def test_dropped_elements_fill_with_locations(self, small_gop):
-        maps = extract_common(_features(small_gop))
+    def test_dropped_elements_fill_with_locations(self, small_clip):
+        maps = extract_common(_features(small_clip))
         model = fit_entropy_model(maps, CFG)
         packet = variable_length_code(maps, model, 50, CFG)
         decoded = decode_packet(packet, packet.block, 0.0, CFG)
@@ -237,7 +245,7 @@ class TestVariableLengthCoding:
         ys, xs = np.mgrid[0:32, 0:32].astype(float)
         frame = 0.5 + 0.2 * np.cos(np.pi * xs / 16) + 0.15 * np.cos(np.pi * ys / 8)
         frame = np.stack([frame, frame * 0.9, frame * 0.8], axis=-1)
-        gop = Gop.from_array(np.tile(np.clip(frame, 0, 1)[None], (4, 1, 1, 1)))
+        gop = _clip(np.tile(np.clip(frame, 0, 1)[None], (4, 1, 1, 1)))
         maps = extract_common(_features(gop))
         total = maps.common.size + maps.individual.size
         ch = ChannelConfig(snr_db=300.0, seed=4)
@@ -247,38 +255,38 @@ class TestVariableLengthCoding:
 
 
 class TestSemanticTransmit:
-    def test_high_snr_full_budget_quality(self, reference_gop):
-        maps = extract_common(_features(reference_gop))
+    def test_high_snr_full_budget_quality(self, reference_clip):
+        maps = extract_common(_features(reference_clip))
         total = maps.common.size + maps.individual.size
-        out, stats = semantic_transmit(reference_gop, ChannelConfig(snr_db=25.0, seed=9), total, CFG)
-        assert _mean_psnr(reference_gop, out) >= 40.0
+        out, stats = semantic_transmit(reference_clip, ChannelConfig(snr_db=25.0, seed=9), total, CFG)
+        assert _mean_psnr(reference_clip, out) >= 40.0
         assert stats.decode_failures == 0
         assert stats.channel_symbols == total
 
-    def test_infinite_snr_full_budget_transform_loss_only(self, small_gop):
-        maps = extract_common(_features(small_gop))
+    def test_infinite_snr_full_budget_transform_loss_only(self, small_clip):
+        maps = extract_common(_features(small_clip))
         total = maps.common.size + maps.individual.size
-        out, _ = semantic_transmit(small_gop, ChannelConfig(snr_db=300.0, seed=1), total, CFG)
-        assert _mean_psnr(small_gop, out) >= 50.0
+        out, _ = semantic_transmit(small_clip, ChannelConfig(snr_db=300.0, seed=1), total, CFG)
+        assert _mean_psnr(small_clip, out) >= 50.0
 
-    def test_graceful_degradation(self, small_gop):
+    def test_graceful_degradation(self, small_clip):
         budgets = 2000
         values = []
         for snr in np.arange(-10.0, 26.0, 5.0):
-            out, _ = semantic_transmit(small_gop, ChannelConfig(snr_db=float(snr), seed=9), budgets, CFG)
-            values.append(_mean_psnr(small_gop, out))
+            out, _ = semantic_transmit(small_clip, ChannelConfig(snr_db=float(snr), seed=9), budgets, CFG)
+            values.append(_mean_psnr(small_clip, out))
         drops = [values[i + 1] - values[i] for i in range(len(values) - 1)]
         assert all(v >= -6.0 for v in drops)  # rising SNR never drops sharply
         assert max(values) > min(values)
 
-    def test_deterministic(self, small_gop):
+    def test_deterministic(self, small_clip):
         ch = ChannelConfig(snr_db=5.0, seed=31)
-        a, _ = semantic_transmit(small_gop, ch, 1500, CFG)
-        b, _ = semantic_transmit(small_gop, ch, 1500, CFG)
-        assert np.array_equal(a.to_array(), b.to_array())
+        a, _ = semantic_transmit(small_clip, ch, 1500, CFG)
+        b, _ = semantic_transmit(small_clip, ch, 1500, CFG)
+        assert np.array_equal(_stack(a), _stack(b))
 
-    def test_payload_accounting(self, small_gop):
-        _, stats = semantic_transmit(small_gop, ChannelConfig(snr_db=10.0, seed=2), 700, CFG)
+    def test_payload_accounting(self, small_clip):
+        _, stats = semantic_transmit(small_clip, ChannelConfig(snr_db=10.0, seed=2), 700, CFG)
         assert stats.channel_symbols == 700
         assert stats.payload_bits == 700 * CFG.bits_per_symbol_eq
         assert stats.side_info_bits > 0
@@ -301,8 +309,8 @@ class TestSemanticTransmit:
 
 
 class TestPacketGeometry:
-    def test_mask_matches_symbol_count(self, small_gop):
-        packet = prepare_semantic(small_gop, 1234, CFG)
+    def test_mask_matches_symbol_count(self, small_clip):
+        packet = prepare_semantic(small_clip, 1234, CFG)
         kept = packet.kept_common.sum() + packet.kept_individual.sum()
         assert kept == packet.symbol_count == 1234
 
@@ -394,7 +402,7 @@ PINNED_CHAIN_DIGESTS = {
 
 def _pinned_gop(name):
     if name == "reference":  # the reference config's user clip
-        return Gop(make_test_clip(112, 112).frames)
+        return make_test_clip(112, 112)
     return _noise_gop(n=3, size=50)
 
 
@@ -414,7 +422,7 @@ def test_chain_output_pinned(gop_name, budget):
         _digest(packet.kept_common, packet.kept_individual, packet.block.symbols,
                 np.float64(packet.block.scale), packet.locations, packet.scales,
                 np.int64(packet.side_info_bits)),
-        *(_digest(transmit_packet(packet, ChannelConfig(snr_db=snr, seed=5), CFG)[0].to_array())
+        *(_digest(_stack(transmit_packet(packet, ChannelConfig(snr_db=snr, seed=5), CFG)[0]))
           for snr in PINNED_SNRS_DB),
     )
     assert got == PINNED_CHAIN_DIGESTS[(gop_name, budget)]

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from semvid.video import (
     Frame,
-    Gop,
     VideoSequence,
-    downsample,
-    flatten_gops,
+    box_downsample,
     load_raw,
     save_raw,
     segment_gops,
@@ -25,16 +23,17 @@ def _video(n, h=4, w=6, fps=8.0):
 
 class TestSegment:
     def test_exact_division(self):
-        gops = segment_gops(_video(8), 4)
-        assert [g.gop_size for g in gops] == [4, 4]
+        gops = segment_gops(_video(8, fps=12.0), 4)
+        assert [len(g) for g in gops] == [4, 4]
+        assert {g.fps for g in gops} == {12.0}
 
     def test_remainder(self):
         gops = segment_gops(_video(7), 4)
-        assert [g.gop_size for g in gops] == [4, 3]
+        assert [len(g) for g in gops] == [4, 3]
 
     def test_degenerate(self):
         gops = segment_gops(_video(5), 1)
-        assert [g.gop_size for g in gops] == [1, 1, 1, 1, 1]
+        assert [len(g) for g in gops] == [1, 1, 1, 1, 1]
 
     def test_empty_video_rejected(self):
         with pytest.raises(ValueError):
@@ -48,42 +47,47 @@ class TestSegment:
     @given(n_frames=st.integers(1, 12), n=st.integers(1, 6))
     def test_segment_then_flatten_is_identity(self, n_frames, n):
         video = _video(n_frames)
-        flat = flatten_gops(segment_gops(video, n), video.fps)
-        assert np.array_equal(flat.to_array(), video.to_array())
+        frames = [f for g in segment_gops(video, n) for f in g.frames]
+        assert np.array_equal(np.stack([f.data for f in frames]), video.to_array())
 
 
 class TestDownsample:
     def test_constant_invariance(self):
-        frame = Frame(np.full((8, 8, 3), 0.5))
-        out = downsample(frame, 2)
-        assert out.data.shape == (4, 4, 3)
-        assert np.array_equal(out.data, np.full((4, 4, 3), 0.5))
+        out = box_downsample(np.full((8, 8, 3), 0.5), 2)
+        assert np.array_equal(out, np.full((4, 4, 3), 0.5))
 
     def test_identity(self):
-        frame = _video(1).frames[0]
-        assert np.array_equal(downsample(frame, 1).data, frame.data)
+        data = _video(1).frames[0].data
+        out = box_downsample(data, 1)
+        assert np.array_equal(out, data)
+        out[0, 0, 0] = 0.3  # a writable copy, though the frame's samples are read-only
+        assert not np.shares_memory(out, data)
 
     def test_hand_computed_box_filter(self):
         data = np.zeros((2, 2, 3))
         data[1, :, :] = 1.0
-        out = downsample(Frame(data), 2)
-        assert out.data.shape == (1, 1, 3)
-        assert np.allclose(out.data, 0.5)
+        out = box_downsample(data, 2)
+        assert out.shape == (1, 1, 3)
+        assert np.allclose(out, 0.5)
 
     def test_zero_factor_rejected(self):
-        with pytest.raises(ValueError):
-            downsample(_video(1).frames[0], 0)
+        for factor in (0, -1):
+            with pytest.raises(ValueError):
+                box_downsample(np.zeros((2, 2, 3)), factor)
 
     def test_mean_preserved_when_factor_divides(self):
-        frame = _video(1, h=12, w=8).frames[0]
-        out = downsample(frame, 4)
-        for c in range(3):
-            assert abs(out.data[..., c].mean() - frame.data[..., c].mean()) < 1e-9
+        data = _video(1, h=12, w=8).frames[0].data
+        out = box_downsample(data, 4)
+        assert np.allclose(out.mean(axis=(0, 1)), data.mean(axis=(0, 1)), rtol=0, atol=1e-9)
 
     def test_ceil_output_dims(self):
-        frame = _video(1, h=5, w=7).frames[0]
-        out = downsample(frame, 2)
-        assert (out.height, out.width) == (3, 4)
+        # odd sizes edge-pad: the last row and column repeat into the last cells
+        data = np.arange(5 * 7, dtype=np.float64).reshape(5, 7)
+        out = box_downsample(data, 2)
+        assert out.shape == (3, 4)
+        assert out[2, 0] == data[4, 0:2].mean()
+        assert out[0, 3] == data[0:2, 6].mean()
+        assert out[2, 3] == data[4, 6]
 
 
 class TestRawFiles:
@@ -124,6 +128,30 @@ class TestRawFiles:
         with pytest.raises(IOError):
             load_raw(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("frames", 1.7), ("frames", 0), ("frames", True), ("frames", "3"),
+        ("width", -6), ("height", -4), ("width", 0), ("height", 4.0),
+        ("fps", 0.0), ("fps", -8.0), ("fps", float("inf")), ("fps", float("nan")),
+        ("fps", False), ("fps", "8.0"),
+    ])
+    def test_bad_sidecar_field_rejected(self, tmp_path, field, value):
+        # the payload is left alone, so only the field's check can refuse it
+        path = tmp_path / "clip.rgb"
+        save_raw(_video(3), path)
+        sidecar = path.with_suffix(".json")
+        header = json.loads(sidecar.read_text())
+        header[field] = value
+        sidecar.write_text(json.dumps(header))
+        with pytest.raises(IOError, match=f"field '{field}'"):
+            load_raw(path)
+
+    def test_integral_fps_read_as_float(self, tmp_path):
+        path = tmp_path / "clip.rgb"
+        save_raw(_video(2), path)
+        sidecar = path.with_suffix(".json")
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "fps": 8}))
+        assert load_raw(path).fps == 8.0 and isinstance(load_raw(path).fps, float)
+
     def test_duration_from_header(self, tmp_path):
         video = _video(60, fps=30.0)
         path = tmp_path / "clip.rgb"
@@ -145,7 +173,11 @@ class TestValidation:
         a = Frame(np.zeros((2, 2, 3)))
         b = Frame(np.zeros((4, 4, 3)))
         with pytest.raises(ValueError):
-            Gop((a, b))
+            VideoSequence((a, b), 8.0)
+
+    def test_size_is_the_frames_size(self):
+        video = _video(2, h=4, w=6)
+        assert (video.width, video.height) == (6, 4)
 
     def test_fps_positive(self):
         with pytest.raises(ValueError):
