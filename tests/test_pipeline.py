@@ -685,6 +685,15 @@ class TestCli:
         assert cli_main(["compare", "--config", str(cfg_path), "--out", str(out2)]) == 0
         assert (out2 / "comparison.json").exists()
 
+    def test_sweep_writes_compares_curve(self, tmp_path, tiny_config):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(tiny_config, cfg_path)
+        for command in ("sweep", "compare"):
+            out = tmp_path / command
+            assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        sweep, compare = ((tmp_path / c / "curves.csv").read_bytes() for c in ("sweep", "compare"))
+        assert sweep == compare
+
     def test_composite(self, tmp_path, tiny_config):
         cfg_path = tmp_path / "cfg.json"
         save_config(tiny_config, cfg_path)
