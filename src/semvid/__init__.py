@@ -6,13 +6,7 @@ scene reconstruction."""
 from .channel import ChannelConfig, SymbolBlock, TxStats, awgn, normalize_power
 from .config import LinkSettings, NodeSettings, RunConfig, load_config, reference_config, save_config
 from .metrics import average_jaccard, epe, mse, ms_ssim, pck, psnr
-from .pipeline import (
-    ServiceReport,
-    compare_baselines,
-    run_service,
-    snr_sweep,
-    stage_latency,
-)
+from .pipeline import ServiceReport, compare_baselines, run_service, stage_latency
 from .video import Frame, VideoSequence, load_raw, save_raw, segment_gops
 
 __version__ = "0.1.0"
@@ -22,8 +16,7 @@ __all__ = [
     "LinkSettings", "NodeSettings", "RunConfig", "load_config", "reference_config",
     "save_config",
     "average_jaccard", "epe", "mse", "ms_ssim", "pck", "psnr",
-    "ServiceReport", "compare_baselines",
-    "run_service", "snr_sweep", "stage_latency",
+    "ServiceReport", "compare_baselines", "run_service", "stage_latency",
     "Frame", "VideoSequence", "load_raw", "save_raw", "segment_gops",
     "__version__",
 ]

@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Subcommands: transmit (one chain, one clip), sweep (SNR curves), compare
-(delay/quality comparison report), composite (local video synthesis),
-reconstruct (desk-scale scene fit), pipeline (full service run), and
-show-config (print the active configuration).  Without --config, the
-shipped reference configuration is used.
+Subcommands: transmit (one chain, one clip), sweep (compare's SNR curves
+only), compare (delay/quality comparison report), composite (local video
+synthesis), reconstruct (desk-scale scene fit), pipeline (full service
+run), and show-config (print the active configuration).  Without
+--config, the shipped reference configuration is used.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .pipeline import (
     matte_composite,
     resolve_video,
     run_service,
-    snr_sweep,
     transmit_video,
     user_clip,
     video_quality,
@@ -63,7 +62,7 @@ def cmd_transmit(args, cfg, out: Path) -> int:
 
 
 def cmd_sweep(args, cfg, out: Path) -> int:
-    curve = snr_sweep(cfg)
+    curve = compare_baselines(cfg).curve
     (out / "curves.csv").write_text(curve.to_csv())
     for chain in CHAINS:
         snrs, psnrs = curve.chain_series(chain)

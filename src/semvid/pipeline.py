@@ -1,7 +1,7 @@
 """Service orchestration: the cloud-edge-end flow (semantic uploads, cloud
 compositing, scene fitting, edge rendering, semantic download), latency
-accounting against node/link budgets, SNR sweeps, and the baseline
-comparison report.
+accounting against node/link budgets, and the baseline comparison report
+with its SNR sweep.
 
 Delay model: every stage costs payload_bits / link_throughput for its
 transmission part plus flops / node_capacity for its compute part.
@@ -147,10 +147,10 @@ def _quality(reference: VideoSequence, received: VideoSequence, ms_ssims: list) 
 
 def video_quality(reference: VideoSequence, received: VideoSequence, scales: int) -> dict:
     """Mean per-frame PSNR and MS-SSIM of ``received`` against ``reference``,
-    holding one frame's MS-SSIM terms at a time.  Empty clips, and clips of
-    another length or frame size, raise ``ValueError``."""
-    if not reference.frames or len(received) != len(reference):
-        raise ValueError(f"clips need one nonzero length: reference has {len(reference)} "
+    holding one frame's MS-SSIM terms at a time.  Clips of another length
+    or frame size raise ``ValueError``."""
+    if len(received) != len(reference):
+        raise ValueError(f"clips need one length: reference has {len(reference)} "
                          f"frames, received has {len(received)}")
     ms_ssims = [ms_ssim(a, b, scales) for a, b in zip(reference.frames, received.frames)]
     return _quality(reference, received, ms_ssims)
@@ -253,32 +253,6 @@ class CurveData:
         return max(prev - cur for prev, cur in zip(vals[1:], vals[:-1]))
 
 
-def _prepare_reference(cfg: RunConfig):
-    """The reference clip and its one encode per chain."""
-    video = resolve_video(cfg.video)
-    return video, {chain: prepare_clip(video, chain, cfg) for chain in CHAINS}
-
-
-def _sweep(cfg: RunConfig, snrs, video: VideoSequence, clips: dict) -> CurveData:
-    quality = quality_scorer(video, cfg.metrics.ms_ssim_scales)
-    rows = []
-    for snr in snrs:
-        for chain in CHAINS:
-            received, _ = send(clips[chain], cfg, snr, chain, "sweep", f"{snr:.3f}")
-            q = quality(received)
-            rows.append({"snr_db": float(snr), "chain": chain, **q})
-    return CurveData(rows)
-
-
-def snr_sweep(cfg: RunConfig, snr_list=None) -> CurveData:
-    """Both chains over the SNR grid on the reference clip; each chain
-    encodes the clip once and sends it at every SNR point."""
-    snrs = list(cfg.sweep_snrs_db if snr_list is None else snr_list)
-    if not snrs:
-        raise ValueError("sweep needs at least one SNR point")
-    return _sweep(cfg, snrs, *_prepare_reference(cfg))
-
-
 @dataclass
 class ComparisonReport:
     curve: CurveData
@@ -306,16 +280,25 @@ class ComparisonReport:
 
 
 def compare_baselines(cfg: RunConfig) -> ComparisonReport:
-    """Delay and quality comparison of the two chains on the reference clip
-    at the reference wireless throughput."""
-    video, clips = _prepare_reference(cfg)
+    """Both chains on the reference clip: quality over the SNR grid, each
+    chain encoding the clip once and sending it at every point, and delay
+    at the reference wireless throughput.  A custom grid is
+    ``compare_baselines(replace(cfg, sweep_snrs_db=...))``."""
+    video = resolve_video(cfg.video)
+    clips = {chain: prepare_clip(video, chain, cfg) for chain in CHAINS}
+    quality = quality_scorer(video, cfg.metrics.ms_ssim_scales)
+    rows = []
+    for snr in cfg.sweep_snrs_db:
+        for chain in CHAINS:
+            received, _ = send(clips[chain], cfg, snr, chain, "sweep", f"{snr:.3f}")
+            rows.append({"snr_db": float(snr), "chain": chain, **quality(received)})
     throughput = cfg.links.wireless.throughput_bps
     sem_bits = clips["semantic"].wireless_bits
     cls_bits = clips["classical"].wireless_bits
     sem_delay = sem_bits / throughput
     cls_delay = cls_bits / throughput
     return ComparisonReport(
-        curve=_sweep(cfg, cfg.sweep_snrs_db, video, clips),
+        curve=CurveData(rows),
         semantic_payload_bits=sem_bits,
         classical_payload_bits=cls_bits,
         semantic_delay_seconds=sem_delay,

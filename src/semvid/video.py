@@ -50,20 +50,21 @@ class Frame:
 
 @dataclass(frozen=True)
 class VideoSequence:
-    """An ordered run of same-sized frames with a playback rate."""
+    """A nonempty, ordered run of same-sized frames with a playback rate."""
 
     frames: tuple
     fps: float
 
     def __post_init__(self) -> None:
         frames = tuple(self.frames)
+        if not frames:
+            raise ValueError("a clip needs at least one frame, got none")
         if not np.isfinite(self.fps) or self.fps <= 0:
             raise ValueError("fps must be positive and finite")
-        if frames:
-            w, h = frames[0].width, frames[0].height
-            for f in frames:
-                if (f.width, f.height) != (w, h):
-                    raise ValueError("all frames in a sequence must share dimensions")
+        w, h = frames[0].width, frames[0].height
+        for f in frames:
+            if (f.width, f.height) != (w, h):
+                raise ValueError("all frames in a sequence must share dimensions")
         object.__setattr__(self, "frames", frames)
 
     def __len__(self) -> int:
@@ -91,8 +92,6 @@ def segment_gops(video: VideoSequence, n: int) -> list:
     be shorter.  Concatenating the GOPs' frames reproduces the input's."""
     if n < 1:
         raise ValueError("GOP size must be >= 1")
-    if len(video) == 0:
-        raise ValueError("cannot segment an empty video")
     return [VideoSequence(video.frames[i : i + n], video.fps) for i in range(0, len(video), n)]
 
 
@@ -132,8 +131,6 @@ def save_raw(video: VideoSequence, path) -> None:
     row major, one byte per sample.
     """
     path = Path(path)
-    if len(video) == 0:
-        raise ValueError("refusing to save an empty video")
     arr = video.to_array()
     quantized = np.round(arr * 255.0).astype(np.uint8)
     planar = np.moveaxis(quantized, 3, 1)  # (n, 3, h, w)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 from dataclasses import FrozenInstanceError, asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import semvid.ldpc
 import semvid.recon
 import semvid.semantic
 from semvid.channel import ChannelConfig
-from semvid.cli import main as cli_main
+from semvid.cli import COMMANDS, main as cli_main
 from semvid.config import (
     ClassicalSettings,
     LinkSettings,
@@ -34,7 +35,6 @@ from semvid.pipeline import (
     resolve_video,
     run_service,
     send,
-    snr_sweep,
     stage_latency,
     transmit_video,
     video_quality,
@@ -300,20 +300,16 @@ class TestConfig:
 
 class TestSweep:
     def test_shape_and_determinism(self, tiny_config):
-        curve = snr_sweep(tiny_config)
+        curve = compare_baselines(tiny_config).curve
         assert len(curve.rows) == len(tiny_config.sweep_snrs_db) * 2
         chains = {r["chain"] for r in curve.rows}
         assert chains == {"semantic", "classical"}
-        again = snr_sweep(tiny_config)
+        again = compare_baselines(tiny_config).curve
         assert curve.to_csv() == again.to_csv()
 
     def test_csv_header(self, tiny_config):
-        csv = snr_sweep(tiny_config, [25.0]).to_csv()
+        csv = compare_baselines(replace(tiny_config, sweep_snrs_db=(25.0,))).curve.to_csv()
         assert csv.splitlines()[0] == "snr_db,chain,psnr_db,ms_ssim"
-
-    def test_empty_sweep_rejected(self, tiny_config):
-        with pytest.raises(ValueError):
-            snr_sweep(tiny_config, [])
 
 
 @pytest.fixture(scope="module")
@@ -336,9 +332,8 @@ def reference_sweep():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semvid.pipeline, "send", recording_send)
         mp.setattr(ClipMsSsim, "frame_scores", counting_scores)
-        video, clips = semvid.pipeline._prepare_reference(cfg)
-        curve = semvid.pipeline._sweep(cfg, cfg.sweep_snrs_db, video, clips)
-    return cfg, video, curve.rows, received, scored[0]
+        curve = compare_baselines(cfg).curve
+    return cfg, resolve_video(cfg.video), curve.rows, received, scored[0]
 
 
 @pytest.fixture(scope="module")
@@ -381,12 +376,6 @@ def test_video_quality_refuses_clips_of_another_length(small_clip):
     short = VideoSequence(small_clip.frames[:-1], small_clip.fps)
     with pytest.raises(ValueError, match="8 frames.*has 7"):
         video_quality(small_clip, short, scales=1)
-
-
-def test_video_quality_refuses_empty_clips():
-    empty = VideoSequence((), 8.0)
-    with pytest.raises(ValueError, match="0 frames.*has 0"):
-        video_quality(empty, empty, scales=1)
 
 
 def test_video_quality_refuses_another_frame_size(small_clip):
@@ -515,7 +504,7 @@ class TestCompare:
         from semvid.semantic import semantic_transmit
         from semvid.video import segment_gops
 
-        curve = snr_sweep(tiny_config, [25.0])
+        curve = compare_baselines(replace(tiny_config, sweep_snrs_db=(25.0,))).curve
         by_chain = {r["chain"]: r["psnr_db"] for r in curve.rows}
 
         video = resolve_video(tiny_config.video)
@@ -632,6 +621,12 @@ class TestService:
 
 
 class TestCli:
+    def test_readme_cli_block_names_every_command(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"^## CLI\n+```bash\n(.*?)```", readme, re.M | re.S).group(1)
+        named = {line.split()[1] for line in block.splitlines() if line.startswith("semvid ")}
+        assert named == set(COMMANDS)
+
     def test_show_config(self, capsys):
         assert cli_main(["show-config"]) == 0
         out = capsys.readouterr().out

@@ -180,8 +180,12 @@ class TestValidation:
         assert (video.width, video.height) == (6, 4)
 
     def test_fps_positive(self):
-        with pytest.raises(ValueError):
-            VideoSequence((), 0.0)
+        with pytest.raises(ValueError, match="fps"):
+            VideoSequence(_video(1).frames, 0.0)
+
+    def test_empty_clip_rejected(self):
+        with pytest.raises(ValueError, match="at least one frame"):
+            VideoSequence((), 8.0)
 
     def test_frames_immutable(self):
         frame = _video(1).frames[0]
