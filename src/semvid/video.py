@@ -58,7 +58,7 @@ class VideoSequence:
     def __post_init__(self) -> None:
         frames = tuple(self.frames)
         if not frames:
-            raise ValueError("a clip needs at least one frame, got none")
+            raise ValueError("a clip needs at least one frame")
         if not np.isfinite(self.fps) or self.fps <= 0:
             raise ValueError("fps must be positive and finite")
         w, h = frames[0].width, frames[0].height
