@@ -23,6 +23,7 @@ from semvid.recon.fit import (
     loss_and_grad,
     params_to_scene,
     scene_to_params,
+    track_assignments,
 )
 from semvid.recon.render import (
     ALPHA_MAX,
@@ -375,6 +376,28 @@ class TestTrackCorrespondence:
         scene = _single_gaussian_scene()
         with pytest.raises(ValueError):
             track_correspondence(scene, np.array([0.0, 0.0]), 0, 0)
+
+
+class TestTrackAssignments:
+    # SHA-256 of the assignment bytes: the reference fit's (benchmark
+    # scene, 4 tracks, assigned on its perturbed start) and the gradient
+    # check scene's (2 tracks)
+    PINNED = {
+        "reference": "4ffed22f833efb1bb290189a68c902b0bc7ce838513e416266c7245d5df990fe",
+        "gradient_check": "d97726df564d5208a6ce1d5d7fda7a1c455438ee6d99a378a0ad7ff18768ef1d",
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_weights_pinned(self, case):
+        if case == "reference":
+            gt = make_benchmark_scene(8, 48, 20)
+            scene, n_tracks = perturb_scene(gt, 5), 4
+        else:
+            gt = scene = make_gradient_check_scene()
+            n_tracks = 2
+        _, _, tracks = make_fit_inputs(gt, n_tracks)
+        weights = track_assignments(scene, tracks.query_pixels)
+        assert hashlib.sha256(weights.tobytes()).hexdigest() == self.PINNED[case]
 
 
 class TestSceneIo:
