@@ -181,7 +181,6 @@ class PreparedClip:
     chain: str
     payloads: tuple       # per GOP: SemanticPacket or PreparedClassical
     fps: float
-    wireless_bits: int    # payload plus side information, all GOPs
 
 
 def prepare_clip(video: VideoSequence, chain: str, cfg: RunConfig,
@@ -193,14 +192,11 @@ def prepare_clip(video: VideoSequence, chain: str, cfg: RunConfig,
     if chain == "semantic":
         budget = cfg.semantic.symbol_budget if symbol_budget is None else symbol_budget
         packets = tuple(prepare_semantic(g, budget, cfg.semantic) for g in gops)
-        bits = sum(p.symbol_count * cfg.semantic.bits_per_symbol_eq + p.side_info_bits
-                   for p in packets)
-        return PreparedClip(chain, packets, video.fps, bits)
+        return PreparedClip(chain, packets, video.fps)
     if chain == "classical":
         code = make_ldpc_code(cfg.classical.ldpc_k, cfg.classical.ldpc_seed)
         preps = tuple(prepare_classical(g, cfg.classical.qp, code) for g in gops)
-        bits = sum(p.bitstream.bit_length + p.bitstream.side_info_bits for p in preps)
-        return PreparedClip(chain, preps, video.fps, bits)
+        return PreparedClip(chain, preps, video.fps)
     raise ValueError(f"unknown chain {chain!r}")
 
 
@@ -287,20 +283,18 @@ def compare_baselines(cfg: RunConfig) -> ComparisonReport:
     video = resolve_video(cfg.video)
     clips = {chain: prepare_clip(video, chain, cfg) for chain in CHAINS}
     quality = quality_scorer(video, cfg.metrics.ms_ssim_scales)
-    rows = []
+    rows, bits = [], {}
     for snr in cfg.sweep_snrs_db:
         for chain in CHAINS:
-            received, _ = send(clips[chain], cfg, snr, chain, "sweep", f"{snr:.3f}")
+            received, st = send(clips[chain], cfg, snr, chain, "sweep", f"{snr:.3f}")
+            bits[chain] = st.payload_bits + st.side_info_bits
             rows.append({"snr_db": float(snr), "chain": chain, **quality(received)})
-    throughput = cfg.links.wireless.throughput_bps
-    sem_bits = clips["semantic"].wireless_bits
-    cls_bits = clips["classical"].wireless_bits
-    sem_delay = sem_bits / throughput
-    cls_delay = cls_bits / throughput
+    sem_delay, cls_delay = (stage_latency(bits[chain], cfg.links.wireless, 0.0, cfg.nodes.end)
+                            for chain in ("semantic", "classical"))
     return ComparisonReport(
         curve=CurveData(rows),
-        semantic_payload_bits=sem_bits,
-        classical_payload_bits=cls_bits,
+        semantic_payload_bits=bits["semantic"],
+        classical_payload_bits=bits["classical"],
         semantic_delay_seconds=sem_delay,
         classical_delay_seconds=cls_delay,
         delay_reduction_pct=100.0 * (1.0 - sem_delay / cls_delay),
@@ -312,7 +306,8 @@ def _wireless_stage(video: VideoSequence, cfg: RunConfig, label: str):
     the service budget; returns the received video and its stage report."""
     clip = prepare_clip(video, "semantic", cfg, cfg.semantic.service_symbol_budget)
     received, st = send(clip, cfg, cfg.snr_db, "service", label)
-    delay = stage_latency(clip.wireless_bits, cfg.links.wireless, 0.0, cfg.nodes.end)
+    delay = stage_latency(st.payload_bits + st.side_info_bits, cfg.links.wireless, 0.0,
+                          cfg.nodes.end)
     return received, StageReport(
         transmission_seconds=delay, tx=replace(st, wireless_delay_seconds=delay),
         metrics={"link": "wireless",

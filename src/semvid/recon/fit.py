@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..video import Frame
-from .render import ALPHA_MAX, pixel_grid, rasterize, surface_lift
+from .render import ALPHA_MAX, hit_weights, pixel_grid, rasterize
 from .scene import PARAM_KEYS, GaussianScene, quat_normalize, scene_params
 
 LEARNING_RATES = {
@@ -116,11 +116,7 @@ def params_to_scene(params: dict, like: GaussianScene) -> GaussianScene:
 def track_assignments(scene: GaussianScene, query_pixels: np.ndarray) -> np.ndarray:
     """Frozen soft assignment of each tracked pixel to the Gaussians hit in
     frame 0 (normalized T*alpha weights); held constant during fitting."""
-    weights = []
-    for p in np.atleast_2d(query_pixels):
-        full, _, _ = surface_lift(scene, p, 0)
-        weights.append(full)
-    return np.stack(weights)
+    return np.stack([hit_weights(scene, p, 0) for p in np.atleast_2d(query_pixels)])
 
 
 def predict_track_positions(mu2d: np.ndarray, assignments: np.ndarray,

@@ -8,7 +8,7 @@ front; residual transmittance is filled with the background color, and the
 depth channel uses 0 as its no-surface sentinel.  Image sizes here are
 small, so every Gaussian is evaluated on the full pixel grid; that keeps
 the map smooth, which the fitter's gradients rely on.  Rendering, the
-fitter's forward pass and the track lift all go through :func:`rasterize`,
+fitter's forward pass and track assignment all go through :func:`rasterize`,
 which poses and projects all its timesteps in one batch and splats and
 composites them one frame at a time.
 """
@@ -156,51 +156,16 @@ def render(scene: GaussianScene, t: int) -> RenderResult:
                         fwd["depth"], 1.0 - fwd["t_final"])
 
 
-def surface_lift(scene: GaussianScene, pixel, t: int):
-    """Expected surface depth and per-Gaussian hit weights at one pixel.
-
-    Returns (weights over all G, sorted order, surface world point)."""
-    camera = scene.cameras[t]
+def hit_weights(scene: GaussianScene, pixel, t: int) -> np.ndarray:
+    """The per-Gaussian T*alpha weights at one pixel of frame t, normalized
+    to sum to 1, as a length-G vector (0 for Gaussians the pixel misses)."""
     px = np.asarray(pixel, dtype=np.float64)
-    fwd = rasterize(scene_params(scene), [camera], [t], scene.background, [px[None, None, :]])
-    frame = fwd["frames"][0]
-    order = frame["order"]
+    frame = rasterize(scene_params(scene), [scene.cameras[t]], [t], scene.background,
+                      [px[None, None, :]])["frames"][0]
     weights = (frame["t_excl"] * frame["alphas"])[:, 0, 0]
     total = weights.sum()
     if total < MIN_HIT_WEIGHT:
         raise ValueError("pixel hits no Gaussian")
-    weights = weights / total
-    z_hat = float(weights @ fwd["x_cam"][0, order, 2])
-    ray = np.array([(px[0] - camera.cx) / camera.fx, (px[1] - camera.cy) / camera.fy, 1.0])
-    surface_cam = ray * z_hat
-    surface_world = camera.to_world(surface_cam[None, :])[0]
     full_weights = np.zeros(scene.n_gaussians)
-    full_weights[order] = weights
-    return full_weights, order, surface_world
-
-
-def track_correspondence(scene: GaussianScene, pixel, t: int, t_prime: int):
-    """Where does the surface point seen at ``pixel`` in frame t appear in
-    frame t_prime, and at what camera depth?
-
-    The pixel is lifted to a 3D surface point from the rendered depth, moved
-    by the hit-weighted blend of the per-Gaussian rigid motions between the
-    two timesteps, and reprojected with the target camera."""
-    for step in (t, t_prime):
-        if not 0 <= step < scene.n_timesteps:
-            raise ValueError(f"timestep {step} out of range [0, {scene.n_timesteps})")
-    weights, order, surface_world = surface_lift(scene, pixel, t)
-
-    pp = pose_pipeline(scene_params(scene), [t, t_prime])
-    (r_src, r_dst), (tr_src, tr_dst) = pp["rblend"], pp["tblend"]
-    # per-Gaussian map: x -> R_dst @ R_src^T @ (x - tr_src) + tr_dst
-    rel = surface_world[None, :] - tr_src
-    canonical = np.einsum("gji,gj->gi", r_src, rel)
-    moved = np.einsum("gij,gj->gi", r_dst, canonical) + tr_dst
-    target_world = weights @ moved
-
-    valid, x_cam, mu2d, _, _ = project_points(target_world[None, None, :],
-                                              np.zeros((1, 1, 3, 3)), [scene.cameras[t_prime]])
-    if not valid[0, 0]:
-        raise ValueError("correspondence projects behind the target camera")
-    return mu2d[0, 0], float(x_cam[0, 0, 2])
+    full_weights[frame["order"]] = weights / total
+    return full_weights

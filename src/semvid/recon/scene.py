@@ -117,9 +117,6 @@ class Camera:
     def cy(self) -> float:
         return float(self.intrinsics[1, 2])
 
-    def to_world(self, points_cam: np.ndarray) -> np.ndarray:
-        return (points_cam - self.translation) @ self.rotation
-
 
 @dataclass(frozen=True)
 class GaussianScene:
@@ -203,7 +200,7 @@ def pose_pipeline(params: dict, ts) -> dict:
     mu_t = R_blend @ mu_0 + t_blend and R_t = R_blend @ R_0, where R_blend
     and t_blend blend the bases at t by the softmax of its coefficients and
     the blended rotation is re-orthonormalized.  Rendering, the fitter and
-    track correspondence all route through this one function, and a row
+    track assignment all route through this one function, and a row
     does not depend on which other timesteps share the call, so fitting a
     scene against its own renders has exactly zero residual at the
     optimum."""

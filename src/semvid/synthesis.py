@@ -32,14 +32,6 @@ class AlphaMatte:
         a.setflags(write=False)
         object.__setattr__(self, "alpha", a)
 
-    @property
-    def width(self) -> int:
-        return self.alpha.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.alpha.shape[0]
-
 
 @dataclass(frozen=True)
 class TransitionMask:

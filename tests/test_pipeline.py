@@ -8,10 +8,7 @@ import numpy as np
 import pytest
 
 import semvid
-import semvid.classical
-import semvid.ldpc
 import semvid.recon
-import semvid.semantic
 from semvid.channel import ChannelConfig
 from semvid.cli import COMMANDS, main as cli_main
 from semvid.config import (
@@ -28,7 +25,6 @@ from semvid.config import (
 )
 import semvid.pipeline
 from semvid.metrics import ClipMsSsim, ms_ssim, psnr
-from semvid.semantic import SemanticCodecConfig
 from semvid.pipeline import (
     compare_baselines,
     prepare_clip,
@@ -471,21 +467,6 @@ def test_multi_gop_send_pinned(chain, snr_db, multi_gop_clips):
                              "decode_failures": stats.decode_failures}
 
 
-@pytest.mark.parametrize("encode", [
-    lambda clip: semvid.classical.source_encode(clip, 5.0),
-    lambda clip: semvid.classical.prepare_classical(
-        clip, 5.0, semvid.ldpc.make_ldpc_code(256, 11)),
-    lambda clip: semvid.semantic.latent_transform(clip, SemanticCodecConfig()),
-    lambda clip: semvid.semantic.prepare_semantic(clip, 200, SemanticCodecConfig()),
-    lambda clip: semvid.semantic.semantic_transmit(
-        clip, ChannelConfig(25.0, 0), 200, SemanticCodecConfig()),
-], ids=["source_encode", "prepare_classical", "latent_transform", "prepare_semantic",
-        "semantic_transmit"])
-def test_encoders_refuse_an_empty_clip(encode):
-    with pytest.raises(ValueError):
-        encode(VideoSequence((), 8.0))
-
-
 class TestCompare:
     def test_reports_delay_and_quality(self, tiny_config):
         report = compare_baselines(tiny_config)
@@ -618,6 +599,14 @@ class TestService:
         link_bps = tiny_config.links.wireless.throughput_bps
         expected = (upload.tx.payload_bits + upload.tx.side_info_bits) / link_bps
         assert upload.transmission_seconds == pytest.approx(expected)
+
+
+def test_readme_layout_names_every_module():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## Layout\n+```\n(.*?)```", readme, re.M | re.S).group(1)
+    named = {m.group(1) for m in re.finditer(r"^  (\S+)", block, re.M)}
+    package = Path(semvid.__file__).resolve().parent
+    assert named == {p.name for p in package.glob("*.py") if p.name != "__init__.py"} | {"recon/"}
 
 
 class TestCli:

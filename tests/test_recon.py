@@ -34,7 +34,6 @@ from semvid.recon.render import (
     quad_form,
     rasterize,
     render,
-    track_correspondence,
 )
 from semvid.recon.scene import (
     Camera,
@@ -56,11 +55,11 @@ def _identity_basis_quats(n_bases, n_timesteps):
 
 
 def _single_gaussian_scene(mean=(0.2, -0.1, 2.5), opacity=0.9, color=(1.0, 1.0, 1.0),
-                           n_timesteps=1, basis_trans=None):
+                           basis_trans=None):
     """One Gaussian under pure-translation bases (``basis_trans``, default
-    one static basis)."""
+    one static basis and one timestep)."""
     if basis_trans is None:
-        basis_trans = np.zeros((1, n_timesteps, 3))
+        basis_trans = np.zeros((1, 1, 3))
     n_bases, n_timesteps = basis_trans.shape[:2]
     return GaussianScene(
         means=np.array([mean]), quats=np.array([[1.0, 0.0, 0.0, 0.0]]),
@@ -345,39 +344,6 @@ class TestLoopRewrites:
         assert np.array_equal(fit_module._suffix_sums(tail), reference)
 
 
-class TestTrackCorrespondence:
-    def test_static_scene_is_identity(self):
-        scene = _single_gaussian_scene(n_timesteps=2)
-        mu2d, _ = project(scene.means[0], _covariance(scene, 0), scene.cameras[0])
-        pixel = np.round(mu2d)
-        u, d = track_correspondence(scene, pixel, 0, 1)
-        assert np.allclose(u, pixel, atol=1e-9)
-        assert d == pytest.approx(scene.means[0][2], abs=1e-6)
-
-    def test_same_timestep_identity(self):
-        scene = _single_gaussian_scene(n_timesteps=2)
-        pixel = np.array([32.0, 28.0])
-        u, _ = track_correspondence(scene, pixel, 0, 0)
-        assert np.allclose(u, pixel, atol=1e-9)
-
-    def test_image_plane_translation(self):
-        # whole scene translated by delta at fixed depth: u ~= p + f*delta/z
-        delta = np.array([0.05, -0.03, 0.0])
-        trans = np.zeros((1, 2, 3))
-        trans[0, 1] = delta
-        scene = _single_gaussian_scene(mean=(0.0, 0.0, 2.5), basis_trans=trans)
-        cam = scene.cameras[0]
-        pixel = np.array([cam.cx, cam.cy])
-        u, d = track_correspondence(scene, pixel, 0, 1)
-        expected = pixel + cam.fx * delta[:2] / 2.5
-        assert np.allclose(u, expected, atol=1e-6)
-
-    def test_miss_raises(self):
-        scene = _single_gaussian_scene()
-        with pytest.raises(ValueError):
-            track_correspondence(scene, np.array([0.0, 0.0]), 0, 0)
-
-
 class TestTrackAssignments:
     # SHA-256 of the assignment bytes: the reference fit's (benchmark
     # scene, 4 tracks, assigned on its perturbed start) and the gradient
@@ -398,6 +364,11 @@ class TestTrackAssignments:
         _, _, tracks = make_fit_inputs(gt, n_tracks)
         weights = track_assignments(scene, tracks.query_pixels)
         assert hashlib.sha256(weights.tobytes()).hexdigest() == self.PINNED[case]
+
+    def test_miss_raises(self):
+        scene = _single_gaussian_scene()
+        with pytest.raises(ValueError, match="hits no Gaussian"):
+            track_assignments(scene, [[0.0, 0.0]])
 
 
 class TestSceneIo:

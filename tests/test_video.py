@@ -35,10 +35,6 @@ class TestSegment:
         gops = segment_gops(_video(5), 1)
         assert [len(g) for g in gops] == [1, 1, 1, 1, 1]
 
-    def test_empty_video_rejected(self):
-        with pytest.raises(ValueError):
-            segment_gops(VideoSequence((), 8.0), 4)
-
     def test_bad_gop_size(self):
         with pytest.raises(ValueError):
             segment_gops(_video(4), 0)
