@@ -199,50 +199,13 @@ def make_benchmark_scene(n_timesteps: int = 10, image_size: int = 64,
     )
 
 
-def make_gradient_check_scene() -> GaussianScene:
-    """Two Gaussians with rotating, translating bases over three 32 px
-    frames; exercises every parameter chain in the fitter's backward pass."""
-    n_timesteps = 3
-    steps = np.arange(n_timesteps, dtype=np.float64)
-    angles = 0.12 * steps
-    basis_quats = np.zeros((2, n_timesteps, 4))
-    basis_quats[0, :, 0] = np.cos(angles / 2)
-    basis_quats[0, :, 3] = np.sin(angles / 2)
-    basis_quats[1, :, 0] = np.cos(angles / 3)
-    basis_quats[1, :, 1] = np.sin(angles / 3)
-    basis_trans = np.zeros((2, n_timesteps, 3))
-    basis_trans[0, :, 0] = 0.05 * steps
-    basis_trans[1, :, 1] = -0.04 * steps
-    cameras = tuple(default_camera(32, 32, focal=40.0) for _ in range(n_timesteps))
-    return GaussianScene(
-        means=np.array([[-0.25, -0.1, 2.1], [0.3, 0.2, 2.6]]),
-        quats=np.array([[0.9689124217106447, 0.2474039592545229, 0.0, 0.0],
-                        [0.8775825618903728, 0.0, 0.479425538604203, 0.0]]),
-        scales=np.array([[0.2, 0.1, 0.08], [0.12, 0.2, 0.1]]),
-        opacities=np.array([0.75, 0.68]),
-        colors=np.array([[0.8, 0.3, 0.25], [0.25, 0.55, 0.8]]),
-        coeffs=np.array([[1.2, -0.6], [-0.8, 1.0]]),
-        basis_quats=basis_quats,
-        basis_trans=basis_trans,
-        cameras=cameras,
-        background=np.array([0.08, 0.08, 0.1]),
-    )
-
-
-def render_scene_video(scene: GaussianScene):
-    """Render every timestep; returns (VideoSequence, depth maps list)."""
-    results = [render(scene, t) for t in range(scene.n_timesteps)]
-    video = VideoSequence(tuple(r.image for r in results), SCENE_FPS)
-    return video, [r.depth for r in results]
-
-
 def make_fit_inputs(scene: GaussianScene, n_tracks: int = 4):
     """Observations for fitting, all generated by the scene itself:
     rendered frames, raw depth maps, and 2D tracks of the Gaussian centers
     visible at frame 0.
 
     Returns (frames, depth_maps, tracks); the scene holds the cameras."""
-    video, depths = render_scene_video(scene)
+    results = [render(scene, t) for t in range(scene.n_timesteps)]
     pp = pose_pipeline(scene_params(scene), range(scene.n_timesteps))
     valid, _, mu2d, _, _ = project_points(pp["mu_t"], pp["cov"], scene.cameras)
     order = np.argsort(-scene.opacities)
@@ -253,7 +216,7 @@ def make_fit_inputs(scene: GaussianScene, n_tracks: int = 4):
     query = np.array(query)
     positions = predict_track_positions(mu2d, track_assignments(scene, query), valid)
     tracks = Tracks2D(query_pixels=query, positions=positions.swapaxes(0, 1))
-    return list(video.frames), depths, tracks
+    return [r.image for r in results], [r.depth for r in results], tracks
 
 
 def perturb_scene(scene: GaussianScene, seed: int = 5, mean_sigma: float = 0.05,

@@ -97,13 +97,6 @@ def _views(x: np.ndarray, like: dict) -> dict:
     return {k: part.reshape(like[k].shape) for k, part in zip(PARAM_KEYS, np.split(x, ends))}
 
 
-def scene_to_params(scene: GaussianScene) -> dict:
-    """Raw optimization variables: views into one vector holding an exact
-    copy of the scene arrays, so they render as the scene, bit for bit."""
-    groups = scene_params(scene)
-    return _views(_flatten(groups), groups)
-
-
 def params_to_scene(params: dict, like: GaussianScene) -> GaussianScene:
     """The scene with ``params`` (each group clipped to its ``BOUNDS``) in
     place of ``like``'s arrays, and ``like``'s cameras and background."""

@@ -101,22 +101,6 @@ class Camera:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
-    @property
-    def fx(self) -> float:
-        return float(self.intrinsics[0, 0])
-
-    @property
-    def fy(self) -> float:
-        return float(self.intrinsics[1, 1])
-
-    @property
-    def cx(self) -> float:
-        return float(self.intrinsics[0, 2])
-
-    @property
-    def cy(self) -> float:
-        return float(self.intrinsics[1, 2])
-
 
 @dataclass(frozen=True)
 class GaussianScene:

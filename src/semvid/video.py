@@ -151,6 +151,8 @@ def load_raw(path) -> VideoSequence:
     if not sidecar.exists():
         raise IOError(f"missing sidecar header {sidecar}")
     header = json.loads(sidecar.read_text())
+    if not isinstance(header, dict):
+        raise IOError(f"sidecar {sidecar} must hold a JSON object, got {header!r}")
     missing = [k for k in SIDECAR_FIELDS if k not in header]
     if missing:
         raise IOError(f"sidecar {sidecar} missing fields {missing}")

@@ -13,7 +13,6 @@ from semvid.config import reference_config
 from semvid.fixtures import (
     make_benchmark_scene,
     make_fit_inputs,
-    make_gradient_check_scene,
     perturb_scene,
 )
 from semvid.ldpc import bpsk_demodulate, bpsk_modulate, ldpc_decode, ldpc_encode
@@ -23,7 +22,6 @@ from semvid.recon.fit import (
     PARAM_KEYS,
     fit_scene,
     loss_and_grad,
-    scene_to_params,
 )
 from semvid.recon.render import render
 from semvid.recon.scene import pose_pipeline, scene_params
@@ -36,6 +34,7 @@ from semvid.semantic import (
 )
 from semvid.video import Frame, VideoSequence
 
+from scenes import make_gradient_check_scene, mutable_params
 from test_recon import TestRender as _RenderTests
 
 # reports of the reference configuration, recorded with the benchmark
@@ -189,7 +188,7 @@ def test_criterion_7_renderer_correctness():
     gt = make_gradient_check_scene()
     frames, depths, tracks = make_fit_inputs(gt, n_tracks=2)
     test_scene = perturb_scene(gt, seed=9, mean_sigma=0.03, color_sigma=0.04)
-    params = scene_to_params(test_scene)
+    params = mutable_params(test_scene)
     _, grads = loss_and_grad(params, frames, depths, tracks, test_scene)
 
     def loss_only(p):

@@ -1,12 +1,23 @@
 """Static checks that stand in for a linter: no module under ``src/`` or
 ``tests/`` imports a name it never uses, no module under ``src/`` defines a
-top-level private name (``_name``) that it never reads, and every defaulted
+top-level private name (``_name``) that it never reads, every defaulted
 parameter of a top-level private function in ``src/`` is set by some call
-and left unset by another.  Package ``__init__`` modules re-export what they
-import and are exempt from the import check, as is an import on a line
-marked ``# noqa: F401``."""
+and left unset by another, and every public name in ``src/`` is read by the
+program, not only by the tests.  Package ``__init__`` modules re-export what
+they import and are exempt from the import check, as is an import on a line
+marked ``# noqa: F401``.
+
+A public name (a top-level function, class or constant, or a method or
+property of a top-level class) counts as read when code outside ``tests/``
+reads it: a module of ``src/`` other than a package ``__init__``, any module
+of ``perfbench/``, or the attributes the benchmark's tracer patches (its
+``LAYERS``).  A name listed in a package ``__all__`` is public API and
+counts as read too.  A method or property counts only when read as an
+attribute, so a local variable of the same name does not hide it.  Dataclass
+fields are not checked."""
 
 import ast
+import importlib.util
 from collections import defaultdict
 from pathlib import Path
 
@@ -37,10 +48,9 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in bound.items() if name not in used)
 
 
-def unread_private_names(source: str) -> list:
-    """(line, name) of each top-level ``_name`` (function, class or
-    assignment target, dunders aside) that the module never reads."""
-    tree = ast.parse(source)
+def top_level_names(tree: ast.Module) -> dict:
+    """The line of each function, class and assignment target at the top
+    level of a module."""
     defined = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -49,8 +59,15 @@ def unread_private_names(source: str) -> list:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for n in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
                 defined[n.id] = node.lineno
+    return defined
+
+
+def unread_private_names(source: str) -> list:
+    """(line, name) of each top-level ``_name`` (function, class or
+    assignment target, dunders aside) that the module never reads."""
+    tree = ast.parse(source)
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    return sorted((line, name) for name, line in defined.items()
+    return sorted((line, name) for name, line in top_level_names(tree).items()
                   if name.startswith("_") and not name.startswith("__") and name not in read)
 
 
@@ -122,3 +139,65 @@ SRC_AND_TEST_CALLS = calls_by_name(
 @pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_idle_defaults(path):
     assert idle_defaults(path.read_text(), SRC_AND_TEST_CALLS) == []
+
+
+def names_read(sources) -> tuple:
+    """The bare names and the attribute names that ``sources`` load."""
+    names, attributes = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+    return names, attributes
+
+
+def unread_public_names(source: str, names: set, attributes: set) -> list:
+    """(line, name) of each public top-level function, class or constant in
+    ``source`` that is in neither ``names`` nor ``attributes``, and of each
+    public method or property of its top-level classes (as
+    ``"Class.name"``) that is not in ``attributes``."""
+    tree = ast.parse(source)
+    found = [(line, name) for name, line in top_level_names(tree).items()
+             if not name.startswith("_") and name not in names | attributes]
+    for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+        found += [(m.lineno, f"{cls.name}.{m.name}") for m in cls.body
+                  if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")
+                  and m.name not in attributes]
+    return sorted(found)
+
+
+def test_public_name_only_tests_read_is_found():
+    source = ("A, b = 1, 2\n_C = 3\n\n\ndef f():\n    return 4\n\n\nclass K:\n"
+              "    field: int = 5\n\n    @property\n    def p(self):\n        return 6\n\n"
+              "    def m(self):\n        return 7\n\n    def _n(self):\n        return 8\n")
+    names, attributes = names_read(["print(A, m)\nk = mod.f\nk.K\n"])
+    assert unread_public_names(source, names, attributes) == [(1, "b"), (13, "K.p"), (16, "K.m")]
+
+
+def _program_reads() -> tuple:
+    """``names_read`` over the code outside ``tests/``, with the attributes
+    the tracer patches and the names in each package ``__all__`` added to
+    the bare names."""
+    names, attributes = names_read(
+        [p.read_text() for p in SRC_MODULES if p.name != "__init__.py"]
+        + [p.read_text() for p in (ROOT / "perfbench").rglob("*.py")])
+    spec = importlib.util.spec_from_file_location("_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names |= {attribute for _, attribute, *_ in tracer.LAYERS}
+    for init in (p for p in SRC_MODULES if p.name == "__init__.py"):
+        for node in ast.parse(init.read_text()).body:
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                names |= {e.value for e in node.value.elts}
+    return names, attributes
+
+
+PROGRAM_READS = _program_reads()
+
+
+@pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_public_name_only_tests_read(path):
+    assert unread_public_names(path.read_text(), *PROGRAM_READS) == []

@@ -11,7 +11,6 @@ from semvid.fixtures import (
     default_camera,
     make_benchmark_scene,
     make_fit_inputs,
-    make_gradient_check_scene,
     perturb_scene,
 )
 from semvid.recon.fit import (
@@ -22,7 +21,6 @@ from semvid.recon.fit import (
     fit_scene,
     loss_and_grad,
     params_to_scene,
-    scene_to_params,
     track_assignments,
 )
 from semvid.recon.render import (
@@ -46,6 +44,8 @@ from semvid.recon.scene import (
     save_scene,
     scene_params,
 )
+
+from scenes import make_gradient_check_scene, mutable_params
 
 
 def _identity_basis_quats(n_bases, n_timesteps):
@@ -127,8 +127,9 @@ def project(mu: np.ndarray, sigma: np.ndarray, camera: Camera):
     z = x_cam[2]
     if z <= 0:
         raise ValueError("point has non-positive camera depth (culled)")
-    fx, fy = camera.fx, camera.fy
-    mu2d = np.array([fx * x_cam[0] / z + camera.cx, fy * x_cam[1] / z + camera.cy])
+    k = camera.intrinsics
+    fx, fy = k[0, 0], k[1, 1]
+    mu2d = np.array([fx * x_cam[0] / z + k[0, 2], fy * x_cam[1] / z + k[1, 2]])
     j = np.array(
         [
             [fx / z, 0.0, -fx * x_cam[0] / z**2],
@@ -143,7 +144,7 @@ class TestProject:
     def test_optical_axis_maps_to_principal_point(self):
         cam = default_camera(64, 64, focal=80.0)
         mu2d, _ = project(np.array([0.0, 0.0, 3.0]), 0.01 * np.eye(3), cam)
-        assert np.allclose(mu2d, [cam.cx, cam.cy])
+        assert np.allclose(mu2d, [cam.intrinsics[0, 2], cam.intrinsics[1, 2]])
 
     def test_isotropic_covariance(self):
         cam = default_camera(64, 64, focal=80.0)
@@ -479,7 +480,7 @@ class TestFitting:
         gt = make_gradient_check_scene()
         frames, depths, _ = make_fit_inputs(gt, n_tracks=2)
         test_scene = perturb_scene(gt, seed=9, mean_sigma=0.03, color_sigma=0.04)
-        params = scene_to_params(test_scene)
+        params = mutable_params(test_scene)
         _, grads = loss_and_grad(params, frames, depths, None, test_scene)
 
         def loss_only(p):
@@ -504,7 +505,7 @@ class TestFitting:
     def test_ground_truth_is_fixed_point(self):
         gt = make_gradient_check_scene()
         frames, depths, tracks = make_fit_inputs(gt, n_tracks=2)
-        loss, grads = loss_and_grad(scene_to_params(gt), frames, depths, tracks, gt)
+        loss, grads = loss_and_grad(mutable_params(gt), frames, depths, tracks, gt)
         assert loss == 0.0
         for key in PARAM_KEYS:
             assert not grads[key].any()
@@ -522,7 +523,7 @@ class TestFitting:
     def test_divergence_raises(self):
         gt = make_gradient_check_scene()
         frames, depths, _ = make_fit_inputs(gt, n_tracks=2)
-        bad = scene_to_params(gt)
+        bad = mutable_params(gt)
         bad["means"][0, 0] = np.nan
         with pytest.raises(FitDivergenceError):
             loss_and_grad(bad, frames, depths, None, gt)
@@ -548,7 +549,7 @@ class TestParamsToScene:
     @pytest.mark.parametrize("make", [make_benchmark_scene, make_gradient_check_scene])
     def test_round_trip_is_exact(self, make):
         scene = make()
-        back = params_to_scene(scene_to_params(scene), scene)
+        back = params_to_scene(mutable_params(scene), scene)
         for name in (*PARAM_KEYS, "background"):
             if name not in ("quats", "basis_quats"):
                 assert np.array_equal(getattr(back, name), getattr(scene, name)), name
@@ -562,7 +563,7 @@ class TestParamsToScene:
 
     def test_out_of_range_params_are_clamped(self):
         scene = make_gradient_check_scene()
-        params = scene_to_params(scene)
+        params = mutable_params(scene)
         params["opacities"][:] = [1.5, -0.2]
         params["colors"][0] = [-0.5, 0.5, 2.0]
         params["scales"][1] = [-1.0, 0.0, 0.2]
@@ -687,7 +688,7 @@ class TestOptimizerPin:
     @pytest.mark.parametrize("max_backtracks", [1, 3])
     def test_l1_fit_bits(self, monkeypatch, max_backtracks):
         gt = make_benchmark_scene(8, 48, 20)
-        target = scene_to_params(gt)
+        target = mutable_params(gt)
         target["opacities"][:] = 1.0            # above 1 - OPACITY_EPS
         target["colors"][0, 2] = -0.25          # below 0
         target["scales"][0, 2] = SCALE_FLOOR / 10

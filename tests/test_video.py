@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,8 @@ class TestRawFiles:
         ("width", -6), ("height", -4), ("width", 0), ("height", 4.0),
         ("fps", 0.0), ("fps", -8.0), ("fps", float("inf")), ("fps", float("nan")),
         ("fps", False), ("fps", "8.0"),
+        # no field: the value is the whole sidecar, valid JSON but no object
+        (None, 42), (None, None), (None, "width height fps frames"),
     ])
     def test_bad_sidecar_field_rejected(self, tmp_path, field, value):
         # the payload is left alone, so only the field's check can refuse it
@@ -136,9 +139,13 @@ class TestRawFiles:
         save_raw(_video(3), path)
         sidecar = path.with_suffix(".json")
         header = json.loads(sidecar.read_text())
-        header[field] = value
+        if field is None:
+            header = value
+        else:
+            header[field] = value
         sidecar.write_text(json.dumps(header))
-        with pytest.raises(IOError, match=f"field '{field}'"):
+        match = f"field '{field}'" if field else re.escape(f"sidecar {sidecar} must")
+        with pytest.raises(IOError, match=match):
             load_raw(path)
 
     def test_integral_fps_read_as_float(self, tmp_path):
