@@ -308,9 +308,10 @@ def prepare_classical(gop: VideoSequence, qp: float, code: LdpcCode) -> Prepared
 def transmit_prepared(prep: PreparedClassical, ch: ChannelConfig, prev_frame: Frame = None, *,
                       max_iters: int):
     bs, code = prep.bitstream, prep.code
-    received = awgn(prep.symbols, ch)
-    llrs = bpsk_demodulate(received, noise_variance(ch.snr_db))
-    decoded, converged = ldpc_decode(llrs, code, max_iters=max_iters)
+    # the float64 noise and LLRs are freed as the decode returns
+    decoded, converged = ldpc_decode(
+        bpsk_demodulate(awgn(prep.symbols, ch), noise_variance(ch.snr_db)), code,
+        max_iters=max_iters)
     decoded = decoded[: bs.bit_length]
     if converged.all() and np.array_equal(decoded, bs.bits):
         frames = prep.clean_decode

@@ -30,16 +30,13 @@ The blocks that fail the initial hard-decision check are split into parts
 of at most ``PART_BYTES`` of messages per array (64 blocks for k = 512), so
 that a part's messages stay in a core's L2 cache: BP's time goes to memory
 traffic more than to ``tanh``, and one part per CPU (about 500 blocks, 6 MB
-of messages per array) did not fit.  One worker per CPU the process may run
-on decodes the parts (``_bp_part``): the caller's thread and the threads of
-a pool opened for that decode, worker w taking parts w, w + workers, ...,
-while numpy releases the interpreter lock inside the ufuncs and gathers.  No pool
-outlives its decode, so a forked child never inherits one whose threads it
-lacks.  The split cannot change a bit: every operation is elementwise along
-the block axis or gathers whole rows, the packed syndrome XORs bit by bit,
-and nothing reduces across blocks, so a block's float32 arithmetic is the
-same whichever blocks share its part, and each part writes only its own
-blocks' rows of the results.
+of messages per array) did not fit.  ``parallel_map`` decodes the parts
+(``_bp_part``) with one worker per CPU, or inline when the decode itself runs
+in a worker (one point of an SNR sweep).  The split cannot change a bit:
+every operation is elementwise along the block axis or gathers whole rows,
+the packed syndrome XORs bit by bit, and nothing reduces across blocks, so a
+block's float32 arithmetic is the same whichever blocks share its part, and
+each part writes only its own blocks' rows of the results.
 Construction finds 4-cycles from the check lists and runs once per (k, seed)
 in a process: ``make_ldpc_code`` is memoized and returns a read-only code.
 Encoding is a GF(2) product by table lookup, the "Four Russians" method
@@ -52,13 +49,12 @@ gather and one XOR reduction over its ceil(k / 8) info bytes.
 from __future__ import annotations
 
 import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .channel import SymbolBlock
+from .parallel import parallel_map
 
 # every code is (3, 6)-regular: rate 1/2 with each check of full degree
 VAR_DEGREE = 3
@@ -77,13 +73,6 @@ PART_BYTES = 768 * 1024
 def _part_blocks(code: LdpcCode) -> int:
     """Blocks per BP part for ``code``: one float32 message per edge and block."""
     return max(1, PART_BYTES // (code.check_neighbors.size * 4))
-
-
-def _worker_count() -> int:
-    """CPUs this process may run on, one BP worker each."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _gf2_row_reduce(mat: np.ndarray):
@@ -408,20 +397,9 @@ def ldpc_decode(llrs, code: LdpcCode, max_iters: int = 50):
     idx = np.nonzero(~converged)[0]
     if idx.size > 0 and max_iters >= 2:
         size = _part_blocks(code)
-        parts = [idx[i:i + size] for i in range(0, idx.size, size)]
-        workers = min(_worker_count(), len(parts))
-
-        def run_parts(w: int) -> None:
-            for part in parts[w::workers]:  # worker w decodes every workers-th part
-                _bp_part(blocks, part, code, max_iters, decided, converged, unsatisfied)
-
-        # leaving the with block waits for every worker, also when the
-        # caller's parts raise
-        with ThreadPoolExecutor(max(1, workers - 1), "ldpc-bp") as pool:
-            futures = [pool.submit(run_parts, w) for w in range(1, workers)]
-            run_parts(0)
-        for future in futures:
-            future.result()  # re-raises a part's exception
+        parallel_map(lambda part: _bp_part(blocks, part, code, max_iters, decided, converged,
+                                           unsatisfied),
+                     [idx[i:i + size] for i in range(0, idx.size, size)])
 
     info = decided[:, code.info_positions].reshape(-1)
     return info, converged

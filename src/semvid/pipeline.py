@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
+from concurrent.futures import Future
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -25,6 +27,7 @@ from .classical import prepare_classical, transmit_prepared
 from .config import LinkSettings, NodeSettings, ReconSettings, RunConfig, VideoSource
 from .ldpc import make_ldpc_code
 from .metrics import ClipMsSsim, epe, ms_ssim, pck, psnr
+from .parallel import parallel_map
 from .recon.fit import fit_scene
 from .recon.render import render
 from .recon.scene import pose_pipeline, scene_params
@@ -158,18 +161,25 @@ def video_quality(reference: VideoSequence, received: VideoSequence, scales: int
 
 def quality_scorer(reference: VideoSequence, scales: int):
     """``video_quality`` against ``reference`` as a function of the received
-    clip, for scoring many: the reference side of MS-SSIM is computed once
-    and kept, and a received clip equal to one scored before, frame bytes
-    and all, reuses its scores."""
+    clip, for scoring many from any thread: the reference side of MS-SSIM
+    is computed once and kept, and a received clip equal to one scored
+    before, frame bytes and all, reuses its scores, or waits for them (or
+    their exception) while the first caller computes them."""
     ms_ssim_of = ClipMsSsim(reference.to_array(), scales)
-    scored = {}
+    scored, lock = {}, threading.Lock()
 
     def score(received: VideoSequence) -> dict:
         clip = received.to_array()
         key = (clip.shape, hashlib.sha1(clip).digest())
-        if key not in scored:
-            scored[key] = _quality(reference, received, ms_ssim_of.frame_scores(clip))
-        return dict(scored[key])
+        with lock:
+            first = key not in scored
+            future = scored.setdefault(key, Future())
+        if first:
+            try:
+                future.set_result(_quality(reference, received, ms_ssim_of.frame_scores(clip)))
+            except BaseException as exc:
+                future.set_exception(exc)  # raised by result() below
+        return dict(future.result())
 
     return score
 
@@ -278,17 +288,24 @@ class ComparisonReport:
 def compare_baselines(cfg: RunConfig) -> ComparisonReport:
     """Both chains on the reference clip: quality over the SNR grid, each
     chain encoding the clip once and sending it at every point, and delay
-    at the reference wireless throughput.  A custom grid is
-    ``compare_baselines(replace(cfg, sweep_snrs_db=...))``."""
+    at the reference wireless throughput.  The (SNR, chain) points run on
+    one worker per CPU (``parallel_map``); rows keep grid order.  A custom
+    grid is ``compare_baselines(replace(cfg, sweep_snrs_db=...))``."""
     video = resolve_video(cfg.video)
     clips = {chain: prepare_clip(video, chain, cfg) for chain in CHAINS}
     quality = quality_scorer(video, cfg.metrics.ms_ssim_scales)
-    rows, bits = [], {}
-    for snr in cfg.sweep_snrs_db:
-        for chain in CHAINS:
-            received, st = send(clips[chain], cfg, snr, chain, "sweep", f"{snr:.3f}")
-            bits[chain] = st.payload_bits + st.side_info_bits
-            rows.append({"snr_db": float(snr), "chain": chain, **quality(received)})
+
+    def run_point(point):
+        snr, chain = point
+        received, st = send(clips[chain], cfg, snr, chain, "sweep", f"{snr:.3f}")
+        return st.payload_bits + st.side_info_bits, {
+            "snr_db": float(snr), "chain": chain, **quality(received)}
+
+    # the points are independent: each send draws its noise from its own seed
+    points = parallel_map(run_point, [(snr, chain) for snr in cfg.sweep_snrs_db
+                                      for chain in CHAINS])
+    rows = [row for _, row in points]
+    bits = {row["chain"]: b for b, row in points}  # each chain's last point in the grid
     sem_delay, cls_delay = (stage_latency(bits[chain], cfg.links.wireless, 0.0, cfg.nodes.end)
                             for chain in ("semantic", "classical"))
     return ComparisonReport(

@@ -150,7 +150,10 @@ def load_raw(path) -> VideoSequence:
     sidecar = _sidecar_path(path)
     if not sidecar.exists():
         raise IOError(f"missing sidecar header {sidecar}")
-    header = json.loads(sidecar.read_text())
+    try:
+        header = json.loads(sidecar.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise IOError(f"sidecar {sidecar} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise IOError(f"sidecar {sidecar} must hold a JSON object, got {header!r}")
     missing = [k for k in SIDECAR_FIELDS if k not in header]

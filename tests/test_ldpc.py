@@ -9,7 +9,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from semvid import ldpc
+from semvid import ldpc, parallel
 from semvid.channel import ChannelConfig, awgn, noise_variance
 from semvid.ldpc import (
     LLR_MAX,
@@ -365,7 +365,7 @@ class TestSplitDecode:
                 # part size 1 runs the most workers the batch allows, one per block
                 for workers in (1, 2, 3, len(SPLIT_SNRS_DB) + 5):
                     monkeypatch.setattr(ldpc, "_part_blocks", lambda code, b=part_blocks: b)
-                    monkeypatch.setattr(ldpc, "_worker_count", lambda w=workers: w)
+                    monkeypatch.setattr(parallel, "_worker_count", lambda w=workers: w)
                     results[part_blocks, workers] = ldpc_decode(split_llrs, ldpc_code)
         finally:
             sys.setswitchinterval(interval)
@@ -383,10 +383,10 @@ class TestSplitDecode:
                 raise FloatingPointError(f"injected in the {where} part")
             return real(t, out)
 
-        # three parts on two workers: the caller decodes parts 0 and 2, the
-        # pool thread part 1
+        # three parts on two workers, each claiming the next part: the caller
+        # and the pool thread each decode at least one
         monkeypatch.setattr(ldpc, "_part_blocks", lambda code: len(SPLIT_SNRS_DB) // 3)
-        monkeypatch.setattr(ldpc, "_worker_count", lambda: 2)
+        monkeypatch.setattr(parallel, "_worker_count", lambda: 2)
         monkeypatch.setattr(ldpc, "_exclude_self_products", failing)
         with pytest.raises(FloatingPointError, match=where):
             ldpc_decode(split_llrs, ldpc_code)
@@ -394,10 +394,10 @@ class TestSplitDecode:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_decodes(self, ldpc_code, mixed_llrs, monkeypatch):
         monkeypatch.setattr(ldpc, "_part_blocks", lambda code: 2)
-        monkeypatch.setattr(ldpc, "_worker_count", lambda: 2)
+        monkeypatch.setattr(parallel, "_worker_count", lambda: 2)
         info, converged = ldpc_decode(mixed_llrs, ldpc_code)
         # each decode's pool is gone when it returns: the child inherits none
-        assert not any(t.name.startswith("ldpc-bp") for t in threading.enumerate())
+        assert not any(t.name.startswith(parallel.THREAD_PREFIX) for t in threading.enumerate())
         with warnings.catch_warnings():
             # newer Pythons warn on forking a process that has threads
             warnings.simplefilter("ignore", DeprecationWarning)

@@ -2,10 +2,11 @@
 ``tests/`` imports a name it never uses, no module under ``src/`` defines a
 top-level private name (``_name``) that it never reads, every defaulted
 parameter of a top-level private function in ``src/`` is set by some call
-and left unset by another, and every public name in ``src/`` is read by the
-program, not only by the tests.  Package ``__init__`` modules re-export what
-they import and are exempt from the import check, as is an import on a line
-marked ``# noqa: F401``.
+and left unset by another, every public name in ``src/`` is read by the
+program, not only by the tests, and only ``semvid.parallel`` starts
+threads.  Package ``__init__`` modules re-export what they import and are
+exempt from the import check, as is an import on a line marked
+``# noqa: F401``.
 
 A public name (a top-level function, class or constant, or a method or
 property of a top-level class) counts as read when code outside ``tests/``
@@ -201,3 +202,35 @@ PROGRAM_READS = _program_reads()
 @pytest.mark.parametrize("path", SRC_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_public_name_only_tests_read(path):
     assert unread_public_names(path.read_text(), *PROGRAM_READS) == []
+
+
+def thread_constructions(source: str) -> list:
+    """(line, name) of each call that constructs a ``ThreadPoolExecutor`` or
+    a ``threading.Thread``, under whatever name it was imported."""
+    tree = ast.parse(source)
+    imported = {a.asname or a.name: a.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            name = imported.get(name, name)
+            if name in ("ThreadPoolExecutor", "Thread"):
+                found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_thread_construction_is_found():
+    source = ("import threading\nfrom concurrent.futures import ThreadPoolExecutor as Pool\n"
+              "from threading import Thread\n\nthreading.Thread(target=print)\n"
+              "with Pool(2) as pool:\n    Thread().start()\nthreading.Lock()\n")
+    assert thread_constructions(source) == [(5, "Thread"), (6, "ThreadPoolExecutor"),
+                                            (7, "Thread")]
+
+
+# semvid.parallel is the program's one parallelism mechanism
+@pytest.mark.parametrize("path", [p for p in SRC_MODULES if p.name != "parallel.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_threads_only_in_parallel_module(path):
+    assert thread_constructions(path.read_text()) == []

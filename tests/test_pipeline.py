@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import threading
 from dataclasses import FrozenInstanceError, asdict, replace
 from pathlib import Path
 
@@ -24,10 +25,12 @@ from semvid.config import (
     save_config,
 )
 import semvid.pipeline
+from semvid import parallel
 from semvid.metrics import ClipMsSsim, ms_ssim, psnr
 from semvid.pipeline import (
     compare_baselines,
     prepare_clip,
+    quality_scorer,
     resolve_video,
     run_service,
     send,
@@ -311,25 +314,30 @@ class TestSweep:
 @pytest.fixture(scope="module")
 def reference_sweep():
     """``compare``'s sweep on the reference config: its rows, every received
-    video in row order, and how many clips ``ClipMsSsim`` scored."""
+    video in row order, and how many clips ``ClipMsSsim`` scored.  The
+    points run concurrently, so each received video is recorded under the
+    (SNR, chain) it was sent at."""
     cfg = reference_config()
-    received, scored = [], [0]
+    received, scored = {}, []
     real_send, real_scores = semvid.pipeline.send, ClipMsSsim.frame_scores
 
-    def recording_send(*args, **kwargs):
-        out = real_send(*args, **kwargs)
-        received.append(out[0])
+    def recording_send(clip, cfg, snr_db, *labels):
+        out = real_send(clip, cfg, snr_db, *labels)
+        assert (snr_db, clip.chain) not in received  # one send per point
+        received[snr_db, clip.chain] = out[0]
         return out
 
     def counting_scores(self, clip):
-        scored[0] += 1
+        scored.append(clip)  # one append per call, however the threads interleave
         return real_scores(self, clip)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(semvid.pipeline, "send", recording_send)
         mp.setattr(ClipMsSsim, "frame_scores", counting_scores)
         curve = compare_baselines(cfg).curve
-    return cfg, resolve_video(cfg.video), curve.rows, received, scored[0]
+    in_rows = [received[row["snr_db"], row["chain"]] for row in curve.rows]
+    assert len(in_rows) == len(received)
+    return cfg, resolve_video(cfg.video), curve.rows, in_rows, len(scored)
 
 
 @pytest.fixture(scope="module")
@@ -366,6 +374,96 @@ class TestSweepScoring:
         # decodes cleanly from 5 dB up
         assert len(distinct) == 10
         assert scored == len(distinct)
+
+
+class TestConcurrentSweep:
+    """``compare_baselines`` runs its (SNR, chain) points on one worker per
+    CPU; no schedule may change a byte of the report."""
+
+    # eight points on both sides of the classical cliff; the classical
+    # points receive one clip below it and another above it, so concurrent
+    # points ask the scorer for one clip
+    SNRS_DB = (-10.0, 0.0, 5.0, 25.0)
+
+    def test_report_independent_of_worker_count(self, tiny_config, monkeypatch):
+        cfg = replace(tiny_config, sweep_snrs_db=self.SNRS_DB)
+        reports = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(parallel, "_worker_count", lambda w=workers: w)
+            reports[workers] = compare_baselines(cfg).to_json()
+        assert reports[2] == reports[1]
+        assert reports[3] == reports[1]
+
+    @pytest.mark.parametrize("where", ["pool", "caller"])
+    def test_exception_in_a_point_propagates(self, tiny_config, monkeypatch, where):
+        real_send = semvid.pipeline.send
+
+        def failing_send(*args):
+            if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
+                raise FloatingPointError(f"injected in a {where} point")
+            return real_send(*args)
+
+        monkeypatch.setattr(parallel, "_worker_count", lambda: 2)
+        monkeypatch.setattr(semvid.pipeline, "send", failing_send)
+        with pytest.raises(FloatingPointError, match=where):
+            compare_baselines(replace(tiny_config, sweep_snrs_db=self.SNRS_DB))
+
+    def test_no_thread_outlives_the_call(self, tiny_config, monkeypatch):
+        senders = set()
+        real_send = semvid.pipeline.send
+
+        def recording_send(*args):
+            senders.add(threading.current_thread().name)
+            return real_send(*args)
+
+        monkeypatch.setattr(parallel, "_worker_count", lambda: 2)
+        monkeypatch.setattr(semvid.pipeline, "send", recording_send)
+        before = set(threading.enumerate())
+        compare_baselines(replace(tiny_config, sweep_snrs_db=self.SNRS_DB))
+        # a pool thread sent some points, and it is gone once the call returns
+        assert any(name.startswith(parallel.THREAD_PREFIX) for name in senders)
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["scores", "raises"])
+    def test_two_threads_score_one_clip_once(self, small_clip, monkeypatch, fails):
+        scorers, entered, release = [], threading.Event(), threading.Event()
+        real_scores = ClipMsSsim.frame_scores
+
+        def held_scores(self, clip):
+            scorers.append(threading.current_thread().name)
+            entered.set()
+            release.wait(10)
+            if fails:
+                raise FloatingPointError("injected in scoring")
+            return real_scores(self, clip)
+
+        monkeypatch.setattr(ClipMsSsim, "frame_scores", held_scores)
+        score = quality_scorer(small_clip, scales=1)
+        results = {}
+
+        def ask(name):
+            try:
+                results[name] = score(small_clip)
+            except FloatingPointError as exc:
+                results[name] = exc
+
+        first = threading.Thread(target=ask, args=("first",), name="first")
+        second = threading.Thread(target=ask, args=("second",), name="second")
+        first.start()
+        assert entered.wait(10)
+        second.start()
+        second.join(0.2)
+        assert second.is_alive()  # waiting for the first caller's result
+        release.set()
+        for thread in (first, second):
+            thread.join(10)
+            assert not thread.is_alive()
+        assert scorers == ["first"]
+        if fails:
+            assert results["first"] is results["second"]
+        else:
+            assert results["first"] == results["second"] == video_quality(
+                small_clip, small_clip, scales=1)
 
 
 def test_video_quality_refuses_clips_of_another_length(small_clip):

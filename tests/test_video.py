@@ -148,6 +148,15 @@ class TestRawFiles:
         with pytest.raises(IOError, match=match):
             load_raw(path)
 
+    @pytest.mark.parametrize("text", [b"{width", b"\xff\xfe"], ids=["not-json", "not-utf8"])
+    def test_unreadable_sidecar_rejected(self, tmp_path, text):
+        path = tmp_path / "clip.rgb"
+        save_raw(_video(3), path)
+        sidecar = path.with_suffix(".json")
+        sidecar.write_bytes(text)
+        with pytest.raises(IOError, match=re.escape(f"sidecar {sidecar} is not UTF-8 JSON")):
+            load_raw(path)
+
     def test_integral_fps_read_as_float(self, tmp_path):
         path = tmp_path / "clip.rgb"
         save_raw(_video(2), path)
