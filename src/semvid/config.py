@@ -78,6 +78,7 @@ class ClassicalSettings:
         if not self.qp / 255.0 > 0:  # the quantizer step
             raise ValueError("qp must be positive, and so must its step qp / 255")
         _at_least(self, VAR_DEGREE * CHECK_DEGREE, "ldpc_k")
+        _at_least(self, 0, "ldpc_seed")
         _at_least(self, 1, "max_iters")
 
 
@@ -271,7 +272,11 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def load_config(path) -> RunConfig:
-    return config_from_dict(json.loads(Path(path).read_text()))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"config file {path} is not UTF-8 JSON: {exc}") from exc
+    return config_from_dict(data)
 
 
 def save_config(cfg: RunConfig, path) -> None:

@@ -4,6 +4,8 @@ import pytest
 from semvid.fixtures import make_test_clip
 from semvid.ldpc import make_ldpc_code
 
+pytest.register_assert_rewrite("pins")  # before a test module imports it
+
 
 @pytest.fixture(scope="session")
 def reference_clip():

@@ -1,0 +1,313 @@
+"""The pin registry: every exact value the tests pin, by name.
+
+``TABLE`` maps a pin's name to a function of no arguments that computes
+its value, and ``pins.json`` holds the values recorded from it: a SHA-256
+(``sha256``) or, where one computation gives several, a dict of them and
+of the exact values that go with them (a send's ``TxStats``, optimizer
+counts).  The tests only compare (``check``); ``record_pins.py`` is the
+only writer.  The module imports without pytest.
+"""
+
+import hashlib
+import io
+import json
+import tempfile
+from contextlib import redirect_stdout
+from dataclasses import asdict, replace
+from functools import cache, lru_cache, partial
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+
+from semvid import channel, classical, cli, config, fixtures, ldpc, metrics, pipeline, semantic
+from semvid.recon import fit, save_scene
+from semvid.video import Frame, VideoSequence
+
+from scenes import make_gradient_check_scene, mutable_params
+
+PINS_FILE = Path(__file__).with_name("pins.json")
+SEMANTIC_CFG = semantic.SemanticCodecConfig()
+# budgets around the common map's size (n_common), a service-sized one and
+# ten times every element; "noise50" is odd-sized, so its frames are padded
+SEMANTIC_BUDGETS = ("100", "n_common", "n_common+1", "18000", "10*total")
+CODER_CLIPS = {
+    "reference": (112, 112, 8, 8.0, 2024),  # the reference config's user clip
+    "40x24": (40, 24, 3, 8.0, 9),           # not a multiple of the macroblock
+}
+CODER_QPS = (1.0, 5.0, 16.0)
+CODE_KEYS = ((512, 11), (256, 11), (128, 5), (64, 3), (72, 3), (512, 2024), (512, 2031),
+             (1024, 11))
+CODE_FIELDS = ("parity_check", "check_neighbors", "var_edge_check", "var_edge_slot",
+               "info_positions", "parity_positions", "encode_matrix")
+# the -10 and 0 dB blocks never converge and leave when they stall, the 2
+# and 5 dB ones converge part-way
+MIXED_SNRS_DB = (-10.0, -10.0, 0.0, 0.0, 2.0, 2.0, 5.0, 5.0)
+WATERFALL_SNRS_DB = (1.5, 2.0)  # some of the reference clip's 1,026 LDPC blocks fail
+MULTI_GOP_SENDS = tuple((chain, snr) for chain in ("classical", "semantic")
+                        for snr in (0.0, 2.0, 25.0))
+
+
+def sha256(*parts) -> str:
+    """SHA-256 of the concatenated parts: bytes as they are, anything else
+    as the bytes of a C-contiguous array of it."""
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part if isinstance(part, bytes) else np.ascontiguousarray(part).tobytes())
+    return digest.hexdigest()
+
+
+def noise_gop(seed=42, n=4, size=64):
+    """``n`` smoothed-noise frames, quantized to 8 bits."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for _ in range(n):
+        x = rng.standard_normal((size, size, 3))
+        for _ in range(2):
+            x = (np.roll(x, 1, 0) + np.roll(x, -1, 0) + np.roll(x, 1, 1) + np.roll(x, -1, 1) + 4 * x) / 8
+        frames.append(np.clip(0.5 + 0.25 * x / np.abs(x).std(), 0, 1))
+    return VideoSequence.from_array(np.round(np.stack(frames) * 255) / 255, 8.0)
+
+
+def semantic_chain(gop_name, budget):
+    """What ``prepare_semantic`` sends (both masks, the symbols and their
+    scale, the locations, the scales, the side-information bits), and the
+    frames ``transmit_packet`` gives at three SNRs."""
+    gop = noise_gop(n=3, size=50) if gop_name == "noise50" else fixtures.make_test_clip(112, 112)
+    latent = semantic.latent_transform(gop, SEMANTIC_CFG)
+    maps = semantic.extract_common(semantic.jscc_encode(latent, SEMANTIC_CFG))
+    n_common, total = maps.common.size, maps.common.size + maps.individual.size
+    symbols = {"100": 100, "n_common": n_common, "n_common+1": n_common + 1,
+               "18000": 18000, "10*total": 10 * total}[budget]
+    p = semantic.prepare_semantic(gop, symbols, SEMANTIC_CFG)
+    pin = {"packet": sha256(p.kept_common, p.kept_individual, p.block.symbols,
+                            np.float64(p.block.scale), p.locations, p.scales,
+                            np.int64(p.side_info_bits))}
+    for snr in (-10.0, 5.0, 300.0):
+        received, _ = semantic.transmit_packet(p, channel.ChannelConfig(snr_db=snr, seed=5),
+                                               SEMANTIC_CFG)
+        pin[f"snr{snr}"] = sha256([f.data for f in received])
+    return pin
+
+
+def classical_coder(clip, qp):
+    """The bits and block map; the clean decode; a decode with every 7th
+    512-bit block flagged corrupted; and one with every 997th bit flipped
+    and nothing flagged, so the parser meets the damage.  Both damaged
+    decodes conceal from the GOP's last frame."""
+    gop = fixtures.make_test_clip(*CODER_CLIPS[clip])
+    bs = classical.source_encode(gop, qp)
+    n = bs.bit_length
+    corrupted = [(b, min(b + 512, n)) for b in range(0, n, 7 * 512)]
+    flipped = bs.bits.copy()
+    flipped[::997] ^= 1
+    decodes = {"clean": (bs,), "flagged": (bs, corrupted, gop.frames[-1]),
+               "flipped": (replace(bs, bits=flipped), None, gop.frames[-1])}
+    return {"stream": sha256(bs.bits, bs.block_map),
+            **{name: sha256([f.data for f in classical.source_decode(*args)])
+               for name, args in decodes.items()}}
+
+
+def code_arrays(k, seed):
+    """Each array of the code, after its name, dtype and shape."""
+    code = ldpc.make_ldpc_code(k, seed)
+    parts = []
+    for name in CODE_FIELDS:
+        arr = getattr(code, name)
+        parts += [name.encode(), str(arr.dtype).encode(), str(arr.shape).encode(), arr]
+    return sha256(*parts)
+
+
+def noisy_llrs(code, snrs_db, seed):
+    """One block per SNR: random info bits, BPSK over AWGN, channel LLRs."""
+    info = np.random.default_rng(seed).integers(0, 2, code.k * len(snrs_db)).astype(np.uint8)
+    coded = ldpc.ldpc_encode(info, code).reshape(len(snrs_db), -1)
+    llrs = []
+    for b, snr in enumerate(snrs_db):
+        received = channel.awgn(ldpc.bpsk_modulate(coded[b]),
+                                channel.ChannelConfig(snr_db=snr, seed=b))
+        llrs.append(ldpc.bpsk_demodulate(received, channel.noise_variance(snr)))
+    return np.concatenate(llrs)
+
+
+@cache
+def mixed_llrs():
+    return noisy_llrs(ldpc.make_ldpc_code(512, 11), MIXED_SNRS_DB, seed=2024)
+
+
+def mixed_batch(stall_exit):
+    """The decoded mixed batch and its converged flags.  Without the stall
+    exit, a stall count no block can reach gives every block every
+    iteration."""
+    with mock.patch.object(ldpc, "STALL_ITERS", ldpc.STALL_ITERS if stall_exit else 50):
+        return sha256(*ldpc.ldpc_decode(mixed_llrs(), ldpc.make_ldpc_code(512, 11),
+                                        max_iters=50))
+
+
+@cache
+def reference_clip(chain, gop_size):
+    """The reference config with GOPs of ``gop_size``, and its clip prepared."""
+    base = config.reference_config()
+    cfg = replace(base, semantic=replace(base.semantic, gop_size=gop_size))
+    return cfg, pipeline.prepare_clip(pipeline.resolve_video(cfg.video), chain, cfg)
+
+
+@lru_cache(maxsize=1)  # a test's send, reused by its check
+def reference_send(chain, gop_size, snr_db, label):
+    """A send of ``reference_clip``; ``semvid transmit`` draws its channel
+    seeds under the label "cli".  As GOPs of 3, 3 and 2 frames at 0 dB the
+    classical chain loses every LDPC block, so every frame is concealed
+    gray; at 2 dB it loses some, and GOPs 2 and 3 conceal them from the
+    previous GOP's last frame."""
+    cfg, clip = reference_clip(chain, gop_size)
+    return pipeline.send(clip, cfg, snr_db, chain, label, f"{snr_db:.3f}")
+
+
+def sent(*send_args):
+    """The received frames and the ``TxStats`` of ``reference_send``."""
+    received, stats = reference_send(*send_args)
+    return {"frames": sha256(received.to_array()), "stats": asdict(stats)}
+
+
+def service_reports_without_fit():
+    """The service report when the scene fit does not run, so no fit floats
+    go in: disabled in the config, or never reached as compositing raises."""
+    ref = config.reference_config()
+    disabled = pipeline.run_service(
+        replace(ref, reconstruction=replace(ref.reconstruction, enabled=False)))
+    with mock.patch.object(pipeline, "composite", side_effect=ValueError("boom")):
+        raising = pipeline.run_service(ref)
+    return {"reconstruction_disabled": sha256(disabled.to_json().encode()),
+            "composite_raises": sha256(raising.to_json().encode())}
+
+
+def show_config_output():
+    """The reference config file's keys, defaults and layout."""
+    with redirect_stdout(io.StringIO()) as out:
+        cli.main(["show-config"])
+    return sha256(out.getvalue().encode())
+
+
+def track_weights(case):
+    """The reference fit's track assignments (benchmark scene, 4 tracks,
+    assigned on its perturbed start), or the gradient check scene's (2)."""
+    if case == "reference":
+        gt = fixtures.make_benchmark_scene(8, 48, 20)
+        scene, n_tracks = fixtures.perturb_scene(gt, 5), 4
+    else:
+        gt = scene = make_gradient_check_scene()
+        n_tracks = 2
+    _, _, tracks = fixtures.make_fit_inputs(gt, n_tracks)
+    return sha256(fit.track_assignments(scene, tracks.query_pixels))
+
+
+def scene_file():
+    """The benchmark scene's file; it holds exact constants only, so it does
+    not depend on the platform's libm."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scene.json"
+        save_scene(fixtures.make_benchmark_scene(), path)
+        return sha256(path.read_bytes())
+
+
+class L1Objective:
+    """A stand-in for the fit objective that calls no BLAS: the L1 distance
+    of the parameters to ``target`` (``np.abs``, ``np.sum`` and ``np.sign``
+    only), so a fit against it gives the same bits under every BLAS
+    kernel."""
+
+    def __init__(self, target):
+        self.target = target
+
+    def forward(self, params):
+        total = 0.0
+        for key in fit.PARAM_KEYS:
+            total += float(np.sum(np.abs(params[key] - self.target[key])))
+        return total, "placeholder"
+
+    def backward(self, params, fwd) -> dict:
+        return {key: np.sign(params[key] - self.target[key]) for key in fit.PARAM_KEYS}
+
+
+@cache
+def l1_fit(max_backtracks):
+    """80 iterations of the optimizer against ``L1Objective``, with a target
+    beyond the upper and the lower edges of the box."""
+    gt = fixtures.make_benchmark_scene(8, 48, 20)
+    target = mutable_params(gt)
+    target["opacities"][:] = 1.0            # above 1 - OPACITY_EPS
+    target["colors"][0, 2] = -0.25          # below 0
+    target["scales"][0, 2] = fit.SCALE_FLOOR / 10
+    target["means"] += 0.03
+    target["coeffs"][:, 0] += 0.2
+    target["basis_trans"] -= 0.01
+    n = gt.n_timesteps
+    with (mock.patch.object(fit, "_Objective", lambda *args: L1Objective(target)),
+          mock.patch.object(fit, "LEARNING_RATES", {k: 0.05 for k in fit.PARAM_KEYS}),
+          mock.patch.object(fit, "MAX_BACKTRACKS", max_backtracks)):
+        return fit.fit_scene([None] * n, [None] * n, None, fixtures.perturb_scene(gt, seed=5), 80)
+
+
+def l1_fit_bits(max_backtracks):
+    """The counts, and a digest of the losses, fitted arrays and counts."""
+    result = l1_fit(max_backtracks)
+    counts = f"{result.backtracks} {result.rejected_steps}"
+    return {"backtracks": result.backtracks, "rejected_steps": result.rejected_steps,
+            "bits": sha256(" ".join(x.hex() for x in result.losses).encode(),
+                           *(getattr(result.scene, key) for key in fit.PARAM_KEYS),
+                           counts.encode())}
+
+
+@cache
+def ms_ssim_scores():
+    """``ms_ssim(...).hex()`` of a fixed battery of calls: one- and
+    three-channel frames of even and odd sizes at every scale count they
+    allow, as ndarrays and as ``Frame``s, against a noisy copy, a
+    blurred-looking copy, an inverted copy and the frame itself."""
+    scores = []
+    for seed, shape in enumerate([(24, 24), (45, 37), (45, 37, 3), (97, 89), (97, 89, 3),
+                                  (181, 177, 3)]):
+        rng = np.random.default_rng(seed)
+        a = rng.random(shape)
+        others = (np.clip(a + 0.1 * rng.standard_normal(shape), 0.0, 1.0),
+                  0.5 * (a + np.roll(a, 1, axis=0)), 1.0 - a, a)
+        max_scales = int(np.log2(min(shape[:2]) / metrics.SSIM_WINDOW)) + 1
+        for scales in range(1, min(max_scales, len(metrics.MS_SSIM_WEIGHTS)) + 1):
+            for b in others:
+                scores.append(metrics.ms_ssim(a, b, scales).hex())
+                if a.ndim == 3:
+                    scores.append(metrics.ms_ssim(Frame(a), Frame(b), scales).hex())
+    return scores
+
+
+def ms_ssim_digest():
+    return sha256("\n".join(ms_ssim_scores()).encode())
+
+
+TABLE = {
+    **{f"semantic.chain[{gop},{budget}]": partial(semantic_chain, gop, budget)
+       for gop in ("reference", "noise50") for budget in SEMANTIC_BUDGETS},
+    **{f"classical.coder[{clip},{qp}]": partial(classical_coder, clip, qp)
+       for clip in CODER_CLIPS for qp in CODER_QPS},
+    **{f"ldpc.code[{k},{seed}]": partial(code_arrays, k, seed) for k, seed in CODE_KEYS},
+    # one value today, under two names, so that a change to the stall exit
+    # can move one and not the other
+    "ldpc.mixed_batch": partial(mixed_batch, True),
+    "ldpc.mixed_batch_without_stall_exit": partial(mixed_batch, False),
+    **{f"pipeline.waterfall[{snr}]": partial(sent, "classical", 8, snr, "cli")
+       for snr in WATERFALL_SNRS_DB},
+    **{f"pipeline.multi_gop[{chain},{snr}]": partial(sent, chain, 3, snr, "multi_gop")
+       for chain, snr in MULTI_GOP_SENDS},
+    "pipeline.service_reports_without_fit": service_reports_without_fit,
+    "cli.show_config": show_config_output,
+    **{f"recon.track_assignments[{case}]": partial(track_weights, case)
+       for case in ("reference", "gradient_check")},
+    "recon.scene_file": scene_file,
+    **{f"recon.l1_fit[{n}]": partial(l1_fit_bits, n) for n in (1, 3)},
+    "metrics.ms_ssim_scores": ms_ssim_digest,
+}
+
+
+def check(name: str) -> None:
+    """Compute the pin ``name`` and compare it with its value in ``pins.json``."""
+    assert TABLE[name]() == json.loads(PINS_FILE.read_text()).get(name)

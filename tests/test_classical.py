@@ -1,4 +1,3 @@
-import hashlib
 import warnings
 from dataclasses import replace
 
@@ -23,6 +22,8 @@ from semvid.config import ClassicalSettings
 from semvid.fixtures import make_test_clip
 from semvid.metrics import psnr
 from semvid.video import Frame, VideoSequence
+
+import pins
 
 
 MAX_ITERS = ClassicalSettings().max_iters
@@ -145,78 +146,10 @@ class TestSourceCoder:
                       block_map=bs.block_map)
 
 
-def _digest(*arrays):
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()
-
-
-PINNED_CLIPS = {
-    "reference": (112, 112, 8, 8.0, 2024),  # the reference config's user clip
-    "40x24": (40, 24, 3, 8.0, 9),           # not a multiple of the macroblock
-}
-
-# SHA-256 of (bits, block map), of the clean decode, of a decode with every
-# 7th 512-bit block flagged corrupted, and of a decode with every 997th bit
-# flipped and nothing flagged (so the parser meets the damage), both
-# concealed from the GOP's last frame.  Recorded from the bit-at-a-time
-# coder this one replaced.
-PINNED_DIGESTS = {
-    ("reference", 1.0): (
-        "e48d4a5ab096bd3497e53a5b1b0dc0361e5193175d19c54535c4c393400f4313",
-        "0adbe83c325dfcd7ddf4efa094ffe27ea80fd1f27fa92f4ceaeeb7632ff6b707",
-        "2f4e20a003196eb97c9b802d4c6d9fbe85540517e6db13f2f1662af971a16eec",
-        "fccb5030d4af154638a04794d655f1783b8c35b6c2347ee72e46c828fe146024",
-    ),
-    ("reference", 5.0): (
-        "feaa50bed1b88a610385dfe21b597d0181c505da8fc83301c82eeb6e347b0c4a",
-        "da8869cf6c641726508360b9cee1171e459dcccb24988838a147885018a17c65",
-        "fadf20f7637845b9a9da259b33006d1c6843b2332430b9c1dd8b89b9f4ceb37c",
-        "eff64472657cd17382a4847341edf5fd13989f716621167089ae60b9d197fcf9",
-    ),
-    ("reference", 16.0): (
-        "1285c2dc114ceb6473766075b78f30f5b9a2e8e4fcf79f9d5421838c37879789",
-        "2a3a37167d6386917c1f20e44a3017a079c1b39c431e3299b6eaf59934f92043",
-        "67fa2e22cce0ff4c878d741af67dc0c95ff24b02e7036d5ddd3a5c2971819f3a",
-        "227536763b0badf3b982cfdfb746178960383171b0b20acf871caad7d0148f60",
-    ),
-    ("40x24", 1.0): (
-        "21f4481e17fbe4852747523b4583afd1a0bdef726c7d67c5aa2798d3b6daeb33",
-        "d8e99c0f6426ca4bad2856e55b2b4013a6559438d19fef69fafef4583832d50c",
-        "d3c23aedd5a4b2f6ccef4a6ed41b24e462c5dfdbd154b17a6604b3e21c457b47",
-        "085a35fbd695f77f6362d9a55f94993eca9a93d54c248ffc8c2049f81408ffae",
-    ),
-    ("40x24", 5.0): (
-        "cd8ec6f3ed822dd9fb6d94802e68def3705144faa1103ae5d28319268e306881",
-        "e488f86af3c148e42e4caf79bf6e5e075dc2702367cd5d7d665f8995def07964",
-        "07f093a2bd467a568f4771ece0b3dfe344c6256de05663719ce8c9942890094b",
-        "ca36ee23e5dc5a5d0ae52118a94f3aa2e67a421e769e3a6487990685ba9a572e",
-    ),
-    ("40x24", 16.0): (
-        "545bf331ca6809b5d57d9d8851fbfd06d0cd6047e3ef18326c1f60f205702c3f",
-        "c47ed5ebd985ee526ee9ff9271df5d9c7610b6dde3bc62a9be7c5fd22fabd258",
-        "700e47363280991f9530d250d6f864beb240de732067fbfbb805253834b4affa",
-        "82c4cf3b8534145da71a3b93a95ed25d9592abc1e6716893c67fd00599d8afb4",
-    ),
-}
-
-
-@pytest.mark.parametrize("clip,qp", sorted(PINNED_DIGESTS))
+@pytest.mark.parametrize("qp", pins.CODER_QPS)
+@pytest.mark.parametrize("clip", sorted(pins.CODER_CLIPS))
 def test_coder_output_pinned(clip, qp):
-    gop = make_test_clip(*PINNED_CLIPS[clip])
-    bs = source_encode(gop, qp)
-    n = bs.bit_length
-    corrupted = [(b, min(b + 512, n)) for b in range(0, n, 7 * 512)]
-    flipped = bs.bits.copy()
-    flipped[::997] ^= 1
-    got = (
-        _digest(bs.bits, bs.block_map),
-        _digest(_stack(source_decode(bs))),
-        _digest(_stack(source_decode(bs, corrupted, gop.frames[-1]))),
-        _digest(_stack(source_decode(replace(bs, bits=flipped), None, gop.frames[-1]))),
-    )
-    assert got == PINNED_DIGESTS[(clip, qp)]
+    pins.check(f"classical.coder[{clip},{qp}]")
 
 
 def _fuzz_gop():
@@ -255,8 +188,8 @@ class TestDecoderTotal:
 
 
 CLEAN_DECODE_GOPS = {
-    "reference": make_test_clip(*PINNED_CLIPS["reference"]),
-    "40x24": make_test_clip(*PINNED_CLIPS["40x24"]),
+    "reference": make_test_clip(*pins.CODER_CLIPS["reference"]),
+    "40x24": make_test_clip(*pins.CODER_CLIPS["40x24"]),
     "fuzz": FUZZ_GOP,
     "33x17 noise": _clip(np.random.default_rng(17).random((2, 17, 33, 3))),
 }

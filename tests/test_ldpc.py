@@ -1,4 +1,3 @@
-import hashlib
 import os
 import signal
 import sys
@@ -20,69 +19,22 @@ from semvid.ldpc import (
     make_ldpc_code,
 )
 
+import pins
 
-# SHA-256 of every array of make_ldpc_code(k, seed), recorded before the
-# decoder and the GF(2) products were rewritten; they must not move
-CODE_SHA256 = {
-    (512, 11): "cd5285078199f78228da9516459ecf76651920c3430ba7a8f6ac600fdf487e3e",
-    (256, 11): "1e36867ecc5c861e444077eec1daf0a44076c11ceccc5a08767c1d6903d0b2fe",
-    (128, 5): "7d0effbb109c8f6b057f6828bebf12f9f3bb6833adbe7c196747a1a2317a0fc2",
-    (64, 3): "8516de9bdb004aef7b0970af7c318f234bfea176965ec2d096c46534edbe27e5",
-    (72, 3): "b5c886118fd1c9844814e2a464248a68a0d60d389b3b22a6b2adf74d7e3b6270",
-    # recorded before 4-cycles were found from the check lists
-    (512, 2024): "9259b3d4324ad61eab94edaf032e47d40fd27f27ad82c88631f16d7b2493fee7",
-    (512, 2031): "52f54ff9e13605a4a20c8d840f4f23635111b7788f603a1cfbe7c609ba71aa8c",
-    (1024, 11): "9382d935953ba387eb18308383a04ed4fb83b6c065c8d9927e151768c7c7f0c9",
-}
-CODE_FIELDS = ("parity_check", "check_neighbors", "var_edge_check", "var_edge_slot",
-               "info_positions", "parity_positions", "encode_matrix")
-# SHA-256 of (info, converged) for the mixed batch below, recorded likewise;
-# the stall exit leaves it unchanged, and without it the BP arithmetic must
-# still give it
-MIXED_DECODE_SHA256 = "ab2421b87fd946bfeaef3d022ef3a5efe240fd125717913d09f4e478994a0d85"
-MIXED_SNRS_DB = (-10.0, -10.0, 0.0, 0.0, 2.0, 2.0, 5.0, 5.0)
+
 # the split batch: hopeless blocks, waterfall-region blocks that converge
 # after many iterations or never, and easy ones that converge in a few
 SPLIT_SNRS_DB = (-10.0, 0.0, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0) * 3
 
 
-def _code_sha256(code):
-    digest = hashlib.sha256()
-    for name in CODE_FIELDS:
-        arr = getattr(code, name)
-        for part in (name, str(arr.dtype), str(arr.shape)):
-            digest.update(part.encode())
-        digest.update(arr.tobytes())
-    return digest.hexdigest()
-
-
-def _noisy_llrs(code, snrs_db, seed):
-    """One block per SNR: random info bits, BPSK over AWGN, channel LLRs."""
-    info = np.random.default_rng(seed).integers(0, 2, code.k * len(snrs_db)).astype(np.uint8)
-    coded = ldpc_encode(info, code).reshape(len(snrs_db), -1)
-    llrs = []
-    for b, snr in enumerate(snrs_db):
-        received = awgn(bpsk_modulate(coded[b]), ChannelConfig(snr_db=snr, seed=b))
-        llrs.append(bpsk_demodulate(received, noise_variance(snr)))
-    return np.concatenate(llrs)
-
-
 @pytest.fixture(scope="module")
-def mixed_llrs(ldpc_code):
-    """One block per SNR in MIXED_SNRS_DB: the -10 and 0 dB blocks never
-    converge and leave when they stall, the 2 and 5 dB ones converge
-    part-way."""
-    return _noisy_llrs(ldpc_code, MIXED_SNRS_DB, seed=2024)
+def mixed_llrs():
+    return pins.mixed_llrs()
 
 
 @pytest.fixture(scope="module")
 def split_llrs(ldpc_code):
-    return _noisy_llrs(ldpc_code, SPLIT_SNRS_DB, seed=8)
-
-
-@pytest.fixture(scope="module")
-def pinned_codes():
-    return {key: make_ldpc_code(*key) for key in CODE_SHA256}
+    return pins.noisy_llrs(ldpc_code, SPLIT_SNRS_DB, seed=8)
 
 
 def _dense_four_cycle_pairs(cols, m):
@@ -128,8 +80,9 @@ class TestConstruction:
     def test_full_row_rank(self, ldpc_code):
         assert _gf2_rank(ldpc_code.parity_check) == ldpc_code.k
 
-    def test_no_length_four_cycles(self, pinned_codes):
-        for key, code in pinned_codes.items():
+    def test_no_length_four_cycles(self):
+        for key in pins.CODE_KEYS:
+            code = make_ldpc_code(*key)
             # float32 BLAS product: exact, since each count is at most 3
             h = code.parity_check.astype(np.float32)
             overlap = h.T @ h
@@ -145,18 +98,17 @@ class TestConstruction:
         assert want.size > 0
         assert np.array_equal(got, want)
 
-    def test_four_cycle_pairs_of_a_cycle_free_code_are_empty(self, pinned_codes):
-        code = pinned_codes[(512, 11)]
-        assert ldpc._four_cycle_pairs(code.var_edge_check).shape == (0, 2)
+    def test_four_cycle_pairs_of_a_cycle_free_code_are_empty(self, ldpc_code):
+        assert ldpc._four_cycle_pairs(ldpc_code.var_edge_check).shape == (0, 2)
 
     def test_rank_repair_gives_up(self, monkeypatch):
         monkeypatch.setattr("semvid.ldpc._gf2_row_reduce", lambda mat: [])
         with pytest.raises(RuntimeError, match="full rank"):
             make_ldpc_code.__wrapped__(72, 3)  # uncached: a cached code would not rebuild
 
-    @pytest.mark.parametrize("k, seed", sorted(CODE_SHA256))
-    def test_code_arrays_pinned(self, k, seed, pinned_codes):
-        assert _code_sha256(pinned_codes[(k, seed)]) == CODE_SHA256[(k, seed)]
+    @pytest.mark.parametrize("k, seed", sorted(pins.CODE_KEYS))
+    def test_code_arrays_pinned(self, k, seed):
+        pins.check(f"ldpc.code[{k},{seed}]")
 
     @pytest.mark.parametrize("k, seed", [(18, 0), (20, 1), (36, 0)])
     def test_small_code_whose_duplicate_cleanup_mends_a_row_twice(self, k, seed):
@@ -170,7 +122,7 @@ class TestConstruction:
         a = make_ldpc_code.__wrapped__(72, 3)
         b = make_ldpc_code.__wrapped__(72, 3)
         assert a is not b
-        for name in CODE_FIELDS + ("encode_table", "codeword_order"):
+        for name in pins.CODE_FIELDS + ("encode_table", "codeword_order"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_one_shared_read_only_code_per_key(self):
@@ -181,7 +133,7 @@ class TestConstruction:
             make_ldpc_code(72, seed=3)  # positional only: one cache entry per (k, seed)
         with pytest.raises(FrozenInstanceError):
             code.k = 36
-        for name in CODE_FIELDS + ("encode_table", "codeword_order"):
+        for name in pins.CODE_FIELDS + ("encode_table", "codeword_order"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(code, name)[0] = 0
 
@@ -205,7 +157,7 @@ class TestEncode:
         with pytest.raises(ValueError):
             ldpc_encode(np.zeros(100, dtype=np.uint8), ldpc_code)
 
-    @pytest.mark.parametrize("k, seed", sorted(CODE_SHA256) + [(18, 0), (20, 1), (36, 0)])
+    @pytest.mark.parametrize("k, seed", sorted(pins.CODE_KEYS) + [(18, 0), (20, 1), (36, 0)])
     @pytest.mark.parametrize("n_blocks", [0, 1, 5])
     def test_matches_dense_gf2_product(self, k, seed, n_blocks):
         # k = 18, 20 and 36 leave a partial last info byte and a partial
@@ -273,17 +225,11 @@ class TestDecode:
 
 
     def test_mixed_batch_pinned(self, ldpc_code, mixed_llrs):
-        info, converged = ldpc_decode(mixed_llrs, ldpc_code)
-        assert converged.tolist() == [False] * 4 + [True] * 4
-        digest = hashlib.sha256(info.tobytes() + converged.tobytes()).hexdigest()
-        assert digest == MIXED_DECODE_SHA256
+        assert ldpc_decode(mixed_llrs, ldpc_code)[1].tolist() == [False] * 4 + [True] * 4
+        pins.check("ldpc.mixed_batch")
 
-    def test_mixed_batch_pinned_without_stall_exit(self, ldpc_code, mixed_llrs, monkeypatch):
-        # a stall count no block can reach gives every block every iteration
-        monkeypatch.setattr(ldpc, "STALL_ITERS", 50)
-        info, converged = ldpc_decode(mixed_llrs, ldpc_code, max_iters=50)
-        digest = hashlib.sha256(info.tobytes() + converged.tobytes()).hexdigest()
-        assert digest == MIXED_DECODE_SHA256
+    def test_mixed_batch_pinned_without_stall_exit(self):
+        pins.check("ldpc.mixed_batch_without_stall_exit")
 
     def test_mixed_batch_equals_blocks_alone(self, ldpc_code, mixed_llrs):
         # blocks leave the batch as they converge; that must not change any
@@ -314,7 +260,7 @@ class TestStallExit:
 
         monkeypatch.setattr(ldpc, "_exclude_self_products", counting)
         blocks = mixed_llrs.reshape(-1, ldpc_code.n)
-        for b in np.nonzero(np.array(MIXED_SNRS_DB) == -10.0)[0]:
+        for b in np.nonzero(np.array(pins.MIXED_SNRS_DB) == -10.0)[0]:
             calls[0] = 0
             _, converged = ldpc_decode(blocks[b], ldpc_code, max_iters=50)
             assert not converged[0]

@@ -3,10 +3,12 @@
 top-level private name (``_name``) that it never reads, every defaulted
 parameter of a top-level private function in ``src/`` is set by some call
 and left unset by another, every public name in ``src/`` is read by the
-program, not only by the tests, and only ``semvid.parallel`` starts
-threads.  Package ``__init__`` modules re-export what they import and are
-exempt from the import check, as is an import on a line marked
-``# noqa: F401``.
+program, not only by the tests, only ``semvid.parallel`` starts threads,
+and no string literal in ``src/`` or ``tests/`` holds 64 hex digits (a
+SHA-256 digest): pinned values live in ``tests/pins.json``, which names the
+same pins as the table in ``tests/pins.py``.  Package ``__init__`` modules
+re-export what they import and are exempt from the import check, as is an
+import on a line marked ``# noqa: F401``.
 
 A public name (a top-level function, class or constant, or a method or
 property of a top-level class) counts as read when code outside ``tests/``
@@ -19,10 +21,14 @@ fields are not checked."""
 
 import ast
 import importlib.util
+import json
+import re
 from collections import defaultdict
 from pathlib import Path
 
 import pytest
+
+import pins
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py")
@@ -234,3 +240,27 @@ def test_thread_construction_is_found():
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_threads_only_in_parallel_module(path):
     assert thread_constructions(path.read_text()) == []
+
+
+def digest_literals(source: str) -> list:
+    """(line, text) of each string literal that holds 64 hex digits."""
+    return sorted((node.lineno, node.value) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and re.search("[0-9a-fA-F]{64}", node.value))
+
+
+def test_digest_literal_is_found():
+    digest = "0123456789abcdef" * 4
+    source = f'A = "{digest}"\nB = "{digest[1:]}"\n"""\nsha256: {digest.upper()}\n"""\n'
+    assert digest_literals(source) == [(1, digest), (3, f"\nsha256: {digest.upper()}\n")]
+
+
+def test_digests_only_in_the_pin_registry():
+    found = {str(p.relative_to(ROOT)): digest_literals(p.read_text())
+             for p in sorted({*MODULES, *SRC_MODULES})}
+    assert {path: literals for path, literals in found.items() if literals} == {}
+
+
+def test_pin_table_and_file_agree():
+    # a pin in pins.json that the table lacks, or the reverse, fails here
+    assert json.loads(pins.PINS_FILE.read_text()).keys() == pins.TABLE.keys()

@@ -2,7 +2,7 @@ import hashlib
 import json
 import re
 import threading
-from dataclasses import FrozenInstanceError, asdict, replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,16 +29,16 @@ from semvid import parallel
 from semvid.metrics import ClipMsSsim, ms_ssim, psnr
 from semvid.pipeline import (
     compare_baselines,
-    prepare_clip,
     quality_scorer,
     resolve_video,
     run_service,
-    send,
     stage_latency,
     transmit_video,
     video_quality,
 )
 from semvid.video import Frame, VideoSequence, load_raw, save_raw
+
+import pins
 
 
 def _float_leaves(node, path=()):
@@ -192,6 +192,7 @@ class TestConfig:
             ({"classical": {"qp": "5"}}, r"classical\.qp"),
             ({"classical": {"max_iters": 0}}, "classical.*max_iters"),
             ({"classical": {"ldpc_k": 10}}, "classical.*ldpc_k"),
+            ({"classical": {"ldpc_seed": -1}}, "classical.*ldpc_seed"),
             ({"reconstruction": {"iterations": -3}}, "reconstruction.*iterations"),
             ({"reconstruction": {"enabled": 1}}, r"reconstruction\.enabled"),
             ({"reconstruction": {"n_timesteps": 1}}, "reconstruction.*n_timesteps"),
@@ -263,6 +264,14 @@ class TestConfig:
                            "links.fiber.throughput_bps")):
             path.write_text(text)
             with pytest.raises(ValueError, match=f"^{re.escape(key)} must be finite$"):
+                load_config(path)
+
+    def test_unparsable_file_named(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        for data in (b"{nope", b'{"seed": "\xff"}'):
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match=f"^config file {re.escape(str(path))} is not "
+                                                 "UTF-8 JSON: "):
                 load_config(path)
 
     def test_background_size_must_match_user_video(self):
@@ -498,71 +507,19 @@ class TestTransmitVideo:
             transmit_video(video, "quantum", tiny_config, 10.0, "unit")
 
 
-# The reference clip through the classical chain on the LDPC waterfall, with
-# the channel seeds of `semvid transmit --chain classical --snr <snr>`: some of
-# the 1,026 blocks fail and their macroblocks are concealed, the rest converge.
-# SHA-256 of the received frames and the send's accounting, per SNR.
-WATERFALL_SENDS = {
-    1.5: ("7d31d6ca270b7bb8d97ae25884c21bfa7817779a5a0e0d6f545f1d79b486652c",
-          {"payload_bits": 525215, "channel_symbols": 1050624, "wireless_delay_seconds": 0.0,
-           "decode_failures": 317, "side_info_bits": 12672}),
-    2.0: ("640c3747b1a8bda0104e8ae883478dd7596644780a475c51f748e1cb7247a821",
-          {"payload_bits": 525215, "channel_symbols": 1050624, "wireless_delay_seconds": 0.0,
-           "decode_failures": 43, "side_info_bits": 12672}),
-}
+@pytest.mark.parametrize("snr_db", pins.WATERFALL_SNRS_DB)
+def test_waterfall_classical_send_pinned(snr_db):
+    pins.check(f"pipeline.waterfall[{snr_db}]")
 
 
-@pytest.fixture(scope="module")
-def reference_classical_clip():
-    cfg = reference_config()
-    return prepare_clip(resolve_video(cfg.video), "classical", cfg)
-
-
-@pytest.mark.parametrize("snr_db", sorted(WATERFALL_SENDS))
-def test_waterfall_classical_send_pinned(snr_db, reference_classical_clip):
-    received, stats = send(reference_classical_clip, reference_config(), snr_db,
-                           "classical", "cli", f"{snr_db:.3f}")
-    digest = hashlib.sha256(received.to_array().tobytes()).hexdigest()
-    assert (digest, asdict(stats)) == WATERFALL_SENDS[snr_db]
-
-
-# (chain, SNR) -> SHA-256 of the received reference clip and its decode
-# failures, sent as three GOPs of 3, 3 and 2 frames.  At 0 dB the classical
-# chain loses every LDPC block, so every frame is concealed gray; at 2 dB it
-# loses some, and GOPs 2 and 3 conceal them from the previous GOP's last frame.
-MULTI_GOP_SENDS = {
-    ("semantic", 0.0): ("d7c05dcd618e2079753a0e4db8f6023283f214ecec61bb6a7de101752fe826cc", 0),
-    ("semantic", 2.0): ("803d56220fddc100c26a27164b482a7ac8c70d1e0ba7288c54beb3dc7a6d6df9", 0),
-    ("semantic", 25.0): ("fa1fa618757d031c75854ac428a93e365f1b2457ecf8b5d824f07c2a68f38a60", 0),
-    ("classical", 0.0): ("16a2fe9aa699235e9cc6ed3b484268982974c3fcaf7d71294fd68c71f50f25b0", 1027),
-    ("classical", 2.0): ("dcea73e4eccdd5d0de81e0a66c65e4eaf25b80aea1bb3b832d6ea9fbb510dd2d", 47),
-    ("classical", 25.0): ("da8869cf6c641726508360b9cee1171e459dcccb24988838a147885018a17c65", 0),
-}
-MULTI_GOP_STATS = {
-    "semantic": {"payload_bits": 36288, "channel_symbols": 1134, "side_info_bits": 20548},
-    "classical": {"payload_bits": 525215, "channel_symbols": 1051648, "side_info_bits": 12928},
-}
-
-
-@pytest.fixture(scope="module")
-def multi_gop_clips():
-    base = reference_config()
-    cfg = replace(base, semantic=replace(base.semantic, gop_size=3))
-    video = resolve_video(cfg.video)
-    return cfg, {chain: prepare_clip(video, chain, cfg) for chain in MULTI_GOP_STATS}
-
-
-@pytest.mark.parametrize("chain, snr_db", sorted(MULTI_GOP_SENDS))
-def test_multi_gop_send_pinned(chain, snr_db, multi_gop_clips):
-    cfg, clips = multi_gop_clips
-    received, stats = send(clips[chain], cfg, snr_db, chain, "multi_gop", f"{snr_db:.3f}")
+@pytest.mark.parametrize("chain, snr_db", pins.MULTI_GOP_SENDS)
+def test_multi_gop_send_pinned(chain, snr_db):
+    cfg, clip = pins.reference_clip(chain, 3)
+    received, _ = pins.reference_send(chain, 3, snr_db, "multi_gop")
     assert [len(p.kept_individual) if chain == "semantic" else p.bitstream.n_frames
-            for p in clips[chain].payloads] == [3, 3, 2]
+            for p in clip.payloads] == [3, 3, 2]
     assert (len(received), received.fps) == (8, cfg.video.fps)
-    digest = hashlib.sha256(received.to_array().tobytes()).hexdigest()
-    assert (digest, stats.decode_failures) == MULTI_GOP_SENDS[chain, snr_db]
-    assert asdict(stats) == {**MULTI_GOP_STATS[chain], "wireless_delay_seconds": 0.0,
-                             "decode_failures": stats.decode_failures}
+    pins.check(f"pipeline.multi_gop[{chain},{snr_db}]")
 
 
 class TestCompare:
@@ -664,21 +621,8 @@ class TestService:
         for later in ("scene_preprocess", "edge_render", "download_3d_video"):
             assert status[later] == "skipped"
 
-    def test_reports_without_fit_pinned(self, monkeypatch):
-        # SHA-256 of the service report when the scene fit does not run; no
-        # fit floats go in, so the hashes are exact
-        def digest(cfg):
-            return hashlib.sha256(run_service(cfg).to_json().encode()).hexdigest()
-
-        def boom(*args):
-            raise ValueError("boom")
-
-        ref = reference_config()
-        disabled = replace(ref, reconstruction=replace(ref.reconstruction, enabled=False))
-        assert digest(disabled) == (
-            "f66f7ce9d5b8b604dc9c86316ee7e1547220d567c01530738413ca1383f5c581")
-        monkeypatch.setattr("semvid.pipeline.composite", boom)
-        assert digest(ref) == "8cbbe698b377ee37d3cde71170247232474023d526320201ff99c8987d9fe162"
+    def test_reports_without_fit_pinned(self):
+        pins.check("pipeline.service_reports_without_fit")
 
     def test_bypass_channel_composite_matches_local(self, tiny_config):
         cfg = replace(
@@ -719,12 +663,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert json.loads(out)["seed"] == 2024
 
-    def test_show_config_schema_pinned(self, capsys):
-        # the reference config file's keys, defaults and layout; a change here
-        # changes what saved configs mean
+    def test_show_config_schema_pinned(self):
+        # a change here changes what saved configs mean
         assert cli_main(["show-config"]) == 0
-        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "bd914da96dcb192a8b78cd42f36abbf80ce55c1aa70d8c54740302ae6a19f02f"
+        pins.check("cli.show_config")
 
     def test_bad_config_and_show_config_create_no_out_dir(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import re
 from dataclasses import replace
@@ -45,6 +44,7 @@ from semvid.recon.scene import (
     scene_params,
 )
 
+import pins
 from scenes import make_gradient_check_scene, mutable_params
 
 
@@ -346,25 +346,9 @@ class TestLoopRewrites:
 
 
 class TestTrackAssignments:
-    # SHA-256 of the assignment bytes: the reference fit's (benchmark
-    # scene, 4 tracks, assigned on its perturbed start) and the gradient
-    # check scene's (2 tracks)
-    PINNED = {
-        "reference": "4ffed22f833efb1bb290189a68c902b0bc7ce838513e416266c7245d5df990fe",
-        "gradient_check": "d97726df564d5208a6ce1d5d7fda7a1c455438ee6d99a378a0ad7ff18768ef1d",
-    }
-
-    @pytest.mark.parametrize("case", sorted(PINNED))
+    @pytest.mark.parametrize("case", ["gradient_check", "reference"])
     def test_weights_pinned(self, case):
-        if case == "reference":
-            gt = make_benchmark_scene(8, 48, 20)
-            scene, n_tracks = perturb_scene(gt, 5), 4
-        else:
-            gt = scene = make_gradient_check_scene()
-            n_tracks = 2
-        _, _, tracks = make_fit_inputs(gt, n_tracks)
-        weights = track_assignments(scene, tracks.query_pixels)
-        assert hashlib.sha256(weights.tobytes()).hexdigest() == self.PINNED[case]
+        pins.check(f"recon.track_assignments[{case}]")
 
     def test_miss_raises(self):
         scene = _single_gaussian_scene()
@@ -421,13 +405,8 @@ class TestSceneIo:
         with pytest.raises(ValueError, match=r"scene colors must lie in \[0, 1\]"):
             load_scene(path)
 
-    def test_file_format_is_pinned(self, tmp_path):
-        # the benchmark scene holds exact constants only, so its file does
-        # not depend on the platform's libm
-        path = tmp_path / "scene.json"
-        save_scene(make_benchmark_scene(), path)
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "248a24d305f3160311832e00ef7d0c8458d53dab0d7c6b5d1423e62c7a4982fe"
+    def test_file_format_is_pinned(self):
+        pins.check("recon.scene_file")
 
     def test_load_then_save_is_byte_identical(self, tmp_path):
         first, second = tmp_path / "first.json", tmp_path / "second.json"
@@ -656,63 +635,15 @@ class TestFitTrials:
                 assert np.array_equal(grads[key], fresh[key]), key
 
 
-class _L1Objective:
-    """A stand-in for the fit objective that calls no BLAS: the L1 distance
-    of the parameters to ``target`` (``np.abs``, ``np.sum`` and ``np.sign``
-    only), so a fit against it gives the same bits under every BLAS
-    kernel."""
-
-    target = None
-
-    def __init__(self, frames, depth_maps, tracks_2d, scene, exclude_frames=()):
-        pass
-
-    def forward(self, params):
-        total = 0.0
-        for key in PARAM_KEYS:
-            total += float(np.sum(np.abs(params[key] - self.target[key])))
-        return total, "placeholder"
-
-    def backward(self, params, fwd) -> dict:
-        return {key: np.sign(params[key] - self.target[key]) for key in PARAM_KEYS}
-
-
 class TestOptimizerPin:
-    # (backtracks, rejected steps, SHA-256 of the losses, fitted arrays and
-    # counts) per MAX_BACKTRACKS, recorded on the per-group optimizer
-    PINNED = {
-        1: (0, 28, "0bffc5017aa4fb55daab84484bc796bcc4fbbd5bd0c27bf53c80f9073b8692a3"),
-        3: (23, 6, "85c3ca71f79e0a9d7bd3afb81649e0e5ddd7e84dac19d9fefc6d15c151b962de"),
-    }
-
     @pytest.mark.parametrize("max_backtracks", [1, 3])
-    def test_l1_fit_bits(self, monkeypatch, max_backtracks):
-        gt = make_benchmark_scene(8, 48, 20)
-        target = mutable_params(gt)
-        target["opacities"][:] = 1.0            # above 1 - OPACITY_EPS
-        target["colors"][0, 2] = -0.25          # below 0
-        target["scales"][0, 2] = SCALE_FLOOR / 10
-        target["means"] += 0.03
-        target["coeffs"][:, 0] += 0.2
-        target["basis_trans"] -= 0.01
-        monkeypatch.setattr(_L1Objective, "target", target)
-        monkeypatch.setattr(fit_module, "_Objective", _L1Objective)
-        monkeypatch.setattr(fit_module, "LEARNING_RATES", {k: 0.05 for k in PARAM_KEYS})
-        monkeypatch.setattr(fit_module, "MAX_BACKTRACKS", max_backtracks)
-        n = gt.n_timesteps
-        result = fit_scene([None] * n, [None] * n, None, perturb_scene(gt, seed=5), 80)
-        fitted = result.scene
+    def test_l1_fit_bits(self, max_backtracks):
+        fitted = pins.l1_fit(max_backtracks).scene
         # the fit ends on the upper and the lower edges of the box
         assert np.any(fitted.opacities == 1 - OPACITY_EPS)
         assert fitted.colors[0, 2] == 0.0
         assert fitted.scales[0, 2] == SCALE_FLOOR
-        digest = hashlib.sha256()
-        digest.update(" ".join(x.hex() for x in result.losses).encode())
-        for key in PARAM_KEYS:
-            digest.update(getattr(fitted, key).tobytes())
-        digest.update(f"{result.backtracks} {result.rejected_steps}".encode())
-        assert (result.backtracks, result.rejected_steps, digest.hexdigest()) == (
-            self.PINNED[max_backtracks])
+        pins.check(f"recon.l1_fit[{max_backtracks}]")
 
 
 def test_written_out_splat_algebra_matches_einsum():

@@ -1,12 +1,9 @@
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semvid.channel import ChannelConfig
-from semvid.fixtures import make_test_clip
 from semvid.metrics import psnr
 from semvid.semantic import (
     BIN_WIDTH,
@@ -22,10 +19,11 @@ from semvid.semantic import (
     prepare_semantic,
     semantic_transmit,
     snap_to_grid,
-    transmit_packet,
     variable_length_code,
 )
 from semvid.video import VideoSequence
+
+import pins
 
 CFG = SemanticCodecConfig()
 
@@ -46,21 +44,10 @@ def _mean_psnr(clip, decoded):
     return float(np.mean([psnr(x, y) for x, y in zip(clip.frames, decoded)]))
 
 
-def _noise_gop(seed=42, n=4, size=64):
-    rng = np.random.default_rng(seed)
-    frames = []
-    for _ in range(n):
-        x = rng.standard_normal((size, size, 3))
-        for _ in range(2):
-            x = (np.roll(x, 1, 0) + np.roll(x, -1, 0) + np.roll(x, 1, 1) + np.roll(x, -1, 1) + 4 * x) / 8
-        frames.append(np.clip(0.5 + 0.25 * x / np.abs(x).std(), 0, 1))
-    return _clip(np.round(np.stack(frames) * 255) / 255)
-
-
 class TestLatentTransform:
     def test_channel_dimension_is_128(self):
         assert CFG.channel_dim == 128
-        lat = latent_transform(_noise_gop(n=2), CFG)
+        lat = latent_transform(pins.noise_gop(n=2), CFG)
         assert lat.values.shape[-1] == 128
 
     def test_constant_gop_energy_in_dc_channel(self):
@@ -75,7 +62,7 @@ class TestLatentTransform:
         assert _mean_psnr(small_clip, rec) >= 50.0
 
     def test_pads_odd_dimensions(self):
-        gop = _noise_gop(n=2, size=50)
+        gop = pins.noise_gop(n=2, size=50)
         rec = latent_inverse(latent_transform(gop, CFG), CFG)
         assert [(f.width, f.height) for f in rec] == [(50, 50)] * 2
         assert _mean_psnr(gop, rec) >= 50.0
@@ -161,7 +148,7 @@ class TestEntropyModel:
         assert np.all(peak > off)
 
     def test_unimodal_around_location(self):
-        maps = extract_common(_features(_noise_gop()))
+        maps = extract_common(_features(pins.noise_gop()))
         model = fit_entropy_model(maps, CFG)
         loc = model.locations[0, 0]
         scale = model.scales[0, 0]
@@ -175,7 +162,7 @@ class TestEntropyModel:
         assert np.all(model.scales >= CFG.entropy_floor)
 
     def test_model_bits_close_to_histogram_entropy(self):
-        maps = extract_common(_features(_noise_gop()))
+        maps = extract_common(_features(pins.noise_gop()))
         model = fit_entropy_model(maps, CFG)
         em_common = model.likelihood(maps.common, 0)
         em_individual = model.likelihood(maps.individual, 1)
@@ -292,7 +279,7 @@ class TestSemanticTransmit:
         assert stats.side_info_bits > 0
 
     def test_budget_monotonicity_statistical(self):
-        gop = _noise_gop(seed=11, n=4, size=32)
+        gop = pins.noise_gop(seed=11, n=4, size=32)
         budgets = [150, 400, 1000, 2500, 6000]
         ordered = 0
         comparisons = 0
@@ -320,109 +307,7 @@ class TestPacketGeometry:
         assert np.array_equal(snapped * 2.0**32, np.round(snapped * 2.0**32))
 
 
-def _digest(*arrays):
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()
-
-
-# budgets around the common map's size (n_common), a service-sized one and
-# ten times every element; "noise50" is odd-sized, so its frames are padded
-PINNED_BUDGETS = ("100", "n_common", "n_common+1", "18000", "10*total")
-PINNED_SNRS_DB = (-10.0, 5.0, 300.0)
-
-# SHA-256 of what prepare_semantic sends (both masks, symbols, symbol
-# scale, locations, scales, side-information bits) and of the frames
-# transmit_packet gives at each of PINNED_SNRS_DB.  Recorded from the chain
-# that coded the common and individual maps in two written-out halves.
-PINNED_CHAIN_DIGESTS = {
-    ("reference", "100"): (
-        "f0763e450e94bedf1727e5a729afc15e0fae8e7bd5e4dd13bdc35e8f18639f75",
-        "96c3e4c69c95dd87061945849a443322fc005a6c5252d6fbcccf73899882cb7e",
-        "acf31931cadbeff5cef14cb25ecf91bbb106d7f38aee2f2cb1bae775f2d6fd87",
-        "9bd3635aba7c3a8b253ae5dfe61b22282447daf226cadbfd9e48f5922e961a40",
-    ),
-    ("reference", "n_common"): (
-        "073df0438e6144989c6e733bfad076618feb78c967d846455d2d63fedb100524",
-        "48140b20593b018cc450685616dd9feaa4d50a92c4f023d6f5eec11e847eb18b",
-        "0e796c5f13a73339abcc94be8de97fdd8bd06891ae830df4f606d7ebeb83fc1b",
-        "42113157f1312fb719bde99e5d4608453c67c883fae35ada0a269a990f50ea7c",
-    ),
-    ("reference", "n_common+1"): (
-        "9b034d8c4337e52852e6409dbef4689911c390ea96684d396fa2c883ba8574af",
-        "aa8616126da21115ca3beb5e884e3fb4e5fe8360f659f27f180167f62029970f",
-        "7086e98ab1226a519b2d1629263d1d0cdd7b046fcd0a268d90645137365ce6dd",
-        "d2c5b78f31f524405e12882bb77796f4730bb5f7e1e77d4902aaf558765249ae",
-    ),
-    ("reference", "18000"): (
-        "eadac71b20e7598624333adb2272015adf8413d78d4f81a9dc5eeb7b29a2efef",
-        "c15bc2122e54e068b90854e887776282090f225e22994e7e100b104ca4e209e1",
-        "0dd0dea8208b44d0aef4cbd84ebd7da99b1fe4caf2deed0ad8a0b0da68a78886",
-        "29b6c043d91e5dcca2053021d7b08a51b372d720bf19a8c3061ed2bb2f2435a2",
-    ),
-    ("reference", "10*total"): (
-        "794f0fdb6b20423f3d1443e083b650bc6e73e31ed623a82b44108d5668db3655",
-        "7990aaeca666ef99a678e729b50c0d069a3b797b66538a6e29efa871fb41f1b2",
-        "a8b55bc06b25b5b10f81a0246e11b8775dd82b61e50f1d795bfb7f6c52afdb47",
-        "9060d0739fa245946a21cae7068f0b2bfcc1ef2bfd87b87e4c198fda484e04e7",
-    ),
-    ("noise50", "100"): (
-        "6dd981e931d6e0fae7b2bfd8fa6b9121c19866f4390d825569108d659165313f",
-        "b0ba83322307cee94d96cb502168521c6e1fc5c5af6e5dd34da1327be3b2ec2f",
-        "183a3c4c5f9abff5c1ec267b96b3ff3a4690a1f9508c683e0c4b922720894ac1",
-        "5f54a784cb2513f473532f5506beee181ee210c9b91e328aa9ea12f54dc5e37c",
-    ),
-    ("noise50", "n_common"): (
-        "8961242f978b4087204c49a67e94d6ba2640fb1d959efa12464b8013a5d1eba2",
-        "3804de3c0c05ab222ef60f27fff220d259b157f30d1879a941eb0d18b38fb0c1",
-        "f9b613fffb90473138a58d02d41885d670182aa010a268b1396bfc32fe0625c4",
-        "d4645c6b3274cc0bd55cbe3df7b54d048dd9b6b5e42cba1b1b4a8f05f8ab19f8",
-    ),
-    ("noise50", "n_common+1"): (
-        "c11b6385fa12a2abee4f334fe908889512b871396197a90ed0e9c1a0891d8801",
-        "dd5800210a17b596d5f65342a1f1a04fcc4060f8dc87aaa2530b62a093b83a52",
-        "3a3b49e161a415ed819d2d0db8945a645dcc86e39cf43b4822c4a37ed3087d9f",
-        "3bc79b1bea89ec8f9e7c64ebfc94b805b3a7796731ccef0b2c9fdf4f6d5b6cc2",
-    ),
-    ("noise50", "18000"): (
-        "46ae1ce497fe02f9f0e242f1933e56051d86028bdee2aacfd73f41596763e402",
-        "54248629f5394437e4e172234309417937186d0a5f7ed2b8d08d61107d28900a",
-        "4a6eb2b22e83d4e182d5b46a1498dce7278e26384988171862a75b8f2c1aab7d",
-        "6f07988c17fde09fd27cda44b6a38e4cefac557f7bf5728e39d2e0076d026875",
-    ),
-    ("noise50", "10*total"): (
-        "c53712d5639ed37f38954449df829119cb451b34d06070fcbf3253143e354c6b",
-        "a574e8583b550b9dfdacda88cb0a8f4b6c597811e84c53c604664f9e6befb774",
-        "3b60d52789475eb60ec1b86f9d03aed04cae79ddf21696099c1e9ae8656a10f0",
-        "4172d5c7fc92af2849b5e36a3256982176aff0b71b5c3e80c1bc2b8c80df12c3",
-    ),
-}
-
-
-def _pinned_gop(name):
-    if name == "reference":  # the reference config's user clip
-        return make_test_clip(112, 112)
-    return _noise_gop(n=3, size=50)
-
-
-def _pinned_budget(label, n_common, total):
-    return {"100": 100, "n_common": n_common, "n_common+1": n_common + 1,
-            "18000": 18000, "10*total": 10 * total}[label]
-
-
-@pytest.mark.parametrize("gop_name,budget", sorted(PINNED_CHAIN_DIGESTS))
+@pytest.mark.parametrize("budget", pins.SEMANTIC_BUDGETS)
+@pytest.mark.parametrize("gop_name", ["noise50", "reference"])
 def test_chain_output_pinned(gop_name, budget):
-    gop = _pinned_gop(gop_name)
-    maps = extract_common(_features(gop))
-    n_common = maps.common.size
-    total = n_common + maps.individual.size
-    packet = prepare_semantic(gop, _pinned_budget(budget, n_common, total), CFG)
-    got = (
-        _digest(packet.kept_common, packet.kept_individual, packet.block.symbols,
-                np.float64(packet.block.scale), packet.locations, packet.scales,
-                np.int64(packet.side_info_bits)),
-        *(_digest(_stack(transmit_packet(packet, ChannelConfig(snr_db=snr, seed=5), CFG)[0]))
-          for snr in PINNED_SNRS_DB),
-    )
-    assert got == PINNED_CHAIN_DIGESTS[(gop_name, budget)]
+    pins.check(f"semantic.chain[{gop_name},{budget}]")
