@@ -29,7 +29,7 @@ from scenes import make_gradient_check_scene, mutable_params
 PINS_FILE = Path(__file__).with_name("pins.json")
 SEMANTIC_CFG = semantic.SemanticCodecConfig()
 # budgets around the common map's size (n_common), a service-sized one and
-# ten times every element; "noise50" is odd-sized, so its frames are padded
+# ten times every element
 SEMANTIC_BUDGETS = ("100", "n_common", "n_common+1", "18000", "10*total")
 CODER_CLIPS = {
     "reference": (112, 112, 8, 8.0, 2024),  # the reference config's user clip
@@ -69,11 +69,21 @@ def noise_gop(seed=42, n=4, size=64):
     return VideoSequence.from_array(np.round(np.stack(frames) * 255) / 255, 8.0)
 
 
+# GOPs of 3 to 16 frames; "noise50" and "clip12x50" are odd-sized, so
+# their frames are padded
+SEMANTIC_GOPS = {
+    "reference": partial(fixtures.make_test_clip, 112, 112),
+    "noise50": partial(noise_gop, n=3, size=50),
+    "clip16x64": partial(fixtures.make_test_clip, 64, 64, 16),
+    "clip12x50": partial(fixtures.make_test_clip, 50, 50, 12),
+}
+
+
 def semantic_chain(gop_name, budget):
     """What ``prepare_semantic`` sends (both masks, the symbols and their
     scale, the locations, the scales, the side-information bits), and the
     frames ``transmit_packet`` gives at three SNRs."""
-    gop = noise_gop(n=3, size=50) if gop_name == "noise50" else fixtures.make_test_clip(112, 112)
+    gop = SEMANTIC_GOPS[gop_name]()
     latent = semantic.latent_transform(gop, SEMANTIC_CFG)
     maps = semantic.extract_common(semantic.jscc_encode(latent, SEMANTIC_CFG))
     n_common, total = maps.common.size, maps.common.size + maps.individual.size
@@ -286,7 +296,7 @@ def ms_ssim_digest():
 
 TABLE = {
     **{f"semantic.chain[{gop},{budget}]": partial(semantic_chain, gop, budget)
-       for gop in ("reference", "noise50") for budget in SEMANTIC_BUDGETS},
+       for gop in SEMANTIC_GOPS for budget in SEMANTIC_BUDGETS},
     **{f"classical.coder[{clip},{qp}]": partial(classical_coder, clip, qp)
        for clip in CODER_CLIPS for qp in CODER_QPS},
     **{f"ldpc.code[{k},{seed}]": partial(code_arrays, k, seed) for k, seed in CODE_KEYS},

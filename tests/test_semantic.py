@@ -308,6 +308,6 @@ class TestPacketGeometry:
 
 
 @pytest.mark.parametrize("budget", pins.SEMANTIC_BUDGETS)
-@pytest.mark.parametrize("gop_name", ["noise50", "reference"])
+@pytest.mark.parametrize("gop_name", pins.SEMANTIC_GOPS)
 def test_chain_output_pinned(gop_name, budget):
     pins.check(f"semantic.chain[{gop_name},{budget}]")
