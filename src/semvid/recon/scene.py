@@ -246,25 +246,49 @@ def save_scene(scene: GaussianScene, path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
+# the JSON type each scene-file value must have, by its Python type
+_JSON_TYPES = {list: "array", dict: "object", int: "integer", (int, float): "number"}
+
+
 def load_scene(path) -> GaussianScene:
-    payload = json.loads(Path(path).read_text())
+    """Read a scene file written by :func:`save_scene`.  A file that is not
+    UTF-8 JSON, or that lacks a key or holds one of the wrong JSON type,
+    raises ``ValueError`` naming the file and the key."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"scene file {path} is not UTF-8 JSON: {exc}") from exc
+
+    def get(node, key, kind=list):
+        if not isinstance(node, dict):
+            raise ValueError(f"scene file {path} has a {type(node).__name__} where an "
+                             f"object with key {key!r} belongs")
+        if key not in node:
+            raise ValueError(f"scene file {path} is missing key {key!r}")
+        value = node[key]
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"scene file {path} key {key!r} must be a JSON "
+                             f"{_JSON_TYPES[kind]}, got {value!r}")
+        return value
+
     cams = tuple(
         Camera(
-            np.array(c["intrinsics"]), np.array(c["rotation"]),
-            np.array(c["translation"]), int(c["width"]), int(c["height"]),
+            np.array(get(c, "intrinsics")), np.array(get(c, "rotation")),
+            np.array(get(c, "translation")), get(c, "width", int), get(c, "height", int),
         )
-        for c in payload["cameras"]
+        for c in get(payload, "cameras")
     )
-    gs = payload["gaussians"]
+    gs = get(payload, "gaussians")
+    bases = get(payload, "bases", dict)
     return GaussianScene(
-        means=np.array([g["mean"] for g in gs]),
-        quats=np.array([g["quaternion"] for g in gs]),
-        scales=np.array([g["scales"] for g in gs]),
-        opacities=np.array([g["opacity"] for g in gs]),
-        colors=np.array([g["color"] for g in gs]),
-        coeffs=np.array([g["motion_coeffs"] for g in gs]),
-        basis_quats=np.array(payload["bases"]["quaternions"]),
-        basis_trans=np.array(payload["bases"]["translations"]),
+        means=np.array([get(g, "mean") for g in gs]),
+        quats=np.array([get(g, "quaternion") for g in gs]),
+        scales=np.array([get(g, "scales") for g in gs]),
+        opacities=np.array([get(g, "opacity", (int, float)) for g in gs]),
+        colors=np.array([get(g, "color") for g in gs]),
+        coeffs=np.array([get(g, "motion_coeffs") for g in gs]),
+        basis_quats=np.array(get(bases, "quaternions")),
+        basis_trans=np.array(get(bases, "translations")),
         cameras=cams,
-        background=np.array(payload["background"]),
+        background=np.array(get(payload, "background")),
     )

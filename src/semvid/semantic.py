@@ -10,10 +10,12 @@ symbol budget.  Kept elements travel as real-valued symbols; the receiver
 applies MMSE-style shrinkage 1/(1 + sigma^2) before inversion, which is what
 gives the chain graceful degradation instead of a cliff.
 
-Feature values are snapped to a dyadic grid (2**-32) right after the
-feature stage; with the common map rounded to the same grid, the split
-``common + individual`` is integer arithmetic in disguise and therefore
-reconstructs bit exactly.
+Features are (n, grid_h, grid_w, channels) float64 arrays; the common/
+individual split is a ``(common, individual)`` pair of a (grid_h, grid_w,
+channels) map and per-frame residuals.  Feature values are snapped to a
+dyadic grid (2**-32) right after the feature stage; with the common map
+rounded to the same grid, ``common + individual`` is integer arithmetic in
+disguise and therefore reconstructs the features bit exactly.
 
 The packet carries only what is sent; the receiver derives the symbol
 weights from the sent scales and the grid from the mask shapes.
@@ -77,43 +79,6 @@ class SemanticCodecConfig:
 
 
 @dataclass(frozen=True)
-class FeatureMeta:
-    """Frame size before padding, which inversion crops back to; the frame,
-    grid and channel counts are the feature tensors' shape."""
-
-    height: int
-    width: int
-
-
-@dataclass(frozen=True)
-class FeatureGrid:
-    """Per-frame feature tensors of shape (n, grid_h, grid_w, channels)."""
-
-    values: np.ndarray
-    meta: FeatureMeta
-
-    def __post_init__(self) -> None:
-        v = np.ascontiguousarray(self.values, dtype=np.float64)
-        if v.ndim != 4:
-            raise ValueError(f"feature tensor shape {v.shape} is not (n, grid_h, grid_w, channels)")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("feature values must be finite")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class FeatureMaps:
-    """GOP features split into one common map and per-frame residual maps.
-
-    Invariant: ``common + individual[i]`` equals the input features bit
-    exactly (both live on the dyadic grid)."""
-
-    common: np.ndarray       # (grid_h, grid_w, channels)
-    individual: np.ndarray   # (n, grid_h, grid_w, channels)
-    meta: FeatureMeta
-
-
-@dataclass(frozen=True)
 class EntropyModel:
     """Factorized Laplace model per (map kind, channel); kind 0 is the
     common map, kind 1 the individual maps."""
@@ -163,13 +128,13 @@ def _jscc_gains(cfg: SemanticCodecConfig) -> np.ndarray:
     return q / np.sqrt(np.mean(q**2))
 
 
-def latent_transform(gop: VideoSequence, cfg: SemanticCodecConfig) -> FeatureGrid:
+def latent_transform(gop: VideoSequence, cfg: SemanticCodecConfig) -> np.ndarray:
     """Map a GOP into latent tensors: orthonormal DCT across the channel
     axis, plane concatenation along width, then an orthonormal 2D DCT on
     non-overlapping (block, 2*block) tiles."""
     bh, bw = cfg.tile_shape
     arr = gop.to_array()
-    n, h, w, _ = arr.shape
+    n = arr.shape[0]
     padded = np.stack([pad_edge(f, bh, bw) for f in arr])
     decor = np.einsum("nhwc,kc->nhwk", padded, _CHANNEL_DCT)
     _, ph, pw, _ = decor.shape
@@ -177,59 +142,52 @@ def latent_transform(gop: VideoSequence, cfg: SemanticCodecConfig) -> FeatureGri
     # the three planes side by side, rows of width 3 * pw, cut into tiles
     tiles = decor.transpose(0, 1, 3, 2).reshape(n, gh, bh, gw, bw).transpose(0, 1, 3, 2, 4)
     coefs = dctn(tiles, norm="ortho", axes=(-2, -1))
-    values = coefs.reshape(n, gh, gw, cfg.channel_dim)
-    return FeatureGrid(values, FeatureMeta(h, w))
+    return coefs.reshape(n, gh, gw, cfg.channel_dim)
 
 
-def latent_inverse(lat: FeatureGrid, cfg: SemanticCodecConfig) -> tuple:
-    """Invert :func:`latent_transform` into the GOP's frames; samples are
-    clipped back to [0, 1]."""
+def latent_inverse(features: np.ndarray, frame_size: tuple, cfg: SemanticCodecConfig) -> tuple:
+    """Invert :func:`latent_transform` into the GOP's frames, cropped to
+    ``frame_size`` (height, width); samples are clipped back to [0, 1]."""
     bh, bw = cfg.tile_shape
-    n, gh, gw, _ = lat.values.shape
-    planes = idctn(lat.values.reshape(n, gh, gw, bh, bw), norm="ortho", axes=(-2, -1))
+    n, gh, gw, _ = features.shape
+    height, width = frame_size
+    planes = idctn(features.reshape(n, gh, gw, bh, bw), norm="ortho", axes=(-2, -1))
     decor = planes.transpose(0, 1, 3, 2, 4).reshape(n, gh * bh, 3, -1).transpose(0, 1, 3, 2)
-    rgb = np.einsum("nhwk,kc->nhwc", decor, _CHANNEL_DCT)
-    rgb = rgb[:, : lat.meta.height, : lat.meta.width, :]
+    rgb = np.einsum("nhwk,kc->nhwc", decor, _CHANNEL_DCT)[:, :height, :width, :]
     return tuple(Frame(f) for f in np.clip(rgb, 0.0, 1.0))
 
 
-def jscc_encode(lat: FeatureGrid, cfg: SemanticCodecConfig) -> FeatureGrid:
+# The channel gathers below return arrays strided along the last axis;
+# copying them to C order keeps every later reduction's summation order.
+def jscc_encode(latent: np.ndarray, cfg: SemanticCodecConfig) -> np.ndarray:
     """Reorder channels low-frequency first and apply the fixed power
     profile, then snap to the dyadic grid.  Linear, deterministic, and
     invertible up to the grid quantization."""
-    order = _tile_order(cfg)
-    gains = _jscc_gains(cfg)
-    values = snap_to_grid(lat.values[..., order] * gains)
-    return FeatureGrid(values, lat.meta)
+    gathered = latent[..., _tile_order(cfg)] * _jscc_gains(cfg)
+    return np.ascontiguousarray(snap_to_grid(gathered))
 
 
-def jscc_decode(features: FeatureGrid, cfg: SemanticCodecConfig) -> FeatureGrid:
-    values = (features.values / _jscc_gains(cfg))[..., np.argsort(_tile_order(cfg))]
-    return FeatureGrid(values, features.meta)
+def jscc_decode(features: np.ndarray, cfg: SemanticCodecConfig) -> np.ndarray:
+    return np.ascontiguousarray((features / _jscc_gains(cfg))[..., np.argsort(_tile_order(cfg))])
 
 
-def extract_common(features: FeatureGrid) -> FeatureMaps:
+def extract_common(features: np.ndarray) -> tuple:
     """Split GOP features into a common map (per-element mean, rounded to
-    the feature grid) and exact per-frame residuals."""
-    common = snap_to_grid(features.values.mean(axis=0))
-    individual = features.values - common
-    return FeatureMaps(common, individual, features.meta)
+    the feature grid) and exact per-frame residuals, so that
+    ``common + individual`` gives ``features`` back bit exactly."""
+    common = snap_to_grid(features.mean(axis=0))
+    return common, features - common
 
 
-def merge_common(maps: FeatureMaps) -> FeatureGrid:
-    """Reconstruct the feature tensors; bit exact for grid-aligned maps."""
-    return FeatureGrid(maps.common + maps.individual, maps.meta)
-
-
-def fit_entropy_model(maps: FeatureMaps, cfg: SemanticCodecConfig) -> EntropyModel:
+def fit_entropy_model(maps: tuple, cfg: SemanticCodecConfig) -> EntropyModel:
     """Per-channel Laplace parameters fitted by moments (mean location and
     first absolute moment for the scale, which is the Laplace ML estimate),
     separately for the common map and the residual maps; degenerate
     channels get the scale floor."""
-    c = maps.common.shape[-1]
+    c = maps[0].shape[-1]
     locations = np.zeros((2, c))
     scales = np.zeros((2, c))
-    for kind, data in ((0, maps.common.reshape(-1, c)), (1, maps.individual.reshape(-1, c))):
+    for kind, data in enumerate(m.reshape(-1, c) for m in maps):
         locations[kind] = data.mean(axis=0)
         mad = np.abs(data - locations[kind]).mean(axis=0)
         scales[kind] = np.maximum(mad, cfg.entropy_floor)
@@ -248,7 +206,7 @@ class SemanticPacket:
     block: SymbolBlock
     locations: np.ndarray        # dequantized (2, channels)
     scales: np.ndarray           # dequantized (2, channels)
-    meta: FeatureMeta
+    frame_size: tuple            # the GOP's (height, width) before padding
     side_info_bits: int
 
     @property
@@ -278,8 +236,8 @@ def _symbol_weights(scales: np.ndarray, cfg: SemanticCodecConfig) -> np.ndarray:
     return variance**cfg.power_alloc_exp
 
 
-def variable_length_code(maps: FeatureMaps, model: EntropyModel, symbol_budget: int,
-                         cfg: SemanticCodecConfig) -> SemanticPacket:
+def variable_length_code(maps: tuple, model: EntropyModel, symbol_budget: int,
+                         frame_size: tuple, cfg: SemanticCodecConfig) -> SemanticPacket:
     """Keep the ``symbol_budget`` highest-information elements, common map
     first (it is transmitted once per GOP), and pack them as power
     normalized real symbols."""
@@ -291,7 +249,7 @@ def variable_length_code(maps: FeatureMaps, model: EntropyModel, symbol_budget: 
 
     masks, symbols = [], []
     left = symbol_budget
-    for kind, values in enumerate((maps.common, maps.individual)):
+    for kind, values in enumerate(maps):
         mask = np.zeros(values.shape, dtype=bool)
         if left > 0:  # most information first, the first index on ties
             em = model.likelihood(values, kind).reshape(-1)
@@ -303,7 +261,7 @@ def variable_length_code(maps: FeatureMaps, model: EntropyModel, symbol_budget: 
     block = normalize_power(raw) if raw.power > 0 else raw
 
     mask_bits = sum(index_list_bits(np.flatnonzero(m)) for m in masks)
-    param_bits = 2 * (maps.common.shape[-1] * 2 * PARAM_QUANT_BITS + RANGE_HEADER_BITS)
+    param_bits = 2 * (maps[0].shape[-1] * 2 * PARAM_QUANT_BITS + RANGE_HEADER_BITS)
     side_info_bits = mask_bits + param_bits + 32 + GEOMETRY_BITS
 
     return SemanticPacket(
@@ -312,13 +270,13 @@ def variable_length_code(maps: FeatureMaps, model: EntropyModel, symbol_budget: 
         block=block,
         locations=locations,
         scales=scales,
-        meta=maps.meta,
+        frame_size=frame_size,
         side_info_bits=int(side_info_bits),
     )
 
 
 def decode_packet(packet: SemanticPacket, received: SymbolBlock, noise_var: float,
-                  cfg: SemanticCodecConfig) -> FeatureMaps:
+                  cfg: SemanticCodecConfig) -> tuple:
     """Receiver side: MMSE-style shrinkage 1/(1 + sigma^2) on the normalized
     symbols, de-normalization and de-weighting, then scatter into maps with
     dropped elements filled by the model locations."""
@@ -334,7 +292,7 @@ def decode_packet(packet: SemanticPacket, received: SymbolBlock, noise_var: floa
         out[mask] = values[start:stop] * np.broadcast_to(weights[kind], mask.shape)[mask] + loc[mask]
         maps.append(out)
         start = stop
-    return FeatureMaps(*maps, packet.meta)
+    return tuple(maps)
 
 
 def prepare_semantic(gop: VideoSequence, symbol_budget: int,
@@ -343,15 +301,15 @@ def prepare_semantic(gop: VideoSequence, symbol_budget: int,
     features = jscc_encode(latent_transform(gop, cfg), cfg)
     maps = extract_common(features)
     model = fit_entropy_model(maps, cfg)
-    return variable_length_code(maps, model, symbol_budget, cfg)
+    return variable_length_code(maps, model, symbol_budget, (gop.height, gop.width), cfg)
 
 
 def transmit_packet(packet: SemanticPacket, ch: ChannelConfig, cfg: SemanticCodecConfig):
     """Channel plus receiver side, returning the GOP's decoded frames and
     accounting; analog symbols never fail to decode, they just get noisier."""
     received = awgn(packet.block, ch)
-    maps_hat = decode_packet(packet, received, noise_variance(ch.snr_db), cfg)
-    frames = latent_inverse(jscc_decode(merge_common(maps_hat), cfg), cfg)
+    common, individual = decode_packet(packet, received, noise_variance(ch.snr_db), cfg)
+    frames = latent_inverse(jscc_decode(common + individual, cfg), packet.frame_size, cfg)
     stats = TxStats(
         payload_bits=packet.symbol_count * cfg.bits_per_symbol_eq,
         channel_symbols=packet.symbol_count,

@@ -131,6 +131,8 @@ def save_raw(video: VideoSequence, path) -> None:
     row major, one byte per sample.
     """
     path = Path(path)
+    if _sidecar_path(path) == path:
+        raise ValueError(f"raw clip path {path} has the sidecar's suffix .json")
     arr = video.to_array()
     quantized = np.round(arr * 255.0).astype(np.uint8)
     planar = np.moveaxis(quantized, 3, 1)  # (n, 3, h, w)

@@ -85,8 +85,8 @@ def semantic_chain(gop_name, budget):
     frames ``transmit_packet`` gives at three SNRs."""
     gop = SEMANTIC_GOPS[gop_name]()
     latent = semantic.latent_transform(gop, SEMANTIC_CFG)
-    maps = semantic.extract_common(semantic.jscc_encode(latent, SEMANTIC_CFG))
-    n_common, total = maps.common.size, maps.common.size + maps.individual.size
+    common, individual = semantic.extract_common(semantic.jscc_encode(latent, SEMANTIC_CFG))
+    n_common, total = common.size, common.size + individual.size
     symbols = {"100": 100, "n_common": n_common, "n_common+1": n_common + 1,
                "18000": 18000, "10*total": 10 * total}[budget]
     p = semantic.prepare_semantic(gop, symbols, SEMANTIC_CFG)

@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis.extra import numpy as hnp
+from hypothesis import strategies as st
 
 from semvid.metrics import (
     MS_SSIM_WEIGHTS,
@@ -22,6 +25,8 @@ from semvid.pipeline import video_quality
 from semvid.video import Frame, VideoSequence
 
 import pins
+
+_FRAME16 = np.random.default_rng(123).random((16, 16))
 
 
 def _const(v, shape=(8, 8, 3)):
@@ -161,13 +166,18 @@ class TestMsSsim:
         assert len(pins.ms_ssim_scores()) == 120
         pins.check("metrics.ms_ssim_scores")
 
-    def test_range_on_random_pairs(self):
-        rng = np.random.default_rng(123)
-        for _ in range(10_000):
-            a = rng.random((16, 16))
-            b = rng.random((16, 16))
-            v = ms_ssim(a, b, scales=1)
-            assert 0.0 <= v <= 1.0
+    # a frame against itself, against its complement, and two constant
+    # frames at the ends of the range: pairs that random draws never give
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(pair=hnp.arrays(np.float64, (2, 16, 16), elements=st.floats(0.0, 1.0)))
+    @example(pair=np.stack([_FRAME16, _FRAME16]))
+    @example(pair=np.stack([_FRAME16, 1.0 - _FRAME16]))
+    @example(pair=np.stack([np.zeros((16, 16)), np.ones((16, 16))]))
+    def test_range_on_random_pairs(self, pair):
+        score = ms_ssim(pair[0], pair[1], scales=1)
+        assert 0.0 <= score <= 1.0
+        if np.array_equal(pair[0], pair[1]):
+            assert score == 1.0
 
 
 def _noisy_clip_pair(shape, seed):

@@ -432,6 +432,31 @@ class TestSceneIo:
         with pytest.raises(ValueError, match=re.escape(message)):
             load_scene(_edited_scene_file(tmp_path, edit))
 
+    @pytest.mark.parametrize("content, message", [
+        pytest.param(b"{nope", "is not UTF-8 JSON", id="not-json"),
+        pytest.param(b"\xff\xfe", "is not UTF-8 JSON", id="not-utf8"),
+        pytest.param(b"[]", "has a list where an object with key", id="not-an-object"),
+        pytest.param(lambda p: p.pop("cameras"), "is missing key 'cameras'", id="no-cameras"),
+        pytest.param(lambda p: p["gaussians"][0].pop("opacity"), "is missing key 'opacity'",
+                     id="no-opacity"),
+        pytest.param(lambda p: p["gaussians"].__setitem__(0, []),
+                     "has a list where an object with key 'mean' belongs", id="gaussian-not-object"),
+        pytest.param(lambda p: p.update(cameras=5), "key 'cameras' must be a JSON array, got 5",
+                     id="cameras-not-array"),
+        pytest.param(lambda p: p["cameras"][0].update(width="64"),
+                     "key 'width' must be a JSON integer, got '64'", id="width-string"),
+        pytest.param(lambda p: p["cameras"][0].update(height=48.0),
+                     "key 'height' must be a JSON integer, got 48.0", id="height-float"),
+    ])
+    def test_malformed_file_refused_naming_it(self, tmp_path, content, message):
+        if callable(content):
+            path = _edited_scene_file(tmp_path, content)
+        else:
+            path = tmp_path / "scene.json"
+            path.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(f"scene file {path} {message}")):
+            load_scene(path)
+
     @pytest.mark.parametrize("background", [[1.5, -0.5, 0.2], [[0.1, 0.2, 0.3]], [0.1, 0.2]])
     def test_background_must_be_an_rgb_triple_in_unit_range(self, tmp_path, background):
         message = re.escape("scene background must be an RGB triple in [0, 1]")

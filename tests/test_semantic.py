@@ -15,7 +15,6 @@ from semvid.semantic import (
     jscc_encode,
     latent_inverse,
     latent_transform,
-    merge_common,
     prepare_semantic,
     semantic_transmit,
     snap_to_grid,
@@ -36,6 +35,10 @@ def _clip(arr):
     return VideoSequence.from_array(arr, 8.0)
 
 
+def _size(clip):
+    return clip.height, clip.width
+
+
 def _stack(frames):
     return np.stack([f.data for f in frames])
 
@@ -48,22 +51,22 @@ class TestLatentTransform:
     def test_channel_dimension_is_128(self):
         assert CFG.channel_dim == 128
         lat = latent_transform(pins.noise_gop(n=2), CFG)
-        assert lat.values.shape[-1] == 128
+        assert lat.shape[-1] == 128
 
     def test_constant_gop_energy_in_dc_channel(self):
         gop = _clip(np.full((2, 32, 32, 3), 0.5))
         lat = latent_transform(gop, CFG)
-        energy = np.sum(lat.values**2, axis=(0, 1, 2))
+        energy = np.sum(lat**2, axis=(0, 1, 2))
         assert energy[0] > 0
         assert np.all(energy[1:] < 1e-18)
 
     def test_round_trip_quality(self, small_clip):
-        rec = latent_inverse(latent_transform(small_clip, CFG), CFG)
+        rec = latent_inverse(latent_transform(small_clip, CFG), _size(small_clip), CFG)
         assert _mean_psnr(small_clip, rec) >= 50.0
 
     def test_pads_odd_dimensions(self):
         gop = pins.noise_gop(n=2, size=50)
-        rec = latent_inverse(latent_transform(gop, CFG), CFG)
+        rec = latent_inverse(latent_transform(gop, CFG), _size(gop), CFG)
         assert [(f.width, f.height) for f in rec] == [(50, 50)] * 2
         assert _mean_psnr(gop, rec) >= 50.0
 
@@ -72,29 +75,29 @@ class TestJscc:
     def test_zero_latent_maps_to_zero(self):
         lat = latent_transform(_clip(np.zeros((2, 16, 16, 3))), CFG)
         feat = jscc_encode(lat, CFG)
-        assert not feat.values.any()
+        assert not feat.any()
 
     def test_inverse_pair(self, small_clip):
         lat = latent_transform(small_clip, CFG)
         back = jscc_decode(jscc_encode(lat, CFG), CFG)
-        assert np.max(np.abs(back.values - lat.values)) < 1e-9
+        assert np.max(np.abs(back - lat)) < 1e-9
 
     def test_energy_compaction(self, small_clip):
         feat = _features(small_clip)
-        energy = np.sum(feat.values**2, axis=(0, 1, 2))
+        energy = np.sum(feat**2, axis=(0, 1, 2))
         assert energy[:16].sum() / energy.sum() >= 0.8
 
 
 class TestCommonFeatureSplit:
     def test_single_frame_gop_has_zero_individuals(self):
-        maps = extract_common(_features(_clip(np.random.default_rng(0).random((1, 16, 16, 3))))
-                              )
-        assert not maps.individual.any()
+        gop = _clip(np.random.default_rng(0).random((1, 16, 16, 3)))
+        _, individual = extract_common(_features(gop))
+        assert not individual.any()
 
     def test_static_gop_has_zero_individuals(self):
         frame = np.random.default_rng(1).random((16, 16, 3))
-        maps = extract_common(_features(_clip(np.tile(frame, (3, 1, 1, 1)))))
-        assert not maps.individual.any()
+        _, individual = extract_common(_features(_clip(np.tile(frame, (3, 1, 1, 1)))))
+        assert not individual.any()
 
     def test_two_frame_algebra(self):
         # common = (a + b) / 2 up to the documented dyadic grid rounding,
@@ -103,18 +106,18 @@ class TestCommonFeatureSplit:
         a = np.round(rng.random((16, 16, 3)) * 256) / 256
         b = np.round(rng.random((16, 16, 3)) * 256) / 256
         feat = _features(_clip(np.stack([a, b])))
-        maps = extract_common(feat)
-        mean = (feat.values[0] + feat.values[1]) / 2.0
+        common, individual = extract_common(feat)
+        mean = (feat[0] + feat[1]) / 2.0
         grid_quantum = 2.0**-32
-        assert np.max(np.abs(maps.common - mean)) <= grid_quantum
-        assert np.max(np.abs(maps.individual[0] + maps.individual[1])) <= 2 * grid_quantum
-        assert np.array_equal(maps.common + maps.individual[0], feat.values[0])
-        assert np.array_equal(maps.common + maps.individual[1], feat.values[1])
+        assert np.max(np.abs(common - mean)) <= grid_quantum
+        assert np.max(np.abs(individual[0] + individual[1])) <= 2 * grid_quantum
+        assert np.array_equal(common + individual[0], feat[0])
+        assert np.array_equal(common + individual[1], feat[1])
 
     def test_reconstruction_bit_exact(self, small_clip):
         feat = _features(small_clip)
-        maps = extract_common(feat)
-        assert np.array_equal(merge_common(maps).values, feat.values)
+        common, individual = extract_common(feat)
+        assert np.array_equal(common + individual, feat)
 
     @settings(max_examples=25, derandomize=True, deadline=None)
     @given(n=st.integers(1, 5), seed=st.integers(0, 1000))
@@ -122,24 +125,20 @@ class TestCommonFeatureSplit:
         rng = np.random.default_rng(seed)
         gop = _clip(rng.random((n, 8, 16, 3)))
         feat = _features(gop)
-        maps = extract_common(feat)
-        assert np.array_equal(merge_common(maps).values, feat.values)
+        common, individual = extract_common(feat)
+        assert np.array_equal(common + individual, feat)
 
 
 class TestEntropyModel:
     def test_constant_channel_uniform_max_likelihood(self):
         # per-channel-constant maps: every element sits at its fitted
         # location, so likelihoods are equal and maximal per channel
-        from semvid.semantic import FeatureMaps, FeatureMeta
-
-        meta = FeatureMeta(16, 16)
         channel_values = np.linspace(-3.0, 3.0, 128)
         common = np.broadcast_to(channel_values, (2, 3, 128)).copy()
         individual = np.broadcast_to(channel_values * 0.5, (2, 2, 3, 128)).copy()
-        maps = FeatureMaps(common, individual, meta)
-        model = fit_entropy_model(maps, CFG)
-        em_common = model.likelihood(maps.common, 0)
-        em_individual = model.likelihood(maps.individual, 1)
+        model = fit_entropy_model((common, individual), CFG)
+        em_common = model.likelihood(common, 0)
+        em_individual = model.likelihood(individual, 1)
         peak = model.likelihood(model.locations[0], 0)
         assert np.allclose(em_common, np.broadcast_to(peak, em_common.shape))
         assert np.allclose(em_individual, em_individual[0, 0, 0])
@@ -162,13 +161,13 @@ class TestEntropyModel:
         assert np.all(model.scales >= CFG.entropy_floor)
 
     def test_model_bits_close_to_histogram_entropy(self):
-        maps = extract_common(_features(pins.noise_gop()))
+        maps = common, individual = extract_common(_features(pins.noise_gop()))
         model = fit_entropy_model(maps, CFG)
-        em_common = model.likelihood(maps.common, 0)
-        em_individual = model.likelihood(maps.individual, 1)
+        em_common = model.likelihood(common, 0)
+        em_individual = model.likelihood(individual, 1)
         model_bits = -np.log2(em_common).sum() - np.log2(em_individual).sum()
         hist_bits = 0.0
-        for data in (maps.common.reshape(-1, 128), maps.individual.reshape(-1, 128)):
+        for data in (common.reshape(-1, 128), individual.reshape(-1, 128)):
             for c in range(data.shape[1]):
                 q = np.round(data[:, c] / BIN_WIDTH).astype(np.int64)
                 _, counts = np.unique(q, return_counts=True)
@@ -179,53 +178,52 @@ class TestEntropyModel:
 
 class TestVariableLengthCoding:
     def test_full_budget_is_lossless_packetization(self, small_clip):
-        feat = _features(small_clip)
-        maps = extract_common(feat)
+        maps = common, individual = extract_common(_features(small_clip))
         model = fit_entropy_model(maps, CFG)
-        total = maps.common.size + maps.individual.size
-        packet = variable_length_code(maps, model, total, CFG)
+        total = common.size + individual.size
+        packet = variable_length_code(maps, model, total, _size(small_clip), CFG)
         assert packet.symbol_count == total
-        decoded = decode_packet(packet, packet.block, 0.0, CFG)
-        assert np.allclose(decoded.common, maps.common, atol=1e-9)
-        assert np.allclose(decoded.individual, maps.individual, atol=1e-9)
+        common_hat, individual_hat = decode_packet(packet, packet.block, 0.0, CFG)
+        assert np.allclose(common_hat, common, atol=1e-9)
+        assert np.allclose(individual_hat, individual, atol=1e-9)
 
     def test_budget_larger_than_elements_keeps_all(self, small_clip):
-        maps = extract_common(_features(small_clip))
+        maps = common, individual = extract_common(_features(small_clip))
         model = fit_entropy_model(maps, CFG)
-        total = maps.common.size + maps.individual.size
-        packet = variable_length_code(maps, model, total * 10, CFG)
+        total = common.size + individual.size
+        packet = variable_length_code(maps, model, total * 10, _size(small_clip), CFG)
         assert packet.symbol_count == total
 
     def test_budget_must_be_positive(self, small_clip):
         maps = extract_common(_features(small_clip))
         model = fit_entropy_model(maps, CFG)
         with pytest.raises(ValueError):
-            variable_length_code(maps, model, 0, CFG)
+            variable_length_code(maps, model, 0, _size(small_clip), CFG)
 
     def test_common_prioritized_first(self, small_clip):
         maps = extract_common(_features(small_clip))
         model = fit_entropy_model(maps, CFG)
-        packet = variable_length_code(maps, model, 100, CFG)
+        packet = variable_length_code(maps, model, 100, _size(small_clip), CFG)
         assert packet.kept_common.sum() == 100
         assert packet.kept_individual.sum() == 0
 
     def test_budget_one_past_common_keeps_top_individual(self, small_clip):
-        maps = extract_common(_features(small_clip))
+        maps = common, individual = extract_common(_features(small_clip))
         model = fit_entropy_model(maps, CFG)
-        packet = variable_length_code(maps, model, maps.common.size + 1, CFG)
+        packet = variable_length_code(maps, model, common.size + 1, _size(small_clip), CFG)
         assert packet.kept_common.all()
-        info = -np.log2(model.likelihood(maps.individual, 1)).reshape(-1)
+        info = -np.log2(model.likelihood(individual, 1)).reshape(-1)
         # argmax takes the first index on ties, as the stable ranking must
         assert np.flatnonzero(packet.kept_individual).tolist() == [int(np.argmax(info))]
 
     def test_dropped_elements_fill_with_locations(self, small_clip):
         maps = extract_common(_features(small_clip))
         model = fit_entropy_model(maps, CFG)
-        packet = variable_length_code(maps, model, 50, CFG)
-        decoded = decode_packet(packet, packet.block, 0.0, CFG)
+        packet = variable_length_code(maps, model, 50, _size(small_clip), CFG)
+        _, individual_hat = decode_packet(packet, packet.block, 0.0, CFG)
         dropped = ~packet.kept_individual
         expected = np.broadcast_to(packet.locations[1], packet.kept_individual.shape)
-        assert np.array_equal(decoded.individual[dropped], expected[dropped])
+        assert np.array_equal(individual_hat[dropped], expected[dropped])
 
     def test_static_gop_small_budget_matches_full(self):
         # bandlimited static content: the kept common map carries everything
@@ -233,8 +231,8 @@ class TestVariableLengthCoding:
         frame = 0.5 + 0.2 * np.cos(np.pi * xs / 16) + 0.15 * np.cos(np.pi * ys / 8)
         frame = np.stack([frame, frame * 0.9, frame * 0.8], axis=-1)
         gop = _clip(np.tile(np.clip(frame, 0, 1)[None], (4, 1, 1, 1)))
-        maps = extract_common(_features(gop))
-        total = maps.common.size + maps.individual.size
+        common, individual = extract_common(_features(gop))
+        total = common.size + individual.size
         ch = ChannelConfig(snr_db=300.0, seed=4)
         full, _ = semantic_transmit(gop, ch, total, CFG)
         tenth, _ = semantic_transmit(gop, ch, total // 10, CFG)
@@ -243,16 +241,16 @@ class TestVariableLengthCoding:
 
 class TestSemanticTransmit:
     def test_high_snr_full_budget_quality(self, reference_clip):
-        maps = extract_common(_features(reference_clip))
-        total = maps.common.size + maps.individual.size
+        common, individual = extract_common(_features(reference_clip))
+        total = common.size + individual.size
         out, stats = semantic_transmit(reference_clip, ChannelConfig(snr_db=25.0, seed=9), total, CFG)
         assert _mean_psnr(reference_clip, out) >= 40.0
         assert stats.decode_failures == 0
         assert stats.channel_symbols == total
 
     def test_infinite_snr_full_budget_transform_loss_only(self, small_clip):
-        maps = extract_common(_features(small_clip))
-        total = maps.common.size + maps.individual.size
+        common, individual = extract_common(_features(small_clip))
+        total = common.size + individual.size
         out, _ = semantic_transmit(small_clip, ChannelConfig(snr_db=300.0, seed=1), total, CFG)
         assert _mean_psnr(small_clip, out) >= 50.0
 

@@ -99,6 +99,13 @@ class TestRawFiles:
         save_raw(loaded, tmp_path / "again.rgb")
         assert (tmp_path / "again.rgb").read_bytes() == path.read_bytes()
 
+    def test_json_payload_path_refused_before_writing(self, tmp_path):
+        # the sidecar would overwrite the payload it describes
+        path = tmp_path / "clip.json"
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            save_raw(_video(3), path)
+        assert not path.exists()
+
     def test_truncated_payload_rejected(self, tmp_path):
         video = _video(3)
         path = tmp_path / "clip.rgb"
