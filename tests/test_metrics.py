@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from semvid.metrics import (
     MS_SSIM_WEIGHTS,
