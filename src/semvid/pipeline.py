@@ -288,11 +288,12 @@ class ComparisonReport:
 def compare_baselines(cfg: RunConfig) -> ComparisonReport:
     """Both chains on the reference clip: quality over the SNR grid, each
     chain encoding the clip once and sending it at every point, and delay
-    at the reference wireless throughput.  The (SNR, chain) points run on
-    one worker per CPU (``parallel_map``); rows keep grid order.  A custom
-    grid is ``compare_baselines(replace(cfg, sweep_snrs_db=...))``."""
+    at the reference wireless throughput.  The two encodes, then the (SNR,
+    chain) points, run on one worker per CPU (``parallel_map``); rows keep
+    grid order.  A custom grid is
+    ``compare_baselines(replace(cfg, sweep_snrs_db=...))``."""
     video = resolve_video(cfg.video)
-    clips = {chain: prepare_clip(video, chain, cfg) for chain in CHAINS}
+    clips = dict(zip(CHAINS, parallel_map(lambda chain: prepare_clip(video, chain, cfg), CHAINS)))
     quality = quality_scorer(video, cfg.metrics.ms_ssim_scales)
 
     def run_point(point):

@@ -252,8 +252,10 @@ _JSON_TYPES = {list: "array", dict: "object", int: "integer", (int, float): "num
 
 def load_scene(path) -> GaussianScene:
     """Read a scene file written by :func:`save_scene`.  A file that is not
-    UTF-8 JSON, or that lacks a key or holds one of the wrong JSON type,
-    raises ``ValueError`` naming the file and the key."""
+    UTF-8 JSON, that lacks a key or holds one of the wrong JSON type or a
+    ragged or non-numeric array, or whose scene fails a check of
+    ``GaussianScene`` or ``Camera``, raises ``ValueError`` naming the file,
+    and the key where there is one."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
@@ -271,24 +273,31 @@ def load_scene(path) -> GaussianScene:
                              f"{_JSON_TYPES[kind]}, got {value!r}")
         return value
 
-    cams = tuple(
-        Camera(
-            np.array(get(c, "intrinsics")), np.array(get(c, "rotation")),
-            np.array(get(c, "translation")), get(c, "width", int), get(c, "height", int),
-        )
-        for c in get(payload, "cameras")
-    )
+    def array(values, key):
+        try:
+            return np.array(values, dtype=np.float64)
+        except (TypeError, ValueError) as exc:  # ragged, or not numbers
+            raise ValueError(f"scene file {path} key {key!r} is not a numeric array: "
+                             f"{exc}") from exc
+
+    def field(node, key):
+        return array(get(node, key), key)
+
+    def column(nodes, key, kind=list):
+        return array([get(node, key, kind) for node in nodes], key)
+
+    cams = [(field(c, "intrinsics"), field(c, "rotation"), field(c, "translation"),
+             get(c, "width", int), get(c, "height", int)) for c in get(payload, "cameras")]
     gs = get(payload, "gaussians")
     bases = get(payload, "bases", dict)
-    return GaussianScene(
-        means=np.array([get(g, "mean") for g in gs]),
-        quats=np.array([get(g, "quaternion") for g in gs]),
-        scales=np.array([get(g, "scales") for g in gs]),
-        opacities=np.array([get(g, "opacity", (int, float)) for g in gs]),
-        colors=np.array([get(g, "color") for g in gs]),
-        coeffs=np.array([get(g, "motion_coeffs") for g in gs]),
-        basis_quats=np.array(get(bases, "quaternions")),
-        basis_trans=np.array(get(bases, "translations")),
-        cameras=cams,
-        background=np.array(get(payload, "background")),
-    )
+    arrays = {
+        "means": column(gs, "mean"), "quats": column(gs, "quaternion"),
+        "scales": column(gs, "scales"), "opacities": column(gs, "opacity", (int, float)),
+        "colors": column(gs, "color"), "coeffs": column(gs, "motion_coeffs"),
+        "basis_quats": field(bases, "quaternions"), "basis_trans": field(bases, "translations"),
+        "background": field(payload, "background"),
+    }
+    try:
+        return GaussianScene(**arrays, cameras=tuple(Camera(*c) for c in cams))
+    except ValueError as exc:  # a check of a camera or of the scene
+        raise ValueError(f"scene file {path} is not a valid scene: {exc}") from exc

@@ -12,7 +12,7 @@ import hashlib
 import io
 import json
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import nullcontext, redirect_stdout
 from dataclasses import asdict, replace
 from functools import cache, lru_cache, partial
 from pathlib import Path
@@ -40,9 +40,14 @@ CODE_KEYS = ((512, 11), (256, 11), (128, 5), (64, 3), (72, 3), (512, 2024), (512
              (1024, 11))
 CODE_FIELDS = ("parity_check", "check_neighbors", "var_edge_check", "var_edge_slot",
                "info_positions", "parity_positions", "encode_matrix")
-# the -10 and 0 dB blocks never converge and leave when they stall, the 2
-# and 5 dB ones converge part-way
+# the -10 dB blocks fail the channel pre-test, the 0 dB ones pass it and
+# never converge, the 2 and 5 dB ones converge part-way
 MIXED_SNRS_DB = (-10.0, -10.0, 0.0, 0.0, 2.0, 2.0, 5.0, 5.0)
+# the settings that switch each early exit of LDPC BP off: a pre-test every
+# block passes, a ceiling of all 512 checks per 512, a stall count no block
+# reaches in 50 iterations
+EXITS_OFF = {"pretest": {"PRETEST_MEAN": 0.0}, "ceiling": {"COUNT_CEILINGS": (512,)},
+             "stall": {"STALL_ITERS": 50}}
 WATERFALL_SNRS_DB = (1.5, 2.0)  # some of the reference clip's 1,026 LDPC blocks fail
 MULTI_GOP_SENDS = tuple((chain, snr) for chain in ("classical", "semantic")
                         for snr in (0.0, 2.0, 25.0))
@@ -145,13 +150,19 @@ def mixed_llrs():
     return noisy_llrs(ldpc.make_ldpc_code(512, 11), MIXED_SNRS_DB, seed=2024)
 
 
-def mixed_batch(stall_exit):
-    """The decoded mixed batch and its converged flags.  Without the stall
-    exit, a stall count no block can reach gives every block every
-    iteration."""
-    with mock.patch.object(ldpc, "STALL_ITERS", ldpc.STALL_ITERS if stall_exit else 50):
+def mixed_batch(early_exits):
+    """The decoded mixed batch and its converged flags.  Without the early
+    exits every block runs every iteration until its syndrome clears."""
+    with exits_off(*([] if early_exits else EXITS_OFF)):
         return sha256(*ldpc.ldpc_decode(mixed_llrs(), ldpc.make_ldpc_code(512, 11),
                                         max_iters=50))
+
+
+def exits_off(*names):
+    """Patch ``ldpc`` so that the early exits of BP in ``names`` (keys of
+    ``EXITS_OFF``) never fire; the syndrome check always does."""
+    patches = {key: value for name in names for key, value in EXITS_OFF[name].items()}
+    return mock.patch.multiple(ldpc, **patches) if patches else nullcontext()
 
 
 @cache

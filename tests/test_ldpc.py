@@ -1,9 +1,11 @@
+import functools
 import os
 import signal
 import sys
 import threading
 import warnings
 from dataclasses import FrozenInstanceError
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +27,9 @@ import pins
 # the split batch: hopeless blocks, waterfall-region blocks that converge
 # after many iterations or never, and easy ones that converge in a few
 SPLIT_SNRS_DB = (-10.0, 0.0, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0) * 3
+# 32 blocks at each quarter dB from -2 to 3 dB: the pre-test takes out every
+# block up to -0.25 dB and most at 0 dB, and from 0.5 dB on some converge
+BATTERY_SNRS_DB = tuple(np.arange(-2.0, 3.01, 0.25).round(2)) * 32
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +40,28 @@ def mixed_llrs():
 @pytest.fixture(scope="module")
 def split_llrs(ldpc_code):
     return pins.noisy_llrs(ldpc_code, SPLIT_SNRS_DB, seed=8)
+
+
+@pytest.fixture(scope="module")
+def battery_decode(ldpc_code):
+    """Decode the battery with the named early exits on, once per set of
+    names: per-block bits, converged flags and the BP block-iterations run."""
+    llrs = pins.noisy_llrs(ldpc_code, BATTERY_SNRS_DB, seed=33)
+
+    @functools.cache
+    def decode(on):
+        real, runs = ldpc._exclude_self_products, []
+
+        def counting(t, out):
+            runs.append(t.shape[2])  # one call per BP iteration of the part's blocks
+            return real(t, out)
+
+        with pins.exits_off(*(name for name in pins.EXITS_OFF if name not in on)), \
+                mock.patch.object(ldpc, "_exclude_self_products", counting):
+            info, converged = ldpc_decode(llrs, ldpc_code)
+        return info.reshape(converged.size, -1), converged, sum(runs)
+
+    return decode
 
 
 def _dense_four_cycle_pairs(cols, m):
@@ -247,8 +274,10 @@ class TestDecode:
 
 
 class TestStallExit:
-    """A block leaves BP unconverged once STALL_ITERS iterations in a row
-    set no new least unsatisfied-check count."""
+    """A block that cannot converge leaves BP unconverged: before the first
+    iteration when its channel fails the pre-test, from the third when its
+    least unsatisfied-check count is above the iteration's ceiling, or once
+    STALL_ITERS iterations in a row set no new least count."""
 
     def test_hopeless_block_leaves_early(self, ldpc_code, mixed_llrs, monkeypatch):
         real = ldpc._exclude_self_products
@@ -262,10 +291,50 @@ class TestStallExit:
         blocks = mixed_llrs.reshape(-1, ldpc_code.n)
         for b in np.nonzero(np.array(pins.MIXED_SNRS_DB) == -10.0)[0]:
             calls[0] = 0
-            _, converged = ldpc_decode(blocks[b], ldpc_code, max_iters=50)
+            info, converged = ldpc_decode(blocks[b], ldpc_code, max_iters=50)
             assert not converged[0]
-            # one call per BP iteration, against 49 without the stall exit
-            assert ldpc.STALL_ITERS <= calls[0] <= ldpc.STALL_ITERS + 1, b
+            # one call per BP iteration: the pre-test runs none, against 49
+            # without any early exit
+            assert calls[0] == 0, b
+            hard = (blocks[b] < 0).astype(np.uint8)[ldpc_code.info_positions]
+            assert np.array_equal(info, hard), b
+
+    @pytest.mark.parametrize("on, reference", [
+        (("pretest",), ()),
+        (("ceiling",), ()),
+        # the stall exit gives up a few blocks that converge later (0.75 to
+        # 1.5 dB here), so every exit together is held to the stall exit alone
+        (("pretest", "ceiling", "stall"), ("stall",)),
+    ], ids=["pretest", "ceiling", "every-exit"])
+    def test_battery_converges_as_without_the_exits(self, battery_decode, on, reference):
+        info, converged, iters = battery_decode(on)
+        want_info, want_converged, want_iters = battery_decode(reference)
+        assert 0 < want_converged.sum() < want_converged.size
+        assert np.array_equal(converged, want_converged)
+        assert np.array_equal(info[converged], want_info[converged])
+        # the premise: the exits under test do take blocks out of BP
+        assert iters < want_iters
+
+    def test_pretest_sums_one_add_at_a_time(self):
+        # a block whose float32 chain sum of clipped |LLR| is exactly the
+        # threshold total, and one a step below it: each verdict must be its
+        # chain sum's, alone and among other blocks
+        n = 1024
+        d = np.random.default_rng(4).uniform(-1.0, 1.0, n // 2 - 1)
+        head = (ldpc.PRETEST_MEAN + np.concatenate([d, -d, [0.0]])).astype(np.float32)
+        total = np.float32(0.0)
+        for value in head:
+            total += value
+        edge = np.float32(ldpc.PRETEST_MEAN) * np.float32(n)  # exact: n is a power of two
+        last = edge - total
+        assert 0 < last < ldpc.PRETEST_CLIP
+        rows = np.stack([np.append(head, last), np.append(head, last - np.spacing(edge))])
+        assert ldpc._passes_pretest(rows).tolist() == [True, False]
+        assert ldpc._passes_pretest(rows[:1]).tolist() == [True]
+        assert ldpc._passes_pretest(rows[1:]).tolist() == [False]
+        assert ldpc._passes_pretest(np.tile(rows, (5, 1))).tolist() == [True, False] * 5
+        # the decoder hands it float64 LLRs of either sign
+        assert ldpc._passes_pretest(-rows.astype(np.float64)).tolist() == [True, False]
 
     def test_converged_blocks_unchanged(self, ldpc_code, split_llrs, monkeypatch):
         snrs = np.array(SPLIT_SNRS_DB)

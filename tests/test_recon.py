@@ -447,6 +447,14 @@ class TestSceneIo:
                      "key 'width' must be a JSON integer, got '64'", id="width-string"),
         pytest.param(lambda p: p["cameras"][0].update(height=48.0),
                      "key 'height' must be a JSON integer, got 48.0", id="height-float"),
+        pytest.param(lambda p: p["gaussians"][0].update(mean=[0.1, 0.2]),
+                     "key 'mean' is not a numeric array: ", id="mean-ragged"),
+        pytest.param(lambda p: p["gaussians"][0].update(mean=["a", 0.2, 0.3]),
+                     "key 'mean' is not a numeric array: ", id="mean-not-numeric"),
+        pytest.param(lambda p: p["cameras"][0].update(width=0),
+                     "is not a valid scene: image size must be positive", id="camera-check"),
+        pytest.param(lambda p: p["gaussians"][0].update(opacity=1.0),
+                     "is not a valid scene: opacities must lie in (0, 1)", id="scene-check"),
     ])
     def test_malformed_file_refused_naming_it(self, tmp_path, content, message):
         if callable(content):
