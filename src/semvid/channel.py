@@ -3,8 +3,8 @@
 SNR convention: the per-symbol SNR in dB, defined on unit-mean-square
 symbols, so the noise variance is 10**(-snr_db / 10).  The PRNG is NumPy's
 PCG64 via ``default_rng(seed)``; a fresh generator is created per
-transmission, so identical (block, config) pairs always produce identical
-output.
+transmission, so identical (symbols, snr_db, seed) triples always produce
+identical output.
 """
 
 from __future__ import annotations
@@ -27,60 +27,22 @@ def snr_db_ok(snr_db: float) -> bool:
     return math.isfinite(snr_db) and abs(snr_db) <= SNR_DB_LIMIT
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
-    snr_db: float
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not snr_db_ok(self.snr_db):
-            raise ValueError(f"snr_db must be {SNR_DB_RANGE}, got {self.snr_db!r}")
-
-
-@dataclass(frozen=True)
-class SymbolBlock:
-    """Real symbols plus the scale needed to undo power normalization."""
-
-    symbols: np.ndarray
-    scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.symbols, dtype=np.float64)
-        if arr.ndim != 1:
-            raise ValueError("symbols must be one-dimensional")
-        arr.setflags(write=False)
-        object.__setattr__(self, "symbols", arr)
-
-    @property
-    def power(self) -> float:
-        if self.symbols.size == 0:
-            return 0.0
-        return float(np.mean(self.symbols**2))
-
-
-def normalize_power(block: SymbolBlock) -> SymbolBlock:
-    """Rescale symbols to unit mean square; the factor is recorded in
-    ``scale`` so the receiver can undo it."""
-    if block.symbols.size == 0:
-        raise ValueError("cannot normalize an empty block")
-    rms = float(np.sqrt(np.mean(block.symbols**2)))
-    if rms == 0.0:
-        raise ValueError("cannot normalize an all-zero block")
-    return SymbolBlock(block.symbols / rms, scale=block.scale * rms)
-
-
 def noise_variance(snr_db: float) -> float:
     return float(10.0 ** (-snr_db / 10.0))
 
 
-def awgn(block: SymbolBlock, cfg: ChannelConfig) -> SymbolBlock:
-    """Add white Gaussian noise with variance 10**(-snr_db/10)."""
-    sigma = np.sqrt(noise_variance(cfg.snr_db))
-    rng = np.random.default_rng(cfg.seed)
-    noisy = rng.standard_normal(block.symbols.size)
+def awgn(symbols: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
+    """Add white Gaussian noise with variance 10**(-snr_db/10) to a 1-D
+    array of real symbols; the noise is drawn from ``default_rng(seed)``."""
+    if not snr_db_ok(snr_db):
+        raise ValueError(f"snr_db must be {SNR_DB_RANGE}, got {snr_db!r}")
+    if np.ndim(symbols) != 1:
+        raise ValueError("symbols must be one-dimensional")
+    sigma = np.sqrt(noise_variance(snr_db))
+    noisy = np.random.default_rng(seed).standard_normal(np.size(symbols))
     noisy *= sigma
-    noisy += block.symbols
-    return SymbolBlock(noisy, scale=block.scale)
+    noisy += symbols
+    return noisy
 
 
 def derive_seed(base_seed: int, *labels) -> int:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from .bitio import exp_golomb
-from .channel import ChannelConfig, TxStats, awgn, noise_variance
+from .channel import TxStats, awgn, noise_variance
 from .ldpc import LdpcCode, bpsk_demodulate, bpsk_modulate, ldpc_decode, ldpc_encode
 from .video import Frame, VideoSequence, pad_edge
 
@@ -283,7 +283,7 @@ class PreparedClassical:
     (SNR sweeps reuse the encode)."""
 
     bitstream: Bitstream
-    symbols: object        # SymbolBlock of BPSK symbols
+    symbols: np.ndarray    # read-only float64 BPSK symbols
     source: VideoSequence  # the GOP the bitstream codes
     code: LdpcCode         # the LDPC code the symbols were encoded with
 
@@ -305,12 +305,12 @@ def prepare_classical(gop: VideoSequence, qp: float, code: LdpcCode) -> Prepared
     return PreparedClassical(bitstream=bs, symbols=bpsk_modulate(coded), source=gop, code=code)
 
 
-def transmit_prepared(prep: PreparedClassical, ch: ChannelConfig, prev_frame: Frame = None, *,
-                      max_iters: int):
+def transmit_prepared(prep: PreparedClassical, snr_db: float, seed: int, prev_frame: Frame = None,
+                      *, max_iters: int):
     bs, code = prep.bitstream, prep.code
     # the float64 noise and LLRs are freed as the decode returns
     decoded, converged = ldpc_decode(
-        bpsk_demodulate(awgn(prep.symbols, ch), noise_variance(ch.snr_db)), code,
+        bpsk_demodulate(awgn(prep.symbols, snr_db, seed), noise_variance(snr_db)), code,
         max_iters=max_iters)
     decoded = decoded[: bs.bit_length]
     if converged.all() and np.array_equal(decoded, bs.bits):
@@ -321,7 +321,7 @@ def transmit_prepared(prep: PreparedClassical, ch: ChannelConfig, prev_frame: Fr
         frames = source_decode(replace(bs, bits=decoded), corrupted, prev_frame)
     stats = TxStats(
         payload_bits=bs.bit_length,
-        channel_symbols=int(prep.symbols.symbols.size),
+        channel_symbols=prep.symbols.size,
         decode_failures=int(np.count_nonzero(~converged)),
         side_info_bits=bs.side_info_bits,
     )

@@ -68,7 +68,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel import SymbolBlock
 from .parallel import parallel_map
 
 # every code is (3, 6)-regular: rate 1/2 with each check of full degree
@@ -449,17 +448,19 @@ def ldpc_decode(llrs, code: LdpcCode, max_iters: int = 50):
     return info, converged
 
 
-def bpsk_modulate(bits) -> SymbolBlock:
-    """Map bit 0 -> +1 and bit 1 -> -1 (unit power by construction)."""
+def bpsk_modulate(bits) -> np.ndarray:
+    """Map bit 0 -> +1 and bit 1 -> -1 (unit power by construction); the
+    symbols are read-only, since every send of a prepared GOP shares them."""
     symbols = np.asarray(bits, dtype=np.uint8).reshape(-1) * -2.0
     symbols += 1.0
-    return SymbolBlock(symbols)
+    symbols.setflags(write=False)
+    return symbols
 
 
 def bpsk_demodulate(symbols, noise_var: float) -> np.ndarray:
     """Per-symbol LLRs 2*y/sigma^2; a zero-variance channel clamps to
     +/-LLR_MAX."""
-    y = symbols.symbols if isinstance(symbols, SymbolBlock) else np.asarray(symbols)
+    y = np.asarray(symbols)
     if noise_var < 0:
         raise ValueError("noise variance must be >= 0")
     if noise_var == 0:

@@ -247,7 +247,7 @@ def epe(pred, gt) -> float:
 
 def pck(pred, gt, tau: float) -> float:
     """Fraction of predicted points strictly within ``tau`` meters of truth."""
-    if tau <= 0:
+    if not tau > 0:  # NaN too
         raise ValueError("tau must be positive")
     p, g = _check_points(pred, gt)
     dist = np.linalg.norm(p - g, axis=1)
@@ -261,6 +261,8 @@ def _check_boxes(pred, gt):
         raise ValueError("box sets must have shape (n, 4) as (xmin, ymin, xmax, ymax)")
     if p.shape != g.shape:
         raise ValueError(f"cardinality mismatch: {p.shape[0]} vs {g.shape[0]}")
+    if p.shape[0] < 1:
+        raise ValueError("box sets must be non-empty")
     for name, arr in (("pred", p), ("gt", g)):
         if np.any(arr[:, 0] > arr[:, 2]) or np.any(arr[:, 1] > arr[:, 3]):
             raise ValueError(f"{name} boxes must satisfy min <= max per axis")

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import fixtures
-from .channel import ChannelConfig, TxStats, derive_seed
+from .channel import TxStats, derive_seed
 from .classical import prepare_classical, transmit_prepared
 from .config import LinkSettings, NodeSettings, ReconSettings, RunConfig, VideoSource
 from .ldpc import make_ldpc_code
@@ -219,11 +219,12 @@ def send(clip: PreparedClip, cfg: RunConfig, snr_db: float, *labels):
     total = TxStats(0, 0)
     prev = None
     for i, payload in enumerate(clip.payloads):
-        ch = ChannelConfig(snr_db, derive_seed(cfg.seed, *labels, i))
+        seed = derive_seed(cfg.seed, *labels, i)
         if clip.chain == "semantic":
-            rec, st = transmit_packet(payload, ch, cfg.semantic)
+            rec, st = transmit_packet(payload, snr_db, seed, cfg.semantic)
         else:
-            rec, st = transmit_prepared(payload, ch, prev, max_iters=cfg.classical.max_iters)
+            rec, st = transmit_prepared(payload, snr_db, seed, prev,
+                                        max_iters=cfg.classical.max_iters)
             prev = rec[-1]
         frames.extend(rec)
         total = total.merge(st)

@@ -29,14 +29,7 @@ import numpy as np
 from scipy.fft import dct, dctn, idctn
 
 from .bitio import index_list_bits
-from .channel import (
-    ChannelConfig,
-    SymbolBlock,
-    TxStats,
-    awgn,
-    noise_variance,
-    normalize_power,
-)
+from .channel import TxStats, awgn, noise_variance
 from .video import CHANNELS, Frame, VideoSequence, pad_edge
 
 GRID_BITS = 32
@@ -196,22 +189,20 @@ def fit_entropy_model(maps: tuple, cfg: SemanticCodecConfig) -> EntropyModel:
 
 @dataclass(frozen=True)
 class SemanticPacket:
-    """Everything the receiver gets: kept-element masks, normalized
-    symbols, dequantized model parameters, and the frame size.  Masks and
-    model parameters are side information transmitted error free; their bit
-    cost is tallied in ``side_info_bits``."""
+    """Everything the receiver gets: kept-element masks, symbols at unit
+    mean square with the factor ``rms`` that undoes that normalization (1.0
+    when the symbols have no power), dequantized model parameters, and the
+    frame size.  Masks, ``rms`` and model parameters are side information
+    transmitted error free; their bit cost is tallied in ``side_info_bits``."""
 
     kept_common: np.ndarray      # bool (grid_h, grid_w, channels)
     kept_individual: np.ndarray  # bool (n, grid_h, grid_w, channels)
-    block: SymbolBlock
+    symbols: np.ndarray          # read-only float64 (kept elements,)
+    rms: float
     locations: np.ndarray        # dequantized (2, channels)
     scales: np.ndarray           # dequantized (2, channels)
     frame_size: tuple            # the GOP's (height, width) before padding
     side_info_bits: int
-
-    @property
-    def symbol_count(self) -> int:
-        return int(self.block.symbols.size)
 
 
 def _quantize_params(values: np.ndarray, log_domain: bool):
@@ -257,8 +248,13 @@ def variable_length_code(maps: tuple, model: EntropyModel, symbol_budget: int,
             left -= values.size
         masks.append(mask)
         symbols.append(((values - locations[kind]) / weights[kind])[mask])
-    raw = SymbolBlock(np.concatenate(symbols))
-    block = normalize_power(raw) if raw.power > 0 else raw
+    symbols = np.concatenate(symbols)
+    rms = float(np.sqrt(np.mean(symbols**2)))
+    if rms > 0:
+        symbols = symbols / rms
+    else:
+        rms = 1.0
+    symbols.setflags(write=False)  # sweep workers share the packet
 
     mask_bits = sum(index_list_bits(np.flatnonzero(m)) for m in masks)
     param_bits = 2 * (maps[0].shape[-1] * 2 * PARAM_QUANT_BITS + RANGE_HEADER_BITS)
@@ -267,7 +263,8 @@ def variable_length_code(maps: tuple, model: EntropyModel, symbol_budget: int,
     return SemanticPacket(
         kept_common=masks[0],
         kept_individual=masks[1],
-        block=block,
+        symbols=symbols,
+        rms=rms,
         locations=locations,
         scales=scales,
         frame_size=frame_size,
@@ -275,13 +272,13 @@ def variable_length_code(maps: tuple, model: EntropyModel, symbol_budget: int,
     )
 
 
-def decode_packet(packet: SemanticPacket, received: SymbolBlock, noise_var: float,
+def decode_packet(packet: SemanticPacket, received: np.ndarray, noise_var: float,
                   cfg: SemanticCodecConfig) -> tuple:
     """Receiver side: MMSE-style shrinkage 1/(1 + sigma^2) on the normalized
     symbols, de-normalization and de-weighting, then scatter into maps with
     dropped elements filled by the model locations."""
     shrink = 1.0 / (1.0 + noise_var)
-    values = received.symbols * shrink * received.scale
+    values = received * shrink * packet.rms
     weights = _symbol_weights(packet.scales, cfg)
 
     maps, start = [], 0
@@ -304,24 +301,24 @@ def prepare_semantic(gop: VideoSequence, symbol_budget: int,
     return variable_length_code(maps, model, symbol_budget, (gop.height, gop.width), cfg)
 
 
-def transmit_packet(packet: SemanticPacket, ch: ChannelConfig, cfg: SemanticCodecConfig):
+def transmit_packet(packet: SemanticPacket, snr_db: float, seed: int, cfg: SemanticCodecConfig):
     """Channel plus receiver side, returning the GOP's decoded frames and
     accounting; analog symbols never fail to decode, they just get noisier."""
-    received = awgn(packet.block, ch)
-    common, individual = decode_packet(packet, received, noise_variance(ch.snr_db), cfg)
+    received = awgn(packet.symbols, snr_db, seed)
+    common, individual = decode_packet(packet, received, noise_variance(snr_db), cfg)
     frames = latent_inverse(jscc_decode(common + individual, cfg), packet.frame_size, cfg)
     stats = TxStats(
-        payload_bits=packet.symbol_count * cfg.bits_per_symbol_eq,
-        channel_symbols=packet.symbol_count,
+        payload_bits=packet.symbols.size * cfg.bits_per_symbol_eq,
+        channel_symbols=packet.symbols.size,
         decode_failures=0,
         side_info_bits=packet.side_info_bits,
     )
     return frames, stats
 
 
-def semantic_transmit(gop: VideoSequence, ch: ChannelConfig, symbol_budget: int,
+def semantic_transmit(gop: VideoSequence, snr_db: float, seed: int, symbol_budget: int,
                       cfg: SemanticCodecConfig):
     """Full semantic chain over the AWGN channel; returns the GOP's
     reconstructed frames and transmission accounting."""
     packet = prepare_semantic(gop, symbol_budget, cfg)
-    return transmit_packet(packet, ch, cfg)
+    return transmit_packet(packet, snr_db, seed, cfg)

@@ -86,7 +86,7 @@ SEMANTIC_GOPS = {
 
 def semantic_chain(gop_name, budget):
     """What ``prepare_semantic`` sends (both masks, the symbols and their
-    scale, the locations, the scales, the side-information bits), and the
+    rms, the locations, the scales, the side-information bits), and the
     frames ``transmit_packet`` gives at three SNRs."""
     gop = SEMANTIC_GOPS[gop_name]()
     latent = semantic.latent_transform(gop, SEMANTIC_CFG)
@@ -95,12 +95,11 @@ def semantic_chain(gop_name, budget):
     symbols = {"100": 100, "n_common": n_common, "n_common+1": n_common + 1,
                "18000": 18000, "10*total": 10 * total}[budget]
     p = semantic.prepare_semantic(gop, symbols, SEMANTIC_CFG)
-    pin = {"packet": sha256(p.kept_common, p.kept_individual, p.block.symbols,
-                            np.float64(p.block.scale), p.locations, p.scales,
+    pin = {"packet": sha256(p.kept_common, p.kept_individual, p.symbols,
+                            np.float64(p.rms), p.locations, p.scales,
                             np.int64(p.side_info_bits))}
     for snr in (-10.0, 5.0, 300.0):
-        received, _ = semantic.transmit_packet(p, channel.ChannelConfig(snr_db=snr, seed=5),
-                                               SEMANTIC_CFG)
+        received, _ = semantic.transmit_packet(p, snr, 5, SEMANTIC_CFG)
         pin[f"snr{snr}"] = sha256([f.data for f in received])
     return pin
 
@@ -139,8 +138,7 @@ def noisy_llrs(code, snrs_db, seed):
     coded = ldpc.ldpc_encode(info, code).reshape(len(snrs_db), -1)
     llrs = []
     for b, snr in enumerate(snrs_db):
-        received = channel.awgn(ldpc.bpsk_modulate(coded[b]),
-                                channel.ChannelConfig(snr_db=snr, seed=b))
+        received = channel.awgn(ldpc.bpsk_modulate(coded[b]), snr, b)
         llrs.append(ldpc.bpsk_demodulate(received, channel.noise_variance(snr)))
     return np.concatenate(llrs)
 

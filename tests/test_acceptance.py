@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semvid.channel import ChannelConfig, awgn, noise_variance
+from semvid.channel import awgn, noise_variance
 from semvid.config import reference_config
 from semvid.fixtures import (
     make_benchmark_scene,
@@ -91,7 +91,7 @@ def test_criterion_4_ldpc_coding_gain(ldpc_code, rng):
     n_info = 1_000_448  # multiple of k=512, >= 1e6
     info = rng.integers(0, 2, n_info).astype(np.uint8)
     coded = ldpc_encode(info, ldpc_code)
-    received = awgn(bpsk_modulate(coded), ChannelConfig(snr_db=snr_db, seed=77))
+    received = awgn(bpsk_modulate(coded), snr_db, 77)
 
     # oracle first: closed-form uncoded BER Q(sqrt(2*SNR)) with SNR taken as
     # Es/N0; for real baseband noise of variance sigma^2, N0 = 2 sigma^2, so
@@ -99,7 +99,7 @@ def test_criterion_4_ldpc_coding_gain(ldpc_code, rng):
     es_n0 = (1.0 / sigma2) / 2.0
     q_arg = math.sqrt(2.0 * es_n0)
     closed_form = 0.5 * math.erfc(q_arg / math.sqrt(2.0))
-    hard = (received.symbols < 0).astype(np.uint8)
+    hard = (received < 0).astype(np.uint8)
     uncoded_ber = float(np.mean(hard != coded))
     assert abs(uncoded_ber - closed_form) <= 0.05 * closed_form
 

@@ -1,73 +1,90 @@
 import numpy as np
 import pytest
 
-from semvid.channel import (
-    ChannelConfig,
-    SymbolBlock,
-    TxStats,
-    awgn,
-    derive_seed,
-    noise_variance,
-    normalize_power,
-)
+from semvid.channel import TxStats, awgn, derive_seed, noise_variance
+from semvid.semantic import EntropyModel, SemanticCodecConfig, variable_length_code
+
+# unit weights and zero locations: a packet sends its maps' values as they are
+UNWEIGHTED = SemanticCodecConfig(power_alloc_exp=0.0)
+
+
+def unweighted_packet(common, individual):
+    """The packet of maps ``common`` (1, 1, c) and ``individual`` (1, 1, 1, c),
+    every element kept, common first."""
+    c = len(common)
+    maps = (np.reshape(common, (1, 1, c)).astype(float),
+            np.reshape(individual, (1, 1, 1, c)).astype(float))
+    model = EntropyModel(np.zeros((2, c)), np.ones((2, c)))
+    return variable_length_code(maps, model, 2 * c, (1, 1), UNWEIGHTED)
 
 
 class TestNormalizePower:
+    """The semantic chain sends its symbols at the unit mean square the SNR
+    is defined on; the packet's ``rms`` undoes the normalization."""
+
     def test_constant_block(self):
-        out = normalize_power(SymbolBlock(np.full(8, 2.0)))
+        out = unweighted_packet([2.0, 2.0, 2.0, 2.0], [2.0, 2.0, 2.0, 2.0])
         assert np.allclose(out.symbols, 1.0)
-        assert out.scale == pytest.approx(2.0)
+        assert out.rms == pytest.approx(2.0)
 
     def test_idempotent_on_unit_power(self):
-        block = normalize_power(SymbolBlock(np.array([3.0, -4.0, 1.0, 2.0])))
-        again = normalize_power(block)
+        block = unweighted_packet([3.0, -4.0], [1.0, 2.0])
+        again = unweighted_packet(block.symbols[:2], block.symbols[2:])
         assert np.allclose(again.symbols, block.symbols)
-        assert again.scale == pytest.approx(block.scale)
+        assert again.rms == pytest.approx(1.0)
 
     def test_hand_arithmetic(self):
-        out = normalize_power(SymbolBlock(np.array([3.0, 4.0])))
-        assert abs(out.power - 1.0) < 1e-6
-        assert out.scale == pytest.approx(np.sqrt(12.5))
+        out = unweighted_packet([3.0, 4.0], [0.0, 0.0])
+        assert abs(np.mean(out.symbols**2) - 1.0) < 1e-6
+        assert out.rms == pytest.approx(np.sqrt(6.25))
+        assert np.allclose(out.symbols * out.rms, [3.0, 4.0, 0.0, 0.0])
 
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_power(SymbolBlock(np.zeros(4)))
+    def test_zero_power_packet_keeps_rms_one(self):
+        out = unweighted_packet([0.0, 0.0], [0.0, 0.0])
+        assert out.rms == 1.0
+        assert np.array_equal(out.symbols, np.zeros(4))
 
-    def test_empty_rejected(self):
+    def test_symbols_read_only(self):
+        out = unweighted_packet([3.0, 4.0], [1.0, 2.0])
+        assert out.symbols.dtype == np.float64
         with pytest.raises(ValueError):
-            normalize_power(SymbolBlock(np.array([])))
+            out.symbols[0] = 0.0
 
 
 class TestAwgn:
     def test_vanishing_noise(self):
-        block = SymbolBlock(np.linspace(-1, 1, 64))
-        out = awgn(block, ChannelConfig(snr_db=200.0, seed=1))
-        assert np.max(np.abs(out.symbols - block.symbols)) < 1e-8
+        symbols = np.linspace(-1, 1, 64)
+        out = awgn(symbols, 200.0, 1)
+        assert np.max(np.abs(out - symbols)) < 1e-8
 
     def test_noise_variance_at_zero_db(self):
-        block = SymbolBlock(np.ones(10**6))
-        out = awgn(block, ChannelConfig(snr_db=0.0, seed=7))
-        measured = np.var(out.symbols - block.symbols)
+        symbols = np.ones(10**6)
+        out = awgn(symbols, 0.0, 7)
+        measured = np.var(out - symbols)
         assert abs(measured - 1.0) < 0.02
 
     def test_deterministic_under_seed(self):
-        block = SymbolBlock(np.ones(128))
-        cfg = ChannelConfig(snr_db=5.0, seed=99)
-        assert np.array_equal(awgn(block, cfg).symbols, awgn(block, cfg).symbols)
+        symbols = np.ones(128)
+        assert np.array_equal(awgn(symbols, 5.0, 99), awgn(symbols, 5.0, 99))
+
+    def test_matches_reference_expression(self):
+        symbols = np.random.default_rng(0).standard_normal(257)
+        for snr_db, seed in ((-10.0, 3), (5.0, 99), (25.0, 2**62)):
+            want = np.random.default_rng(seed).standard_normal(symbols.size)
+            want *= np.sqrt(10.0 ** (-snr_db / 10.0))
+            want += symbols
+            out = awgn(symbols, snr_db, seed)
+            assert out.dtype == np.float64
+            assert out.tobytes() == want.tobytes()
 
     def test_empirical_snr_matches_config(self):
         # module invariant: within 0.1 dB over >= 1e6 symbols
-        block = SymbolBlock(np.ones(10**6))
+        symbols = np.ones(10**6)
         for snr_db in (-10.0, 0.0, 10.0):
-            out = awgn(block, ChannelConfig(snr_db=snr_db, seed=3))
-            noise_power = np.mean((out.symbols - block.symbols) ** 2)
+            out = awgn(symbols, snr_db, 3)
+            noise_power = np.mean((out - symbols) ** 2)
             measured_db = 10 * np.log10(1.0 / noise_power)
             assert abs(measured_db - snr_db) < 0.1
-
-    def test_scale_carried_through(self):
-        block = SymbolBlock(np.ones(4), scale=3.5)
-        out = awgn(block, ChannelConfig(snr_db=20.0, seed=2))
-        assert out.scale == 3.5
 
     def test_noise_variance_helper(self):
         assert noise_variance(0.0) == pytest.approx(1.0)
@@ -99,17 +116,21 @@ class TestTxStats:
 class TestValidation:
     def test_snr_must_be_finite(self):
         with pytest.raises(ValueError):
-            ChannelConfig(snr_db=float("nan"), seed=0)
+            awgn(np.ones(4), float("nan"), 0)
 
     @pytest.mark.parametrize("snr", [-4000.0, -300.5, 300.5, 4000.0])
     def test_snr_out_of_range_rejected(self, snr):
         # far enough out, 10**(-snr_db / 10) overflows a float
-        with pytest.raises(ValueError, match="snr_db"):
-            ChannelConfig(snr_db=snr, seed=0)
+        with pytest.raises(ValueError, match="snr_db must be finite and between -300 and 300 dB"):
+            awgn(np.ones(4), snr, 0)
 
     @pytest.mark.parametrize("snr", [-300.0, 300.0])
     def test_snr_range_edges_usable(self, snr):
-        block = SymbolBlock(np.ones(4))
-        out = awgn(block, ChannelConfig(snr_db=snr, seed=0))
-        assert np.isfinite(out.symbols).all()
+        out = awgn(np.ones(4), snr, 0)
+        assert np.isfinite(out).all()
         assert np.isfinite(noise_variance(snr))
+
+    @pytest.mark.parametrize("shape", [(), (2, 2)])
+    def test_symbols_must_be_one_dimensional(self, shape):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            awgn(np.ones(shape), 10.0, 0)

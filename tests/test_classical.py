@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semvid.channel import ChannelConfig
 import semvid.classical
 from semvid.classical import (
     MB,
@@ -235,24 +234,21 @@ class TestTransmitChain:
     def test_high_snr_is_transparent(self, natural_gop, ldpc_code):
         prep = prepare_classical(natural_gop, 4.0, ldpc_code)
         source_only = source_decode(prep.bitstream)
-        received, stats = transmit_prepared(prep, ChannelConfig(snr_db=25.0, seed=3),
-                                            max_iters=MAX_ITERS)
+        received, stats = transmit_prepared(prep, 25.0, 3, max_iters=MAX_ITERS)
         assert stats.decode_failures == 0
         for a, b in zip(source_only, received):
             assert psnr(a, b) == psnr(a, a)  # identical reconstruction
 
     def test_low_snr_collapses_to_concealment(self, natural_gop, ldpc_code):
         prep = prepare_classical(natural_gop, 4.0, ldpc_code)
-        received, stats = transmit_prepared(prep, ChannelConfig(snr_db=-10.0, seed=3),
-                                            max_iters=MAX_ITERS)
+        received, stats = transmit_prepared(prep, -10.0, 3, max_iters=MAX_ITERS)
         values = [psnr(a, b) for a, b in zip(natural_gop.frames, received)]
         assert stats.decode_failures > 0
         assert np.mean(values) < 20.0
 
     def test_symbol_accounting(self, natural_gop, ldpc_code):
         prep = prepare_classical(natural_gop, 4.0, ldpc_code)
-        _, stats = transmit_prepared(prep, ChannelConfig(snr_db=25.0, seed=3),
-                                     max_iters=MAX_ITERS)
+        _, stats = transmit_prepared(prep, 25.0, 3, max_iters=MAX_ITERS)
         padded = -(-stats.payload_bits // ldpc_code.k) * ldpc_code.k
         assert stats.channel_symbols == 2 * padded
         assert stats.channel_symbols >= 2 * stats.payload_bits
@@ -261,8 +257,7 @@ class TestTransmitChain:
         reference = natural_gop.frames[-1]
         prep = prepare_classical(natural_gop, 4.0, ldpc_code)
         received, _ = transmit_prepared(
-            prep, ChannelConfig(snr_db=-10.0, seed=3), prev_frame=reference,
-            max_iters=MAX_ITERS)
+            prep, -10.0, 3, prev_frame=reference, max_iters=MAX_ITERS)
         # with everything concealed, the first frame copies the reference
         assert psnr(reference, received[0]) > psnr(natural_gop.frames[0], received[0])
 
@@ -278,8 +273,7 @@ class TestTransmitChain:
         plate = Frame(np.full((64, 64, 3), 0.25))
         for seed, prev in ((3, None), (4, plate)):
             received, stats = transmit_prepared(
-                prep, ChannelConfig(snr_db=25.0, seed=seed), prev_frame=prev,
-                max_iters=MAX_ITERS)
+                prep, 25.0, seed, prev_frame=prev, max_iters=MAX_ITERS)
             assert stats.decode_failures == 0
             for a, b in zip(parsed, received):
                 assert np.array_equal(a.data, b.data)
@@ -300,8 +294,7 @@ class TestTransmitChain:
         monkeypatch.setattr(semvid.classical, "ldpc_decode", first_block_fails)
         plate = Frame(np.full((64, 64, 3), 0.25))
         received, stats = transmit_prepared(
-            prep, ChannelConfig(snr_db=25.0, seed=3), prev_frame=plate,
-            max_iters=MAX_ITERS)
+            prep, 25.0, 3, prev_frame=plate, max_iters=MAX_ITERS)
         assert stats.decode_failures == 1
         starts = prep.bitstream.block_map[:, 0]
         hit = set(np.nonzero(starts < ldpc_code.k)[0])  # macroblocks block 0 covers

@@ -6,7 +6,8 @@ and left unset by another, every public name in ``src/`` is read by the
 program, not only by the tests, only ``semvid.parallel`` starts threads,
 and no string literal in ``src/`` or ``tests/`` holds 64 hex digits (a
 SHA-256 digest): pinned values live in ``tests/pins.json``, which names the
-same pins as the table in ``tests/pins.py``.  Package ``__init__`` modules
+same pins as the table in ``tests/pins.py``, and every backticked
+``semvid.``-qualified name in ``README.md`` resolves.  Package ``__init__`` modules
 re-export what they import and are exempt from the import check, as is an
 import on a line marked ``# noqa: F401``.
 
@@ -264,3 +265,38 @@ def test_digests_only_in_the_pin_registry():
 def test_pin_table_and_file_agree():
     # a pin in pins.json that the table lacks, or the reverse, fails here
     assert json.loads(pins.PINS_FILE.read_text()).keys() == pins.TABLE.keys()
+
+
+def unresolved_names(text: str) -> list:
+    """Each backticked ``semvid.``-qualified name in ``text`` that does not
+    resolve: its longest prefix that imports as a module, then ``getattr``
+    for each name after it."""
+    def resolves(name):
+        parts = name.split(".")
+        for cut in range(len(parts), 0, -1):
+            try:
+                obj = importlib.import_module(".".join(parts[:cut]))
+            except ModuleNotFoundError:
+                continue
+            for attr in parts[cut:]:
+                if not hasattr(obj, attr):
+                    return False
+                obj = getattr(obj, attr)
+            return True
+        return False
+
+    return [name for name in sorted(set(re.findall(r"`(semvid(?:\.\w+)+)", text)))
+            if not resolves(name)]
+
+
+def test_unresolved_name_is_found():
+    text = ("`semvid.channel.awgn(symbols, snr_db, seed)`, `semvid.recon.GaussianScene`, "
+            "`semvid.channel.NoSuchName`, `semvid.no_such_module.f` and "
+            "semvid.channel.Unquoted")
+    assert unresolved_names(text) == ["semvid.channel.NoSuchName", "semvid.no_such_module.f"]
+
+
+def test_readme_names_resolve():
+    text = (ROOT / "README.md").read_text()
+    assert re.search(r"`semvid\.\w+\.\w+", text)  # the premise: README names some
+    assert unresolved_names(text) == []

@@ -291,6 +291,13 @@ class TestPointMetrics:
         pred = np.array([[0.05, 0.0, 0.0]])
         assert pck(pred, gt, 0.05) == 0.0
 
+    @pytest.mark.parametrize("tau", [0.0, -0.1, float("nan")])
+    def test_pck_tau_must_be_positive(self, tau):
+        # NaN compares False to everything, so it must not slip past as "not <= 0"
+        pts = np.zeros((2, 3))
+        with pytest.raises(ValueError, match="tau must be positive"):
+            pck(pts, pts, tau)
+
     def test_permutation_invariance(self, rng):
         pred = rng.random((6, 3))
         gt = rng.random((6, 3))
@@ -324,6 +331,11 @@ class TestAverageJaccard:
     def test_mismatch(self):
         with pytest.raises(ValueError):
             average_jaccard(np.zeros((1, 4)), np.zeros((2, 4)))
+
+    def test_empty_box_sets_rejected(self):
+        # as epe and pck refuse empty point sets; the mean of no IoUs is NaN
+        with pytest.raises(ValueError, match="non-empty"):
+            average_jaccard(np.zeros((0, 4)), np.zeros((0, 4)))
 
     def test_invalid_box(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ import pytest
 
 import semvid
 import semvid.recon
-from semvid.channel import ChannelConfig
 from semvid.cli import COMMANDS, main as cli_main
 from semvid.config import (
     ClassicalSettings,
@@ -551,8 +550,7 @@ class TestCompare:
             decoded = source_decode(prepare_classical(gop, tiny_config.classical.qp, code).bitstream)
             cls_free.extend(psnr(a, b) for a, b in zip(gop.frames, decoded))
             clean, _ = semantic_transmit(
-                gop, ChannelConfig(snr_db=300.0, seed=0),
-                tiny_config.semantic.symbol_budget, tiny_config.semantic,
+                gop, 300.0, 0, tiny_config.semantic.symbol_budget, tiny_config.semantic,
             )
             sem_free.extend(psnr(a, b) for a, b in zip(gop.frames, clean))
         assert abs(by_chain["classical"] - np.mean(cls_free)) <= 3.0

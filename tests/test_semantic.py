@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semvid.channel import ChannelConfig
 from semvid.metrics import psnr
 from semvid.semantic import (
     BIN_WIDTH,
@@ -182,8 +181,8 @@ class TestVariableLengthCoding:
         model = fit_entropy_model(maps, CFG)
         total = common.size + individual.size
         packet = variable_length_code(maps, model, total, _size(small_clip), CFG)
-        assert packet.symbol_count == total
-        common_hat, individual_hat = decode_packet(packet, packet.block, 0.0, CFG)
+        assert packet.symbols.size == total
+        common_hat, individual_hat = decode_packet(packet, packet.symbols, 0.0, CFG)
         assert np.allclose(common_hat, common, atol=1e-9)
         assert np.allclose(individual_hat, individual, atol=1e-9)
 
@@ -192,7 +191,7 @@ class TestVariableLengthCoding:
         model = fit_entropy_model(maps, CFG)
         total = common.size + individual.size
         packet = variable_length_code(maps, model, total * 10, _size(small_clip), CFG)
-        assert packet.symbol_count == total
+        assert packet.symbols.size == total
 
     def test_budget_must_be_positive(self, small_clip):
         maps = extract_common(_features(small_clip))
@@ -220,7 +219,7 @@ class TestVariableLengthCoding:
         maps = extract_common(_features(small_clip))
         model = fit_entropy_model(maps, CFG)
         packet = variable_length_code(maps, model, 50, _size(small_clip), CFG)
-        _, individual_hat = decode_packet(packet, packet.block, 0.0, CFG)
+        _, individual_hat = decode_packet(packet, packet.symbols, 0.0, CFG)
         dropped = ~packet.kept_individual
         expected = np.broadcast_to(packet.locations[1], packet.kept_individual.shape)
         assert np.array_equal(individual_hat[dropped], expected[dropped])
@@ -233,9 +232,8 @@ class TestVariableLengthCoding:
         gop = _clip(np.tile(np.clip(frame, 0, 1)[None], (4, 1, 1, 1)))
         common, individual = extract_common(_features(gop))
         total = common.size + individual.size
-        ch = ChannelConfig(snr_db=300.0, seed=4)
-        full, _ = semantic_transmit(gop, ch, total, CFG)
-        tenth, _ = semantic_transmit(gop, ch, total // 10, CFG)
+        full, _ = semantic_transmit(gop, 300.0, 4, total, CFG)
+        tenth, _ = semantic_transmit(gop, 300.0, 4, total // 10, CFG)
         assert _mean_psnr(gop, tenth) >= _mean_psnr(gop, full) - 3.0
 
 
@@ -243,7 +241,7 @@ class TestSemanticTransmit:
     def test_high_snr_full_budget_quality(self, reference_clip):
         common, individual = extract_common(_features(reference_clip))
         total = common.size + individual.size
-        out, stats = semantic_transmit(reference_clip, ChannelConfig(snr_db=25.0, seed=9), total, CFG)
+        out, stats = semantic_transmit(reference_clip, 25.0, 9, total, CFG)
         assert _mean_psnr(reference_clip, out) >= 40.0
         assert stats.decode_failures == 0
         assert stats.channel_symbols == total
@@ -251,27 +249,26 @@ class TestSemanticTransmit:
     def test_infinite_snr_full_budget_transform_loss_only(self, small_clip):
         common, individual = extract_common(_features(small_clip))
         total = common.size + individual.size
-        out, _ = semantic_transmit(small_clip, ChannelConfig(snr_db=300.0, seed=1), total, CFG)
+        out, _ = semantic_transmit(small_clip, 300.0, 1, total, CFG)
         assert _mean_psnr(small_clip, out) >= 50.0
 
     def test_graceful_degradation(self, small_clip):
         budgets = 2000
         values = []
         for snr in np.arange(-10.0, 26.0, 5.0):
-            out, _ = semantic_transmit(small_clip, ChannelConfig(snr_db=float(snr), seed=9), budgets, CFG)
+            out, _ = semantic_transmit(small_clip, float(snr), 9, budgets, CFG)
             values.append(_mean_psnr(small_clip, out))
         drops = [values[i + 1] - values[i] for i in range(len(values) - 1)]
         assert all(v >= -6.0 for v in drops)  # rising SNR never drops sharply
         assert max(values) > min(values)
 
     def test_deterministic(self, small_clip):
-        ch = ChannelConfig(snr_db=5.0, seed=31)
-        a, _ = semantic_transmit(small_clip, ch, 1500, CFG)
-        b, _ = semantic_transmit(small_clip, ch, 1500, CFG)
+        a, _ = semantic_transmit(small_clip, 5.0, 31, 1500, CFG)
+        b, _ = semantic_transmit(small_clip, 5.0, 31, 1500, CFG)
         assert np.array_equal(_stack(a), _stack(b))
 
     def test_payload_accounting(self, small_clip):
-        _, stats = semantic_transmit(small_clip, ChannelConfig(snr_db=10.0, seed=2), 700, CFG)
+        _, stats = semantic_transmit(small_clip, 10.0, 2, 700, CFG)
         assert stats.channel_symbols == 700
         assert stats.payload_bits == 700 * CFG.bits_per_symbol_eq
         assert stats.side_info_bits > 0
@@ -284,7 +281,7 @@ class TestSemanticTransmit:
         for seed in range(8):
             values = []
             for budget in budgets:
-                out, _ = semantic_transmit(gop, ChannelConfig(snr_db=10.0, seed=seed), budget, CFG)
+                out, _ = semantic_transmit(gop, 10.0, seed, budget, CFG)
                 values.append(_mean_psnr(gop, out))
             for a, b in zip(values, values[1:]):
                 comparisons += 1
@@ -297,7 +294,7 @@ class TestPacketGeometry:
     def test_mask_matches_symbol_count(self, small_clip):
         packet = prepare_semantic(small_clip, 1234, CFG)
         kept = packet.kept_common.sum() + packet.kept_individual.sum()
-        assert kept == packet.symbol_count == 1234
+        assert kept == packet.symbols.size == 1234
 
     def test_grid_snap_is_dyadic(self):
         vals = np.array([0.1, -2.7, 3.3e-11])
