@@ -20,9 +20,10 @@ from unittest import mock
 
 import numpy as np
 
-from semvid import channel, classical, cli, config, fixtures, ldpc, metrics, pipeline, semantic
+from semvid import (channel, classical, cli, config, fixtures, ldpc, metrics, pipeline, semantic,
+                    synthesis)
 from semvid.recon import fit, save_scene
-from semvid.video import Frame, VideoSequence
+from semvid.video import Frame, VideoSequence, box_downsample
 
 from scenes import make_gradient_check_scene, mutable_params
 
@@ -200,6 +201,59 @@ def service_reports_without_fit():
             "composite_raises": sha256(raising.to_json().encode())}
 
 
+# at the reference settings the matte is binary and equals the truth, so
+# the losses are 0 and the IoU 1; the non-square case's softer ramp gives
+# soft mattes
+MATTING_CASES = {
+    "64x64": (64, 64, config.reference_config().synthesis),
+    "50x40": (50, 40, config.SynthesisSettings(threshold=0.3, softness=0.25)),
+}
+
+
+@cache
+def matting(case):
+    """The 8-frame matting set of ``case`` matted against its plate and
+    composited over the background clip, without a channel: the clip, the
+    background, the ground-truth mattes, the estimated mattes, the
+    composite and the settings."""
+    width, height, syn = MATTING_CASES[case]
+    user, plate, gt = fixtures.make_matting_set(width, height, 8)
+    background = fixtures.make_background_clip(width, height, 8, 8.0, 55)
+    mattes, comp = pipeline.matte_composite(user, background, plate, syn)
+    return user, background, gt, mattes, comp, syn
+
+
+def matting_mattes(case):
+    return sha256([m.alpha for m in matting(case)[3]])
+
+
+def matting_masks(case):
+    """The transition masks of the ground-truth and the estimated mattes."""
+    _, _, gt, mattes, _, syn = matting(case)
+    return sha256([synthesis.transition_mask(m, syn.radius).mask for m in gt + mattes])
+
+
+def matting_composite(case):
+    return sha256(matting(case)[4].to_array())
+
+
+def matting_losses(case):
+    """``float.hex`` of each frame's matte IoU and semantic, detail and
+    fusion losses against the ground truth, as the service computes them."""
+    user, background, gt, mattes, _, syn = matting(case)
+    f = syn.downsample_factor
+    losses = {"matte_iou": [], "semantic": [], "detail": [], "fusion": []}
+    for i, (m, g) in enumerate(zip(mattes, gt)):
+        thumb = synthesis.AlphaMatte(box_downsample(m.alpha, f))
+        losses["matte_iou"].append(synthesis.matte_iou(m, g))
+        losses["semantic"].append(synthesis.semantic_loss(thumb, g, f))
+        losses["detail"].append(
+            synthesis.detail_loss(m, g, synthesis.transition_mask(g, syn.radius)))
+        losses["fusion"].append(
+            synthesis.fusion_loss(m, g, user.frames[i], background.frames[i]))
+    return {name: [x.hex() for x in values] for name, values in losses.items()}
+
+
 def show_config_output():
     """The reference config file's keys, defaults and layout."""
     with redirect_stdout(io.StringIO()) as out:
@@ -318,6 +372,10 @@ TABLE = {
     **{f"pipeline.multi_gop[{chain},{snr}]": partial(sent, chain, 3, snr, "multi_gop")
        for chain, snr in MULTI_GOP_SENDS},
     "pipeline.service_reports_without_fit": service_reports_without_fit,
+    **{f"synthesis.{what}[{case}]": partial(row, case)
+       for what, row in (("mattes", matting_mattes), ("transition_masks", matting_masks),
+                         ("composite", matting_composite), ("losses", matting_losses))
+       for case in MATTING_CASES},
     "cli.show_config": show_config_output,
     **{f"recon.track_assignments[{case}]": partial(track_weights, case)
        for case in ("reference", "gradient_check")},

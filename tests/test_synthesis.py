@@ -17,6 +17,8 @@ from semvid.synthesis import (
 )
 from semvid.video import Frame, box_downsample
 
+import pins
+
 
 def _frame(value, shape=(10, 10, 3)):
     return Frame(np.full(shape, float(value)))
@@ -192,3 +194,9 @@ class TestComposite:
     def test_dims_mismatch(self):
         with pytest.raises(ValueError):
             composite(_frame(0.0), _frame(0.0), AlphaMatte(np.zeros((4, 4))))
+
+
+@pytest.mark.parametrize("case", sorted(pins.MATTING_CASES))
+@pytest.mark.parametrize("what", ("mattes", "transition_masks", "composite", "losses"))
+def test_matting_pinned(what, case):
+    pins.check(f"synthesis.{what}[{case}]")
