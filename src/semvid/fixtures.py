@@ -15,7 +15,6 @@ import numpy as np
 from .recon.fit import Tracks2D, predict_track_positions, track_assignments
 from .recon.render import project_points, render
 from .recon.scene import Camera, GaussianScene, pose_pipeline, scene_params
-from .synthesis import AlphaMatte
 from .video import Frame, VideoSequence
 
 SCENE_FPS = 10.0  # playback rate of rendered scene videos
@@ -96,7 +95,7 @@ def make_matting_set(width: int, height: int, n_frames: int, fps: float = 8.0, s
         frame[disk, 1] = 0.75 + 0.08 * fg_tex[disk]
         frame[disk, 2] = 0.55 + 0.08 * fg_tex[disk]
         frames.append(_snap(frame))
-        mattes.append(AlphaMatte(disk.astype(np.float64)))
+        mattes.append(disk.astype(np.float64))
     video = VideoSequence.from_array(np.stack(frames), fps)
     return video, Frame(plate), mattes
 

@@ -461,7 +461,7 @@ def bpsk_demodulate(symbols, noise_var: float) -> np.ndarray:
     """Per-symbol LLRs 2*y/sigma^2; a zero-variance channel clamps to
     +/-LLR_MAX."""
     y = np.asarray(symbols)
-    if noise_var < 0:
+    if not noise_var >= 0:  # NaN too
         raise ValueError("noise variance must be >= 0")
     if noise_var == 0:
         return np.clip(np.sign(y) * LLR_MAX, -LLR_MAX, LLR_MAX)

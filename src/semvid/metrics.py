@@ -263,6 +263,8 @@ def _check_boxes(pred, gt):
         raise ValueError(f"cardinality mismatch: {p.shape[0]} vs {g.shape[0]}")
     if p.shape[0] < 1:
         raise ValueError("box sets must be non-empty")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(g))):
+        raise ValueError("box coordinates must be finite")
     for name, arr in (("pred", p), ("gt", g)):
         if np.any(arr[:, 0] > arr[:, 2]) or np.any(arr[:, 1] > arr[:, 3]):
             raise ValueError(f"{name} boxes must satisfy min <= max per axis")

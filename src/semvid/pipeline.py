@@ -34,16 +34,8 @@ from .recon.scene import pose_pipeline, scene_params
 # semantic_transmit is unused here, but the benchmark tracer wraps it by this
 # module's name, so it stays importable from semvid.pipeline
 from .semantic import prepare_semantic, semantic_transmit, transmit_packet  # noqa: F401
-from .synthesis import (
-    AlphaMatte,
-    composite,
-    detail_loss,
-    estimate_matte,
-    fusion_loss,
-    matte_iou,
-    semantic_loss,
-    transition_mask,
-)
+from .synthesis import (composite, detail_loss, estimate_matte, fusion_loss, matte_iou,
+                        semantic_loss, transition_mask)
 from .video import Frame, VideoSequence, box_downsample, load_raw, segment_gops
 
 LPIPS_NOTE = "unavailable: requires a pretrained perceptual network (out of scope)"
@@ -53,7 +45,7 @@ CHAINS = ("semantic", "classical")
 def stage_latency(payload_bits: float, link: LinkSettings, flops: float,
                   node: NodeSettings) -> float:
     """Transmission plus compute time for one stage."""
-    if payload_bits < 0 or flops < 0:
+    if not (payload_bits >= 0 and flops >= 0):  # NaN too
         raise ValueError("payload and compute must be non-negative")
     return payload_bits / link.throughput_bps + flops / node.flops
 
@@ -398,14 +390,10 @@ def _video_synthesis(cfg: RunConfig, user, background, user_clean, background_cl
         ious, sem_l, det_l, fus_l = [], [], [], []
         for i, (matte, gt) in enumerate(zip(mattes, gt_mattes)):
             ious.append(matte_iou(matte, gt))
-            thumb = AlphaMatte(
-                np.clip(box_downsample(matte.alpha, syn.downsample_factor), 0.0, 1.0)
-            )
+            thumb = box_downsample(matte, syn.downsample_factor)
             sem_l.append(semantic_loss(thumb, gt, syn.downsample_factor))
             det_l.append(detail_loss(matte, gt, transition_mask(gt, syn.radius)))
-            fus_l.append(
-                fusion_loss(matte, gt, user_clean.frames[i], background_clean.frames[i])
-            )
+            fus_l.append(fusion_loss(matte, gt, user_clean.frames[i], background_clean.frames[i]))
         metrics.update(
             matte_iou=float(np.mean(ious)),
             coarse_mask_loss=float(np.mean(sem_l)),

@@ -224,13 +224,13 @@ def matting(case):
 
 
 def matting_mattes(case):
-    return sha256([m.alpha for m in matting(case)[3]])
+    return sha256(matting(case)[3])
 
 
 def matting_masks(case):
     """The transition masks of the ground-truth and the estimated mattes."""
     _, _, gt, mattes, _, syn = matting(case)
-    return sha256([synthesis.transition_mask(m, syn.radius).mask for m in gt + mattes])
+    return sha256([synthesis.transition_mask(m, syn.radius) for m in gt + mattes])
 
 
 def matting_composite(case):
@@ -244,7 +244,7 @@ def matting_losses(case):
     f = syn.downsample_factor
     losses = {"matte_iou": [], "semantic": [], "detail": [], "fusion": []}
     for i, (m, g) in enumerate(zip(mattes, gt)):
-        thumb = synthesis.AlphaMatte(box_downsample(m.alpha, f))
+        thumb = box_downsample(m, f)
         losses["matte_iou"].append(synthesis.matte_iou(m, g))
         losses["semantic"].append(synthesis.semantic_loss(thumb, g, f))
         losses["detail"].append(

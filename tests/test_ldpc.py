@@ -493,6 +493,11 @@ class TestBpsk:
         llr = bpsk_demodulate(np.array([1.0, -1.0]), 0.0)
         assert np.array_equal(llr, [LLR_MAX, -LLR_MAX])
 
+    @pytest.mark.parametrize("noise_var", [-1.0, np.nan])
+    def test_negative_or_nan_variance_refused(self, noise_var):
+        with pytest.raises(ValueError, match=">= 0"):
+            bpsk_demodulate(np.array([1.0, -1.0]), noise_var)
+
     def test_magnitude_scales_with_variance(self):
         strong = bpsk_demodulate(np.array([0.5]), 0.1)[0]
         weak = bpsk_demodulate(np.array([0.5]), 1.0)[0]

@@ -341,6 +341,15 @@ class TestAverageJaccard:
         with pytest.raises(ValueError):
             average_jaccard(np.array([[1.0, 0.0, 0.0, 1.0]]), np.array([[0.0, 0.0, 1.0, 1.0]]))
 
+    @pytest.mark.parametrize("box", [[np.nan, 0, 1, 1], [0, 0, np.inf, 1], [-np.inf, 0, 1, 1]])
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    def test_non_finite_box_refused(self, box, side):
+        # as epe and pck refuse non-finite points; each box passes min <= max
+        bad, good = np.array([box]), np.array([[0.0, 0.0, 1.0, 1.0]])
+        pred, gt = (bad, good) if side == "pred" else (good, bad)
+        with pytest.raises(ValueError, match="finite"):
+            average_jaccard(pred, gt)
+
     def test_permutation_invariance(self, rng):
         lo = rng.random((5, 2))
         a = np.hstack([lo, lo + rng.random((5, 2))])

@@ -104,6 +104,11 @@ class TestStageLatency:
         with pytest.raises(ValueError):
             stage_latency(-1.0, self._link(1e6), 0.0, self._node(1.0))
 
+    @pytest.mark.parametrize("payload_bits, flops", [(np.nan, 0.0), (0.0, np.nan)])
+    def test_nan_rejected(self, payload_bits, flops):
+        with pytest.raises(ValueError, match="non-negative"):
+            stage_latency(payload_bits, self._link(1e6), flops, self._node(1.0))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             NodeSettings(0.0)

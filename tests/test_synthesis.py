@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from semvid.fixtures import make_matting_set
 from semvid.synthesis import (
-    AlphaMatte,
-    TransitionMask,
     composite,
     detail_loss,
     estimate_matte,
@@ -28,11 +26,11 @@ class TestEstimateMatte:
     def test_identical_frames_give_empty_matte(self):
         f = _frame(0.4)
         matte = estimate_matte(f, f, 0.15, 0.1)
-        assert not matte.alpha.any()
+        assert not matte.any()
 
     def test_full_difference_gives_full_matte(self):
         matte = estimate_matte(_frame(1.0), _frame(0.0), 0.15, 0.1)
-        assert np.all(matte.alpha == 1.0)
+        assert np.all(matte == 1.0)
 
     def test_synthetic_disk_iou(self):
         video, plate, gt = make_matting_set(64, 64, 1)
@@ -47,20 +45,26 @@ class TestEstimateMatte:
         with pytest.raises(ValueError):
             estimate_matte(_frame(0.0), _frame(0.0), 0.0, 0.1)
 
+    @pytest.mark.parametrize("threshold, softness", [
+        (np.nan, 0.1), (np.inf, 0.1), (0.15, np.nan), (0.15, np.inf), (0.15, -np.inf)])
+    def test_non_finite_settings_refused(self, threshold, softness):
+        with pytest.raises(ValueError, match="positive and finite"):
+            estimate_matte(_frame(1.0), _frame(0.0), threshold, softness)
+
 
 class TestTransitionMask:
     def test_all_zero_matte(self):
-        mask = transition_mask(AlphaMatte(np.zeros((8, 8))), 2)
-        assert not mask.mask.any()
+        mask = transition_mask(np.zeros((8, 8)), 2)
+        assert not mask.any()
 
     def test_all_one_matte(self):
-        mask = transition_mask(AlphaMatte(np.ones((8, 8))), 2)
-        assert not mask.mask.any()
+        mask = transition_mask(np.ones((8, 8)), 2)
+        assert not mask.any()
 
     def test_square_band_geometry(self):
         alpha = np.zeros((20, 20))
         alpha[5:15, 5:15] = 1.0
-        mask = transition_mask(AlphaMatte(alpha), 2).mask
+        mask = transition_mask(alpha, 2)
         expected = np.zeros((20, 20), dtype=bool)
         expected[3:17, 3:17] = True          # dilation
         expected[7:13, 7:13] = False         # minus erosion
@@ -69,114 +73,134 @@ class TestTransitionMask:
 
     def test_radius_validation(self):
         with pytest.raises(ValueError):
-            transition_mask(AlphaMatte(np.zeros((4, 4))), 0)
+            transition_mask(np.zeros((4, 4)), 0)
 
     def test_constant_matte_iff_empty(self, rng):
         alpha = (rng.random((16, 16)) > 0.5).astype(float)
         if alpha.min() == alpha.max():
             alpha[0, 0] = 1.0 - alpha[0, 0]
-        assert transition_mask(AlphaMatte(alpha), 1).mask.any()
+        assert transition_mask(alpha, 1).any()
 
 
 class TestSemanticLoss:
     def test_zero_at_truth(self, rng):
-        alpha = AlphaMatte(rng.random((16, 16)))
-        thumb = AlphaMatte(box_downsample(alpha.alpha, 4))
+        alpha = rng.random((16, 16))
+        thumb = box_downsample(alpha, 4)
         assert semantic_loss(thumb, alpha, 4) == 0.0
 
     def test_uniform_offset(self):
-        alpha = AlphaMatte(np.full((40, 40), 0.5))
-        pred = AlphaMatte(np.full((10, 10), 0.6))
+        alpha = np.full((40, 40), 0.5)
+        pred = np.full((10, 10), 0.6)
         assert semantic_loss(pred, alpha, 4) == pytest.approx(0.5 * 0.01, abs=1e-12)
 
     def test_symmetric(self, rng):
-        alpha = AlphaMatte(rng.random((16, 16)))
-        pred = AlphaMatte(rng.random((4, 4)))
-        thumb = AlphaMatte(box_downsample(alpha.alpha, 4))
+        alpha = rng.random((16, 16))
+        pred = rng.random((4, 4))
+        thumb = box_downsample(alpha, 4)
         forward = semantic_loss(pred, alpha, 4)
-        swapped = 0.5 * np.mean((thumb.alpha - pred.alpha) ** 2)
+        swapped = 0.5 * np.mean((thumb - pred) ** 2)
         assert forward == pytest.approx(swapped)
 
     def test_dims_mismatch(self):
         with pytest.raises(ValueError):
-            semantic_loss(AlphaMatte(np.zeros((5, 5))), AlphaMatte(np.zeros((16, 16))), 4)
+            semantic_loss(np.zeros((5, 5)), np.zeros((16, 16)), 4)
 
 
 class TestDetailLoss:
     def test_zero_at_truth(self, rng):
-        alpha = AlphaMatte(rng.random((8, 8)))
-        mask = TransitionMask(np.ones((8, 8), dtype=bool))
+        alpha = rng.random((8, 8))
+        mask = np.ones((8, 8), dtype=bool)
         assert detail_loss(alpha, alpha, mask) == 0.0
 
     def test_error_outside_mask_ignored(self):
-        gt = AlphaMatte(np.zeros((8, 8)))
+        gt = np.zeros((8, 8))
         pred = np.zeros((8, 8))
         pred[0, :] = 1.0
         mask = np.zeros((8, 8), dtype=bool)
         mask[4:, :] = True
-        assert detail_loss(AlphaMatte(pred), gt, TransitionMask(mask)) == 0.0
+        assert detail_loss(pred, gt, mask) == 0.0
 
     def test_mean_convention_inside_mask(self):
-        gt = AlphaMatte(np.zeros((10, 10)))
+        gt = np.zeros((10, 10))
         mask = np.zeros((10, 10), dtype=bool)
         mask.reshape(-1)[:50] = True
         pred = np.where(mask, 0.2, 0.0)
-        assert detail_loss(AlphaMatte(pred), gt, TransitionMask(mask)) == pytest.approx(0.2)
+        assert detail_loss(pred, gt, mask) == pytest.approx(0.2)
 
     def test_empty_mask_is_zero(self):
-        gt = AlphaMatte(np.zeros((4, 4)))
-        pred = AlphaMatte(np.ones((4, 4)))
-        assert detail_loss(pred, gt, TransitionMask(np.zeros((4, 4), dtype=bool))) == 0.0
+        gt = np.zeros((4, 4))
+        pred = np.ones((4, 4))
+        assert detail_loss(pred, gt, np.zeros((4, 4), dtype=bool)) == 0.0
+
+    def test_integer_mask_reads_as_bool(self, rng):
+        # indexing with a 0/1 integer mask would pick rows 0 and 1 instead
+        pred, gt = rng.random((8, 8)), rng.random((8, 8))
+        mask = np.zeros((8, 8), dtype=bool)
+        mask[2:5, 3:7] = True
+        expected = detail_loss(pred, gt, mask)
+        assert detail_loss(pred, gt, mask.astype(int)) == expected
+        assert expected == pytest.approx(np.mean(np.abs(pred - gt)[2:5, 3:7]))
 
 
 class TestFusionLoss:
     def test_zero_at_truth(self, rng):
-        alpha = AlphaMatte(rng.random((8, 8)))
+        alpha = rng.random((8, 8))
         fg = Frame(rng.random((8, 8, 3)))
         bg = Frame(rng.random((8, 8, 3)))
         assert fusion_loss(alpha, alpha, fg, bg) == 0.0
 
     def test_inverted_binary_matte(self, rng):
-        alpha = AlphaMatte((rng.random((8, 8)) > 0.5).astype(float))
-        inverted = AlphaMatte(1.0 - alpha.alpha)
+        alpha = (rng.random((8, 8)) > 0.5).astype(float)
+        inverted = 1.0 - alpha
         f = Frame(rng.random((8, 8, 3)))
         # fg == bg kills the compositional term, leaving the matte term
         assert fusion_loss(inverted, alpha, f, f) == pytest.approx(1.0)
 
     def test_compositional_term_zero_when_fg_equals_bg(self, rng):
-        a = AlphaMatte(rng.random((8, 8)))
-        b = AlphaMatte(rng.random((8, 8)))
+        a = rng.random((8, 8))
+        b = rng.random((8, 8))
         f = Frame(rng.random((8, 8, 3)))
-        assert fusion_loss(a, b, f, f) == pytest.approx(np.mean(np.abs(a.alpha - b.alpha)))
+        assert fusion_loss(a, b, f, f) == pytest.approx(np.mean(np.abs(a - b)))
 
     def test_positive_when_different(self, rng):
-        a = AlphaMatte(rng.random((8, 8)))
-        b = AlphaMatte(np.clip(a.alpha + 0.2, 0, 1))
+        a = rng.random((8, 8))
+        b = np.clip(a + 0.2, 0, 1)
         fg = Frame(rng.random((8, 8, 3)))
         bg = Frame(rng.random((8, 8, 3)))
         assert fusion_loss(b, a, fg, bg) > 0.0
+
+    def test_dims_mismatch(self, rng):
+        f = Frame(rng.random((8, 8, 3)))
+        with pytest.raises(ValueError, match="fusion loss"):
+            fusion_loss(np.zeros((8, 8)), np.zeros((8, 7)), f, f)
+
+
+class TestMatteIou:
+    def test_dims_mismatch(self):
+        with pytest.raises(ValueError, match="matte IoU"):
+            matte_iou(np.zeros((8, 8)), np.zeros((7, 8)))
 
 
 class TestComposite:
     def test_alpha_one_selects_foreground(self, rng):
         x = Frame(rng.random((6, 6, 3)))
         b = Frame(rng.random((6, 6, 3)))
-        out = composite(x, b, AlphaMatte(np.ones((6, 6))))
+        out = composite(x, b, np.ones((6, 6)))
         assert np.array_equal(out.data, x.data)
 
     def test_alpha_zero_selects_background(self, rng):
         x = Frame(rng.random((6, 6, 3)))
         b = Frame(rng.random((6, 6, 3)))
-        out = composite(x, b, AlphaMatte(np.zeros((6, 6))))
+        out = composite(x, b, np.zeros((6, 6)))
         assert np.array_equal(out.data, b.data)
 
     def test_half_mix(self):
-        out = composite(_frame(1.0), _frame(0.0), AlphaMatte(np.full((10, 10), 0.5)))
+        out = composite(_frame(1.0), _frame(0.0), np.full((10, 10), 0.5))
         assert np.allclose(out.data, 0.5)
 
     def test_same_frame_fixed_point(self, rng):
         x = Frame(rng.random((6, 6, 3)))
-        out = composite(x, x, AlphaMatte(rng.random((6, 6))))
+        out = composite(x, x, rng.random((6, 6)))
         assert np.allclose(out.data, x.data)
 
     @settings(max_examples=25, derandomize=True, deadline=None)
@@ -186,14 +210,21 @@ class TestComposite:
         x = rng.random((5, 5, 3))
         b = rng.random((5, 5, 3))
         alpha = rng.random((5, 5))
-        out = composite(Frame(x), Frame(b), AlphaMatte(alpha)).data
+        out = composite(Frame(x), Frame(b), alpha).data
         lo = np.minimum(x, b) - 1e-12
         hi = np.maximum(x, b) + 1e-12
         assert np.all(out >= lo) and np.all(out <= hi)
 
     def test_dims_mismatch(self):
         with pytest.raises(ValueError):
-            composite(_frame(0.0), _frame(0.0), AlphaMatte(np.zeros((4, 4))))
+            composite(_frame(0.0), _frame(0.0), np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("value", [1.5, -0.1, np.nan])
+    def test_alpha_outside_unit_interval_refused(self, value):
+        alpha = np.full((10, 10), 0.5)
+        alpha[3, 4] = value
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            composite(_frame(1.0), _frame(0.0), alpha)
 
 
 @pytest.mark.parametrize("case", sorted(pins.MATTING_CASES))
