@@ -23,7 +23,7 @@ import numpy as np
 from semvid import (channel, classical, cli, config, fixtures, ldpc, metrics, pipeline, semantic,
                     synthesis)
 from semvid.recon import fit, save_scene
-from semvid.video import Frame, VideoSequence, box_downsample
+from semvid.video import Frame, VideoSequence, box_downsample, save_raw
 
 from scenes import make_gradient_check_scene, mutable_params
 
@@ -254,6 +254,33 @@ def matting_losses(case):
     return {name: [x.hex() for x in values] for name, values in losses.items()}
 
 
+def video_fixtures():
+    """The synthetic clips at the reference config's sizes (the test clip;
+    the matting set's clip, plate and mattes; the background clip), the
+    frames and depths ``make_fit_inputs`` renders for the reference fit,
+    and the two files ``save_raw`` writes for the test clip."""
+    ref = config.reference_config()
+    test_clip = pipeline.resolve_video(ref.video)
+    user, plate, mattes = pipeline.user_clip(ref.user_video)
+    background = pipeline.resolve_video(ref.background_video)
+    rc = ref.reconstruction
+    frames, depths, _ = fixtures.make_fit_inputs(
+        fixtures.make_benchmark_scene(rc.n_timesteps, rc.image_size, rc.n_bases), rc.n_tracks)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clip.rgb"
+        save_raw(test_clip, path)
+        raw = {"raw_rgb": sha256(path.read_bytes()),
+               "raw_json": sha256(path.with_suffix(".json").read_bytes())}
+    return {"test_clip": sha256([f.data for f in test_clip.frames]),
+            "matting_clip": sha256([f.data for f in user.frames]),
+            "matting_plate": sha256(plate.data),
+            "matting_mattes": sha256(mattes),
+            "background_clip": sha256([f.data for f in background.frames]),
+            "fit_frames": sha256([f.data for f in frames]),
+            "fit_depths": sha256(depths),
+            **raw}
+
+
 def show_config_output():
     """The reference config file's keys, defaults and layout."""
     with redirect_stdout(io.StringIO()) as out:
@@ -376,6 +403,7 @@ TABLE = {
        for what, row in (("mattes", matting_mattes), ("transition_masks", matting_masks),
                          ("composite", matting_composite), ("losses", matting_losses))
        for case in MATTING_CASES},
+    "video.fixtures": video_fixtures,
     "cli.show_config": show_config_output,
     **{f"recon.track_assignments[{case}]": partial(track_weights, case)
        for case in ("reference", "gradient_check")},

@@ -15,6 +15,8 @@ from semvid.video import (
     segment_gops,
 )
 
+import pins
+
 
 def _video(n, h=4, w=6, fps=8.0):
     rng = np.random.default_rng(n)
@@ -210,3 +212,7 @@ class TestValidation:
         frame = _video(1).frames[0]
         with pytest.raises(ValueError):
             frame.data[0, 0, 0] = 0.3
+
+
+def test_fixtures_pinned():
+    pins.check("video.fixtures")
