@@ -7,7 +7,7 @@ from .channel import TxStats, awgn
 from .config import LinkSettings, NodeSettings, RunConfig, load_config, reference_config, save_config
 from .metrics import average_jaccard, epe, mse, ms_ssim, pck, psnr
 from .pipeline import ServiceReport, compare_baselines, run_service, stage_latency
-from .video import Frame, VideoSequence, load_raw, save_raw, segment_gops
+from .video import VideoSequence, load_raw, save_raw, segment_gops
 
 __version__ = "0.1.0"
 
@@ -17,6 +17,6 @@ __all__ = [
     "save_config",
     "average_jaccard", "epe", "mse", "ms_ssim", "pck", "psnr",
     "ServiceReport", "compare_baselines", "run_service", "stage_latency",
-    "Frame", "VideoSequence", "load_raw", "save_raw", "segment_gops",
+    "VideoSequence", "load_raw", "save_raw", "segment_gops",
     "__version__",
 ]

@@ -20,7 +20,7 @@ from scipy.fft import dctn, idctn
 from .bitio import exp_golomb
 from .channel import TxStats, awgn, noise_variance
 from .ldpc import LdpcCode, bpsk_demodulate, bpsk_modulate, ldpc_decode, ldpc_encode
-from .video import Frame, VideoSequence, pad_edge
+from .video import VideoSequence, pad_edge
 
 BLOCK = 8
 MB = 16
@@ -124,7 +124,7 @@ def _quantize(gop: VideoSequence, qp: float):
     """Level-shifted macroblock tiles (n, 16, 16, 3) and their quantized DCT
     levels (n, channel, block row, block column, 8, 8), clipped to
     +-LEVEL_LIMIT before the int64 cast."""
-    tiles = _tiles(np.stack([pad_edge(f.data - GRAY, MB, MB) for f in gop.frames]))
+    tiles = _tiles(np.stack([pad_edge(f - GRAY, MB, MB) for f in gop.frames]))
     blocks = tiles.reshape(-1, 2, BLOCK, 2, BLOCK, 3).transpose(0, 5, 1, 3, 2, 4)
     coefs = dctn(blocks, axes=(-2, -1), norm="ortho")
     with np.errstate(over="ignore"):  # a subnormal step overflows to inf, which the clip bounds
@@ -235,10 +235,11 @@ def _parse_macroblock(text: str, bits: np.ndarray, pos: int, end: int,
 
 
 def _decoded_frames(bs: Bitstream, levels: np.ndarray, samples: np.ndarray, lost: np.ndarray,
-                    prev_frame: Frame = None) -> tuple:
-    """Frames from quantized levels (as ``_quantize`` shapes them) or, where
-    a macroblock's mode bit says PCM, its 8-bit ``samples``; ``lost`` ones
-    are concealed from the previous frame (``prev_frame``, gray when None)."""
+                    prev_frame: np.ndarray = None) -> np.ndarray:
+    """The (n, H, W, 3) frames from quantized levels (as ``_quantize``
+    shapes them) or, where a macroblock's mode bit says PCM, its 8-bit
+    ``samples``; ``lost`` ones are concealed from the previous frame
+    (``prev_frame``, gray when None)."""
     # an empty macroblock, lost anyway, may start at the payload's end
     pcm = bs.bits[np.minimum(bs.block_map[:, 0], bs.bit_length - 1)] == 1
     spatial = idctn(levels * (bs.qp / 255.0), axes=(-2, -1), norm="ortho")
@@ -246,19 +247,20 @@ def _decoded_frames(bs: Bitstream, levels: np.ndarray, samples: np.ndarray, lost
     tiles[pcm] = samples[pcm] / 255.0 - GRAY
     rows, cols = _mb_grid(bs.width, bs.height)
     reference = 0.0 if prev_frame is None else _tiles(
-        pad_edge(prev_frame.data, MB, MB)[None] - GRAY)
-    frames = []
+        pad_edge(prev_frame, MB, MB)[None] - GRAY)
+    frames = np.empty((bs.n_frames, bs.height, bs.width, 3))
     holes = lost.reshape(bs.n_frames, -1, 1, 1, 1)
-    for canvas, hole in zip(tiles.reshape(bs.n_frames, -1, MB, MB, 3), holes):
+    for canvas, hole, frame in zip(tiles.reshape(bs.n_frames, -1, MB, MB, 3), holes, frames):
         reference = np.where(hole, reference, canvas)
         picture = reference.reshape(rows, cols, MB, MB, 3).swapaxes(1, 2).reshape(rows * MB, -1, 3)
-        frames.append(Frame(np.clip(picture[: bs.height, : bs.width] + GRAY, 0.0, 1.0)))
-    return tuple(frames)
+        np.clip(picture[: bs.height, : bs.width] + GRAY, 0.0, 1.0, out=frame)
+    return frames
 
 
-def source_decode(bs: Bitstream, corrupted_ranges=None, prev_frame: Frame = None) -> tuple:
-    """Decode a bitstream into its frames; macroblocks whose bits are
-    corrupted (flagged or failing to parse) are concealed with the
+def source_decode(bs: Bitstream, corrupted_ranges=None,
+                  prev_frame: np.ndarray = None) -> np.ndarray:
+    """Decode a bitstream into its (n, H, W, 3) frames; macroblocks whose
+    bits are corrupted (flagged or failing to parse) are concealed with the
     co-located pixels of the previously decoded frame, gray for the first."""
     if bs.bit_length == 0 and bs.block_map.shape[0] > 0:
         raise BitstreamError("empty bitstream")
@@ -288,13 +290,16 @@ class PreparedClassical:
     code: LdpcCode         # the LDPC code the symbols were encoded with
 
     @cached_property
-    def clean_decode(self) -> tuple:
+    def clean_decode(self) -> np.ndarray:
         """The GOP's frames as decoded from intact bits, computed once per
         prepared GOP from the quantizer's output instead of by parsing.  No
-        macroblock is concealed, so it needs no previous frame."""
+        macroblock is concealed, so it needs no previous frame.  Read-only:
+        sweep workers share it."""
         tiles, levels = _quantize(self.source, self.bitstream.qp)
-        return _decoded_frames(self.bitstream, levels, np.round((tiles + GRAY) * 255.0),
-                               np.zeros(len(tiles), bool))
+        frames = _decoded_frames(self.bitstream, levels, np.round((tiles + GRAY) * 255.0),
+                                 np.zeros(len(tiles), bool))
+        frames.setflags(write=False)
+        return frames
 
 
 def prepare_classical(gop: VideoSequence, qp: float, code: LdpcCode) -> PreparedClassical:
@@ -305,8 +310,8 @@ def prepare_classical(gop: VideoSequence, qp: float, code: LdpcCode) -> Prepared
     return PreparedClassical(bitstream=bs, symbols=bpsk_modulate(coded), source=gop, code=code)
 
 
-def transmit_prepared(prep: PreparedClassical, snr_db: float, seed: int, prev_frame: Frame = None,
-                      *, max_iters: int):
+def transmit_prepared(prep: PreparedClassical, snr_db: float, seed: int,
+                      prev_frame: np.ndarray = None, *, max_iters: int):
     bs, code = prep.bitstream, prep.code
     # the float64 noise and LLRs are freed as the decode returns
     decoded, converged = ldpc_decode(

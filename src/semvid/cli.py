@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: transmit (one chain, one clip), sweep (compare's SNR curves
-only), compare (delay/quality comparison report), composite (local video
-synthesis), reconstruct (desk-scale scene fit), pipeline (full service
-run), and show-config (print the active configuration).  Without
+Subcommands: transmit (one chain, one clip), compare (delay/quality
+comparison report and SNR curves), composite (local video synthesis),
+reconstruct (desk-scale scene fit), pipeline (full service run), and
+show-config (print the active configuration).  Without
 --config, the shipped reference configuration is used.
 """
 
@@ -58,16 +58,6 @@ def cmd_transmit(args, cfg, out: Path) -> int:
     _write_json(out / f"transmit_{args.chain}.json", payload)
     print(f"{args.chain} @ {snr:+.1f} dB: PSNR {quality['psnr_db']:.2f} dB, "
           f"MS-SSIM {quality['ms_ssim']:.4f}")
-    return 0
-
-
-def cmd_sweep(args, cfg, out: Path) -> int:
-    curve = compare_baselines(cfg).curve
-    (out / "curves.csv").write_text(curve.to_csv())
-    for chain in CHAINS:
-        snrs, psnrs = curve.chain_series(chain)
-        print(chain + ": " + "  ".join(f"{s:+.0f}dB:{p:.1f}" for s, p in zip(snrs, psnrs)))
-    print(f"wrote {out / 'curves.csv'}")
     return 0
 
 
@@ -138,7 +128,6 @@ def _snr_db(text: str) -> float:
 # subcommand -> (function, help text), in the order --help lists them
 COMMANDS = {
     "transmit": (cmd_transmit, "send the reference clip through one chain"),
-    "sweep": (cmd_sweep, "PSNR/MS-SSIM curves over the SNR grid"),
     "compare": (cmd_compare, "delay and quality comparison of both chains"),
     "composite": (cmd_composite, "matting and compositing without a channel"),
     "reconstruct": (cmd_reconstruct, "fit the synthetic Gaussian scene"),

@@ -15,7 +15,7 @@ import numpy as np
 from .recon.fit import Tracks2D, predict_track_positions, track_assignments
 from .recon.render import project_points, render
 from .recon.scene import Camera, GaussianScene, pose_pipeline, scene_params
-from .video import Frame, VideoSequence
+from .video import VideoSequence
 
 SCENE_FPS = 10.0  # playback rate of rendered scene videos
 
@@ -64,7 +64,7 @@ def make_test_clip(width: int = 128, height: int = 128, n_frames: int = 8,
         frame[disk, 1] = 0.55 + 0.1 * disk_tex[disk]
         frame[disk, 2] = 0.12 + 0.06 * disk_tex[disk]
         frames.append(frame)
-    return VideoSequence.from_array(_snap(np.stack(frames)), fps)
+    return VideoSequence(_snap(np.stack(frames)), fps)
 
 
 def make_matting_set(width: int, height: int, n_frames: int, fps: float = 8.0, seed: int = 77):
@@ -96,8 +96,7 @@ def make_matting_set(width: int, height: int, n_frames: int, fps: float = 8.0, s
         frame[disk, 2] = 0.55 + 0.08 * fg_tex[disk]
         frames.append(_snap(frame))
         mattes.append(disk.astype(np.float64))
-    video = VideoSequence.from_array(np.stack(frames), fps)
-    return video, Frame(plate), mattes
+    return VideoSequence(frames, fps), plate, mattes
 
 
 def make_background_clip(width: int, height: int, n_frames: int, fps: float,
@@ -116,7 +115,7 @@ def make_background_clip(width: int, height: int, n_frames: int, fps: float,
         g = 0.15 + 0.35 * dunes * (1 - sky) + 0.5 * sky + 0.04 * tex
         b = 0.1 + 0.2 * dunes * (1 - sky) + 0.6 * sky + 0.03 * tex
         frames.append(np.stack([r, g, b], axis=-1))
-    return VideoSequence.from_array(_snap(np.stack(frames)), fps)
+    return VideoSequence(_snap(np.stack(frames)), fps)
 
 
 def default_camera(width: int = 64, height: int = 64, focal: float = 80.0) -> Camera:

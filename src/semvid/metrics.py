@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from .video import Frame, box_downsample
+from .video import box_downsample
 
 PSNR_CAP_DB = 100.0
 
@@ -37,8 +37,8 @@ _KERNEL /= _KERNEL.sum()
 
 
 def _pair_arrays(x, y):
-    a = x.data if isinstance(x, Frame) else np.asarray(x, dtype=np.float64)
-    b = y.data if isinstance(y, Frame) else np.asarray(y, dtype=np.float64)
+    a = np.asarray(x, dtype=np.float64)
+    b = np.asarray(y, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a, b

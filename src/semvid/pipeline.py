@@ -36,7 +36,7 @@ from .recon.scene import pose_pipeline, scene_params
 from .semantic import prepare_semantic, semantic_transmit, transmit_packet  # noqa: F401
 from .synthesis import (composite, detail_loss, estimate_matte, fusion_loss, matte_iou,
                         semantic_loss, transition_mask)
-from .video import Frame, VideoSequence, box_downsample, load_raw, segment_gops
+from .video import VideoSequence, box_downsample, load_raw, segment_gops
 
 LPIPS_NOTE = "unavailable: requires a pretrained perceptual network (out of scope)"
 CHAINS = ("semantic", "classical")
@@ -157,11 +157,11 @@ def quality_scorer(reference: VideoSequence, scales: int):
     is computed once and kept, and a received clip equal to one scored
     before, frame bytes and all, reuses its scores, or waits for them (or
     their exception) while the first caller computes them."""
-    ms_ssim_of = ClipMsSsim(reference.to_array(), scales)
+    ms_ssim_of = ClipMsSsim(reference.frames, scales)
     scored, lock = {}, threading.Lock()
 
     def score(received: VideoSequence) -> dict:
-        clip = received.to_array()
+        clip = received.frames
         key = (clip.shape, hashlib.sha1(clip).digest())
         with lock:
             first = key not in scored
@@ -218,9 +218,12 @@ def send(clip: PreparedClip, cfg: RunConfig, snr_db: float, *labels):
             rec, st = transmit_prepared(payload, snr_db, seed, prev,
                                         max_iters=cfg.classical.max_iters)
             prev = rec[-1]
-        frames.extend(rec)
+        frames.append(rec)
         total = total.merge(st)
-    return VideoSequence(tuple(frames), clip.fps), total
+    # made read-only, the decoded array becomes the clip's without a copy
+    received = frames[0] if len(frames) == 1 else np.concatenate(frames)
+    received.setflags(write=False)
+    return VideoSequence(received, clip.fps), total
 
 
 def transmit_video(video: VideoSequence, chain: str, cfg: RunConfig, snr_db: float,
@@ -346,14 +349,14 @@ def fit_reference_scene(rc: ReconSettings):
     return result, frames, metrics
 
 
-def matte_composite(user: VideoSequence, background: VideoSequence, plate: Frame, syn):
+def matte_composite(user: VideoSequence, background: VideoSequence, plate: np.ndarray, syn):
     """Matte each user frame against the clean plate and composite it over
     the matching background frame; returns the mattes and the composite."""
     if len(background) < len(user):
         raise ValueError(f"background has {len(background)} frames, fewer than the "
                          f"user clip's {len(user)}: each user frame needs a background frame")
     mattes = [estimate_matte(f, plate, syn.threshold, syn.softness) for f in user.frames]
-    frames = tuple(composite(f, b, m) for f, b, m in zip(user.frames, background.frames, mattes))
+    frames = [composite(f, b, m) for f, b, m in zip(user.frames, background.frames, mattes)]
     return mattes, VideoSequence(frames, user.fps)
 
 
@@ -418,8 +421,8 @@ def _scene_preprocess(cfg: RunConfig):
 
 def _edge_render(cfg: RunConfig, scene, scene_frames):
     fps = fixtures.SCENE_FPS
-    rendered = VideoSequence(tuple(render(scene, t).image for t in range(scene.n_timesteps)), fps)
-    quality = video_quality(VideoSequence(tuple(scene_frames), fps), rendered, scales=1)
+    rendered = VideoSequence([render(scene, t).image for t in range(scene.n_timesteps)], fps)
+    quality = video_quality(VideoSequence(scene_frames, fps), rendered, scales=1)
     delay = stage_latency(0.0, cfg.links.fiber, cfg.compute.render_flops, cfg.nodes.edge)
     return (StageReport(compute_seconds=delay, metrics={"render_vs_observations": quality}),
             {"downlink": rendered})

@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..video import Frame
 from .render import ALPHA_MAX, hit_weights, pixel_grid, rasterize
 from .scene import PARAM_KEYS, GaussianScene, quat_normalize, scene_params
 
@@ -307,9 +306,8 @@ class _Objective:
         if not self.fit_frames:
             raise ValueError("no frames left to fit after exclusions")
         # the observed frames channel-first, as the rasterizer composites them
-        self.images = [np.ascontiguousarray(np.transpose(
-            frames[t].data if isinstance(frames[t], Frame) else frames[t], (2, 0, 1)))
-            for t in self.fit_frames]
+        self.images = [np.ascontiguousarray(np.transpose(frames[t], (2, 0, 1)))
+                       for t in self.fit_frames]
         self.depth_maps = [depth_maps[t] for t in self.fit_frames]
         self.cameras = [scene.cameras[t] for t in self.fit_frames]
         self.background = scene.background
@@ -406,7 +404,7 @@ def fit_scene(frames, depth_maps, tracks_2d, initial_scene, iterations,
               exclude_frames=()) -> FitResult:
     """Fit a Gaussian scene to rendered observations.
 
-    ``frames`` are Frame objects (or arrays) and ``depth_maps`` raw
+    ``frames`` are (H, W, 3) arrays and ``depth_maps`` raw
     rasterizer depth maps, one per timestep of ``initial_scene``, whose
     cameras saw them; ``tracks_2d`` is an optional :class:`Tracks2D`, and
     the frames in ``exclude_frames`` are held out.  The recorded objective

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..video import Frame
 from .scene import GaussianScene, pose_pipeline, scene_params
 
 COV_REG_PX2 = 0.3      # pixel^2 added to the projected covariance diagonal
@@ -30,7 +29,7 @@ MIN_HIT_WEIGHT = 1e-6
 
 @dataclass(frozen=True)
 class RenderResult:
-    image: Frame
+    image: np.ndarray   # (h, w, 3) samples in [0, 1]
     depth: np.ndarray   # (h, w) accumulated T*alpha*z, 0 where nothing hits
     alpha: np.ndarray   # (h, w) accumulated opacity in [0, 1]
 
@@ -152,8 +151,8 @@ def render(scene: GaussianScene, t: int) -> RenderResult:
     camera = scene.cameras[t]
     fwd = rasterize(scene_params(scene), [camera], [t], scene.background,
                     [pixel_grid(camera.width, camera.height)])["frames"][0]
-    return RenderResult(Frame(np.clip(fwd["image"].transpose(1, 2, 0), 0.0, 1.0)),
-                        fwd["depth"], 1.0 - fwd["t_final"])
+    image = np.clip(fwd["image"].transpose(1, 2, 0), 0.0, 1.0)
+    return RenderResult(np.ascontiguousarray(image), fwd["depth"], 1.0 - fwd["t_final"])
 
 
 def hit_weights(scene: GaussianScene, pixel, t: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from scipy.fft import dct, dctn, idctn
 
 from .bitio import index_list_bits
 from .channel import TxStats, awgn, noise_variance
-from .video import CHANNELS, Frame, VideoSequence, pad_edge
+from .video import CHANNELS, VideoSequence, pad_edge
 
 GRID_BITS = 32
 _GRID = float(2**GRID_BITS)
@@ -126,9 +126,8 @@ def latent_transform(gop: VideoSequence, cfg: SemanticCodecConfig) -> np.ndarray
     axis, plane concatenation along width, then an orthonormal 2D DCT on
     non-overlapping (block, 2*block) tiles."""
     bh, bw = cfg.tile_shape
-    arr = gop.to_array()
-    n = arr.shape[0]
-    padded = np.stack([pad_edge(f, bh, bw) for f in arr])
+    n = len(gop)
+    padded = np.stack([pad_edge(f, bh, bw) for f in gop.frames])
     decor = np.einsum("nhwc,kc->nhwk", padded, _CHANNEL_DCT)
     _, ph, pw, _ = decor.shape
     gh, gw = ph // bh, 3 * pw // bw
@@ -138,16 +137,18 @@ def latent_transform(gop: VideoSequence, cfg: SemanticCodecConfig) -> np.ndarray
     return coefs.reshape(n, gh, gw, cfg.channel_dim)
 
 
-def latent_inverse(features: np.ndarray, frame_size: tuple, cfg: SemanticCodecConfig) -> tuple:
-    """Invert :func:`latent_transform` into the GOP's frames, cropped to
-    ``frame_size`` (height, width); samples are clipped back to [0, 1]."""
+def latent_inverse(features: np.ndarray, frame_size: tuple,
+                   cfg: SemanticCodecConfig) -> np.ndarray:
+    """Invert :func:`latent_transform` into the GOP's (n, height, width, 3)
+    frames, cropped to ``frame_size`` (height, width); samples are clipped
+    back to [0, 1]."""
     bh, bw = cfg.tile_shape
     n, gh, gw, _ = features.shape
     height, width = frame_size
     planes = idctn(features.reshape(n, gh, gw, bh, bw), norm="ortho", axes=(-2, -1))
     decor = planes.transpose(0, 1, 3, 2, 4).reshape(n, gh * bh, 3, -1).transpose(0, 1, 3, 2)
     rgb = np.einsum("nhwk,kc->nhwc", decor, _CHANNEL_DCT)[:, :height, :width, :]
-    return tuple(Frame(f) for f in np.clip(rgb, 0.0, 1.0))
+    return np.ascontiguousarray(np.clip(rgb, 0.0, 1.0))
 
 
 # The channel gathers below return arrays strided along the last axis;
@@ -302,8 +303,9 @@ def prepare_semantic(gop: VideoSequence, symbol_budget: int,
 
 
 def transmit_packet(packet: SemanticPacket, snr_db: float, seed: int, cfg: SemanticCodecConfig):
-    """Channel plus receiver side, returning the GOP's decoded frames and
-    accounting; analog symbols never fail to decode, they just get noisier."""
+    """Channel plus receiver side, returning the GOP's decoded (n, H, W, 3)
+    frames and accounting; analog symbols never fail to decode, they just
+    get noisier."""
     received = awgn(packet.symbols, snr_db, seed)
     common, individual = decode_packet(packet, received, noise_variance(snr_db), cfg)
     frames = latent_inverse(jscc_decode(common + individual, cfg), packet.frame_size, cfg)

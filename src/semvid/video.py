@@ -1,4 +1,4 @@
-"""Video data model: frames, clips, and raw-file round tripping.  A GOP
+"""Video data model: clips and raw-file round tripping.  A GOP
 (group of pictures) is a slice of a clip, so it is a clip too.
 
 Samples are floats in [0, 1] in memory and 8 bits on disk: ``save_raw``
@@ -21,50 +21,36 @@ SIDECAR_FIELDS = ("width", "height", "fps", "frames")
 
 
 @dataclass(frozen=True)
-class Frame:
-    """One RGB raster, shape (height, width, 3), samples in [0, 1]."""
-
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(self.data, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[2] != CHANNELS:
-            raise ValueError(f"frame must have shape (h, w, {CHANNELS}), got {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("frame must have at least one pixel")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("frame samples must be finite")
-        if arr.min() < 0.0 or arr.max() > 1.0:
-            raise ValueError("frame samples must lie in [0, 1]")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-
-@dataclass(frozen=True)
 class VideoSequence:
-    """A nonempty, ordered run of same-sized frames with a playback rate."""
+    """A nonempty clip of same-sized RGB frames with a playback rate.
+    ``frames`` is a read-only, C-contiguous float64 (T, H, W, 3) array of
+    samples in [0, 1]; frame ``i`` is ``frames[i]``.  An array that no one
+    can write (read-only, as is the array that owns its memory) is kept as
+    it is, so GOPs share their clip's samples; anything else is copied, so
+    a later write to the caller's array cannot reach the clip."""
 
-    frames: tuple
+    frames: np.ndarray
     fps: float
 
     def __post_init__(self) -> None:
-        frames = tuple(self.frames)
-        if not frames:
+        frames = self.frames
+        owner = frames if getattr(frames, "base", None) is None else frames.base
+        if not (isinstance(owner, np.ndarray) and not owner.flags.writeable
+                and frames.dtype == np.float64 and frames.flags.c_contiguous):
+            frames = np.array(frames, dtype=np.float64, order="C")
+        if frames.shape[:1] == (0,):
             raise ValueError("a clip needs at least one frame")
         if not np.isfinite(self.fps) or self.fps <= 0:
             raise ValueError("fps must be positive and finite")
-        w, h = frames[0].width, frames[0].height
-        for f in frames:
-            if (f.width, f.height) != (w, h):
-                raise ValueError("all frames in a sequence must share dimensions")
+        if frames.ndim != 4 or frames.shape[3] != CHANNELS:
+            raise ValueError(f"a clip must have shape (n, h, w, {CHANNELS}), got {frames.shape}")
+        if frames.shape[1] < 1 or frames.shape[2] < 1:
+            raise ValueError("frame must have at least one pixel")
+        if not np.all(np.isfinite(frames)):
+            raise ValueError("frame samples must be finite")
+        if frames.min() < 0.0 or frames.max() > 1.0:
+            raise ValueError("frame samples must lie in [0, 1]")
+        frames.setflags(write=False)
         object.__setattr__(self, "frames", frames)
 
     def __len__(self) -> int:
@@ -72,19 +58,20 @@ class VideoSequence:
 
     @property
     def width(self) -> int:
-        return self.frames[0].width
+        return self.frames.shape[2]
 
     @property
     def height(self) -> int:
-        return self.frames[0].height
+        return self.frames.shape[1]
 
     def to_array(self) -> np.ndarray:
-        return np.stack([f.data for f in self.frames])
+        """A writable copy of ``frames``.  Only ``perfbench/`` calls it."""
+        return np.array(self.frames)
 
     @classmethod
     def from_array(cls, arr, fps: float) -> "VideoSequence":
-        arr = np.asarray(arr, dtype=np.float64)
-        return cls(tuple(Frame(a) for a in arr), fps)
+        """``VideoSequence(arr, fps)``.  Only ``perfbench/`` calls it."""
+        return cls(arr, fps)
 
 
 def segment_gops(video: VideoSequence, n: int) -> list:
@@ -133,8 +120,7 @@ def save_raw(video: VideoSequence, path) -> None:
     path = Path(path)
     if _sidecar_path(path) == path:
         raise ValueError(f"raw clip path {path} has the sidecar's suffix .json")
-    arr = video.to_array()
-    quantized = np.round(arr * 255.0).astype(np.uint8)
+    quantized = np.round(video.frames * 255.0).astype(np.uint8)
     planar = np.moveaxis(quantized, 3, 1)  # (n, 3, h, w)
     path.write_bytes(planar.tobytes())
     header = {
@@ -177,4 +163,4 @@ def load_raw(path) -> VideoSequence:
         )
     planar = payload.reshape(n_frames, CHANNELS, height, width)
     arr = np.moveaxis(planar, 1, 3).astype(np.float64) / 255.0
-    return VideoSequence.from_array(arr, float(fps))
+    return VideoSequence(arr, float(fps))

@@ -23,7 +23,7 @@ import numpy as np
 from semvid import (channel, classical, cli, config, fixtures, ldpc, metrics, pipeline, semantic,
                     synthesis)
 from semvid.recon import fit, save_scene
-from semvid.video import Frame, VideoSequence, box_downsample, save_raw
+from semvid.video import VideoSequence, box_downsample, save_raw
 
 from scenes import make_gradient_check_scene, mutable_params
 
@@ -72,7 +72,7 @@ def noise_gop(seed=42, n=4, size=64):
         for _ in range(2):
             x = (np.roll(x, 1, 0) + np.roll(x, -1, 0) + np.roll(x, 1, 1) + np.roll(x, -1, 1) + 4 * x) / 8
         frames.append(np.clip(0.5 + 0.25 * x / np.abs(x).std(), 0, 1))
-    return VideoSequence.from_array(np.round(np.stack(frames) * 255) / 255, 8.0)
+    return VideoSequence(np.round(np.stack(frames) * 255) / 255, 8.0)
 
 
 # GOPs of 3 to 16 frames; "noise50" and "clip12x50" are odd-sized, so
@@ -101,7 +101,7 @@ def semantic_chain(gop_name, budget):
                             np.int64(p.side_info_bits))}
     for snr in (-10.0, 5.0, 300.0):
         received, _ = semantic.transmit_packet(p, snr, 5, SEMANTIC_CFG)
-        pin[f"snr{snr}"] = sha256([f.data for f in received])
+        pin[f"snr{snr}"] = sha256(received)
     return pin
 
 
@@ -119,7 +119,7 @@ def classical_coder(clip, qp):
     decodes = {"clean": (bs,), "flagged": (bs, corrupted, gop.frames[-1]),
                "flipped": (replace(bs, bits=flipped), None, gop.frames[-1])}
     return {"stream": sha256(bs.bits, bs.block_map),
-            **{name: sha256([f.data for f in classical.source_decode(*args)])
+            **{name: sha256(classical.source_decode(*args))
                for name, args in decodes.items()}}
 
 
@@ -186,7 +186,7 @@ def reference_send(chain, gop_size, snr_db, label):
 def sent(*send_args):
     """The received frames and the ``TxStats`` of ``reference_send``."""
     received, stats = reference_send(*send_args)
-    return {"frames": sha256(received.to_array()), "stats": asdict(stats)}
+    return {"frames": sha256(received.frames), "stats": asdict(stats)}
 
 
 def service_reports_without_fit():
@@ -234,7 +234,7 @@ def matting_masks(case):
 
 
 def matting_composite(case):
-    return sha256(matting(case)[4].to_array())
+    return sha256(matting(case)[4].frames)
 
 
 def matting_losses(case):
@@ -271,12 +271,12 @@ def video_fixtures():
         save_raw(test_clip, path)
         raw = {"raw_rgb": sha256(path.read_bytes()),
                "raw_json": sha256(path.with_suffix(".json").read_bytes())}
-    return {"test_clip": sha256([f.data for f in test_clip.frames]),
-            "matting_clip": sha256([f.data for f in user.frames]),
-            "matting_plate": sha256(plate.data),
+    return {"test_clip": sha256(test_clip.frames),
+            "matting_clip": sha256(user.frames),
+            "matting_plate": sha256(plate),
             "matting_mattes": sha256(mattes),
-            "background_clip": sha256([f.data for f in background.frames]),
-            "fit_frames": sha256([f.data for f in frames]),
+            "background_clip": sha256(background.frames),
+            "fit_frames": sha256(frames),
             "fit_depths": sha256(depths),
             **raw}
 
@@ -362,7 +362,7 @@ def l1_fit_bits(max_backtracks):
 def ms_ssim_scores():
     """``ms_ssim(...).hex()`` of a fixed battery of calls: one- and
     three-channel frames of even and odd sizes at every scale count they
-    allow, as ndarrays and as ``Frame``s, against a noisy copy, a
+    allow, as ndarrays and as a clip's frame views, against a noisy copy, a
     blurred-looking copy, an inverted copy and the frame itself."""
     scores = []
     for seed, shape in enumerate([(24, 24), (45, 37), (45, 37, 3), (97, 89), (97, 89, 3),
@@ -376,7 +376,8 @@ def ms_ssim_scores():
             for b in others:
                 scores.append(metrics.ms_ssim(a, b, scales).hex())
                 if a.ndim == 3:
-                    scores.append(metrics.ms_ssim(Frame(a), Frame(b), scales).hex())
+                    a_view, b_view = (VideoSequence(x[None], 8.0).frames[0] for x in (a, b))
+                    scores.append(metrics.ms_ssim(a_view, b_view, scales).hex())
     return scores
 
 

@@ -31,7 +31,7 @@ from semvid.semantic import (
     jscc_encode,
     latent_transform,
 )
-from semvid.video import Frame, VideoSequence
+from semvid.video import VideoSequence
 
 from scenes import make_gradient_check_scene, mutable_params
 from test_recon import TestRender as _RenderTests
@@ -115,7 +115,7 @@ def test_criterion_4_ldpc_coding_gain(ldpc_code, rng):
 
 def test_criterion_5_metric_examples():
     def const(v, shape=(8, 8, 3)):
-        return Frame(np.full(shape, float(v)))
+        return np.full(shape, float(v))
 
     # MSE
     assert mse(const(0.3), const(0.3)) == 0.0
@@ -127,8 +127,8 @@ def test_criterion_5_metric_examples():
     assert abs(psnr(const(0.0), const(1.0)) - 0.0) < 1e-9
     # MS-SSIM
     rng = np.random.default_rng(0)
-    a = Frame(rng.random((48, 48, 3)))
-    b = Frame(rng.random((48, 48, 3)))
+    a = rng.random((48, 48, 3))
+    b = rng.random((48, 48, 3))
     assert ms_ssim(a, a, scales=2) == 1.0
     assert ms_ssim(a, b, scales=2) == ms_ssim(b, a, scales=2)
     # EPE
@@ -161,7 +161,7 @@ def test_criterion_6_common_feature_identity():
         n = int(rng.integers(1, 5))
         h = int(rng.integers(8, 17))
         w = int(rng.integers(8, 17))
-        gop = VideoSequence.from_array(rng.random((n, h, w, 3)), 8.0)
+        gop = VideoSequence(rng.random((n, h, w, 3)), 8.0)
         features = jscc_encode(latent_transform(gop, cfg), cfg)
         common, individual = extract_common(features)
         assert np.array_equal(common + individual, features)
@@ -175,7 +175,7 @@ def test_criterion_7_renderer_correctness():
 
     scene = _single_gaussian_scene()
     res = render(scene, 0)
-    bright = res.image.data.sum(axis=2)
+    bright = res.image.sum(axis=2)
     peak_y, peak_x = np.unravel_index(np.argmax(bright), bright.shape)
     mu2d, _ = project(scene.means[0], _covariance(scene, 0), scene.cameras[0])
     assert abs(peak_x - mu2d[0]) <= 1.0 and abs(peak_y - mu2d[1]) <= 1.0

@@ -20,7 +20,7 @@ from semvid.classical import (
 from semvid.config import ClassicalSettings
 from semvid.fixtures import make_test_clip
 from semvid.metrics import psnr
-from semvid.video import Frame, VideoSequence
+from semvid.video import VideoSequence
 
 import pins
 
@@ -33,11 +33,7 @@ def _raw_bits(gop):
 
 
 def _clip(arr):
-    return VideoSequence.from_array(arr, 8.0)
-
-
-def _stack(frames):
-    return np.stack([f.data for f in frames])
+    return VideoSequence(arr, 8.0)
 
 
 @pytest.fixture(scope="module")
@@ -86,8 +82,7 @@ class TestSourceCoder:
 
     def test_round_trip_dims_match(self, natural_gop):
         decoded = source_decode(source_encode(natural_gop, qp=4.0))
-        assert len(decoded) == len(natural_gop)
-        assert {(f.width, f.height) for f in decoded} == {(natural_gop.width, natural_gop.height)}
+        assert decoded.shape == natural_gop.frames.shape
 
     def test_qp_must_be_positive(self, natural_gop):
         with pytest.raises(ValueError):
@@ -99,8 +94,8 @@ class TestSourceCoder:
         start, _ = bs.block_map[9]
         hit = source_decode(bs, corrupted_ranges=[(int(start), int(start) + 1)])
         as_array = source_decode(bs, corrupted_ranges=np.array([[start, start + 1], [0, 0]]))
-        assert np.array_equal(_stack(as_array), _stack(hit))
-        diff = np.abs(_stack(clean) - _stack(hit)).sum(axis=3)
+        assert np.array_equal(as_array, hit)
+        diff = np.abs(clean - hit).sum(axis=3)
         changed_frames = np.nonzero(diff.reshape(diff.shape[0], -1).sum(axis=1))[0]
         assert changed_frames.size == 1
         changed = np.argwhere(diff[changed_frames[0]] > 0)
@@ -115,9 +110,9 @@ class TestSourceCoder:
         prep = prepare_classical(gop, 1e-12, ldpc_code)
         bs = prep.bitstream
         assert np.all(bs.bits[bs.block_map[:, 0]] == 1)
-        decoded = _stack(source_decode(bs))
-        assert np.abs(decoded - gop.to_array()).max() <= 0.5 / 255
-        assert np.array_equal(_stack(prep.clean_decode), decoded)
+        decoded = source_decode(bs)
+        assert np.abs(decoded - gop.frames).max() <= 0.5 / 255
+        assert np.array_equal(prep.clean_decode, decoded)
 
     def test_empty_trailing_macroblock_is_concealed(self):
         # its range starts at the payload's end, so it has no mode bit to read
@@ -126,8 +121,8 @@ class TestSourceCoder:
         end = int(bs.block_map[0, 1])
         cut = Bitstream(bits=bs.bits[:end], width=32, height=16, n_frames=1, qp=4.0,
                         block_map=np.array([[0, end], [end, end]]))
-        decoded = _stack(source_decode(cut))
-        assert np.array_equal(decoded[0, :, :16], _stack(source_decode(bs))[0, :, :16])
+        decoded = source_decode(cut)
+        assert np.array_equal(decoded[0, :, :16], source_decode(bs)[0, :, :16])
         assert np.all(decoded[0, :, 16:] == 0.5)
 
     def test_empty_bitstream_rejected(self):
@@ -153,7 +148,7 @@ def test_coder_output_pinned(clip, qp):
 
 def _fuzz_gop():
     """Two 32 px frames: PCM-escaped noise on the left, coded blocks on the right."""
-    arr = make_test_clip(32, 32, 2, 8.0, 3).to_array()
+    arr = np.array(make_test_clip(32, 32, 2, 8.0, 3).frames)
     arr[:, :, :16] = np.random.default_rng(3).random((2, 32, 16, 3))
     return _clip(arr)
 
@@ -177,8 +172,8 @@ class TestDecoderTotal:
         bits = FUZZ_BS.bits.copy()
         bits[flips] ^= 1
         prev = FUZZ_GOP.frames[-1] if conceal_from_plate else None
-        decoded = _stack(source_decode(replace(FUZZ_BS, bits=bits), spans, prev))
-        assert decoded.shape == FUZZ_GOP.to_array().shape
+        decoded = source_decode(replace(FUZZ_BS, bits=bits), spans, prev)
+        assert decoded.shape == FUZZ_GOP.frames.shape
         assert decoded.min() >= 0.0 and decoded.max() <= 1.0
 
     def test_fuzz_stream_mixes_pcm_and_coded(self):
@@ -198,8 +193,8 @@ CLEAN_DECODE_GOPS = {
 @pytest.mark.parametrize("clip", sorted(CLEAN_DECODE_GOPS))
 def test_clean_decode_is_the_parsed_decode(clip, qp, ldpc_code):
     gop = CLEAN_DECODE_GOPS[clip]
-    parsed = _stack(source_decode(source_encode(gop, qp)))
-    assert np.array_equal(_stack(prepare_classical(gop, qp, ldpc_code).clean_decode), parsed)
+    parsed = source_decode(source_encode(gop, qp))
+    assert np.array_equal(prepare_classical(gop, qp, ldpc_code).clean_decode, parsed)
 
 
 def _flat_gops():
@@ -219,9 +214,9 @@ def test_tiny_qp_escapes_to_pcm(name, qp, ldpc_code):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         prep = prepare_classical(gop, qp, ldpc_code)
-    parsed = _stack(source_decode(prep.bitstream))
-    assert np.array_equal(_stack(prep.clean_decode), parsed)
-    assert np.abs(parsed - gop.to_array()).max() <= 0.5 / 255 + 1e-12
+    parsed = source_decode(prep.bitstream)
+    assert np.array_equal(prep.clean_decode, parsed)
+    assert np.abs(parsed - gop.frames).max() <= 0.5 / 255 + 1e-12
 
 
 def test_qp_without_a_step_refused(natural_gop):
@@ -270,15 +265,20 @@ class TestTransmitChain:
                             lambda *args: decodes.append(args) or decode(*args))
         monkeypatch.setattr(semvid.classical, "_quantize",
                             lambda *args: quantizations.append(args) or quantize(*args))
-        plate = Frame(np.full((64, 64, 3), 0.25))
+        plate = np.full((64, 64, 3), 0.25)
         for seed, prev in ((3, None), (4, plate)):
             received, stats = transmit_prepared(
                 prep, 25.0, seed, prev_frame=prev, max_iters=MAX_ITERS)
             assert stats.decode_failures == 0
-            for a, b in zip(parsed, received):
-                assert np.array_equal(a.data, b.data)
+            assert np.array_equal(parsed, received)
         # taken from the quantizer, never parsed, once per prepared GOP
         assert (len(decodes), len(quantizations)) == (0, 1)
+
+    def test_clean_decode_is_read_only(self, natural_gop, ldpc_code):
+        # it is cached, and the sweep's workers share it
+        frames = prepare_classical(natural_gop, 4.0, ldpc_code).clean_decode
+        with pytest.raises(ValueError, match="read-only"):
+            frames[0, 0, 0, 0] = 0.0
 
     def test_failed_block_conceals_its_macroblocks(self, natural_gop, ldpc_code, monkeypatch):
         prep = prepare_classical(natural_gop, 4.0, ldpc_code)
@@ -292,7 +292,7 @@ class TestTransmitChain:
             return info, converged
 
         monkeypatch.setattr(semvid.classical, "ldpc_decode", first_block_fails)
-        plate = Frame(np.full((64, 64, 3), 0.25))
+        plate = np.full((64, 64, 3), 0.25)
         received, stats = transmit_prepared(
             prep, 25.0, 3, prev_frame=plate, max_iters=MAX_ITERS)
         assert stats.decode_failures == 1
@@ -301,8 +301,8 @@ class TestTransmitChain:
         cols = natural_gop.width // MB
         assert hit and max(hit) < cols * (natural_gop.height // MB)  # all in frame 0
         for f, (a, b) in enumerate(zip(clean, received)):
-            for i in range(a.data.shape[0] // MB * cols):
+            for i in range(a.shape[0] // MB * cols):
                 sl = (slice(i // cols * MB, (i // cols + 1) * MB),
                       slice(i % cols * MB, (i % cols + 1) * MB))
-                want = plate.data[sl] if f == 0 and i in hit else a.data[sl]
-                assert np.array_equal(b.data[sl], want)
+                want = plate[sl] if f == 0 and i in hit else a[sl]
+                assert np.array_equal(b[sl], want)

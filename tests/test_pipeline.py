@@ -35,7 +35,7 @@ from semvid.pipeline import (
     transmit_video,
     video_quality,
 )
-from semvid.video import Frame, VideoSequence, load_raw, save_raw
+from semvid.video import VideoSequence, load_raw, save_raw
 
 import pins
 
@@ -375,14 +375,14 @@ class TestSweepScoring:
 
     def test_clip_scores_equal_ms_ssim(self, reference_sweep, per_pair_ms_ssim):
         cfg, video, _, received, _ = reference_sweep
-        scorer = ClipMsSsim(video.to_array(), cfg.metrics.ms_ssim_scales)
+        scorer = ClipMsSsim(video.frames, cfg.metrics.ms_ssim_scales)
         for clip, scores in zip(received, per_pair_ms_ssim):
-            got = scorer.frame_scores(clip.to_array())
+            got = scorer.frame_scores(clip.frames)
             assert [x.hex() for x in got] == [x.hex() for x in scores]
 
     def test_each_distinct_received_video_scored_once(self, reference_sweep):
         *_, received, scored = reference_sweep
-        distinct = {hashlib.sha1(clip.to_array().tobytes()).digest() for clip in received}
+        distinct = {hashlib.sha1(clip.frames).digest() for clip in received}
         # the classical chain conceals every block at -10, -5 and 0 dB and
         # decodes cleanly from 5 dB up
         assert len(distinct) == 10
@@ -486,8 +486,7 @@ def test_video_quality_refuses_clips_of_another_length(small_clip):
 
 
 def test_video_quality_refuses_another_frame_size(small_clip):
-    wide = VideoSequence(tuple(Frame(np.zeros((64, 72, 3))) for _ in small_clip.frames),
-                         small_clip.fps)
+    wide = VideoSequence(np.zeros((len(small_clip), 64, 72, 3)), small_clip.fps)
     with pytest.raises(ValueError, match=r"\(64, 64, 3\) vs \(64, 72, 3\)"):
         video_quality(small_clip, wide, scales=1)
 
@@ -702,24 +701,13 @@ class TestCli:
         assert exc.value.code == 2
         assert "argument --snr: must be finite" in capsys.readouterr().err
 
-    def test_sweep_and_compare(self, tmp_path, tiny_config):
-        cfg_path = tmp_path / "cfg.json"
-        save_config(replace(tiny_config, sweep_snrs_db=(25.0,)), cfg_path)
-        out = tmp_path / "sweep"
-        assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
-        assert (out / "curves.csv").exists()
-        out2 = tmp_path / "cmp"
-        assert cli_main(["compare", "--config", str(cfg_path), "--out", str(out2)]) == 0
-        assert (out2 / "comparison.json").exists()
-
-    def test_sweep_writes_compares_curve(self, tmp_path, tiny_config):
+    def test_compare_writes_report_and_curve(self, tmp_path, tiny_config):
         cfg_path = tmp_path / "cfg.json"
         save_config(tiny_config, cfg_path)
-        for command in ("sweep", "compare"):
-            out = tmp_path / command
-            assert cli_main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
-        sweep, compare = ((tmp_path / c / "curves.csv").read_bytes() for c in ("sweep", "compare"))
-        assert sweep == compare
+        assert cli_main(["compare", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        report = compare_baselines(tiny_config)
+        assert (tmp_path / "comparison.json").read_text() == report.to_json()
+        assert (tmp_path / "curves.csv").read_text() == report.curve.to_csv()
 
     def test_composite(self, tmp_path, tiny_config):
         cfg_path = tmp_path / "cfg.json"
@@ -730,7 +718,7 @@ class TestCli:
         assert payload["matte_iou"] > 0.9
         fused = load_raw(out / "composite.rgb")
         assert len(fused) == payload["frames"] == tiny_config.user_video.frames
-        assert fused.frames[0].data.shape == (48, 48, 3)
+        assert fused.frames[0].shape == (48, 48, 3)
 
     def test_composite_uses_configured_user_clip(self, tmp_path, tiny_config):
         # a test-pattern clip has no ground-truth mattes and is matted against
@@ -744,7 +732,7 @@ class TestCli:
         assert payload == {"frames": cfg.user_video.frames}
         fused = load_raw(out / "composite.rgb")
         background = resolve_video(cfg.background_video)
-        assert np.max(np.abs(fused.frames[0].data - background.frames[0].data)) <= 0.5 / 255
+        assert np.max(np.abs(fused.frames[0] - background.frames[0])) <= 0.5 / 255
 
     def test_reconstruct(self, tmp_path, tiny_config):
         cfg_path = tmp_path / "cfg.json"
@@ -770,6 +758,6 @@ class TestCli:
         save_config(replace(tiny_config, sweep_snrs_db=(25.0,)), cfg_path)
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
-        cli_main(["sweep", "--config", str(cfg_path), "--seed", "1", "--out", str(out_a)])
-        cli_main(["sweep", "--config", str(cfg_path), "--seed", "2", "--out", str(out_b)])
+        cli_main(["compare", "--config", str(cfg_path), "--seed", "1", "--out", str(out_a)])
+        cli_main(["compare", "--config", str(cfg_path), "--seed", "2", "--out", str(out_b)])
         assert (out_a / "curves.csv").read_text() != (out_b / "curves.csv").read_text()

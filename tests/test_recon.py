@@ -198,7 +198,7 @@ class TestRender:
             cameras=(default_camera(),), background=np.array([0.2, 0.4, 0.6]),
         )
         res = render(scene, 0)
-        assert np.allclose(res.image.data, [0.2, 0.4, 0.6])
+        assert np.allclose(res.image, [0.2, 0.4, 0.6])
         assert not res.depth.any()  # sentinel for no surface
         assert not res.alpha.any()
 
@@ -206,14 +206,14 @@ class TestRender:
         scene = replace(_single_gaussian_scene(mean=(0.0, 0.0, -2.5)),
                         background=np.array([0.2, 0.4, 0.6]))
         res = render(scene, 0)
-        assert np.array_equal(res.image.data, np.broadcast_to([0.2, 0.4, 0.6], (64, 64, 3)))
+        assert np.array_equal(res.image, np.broadcast_to([0.2, 0.4, 0.6], (64, 64, 3)))
         assert not res.depth.any()
         assert not res.alpha.any()
 
     def test_single_gaussian_argmax_matches_projection(self):
         scene = _single_gaussian_scene()
         res = render(scene, 0)
-        bright = res.image.data.sum(axis=2)
+        bright = res.image.sum(axis=2)
         peak_y, peak_x = np.unravel_index(np.argmax(bright), bright.shape)
         mu2d, _ = project(scene.means[0], _covariance(scene, 0), scene.cameras[0])
         assert abs(peak_x - mu2d[0]) <= 1.0
@@ -230,7 +230,7 @@ class TestRender:
             basis_trans=np.zeros((1, 1, 3)), cameras=[default_camera()], background=np.zeros(3),
         )
         res = render(scene, 0)
-        center = res.image.data[32, 32]
+        center = res.image[32, 32]
         assert center[0] > 0.99
         assert center[1] < 0.01
 
@@ -238,7 +238,7 @@ class TestRender:
         scene = _single_gaussian_scene(color=(0.3, 0.6, 0.9))
         res = render(scene, 0)
         for c, value in enumerate((0.3, 0.6, 0.9)):
-            assert res.image.data[..., c].max() <= max(value, 0.0) + 1e-12
+            assert res.image[..., c].max() <= max(value, 0.0) + 1e-12
 
     def test_transmittance_in_unit_interval(self):
         scene = make_benchmark_scene()
@@ -276,8 +276,8 @@ class TestRender:
         moved = replace(scene, means=means2, quats=quats2, basis_quats=bq2, basis_trans=bt2,
                         cameras=cams2)
         for t in (0, scene.n_timesteps - 1):
-            a = render(scene, t).image.data
-            c = render(moved, t).image.data
+            a = render(scene, t).image
+            c = render(moved, t).image
             assert np.max(np.abs(a - c)) < 1e-6
 
 
@@ -315,7 +315,7 @@ class TestBatchSizeIndependence:
             for key in ("image", "depth", "alphas", "order"):
                 assert np.array_equal(frame[key], single[key]), (key, t)
             res = render(scene, t)
-            assert np.array_equal(res.image.data,
+            assert np.array_equal(res.image,
                                   np.clip(frame["image"].transpose(1, 2, 0), 0.0, 1.0))
             assert np.array_equal(res.depth, frame["depth"])
 
@@ -366,7 +366,7 @@ class TestSceneIo:
         assert np.allclose(loaded.quats, scene.quats)
         assert np.allclose(loaded.basis_trans, scene.basis_trans)
         assert np.allclose(loaded.cameras[0].intrinsics, scene.cameras[0].intrinsics)
-        assert np.max(np.abs(render(loaded, 2).image.data - render(scene, 2).image.data)) < 1e-12
+        assert np.max(np.abs(render(loaded, 2).image - render(scene, 2).image)) < 1e-12
 
     def test_validation(self):
         scene = _single_gaussian_scene()

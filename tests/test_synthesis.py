@@ -13,13 +13,13 @@ from semvid.synthesis import (
     semantic_loss,
     transition_mask,
 )
-from semvid.video import Frame, box_downsample
+from semvid.video import box_downsample
 
 import pins
 
 
 def _frame(value, shape=(10, 10, 3)):
-    return Frame(np.full(shape, float(value)))
+    return np.full(shape, float(value))
 
 
 class TestEstimateMatte:
@@ -145,32 +145,32 @@ class TestDetailLoss:
 class TestFusionLoss:
     def test_zero_at_truth(self, rng):
         alpha = rng.random((8, 8))
-        fg = Frame(rng.random((8, 8, 3)))
-        bg = Frame(rng.random((8, 8, 3)))
+        fg = rng.random((8, 8, 3))
+        bg = rng.random((8, 8, 3))
         assert fusion_loss(alpha, alpha, fg, bg) == 0.0
 
     def test_inverted_binary_matte(self, rng):
         alpha = (rng.random((8, 8)) > 0.5).astype(float)
         inverted = 1.0 - alpha
-        f = Frame(rng.random((8, 8, 3)))
+        f = rng.random((8, 8, 3))
         # fg == bg kills the compositional term, leaving the matte term
         assert fusion_loss(inverted, alpha, f, f) == pytest.approx(1.0)
 
     def test_compositional_term_zero_when_fg_equals_bg(self, rng):
         a = rng.random((8, 8))
         b = rng.random((8, 8))
-        f = Frame(rng.random((8, 8, 3)))
+        f = rng.random((8, 8, 3))
         assert fusion_loss(a, b, f, f) == pytest.approx(np.mean(np.abs(a - b)))
 
     def test_positive_when_different(self, rng):
         a = rng.random((8, 8))
         b = np.clip(a + 0.2, 0, 1)
-        fg = Frame(rng.random((8, 8, 3)))
-        bg = Frame(rng.random((8, 8, 3)))
+        fg = rng.random((8, 8, 3))
+        bg = rng.random((8, 8, 3))
         assert fusion_loss(b, a, fg, bg) > 0.0
 
     def test_dims_mismatch(self, rng):
-        f = Frame(rng.random((8, 8, 3)))
+        f = rng.random((8, 8, 3))
         with pytest.raises(ValueError, match="fusion loss"):
             fusion_loss(np.zeros((8, 8)), np.zeros((8, 7)), f, f)
 
@@ -183,25 +183,25 @@ class TestMatteIou:
 
 class TestComposite:
     def test_alpha_one_selects_foreground(self, rng):
-        x = Frame(rng.random((6, 6, 3)))
-        b = Frame(rng.random((6, 6, 3)))
+        x = rng.random((6, 6, 3))
+        b = rng.random((6, 6, 3))
         out = composite(x, b, np.ones((6, 6)))
-        assert np.array_equal(out.data, x.data)
+        assert np.array_equal(out, x)
 
     def test_alpha_zero_selects_background(self, rng):
-        x = Frame(rng.random((6, 6, 3)))
-        b = Frame(rng.random((6, 6, 3)))
+        x = rng.random((6, 6, 3))
+        b = rng.random((6, 6, 3))
         out = composite(x, b, np.zeros((6, 6)))
-        assert np.array_equal(out.data, b.data)
+        assert np.array_equal(out, b)
 
     def test_half_mix(self):
         out = composite(_frame(1.0), _frame(0.0), np.full((10, 10), 0.5))
-        assert np.allclose(out.data, 0.5)
+        assert np.allclose(out, 0.5)
 
     def test_same_frame_fixed_point(self, rng):
-        x = Frame(rng.random((6, 6, 3)))
+        x = rng.random((6, 6, 3))
         out = composite(x, x, rng.random((6, 6)))
-        assert np.allclose(out.data, x.data)
+        assert np.allclose(out, x)
 
     @settings(max_examples=25, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -210,7 +210,7 @@ class TestComposite:
         x = rng.random((5, 5, 3))
         b = rng.random((5, 5, 3))
         alpha = rng.random((5, 5))
-        out = composite(Frame(x), Frame(b), alpha).data
+        out = composite(x, b, alpha)
         lo = np.minimum(x, b) - 1e-12
         hi = np.maximum(x, b) + 1e-12
         assert np.all(out >= lo) and np.all(out <= hi)
@@ -225,6 +225,34 @@ class TestComposite:
         alpha[3, 4] = value
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             composite(_frame(1.0), _frame(0.0), alpha)
+
+
+# each function that takes a matte, called with the matte under test in one
+# argument and valid 2x2 inputs in the others
+MATTE_TAKERS = {
+    "matte_iou[pred]": lambda m: matte_iou(m, np.ones((2, 2))),
+    "matte_iou[reference]": lambda m: matte_iou(np.ones((2, 2)), m),
+    "transition_mask": lambda m: transition_mask(m, 1),
+    "semantic_loss[prediction]": lambda m: semantic_loss(m, np.zeros((4, 4)), 2),
+    "semantic_loss[reference]": lambda m: semantic_loss(np.zeros((1, 1)), m, 2),
+    "detail_loss[prediction]": lambda m: detail_loss(m, np.zeros((2, 2)), np.ones((2, 2))),
+    "detail_loss[reference]": lambda m: detail_loss(np.zeros((2, 2)), m, np.ones((2, 2))),
+    "composite": lambda m: composite(_frame(1.0, (2, 2, 3)), _frame(0.0, (2, 2, 3)), m),
+}
+BAD_MATTES = {
+    "nan": [[np.nan, 1.0], [0.0, 1.0]],
+    "above_one": [[0.0, 1.0], [0.0, 2.0]],
+    "below_zero": [[0.0, -0.5], [0.0, 1.0]],
+    "infinite": [[0.0, 1.0], [np.inf, 1.0]],
+    "three_d": np.zeros((2, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_MATTES))
+@pytest.mark.parametrize("taker", sorted(MATTE_TAKERS))
+def test_bad_matte_refused(taker, bad):
+    with pytest.raises(ValueError, match=r"matte (must be 2-D|values must lie in \[0, 1\])"):
+        MATTE_TAKERS[taker](np.array(BAD_MATTES[bad]))
 
 
 @pytest.mark.parametrize("case", sorted(pins.MATTING_CASES))

@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semvid.video import (
-    Frame,
-    VideoSequence,
-    box_downsample,
-    load_raw,
-    save_raw,
-    segment_gops,
-)
+from semvid.video import VideoSequence, box_downsample, load_raw, save_raw, segment_gops
 
 import pins
 
@@ -21,7 +14,7 @@ import pins
 def _video(n, h=4, w=6, fps=8.0):
     rng = np.random.default_rng(n)
     arr = np.round(rng.random((n, h, w, 3)) * 255) / 255
-    return VideoSequence.from_array(arr, fps)
+    return VideoSequence(arr, fps)
 
 
 class TestSegment:
@@ -42,12 +35,16 @@ class TestSegment:
         with pytest.raises(ValueError):
             segment_gops(_video(4), 0)
 
+    def test_gops_share_the_clips_samples(self):
+        video = _video(7)
+        assert all(np.shares_memory(g.frames, video.frames) for g in segment_gops(video, 3))
+
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(n_frames=st.integers(1, 12), n=st.integers(1, 6))
     def test_segment_then_flatten_is_identity(self, n_frames, n):
         video = _video(n_frames)
         frames = [f for g in segment_gops(video, n) for f in g.frames]
-        assert np.array_equal(np.stack([f.data for f in frames]), video.to_array())
+        assert np.array_equal(np.stack(frames), video.frames)
 
 
 class TestDownsample:
@@ -56,7 +53,7 @@ class TestDownsample:
         assert np.array_equal(out, np.full((4, 4, 3), 0.5))
 
     def test_identity(self):
-        data = _video(1).frames[0].data
+        data = _video(1).frames[0]
         out = box_downsample(data, 1)
         assert np.array_equal(out, data)
         out[0, 0, 0] = 0.3  # a writable copy, though the frame's samples are read-only
@@ -75,7 +72,7 @@ class TestDownsample:
                 box_downsample(np.zeros((2, 2, 3)), factor)
 
     def test_mean_preserved_when_factor_divides(self):
-        data = _video(1, h=12, w=8).frames[0].data
+        data = _video(1, h=12, w=8).frames[0]
         out = box_downsample(data, 4)
         assert np.allclose(out.mean(axis=(0, 1)), data.mean(axis=(0, 1)), rtol=0, atol=1e-9)
 
@@ -95,7 +92,7 @@ class TestRawFiles:
         path = tmp_path / "clip.rgb"
         save_raw(video, path)
         loaded = load_raw(path)
-        assert np.array_equal(loaded.to_array(), video.to_array())
+        assert np.array_equal(loaded.frames, video.frames)
         assert loaded.fps == video.fps
         # saving again produces identical bytes
         save_raw(loaded, tmp_path / "again.rgb")
@@ -183,18 +180,25 @@ class TestRawFiles:
 
 class TestValidation:
     def test_frame_range_checked(self):
-        with pytest.raises(ValueError):
-            Frame(np.full((2, 2, 3), 1.5))
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            VideoSequence(np.full((1, 2, 2, 3), 1.5), 8.0)
 
     def test_frame_shape_checked(self):
-        with pytest.raises(ValueError):
-            Frame(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=r"shape \(n, h, w, 3\)"):
+            VideoSequence(np.zeros((1, 2, 2)), 8.0)
+
+    @pytest.mark.parametrize("frames, message", [
+        (np.zeros((1, 0, 2, 3)), "at least one pixel"),
+        (np.full((1, 2, 2, 3), np.nan), "finite"),
+        (np.full((1, 2, 2, 3), -np.inf), "finite"),
+    ], ids=["no-pixel", "nan", "-inf"])
+    def test_empty_or_non_finite_frames_refused(self, frames, message):
+        with pytest.raises(ValueError, match=message):
+            VideoSequence(frames, 8.0)
 
     def test_gop_needs_homogeneous_dims(self):
-        a = Frame(np.zeros((2, 2, 3)))
-        b = Frame(np.zeros((4, 4, 3)))
         with pytest.raises(ValueError):
-            VideoSequence((a, b), 8.0)
+            VideoSequence([np.zeros((2, 2, 3)), np.zeros((4, 4, 3))], 8.0)
 
     def test_size_is_the_frames_size(self):
         video = _video(2, h=4, w=6)
@@ -211,7 +215,24 @@ class TestValidation:
     def test_frames_immutable(self):
         frame = _video(1).frames[0]
         with pytest.raises(ValueError):
-            frame.data[0, 0, 0] = 0.3
+            frame[0, 0, 0] = 0.3
+
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_clip_holds_its_own_copy(self, read_only_view):
+        # a Fortran-ordered input, or a read-only view of a writable one
+        arr = np.random.default_rng(4).random((3, 4, 6, 3))
+        if not read_only_view:
+            arr = np.asfortranarray(arr)
+        before = arr.copy()
+        given = arr.view()
+        given.setflags(write=not read_only_view)
+        video = VideoSequence(given, 8.0)
+        assert arr.flags.writeable
+        arr[0, 0, 0, 0] = 1.0 - arr[0, 0, 0, 0]
+        assert np.array_equal(video.frames, before)
+        assert video.frames.flags.c_contiguous and not video.frames.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            video.frames[0, 0, 0, 0] = 0.5
 
 
 def test_fixtures_pinned():
