@@ -348,14 +348,43 @@ def l1_fit(max_backtracks):
         return fit.fit_scene([None] * n, [None] * n, None, fixtures.perturb_scene(gt, seed=5), 80)
 
 
-def l1_fit_bits(max_backtracks):
-    """The counts, and a digest of the losses, fitted arrays and counts."""
-    result = l1_fit(max_backtracks)
+def fit_bits(result):
+    """A fit's counts, and a digest of its losses, fitted arrays and counts."""
     counts = f"{result.backtracks} {result.rejected_steps}"
     return {"backtracks": result.backtracks, "rejected_steps": result.rejected_steps,
             "bits": sha256(" ".join(x.hex() for x in result.losses).encode(),
                            *(getattr(result.scene, key) for key in fit.PARAM_KEYS),
                            counts.encode())}
+
+
+@cache
+def reference_fit_inputs():
+    """The reference config's fit: its frames, depths and tracks, and its
+    perturbed start."""
+    rc = config.reference_config().reconstruction
+    gt = fixtures.make_benchmark_scene(rc.n_timesteps, rc.image_size, rc.n_bases)
+    frames, depths, tracks = fixtures.make_fit_inputs(gt, rc.n_tracks)
+    return frames, depths, tracks, fixtures.perturb_scene(gt, rc.perturb_seed)
+
+
+def objective_pass():
+    """One forward and one backward pass of the real objective at the
+    reference fit's start: the loss, every frame's image and depth, and
+    the flat gradient."""
+    frames, depths, tracks, start = reference_fit_inputs()
+    objective = fit._Objective(frames, depths, tracks, start)
+    params = mutable_params(start)
+    loss, fwd = objective.forward(params)
+    grads = objective.backward(params, fwd)
+    return sha256(np.float64(loss), *(a for frame in fwd["frames"]
+                                      for a in (frame["image"], frame["depth"])),
+                  fit._flatten(grads))
+
+
+def short_fit():
+    """The reference inputs fitted for 20 iterations, as :func:`fit_bits`."""
+    frames, depths, tracks, start = reference_fit_inputs()
+    return fit_bits(fit.fit_scene(frames, depths, tracks, start, 20))
 
 
 @cache
@@ -409,7 +438,9 @@ TABLE = {
     **{f"recon.track_assignments[{case}]": partial(track_weights, case)
        for case in ("reference", "gradient_check")},
     "recon.scene_file": scene_file,
-    **{f"recon.l1_fit[{n}]": partial(l1_fit_bits, n) for n in (1, 3)},
+    **{f"recon.l1_fit[{n}]": lambda n=n: fit_bits(l1_fit(n)) for n in (1, 3)},
+    "recon.objective_pass": objective_pass,
+    "recon.short_fit": short_fit,
     "metrics.ms_ssim_scores": ms_ssim_digest,
 }
 

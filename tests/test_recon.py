@@ -679,6 +679,17 @@ class TestOptimizerPin:
         pins.check(f"recon.l1_fit[{max_backtracks}]")
 
 
+class TestReferenceFitPins:
+    """The real objective and a short fit on the reference inputs, bit for
+    bit."""
+
+    def test_objective_pass_pinned(self):
+        pins.check("recon.objective_pass")
+
+    def test_short_fit_pinned(self):
+        pins.check("recon.short_fit")
+
+
 def test_written_out_splat_algebra_matches_einsum():
     rng = np.random.default_rng(3)
     g, h, w = 6, 9, 11
