@@ -91,6 +91,8 @@ def cmd_reconstruct(args, cfg, out: Path) -> int:
     save_scene(result.scene, out / "scene.json")
     metrics["iterations"] = result.iterations_run
     metrics["backtracks"] = result.backtracks
+    metrics["evaluations"] = result.evaluations
+    metrics["gradients"] = result.gradients
     metrics["rejected_steps"] = result.rejected_steps
     _write_json(out / "reconstruct.json", metrics)
     print(f"fit loss {result.losses[0]:.4f} -> {result.final_loss:.6f}, "

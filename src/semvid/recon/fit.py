@@ -75,6 +75,8 @@ class FitResult:
     losses: list  # the objective at the start and after each iteration
     backtracks: int
     rejected_steps: int
+    evaluations: int  # forward passes of the objective
+    gradients: int    # backward passes
 
     @property
     def final_loss(self) -> float:
@@ -169,8 +171,8 @@ def _softmax_backward(w: np.ndarray, d_w: np.ndarray) -> np.ndarray:
 
 def _splat_backward(d_qf, dx, dy, inv):
     """Gradients through qf = d^T inv d with d = p - mu2d, given d(loss)/d(qf)
-    per (g, h, w): returns (d_inv (g, 2, 2), d_mu2d (g, 2)), with the 2x2
-    products written out."""
+    per (g, h, w) and offsets ``dx``, ``dy`` that broadcast to it: returns
+    (d_inv (g, 2, 2), d_mu2d (g, 2)), with the 2x2 products written out."""
     a = d_qf * dx
     b = d_qf * dy
     d_inv = np.empty(inv.shape)
@@ -201,26 +203,31 @@ def _pixel_backward(params, z, frame, g_image, g_depth, background):
     frame's (3, h, w) image and (h, w) depth to its sorted splats' colours,
     opacities, centres, 2D covariances and depths.  ``z`` holds that
     frame's camera depth per Gaussian."""
-    order, alphas, t_excl = frame["order"], frame["alphas"], frame["t_excl"]
-    n, h, w = alphas.shape
-    weights = t_excl * alphas
+    order, t_excl, weights = frame["order"], frame["t_excl"], frame["weights"]
+    n, h, w = t_excl.shape
     # project the upstream gradient onto each splat's color and depth and
     # onto the background; since the suffix sum is linear, one scalar
     # suffix sum then covers everything behind each splat, background
     # included (t_final * bg also depends on every alpha)
     g_rgb = g_image.reshape(3, h * w)
-    proj = (params["colors"][order] @ g_rgb).reshape(n, h, w) + z[order, None, None] * g_depth
+    proj = (params["colors"][order] @ g_rgb).reshape(n, h, w)
+    proj += z[order, None, None] * g_depth
     tail = np.empty((n + 1, h, w))
     np.multiply(weights, proj, out=tail[:-1])
     tail[-1] = frame["t_final"] * (background @ g_rgb).reshape(h, w)
-    d_alpha = t_excl * proj - _suffix_sums(tail) / (1.0 - alphas)
+    d_alpha = np.multiply(t_excl, proj, out=proj)
+    behind = _suffix_sums(tail)
+    d_alpha -= np.divide(behind, frame["one_minus"], out=behind)
     weights_flat = weights.reshape(n, h * w)
 
+    # d_alpha becomes d(loss)/d(e) * o for alpha_raw = o * e, then d(loss)/d(qf)
     alpha_raw = frame["alpha_raw"]
-    d_alpha_e = d_alpha * (alpha_raw < ALPHA_MAX) * alpha_raw  # alpha_raw = o * e
-    d_opacities = np.sum(d_alpha_e, axis=(1, 2)) / params["opacities"][order]
+    d_alpha *= alpha_raw < ALPHA_MAX
+    d_alpha *= alpha_raw
+    d_opacities = np.sum(d_alpha, axis=(1, 2)) / params["opacities"][order]
+    d_alpha *= -0.5
     inv = frame["inv"]
-    d_inv, d_mu2d = _splat_backward(-0.5 * d_alpha_e, frame["dx"], frame["dy"], inv)
+    d_inv, d_mu2d = _splat_backward(d_alpha, frame["dx"], frame["dy"], inv)
     return (weights_flat @ g_rgb.T, d_opacities, d_mu2d, -inv @ d_inv @ inv,
             weights_flat @ g_depth.reshape(-1))
 
@@ -424,11 +431,13 @@ def fit_scene(frames, depth_maps, tracks_2d, initial_scene, iterations,
     loss, fwd = objective.forward(_views(x, groups))
     losses = [loss]
     scale = 1.0
-    backtracks = rejected_steps = 0
+    backtracks = rejected_steps = gradients = 0
+    evaluations = 1
     accepted = True  # the start counts as accepted: its gradient is built first
     for _ in range(iterations):
         if accepted:
             grad = _flatten(objective.backward(_views(x, groups), fwd))
+            gradients += 1
             fwd = None
         step = adam.direction(grad)
         accepted = False
@@ -437,6 +446,7 @@ def fit_scene(frames, depth_maps, tracks_2d, initial_scene, iterations,
             backtracks += trial > 0
             candidate = np.clip(x - trial_scale * step, lo, hi)
             cand_loss, fwd = objective.forward(_views(candidate, groups))
+            evaluations += 1
             if cand_loss <= loss:
                 x, loss = candidate, cand_loss
                 scale = min(1.0, trial_scale * 1.25)
@@ -452,4 +462,4 @@ def fit_scene(frames, depth_maps, tracks_2d, initial_scene, iterations,
                 break
 
     return FitResult(params_to_scene(_views(x, groups), initial_scene), losses, backtracks,
-                     rejected_steps)
+                     rejected_steps, evaluations, gradients)

@@ -744,6 +744,10 @@ class TestCli:
         assert payload["final_loss"] >= 0.0
         assert 0.0 <= payload["center_pck_0p1"] <= 1.0
         assert payload["backtracks"] >= 0 and payload["rejected_steps"] >= 0
+        # one forward pass for the start and one per trial; one gradient
+        # per accepted iterate that is stepped from
+        assert payload["evaluations"] == 1 + payload["iterations"] + payload["backtracks"]
+        assert 1 <= payload["gradients"] <= payload["iterations"] - payload["rejected_steps"]
 
     def test_pipeline_command(self, tmp_path, tiny_config):
         cfg_path = tmp_path / "cfg.json"

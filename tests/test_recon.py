@@ -26,6 +26,7 @@ from semvid.recon.render import (
     ALPHA_MAX,
     COV_REG_PX2,
     composite,
+    hit_weights,
     pixel_grid,
     project_points,
     quad_form,
@@ -320,6 +321,19 @@ class TestBatchSizeIndependence:
             assert np.array_equal(res.depth, frame["depth"])
 
 
+    def test_one_pixel_frames_equal_the_full_grid(self, make):
+        scene = make()
+        params, cam = scene_params(scene), scene.cameras[2]
+        full = rasterize(params, [cam], [2], scene.background,
+                         [pixel_grid(cam.width, cam.height)])["frames"][0]
+        for x, y in ((0, 0), (cam.width - 1, 0), (17, 29), (cam.width - 1, cam.height - 1)):
+            one = rasterize(params, [cam], [2], scene.background,
+                            [(np.array([x], float), np.array([y], float))])["frames"][0]
+            assert np.array_equal(one["order"], full["order"])
+            for key in ("alphas", "alpha_raw", "t_excl", "weights"):
+                assert np.array_equal(one[key][:, 0, 0], full[key][:, y, x]), (key, x, y)
+
+
 @pytest.mark.parametrize("g", [0, 1, 5])
 class TestLoopRewrites:
     """The compositing and gradient loops against the numpy primitives they
@@ -329,11 +343,14 @@ class TestLoopRewrites:
         rng = np.random.default_rng(g)
         alphas = rng.uniform(0.0, ALPHA_MAX, (g, 7, 9))
         background = np.array([0.2, 0.4, 0.6])
-        image, depth, t_excl, t_final = composite(alphas, rng.random((g, 3)), rng.random(g),
-                                                  background)
+        image, depth, t_excl, t_final, weights, one_minus = composite(
+            alphas, rng.random((g, 3)), rng.random(g), background)
         reference = np.ones((g + 1, 7, 9))
         np.cumprod(1 - alphas, axis=0, out=reference[1:])
         assert np.array_equal(np.concatenate([t_excl, t_final[None]]), reference)
+        # the maps the gradient reads instead of forming them again
+        assert np.array_equal(weights, t_excl * alphas)
+        assert np.array_equal(one_minus, 1 - alphas)
         assert image.shape == (3, 7, 9) and depth.shape == (7, 9)
         if g == 0:  # nothing to composite: the background and no surface
             assert np.array_equal(image, np.broadcast_to(background[:, None, None], (3, 7, 9)))
@@ -354,6 +371,17 @@ class TestTrackAssignments:
         scene = _single_gaussian_scene()
         with pytest.raises(ValueError, match="hits no Gaussian"):
             track_assignments(scene, [[0.0, 0.0]])
+
+    @pytest.mark.parametrize("pixel", [[np.nan, 10.0], [np.inf, 3.0], [32.0, -np.inf],
+                                       [10.0, 20.0, 99.0], [24.0], []],
+                             ids=["nan", "inf", "minus-inf", "three", "one", "empty"])
+    def test_malformed_pixel_refused(self, pixel):
+        scene = _single_gaussian_scene()
+        with pytest.raises(ValueError, match=re.escape(f"pixel {pixel!r} must be two finite")):
+            hit_weights(scene, pixel, 0)
+        if len(pixel) == 2:  # a (K, 2) query with one bad row
+            with pytest.raises(ValueError, match="must be two finite"):
+                track_assignments(scene, [[32.0, 32.0], pixel])
 
 
 class TestSceneIo:
@@ -636,6 +664,22 @@ class TestFitTrials:
         flat = sum(b == a for a, b in zip(result.losses, result.losses[1:]))
         assert result.rejected_steps == flat
 
+    def test_evaluation_and_gradient_counts(self, monkeypatch):
+        frames, depths, tracks, init = _backtracking_fit_setup(monkeypatch)
+        calls = {"forward": 0, "backward": 0}
+        for name in calls:
+            original = getattr(fit_module._Objective, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(fit_module._Objective, name, counted)
+        result = fit_scene(frames, depths, tracks, init, 6)
+        assert result.backtracks > 0 and result.rejected_steps > 0
+        assert (result.evaluations, result.gradients) == (calls["forward"], calls["backward"])
+        assert result.evaluations == 1 + result.iterations_run + result.backtracks
+
     def test_every_step_rejected(self, monkeypatch):
         frames, depths, tracks, init = _backtracking_fit_setup(
             monkeypatch, learning_rate=1.0, max_backtracks=1)
@@ -690,13 +734,21 @@ class TestReferenceFitPins:
         pins.check("recon.short_fit")
 
 
-def test_written_out_splat_algebra_matches_einsum():
+@pytest.mark.parametrize("separable", [False, True], ids=["full", "separable"])
+def test_written_out_splat_algebra_matches_einsum(separable):
+    """The written-out forms against ``einsum``; with separable offsets,
+    (g, 1, w) and (g, h, 1) as the rasterizer passes them, they also equal
+    the calls on the full (g, h, w) offset maps bit for bit."""
     rng = np.random.default_rng(3)
     g, h, w = 6, 9, 11
-    dx, dy = rng.normal(0.0, 4.0, (2, g, h, w))
+    if separable:
+        dx, dy = rng.normal(0.0, 4.0, (g, 1, w)), rng.normal(0.0, 4.0, (g, h, 1))
+    else:
+        dx, dy = rng.normal(0.0, 4.0, (2, g, h, w))
     inv = rng.normal(0.0, 1.0, (g, 2, 2))  # not symmetric, so every entry is pinned
     d_qf = rng.normal(0.0, 1.0, (g, h, w))
-    delta = np.stack([dx, dy], axis=-1)
+    full_dx, full_dy = np.broadcast_arrays(dx, dy)
+    delta = np.stack([full_dx, full_dy], axis=-1)
 
     def rel(new, old):
         return np.linalg.norm(new - old) / np.linalg.norm(old)
@@ -709,3 +761,8 @@ def test_written_out_splat_algebra_matches_einsum():
     assert rel(quad_form(dx, dy, inv), qf) < 1e-12
     assert rel(new_d_inv, d_inv) < 1e-12
     assert rel(new_d_mu2d, d_mu2d) < 1e-12
+    full_dx, full_dy = (np.ascontiguousarray(x) for x in (full_dx, full_dy))
+    assert np.array_equal(quad_form(dx, dy, inv), quad_form(full_dx, full_dy, inv))
+    full_d_inv, full_d_mu2d = fit_module._splat_backward(d_qf, full_dx, full_dy, inv)
+    assert np.array_equal(new_d_inv, full_d_inv)
+    assert np.array_equal(new_d_mu2d, full_d_mu2d)
