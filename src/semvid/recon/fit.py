@@ -210,24 +210,24 @@ def _pixel_backward(params, z, frame, g_image, g_depth, background):
     # suffix sum then covers everything behind each splat, background
     # included (t_final * bg also depends on every alpha)
     g_rgb = g_image.reshape(3, h * w)
-    proj = (params["colors"][order] @ g_rgb).reshape(n, h, w)
-    proj += z[order, None, None] * g_depth
+    proj = (params["colors"][order] @ g_rgb).reshape(n, h, w) + z[order, None, None] * g_depth
     tail = np.empty((n + 1, h, w))
     np.multiply(weights, proj, out=tail[:-1])
     tail[-1] = frame["t_final"] * (background @ g_rgb).reshape(h, w)
+    alphas, behind = frame["alphas"], _suffix_sums(tail)
     d_alpha = np.multiply(t_excl, proj, out=proj)
-    behind = _suffix_sums(tail)
-    d_alpha -= np.divide(behind, frame["one_minus"], out=behind)
+    d_alpha -= np.divide(behind, 1.0 - alphas, out=behind)
     weights_flat = weights.reshape(n, h * w)
 
-    # d_alpha becomes d(loss)/d(e) * o for alpha_raw = o * e, then d(loss)/d(qf)
-    alpha_raw = frame["alpha_raw"]
-    d_alpha *= alpha_raw < ALPHA_MAX
-    d_alpha *= alpha_raw
+    # alpha = o * exp(-0.5 qf) below the clip, constant where it binds
+    d_alpha *= alphas < ALPHA_MAX
+    d_alpha *= alphas  # now d(loss)/d(log o)
     d_opacities = np.sum(d_alpha, axis=(1, 2)) / params["opacities"][order]
-    d_alpha *= -0.5
+    d_alpha *= -0.5    # now d(loss)/d(qf)
     inv = frame["inv"]
-    d_inv, d_mu2d = _splat_backward(d_alpha, frame["dx"], frame["dy"], inv)
+    # on full offset maps the products run faster than on broadcast ones
+    d_inv, d_mu2d = _splat_backward(d_alpha, np.repeat(frame["dx"], h, axis=1),
+                                    np.repeat(frame["dy"], w, axis=2), inv)
     return (weights_flat @ g_rgb.T, d_opacities, d_mu2d, -inv @ d_inv @ inv,
             weights_flat @ g_depth.reshape(-1))
 
@@ -363,8 +363,9 @@ class _Objective:
         for f, frame in enumerate(fwd["frames"]):
             order = frame["order"]
             resid_img, resid_dep = frame["resid_img"], frame["resid_dep"]
-            g_image = IMAGE_WEIGHT * np.sign(resid_img) / (resid_img.size * denom)
-            g_depth = DEPTH_WEIGHT * np.sign(resid_dep) / (resid_dep.size * denom)
+            # sign * (w / n) is exactly w * sign / n for a sign of -1, 0 or 1
+            g_image = np.sign(resid_img) * (IMAGE_WEIGHT / (resid_img.size * denom))
+            g_depth = np.sign(resid_dep) * (DEPTH_WEIGHT / (resid_dep.size * denom))
             d_colors, d_opacities, d_mu2d[f, order], d_cov2d[f, order], d_x_cam[f, order, 2] = (
                 _pixel_backward(params, fwd["x_cam"][f, :, 2], frame, g_image, g_depth,
                                 self.background))
@@ -431,8 +432,7 @@ def fit_scene(frames, depth_maps, tracks_2d, initial_scene, iterations,
     loss, fwd = objective.forward(_views(x, groups))
     losses = [loss]
     scale = 1.0
-    backtracks = rejected_steps = gradients = 0
-    evaluations = 1
+    evaluations, gradients, backtracks, rejected_steps = 1, 0, 0, 0
     accepted = True  # the start counts as accepted: its gradient is built first
     for _ in range(iterations):
         if accepted:

@@ -73,40 +73,29 @@ def _inverse_2x2(mat: np.ndarray):
 
 
 def pixel_grid(width: int, height: int):
-    """The sample positions of a (height, width) image as its two axes: the
-    (width,) x and (height,) y pixel coordinates."""
-    return np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64)
+    return np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64)  # (x, y)
 
 
 def quad_form(dx: np.ndarray, dy: np.ndarray, inv: np.ndarray) -> np.ndarray:
     """d^T inv d per (g, h, w) offset d = (dx, dy), with the 2x2 product
-    written out; ``dx`` and ``dy`` may be any shapes that broadcast to
-    (g, h, w), and a new (g, h, w) array is returned."""
+    written out, as a new array; dx and dy broadcast to (g, h, w)."""
     a, b, c, d = (inv[:, i, j, None, None] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    qf = a * dx + b * dy
-    qf *= dx
-    tail = c * dx + d * dy
-    tail *= dy
-    qf += tail
-    return qf
+    qf, tail = a * dx + b * dy, c * dx + d * dy
+    return np.add(np.multiply(qf, dx, out=qf), np.multiply(tail, dy, out=tail), out=qf)
 
 
 def splat_alphas(mu2d: np.ndarray, cov2d: np.ndarray, opacities: np.ndarray, points):
     """Per-Gaussian alpha maps o * exp(-0.5 * d^T cov2d^-1 d) at the sample
     ``points``, a pair of 1-D x and y coordinates (:func:`pixel_grid`),
     clipped just below 1 so transmittance never hits zero exactly.  Returns
-    (alphas, unclipped alphas, dx, dy, cov2d^-1), all maps (g, h, w) but
-    the separable offsets d = (dx, dy) from each center: dx is (g, 1, w)
-    and dy (g, h, 1)."""
-    xs, ys = points
+    the (g, h, w) alphas, the separable offsets d = (dx, dy) from each
+    center, dx (g, 1, w) and dy (g, h, 1), and cov2d^-1."""
     inv, _ = _inverse_2x2(cov2d)
-    dx = xs[None, None, :] - mu2d[:, 0, None, None]
-    dy = ys[None, :, None] - mu2d[:, 1, None, None]
-    # -0.5 folded into inv: scaling by a power of two rounds exactly
-    alpha_raw = quad_form(dx, dy, -0.5 * inv)
-    np.exp(alpha_raw, out=alpha_raw)
-    alpha_raw *= opacities[:, None, None]
-    return np.minimum(alpha_raw, ALPHA_MAX), alpha_raw, dx, dy, inv
+    dx = points[0][None, None, :] - mu2d[:, 0, None, None]
+    dy = points[1][None, :, None] - mu2d[:, 1, None, None]
+    alphas = quad_form(dx, dy, -0.5 * inv)  # scaling by a power of two rounds exactly
+    np.multiply(np.exp(alphas, out=alphas), opacities[:, None, None], out=alphas)
+    return np.minimum(alphas, ALPHA_MAX, out=alphas), dx, dy, inv
 
 
 def composite(alphas_sorted: np.ndarray, colors_sorted: np.ndarray,
@@ -114,53 +103,48 @@ def composite(alphas_sorted: np.ndarray, colors_sorted: np.ndarray,
     """Front-to-back compositing of already depth-sorted alpha maps.
 
     Returns (image (3,h,w), depth (h,w), transmittance_excl (g,h,w),
-    final_transmittance (h,w), weights transmittance_excl * alphas (g,h,w),
-    1 - alphas (g,h,w)).  With no splats the image is the background, the
-    depth 0 and the final transmittance 1."""
+    final_transmittance (h,w), weights transmittance_excl * alphas
+    (g,h,w)).  With no splats the image is the background, the depth 0 and
+    the final transmittance 1."""
     n, h, w = alphas_sorted.shape
-    one_minus = 1.0 - alphas_sorted
     trans = np.empty((n + 1, h, w))
     trans[0] = 1.0
     for i in range(n):  # the running product, as cumprod forms it
-        np.multiply(trans[i], one_minus[i], out=trans[i + 1])
+        np.multiply(trans[i], 1.0 - alphas_sorted[i], out=trans[i + 1])
     t_excl, t_final = trans[:-1], trans[-1]
     weights = t_excl * alphas_sorted
     flat = weights.reshape(n, h * w)
     image = (colors_sorted.T @ flat).reshape(3, h, w) + t_final * background[:, None, None]
     depth = (z_sorted @ flat).reshape(h, w)
-    return image, depth, t_excl, t_final, weights, one_minus
+    return image, depth, t_excl, t_final, weights
 
 
 def rasterize(params: dict, cameras, ts, background: np.ndarray, points) -> dict:
     """The one forward pass over the timesteps ``ts``, frame f seen by
-    ``cameras[f]`` at the sample positions ``points[f]``, its (w,) x and
-    (h,) y coordinates (:func:`pixel_grid`): pose and project every frame
-    in one batch, then depth sort, splat and composite each frame on its
-    own (one frame's (G, h, w) maps stay in cache).  ``params`` holds the
-    scene arrays under :data:`PARAM_KEYS`.  Returns the batched pose and
-    projection arrays, and under ``frames`` one dict per frame, newly
-    built, of the sorted splats and the composite: ``order``, the
-    (G, h, w) maps ``alphas``, ``alpha_raw``, ``t_excl``, ``weights``
-    (t_excl * alphas) and ``one_minus`` (1 - alphas), the offsets ``dx``
-    (G, 1, w) and ``dy`` (G, h, 1), ``inv`` (G, 2, 2), and ``image``
-    (3, h, w), ``depth`` and ``t_final`` (h, w): everything the fitter's
-    backward pass needs."""
+    ``cameras[f]`` at the (w,) x and (h,) y coordinates ``points[f]``: pose
+    and project every frame in one batch, then depth sort, splat and
+    composite each frame on its own (one frame's (G, h, w) maps stay in
+    cache).  ``params`` holds the scene arrays under :data:`PARAM_KEYS`.
+    Returns the batched pose and projection arrays, and under ``frames``
+    one new dict per frame: ``order``, the (G, h, w) ``alphas``,
+    ``t_excl`` and ``weights`` (t_excl * alphas), ``dx`` (G, 1, w), ``dy``
+    (G, h, 1), ``inv``, ``image``, ``depth`` and ``t_final``: everything
+    the fitter's backward pass needs."""
     pp = pose_pipeline(params, ts)
     valid, x_cam, mu2d, j, cov2d = project_points(pp["mu_t"], pp["cov"], cameras)
     frames = []
     for f, grid in enumerate(points):
         idx = np.nonzero(valid[f])[0]
         order = idx[np.argsort(x_cam[f, idx, 2], kind="stable")]
-        alphas, alpha_raw, dx, dy, inv = splat_alphas(
+        alphas, dx, dy, inv = splat_alphas(
             mu2d[f, order], cov2d[f, order], params["opacities"][order], grid
         )
-        image, depth, t_excl, t_final, weights, one_minus = composite(
+        image, depth, t_excl, t_final, weights = composite(
             alphas, params["colors"][order], x_cam[f, order, 2], background
         )
         frames.append({
-            "order": order, "alphas": alphas, "alpha_raw": alpha_raw, "dx": dx, "dy": dy,
+            "order": order, "alphas": alphas, "weights": weights, "dx": dx, "dy": dy,
             "inv": inv, "image": image, "depth": depth, "t_excl": t_excl, "t_final": t_final,
-            "weights": weights, "one_minus": one_minus,
         })
     return {"pp": pp, "valid": valid, "x_cam": x_cam, "mu2d": mu2d, "j": j, "frames": frames}
 
@@ -177,8 +161,9 @@ def render(scene: GaussianScene, t: int) -> RenderResult:
 
 
 def hit_weights(scene: GaussianScene, pixel, t: int) -> np.ndarray:
-    """The per-Gaussian T*alpha weights at one pixel of frame t, normalized
-    to sum to 1, as a length-G vector (0 for Gaussians the pixel misses)."""
+    """The per-Gaussian T*alpha weights at one pixel (x, y) of frame t,
+    normalized to sum to 1, as a length-G vector (0 for Gaussians the pixel
+    misses)."""
     px = np.asarray(pixel, dtype=np.float64)
     if px.shape != (2,) or not np.all(np.isfinite(px)):
         raise ValueError(f"pixel {pixel!r} must be two finite numbers (x, y)")

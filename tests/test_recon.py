@@ -330,7 +330,7 @@ class TestBatchSizeIndependence:
             one = rasterize(params, [cam], [2], scene.background,
                             [(np.array([x], float), np.array([y], float))])["frames"][0]
             assert np.array_equal(one["order"], full["order"])
-            for key in ("alphas", "alpha_raw", "t_excl", "weights"):
+            for key in ("alphas", "t_excl", "weights"):
                 assert np.array_equal(one[key][:, 0, 0], full[key][:, y, x]), (key, x, y)
 
 
@@ -343,14 +343,13 @@ class TestLoopRewrites:
         rng = np.random.default_rng(g)
         alphas = rng.uniform(0.0, ALPHA_MAX, (g, 7, 9))
         background = np.array([0.2, 0.4, 0.6])
-        image, depth, t_excl, t_final, weights, one_minus = composite(
+        image, depth, t_excl, t_final, weights = composite(
             alphas, rng.random((g, 3)), rng.random(g), background)
         reference = np.ones((g + 1, 7, 9))
         np.cumprod(1 - alphas, axis=0, out=reference[1:])
         assert np.array_equal(np.concatenate([t_excl, t_final[None]]), reference)
-        # the maps the gradient reads instead of forming them again
+        # the compositing weights, which the gradient reads
         assert np.array_equal(weights, t_excl * alphas)
-        assert np.array_equal(one_minus, 1 - alphas)
         assert image.shape == (3, 7, 9) and depth.shape == (7, 9)
         if g == 0:  # nothing to composite: the background and no surface
             assert np.array_equal(image, np.broadcast_to(background[:, None, None], (3, 7, 9)))
