@@ -214,7 +214,7 @@ def _pixel_backward(params, z, frame, g_image, g_depth, background):
     tail = np.empty((n + 1, h, w))
     np.multiply(weights, proj, out=tail[:-1])
     tail[-1] = frame["t_final"] * (background @ g_rgb).reshape(h, w)
-    alphas, behind = frame["alphas"], _suffix_sums(tail)
+    alphas, inv, behind = frame["alphas"], frame["inv"], _suffix_sums(tail)
     d_alpha = np.multiply(t_excl, proj, out=proj)
     d_alpha -= np.divide(behind, 1.0 - alphas, out=behind)
     weights_flat = weights.reshape(n, h * w)
@@ -224,7 +224,6 @@ def _pixel_backward(params, z, frame, g_image, g_depth, background):
     d_alpha *= alphas  # now d(loss)/d(log o)
     d_opacities = np.sum(d_alpha, axis=(1, 2)) / params["opacities"][order]
     d_alpha *= -0.5    # now d(loss)/d(qf)
-    inv = frame["inv"]
     # on full offset maps the products run faster than on broadcast ones
     d_inv, d_mu2d = _splat_backward(d_alpha, np.repeat(frame["dx"], h, axis=1),
                                     np.repeat(frame["dy"], w, axis=2), inv)

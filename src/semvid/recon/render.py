@@ -73,7 +73,8 @@ def _inverse_2x2(mat: np.ndarray):
 
 
 def pixel_grid(width: int, height: int):
-    return np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64)  # (x, y)
+    """The pixel coordinates as a pair of 1-D arrays, x (width,) and y (height,)."""
+    return np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64)
 
 
 def quad_form(dx: np.ndarray, dy: np.ndarray, inv: np.ndarray) -> np.ndarray:

@@ -320,7 +320,6 @@ class TestBatchSizeIndependence:
                                   np.clip(frame["image"].transpose(1, 2, 0), 0.0, 1.0))
             assert np.array_equal(res.depth, frame["depth"])
 
-
     def test_one_pixel_frames_equal_the_full_grid(self, make):
         scene = make()
         params, cam = scene_params(scene), scene.cameras[2]
@@ -733,35 +732,33 @@ class TestReferenceFitPins:
         pins.check("recon.short_fit")
 
 
-@pytest.mark.parametrize("separable", [False, True], ids=["full", "separable"])
-def test_written_out_splat_algebra_matches_einsum(separable):
-    """The written-out forms against ``einsum``; with separable offsets,
-    (g, 1, w) and (g, h, 1) as the rasterizer passes them, they also equal
-    the calls on the full (g, h, w) offset maps bit for bit."""
+def test_written_out_splat_algebra_matches_einsum():
+    """The written-out forms against ``einsum``, on full (g, h, w) offset
+    maps and on separable (g, 1, w) and (g, h, 1) offsets as the rasterizer
+    forms them; on separable offsets they also equal the calls on the full
+    maps bit for bit."""
     rng = np.random.default_rng(3)
     g, h, w = 6, 9, 11
-    if separable:
-        dx, dy = rng.normal(0.0, 4.0, (g, 1, w)), rng.normal(0.0, 4.0, (g, h, 1))
-    else:
-        dx, dy = rng.normal(0.0, 4.0, (2, g, h, w))
+    full = tuple(rng.normal(0.0, 4.0, (2, g, h, w)))
     inv = rng.normal(0.0, 1.0, (g, 2, 2))  # not symmetric, so every entry is pinned
     d_qf = rng.normal(0.0, 1.0, (g, h, w))
-    full_dx, full_dy = np.broadcast_arrays(dx, dy)
-    delta = np.stack([full_dx, full_dy], axis=-1)
+    separable = rng.normal(0.0, 4.0, (g, 1, w)), rng.normal(0.0, 4.0, (g, h, 1))
 
     def rel(new, old):
         return np.linalg.norm(new - old) / np.linalg.norm(old)
 
-    qf = np.einsum("ghwi,gij,ghwj->ghw", delta, inv, delta)
-    d_inv = np.einsum("ghw,ghwi,ghwj->gij", d_qf, delta, delta)
-    d_delta = 2.0 * np.einsum("ghw,ghwj,gji->ghwi", d_qf, delta, inv)
-    d_mu2d = -np.sum(d_delta, axis=(1, 2))
-    new_d_inv, new_d_mu2d = fit_module._splat_backward(d_qf, dx, dy, inv)
-    assert rel(quad_form(dx, dy, inv), qf) < 1e-12
-    assert rel(new_d_inv, d_inv) < 1e-12
-    assert rel(new_d_mu2d, d_mu2d) < 1e-12
-    full_dx, full_dy = (np.ascontiguousarray(x) for x in (full_dx, full_dy))
-    assert np.array_equal(quad_form(dx, dy, inv), quad_form(full_dx, full_dy, inv))
-    full_d_inv, full_d_mu2d = fit_module._splat_backward(d_qf, full_dx, full_dy, inv)
-    assert np.array_equal(new_d_inv, full_d_inv)
-    assert np.array_equal(new_d_mu2d, full_d_mu2d)
+    for dx, dy in (full, separable):
+        full_dx, full_dy = (np.ascontiguousarray(x) for x in np.broadcast_arrays(dx, dy))
+        delta = np.stack([full_dx, full_dy], axis=-1)
+        qf = np.einsum("ghwi,gij,ghwj->ghw", delta, inv, delta)
+        d_inv = np.einsum("ghw,ghwi,ghwj->gij", d_qf, delta, delta)
+        d_delta = 2.0 * np.einsum("ghw,ghwj,gji->ghwi", d_qf, delta, inv)
+        d_mu2d = -np.sum(d_delta, axis=(1, 2))
+        new_d_inv, new_d_mu2d = fit_module._splat_backward(d_qf, dx, dy, inv)
+        assert rel(quad_form(dx, dy, inv), qf) < 1e-12
+        assert rel(new_d_inv, d_inv) < 1e-12
+        assert rel(new_d_mu2d, d_mu2d) < 1e-12
+        assert np.array_equal(quad_form(dx, dy, inv), quad_form(full_dx, full_dy, inv))
+        full_d_inv, full_d_mu2d = fit_module._splat_backward(d_qf, full_dx, full_dy, inv)
+        assert np.array_equal(new_d_inv, full_d_inv)
+        assert np.array_equal(new_d_mu2d, full_d_mu2d)
