@@ -45,13 +45,14 @@ The blocks that fail the initial hard-decision check and pass the pre-test
 are split into parts of at most ``PART_BYTES`` of messages per array (64
 blocks for k = 512), so that a part's messages stay in a core's L2 cache:
 BP's time goes to memory traffic more than to ``tanh``, and one part per
-CPU (about 500 blocks, 6 MB of messages per array) did not fit.  ``parallel_map`` decodes the parts
-(``_bp_part``) with one worker per CPU, or inline when the decode itself runs
-in a worker (one point of an SNR sweep).  The split cannot change a bit:
-every operation is elementwise along the block axis or gathers whole rows,
-the packed syndrome XORs bit by bit, and nothing reduces across blocks, so a
-block's float32 arithmetic is the same whichever blocks share its part, and
-each part writes only its own blocks' rows of the results.
+CPU (about 500 blocks, 6 MB of messages per array) did not fit.  The parts
+(``_bp_part``) are decoded one after another in the calling thread: the SNR
+sweep, which runs each point on its own worker, is the program's one level
+of threads.  The split cannot change a bit: every operation is elementwise
+along the block axis or gathers whole rows, the packed syndrome XORs bit by
+bit, and nothing reduces across blocks, so a block's float32 arithmetic is
+the same whichever blocks share its part, and each part writes only its own
+blocks' rows of the results.
 Construction finds 4-cycles from the check lists and runs once per (k, seed)
 in a process: ``make_ldpc_code`` is memoized and returns a read-only code.
 Encoding is a GF(2) product by table lookup, the "Four Russians" method
@@ -67,8 +68,6 @@ import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
-
-from .parallel import parallel_map
 
 # every code is (3, 6)-regular: rate 1/2 with each check of full degree
 VAR_DEGREE = 3
@@ -428,6 +427,8 @@ def ldpc_decode(llrs, code: LdpcCode, max_iters: int = 50):
     llr = np.asarray(llrs, dtype=np.float64).reshape(-1)
     if llr.size % code.n != 0:
         raise ValueError("llr length must be a multiple of n")
+    if np.isnan(llr).any():  # NaN < 0 is False: a NaN block would read as converged zeros
+        raise ValueError("llrs must not be NaN")
     blocks = llr.reshape(-1, code.n)
 
     decided = (blocks < 0).astype(np.uint8)
@@ -440,9 +441,8 @@ def ldpc_decode(llrs, code: LdpcCode, max_iters: int = 50):
         # stay small, and BP's parts are filled with blocks that passed it
         hopeful = [_passes_pretest(blocks[idx[i:i + size]]) for i in range(0, idx.size, size)]
         idx = idx[np.concatenate(hopeful)]
-        parallel_map(lambda part: _bp_part(blocks, part, code, max_iters, decided, converged,
-                                           unsatisfied),
-                     [idx[i:i + size] for i in range(0, idx.size, size)])
+        for i in range(0, idx.size, size):
+            _bp_part(blocks, idx[i:i + size], code, max_iters, decided, converged, unsatisfied)
 
     info = decided[:, code.info_positions].reshape(-1)
     return info, converged

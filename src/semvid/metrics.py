@@ -45,9 +45,13 @@ def _pair_arrays(x, y):
 
 
 def mse(x, y) -> float:
-    """Mean squared error between two equally sized frames."""
+    """Mean squared error between two equally sized frames of finite samples."""
     a, b = _pair_arrays(x, y)
-    return float(np.mean((a - b) ** 2))
+    with np.errstate(invalid="ignore"):  # inf - inf; a non-finite error is refused below
+        err = float(np.mean((a - b) ** 2))
+    if not np.isfinite(err):
+        raise ValueError(f"frames must be finite; their mean squared error is {err}")
+    return err
 
 
 def psnr(x, y) -> float:
@@ -145,7 +149,8 @@ def _pyramid(planes: np.ndarray, scales: int):
 def _reference_levels(frame, scales: int) -> list:
     """Per scale, a reference frame's (C, H, W) planes and their
     ``_reference_stats``."""
-    return [(a, _reference_stats(a)) for a in _pyramid(_frame_planes(frame), scales)]
+    with np.errstate(invalid="ignore"):  # a non-finite sample is refused in _frame_score
+        return [(a, _reference_stats(a)) for a in _pyramid(_frame_planes(frame), scales)]
 
 
 def _frame_score(levels: list, frame, weights: np.ndarray) -> float:
@@ -154,9 +159,10 @@ def _frame_score(levels: list, frame, weights: np.ndarray) -> float:
     coarsest level's mean luminance and every level's mean
     contrast-structure, each clipped at 0 and weighted."""
     cs_terms = []
-    for (a, stats), b in zip(levels, _pyramid(_frame_planes(frame), len(levels))):
-        lum, cs = _ssim_terms(a, stats, b)
-        cs_terms.append([max(float(plane.mean()), 0.0) for plane in cs])
+    with np.errstate(invalid="ignore"):  # inf - inf; the score is checked below
+        for (a, stats), b in zip(levels, _pyramid(_frame_planes(frame), len(levels))):
+            lum, cs = _ssim_terms(a, stats, b)
+            cs_terms.append([max(float(plane.mean()), 0.0) for plane in cs])
     values = []
     for c, plane in enumerate(lum):
         score = max(float(plane.mean()), 0.0) ** weights[-1]
@@ -164,7 +170,10 @@ def _frame_score(levels: list, frame, weights: np.ndarray) -> float:
             score *= level[c] ** w
         # the coarsest level contributes both luminance and cs
         values.append(score * cs_terms[-1][c] ** weights[-1])
-    return float(np.clip(np.mean(values), 0.0, 1.0))
+    mean = np.mean(values)
+    if not np.isfinite(mean):  # a NaN or inf sample makes some window's terms NaN
+        raise ValueError("ms_ssim needs frames of finite samples")
+    return float(np.clip(mean, 0.0, 1.0))
 
 
 def ms_ssim(x, y, scales: int) -> float:

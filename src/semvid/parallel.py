@@ -1,7 +1,8 @@
 """The program's one thread pool: ``parallel_map`` over independent items,
 with one worker per CPU.  numpy releases the interpreter lock inside its
-ufuncs and gathers, so the workers overlap there.  A call made from inside a
-worker runs inline, since the outer map already keeps every CPU busy."""
+ufuncs and gathers, so the workers overlap there.  It is the program's only
+level of threads: each call opens a pool of its own, so ``fn`` never calls
+``parallel_map`` again, and only ``pipeline.py`` calls it (a lint test checks)."""
 
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 THREAD_PREFIX = "semvid-worker"
-_local = threading.local()  # ``inside`` is set while this thread runs a worker
 
 
 def _worker_count() -> int:
@@ -29,13 +29,12 @@ def parallel_map(fn, items) -> list:
     forked child never inherits threads it lacks."""
     items = list(items)
     workers = min(_worker_count(), len(items))
-    if workers < 2 or getattr(_local, "inside", False):
+    if workers < 2:
         return [fn(x) for x in items]
     results, unclaimed = [None] * len(items), iter(range(len(items)))
     lock, failed = threading.Lock(), threading.Event()
 
     def work() -> None:
-        _local.inside = True
         try:
             while not failed.is_set():
                 with lock:
@@ -46,8 +45,6 @@ def parallel_map(fn, items) -> list:
         except BaseException:
             failed.set()
             raise
-        finally:
-            _local.inside = False
 
     with ThreadPoolExecutor(workers - 1, THREAD_PREFIX) as pool:  # waits for every worker
         futures = [pool.submit(work) for _ in range(workers - 1)]

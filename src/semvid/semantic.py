@@ -277,7 +277,11 @@ def decode_packet(packet: SemanticPacket, received: np.ndarray, noise_var: float
                   cfg: SemanticCodecConfig) -> tuple:
     """Receiver side: MMSE-style shrinkage 1/(1 + sigma^2) on the normalized
     symbols, de-normalization and de-weighting, then scatter into maps with
-    dropped elements filled by the model locations."""
+    dropped elements filled by the model locations.  ``received`` holds one
+    value per sent symbol."""
+    if np.shape(received) != packet.symbols.shape:
+        raise ValueError(f"received {np.size(received)} values in shape {np.shape(received)}; "
+                         f"the packet sent {packet.symbols.size} symbols")
     shrink = 1.0 / (1.0 + noise_var)
     values = received * shrink * packet.rms
     weights = _symbol_weights(packet.scales, cfg)

@@ -1,9 +1,5 @@
 import functools
-import os
-import signal
-import sys
 import threading
-import warnings
 from dataclasses import FrozenInstanceError
 from unittest import mock
 
@@ -273,6 +269,20 @@ class TestDecode:
         assert converged.sum() < converged.size
 
 
+    def test_all_nan_block_refused(self, ldpc_code, mixed_llrs):
+        # NaN < 0 is False: the block would decode to zeros and read as converged
+        llrs = mixed_llrs.copy()
+        llrs[:ldpc_code.n] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            ldpc_decode(llrs, ldpc_code)
+
+    def test_one_nan_llr_refused(self, ldpc_code, mixed_llrs):
+        llrs = mixed_llrs.copy()
+        llrs[-1] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            ldpc_decode(llrs, ldpc_code)
+
+
 class TestStallExit:
     """A block that cannot converge leaves BP unconverged: before the first
     iteration when its channel fails the pre-test, from the third when its
@@ -357,8 +367,8 @@ class TestStallExit:
 
 
 class TestSplitDecode:
-    """The iterating blocks are split across threads; no split may change a
-    bit."""
+    """The iterating blocks are decoded in parts sized for a core's L2
+    cache; no split may change a bit."""
 
     def test_batch_iterates_unevenly(self, ldpc_code, split_llrs):
         # the premise of the tests below: blocks converge at different
@@ -373,65 +383,31 @@ class TestSplitDecode:
         assert ldpc._part_blocks(make_ldpc_code(1024, 11)) == 32
 
     def test_result_independent_of_worker_count(self, ldpc_code, split_llrs, monkeypatch):
-        # nor on the part size: every (part size, workers) pair gives the same bits
+        # the parts run in the calling thread (below), so only the part size
+        # could change a bit, and none does
         results = {}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # interleave the parts' threads more often
-        try:
-            for part_blocks in (1, 7, 64, len(SPLIT_SNRS_DB)):
-                # part size 1 runs the most workers the batch allows, one per block
-                for workers in (1, 2, 3, len(SPLIT_SNRS_DB) + 5):
-                    monkeypatch.setattr(ldpc, "_part_blocks", lambda code, b=part_blocks: b)
-                    monkeypatch.setattr(parallel, "_worker_count", lambda w=workers: w)
-                    results[part_blocks, workers] = ldpc_decode(split_llrs, ldpc_code)
-        finally:
-            sys.setswitchinterval(interval)
-        info, converged = results[len(SPLIT_SNRS_DB), 1]
+        for part_blocks in (1, 7, 64, len(SPLIT_SNRS_DB)):
+            monkeypatch.setattr(ldpc, "_part_blocks", lambda code, b=part_blocks: b)
+            results[part_blocks] = ldpc_decode(split_llrs, ldpc_code)
+        info, converged = results[len(SPLIT_SNRS_DB)]
         for key, (other_info, other_converged) in results.items():
             assert np.array_equal(other_info, info), key
             assert np.array_equal(other_converged, converged), key
 
-    @pytest.mark.parametrize("where", ["pool", "caller"])
-    def test_exception_in_a_part_propagates(self, ldpc_code, split_llrs, monkeypatch, where):
-        real = ldpc._exclude_self_products
+    def test_parts_run_in_the_calling_thread(self, ldpc_code, split_llrs, monkeypatch):
+        # with workers to spare, a decode still starts no thread: the SNR
+        # sweep's points are the program's one level of threads
+        threads, real = [], ldpc._bp_part
 
-        def failing(t, out):
-            if (threading.current_thread() is threading.main_thread()) == (where == "caller"):
-                raise FloatingPointError(f"injected in the {where} part")
-            return real(t, out)
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return real(*args)
 
-        # three parts on two workers, each claiming the next part: the caller
-        # and the pool thread each decode at least one
         monkeypatch.setattr(ldpc, "_part_blocks", lambda code: len(SPLIT_SNRS_DB) // 3)
-        monkeypatch.setattr(parallel, "_worker_count", lambda: 2)
-        monkeypatch.setattr(ldpc, "_exclude_self_products", failing)
-        with pytest.raises(FloatingPointError, match=where):
-            ldpc_decode(split_llrs, ldpc_code)
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_forked_child_decodes(self, ldpc_code, mixed_llrs, monkeypatch):
-        monkeypatch.setattr(ldpc, "_part_blocks", lambda code: 2)
-        monkeypatch.setattr(parallel, "_worker_count", lambda: 2)
-        info, converged = ldpc_decode(mixed_llrs, ldpc_code)
-        # each decode's pool is gone when it returns: the child inherits none
-        assert not any(t.name.startswith(parallel.THREAD_PREFIX) for t in threading.enumerate())
-        with warnings.catch_warnings():
-            # newer Pythons warn on forking a process that has threads
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                signal.signal(signal.SIGALRM, signal.SIG_DFL)
-                signal.alarm(10)  # a hung decode kills the child
-                child_info, child_converged = ldpc_decode(mixed_llrs, ldpc_code)
-                same = (np.array_equal(child_info, info)
-                        and np.array_equal(child_converged, converged))
-                status = 0 if same else 1
-            finally:
-                os._exit(status)
-        _, wait_status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(wait_status) == 0
+        monkeypatch.setattr(parallel, "_worker_count", lambda: 4)
+        monkeypatch.setattr(ldpc, "_bp_part", recording)
+        ldpc_decode(split_llrs, ldpc_code)
+        assert threads == [threading.current_thread()] * 3
 
 
 class TestSyndrome:

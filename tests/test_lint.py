@@ -3,9 +3,10 @@
 top-level private name (``_name``) that it never reads, every defaulted
 parameter of a top-level private function in ``src/`` is set by some call
 and left unset by another, every public name in ``src/`` is read by the
-program, not only by the tests, only ``semvid.parallel`` starts threads,
-and no string literal in ``src/`` or ``tests/`` holds 64 hex digits (a
-SHA-256 digest): pinned values live in ``tests/pins.json``, which names the
+program, not only by the tests, only ``semvid.parallel`` starts threads
+and only ``semvid.pipeline`` calls its ``parallel_map``, and no string
+literal in ``src/`` or ``tests/`` holds 64 hex digits (a SHA-256 digest):
+pinned values live in ``tests/pins.json``, which names the
 same pins as the table in ``tests/pins.py``, and every backticked
 ``semvid.``-qualified name in ``README.md`` resolves.  Package ``__init__`` modules
 re-export what they import and are exempt from the import check, as is an
@@ -211,9 +212,9 @@ def test_no_public_name_only_tests_read(path):
     assert unread_public_names(path.read_text(), *PROGRAM_READS) == []
 
 
-def thread_constructions(source: str) -> list:
-    """(line, name) of each call that constructs a ``ThreadPoolExecutor`` or
-    a ``threading.Thread``, under whatever name it was imported."""
+def calls_to(source: str, names) -> list:
+    """(line, name) of each call of a function or class named in ``names``,
+    under whatever name it was imported, plain or as a module attribute."""
     tree = ast.parse(source)
     imported = {a.asname or a.name: a.name for node in ast.walk(tree)
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
@@ -223,24 +224,41 @@ def thread_constructions(source: str) -> list:
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             name = imported.get(name, name)
-            if name in ("ThreadPoolExecutor", "Thread"):
+            if name in names:
                 found.append((node.lineno, name))
     return sorted(found)
+
+
+THREAD_CLASSES = ("ThreadPoolExecutor", "Thread")
 
 
 def test_thread_construction_is_found():
     source = ("import threading\nfrom concurrent.futures import ThreadPoolExecutor as Pool\n"
               "from threading import Thread\n\nthreading.Thread(target=print)\n"
               "with Pool(2) as pool:\n    Thread().start()\nthreading.Lock()\n")
-    assert thread_constructions(source) == [(5, "Thread"), (6, "ThreadPoolExecutor"),
-                                            (7, "Thread")]
+    assert calls_to(source, THREAD_CLASSES) == [(5, "Thread"), (6, "ThreadPoolExecutor"),
+                                                (7, "Thread")]
 
 
 # semvid.parallel is the program's one parallelism mechanism
 @pytest.mark.parametrize("path", [p for p in SRC_MODULES if p.name != "parallel.py"],
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_threads_only_in_parallel_module(path):
-    assert thread_constructions(path.read_text()) == []
+    assert calls_to(path.read_text(), THREAD_CLASSES) == []
+
+
+def test_parallel_map_call_is_found():
+    source = ("from semvid import parallel\nfrom semvid.parallel import parallel_map as pmap\n\n"
+              "parallel.parallel_map(len, [])\npmap(len, [])\nparallel._worker_count()\n")
+    assert calls_to(source, ("parallel_map",)) == [(4, "parallel_map"), (5, "parallel_map")]
+
+
+# the SNR sweep is the program's one level of threads: a parallel_map call
+# elsewhere could run inside one of its workers and open a pool per point
+@pytest.mark.parametrize("path", [p for p in SRC_MODULES if p.name != "pipeline.py"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_parallel_map_only_in_pipeline(path):
+    assert calls_to(path.read_text(), ("parallel_map",)) == []
 
 
 def digest_literals(source: str) -> list:

@@ -67,6 +67,23 @@ class TestPsnr:
             assert abs(psnr(a, b) - 10 * np.log10(1.0 / mse(a, b))) < 1e-9
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["x", "y", "both"])
+@pytest.mark.parametrize("metric", [mse, psnr, lambda x, y: ms_ssim(x, y, scales=2),
+                                    lambda x, y: ClipMsSsim([x], 2).frame_scores([y])],
+                         ids=["mse", "psnr", "ms_ssim", "clip_ms_ssim"])
+def test_non_finite_frame_refused(metric, side, value):
+    # as epe, pck and average_jaccard refuse non-finite input.  One sample,
+    # in a corner, which the fewest MS-SSIM windows reach; on both sides, so
+    # that inf - inf makes NaN
+    good = _const(0.5, (22, 22, 3))
+    bad = good.copy()
+    bad[-1, -1, 2] = value
+    x, y = {"x": (bad, good), "y": (good, bad), "both": (bad, bad)}[side]
+    with pytest.raises(ValueError, match="finite"):
+        metric(x, y)
+
+
 def _reference_ssim_components(a, b):
     """Independent scalar implementation: explicit valid-window loops."""
     offs = np.arange(SSIM_WINDOW) - (SSIM_WINDOW - 1) / 2.0

@@ -33,16 +33,6 @@ def test_each_item_once_in_item_order(monkeypatch):
     assert _pool_threads() == []
 
 
-def test_nested_call_runs_inline(monkeypatch):
-    def outer(x):
-        here = threading.current_thread()
-        inner = parallel_map(lambda y: threading.current_thread(), range(3))
-        return all(t is here for t in inner)
-
-    monkeypatch.setattr(parallel, "_worker_count", lambda: 2)
-    assert parallel_map(outer, range(6)) == [True] * 6
-
-
 def test_exception_stops_claiming(monkeypatch):
     calls = []
 

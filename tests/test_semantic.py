@@ -220,6 +220,16 @@ class TestVariableLengthCoding:
         expected = np.broadcast_to(packet.locations[1], packet.kept_individual.shape)
         assert np.array_equal(individual_hat[dropped], expected[dropped])
 
+    @pytest.mark.parametrize("change", [1, -1])
+    def test_received_of_another_size_refused(self, small_clip, change):
+        # one more value was silently dropped, one fewer hit a broadcast error
+        maps = extract_common(_features(small_clip))
+        model = fit_entropy_model(maps, CFG)
+        packet = variable_length_code(maps, model, 50, _size(small_clip), CFG)
+        received = np.resize(packet.symbols, 50 + change)
+        with pytest.raises(ValueError, match=f"received {50 + change} values.*sent 50 symbols"):
+            decode_packet(packet, received, 0.0, CFG)
+
     def test_static_gop_small_budget_matches_full(self):
         # bandlimited static content: the kept common map carries everything
         ys, xs = np.mgrid[0:32, 0:32].astype(float)
